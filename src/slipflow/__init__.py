@@ -4,162 +4,32 @@ Solver for the perturbation form of the steady barotropic flow system in
 a rectangular duct: a fixed-point iteration over a linearized viscous
 step coupled to a density transport step, plus the diagnostic machinery
 that certifies the contraction and a-priori estimates at desk scale.
+
+The package exports what a library user needs to run a solve as the CLI
+does; everything else is reached through its module (slipflow.transport,
+slipflow.diagnostics, ...).
 """
 
-from .grid import GeometryConfig, Grid, BoundaryFrames, Face, build_grid, boundary_frames
-from .fields import (
-    ScalarField,
-    VectorField,
-    NormKind,
-    norm,
-    slice_l2,
-    gradient,
-    divergence,
-    curl,
-    laplacian,
-    zeros_scalar,
-    zeros_vector,
-)
-from .material import (
-    PressureLaw,
-    FlowParams,
-    BoundaryDataSpec,
-    PerturbationData,
-    boundary_data_from_names,
-    assemble_perturbation_data,
-    compute_F,
-    compute_G,
-)
-from .krylov import KrylovConfig, KrylovError, krylov_solve
-from .transport import (
-    TransportField,
-    make_transport_field,
-    transport_from_perturbation,
-    trace_characteristic,
-    apply_S,
-    upwind_march,
-    jacobian_bound,
-)
-from .lame import LinearStepResult, build_lame_operator, solve_linear_step
-from .picard import (
-    ProblemSetup,
-    IterationRecord,
-    SolutionBundle,
-    picard_solve,
-    random_small_start,
-    convergence_metrics,
-    two_start_uniqueness,
-    reconstruct_physical,
-)
-from .mms import ManufacturedCase, build_linear_case, build_apply_case
-from .diagnostics import (
-    DEFAULT_TOLERANCES,
-    DiagnosticEntry,
-    DiagnosticReport,
-    energy_identity_residual,
-    vorticity_boundary_residual,
-    helmholtz_decompose,
-    gradient_structure_residual,
-    apriori_ratio,
-    reflection_residual,
-    run_diagnostics,
-)
-from .config import (
-    ConfigError,
-    RunConfig,
-    DataConfig,
-    SolverConfig,
-    OutputConfig,
-    config_from_mapping,
-    parse_config,
-)
-from .runio import (
-    HISTORY_COLUMNS,
-    write_history,
-    load_history,
-    write_field_dump,
-    load_field_dump,
-    write_report_json,
-    write_config_echo,
-    write_outputs,
-)
-from .cli import build_setup, main
+from .config import ConfigError, RunConfig, config_from_mapping, parse_config
+from .fields import NormKind, norm
+from .grid import GeometryConfig, build_grid
+from .picard import ProblemSetup, SolutionBundle, build_setup, picard_solve
+from .transport import apply_S
+from .cli import main
 
 __all__ = [
-    "GeometryConfig",
-    "Grid",
-    "BoundaryFrames",
-    "Face",
-    "build_grid",
-    "boundary_frames",
-    "ScalarField",
-    "VectorField",
-    "NormKind",
-    "norm",
-    "slice_l2",
-    "gradient",
-    "divergence",
-    "curl",
-    "laplacian",
-    "zeros_scalar",
-    "zeros_vector",
-    "PressureLaw",
-    "FlowParams",
-    "BoundaryDataSpec",
-    "PerturbationData",
-    "boundary_data_from_names",
-    "assemble_perturbation_data",
-    "compute_F",
-    "compute_G",
-    "KrylovConfig",
-    "KrylovError",
-    "krylov_solve",
-    "TransportField",
-    "make_transport_field",
-    "transport_from_perturbation",
-    "trace_characteristic",
-    "apply_S",
-    "upwind_march",
-    "jacobian_bound",
-    "LinearStepResult",
-    "build_lame_operator",
-    "solve_linear_step",
-    "ProblemSetup",
-    "IterationRecord",
-    "SolutionBundle",
-    "picard_solve",
-    "random_small_start",
-    "convergence_metrics",
-    "two_start_uniqueness",
-    "reconstruct_physical",
-    "ManufacturedCase",
-    "build_linear_case",
-    "build_apply_case",
-    "DEFAULT_TOLERANCES",
-    "DiagnosticEntry",
-    "DiagnosticReport",
-    "energy_identity_residual",
-    "vorticity_boundary_residual",
-    "helmholtz_decompose",
-    "gradient_structure_residual",
-    "apriori_ratio",
-    "reflection_residual",
-    "run_diagnostics",
-    "ConfigError",
-    "RunConfig",
-    "DataConfig",
-    "SolverConfig",
-    "OutputConfig",
     "config_from_mapping",
     "parse_config",
-    "HISTORY_COLUMNS",
-    "write_history",
-    "load_history",
-    "write_field_dump",
-    "load_field_dump",
-    "write_report_json",
-    "write_config_echo",
-    "write_outputs",
+    "ConfigError",
+    "RunConfig",
     "build_setup",
+    "ProblemSetup",
+    "picard_solve",
+    "SolutionBundle",
+    "GeometryConfig",
+    "build_grid",
+    "norm",
+    "NormKind",
+    "apply_S",
     "main",
 ]

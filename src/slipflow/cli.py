@@ -26,45 +26,13 @@ from .fields import NormKind, ScalarField, VectorField, norm
 from .grid import GeometryConfig, Grid, boundary_frames, build_grid
 from .krylov import KrylovError
 from .lame import solve_linear_step
-from .material import (
-    assemble_perturbation_data,
-    boundary_data_from_names,
-    compute_F,
-    compute_G,
-)
+from .material import compute_F, compute_G
 from .mms import build_linear_case
-from .picard import ProblemSetup, convergence_metrics, picard_solve
+from .picard import build_setup, convergence_metrics, picard_solve
 from .transport import apply_S, make_transport_field, upwind_march
 
 VERIFY_SIZES = (8, 16, 32)
 TRANSPORT_SIZES = (8, 16, 32, 64)
-
-
-def build_setup(config: RunConfig) -> ProblemSetup:
-    """Materialize grid, boundary data and loop settings from a config."""
-    grid = build_grid(config.geometry)
-    frames = boundary_frames(grid)
-    spec = boundary_data_from_names(
-        grid,
-        epsilon=config.data.epsilon,
-        normal_trace=dict(config.data.normal_trace),
-        slip=dict(config.data.slip),
-        inflow_density=config.data.inflow_density,
-    )
-    data = assemble_perturbation_data(grid, frames, spec, config.params, p=config.solver.p)
-    return ProblemSetup(
-        grid=grid,
-        frames=frames,
-        params=config.params,
-        data=data,
-        outer_tol=config.solver.outer_tol,
-        max_outer=config.solver.max_outer,
-        mode=config.solver.mode,
-        omega=config.solver.omega,
-        p=config.solver.p,
-        krylov_cfg=config.solver.krylov(),
-        inner_tol=config.solver.inner_tol,
-    )
 
 
 def _fit_order(errors) -> float:
@@ -192,22 +160,21 @@ def cmd_diagnose(config: RunConfig, out_dir: str) -> int:
         raise ConfigError(
             f"diagnose needs field_u.txt and field_w.txt in {out_dir}; run solve first"
         )
-    grid = build_grid(config.geometry)
+    setup = build_setup(config)
+    grid = setup.grid
     _, u_values, _ = runio.load_field_dump(u_path)
     _, w_values, _ = runio.load_field_dump(w_path)
     if u_values.shape != (3,) + grid.shape or w_values.shape != grid.shape:
         raise ConfigError(
             f"dumped fields in {out_dir} do not match the configured grid {grid.shape}"
         )
-    frames = boundary_frames(grid)
-    setup = build_setup(config)
     u = VectorField(grid, u_values)
     w = ScalarField(grid, w_values)
     forcing = compute_F(u, w, setup.data, config.params)
     continuity = compute_G(u, w, setup.data)
     report = run_diagnostics(
         u, w, forcing, continuity,
-        setup.data.slip_data, setup.data.w_in, config.params, frames,
+        setup.data.slip_data, setup.data.w_in, config.params, setup.frames,
     )
     runio.write_report_json(out / "report.json", report)
     width = max(len(e.name) for e in report.entries)

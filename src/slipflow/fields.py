@@ -41,9 +41,6 @@ class VectorField:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("vector field contains non-finite values")
 
-    def component(self, c: int) -> np.ndarray:
-        return self.values[c]
-
 
 def zeros_scalar(grid: Grid) -> ScalarField:
     return ScalarField(grid, np.zeros(grid.shape))
@@ -137,13 +134,6 @@ def laplacian_array(values: np.ndarray, grid: Grid) -> np.ndarray:
     return sum(diff2(values, grid.h[a], a) for a in range(3))
 
 
-def laplacian(f: ScalarField | VectorField):
-    if isinstance(f, ScalarField):
-        return ScalarField(f.grid, laplacian_array(f.values, f.grid))
-    vals = np.stack([laplacian_array(f.values[c], f.grid) for c in range(3)])
-    return VectorField(f.grid, vals)
-
-
 def grad_div_array(values: np.ndarray, grid: Grid) -> np.ndarray:
     """grad(div u) for a stacked (3, ...) array, second order up to the walls.
 
@@ -162,10 +152,6 @@ def grad_div_array(values: np.ndarray, grid: Grid) -> np.ndarray:
                 acc += diff1(first[a], grid.h[c], c)
         out[c] = acc
     return out
-
-
-def grad_div(u: VectorField) -> VectorField:
-    return VectorField(u.grid, grad_div_array(u.values, u.grid))
 
 
 def advect(conv: np.ndarray, values: np.ndarray, grid: Grid) -> np.ndarray:

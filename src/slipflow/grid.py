@@ -7,7 +7,7 @@ well so that every other module shares one set of conventions.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,14 +20,6 @@ TAG_INFLOW = 0
 TAG_OUTFLOW = 1
 TAG_LATERAL = 2
 TAG_EDGE = 3
-
-REGION_NAMES = {
-    TAG_INTERIOR: "interior",
-    TAG_INFLOW: "inflow",
-    TAG_OUTFLOW: "outflow",
-    TAG_LATERAL: "lateral",
-    TAG_EDGE: "edge",
-}
 
 
 @dataclass(frozen=True)
@@ -158,12 +150,6 @@ class Face:
         """Restrict a (n1+1, n2+1, n3+1) node array to the face (2D view)."""
         return values[self.slicer()]
 
-    def interior_step(self) -> tuple:
-        """Index offset moving one node inward along the face normal."""
-        step = [0, 0, 0]
-        step[self.axis] = -self.side
-        return tuple(step)
-
 
 # Tangent axis pairs per face-normal axis; tau1/tau2 are the positive unit
 # vectors along these axes.  x1-faces: (e2, e3); lateral faces put the
@@ -206,9 +192,6 @@ class BoundaryFrames:
         if region not in REGIONS:
             raise ValueError(f"unknown boundary region {region!r}")
         return tuple(f for f in self.faces if f.region == region)
-
-    def boundary_mask(self) -> np.ndarray:
-        return self.tags != TAG_INTERIOR
 
 
 def _unit(axis: int) -> np.ndarray:

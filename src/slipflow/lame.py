@@ -168,22 +168,6 @@ def solve_momentum(
     return VectorField(g, sol.reshape(3, *g.shape)), iters, res
 
 
-# ---------------------------------------------------------------------------
-# donor-cell upwind difference (no solver path uses it since the monolithic
-# mode solves the characteristics system; kept with its tests as a stencil)
-
-def upwind_derivative(w: np.ndarray, speed: np.ndarray, h: float, axis: int) -> np.ndarray:
-    """First derivative of w biased against the local flow direction; at a
-    wall slab the only available one-sided difference is used (the normal
-    speed vanishes there in the admissible regime)."""
-    v = np.moveaxis(w, axis, 0)
-    d = (v[1:] - v[:-1]) / h
-    back = np.concatenate([d[:1], d], axis=0)
-    fwd = np.concatenate([d, d[-1:]], axis=0)
-    sel = np.where(np.moveaxis(speed, axis, 0) > 0.0, back, fwd)
-    return np.moveaxis(sel, 0, axis)
-
-
 @dataclass(frozen=True, eq=False)
 class LinearStepResult:
     u: VectorField

@@ -13,7 +13,7 @@ from typing import Mapping
 import numpy as np
 import sympy as sp
 
-from .grid import Grid, BoundaryFrames, Face, boundary_frames
+from .grid import Grid, Face, boundary_frames
 from .fields import ScalarField, VectorField
 from .material import FlowParams
 
@@ -73,7 +73,7 @@ def _slip_rows(u, face: Face, params: FlowParams):
                 d_ab = sp.Rational(1, 2) * (sp.diff(u[a], _X[b]) + sp.diff(u[b], _X[a]))
                 expr += 2 * params.mu * face.normal[a] * tau[b] * d_ab
         expr += params.friction * sum(float(tau[b]) * u[b] for b in range(3))
-        rows.append(sp.simplify(expr))
+        rows.append(expr)
     return rows
 
 
@@ -143,15 +143,3 @@ def build_linear_case(
         w_in=_eval_face(w, frames.face("inflow"), grid),
     )
 
-
-def build_apply_case(grid: Grid, params: FlowParams) -> tuple[VectorField, VectorField]:
-    """Simple smooth velocity and its exact operator image, for checking
-    the stencil action alone (the field need not satisfy any boundary
-    condition; only interior rows are comparable)."""
-    x1, x2, x3 = _X
-    u = (sp.sin(sp.pi * x2), sp.sin(sp.pi * x3), sp.sin(sp.pi * x1))
-    lame, _ = _vector_ops(u, params)
-    return (
-        VectorField(grid, np.stack([_eval_volume(u[c], grid) for c in range(3)])),
-        VectorField(grid, np.stack([_eval_volume(lame[c], grid) for c in range(3)])),
-    )

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, BoundaryFrames
+from .config import RunConfig
+from .grid import Grid, BoundaryFrames, boundary_frames, build_grid
 from .fields import (
     ScalarField,
     VectorField,
@@ -27,7 +28,6 @@ from .fields import (
     grad_div_array,
     grad_array,
     sym_gradient,
-    onesided_normal_d1,
     interior_l2,
     zeros_scalar,
     zeros_vector,
@@ -35,6 +35,8 @@ from .fields import (
 from .material import (
     FlowParams,
     PerturbationData,
+    assemble_perturbation_data,
+    boundary_data_from_names,
     compute_F,
     compute_G,
     _check_band,
@@ -68,6 +70,33 @@ class ProblemSetup:
             raise ValueError("under-relaxation omega must lie in (0, 1]")
         if not np.isfinite(self.data.b_measure):
             raise ValueError("boundary data measure is not finite")
+
+
+def build_setup(config: RunConfig) -> ProblemSetup:
+    """Materialize grid, boundary data and loop settings from a config."""
+    grid = build_grid(config.geometry)
+    frames = boundary_frames(grid)
+    spec = boundary_data_from_names(
+        grid,
+        epsilon=config.data.epsilon,
+        normal_trace=dict(config.data.normal_trace),
+        slip=dict(config.data.slip),
+        inflow_density=config.data.inflow_density,
+    )
+    data = assemble_perturbation_data(grid, frames, spec, config.params, p=config.solver.p)
+    return ProblemSetup(
+        grid=grid,
+        frames=frames,
+        params=config.params,
+        data=data,
+        outer_tol=config.solver.outer_tol,
+        max_outer=config.solver.max_outer,
+        mode=config.solver.mode,
+        omega=config.solver.omega,
+        p=config.solver.p,
+        krylov_cfg=config.solver.krylov(),
+        inner_tol=config.solver.inner_tol,
+    )
 
 
 @dataclass(frozen=True)

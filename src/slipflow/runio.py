@@ -10,11 +10,10 @@ from __future__ import annotations
 import json
 import os
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .fields import ScalarField, VectorField
 from .grid import Grid
 
 HISTORY_COLUMNS = ("n", "A_n", "d_n", "r_n", "F_lp", "G_w1p", "verdict")
@@ -117,7 +116,7 @@ def write_config_echo(path, document: dict) -> None:
     _atomic_write(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
-def write_outputs(out_dir, bundle, config, report=None) -> list[str]:
+def write_outputs(out_dir, bundle, config) -> list[str]:
     """Write the standard artifact set for one solve; returns the paths."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -133,11 +132,6 @@ def write_outputs(out_dir, bundle, config, report=None) -> list[str]:
             path = out / f"field_{name}.txt"
             write_field_dump(path, name, fld.values, fld.grid)
             written.append(str(path))
-
-    if report is not None:
-        report_path = out / "report.json"
-        write_report_json(report_path, report)
-        written.append(str(report_path))
 
     echo_path = out / "config.json"
     write_config_echo(echo_path, config.document)

@@ -27,7 +27,7 @@ import numpy as np
 from scipy import sparse
 
 from .grid import Grid
-from .fields import ScalarField, VectorField
+from .fields import ScalarField
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,25 +69,6 @@ def make_transport_field(grid: Grid, velocity: np.ndarray) -> TransportField:
         sup_transverse=float(np.max(np.abs(velocity[1:]))),
         wall_trace_defect=defect,
     )
-
-
-def transport_from_perturbation(ubar: VectorField, u0: VectorField) -> TransportField:
-    """u~ built from the current outer iterate and the lifted data."""
-    vals = ubar.values + u0.values
-    vals = vals.copy()
-    vals[0] += 1.0
-    return make_transport_field(ubar.grid, vals)
-
-
-@dataclass(frozen=True)
-class CharacteristicTrace:
-    """Backward trace of one point to the inflow plane."""
-
-    seed: tuple[float, float, float]
-    arrival: tuple[float, float, float]
-    travel: float
-    integral: float
-    steps: int
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +224,6 @@ def _landing_step(grid: Grid, stack: np.ndarray, pos: np.ndarray, ds: float, x1_
     return s
 
 
-
 def _trace(tf: TransportField, seeds: np.ndarray, payload: np.ndarray | None = None, recorder=None):
     """Trace every seed, a column of the (3, N) array seeds, backward to
     the inflow plane.
@@ -340,26 +320,6 @@ def _trace(tf: TransportField, seeds: np.ndarray, payload: np.ndarray | None = N
     if waiting:
         land()
     return pos, travel, integral, steps
-
-
-def trace_characteristic(
-    tf: TransportField, x: tuple[float, float, float], payload: ScalarField | None = None
-) -> CharacteristicTrace:
-    """Backward-trace a single point to the inflow plane."""
-    g = tf.grid
-    xt = tuple(float(c) for c in x)
-    for a, (c, ext) in enumerate(zip(xt, g.config.extents)):
-        if not (-1e-12 <= c <= ext + 1e-12):
-            raise ValueError(f"seed coordinate {a} = {c} outside the duct closure")
-    pay = payload.values if payload is not None else None
-    arr, travel, integral, steps = _trace(tf, np.array(xt)[:, None], pay)
-    return CharacteristicTrace(
-        seed=xt,
-        arrival=tuple(float(c) for c in arr[:, 0]),
-        travel=float(travel[0]),
-        integral=float(integral[0]),
-        steps=int(steps[0]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +565,7 @@ def upwind_march(tf: TransportField, v: ScalarField, w_in: np.ndarray) -> Scalar
     any characteristic-tracing code on purpose.
     """
     g = tf.grid
-    w_in = np.asarray(w_in, dtype=float)
+    w_in = _check_trace(g, w_in)
     h1, h2, h3 = g.h
     u1, u2, u3 = tf.values
     cfl = float(np.max(np.abs(tf.values[1:]))) * h1 / (float(np.min(u1)) * min(h2, h3))

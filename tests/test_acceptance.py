@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from slipflow.cli import build_setup, main
+from slipflow.cli import main
 from slipflow.config import config_from_mapping
 from slipflow.diagnostics import run_diagnostics
 from slipflow.fields import (
@@ -29,6 +29,7 @@ from slipflow.lame import solve_linear_step
 from slipflow.material import FlowParams, compute_F, compute_G
 from slipflow.mms import build_linear_case
 from slipflow.picard import (
+    build_setup,
     convergence_metrics,
     picard_solve,
     random_small_start,

@@ -1,10 +1,14 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from slipflow.cli import build_setup, main
+from slipflow.cli import main
+from slipflow.picard import build_setup
 from slipflow.runio import load_field_dump, load_history
 
 
@@ -143,6 +147,28 @@ def test_build_setup_wires_solver_settings():
     assert setup.omega == 0.5
     assert setup.grid.shape == (9, 5, 5)
     assert setup.data.b_measure > 0.0
+
+
+PACKAGE_API = {
+    "config_from_mapping", "parse_config", "ConfigError", "RunConfig",
+    "build_setup", "ProblemSetup", "picard_solve", "SolutionBundle",
+    "GeometryConfig", "build_grid", "norm", "NormKind", "apply_S", "main",
+}
+
+
+def test_package_surface():
+    import slipflow
+
+    assert len(slipflow.__all__) == len(PACKAGE_API)
+    assert set(slipflow.__all__) == PACKAGE_API
+    for name in slipflow.__all__:
+        assert getattr(slipflow, name) is not None
+    assert slipflow.build_setup is slipflow.picard.build_setup is slipflow.cli.build_setup
+    # a bare import must bind the cli module, in a fresh interpreter
+    src = Path(slipflow.__file__).resolve().parents[1]
+    probe = "import slipflow; assert callable(slipflow.cli.main)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    subprocess.run([sys.executable, "-c", probe], check=True, env=env)
 
 
 def test_unknown_command_rejected():

@@ -17,7 +17,6 @@ from slipflow.lame import (
     build_lame_operator,
     apply_lame,
     solve_momentum,
-    upwind_derivative,
     solve_linear_step,
 )
 from slipflow.mms import build_linear_case
@@ -141,36 +140,6 @@ def test_solve_momentum_roundtrip():
     scale = np.max(np.abs(u_known.values))
     assert res <= 1e-10
     assert np.max(np.abs(sol.values - u_known.values)) <= 1e-6 * scale
-
-
-def test_upwind_derivative_selects_direction():
-    rng = np.random.default_rng(2)
-    w = rng.normal(size=(6, 5, 4))
-    h = 0.3
-    back = np.empty_like(w)
-    back[1:] = (w[1:] - w[:-1]) / h
-    back[0] = (w[1] - w[0]) / h
-    fwd = np.empty_like(w)
-    fwd[:-1] = (w[1:] - w[:-1]) / h
-    fwd[-1] = (w[-1] - w[-2]) / h
-
-    d_pos = upwind_derivative(w, np.ones_like(w), h, 0)
-    d_neg = upwind_derivative(w, -np.ones_like(w), h, 0)
-    np.testing.assert_allclose(d_pos, back, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(d_neg, fwd, rtol=0, atol=1e-14)
-
-    speed = rng.normal(size=w.shape)
-    mixed = upwind_derivative(w, speed, h, 0)
-    np.testing.assert_allclose(mixed, np.where(speed > 0, back, fwd), rtol=0, atol=0)
-
-
-def test_upwind_derivative_exact_on_linear():
-    grid, _, _ = make_setup()
-    x1, _, _ = grid.meshgrid()
-    rng = np.random.default_rng(0)
-    speed = rng.normal(size=grid.shape)
-    d = upwind_derivative(x1, speed, grid.h[0], 0)
-    np.testing.assert_allclose(d, 1.0, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("mode", ["split", "monolithic"])

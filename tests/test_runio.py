@@ -124,8 +124,7 @@ def test_report_json_structure(tmp_path):
 
 
 def test_write_outputs_produces_standard_artifact_set(tmp_path):
-    from slipflow.cli import build_setup
-    from slipflow.picard import picard_solve
+    from slipflow.picard import build_setup, picard_solve
 
     cfg = config_from_mapping({
         "geometry": {"n1": 8, "n2": 4, "n3": 4},
@@ -150,8 +149,7 @@ def test_write_outputs_produces_standard_artifact_set(tmp_path):
 
 
 def test_write_outputs_respects_dump_fields_flag(tmp_path):
-    from slipflow.cli import build_setup
-    from slipflow.picard import picard_solve
+    from slipflow.picard import build_setup, picard_solve
 
     cfg = config_from_mapping({
         "geometry": {"n1": 8, "n2": 4, "n3": 4},

@@ -2,18 +2,16 @@ import numpy as np
 import pytest
 
 from slipflow.grid import GeometryConfig, build_grid
-from slipflow.fields import ScalarField, VectorField, NormKind, norm, diff1, interior_l2, zeros_scalar
+from slipflow.fields import ScalarField, NormKind, norm, diff1, interior_l2, zeros_scalar
 from slipflow.transport import (
     TransportField,
     make_transport_field,
-    transport_from_perturbation,
-    trace_characteristic,
     apply_S,
     upwind_march,
     jacobian_bound,
     transport_footprint,
 )
-from slipflow.transport import _landing_step, _rk4_step
+from slipflow.transport import _landing_step, _rk4_step, _trace
 
 
 def make_grid(n1=16, n2=8, n3=8):
@@ -71,57 +69,46 @@ def test_transport_field_rejects_slow_axial_flow():
         make_transport_field(g, vals)
 
 
-def test_transport_from_perturbation():
-    g = make_grid()
-    ubar = VectorField(g, np.full((3, *g.shape), 0.1))
-    u0 = VectorField(g, np.full((3, *g.shape), 0.05))
-    tf = transport_from_perturbation(ubar, u0)
-    assert np.allclose(tf.values[0], 1.15)
-    assert np.allclose(tf.values[1], 0.15)
-
-
 # ---------------------------------------------------------------------------
 # single characteristics
+
+
+def trace_one(tf, x, payload=None):
+    """Trace one point to the inflow plane: (arrival, travel, integral)."""
+    pay = None if payload is None else payload.values
+    arr, travel, integral, _ = _trace(tf, np.array(x, dtype=float)[:, None], pay)
+    return tuple(arr[:, 0]), float(travel[0]), float(integral[0])
 
 
 def test_trace_straight_characteristic():
     g = make_grid()
     tf = uniform_flow(g)
-    tr = trace_characteristic(tf, (1.3, 0.7, 0.4))
-    assert tr.arrival[0] == 0.0
-    assert tr.arrival[1] == pytest.approx(0.7, abs=1e-12)
-    assert tr.arrival[2] == pytest.approx(0.4, abs=1e-12)
-    assert tr.travel == pytest.approx(1.3, abs=1e-12)
-    assert tr.integral == 0.0
+    arrival, travel, integral = trace_one(tf, (1.3, 0.7, 0.4))
+    assert arrival[0] == 0.0
+    assert arrival[1] == pytest.approx(0.7, abs=1e-12)
+    assert arrival[2] == pytest.approx(0.4, abs=1e-12)
+    assert travel == pytest.approx(1.3, abs=1e-12)
+    assert integral == 0.0
 
 
 def test_trace_constant_drift():
     g = make_grid()
     eps = 1e-3
     tf = uniform_flow(g, u2=eps)
-    tr = trace_characteristic(tf, (1.5, 0.7, 0.4))
-    assert tr.arrival[1] == pytest.approx(0.7 - eps * 1.5, abs=1e-10)
-    assert tr.arrival[2] == pytest.approx(0.4, abs=1e-12)
-    assert tr.travel == pytest.approx(1.5, abs=1e-10)
+    arrival, travel, _ = trace_one(tf, (1.5, 0.7, 0.4))
+    assert arrival[1] == pytest.approx(0.7 - eps * 1.5, abs=1e-10)
+    assert arrival[2] == pytest.approx(0.4, abs=1e-12)
+    assert travel == pytest.approx(1.5, abs=1e-10)
 
 
 def test_trace_payload_constant_and_linear():
     g = make_grid()
     tf = uniform_flow(g)
     one = ScalarField(g, np.ones(g.shape))
-    tr = trace_characteristic(tf, (1.25, 0.5, 0.5), payload=one)
-    assert tr.integral == pytest.approx(1.25, abs=1e-12)
+    assert trace_one(tf, (1.25, 0.5, 0.5), one)[2] == pytest.approx(1.25, abs=1e-12)
     lin = ScalarField(g, g.meshgrid()[0])
-    tr2 = trace_characteristic(tf, (1.25, 0.5, 0.5), payload=lin)
     # integral of (x1 - s) over s in [0, x1]
-    assert tr2.integral == pytest.approx(1.25**2 / 2.0, abs=1e-12)
-
-
-def test_trace_rejects_outside_seed():
-    g = make_grid()
-    tf = uniform_flow(g)
-    with pytest.raises(ValueError, match="outside the duct"):
-        trace_characteristic(tf, (2.5, 0.5, 0.5))
+    assert trace_one(tf, (1.25, 0.5, 0.5), lin)[2] == pytest.approx(1.25**2 / 2.0, abs=1e-12)
 
 
 def test_stalled_characteristic_reported():
@@ -129,7 +116,7 @@ def test_stalled_characteristic_reported():
     vals = np.zeros((3, *g.shape))  # zero velocity never reaches the inflow
     tf = TransportField(g, vals, 1.0, 0.0, 0.0)
     with pytest.raises(RuntimeError, match="stalled"):
-        trace_characteristic(tf, (1.0, 0.5, 0.5))
+        trace_one(tf, (1.0, 0.5, 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +262,18 @@ def test_upwind_cfl_guard():
     tf = uniform_flow(g, u2=0.8)  # cfl = 0.8*0.25/0.125 = 1.6
     with pytest.raises(ValueError, match="CFL"):
         upwind_march(tf, zeros_scalar(g), np.zeros((g.shape[1], g.shape[2])))
+
+
+@pytest.mark.parametrize("w_in", [0.7, np.full(5, 0.7)], ids=["scalar", "row"])
+def test_both_solvers_reject_malformed_inflow_trace(w_in):
+    g = make_grid(8, 4, 4)  # trace shape (5, 5): a (5,) row would broadcast
+    tf = uniform_flow(g)
+    messages = []
+    for solver in (apply_S, upwind_march):
+        with pytest.raises(ValueError, match="inflow trace shape") as err:
+            solver(tf, zeros_scalar(g), w_in)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]
 
 
 def test_apply_s_and_upwind_converge_together():
