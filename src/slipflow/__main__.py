@@ -1,0 +1,7 @@
+"""Entry point for ``python -m slipflow``."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

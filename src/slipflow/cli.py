@@ -27,7 +27,6 @@ from .grid import GeometryConfig, Grid, boundary_frames, build_grid
 from .krylov import KrylovError
 from .lame import solve_linear_step
 from .material import compute_F, compute_G
-from .mms import build_linear_case
 from .picard import build_setup, convergence_metrics, picard_solve
 from .transport import apply_S, make_transport_field, upwind_march
 
@@ -65,6 +64,8 @@ def cmd_solve(config: RunConfig, out_dir: str) -> int:
 
 
 def cmd_verify(config: RunConfig, out_dir: str) -> int:
+    from .mms import build_linear_case  # sympy loads only for this command
+
     errs_u, errs_w = [], []
     print(f"manufactured-solution study, mode = {config.solver.mode}")
     print(f"{'n1':>4} {'err_u_H1':>12} {'err_w_LinfL2':>13}")

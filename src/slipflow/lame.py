@@ -141,6 +141,26 @@ def _momentum_rhs(op: LameOperator, forcing: np.ndarray, slip_data: Mapping[str,
     return b
 
 
+def _solve_free_rows(op: LameOperator, rows, rhs: np.ndarray, cfg: KrylovConfig, x0: np.ndarray | None):
+    """Solve rows(u) = rhs for the (3, *shape) velocity u on the free rows,
+    u being zero on the pinned ones: Jacobi-preconditioned by the operator
+    diagonal, warm-started from the array x0 if given."""
+    g = op.grid
+    free = ~op.pinned.reshape(-1)
+    full = np.zeros(3 * g.n_nodes)
+
+    def act(y: np.ndarray) -> np.ndarray:
+        full[free] = y
+        return rows(full.reshape(3, *g.shape)).reshape(-1)[free]
+
+    y, iters, res = krylov_solve(
+        act, rhs.reshape(-1)[free], cfg, diag=op.diag.reshape(-1)[free],
+        x0=None if x0 is None else x0.reshape(-1)[free],
+    )
+    full[free] = y
+    return VectorField(g, full.reshape(3, *g.shape)), iters, res
+
+
 def solve_momentum(
     op: LameOperator,
     forcing: np.ndarray,
@@ -149,23 +169,10 @@ def solve_momentum(
     x0: VectorField | None = None,
 ) -> tuple[VectorField, int, float]:
     """Solve the slip-wall momentum system for a given volume forcing."""
-    g = op.grid
-    free = ~op.pinned.reshape(-1)
-    b = _momentum_rhs(op, forcing, slip_data).reshape(-1)[free]
-    full = np.zeros(3 * g.n_nodes)
-
-    def act(y: np.ndarray) -> np.ndarray:
-        full[free] = y
-        rows = _momentum_rows(op, full.reshape(3, *g.shape))
-        return rows.reshape(-1)[free]
-
-    start = None
-    if x0 is not None:
-        start = x0.values.reshape(-1)[free]
-    y, iters, res = krylov_solve(act, b, cfg, diag=op.diag.reshape(-1)[free], x0=start)
-    sol = np.zeros(3 * g.n_nodes)
-    sol[free] = y
-    return VectorField(g, sol.reshape(3, *g.shape)), iters, res
+    return _solve_free_rows(
+        op, lambda u: _momentum_rows(op, u), _momentum_rhs(op, forcing, slip_data), cfg,
+        None if x0 is None else x0.values,
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,13 +250,12 @@ def solve_linear_step(
         source = footprint.source
         del footprint, tf, tf_values  # the Krylov solve needs only the source part
         pde = ~(op.pinned | op.robin_mask)
-        free = ~op.pinned.reshape(-1)
 
-        def add_pressure(rows: np.ndarray, w: np.ndarray, sign: float) -> np.ndarray:
-            """rows + sign * gamma grad(w) on the PDE rows, in place; the
-            momentum rows take gamma grad(w) there and nowhere else."""
+        def add_pressure(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+            """rows - gamma grad(w) on the PDE rows, in place; the momentum
+            rows take gamma grad(w) there and nowhere else."""
             grad = grad_array(w, grid)
-            grad *= sign * gamma
+            grad *= -gamma
             return np.add(rows, grad, out=rows, where=pde)
 
         def traced_divergence(u: np.ndarray) -> np.ndarray:
@@ -257,23 +263,14 @@ def solve_linear_step(
             div = sum(diff1(u[a], grid.h[a], a) for a in range(3))
             return source.apply(div.reshape(-1)).reshape(grid.shape)
 
-        rhs = add_pressure(_momentum_rhs(op, forcing.values, slip_data), w_fixed, -1.0)
-        rhs = rhs.reshape(-1)[free]
-        full = np.zeros(3 * grid.n_nodes)
-
-        def act(y: np.ndarray) -> np.ndarray:
-            full[free] = y
-            u = full.reshape(3, *grid.shape)
-            rows = add_pressure(_momentum_rows(op, u), traced_divergence(u), -1.0)
-            return rows.reshape(-1)[free]
-
-        y, iters, res = krylov_solve(
-            act, rhs, krylov_cfg, diag=op.diag.reshape(-1)[free],
-            x0=None if start is None else start[0].values.reshape(-1)[free],
+        u, iters, res = _solve_free_rows(
+            op,
+            lambda u: add_pressure(_momentum_rows(op, u), traced_divergence(u)),
+            add_pressure(_momentum_rhs(op, forcing.values, slip_data), w_fixed),
+            krylov_cfg,
+            None if start is None else start[0].values,
         )
-        full[free] = y
-        u = full.reshape(3, *grid.shape)
-        w = ScalarField(grid, w_fixed - traced_divergence(u))
-        return LinearStepResult(VectorField(grid, u), w, iters, res, "monolithic")
+        w = ScalarField(grid, w_fixed - traced_divergence(u.values))
+        return LinearStepResult(u, w, iters, res, "monolithic")
 
     raise ValueError(f"unknown linear step mode {mode!r} (use 'split' or 'monolithic')")

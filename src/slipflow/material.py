@@ -101,19 +101,6 @@ def _check_band(rho: np.ndarray, context: str):
         )
 
 
-def pressure_eval(law: PressureLaw, rho: float, order: int = 0) -> float:
-    """Evaluate pi or one of its first two derivatives at a single density."""
-    r = float(rho)
-    _check_band(np.asarray([r]), "pressure_eval")
-    if order == 0:
-        return float(law.value(r))
-    if order == 1:
-        return float(law.d1(r))
-    if order == 2:
-        return float(law.d2(r))
-    raise ValueError(f"derivative order must be 0, 1 or 2, got {order!r}")
-
-
 def delta_pi_prime(law: PressureLaw, w: ScalarField) -> ScalarField:
     """Pointwise pressure-slope deviation pi'(1 + w) - pi'(1)."""
     rho = 1.0 + w.values

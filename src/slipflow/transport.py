@@ -1,10 +1,10 @@
 """Steady transport along characteristics of the augmented axial flow.
 
 The continuity update is solved in Lagrangian form: every node is traced
-backward along d(X)/ds = -u~(X) until it reaches the inflow plane, carrying
+backward along d(X)/ds = -u~(X) until it arrives at the inflow plane, carrying
 the path integral of the source as an augmented ODE state.  The axial
 component of u~ stays >= 1/2 in the admissible regime, so every
-characteristic reaches x1 = 0 in travel parameter at most 2L.
+characteristic arrives at x1 = 0 in travel parameter at most 2L.
 
 For one advecting field the solve is affine in (source, inflow trace).
 transport_footprint traces every node once and records it as sparse
@@ -83,8 +83,8 @@ class _Stencil:
     base: np.ndarray  # (N,) flat index of corner (i0, j0, k0)
     weights: np.ndarray  # (8, N)
 
-    def subset(self, mask: np.ndarray) -> "_Stencil":
-        return _Stencil(self.base[mask], self.weights[:, mask])
+    def subset(self, keep: np.ndarray) -> "_Stencil":
+        return _Stencil(self.base[keep], self.weights[:, keep])
 
 
 def _strides(grid: Grid) -> tuple[int, int]:
@@ -228,13 +228,14 @@ def _trace(tf: TransportField, seeds: np.ndarray, payload: np.ndarray | None = N
     """Trace every seed, a column of the (3, N) array seeds, backward to
     the inflow plane.
 
-    Returns (arrivals, travel, integral, steps) arrays; the arrivals are
-    seeds itself, overwritten.  Full steps of size ds are taken until a
-    step would cross x1 = 0; those traces wait for a shortened last step,
-    solved for in batches (_landing_step), that lands the arrival on x1 = 0
+    Returns (arrivals, travel, integral) arrays; the arrivals are seeds
+    itself, overwritten.  Full steps of size ds are taken until a step
+    would cross x1 = 0; those traces wait for a shortened last step, solved
+    for in batches (_landing_step), that lands the arrival on x1 = 0
     exactly.  A recorder, if given, sees every stage of every step a trace
-    keeps, in order, through recorder.stage(rows, s, weight, stencil), and
-    recorder.close(rows) once those traces have landed.
+    keeps, in order, through recorder.stage(rows, s, weight, stencil) once
+    the step is done, and recorder.close(rows) once those traces have
+    landed.
     """
     g = tf.grid
     ds = min(g.h) / 2.0
@@ -242,15 +243,11 @@ def _trace(tf: TransportField, seeds: np.ndarray, payload: np.ndarray | None = N
     stack = tf.values.reshape(3, -1)
     if payload is not None:
         stack = np.concatenate([stack, payload.reshape(1, -1)])
-    # one step moves x1 by at most ds * max|u~1|; traces farther out cannot
-    # cross and are recorded stage by stage as the step goes
-    reach = ds * float(np.max(np.abs(tf.values[0]))) * (1.0 + 1e-9)
 
     pos = seeds
     n = pos.shape[1]
     travel = np.zeros(n)
     integral = np.zeros(n)
-    steps = np.zeros(n, dtype=int)
     active = pos[0] > 0.0
     waiting = []  # (rows, position before the crossing step, x1 after it)
 
@@ -260,47 +257,34 @@ def _trace(tf: TransportField, seeds: np.ndarray, payload: np.ndarray | None = N
         x1_full = np.concatenate([x for _, _, x in waiting])
         waiting.clear()
         s_fin = _landing_step(g, stack, start, ds, x1_full)
-        on_stage = None
-        if recorder is not None:
-            def on_stage(weight, st):
-                recorder.stage(done, s_fin, weight, st)
+        on_stage = None if recorder is None else lambda weight, st: recorder.stage(done, s_fin, weight, st)
         fin, inc = _rk4_step(g, stack, start, s_fin, on_stage)
         fin[0] = 0.0
         pos[:, done] = _clamp(g, fin)
         travel[done] += s_fin
         if inc is not None:
             integral[done] += inc
-        steps[done] += 1
         if recorder is not None:
             recorder.close(done)
 
     def step(ai: np.ndarray) -> None:
-        on_stage, near_stages = None, []
-        if recorder is not None:
-            near = pos[0, ai] <= reach
-            far = ~near
-
-            def on_stage(weight, st):
-                recorder.stage(ai, ds, weight, st, far)
-                near_stages.append((weight, st.subset(near)))
-
+        stages = []
+        on_stage = None if recorder is None else lambda weight, st: stages.append((weight, st))
         new, inc = _rk4_step(g, stack, pos[:, ai], ds, on_stage)
         crossing = new[0] <= 0.0
         if np.any(crossing):
             done = ai[crossing]
             waiting.append((done, pos[:, done], new[0, crossing]))
             active[done] = False
-        if near_stages:
-            keep = ~crossing[near]
-            for weight, st in near_stages:
-                recorder.stage(ai[near][keep], ds, weight, st.subset(keep))
         cont = ~crossing
         ai, new = ai[cont], new[:, cont]
+        # a crossing trace records its shortened last step when it lands
+        for weight, st in stages:
+            recorder.stage(ai, ds, weight, st.subset(cont))
         pos[:, ai] = _clamp(g, new)
         travel[ai] += ds
         if inc is not None:
             integral[ai] += inc[cont]
-        steps[ai] += 1
 
     for _ in range(max_steps):
         ai = np.flatnonzero(active)
@@ -319,7 +303,7 @@ def _trace(tf: TransportField, seeds: np.ndarray, payload: np.ndarray | None = N
         )
     if waiting:
         land()
-    return pos, travel, integral, steps
+    return pos, travel, integral
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +329,7 @@ def apply_S(tf: TransportField, v: ScalarField, w_in: np.ndarray) -> ScalarField
     """
     g = tf.grid
     w_in = _check_trace(g, w_in)
-    arr, _, integral, _ = _trace(tf, _node_seeds(g), v.values)
+    arr, _, integral = _trace(tf, _node_seeds(g), v.values)
     idx, w = _bilinear_inflow(g, arr)
     traced = np.sum(w * w_in.reshape(-1)[idx], axis=1)
     return ScalarField(g, (traced + integral).reshape(g.shape))
@@ -406,32 +390,27 @@ class _SourceRecorder:
     high x1-plane group of four, one per corner of a cell face.  Stage
     points in the same cell add to them.  When a trace moves one cell down
     in x1 the high group is final and is emitted, the low group becoming
-    the new high one; any other move emits both.  An emitted group keeps
-    only its nonzero corners (a trace running along a wall leaves half of
-    them exactly zero), so it is stored as four, two or one weights.
+    the new high one; any other move emits both.  A step's stages are
+    recorded once the step is done and only for the traces it kept, so a
+    trace sees the stages of every step it takes in order, and its
+    shortened last step when it lands.  Every emitted group with a nonzero
+    weight is stored as four weights.
     """
 
     def __init__(self, grid: Grid):
         n = grid.n_nodes
         self.grid = grid
         s2 = _strides(grid)[1]
-        self.s2 = s2
         self.quads = _GroupChunks((0, 1, s2, s2 + 1))  # (d2, d3) corners of a cell face
-        self.along_x3 = _GroupChunks((0, 1))
-        self.along_x2 = _GroupChunks((0, s2))
-        self.singles = _GroupChunks((0,))
         self.cell = np.full(n, -1, dtype=np.intp)
         self.slots = np.zeros((8, n))
 
-    def stage(self, rows: np.ndarray, s, weight: float, st: _Stencil, mask=None) -> None:
-        """Add one RK4 stage of a step of size s taken by the given rows
-        (only those where mask holds, if a mask is given)."""
+    def stage(self, rows: np.ndarray, s, weight: float, st: _Stencil) -> None:
+        """Add one RK4 stage of a step of size s taken by the given rows."""
         s1 = _strides(self.grid)[0]
         slots = self.slots
         old = self.cell.take(rows)
         moved = st.base != old
-        if mask is not None:
-            moved &= mask
         if np.any(moved):
             r, b, o = rows[moved], st.base[moved], old[moved]
             down = b == o - s1
@@ -446,8 +425,6 @@ class _SourceRecorder:
             slots[:, rf] = 0.0
             self.cell[r] = b
         coef = (s / 6.0) * weight
-        if mask is not None:
-            coef = np.where(mask, coef, 0.0)
         for row, w in zip(slots, st.weights):
             row[rows] = row.take(rows) + coef * w
 
@@ -462,44 +439,16 @@ class _SourceRecorder:
         self.cell[rows] = -1
 
     def _emit(self, rows: np.ndarray, bases: np.ndarray, vals: np.ndarray) -> None:
-        """Store groups: row, corner (j0, k0) base and the (4, n) face weights."""
-        nz = vals != 0.0
-        count = np.count_nonzero(nz, axis=0)
-        quad = count > 2
-        if np.all(quad):
-            self.quads.append(rows, bases, vals)
-            return
-        pair3 = (count == 2) & ((nz[0] & nz[1]) | (nz[2] & nz[3]))
-        pair2 = (count == 2) & ((nz[0] & nz[2]) | (nz[1] & nz[3]))
-        quad |= (count == 2) & ~(pair3 | pair2)
-        single = count == 1
-        if np.any(quad):
-            self.quads.append(rows[quad], bases[quad], vals[:, quad])
-        if np.any(pair3):
-            hi = nz[2, pair3]
-            self.along_x3.append(
-                rows[pair3], bases[pair3] + hi * self.s2,
-                np.where(hi, vals[2:, pair3], vals[:2, pair3]),
-            )
-        if np.any(pair2):
-            hi = nz[1, pair2]
-            self.along_x2.append(
-                rows[pair2], bases[pair2] + hi, np.where(hi, vals[1::2, pair2], vals[::2, pair2])
-            )
-        if np.any(single):
-            q = np.argmax(nz[:, single], axis=0)
-            offs = np.array(self.quads.offsets)
-            self.singles.append(
-                rows[single], bases[single] + offs[q], vals[q, np.flatnonzero(single)][None]
-            )
+        """Store groups: row, corner (j0, k0) base and the (4, n) face
+        weights.  All-zero groups are dropped; among them are the empty
+        groups of a fresh trace's first move, whose base (cell -1) is no
+        node."""
+        keep = np.any(vals != 0.0, axis=0)
+        self.quads.append(rows[keep], bases[keep], vals[:, keep])
 
     def finish(self) -> "FootprintSource":
         n = self.grid.n_nodes
-        return FootprintSource(n, tuple(
-            term
-            for kind in (self.quads, self.along_x3, self.along_x2, self.singles)
-            for term in kind.terms(n)
-        ))
+        return FootprintSource(n, tuple(self.quads.terms(n)))
 
 
 @dataclass(frozen=True, eq=False)

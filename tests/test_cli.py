@@ -164,11 +164,27 @@ def test_package_surface():
     for name in slipflow.__all__:
         assert getattr(slipflow, name) is not None
     assert slipflow.build_setup is slipflow.picard.build_setup is slipflow.cli.build_setup
-    # a bare import must bind the cli module, in a fresh interpreter
+    # a bare import must bind the cli module, in a fresh interpreter, and
+    # leave sympy (needed by verify alone) unloaded
     src = Path(slipflow.__file__).resolve().parents[1]
-    probe = "import slipflow; assert callable(slipflow.cli.main)"
+    probe = (
+        "import sys, slipflow; assert callable(slipflow.cli.main); "
+        "assert 'sympy' not in sys.modules"
+    )
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-c", probe], check=True, env=env)
+
+
+def test_python_dash_m_runs_the_cli():
+    import slipflow
+
+    env = dict(os.environ, PYTHONPATH=str(Path(slipflow.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "slipflow", "--help"], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0
+    assert "transport-test" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
 
 
 def test_unknown_command_rejected():

@@ -23,7 +23,6 @@ from slipflow.material import (
     BoundaryDataSpec,
     boundary_data_from_names,
     make_profile,
-    pressure_eval,
     delta_pi_prime,
     extend_normal_trace,
     assemble_perturbation_data,
@@ -62,23 +61,15 @@ def smooth_vector(grid, seed, amp):
 
 
 def test_pressure_eval_known_values():
-    assert pressure_eval(PressureLaw("power", 2.0), 1.0, order=1) == pytest.approx(2.0)
-    assert pressure_eval(PressureLaw("linear", 1.0), 1.3, order=2) == 0.0
-    assert pressure_eval(PressureLaw("power", 1.4), 1.0, order=0) == pytest.approx(1.0)
+    assert PressureLaw("power", 2.0).d1(1.0) == pytest.approx(2.0)
+    assert PressureLaw("linear", 1.0).d2(1.3) == 0.0
+    assert PressureLaw("power", 1.4).value(1.0) == pytest.approx(1.0)
 
 
 def test_pressure_gamma():
     assert PressureLaw("power", 2.0).gamma == pytest.approx(2.0)
     assert PressureLaw("linear", 3.0).gamma == pytest.approx(3.0)
     assert PressureLaw("power", 1.4).gamma == pytest.approx(1.4)
-
-
-def test_pressure_eval_band_violation():
-    law = PressureLaw("power", 2.0)
-    with pytest.raises(ValueError, match="admissible band"):
-        pressure_eval(law, 2.5, order=0)
-    with pytest.raises(ValueError, match="admissible band"):
-        pressure_eval(law, -0.1, order=1)
 
 
 def test_pressure_law_validation():

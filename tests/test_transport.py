@@ -76,7 +76,7 @@ def test_transport_field_rejects_slow_axial_flow():
 def trace_one(tf, x, payload=None):
     """Trace one point to the inflow plane: (arrival, travel, integral)."""
     pay = None if payload is None else payload.values
-    arr, travel, integral, _ = _trace(tf, np.array(x, dtype=float)[:, None], pay)
+    arr, travel, integral = _trace(tf, np.array(x, dtype=float)[:, None], pay)
     return tuple(arr[:, 0]), float(travel[0]), float(integral[0])
 
 
@@ -180,7 +180,9 @@ def test_apply_s_satisfies_transport_equation_under_refinement():
 # the recorded footprint of the solution operator
 
 
-@pytest.mark.parametrize("cells", [(8, 4, 4), (16, 8, 8)])
+# (32, 16, 16) has 9,537 traces, more than one step batch (_STEP_BATCH) and
+# one landing batch (_LANDING_BATCH)
+@pytest.mark.parametrize("cells", [(8, 4, 4), (16, 8, 8), (32, 16, 16)])
 def test_footprint_reproduces_apply_s(cells):
     g = make_grid(*cells)
     tf = wall_respecting_flow(g, 2e-2)
