@@ -106,7 +106,9 @@ class IterationRecord:
     a_n sizes the iterate entering the step (W2p + W1p), d_n is the update
     the step produced measured in the contraction metric (H1 + LinfL2),
     r_n = d_n / d_{n-1} (zero on the first row), and f_lp / g_w1p are the
-    forcing norms the boundedness recursion consumes.
+    forcing norms the boundedness recursion consumes.  sweeps,
+    inner_iterations and linear_residual are the linear step's (split
+    sweeps, Krylov iterations, last relative residual).
     """
 
     n: int
@@ -115,9 +117,12 @@ class IterationRecord:
     r_n: float
     f_lp: float
     g_w1p: float
+    sweeps: int = 0
+    inner_iterations: int = 0
+    linear_residual: float = 0.0
 
     def __post_init__(self):
-        for name in ("a_n", "d_n", "r_n", "f_lp", "g_w1p"):
+        for name in ("a_n", "d_n", "r_n", "f_lp", "g_w1p", "linear_residual"):
             val = getattr(self, name)
             if not np.isfinite(val) or val < 0.0:
                 raise ValueError(f"iteration record field {name} = {val!r}")
@@ -209,6 +214,9 @@ def picard_solve(
                 r_n=r_n,
                 f_lp=norm(F, NormKind.lp(setup.p)),
                 g_w1p=norm(G, NormKind.w1p(setup.p)),
+                sweeps=step.sweeps,
+                inner_iterations=step.inner_iterations,
+                linear_residual=step.linear_residual,
             )
         )
         u, w = u_next, w_next

@@ -8,9 +8,10 @@ characteristic arrives at x1 = 0 in travel parameter at most 2L.
 
 For one advecting field the solve is affine in (source, inflow trace).
 transport_footprint traces every node once and records it as sparse
-matrices, so that the monolithic linear step can apply it many times
-through one set of traces; apply_S traces afresh and builds nothing.  Both
-run the same stepping and landing code.
+matrices, so that a linear step can apply it many times through one set
+of traces.  apply_S on a field that carries its footprint applies it; on a
+bare field, as make_transport_field returns it, apply_S traces afresh and
+builds nothing.  Both run the same stepping and landing code.
 
 An independent slice-marching discretization (upwind_march) of the same
 equation is kept deliberately separate as a cross-check, and
@@ -34,13 +35,15 @@ from .fields import ScalarField
 class TransportField:
     """Full advecting velocity u~ = e1 + (ubar + u0) with its smallness
     certificate: sup of |u~1 - 1|, sup of the transverse components, and
-    the largest wall-normal trace leak."""
+    the largest wall-normal trace leak.  footprint, if recorded for these
+    values, is what apply_S applies instead of tracing."""
 
     grid: Grid
     values: np.ndarray  # (3, n1+1, n2+1, n3+1)
     sup_axial_dev: float
     sup_transverse: float
     wall_trace_defect: float
+    footprint: TransportFootprint | None = None
 
 
 def make_transport_field(grid: Grid, velocity: np.ndarray) -> TransportField:
@@ -326,7 +329,10 @@ def apply_S(tf: TransportField, v: ScalarField, w_in: np.ndarray) -> ScalarField
 
     Every node is traced back to x1 = 0; the value is the bilinearly
     interpolated trace at the arrival point plus the path integral of v.
+    A field that carries its footprint is not traced again.
     """
+    if tf.footprint is not None:
+        return tf.footprint.apply(v, w_in)
     g = tf.grid
     w_in = _check_trace(g, w_in)
     arr, _, integral = _trace(tf, _node_seeds(g), v.values)

@@ -7,6 +7,8 @@ from slipflow.fields import (
     VectorField,
     NormKind,
     norm,
+    diff1,
+    grad_array,
     onesided_normal_d1,
     zeros_scalar,
     zeros_vector,
@@ -18,7 +20,9 @@ from slipflow.lame import (
     apply_lame,
     solve_momentum,
     solve_linear_step,
+    _momentum_rows,
 )
+from slipflow.transport import apply_S, make_transport_field
 from slipflow.mms import build_linear_case
 
 
@@ -119,6 +123,27 @@ def test_apply_matches_analytic_rows_under_refinement():
     assert errs[0] / errs[1] >= 3.4
 
 
+# (9, 5, 7) on an anisotropic duct: odd counts, unequal spacings, and edges
+# whose tangential components average two slip rows with different h
+@pytest.mark.parametrize(
+    "extents, cells, params",
+    [
+        ((2.0, 1.0, 1.0), (8, 4, 4), FlowParams()),
+        ((2.0, 1.0, 1.0), (16, 8, 8), FlowParams()),
+        ((2.5, 1.0, 0.7), (9, 5, 7), FlowParams(mu=0.7, nu=0.3, friction=2.5)),
+    ],
+)
+def test_momentum_matrix_reproduces_rows(extents, cells, params):
+    grid = build_grid(GeometryConfig(*extents, *cells))
+    op = build_lame_operator(grid, boundary_frames(grid), params, assemble=True)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        u = rng.standard_normal((3, *grid.shape))
+        expected = _momentum_rows(op, u)
+        got = (op.matrix @ u.reshape(-1)).reshape(u.shape)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
 def test_solve_momentum_roundtrip():
     grid, frames, params = make_setup()
     op = build_lame_operator(grid, frames, params)
@@ -159,6 +184,7 @@ def test_linear_step_zero_data(mode):
     assert np.max(np.abs(res.u.values)) == 0.0
     assert np.max(np.abs(res.w.values)) == 0.0
     assert res.inner_iterations == 0
+    assert res.sweeps == 1
     assert res.mode == mode
 
 
@@ -175,6 +201,18 @@ def test_linear_step_unknown_mode():
             zero_slip(frames, grid),
             np.zeros((grid.shape[1], grid.shape[2])),
             mode="direct",
+        )
+
+
+def test_linear_step_rejects_unknown_mode_first():
+    # a transport field this slow would be rejected if it were built
+    grid, frames, params = make_setup()
+    convect = zeros_vector(grid)
+    convect.values[0] = -0.9
+    with pytest.raises(ValueError, match="unknown linear step mode"):
+        solve_linear_step(
+            grid, frames, params, convect, zeros_vector(grid), zeros_scalar(grid),
+            zero_slip(frames, grid), np.zeros((grid.shape[1], grid.shape[2])), mode="direct",
         )
 
 
@@ -266,3 +304,34 @@ def test_linear_step_modes_solve_one_discrete_system():
     dw = np.max(np.abs(res["split"].w.values - res["monolithic"].w.values))
     assert du <= 1e-8 * np.max(np.abs(res["monolithic"].u.values))
     assert dw <= 1e-8 * np.max(np.abs(res["monolithic"].w.values))
+
+
+def test_split_step_matches_trace_every_sweep():
+    # the oracle is the split alternation through a bare operator (stencil
+    # rows) and a bare transport field (every node traced on every sweep)
+    grid, frames, params = make_setup()
+    case = build_linear_case(grid, params)
+    res = solve_linear_step(
+        grid, frames, params, case.convect, case.forcing, case.continuity,
+        case.slip_data, case.w_in, mode="split",
+    )
+    op = build_lame_operator(grid, frames, params)
+    tf_values = case.convect.values.copy()
+    tf_values[0] += 1.0
+    tf = make_transport_field(grid, tf_values)
+    assert op.matrix is None and tf.footprint is None
+    u, w = zeros_vector(grid), zeros_scalar(grid)
+    for sweep in range(1, 201):
+        rhs = case.forcing.values - params.pressure.gamma * grad_array(w.values, grid)
+        u_new = solve_momentum(op, rhs, case.slip_data, x0=u)[0]
+        src = case.continuity.values - sum(diff1(u_new.values[a], grid.h[a], a) for a in range(3))
+        w_new = apply_S(tf, ScalarField(grid, src), case.w_in)
+        delta = norm(VectorField(grid, u_new.values - u.values), NormKind.h1()) + norm(
+            ScalarField(grid, w_new.values - w.values), NormKind.linf_l2()
+        )
+        u, w = u_new, w_new
+        if delta < 1e-11:
+            break
+    assert res.sweeps == sweep
+    assert np.max(np.abs(res.u.values - u.values)) <= 1e-14 * np.max(np.abs(u.values))
+    assert np.max(np.abs(res.w.values - w.values)) <= 1e-14 * np.max(np.abs(w.values))

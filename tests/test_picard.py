@@ -8,8 +8,10 @@ from slipflow.material import (
     boundary_data_from_names,
     assemble_perturbation_data,
 )
+from slipflow.config import config_from_mapping
 from slipflow.picard import (
     ProblemSetup,
+    build_setup,
     IterationRecord,
     picard_solve,
     convergence_metrics,
@@ -166,6 +168,19 @@ def test_iteration_record_validation():
         IterationRecord(n=0, a_n=0.0, d_n=np.nan, r_n=0.0, f_lp=0.0, g_w1p=0.0)
     with pytest.raises(ValueError, match="a_n"):
         IterationRecord(n=0, a_n=-1.0, d_n=0.0, r_n=0.0, f_lp=0.0, g_w1p=0.0)
+    with pytest.raises(ValueError, match="linear_residual"):
+        IterationRecord(0, 0.0, 0.0, 0.0, 0.0, 0.0, sweeps=1, linear_residual=np.inf)
+
+
+@pytest.mark.parametrize("mode", ["split", "monolithic"])
+def test_history_records_linear_steps(mode):
+    setup = build_setup(config_from_mapping({"solver": {"mode": mode}}))
+    bundle = picard_solve(setup)
+    assert bundle.converged
+    for rec in bundle.history:
+        assert rec.sweeps >= 1 if mode == "split" else rec.sweeps == 1
+        assert rec.inner_iterations > 0
+        assert rec.linear_residual <= setup.krylov_cfg.rel_tol
 
 
 def test_setup_validation():

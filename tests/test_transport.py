@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -187,11 +189,13 @@ def test_footprint_reproduces_apply_s(cells):
     g = make_grid(*cells)
     tf = wall_respecting_flow(g, 2e-2)
     fp = transport_footprint(tf)
+    carried = dataclasses.replace(tf, footprint=fp)
     for seed in range(3):
         v = smooth_scalar(g, 300 + seed, 0.4)
         w_in = smooth_scalar(g, 400 + seed, 0.4).values[0]
         expected = apply_S(tf, v, w_in).values
         assert np.max(np.abs(fp.apply(v, w_in).values - expected)) <= 1e-13
+        assert np.max(np.abs(apply_S(carried, v, w_in).values - expected)) <= 1e-13
 
 
 def test_footprint_uniform_flow_constant_cases():
