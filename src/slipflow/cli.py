@@ -50,6 +50,9 @@ def cmd_solve(config: RunConfig, out_dir: str) -> int:
     setup = build_setup(config)
     bundle = picard_solve(setup)
     paths = runio.write_outputs(out_dir, bundle, config)
+    for rec in bundle.history:
+        print(f"step {rec.n}: {rec.sweeps} sweeps, {rec.inner_iterations} Krylov iterations, "
+              f"linear residual {rec.linear_residual:.2e}")
     print(f"verdict: {bundle.verdict} after {len(bundle.history)} iterations")
     if bundle.history:
         last = bundle.history[-1]

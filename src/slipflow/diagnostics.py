@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .grid import Grid, BoundaryFrames, boundary_frames
 from .fields import (
@@ -36,7 +35,7 @@ from .fields import (
     face_w1p_norm,
 )
 from .material import FlowParams
-from .krylov import KrylovConfig, krylov_solve
+from .krylov import KrylovConfig, jacobi, krylov_solve
 
 # Fixed physical stand-off from walls and face edges for the audit
 # measurement regions.  A fixed distance (not a fixed slab count) keeps the
@@ -63,14 +62,12 @@ def _diff1_hi(values: np.ndarray, h: float, axis: int) -> np.ndarray:
 
 def _vol_simpson(arr: np.ndarray, g: Grid) -> float:
     """Composite Simpson volume quadrature (one order above trapezoid)."""
-    return float(
-        simpson(simpson(simpson(arr, dx=g.h[2], axis=2), dx=g.h[1], axis=1), dx=g.h[0], axis=0)
-    )
+    return float(g.simpson_weights(0) @ (arr @ g.simpson_weights(2) @ g.simpson_weights(1)))
 
 
 def _face_simpson(arr2d: np.ndarray, face, g: Grid) -> float:
     t1, t2 = face.in_axes
-    return float(simpson(simpson(arr2d, dx=g.h[t2], axis=1), dx=g.h[t1], axis=0))
+    return float(g.simpson_weights(t1) @ arr2d @ g.simpson_weights(t2))
 
 
 def _axis_margin_keep(g: Grid, axis: int) -> np.ndarray:
@@ -285,8 +282,8 @@ def helmholtz_decompose(
     if float(np.max(np.abs(rhs))) <= 1e-14 * max(1.0, u_scale / min(g.h)):
         sol = np.zeros(rhs.size)
     else:
-        diag = np.full(rhs.size, -shift)
-        sol, _, _ = krylov_solve(action, rhs.reshape(-1), krylov_cfg, diag=diag)
+        precond = jacobi(np.full(rhs.size, -shift))
+        sol, _, _ = krylov_solve(action, rhs.reshape(-1), krylov_cfg, precond=precond)
     pot = ScalarField(g, sol.reshape(g.shape))
     grad_pot = grad_array(pot.values, g)
     a_vals = u.values - grad_pot

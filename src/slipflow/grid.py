@@ -91,6 +91,26 @@ class Grid:
         w[-1] = 0.5 * self.h[axis]
         return w
 
+    def simpson_weights(self, axis: int) -> np.ndarray:
+        """1D composite Simpson weights along an axis.
+
+        With an odd cell count the last cell takes the three-point
+        correction scipy.integrate.simpson uses (Cartwright's), so that on
+        six nodes the weights are h * (1/3, 4/3, 2/3, 5/4, 1, 5/12).
+        """
+        h = self.h[axis]
+        n = self.config.cells[axis]
+        m = n - n % 2  # cells covered by whole Simpson panels
+        w = np.zeros(n + 1)
+        w[0:m + 1:2] = 2.0 * h / 3.0
+        w[1:m:2] = 4.0 * h / 3.0
+        w[0] = w[m] = h / 3.0
+        if n % 2:
+            w[n] += 5.0 * h / 12.0
+            w[n - 1] += 2.0 * h / 3.0
+            w[n - 2] -= h / 12.0
+        return w
+
     def volume_weights(self) -> np.ndarray:
         """Tensor trapezoid weights; sums to L*W2*W3 up to rounding."""
         w1, w2, w3 = (self.axis_weights(a) for a in range(3))

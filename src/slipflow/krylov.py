@@ -1,10 +1,16 @@
-"""Matrix-free stabilized bi-conjugate-gradient solver with Jacobi scaling.
+"""Matrix-free right-preconditioned stabilized bi-conjugate-gradient solver.
 
 Hand-rolled rather than delegated so the stopping rule, iteration count and
 best-residual reporting are exactly the ones the outer solver budgets for:
 convergence means relative residual <= rtol in the unpreconditioned norm,
 a zero right-hand side returns immediately, and failure carries the best
 residual seen so the caller can tell near-miss from breakdown.
+
+The preconditioner is any fixed linear map p -> p_hat approximating the
+inverse operator: jacobi(diag) scales by the inverse diagonal, and the
+viscous operator supplies a multigrid V-cycle (slipflow.lame).  Because it
+preconditions from the right, the iterate and the residual stay those of
+the original system whatever map is used.
 """
 from __future__ import annotations
 
@@ -39,17 +45,24 @@ class KrylovError(RuntimeError):
         self.iterations = iterations
 
 
+def jacobi(diag: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """Jacobi preconditioner: scaling by the inverse of an operator diagonal."""
+    scale = 1.0 / np.asarray(diag, dtype=float)
+    return lambda p: scale * p
+
+
 def krylov_solve(
     action: Callable[[np.ndarray], np.ndarray],
     rhs: np.ndarray,
     cfg: KrylovConfig = KrylovConfig(),
-    diag: np.ndarray | None = None,
+    precond: Callable[[np.ndarray], np.ndarray] | None = None,
     x0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, float]:
     """Solve action(x) = rhs; returns (x, iterations, relative residual).
 
-    diag is the operator's diagonal for Jacobi preconditioning; x0 warm
-    starts the iteration.  Raises KrylovError when the cap is hit.
+    precond maps a vector to an approximate solution of action(x) = vector
+    (jacobi(diag) for Jacobi scaling; none means no preconditioning); x0
+    warm starts the iteration.  Raises KrylovError when the cap is hit.
     """
     rhs = np.asarray(rhs, dtype=float)
     if not np.all(np.isfinite(rhs)):
@@ -59,10 +72,11 @@ def krylov_solve(
         return np.zeros_like(rhs), 0, 0.0
 
     cap = cfg.max_iter if cfg.max_iter is not None else 10 * rhs.size
-    scale = np.ones_like(rhs) if diag is None else 1.0 / np.asarray(diag, dtype=float)
+    if precond is None:
+        precond = lambda p: p
     warm = x0 is not None
     x = np.array(x0, dtype=float) if warm else np.zeros_like(rhs)
-    diag = x0 = None  # scale and x replace them for the rest of the solve
+    x0 = None  # x replaces it for the rest of the solve
     r = rhs - action(x) if warm else rhs.copy()
     res = float(np.linalg.norm(r)) / b_norm
     if res <= cfg.rel_tol:
@@ -74,9 +88,9 @@ def krylov_solve(
     omega = 1.0
     v = np.zeros_like(rhs)
     p = np.zeros_like(rhs)
-    # work arrays updated in place: each keeps the exact operation order of
+    # work array updated in place: it keeps the exact operation order of
     # its textbook form, so results do not depend on it
-    p_hat, s, s_hat = np.empty_like(rhs), np.empty_like(rhs), np.empty_like(rhs)
+    s = np.empty_like(rhs)
     best = res
 
     for it in range(1, cap + 1):
@@ -95,7 +109,7 @@ def krylov_solve(
         p -= omega * v
         p *= beta
         p += r
-        np.multiply(scale, p, out=p_hat)
+        p_hat = precond(p)
         v = action(p_hat)
         denom = float(r_hat @ v)
         if abs(denom) < cfg.breakdown_tol:
@@ -107,7 +121,7 @@ def krylov_solve(
         if s_norm <= cfg.rel_tol:
             x += alpha * p_hat
             return x, it, s_norm
-        np.multiply(scale, s, out=s_hat)
+        s_hat = precond(s)
         t = action(s_hat)
         tt = float(t @ t)
         if tt < cfg.breakdown_tol:

@@ -14,25 +14,45 @@ full traction form.  On edge nodes each component normal to a containing
 face is pinned; a component tangential to several faces averages their
 slip rows.
 
+build_lame_operator assembles these rows once, as one CSR matrix on the
+free (unpinned) rows and columns, and builds a preconditioner on it.
+Where every cell count halves, that is a Galerkin geometric-multigrid
+V-cycle (Trottenberg, Oosterlee & Schueller, Multigrid, 2001):
+
+  - prolongation P is, per component, the Kronecker product of 1-D
+    vertex-centred linear interpolation, restricted to the free fine and
+    free coarse nodes; the coarse pinned pattern comes by injection;
+  - the coarse operators are P^T (D A) P, D dividing each slip row by the
+    spacing normal to its face so that it is as large as the 1/h^2 PDE
+    rows; Jacobi smoothing is invariant to D, so D enters only there;
+  - damped Jacobi (weight 0.7) smooths twice before and twice after the
+    coarse correction, and the last level, reached when some cell count
+    stops halving, is solved through its dense inverse.
+
+A fresh momentum solve then takes 7 to 9 iterations from (8,4,4) to
+(64,32,32), where Jacobi scaling needs 21 to 181.  A grid that does not
+halve, or halves to a last level too large to solve densely, keeps Jacobi
+scaling.  The operator depends only on the grid and the physics, so
+picard_solve builds one per run and passes it to every linear step.
+
 The linear step couples this operator to the density given by the
 characteristics solver, w = S(g - div u, w_in), and the two modes solve
 that one system two ways: split mode alternates momentum solves with
 transport solves until the sweeps stop changing; monolithic mode
 substitutes the density into the momentum rows and makes one Krylov solve
-for the velocity.  Both record the transport solve for the step's
-advecting field as sparse matrices once (transport_footprint); split mode
-also assembles the momentum rows as one sparse matrix (build_lame_operator
-with assemble set), so each sweep costs a matrix product per Krylov
-iteration and one footprint apply.  A bare operator and a bare transport
-field, as build_lame_operator and make_transport_field return them, act
-through the stencils and trace afresh: apply_S traces afresh and builds
-nothing only on bare fields.  Both modes converge to the same discrete
-solution.
+for the velocity, whose operator is the matrix product plus the pressure
+of the traced divergence on the PDE rows.  Both record the transport solve
+for the step's advecting field as sparse matrices once
+(transport_footprint), so a split sweep costs one momentum solve and one
+footprint apply, and both precondition their Krylov solve with the
+operator's V-cycle.  A bare transport field, as make_transport_field
+returns it, traces afresh: apply_S builds nothing on it.  Both modes
+converge to the same discrete solution.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 from scipy import sparse
@@ -44,7 +64,6 @@ from .fields import (
     NormKind,
     norm,
     diff1,
-    diff2,
     laplacian_array,
     grad_array,
     grad_div_array,
@@ -52,20 +71,23 @@ from .fields import (
     zeros_vector,
     zeros_scalar,
 )
-from .krylov import KrylovConfig, krylov_solve
+from .krylov import KrylovConfig, jacobi, krylov_solve
 from .transport import make_transport_field, apply_S, transport_footprint
 from .material import FlowParams
 
 
 @dataclass(frozen=True, eq=False)
 class LameOperator:
-    """Assembled stencil action and boundary bookkeeping.
+    """The momentum rows, assembled, with their boundary bookkeeping.
 
     pinned marks Dirichlet rows (normal components on their faces, all of
     them homogeneous), robin_cnt counts how many faces contribute a slip
-    row to a component at a node, diag is the Jacobi diagonal of the full
-    row set.  matrix, if assembled, holds the same rows as a sparse matrix
-    on the flattened (3, *shape) velocity.
+    row to a component at a node.  matrix holds the rows on the free
+    (unpinned) rows and columns of the flattened (3, *shape) velocity;
+    with it set to None, solve_momentum acts through the stencils instead,
+    which is the reference the matrix is tested against.  precond maps a
+    free-row vector to an approximate solution of the momentum system: a
+    multigrid V-cycle where the grid coarsens, Jacobi scaling otherwise.
     """
 
     grid: Grid
@@ -73,19 +95,22 @@ class LameOperator:
     params: FlowParams
     pinned: np.ndarray
     robin_cnt: np.ndarray
-    diag: np.ndarray
     matrix: sparse.csr_matrix | None = None
+    precond: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def robin_mask(self) -> np.ndarray:
         return (self.robin_cnt > 0) & ~self.pinned
 
+    @property
+    def free(self) -> np.ndarray:
+        """Free rows of the flattened (3, *shape) velocity."""
+        return ~self.pinned.reshape(-1)
 
-def build_lame_operator(
-    grid: Grid, frames: BoundaryFrames, params: FlowParams, assemble: bool = False
-) -> LameOperator:
-    """Boundary bookkeeping and Jacobi diagonal of the momentum rows, with
-    the rows assembled as a sparse matrix if assemble is set."""
+
+def build_lame_operator(grid: Grid, frames: BoundaryFrames, params: FlowParams) -> LameOperator:
+    """Boundary bookkeeping, the momentum rows as a sparse matrix on the
+    free rows and columns, and the preconditioner built on that matrix."""
     shape = (3, *grid.shape)
     pinned = np.zeros(shape, dtype=bool)
     cnt = np.zeros(shape, dtype=np.int8)
@@ -93,25 +118,12 @@ def build_lame_operator(
         pinned[face.axis][face.slicer()] = True
         for t_ax in face.in_axes:
             cnt[t_ax][face.slicer()] += 1
-
-    h = grid.h
-    diag = np.empty(shape)
-    lap_diag = 2.0 * sum(1.0 / ha**2 for ha in h)
-    for c in range(3):
-        # -(nu+mu) d_c d_c u_c enters through the diagonal second difference
-        diag[c] = params.mu * lap_diag + (params.nu + params.mu) * 2.0 / h[c] ** 2
-
-    robin_diag = np.zeros(shape)
-    for face in frames.faces:
-        for t_ax in face.in_axes:
-            robin_diag[t_ax][face.slicer()] += (
-                params.mu * 1.5 / h[face.axis] + params.friction
-            )
-    m = (cnt > 0) & ~pinned
-    diag[m] = robin_diag[m] / cnt[m]
-    diag[pinned] = 1.0
-    op = LameOperator(grid, frames, params, pinned, cnt, diag)
-    return replace(op, matrix=_momentum_matrix(op)) if assemble else op
+    op = LameOperator(grid, frames, params, pinned, cnt)
+    matrix = _momentum_matrix(op)
+    precond = _multigrid(op, matrix)
+    if precond is None:
+        precond = jacobi(matrix.diagonal())
+    return replace(op, matrix=matrix, precond=precond)
 
 
 def _momentum_rows(op: LameOperator, u: np.ndarray) -> np.ndarray:
@@ -135,72 +147,202 @@ def _momentum_rows(op: LameOperator, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kron3(factors) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nonzero (rows, cols, values) of kron(m0, m1, m2) for three dense
-    square 1-D matrices: the operator acting along each node axis by its
-    own factor."""
-    rows = cols = np.zeros(1, dtype=np.intp)
-    vals = np.ones(1)
-    for m in factors:
-        r, c = np.nonzero(m)
-        rows = (rows[:, None] * m.shape[0] + r).reshape(-1)
-        cols = (cols[:, None] * m.shape[0] + c).reshape(-1)
-        vals = (vals[:, None] * m[r, c]).reshape(-1)
-    return rows, cols, vals
+def _pde_stencil(op: LameOperator, c: int) -> list[tuple[int, float]]:
+    """(column offset, value) of component c's PDE row at an interior
+    node, sorted by offset: the row's column is offset plus the node's
+    flat index, component a's columns starting at a * n_nodes.
+
+    The x1 convection and the vector Laplacian are 3-point stencils along
+    each axis on u_c, the diagonal term of grad div takes the second
+    difference of u_c along x_c, and its mixed terms d_c d_a u_a compose
+    central first differences along the two axes.
+    """
+    g = op.grid
+    mu, nu = op.params.mu, op.params.nu
+    n = g.n_nodes
+    stride = (g.shape[1] * g.shape[2], g.shape[2], 1)
+    entries: dict[int, float] = {}
+
+    def add(offset: int, value: float) -> None:
+        entries[offset] = entries.get(offset, 0.0) + value
+
+    for b in range(3):
+        k = (mu + (nu + mu) * (b == c)) / g.h[b] ** 2
+        conv = 1.0 / (2.0 * g.h[0]) if b == 0 else 0.0
+        add(c * n - stride[b], -k - conv)
+        add(c * n, 2.0 * k)
+        add(c * n + stride[b], -k + conv)
+    for a in range(3):
+        if a != c:
+            for sa in (-1, 1):
+                for sc in (-1, 1):
+                    add(a * n + sa * stride[a] + sc * stride[c],
+                        -(nu + mu) * (sa / (2.0 * g.h[a])) * (sc / (2.0 * g.h[c])))
+    return sorted(entries.items())
 
 
 def _momentum_matrix(op: LameOperator) -> sparse.csr_matrix:
-    """The rows of _momentum_rows as a (3N, 3N) matrix on the flattened
-    velocity, component c taking rows and columns c*N to (c+1)*N - 1.
+    """The rows of _momentum_rows on the free rows and columns, as a CSR
+    matrix with int32 indices.
 
-    PDE rows are sums of Kronecker products of the 1-D diff1/diff2
-    matrices (those stencils applied to the identity); slip rows and
-    pinned rows are written from their stencils by index arithmetic.
+    Every free row has at most 15 entries (an interior PDE row; a slip row
+    has 3 per face it averages), so the rows are written into fixed-width
+    column and value tables, then packed; pinned columns are dropped,
+    their values being zero.
     """
     g = op.grid
-    mu, nu, friction = op.params.mu, op.params.nu, op.params.friction
+    mu, friction = op.params.mu, op.params.friction
     n = g.n_nodes
-    eye = [np.eye(m) for m in g.shape]
-    d1 = [diff1(eye[a], g.h[a], 0) for a in range(3)]
-    d2 = [diff2(eye[a], g.h[a], 0) for a in range(3)]
-    pde = ~(op.pinned | op.robin_mask)
-    parts = []
+    free = op.free
+    n_free = int(np.count_nonzero(free))
+    index = np.full(3 * n, -1, dtype=np.int32)  # free position, -1 if pinned
+    index[free] = np.arange(n_free, dtype=np.int32)
+    cols = np.full((n_free, 15), -1, dtype=np.int32)
+    vals = np.zeros((n_free, 15))
 
-    def add(c: int, a: int, factors, coef: float = 1.0) -> None:
-        """Entries of one Kronecker term in block (c, a), on PDE rows only."""
-        r, col, v = _kron3(factors)
-        keep = pde[c].reshape(-1)[r]
-        parts.append((r[keep] + c * n, col[keep] + a * n, coef * v[keep]))
-
+    pde = ~(op.pinned | op.robin_mask)  # interior nodes only
     for c in range(3):
-        # u_c convected along x1, the vector Laplacian and d_c d_c u_c
-        for a in range(3):
-            m = -(mu + (nu + mu) * (a == c)) * d2[a] + (d1[0] if a == 0 else 0.0)
-            add(c, c, [m if b == a else eye[b] for b in range(3)])
-        # the mixed terms of grad div: d_c d_a u_a
-        for a in range(3):
-            if a != c:
-                add(c, a, [d1[b] if b in (a, c) else eye[b] for b in range(3)], -(nu + mu))
+        nodes = np.flatnonzero(pde[c])
+        rows = index[c * n + nodes]
+        for slot, (offset, value) in enumerate(_pde_stencil(op, c)):
+            cols[rows, slot] = index[nodes + offset]
+            vals[rows, slot] = value
 
     # slip rows: mu du_t/dn + friction u_t, averaged over the faces
-    nodes = np.arange(n).reshape(g.shape)
+    used = np.zeros(n_free, dtype=np.intp)
+    stride = (g.shape[1] * g.shape[2], g.shape[2], 1)
+    node_ids = np.arange(n).reshape(g.shape)
     for face in op.frames.faces:
-        inward = [slice(None)] * 3
         for t_ax in face.in_axes:
-            row = nodes[face.slicer()].reshape(-1)
-            keep = op.robin_mask[t_ax].reshape(-1)[row]
-            row = row[keep]
-            scale = 1.0 / op.robin_cnt[t_ax].reshape(-1)[row]
+            nodes = node_ids[face.slicer()].reshape(-1)
+            nodes = nodes[op.robin_mask[t_ax].reshape(-1)[nodes]]
+            rows = index[t_ax * n + nodes]
+            scale = 1.0 / op.robin_cnt[t_ax].reshape(-1)[nodes]
+            slot = used[rows]
             for k, coef in enumerate((3.0, -4.0, 1.0)):
-                inward[face.axis] = face.index - face.side * k
-                col = nodes[tuple(inward)].reshape(-1)[keep]
+                inward = nodes - face.side * k * stride[face.axis]
+                cols[rows, slot + k] = index[t_ax * n + inward]
                 v = mu * coef / (2.0 * g.h[face.axis]) + (friction if k == 0 else 0.0)
-                parts.append((row + t_ax * n, col + t_ax * n, v * scale))
+                vals[rows, slot + k] = v * scale
+            used[rows] += 3
 
-    pinned = np.flatnonzero(op.pinned)
-    parts.append((pinned, pinned, np.ones(pinned.size)))
-    rows, cols, vals = (np.concatenate(p) for p in zip(*parts))
-    return sparse.coo_matrix((vals, (rows, cols)), shape=(3 * n, 3 * n)).tocsr()
+    keep = cols >= 0
+    indptr = np.zeros(n_free + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    matrix = sparse.csr_matrix((vals[keep], cols[keep], indptr), shape=(n_free, n_free))
+    matrix.sum_duplicates()  # an edge slip row names its node once per face
+    return matrix
+
+
+# damped Jacobi smoothing of the V-cycle: weight, and sweeps before and
+# after the coarse correction
+_SMOOTH_WEIGHT = 0.7
+_SMOOTH_SWEEPS = 2
+# largest last level solved densely; a grid that stops halving above it
+# keeps Jacobi scaling
+_COARSEST_MAX = 1000
+
+
+def _interpolation_1d(n: int) -> np.ndarray:
+    """Vertex-centred linear interpolation from n // 2 cells to n."""
+    p = np.zeros((n + 1, n // 2 + 1))
+    coarse = np.arange(n // 2 + 1)
+    p[2 * coarse, coarse] = 1.0
+    p[2 * coarse[:-1] + 1, coarse[:-1]] = 0.5
+    p[2 * coarse[:-1] + 1, coarse[1:]] = 0.5
+    return p
+
+
+def _prolongation(cells, fine_pinned: np.ndarray, coarse_pinned: np.ndarray) -> sparse.csr_matrix:
+    """Free coarse to free fine velocity: per component the Kronecker
+    product of 1-D linear interpolation along each axis."""
+    p0, p1, p2 = (sparse.csr_matrix(_interpolation_1d(m)) for m in cells)
+    nodal = sparse.kron(sparse.kron(p0, p1), p2, format="csr")
+    return sparse.block_diag(
+        [nodal[~fine_pinned[c].reshape(-1)][:, ~coarse_pinned[c].reshape(-1)] for c in range(3)],
+        format="csr",
+    )
+
+
+def _slip_row_scale(op: LameOperator) -> np.ndarray:
+    """Free-row scaling that divides each slip row by the spacing normal
+    to its faces (averaged like the row), leaving the PDE rows alone."""
+    acc = np.zeros(op.pinned.shape)
+    for face in op.frames.faces:
+        for t_ax in face.in_axes:
+            acc[t_ax][face.slicer()] += 1.0 / op.grid.h[face.axis]
+    scale = np.ones(op.pinned.shape)
+    m = op.robin_mask
+    scale[m] = acc[m] / op.robin_cnt[m]
+    return scale.reshape(-1)[op.free]
+
+
+def _galerkin(restrict: sparse.csr_matrix, matrix: sparse.csr_matrix, prolong: sparse.csr_matrix):
+    """restrict @ matrix @ prolong, an eighth of the coarse rows at a time:
+    the coarse-by-fine intermediate product is several times the size of
+    the result and is never held whole."""
+    step = -(-restrict.shape[0] // 8)
+    return sparse.vstack(
+        [(restrict[i:i + step] @ matrix) @ prolong for i in range(0, restrict.shape[0], step)],
+        format="csr",
+    )
+
+
+class _VCycle:
+    """One Galerkin multigrid V-cycle for the momentum rows, from a zero
+    initial guess: a fixed linear map, as a Krylov preconditioner must be.
+
+    With A the free-row matrix and D the slip-row scaling, the cycle
+    approximately solves D A x = D r.  Jacobi smoothing is invariant to a
+    row scaling, so the finest level smooths A x = r and scales only the
+    residual it restricts; the coarse matrices are P^T (D A) P and so on
+    down, and the last level is solved through its dense inverse.
+    """
+
+    def __init__(self, matrix: sparse.csr_matrix, row_scale: np.ndarray, prolongs):
+        self.row_scale = row_scale
+        self.prolongs = prolongs
+        self.restricts = [p.T.tocsr() for p in prolongs]  # CSR products are the fastest
+        scaled = self.restricts[0].copy()  # P^T D
+        scaled.data *= row_scale[scaled.indices]
+        self.mats = [matrix, _galerkin(scaled, matrix, prolongs[0])]
+        for r, p in zip(self.restricts[1:], prolongs[1:]):
+            self.mats.append(_galerkin(r, self.mats[-1], p))
+        self.weights = [_SMOOTH_WEIGHT / m.diagonal() for m in self.mats[:-1]]
+        self.coarsest = np.linalg.inv(self.mats.pop().toarray())
+
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        return self._cycle(0, r)
+
+    def _cycle(self, level: int, b: np.ndarray) -> np.ndarray:
+        if level == len(self.prolongs):
+            return self.coarsest @ b
+        a, weight = self.mats[level], self.weights[level]
+        x = weight * b
+        for _ in range(_SMOOTH_SWEEPS - 1):
+            x += weight * (b - a @ x)
+        r = b - a @ x
+        if level == 0:
+            r *= self.row_scale
+        x += self.prolongs[level] @ self._cycle(level + 1, self.restricts[level] @ r)
+        for _ in range(_SMOOTH_SWEEPS):
+            x += weight * (b - a @ x)
+        return x
+
+
+def _multigrid(op: LameOperator, matrix: sparse.csr_matrix) -> _VCycle | None:
+    """The V-cycle for op's free-row matrix, coarsening while every cell
+    count halves; None when the grid does not halve at all or stops at a
+    last level too large for a dense solve."""
+    cells, pinned = op.grid.config.cells, op.pinned
+    prolongs = []
+    while all(m % 2 == 0 and m >= 4 for m in cells):
+        coarse_pinned = pinned[:, ::2, ::2, ::2]  # injection
+        prolongs.append(_prolongation(cells, pinned, coarse_pinned))
+        cells, pinned = tuple(m // 2 for m in cells), coarse_pinned
+    if not prolongs or np.count_nonzero(~pinned) > _COARSEST_MAX:
+        return None
+    return _VCycle(matrix, _slip_row_scale(op), prolongs)
 
 
 def apply_lame(op: LameOperator, u: VectorField) -> VectorField:
@@ -224,24 +366,21 @@ def _momentum_rhs(op: LameOperator, forcing: np.ndarray, slip_data: Mapping[str,
     return b
 
 
-def _solve_free_rows(op: LameOperator, rows, rhs: np.ndarray, cfg: KrylovConfig, x0: np.ndarray | None):
-    """Solve rows(u) = rhs for the (3, *shape) velocity u on the free rows,
-    u being zero on the pinned ones: Jacobi-preconditioned by the operator
-    diagonal, warm-started from the array x0 if given."""
-    g = op.grid
-    free = ~op.pinned.reshape(-1)
-    full = np.zeros(3 * g.n_nodes)
+def _scatter(op: LameOperator, y: np.ndarray) -> np.ndarray:
+    """The (3, *shape) velocity with free rows y and zero pinned rows."""
+    full = np.zeros(op.pinned.size)
+    full[op.free] = y
+    return full.reshape(op.pinned.shape)
 
-    def act(y: np.ndarray) -> np.ndarray:
-        full[free] = y
-        return rows(full.reshape(3, *g.shape)).reshape(-1)[free]
 
+def _solve_free_rows(op: LameOperator, act, rhs: np.ndarray, cfg: KrylovConfig, x0: np.ndarray | None):
+    """Solve act(y) = rhs for the free rows y of the velocity, which is
+    zero on the pinned ones: preconditioned by op.precond, warm-started
+    from the (3, *shape) array x0 if given."""
     y, iters, res = krylov_solve(
-        act, rhs.reshape(-1)[free], cfg, diag=op.diag.reshape(-1)[free],
-        x0=None if x0 is None else x0.reshape(-1)[free],
+        act, rhs, cfg, precond=op.precond, x0=None if x0 is None else x0.reshape(-1)[op.free]
     )
-    full[free] = y
-    return VectorField(g, full.reshape(3, *g.shape)), iters, res
+    return VectorField(op.grid, _scatter(op, y)), iters, res
 
 
 def solve_momentum(
@@ -252,14 +391,14 @@ def solve_momentum(
     x0: VectorField | None = None,
 ) -> tuple[VectorField, int, float]:
     """Solve the slip-wall momentum system for a given volume forcing,
-    through op.matrix if the operator carries it."""
+    through op.matrix, or through the stencils if it is None."""
+    free = op.free
     if op.matrix is None:
-        rows = lambda u: _momentum_rows(op, u)
+        act = lambda y: _momentum_rows(op, _scatter(op, y)).reshape(-1)[free]
     else:
-        rows = lambda u: (op.matrix @ u.reshape(-1)).reshape(u.shape)
-    return _solve_free_rows(
-        op, rows, _momentum_rhs(op, forcing, slip_data), cfg, None if x0 is None else x0.values
-    )
+        act = op.matrix.dot
+    rhs = _momentum_rhs(op, forcing, slip_data).reshape(-1)[free]
+    return _solve_free_rows(op, act, rhs, cfg, None if x0 is None else x0.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,25 +429,30 @@ def solve_linear_step(
     inner_tol: float = 1e-11,
     max_sweeps: int = 200,
     start: tuple[VectorField, ScalarField] | None = None,
+    op: LameOperator | None = None,
 ) -> LinearStepResult:
     """Solve the coupled linear system for (u, w) at one outer iteration.
 
     convect is the perturbation part of the advecting velocity (outer
     iterate plus lifted data); the transport speed is e1 + convect.  start
     warm-starts the inner iteration (the result does not depend on it).
+    op is the momentum operator for (grid, frames, params), built here if
+    not given; it is the same at every outer iteration of a run.
     """
     if mode not in ("split", "monolithic"):
         raise ValueError(f"unknown linear step mode {mode!r} (use 'split' or 'monolithic')")
     tf_values = convect.values.copy()
     tf_values[0] += 1.0
     tf = make_transport_field(grid, tf_values)
-    op = build_lame_operator(grid, frames, params, assemble=mode == "split")
+    footprint = transport_footprint(tf)
+    if op is None:
+        op = build_lame_operator(grid, frames, params)
     gamma = params.pressure.gamma
 
     if mode == "split":
         # both operators are fixed for the step: apply_S goes through the
         # field's footprint, solve_momentum through the operator's matrix
-        tf = replace(tf, footprint=transport_footprint(tf))
+        tf = replace(tf, footprint=footprint)
         if start is not None:
             u = VectorField(grid, start[0].values.copy())
             w = ScalarField(grid, start[1].values.copy())
@@ -341,18 +485,20 @@ def solve_linear_step(
     # the density is w = S_in w_in + S_v (g - div u), the value the split
     # alternation converges to; substituting it into the momentum rows
     # leaves one Krylov solve in u alone
-    footprint = transport_footprint(tf)
     w_fixed = footprint.apply(continuity_forcing, w_in).values
     source = footprint.source
     del footprint, tf, tf_values  # the Krylov solve needs only the source part
     pde = ~(op.pinned | op.robin_mask)
+    pde_free = pde.reshape(-1)[op.free]  # the PDE rows among the free rows
 
     def add_pressure(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """rows - gamma grad(w) on the PDE rows, in place; the momentum
-        rows take gamma grad(w) there and nowhere else."""
+        """rows - gamma grad(w) on the PDE rows of a free-row vector, in
+        place; the momentum rows take gamma grad(w) there and nowhere
+        else."""
         grad = grad_array(w, grid)
         grad *= -gamma
-        return np.add(rows, grad, out=rows, where=pde)
+        rows[pde_free] += grad[pde]
+        return rows
 
     def traced_divergence(u: np.ndarray) -> np.ndarray:
         """S_v div u, the part of the density that depends on u."""
@@ -361,8 +507,8 @@ def solve_linear_step(
 
     u, iters, res = _solve_free_rows(
         op,
-        lambda u: add_pressure(_momentum_rows(op, u), traced_divergence(u)),
-        add_pressure(_momentum_rhs(op, forcing.values, slip_data), w_fixed),
+        lambda y: add_pressure(op.matrix @ y, traced_divergence(_scatter(op, y))),
+        add_pressure(_momentum_rhs(op, forcing.values, slip_data).reshape(-1)[op.free], w_fixed),
         krylov_cfg,
         None if start is None else start[0].values,
     )

@@ -42,7 +42,7 @@ from .material import (
     _check_band,
 )
 from .krylov import KrylovConfig, KrylovError
-from .lame import solve_linear_step
+from .lame import build_lame_operator, solve_linear_step
 
 
 @dataclass(frozen=True)
@@ -163,6 +163,9 @@ def picard_solve(
         u = VectorField(grid, np.array(start[0].values, dtype=float))
         w = ScalarField(grid, np.array(start[1].values, dtype=float))
 
+    # the viscous operator and its preconditioner depend only on the grid
+    # and the physics parameters: one serves every linear step of the run
+    op = build_lame_operator(grid, setup.frames, params)
     history: list[IterationRecord] = []
     verdict = "max_iter"
     prev_d = None
@@ -189,6 +192,7 @@ def picard_solve(
                 krylov_cfg=setup.krylov_cfg,
                 inner_tol=setup.inner_tol,
                 start=(u, w),
+                op=op,
             )
         except (KrylovError, RuntimeError, ValueError) as err:
             verdict = f"diverged({err})"

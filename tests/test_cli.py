@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from slipflow.cli import main
-from slipflow.picard import build_setup
+from slipflow.config import parse_config
+from slipflow.picard import build_setup, picard_solve
 from slipflow.runio import load_field_dump, load_history
 
 
@@ -49,6 +51,19 @@ def test_solve_twice_is_bit_identical(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == 0
     second = {p.name: p.read_bytes() for p in out.iterdir()}
     assert first == second
+
+
+def test_solve_prints_each_steps_linear_work(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"data": {"epsilon": 1e-2}})
+    assert main(["solve", "--config", str(cfg)]) == 0
+    printed = [
+        tuple(int(k) for k in m.groups())
+        for m in re.finditer(r"^step (\d+): (\d+) sweeps, (\d+) Krylov iterations, ",
+                             capsys.readouterr().out, re.MULTILINE)
+    ]
+    history = picard_solve(build_setup(parse_config(cfg))).history
+    assert len(history) >= 2
+    assert printed == [(rec.n, rec.sweeps, rec.inner_iterations) for rec in history]
 
 
 def test_solve_reconstructs_physical_fields(tmp_path):
@@ -165,11 +180,11 @@ def test_package_surface():
         assert getattr(slipflow, name) is not None
     assert slipflow.build_setup is slipflow.picard.build_setup is slipflow.cli.build_setup
     # a bare import must bind the cli module, in a fresh interpreter, and
-    # leave sympy (needed by verify alone) unloaded
+    # leave sympy (needed by verify alone) and scipy.integrate unloaded
     src = Path(slipflow.__file__).resolve().parents[1]
     probe = (
         "import sys, slipflow; assert callable(slipflow.cli.main); "
-        "assert 'sympy' not in sys.modules"
+        "assert 'sympy' not in sys.modules; assert 'scipy.integrate' not in sys.modules"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-c", probe], check=True, env=env)

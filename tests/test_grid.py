@@ -135,6 +135,21 @@ def test_volume_weights_sum_to_volume():
     assert abs(g.volume_weights().sum() - vol) <= 1e-13 * vol
 
 
+@pytest.mark.parametrize("points", [5, 6, 7, 10])
+def test_simpson_weights_match_scipy(points):
+    # odd point counts are plain composite Simpson; even ones take
+    # scipy's correction on the last cell
+    from scipy.integrate import simpson
+
+    g = default_grid(points - 1, 4, points - 1, length=1.3, width3=0.7)
+    for axis in (0, 2):
+        ref = simpson(np.eye(points), dx=g.h[axis], axis=1)
+        np.testing.assert_allclose(g.simpson_weights(axis), ref, rtol=0, atol=1e-15)
+    if points == 6:
+        expected = g.h[0] * np.array([1 / 3, 4 / 3, 2 / 3, 5 / 4, 1, 5 / 12])
+        np.testing.assert_allclose(g.simpson_weights(0), expected, rtol=0, atol=1e-15)
+
+
 def test_frames_memoized_per_grid():
     g = default_grid()
     assert boundary_frames(g) is boundary_frames(g)

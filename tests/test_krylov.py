@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slipflow.krylov import KrylovConfig, KrylovError, krylov_solve
+from slipflow.krylov import KrylovConfig, KrylovError, jacobi, krylov_solve
 
 
 def dense_action(A):
@@ -50,11 +50,26 @@ def test_jacobi_scaling_handles_wild_diagonal():
     d = 10.0 ** rng.uniform(-3, 3, size=n)
     A = np.diag(d) + 0.05 * rng.normal(size=(n, n))
     b = rng.normal(size=n)
-    x, iters, res = krylov_solve(dense_action(A), b, diag=np.diag(A))
+    x, iters, res = krylov_solve(dense_action(A), b, precond=jacobi(np.diag(A)))
     np.testing.assert_allclose(A @ x, b, rtol=0, atol=1e-8 * np.linalg.norm(b))
     # without the scaling this system stagnates; with it the cap is never
     # close (observed ~1.5 n)
     assert iters <= 3 * n
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_preconditioned_residual_is_the_true_residual(seed):
+    # right preconditioning: the reported residual is |b - A x| / |b| of
+    # the original system, whatever the preconditioner
+    rng = np.random.default_rng(seed)
+    n = 60
+    A = np.eye(n) + 0.3 * rng.normal(size=(n, n)) / np.sqrt(n)
+    b = rng.normal(size=n)
+    approx_inverse = np.linalg.inv(A + 0.05 * rng.normal(size=(n, n)) / np.sqrt(n))
+    x, iters, res = krylov_solve(dense_action(A), b, precond=lambda p: approx_inverse @ p)
+    true_res = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+    assert res <= 1e-10
+    assert abs(res - true_res) <= 1e-5 * res
 
 
 def test_iteration_cap_raises_with_best_residual():

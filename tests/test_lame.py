@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from slipflow.fields import (
     zeros_vector,
 )
 from slipflow.material import FlowParams
-from slipflow.krylov import KrylovConfig
+from slipflow.krylov import KrylovConfig, jacobi
 from slipflow.lame import (
     build_lame_operator,
     apply_lame,
@@ -134,13 +136,16 @@ def test_apply_matches_analytic_rows_under_refinement():
     ],
 )
 def test_momentum_matrix_reproduces_rows(extents, cells, params):
+    # the matrix holds the free rows and columns; pinned entries are zero
     grid = build_grid(GeometryConfig(*extents, *cells))
-    op = build_lame_operator(grid, boundary_frames(grid), params, assemble=True)
+    op = build_lame_operator(grid, boundary_frames(grid), params)
+    assert op.matrix.indices.dtype == op.matrix.indptr.dtype == np.int32
     rng = np.random.default_rng(11)
     for _ in range(3):
         u = rng.standard_normal((3, *grid.shape))
-        expected = _momentum_rows(op, u)
-        got = (op.matrix @ u.reshape(-1)).reshape(u.shape)
+        u[op.pinned] = 0.0
+        expected = _momentum_rows(op, u).reshape(-1)[op.free]
+        got = op.matrix @ u.reshape(-1)[op.free]
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
@@ -165,6 +170,46 @@ def test_solve_momentum_roundtrip():
     scale = np.max(np.abs(u_known.values))
     assert res <= 1e-10
     assert np.max(np.abs(sol.values - u_known.values)) <= 1e-6 * scale
+
+
+def shear_slip(frames, grid):
+    slip = {}
+    for face in frames.faces:
+        a, b = np.meshgrid(*face.coords, indexing="ij")
+        slip[face.name] = np.stack([0.1 * np.sin(a + b), 0.05 * np.cos(2.0 * a - b)])
+    return slip
+
+
+@pytest.mark.parametrize("cells", [(8, 4, 4), (16, 8, 8), (32, 16, 16)])
+def test_multigrid_solve_is_grid_independent(cells):
+    # Jacobi scaling doubles the iteration count with each refinement; the
+    # V-cycle holds it, and both reach the same solution
+    grid, frames, params = make_setup(*cells)
+    op = build_lame_operator(grid, frames, params)
+    forcing = smooth_vector(grid, seed=3).values
+    slip = shear_slip(frames, grid)
+    u, iters, res = solve_momentum(op, forcing, slip)
+    assert iters <= 12 and res <= 1e-10
+    by_jacobi = replace(op, precond=jacobi(op.matrix.diagonal()))
+    u_jac, iters_jac, _ = solve_momentum(by_jacobi, forcing, slip)
+    assert iters_jac > 2 * iters
+    scale = np.max(np.abs(u_jac.values))
+    assert np.max(np.abs(u.values - u_jac.values)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("cells", [(9, 5, 7), (14, 14, 14)])
+def test_grids_without_a_hierarchy_keep_jacobi(cells):
+    # (9, 5, 7) does not halve; (14, 14, 14) halves once, to a last level
+    # too large to solve densely
+    grid = build_grid(GeometryConfig(2.5, 1.0, 0.7, *cells))
+    frames = boundary_frames(grid)
+    params = FlowParams(mu=0.7, nu=0.3, friction=2.5)
+    op = build_lame_operator(grid, frames, params)
+    r = np.random.default_rng(2).standard_normal(op.matrix.shape[0])
+    np.testing.assert_array_equal(op.precond(r), (1.0 / op.matrix.diagonal()) * r)
+    u, iters, res = solve_momentum(op, smooth_vector(grid, seed=4).values, shear_slip(frames, grid))
+    assert res <= 1e-10
+    assert np.all(u.values[op.pinned] == 0.0)
 
 
 @pytest.mark.parametrize("mode", ["split", "monolithic"])
@@ -315,7 +360,7 @@ def test_split_step_matches_trace_every_sweep():
         grid, frames, params, case.convect, case.forcing, case.continuity,
         case.slip_data, case.w_in, mode="split",
     )
-    op = build_lame_operator(grid, frames, params)
+    op = replace(build_lame_operator(grid, frames, params), matrix=None)
     tf_values = case.convect.values.copy()
     tf_values[0] += 1.0
     tf = make_transport_field(grid, tf_values)

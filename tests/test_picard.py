@@ -8,7 +8,9 @@ from slipflow.material import (
     boundary_data_from_names,
     assemble_perturbation_data,
 )
+from slipflow import lame, picard
 from slipflow.config import config_from_mapping
+from slipflow.lame import build_lame_operator
 from slipflow.picard import (
     ProblemSetup,
     build_setup,
@@ -173,10 +175,20 @@ def test_iteration_record_validation():
 
 
 @pytest.mark.parametrize("mode", ["split", "monolithic"])
-def test_history_records_linear_steps(mode):
+def test_history_records_linear_steps(mode, monkeypatch):
+    # every linear step of a run shares one momentum operator
+    built = []
+
+    def counting_build(*args, **kwargs):
+        built.append(args)
+        return build_lame_operator(*args, **kwargs)
+
+    monkeypatch.setattr(picard, "build_lame_operator", counting_build)
+    monkeypatch.setattr(lame, "build_lame_operator", counting_build)
     setup = build_setup(config_from_mapping({"solver": {"mode": mode}}))
     bundle = picard_solve(setup)
     assert bundle.converged
+    assert len(bundle.history) >= 2 and len(built) == 1
     for rec in bundle.history:
         assert rec.sweeps >= 1 if mode == "split" else rec.sweeps == 1
         assert rec.inner_iterations > 0
