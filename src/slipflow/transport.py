@@ -11,7 +11,18 @@ transport_footprint traces every node once and records it as sparse
 matrices, so that a linear step can apply it many times through one set
 of traces.  apply_S on a field that carries its footprint applies it; on a
 bare field, as make_transport_field returns it, apply_S traces afresh and
-builds nothing.  Both run the same stepping and landing code.
+builds nothing.
+
+Both run one kernel, _trace, on fixed blocks of _BLOCK consecutive nodes:
+a block takes full RK4 steps until each of its traces is about to cross
+x1 = 0, then lands them all in one root solve in which every trace stops
+on its own tolerance.  No trace's arithmetic depends on the others in its
+block, so each trace's arrival and path integral are bit-identical for any
+block size and any thread count.  apply_S on a bare field spreads the
+blocks over a thread pool with one thread per CPU in the process's
+affinity mask (there is no setting for it); transport_footprint traces
+them one after another, because its recorder is Python code that holds
+the interpreter lock.
 
 An independent slice-marching discretization (upwind_march) of the same
 equation is kept deliberately separate as a cross-check, and
@@ -21,6 +32,8 @@ preserving.
 from __future__ import annotations
 
 import mmap
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -117,20 +130,30 @@ def _locate(grid: Grid, pos: np.ndarray) -> _Stencil:
     ext, h, n, last, _ = _lattice(grid)
     t = np.clip(np.clip(pos, 0.0, ext) / h, 0.0, n)
     i0 = np.minimum(t.astype(np.intp), last)
-    hi = t - i0
-    lo = 1.0 - hi
+    lohi = np.empty((2, *t.shape))  # low and high weight along each axis
+    hi = np.subtract(t, i0, out=lohi[1])
+    np.subtract(1.0, hi, out=lohi[0])
     s1, s2 = _strides(grid)
     base = i0[0] * s1 + i0[1] * s2 + i0[2]
-    wa, wb, wc = (np.stack([lo[a], hi[a]]) for a in range(3))
+    wa, wb, wc = lohi.transpose(1, 0, 2)
     weights = ((wa[:, None, :] * wb[None, :, :])[:, :, None, :] * wc[None, None, :, :])
     return _Stencil(base, weights.reshape(8, -1))
 
 
 def _sample(flat: np.ndarray, grid: Grid, st: _Stencil) -> np.ndarray:
-    """Interpolate the rows of a (C, n_nodes) array through a stencil."""
-    idx = (st.base + _lattice(grid)[4]).reshape(-1)
-    corners = np.take(flat, idx, axis=1).reshape(flat.shape[0], 8, -1)
-    return np.einsum("dck,ck->dk", corners, st.weights)
+    """Interpolate the rows of a (C, n_nodes) array through a stencil.
+
+    The weighted corners are summed one after another, elementwise, so a
+    point's value does not depend on how many points are sampled with it.
+    One corner is gathered at a time, which keeps the temporaries small.
+    """
+    offsets = _lattice(grid)[4][:, 0]
+    out = np.take(flat, st.base + offsets[0], axis=1) * st.weights[0]
+    for off, w in zip(offsets[1:], st.weights[1:]):
+        term = np.take(flat, st.base + off, axis=1)
+        term *= w
+        out += term
+    return out
 
 
 def _bilinear_inflow(grid: Grid, arrivals: np.ndarray):
@@ -155,8 +178,7 @@ def _bilinear_inflow(grid: Grid, arrivals: np.ndarray):
 _RK4_WEIGHTS = (1.0, 2.0, 2.0, 1.0)
 _LANDING_TOL = 1e-13  # |x1| at the landing point, relative to the step ds
 _LANDING_MAX_ITER = 50
-_LANDING_BATCH = 2048  # traces landed together; bounds the transient memory
-_STEP_BATCH = 4096  # traces stepped together, for the same reason
+_BLOCK = 4096  # node seeds traced together to completion
 
 
 def _clamp(grid: Grid, pos: np.ndarray) -> np.ndarray:
@@ -203,118 +225,142 @@ def _landing_step(grid: Grid, stack: np.ndarray, pos: np.ndarray, ds: float, x1_
     x1_full is the (non-positive) axial position after a full step.  The
     root of x1(s) on the bracket [0, ds] is found by the Illinois variant
     of regula falsi, which keeps the bracket and converges superlinearly.
+    Each trace stops at its own first iterate with |x1| <= tol, so its
+    result does not depend on which traces are landed with it.
     """
-    n = pos.shape[1]
-    lo = np.zeros(n)
+    s = np.full(pos.shape[1], ds)
+    live = np.arange(pos.shape[1])
+    lo = np.zeros(live.size)
     f_lo = pos[0].copy()
-    hi = np.full(n, ds)
+    hi = s.copy()
     f_hi = np.array(x1_full, dtype=float)
-    last = np.zeros(n, dtype=np.int8)
+    last = np.zeros(live.size, dtype=np.int8)
     tol = _LANDING_TOL * ds
-    s = hi
     for _ in range(_LANDING_MAX_ITER):
-        s = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        f = _rk4_step(grid, stack, pos, s)[0][0]
+        trial = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        s[live] = trial
+        f = _rk4_step(grid, stack, pos, trial)[0][0]
+        keep = np.abs(f) > tol
+        if not np.any(keep):
+            break
+        live, pos, trial, f = live[keep], pos[:, keep], trial[keep], f[keep]
+        lo, hi, f_lo, f_hi, last = lo[keep], hi[keep], f_lo[keep], f_hi[keep], last[keep]
         over = f <= 0.0
         # Illinois: halve the stale end's value when one end is kept twice
         f_lo = np.where(over, np.where(last < 0, 0.5 * f_lo, f_lo), f)
         f_hi = np.where(over, f, np.where(last > 0, 0.5 * f_hi, f_hi))
-        lo = np.where(over, lo, s)
-        hi = np.where(over, s, hi)
+        lo = np.where(over, lo, trial)
+        hi = np.where(over, trial, hi)
         last = np.where(over, -1, 1).astype(np.int8)
-        if float(np.max(np.abs(f))) <= tol:
-            break
     return s
 
 
-def _trace(tf: TransportField, seeds: np.ndarray, payload: np.ndarray | None = None, recorder=None):
-    """Trace every seed, a column of the (3, N) array seeds, backward to
+def _trace(grid: Grid, stack: np.ndarray, seeds: np.ndarray, first: int = 0, recorder=None):
+    """Trace one block of seeds, the columns of a (3, N) array, backward to
     the inflow plane.
 
-    Returns (arrivals, travel, integral) arrays; the arrivals are seeds
-    itself, overwritten.  Full steps of size ds are taken until a step
-    would cross x1 = 0; those traces wait for a shortened last step, solved
-    for in batches (_landing_step), that lands the arrival on x1 = 0
-    exactly.  A recorder, if given, sees every stage of every step a trace
-    keeps, in order, through recorder.stage(rows, s, weight, stencil) once
-    the step is done, and recorder.close(rows) once those traces have
-    landed.
-    """
-    g = tf.grid
-    ds = min(g.h) / 2.0
-    max_steps = int(np.ceil(8.0 * g.config.length / ds)) + 1
-    stack = tf.values.reshape(3, -1)
-    if payload is not None:
-        stack = np.concatenate([stack, payload.reshape(1, -1)])
+    stack is the advecting velocity with an optional payload row, as
+    _rk4_step takes it.  Returns (arrivals, travel, integral) arrays; the
+    arrivals are seeds itself, overwritten.  Full steps of size ds are
+    taken until a step would cross x1 = 0; once every trace of the block
+    has reached that step, one shortened last step each (_landing_step)
+    lands them on x1 = 0 exactly.  Every trace's arithmetic is its own, so
+    the results do not depend on how the seeds are split into blocks.
 
+    first is the global node index of the first seed, for the message of
+    a stalled trace.  A recorder, if given, is reset to the block by
+    recorder.begin(first, N) and sees every stage of every step a trace
+    keeps, in order, through recorder.stage(rows, s, weight, stencil) once
+    the step is done (rows local to the block), and recorder.close(rows)
+    once those traces have landed.
+    """
+    ds = min(grid.h) / 2.0
+    max_steps = int(np.ceil(8.0 * grid.config.length / ds)) + 1
     pos = seeds
     n = pos.shape[1]
     travel = np.zeros(n)
     integral = np.zeros(n)
-    active = pos[0] > 0.0
-    waiting = []  # (rows, position before the crossing step, x1 after it)
+    if recorder is not None:
+        recorder.begin(first, n)
+    ai = np.flatnonzero(pos[0] > 0.0)
+    crossed = []  # (rows, position before the crossing step, x1 after it)
+    for _ in range(max_steps):
+        if ai.size == 0:
+            break
+        stages = []
+        on_stage = None if recorder is None else lambda weight, st: stages.append((weight, st))
+        new, inc = _rk4_step(grid, stack, pos[:, ai], ds, on_stage)
+        crossing = new[0] <= 0.0
+        if np.any(crossing):
+            done = ai[crossing]
+            crossed.append((done, pos[:, done], new[0, crossing]))
+            cont = ~crossing
+            ai, new = ai[cont], new[:, cont]
+            inc = None if inc is None else inc[cont]
+            stages = [(weight, st.subset(cont)) for weight, st in stages]
+        # a crossing trace records its shortened last step when it lands
+        for weight, st in stages:
+            recorder.stage(ai, ds, weight, st)
+        pos[:, ai] = _clamp(grid, new)
+        travel[ai] += ds
+        if inc is not None:
+            integral[ai] += inc
 
-    def land():
-        done = np.concatenate([d for d, _, _ in waiting])
-        start = np.concatenate([p for _, p, _ in waiting], axis=1)
-        x1_full = np.concatenate([x for _, _, x in waiting])
-        waiting.clear()
-        s_fin = _landing_step(g, stack, start, ds, x1_full)
+    if ai.size:
+        bad = int(ai[0])
+        raise RuntimeError(
+            f"characteristic {first + bad} stalled after {max_steps} steps "
+            f"at {tuple(float(c) for c in pos[:, bad])}"
+        )
+    if crossed:
+        done = np.concatenate([d for d, _, _ in crossed])
+        start = np.concatenate([p for _, p, _ in crossed], axis=1)
+        s_fin = _landing_step(grid, stack, start, ds, np.concatenate([x for _, _, x in crossed]))
         on_stage = None if recorder is None else lambda weight, st: recorder.stage(done, s_fin, weight, st)
-        fin, inc = _rk4_step(g, stack, start, s_fin, on_stage)
+        fin, inc = _rk4_step(grid, stack, start, s_fin, on_stage)
         fin[0] = 0.0
-        pos[:, done] = _clamp(g, fin)
+        pos[:, done] = _clamp(grid, fin)
         travel[done] += s_fin
         if inc is not None:
             integral[done] += inc
         if recorder is not None:
             recorder.close(done)
-
-    def step(ai: np.ndarray) -> None:
-        stages = []
-        on_stage = None if recorder is None else lambda weight, st: stages.append((weight, st))
-        new, inc = _rk4_step(g, stack, pos[:, ai], ds, on_stage)
-        crossing = new[0] <= 0.0
-        if np.any(crossing):
-            done = ai[crossing]
-            waiting.append((done, pos[:, done], new[0, crossing]))
-            active[done] = False
-        cont = ~crossing
-        ai, new = ai[cont], new[:, cont]
-        # a crossing trace records its shortened last step when it lands
-        for weight, st in stages:
-            recorder.stage(ai, ds, weight, st.subset(cont))
-        pos[:, ai] = _clamp(g, new)
-        travel[ai] += ds
-        if inc is not None:
-            integral[ai] += inc[cont]
-
-    for _ in range(max_steps):
-        ai = np.flatnonzero(active)
-        if ai.size == 0:
-            break
-        for lo in range(0, ai.size, _STEP_BATCH):
-            step(ai[lo:lo + _STEP_BATCH])
-        if sum(d.size for d, _, _ in waiting) >= _LANDING_BATCH:
-            land()
-
-    if np.any(active):
-        bad = int(np.flatnonzero(active)[0])
-        raise RuntimeError(
-            f"characteristic {bad} stalled after {max_steps} steps "
-            f"at {tuple(float(c) for c in pos[:, bad])}"
-        )
-    if waiting:
-        land()
     return pos, travel, integral
 
 
 # ---------------------------------------------------------------------------
 # the inflow-traced solution operator
 
-def _node_seeds(grid: Grid) -> np.ndarray:
-    """(3, n_nodes) node positions."""
-    return np.stack([x.ravel() for x in grid.meshgrid()])
+def _stack(tf: TransportField, payload: np.ndarray | None = None) -> np.ndarray:
+    """The advecting velocity as a (3, n_nodes) array, followed by the
+    payload as a fourth row if one is given."""
+    stack = tf.values.reshape(3, -1)
+    if payload is None:
+        return stack
+    return np.concatenate([stack, payload.reshape(1, -1)])
+
+
+def _blocks(n_nodes: int) -> list[tuple[int, int]]:
+    """Flat-index ranges [lo, hi) of the node blocks traced together."""
+    return [(lo, min(lo + _BLOCK, n_nodes)) for lo in range(0, n_nodes, _BLOCK)]
+
+
+def _block_seeds(grid: Grid, lo: int, hi: int) -> np.ndarray:
+    """(3, hi - lo) positions of the nodes with flat indices lo..hi-1."""
+    s1, s2 = _strides(grid)
+    i, rest = np.divmod(np.arange(lo, hi), s1)
+    j, k = np.divmod(rest, s2)
+    return np.stack([grid.axes[0][i], grid.axes[1][j], grid.axes[2][k]])
+
+
+def _workers(n_blocks: int) -> int:
+    """Threads for n_blocks independent blocks: one per CPU this process
+    may run on, and no more than there are blocks."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_blocks)
 
 
 def _check_trace(grid: Grid, w_in: np.ndarray) -> np.ndarray:
@@ -329,16 +375,36 @@ def apply_S(tf: TransportField, v: ScalarField, w_in: np.ndarray) -> ScalarField
 
     Every node is traced back to x1 = 0; the value is the bilinearly
     interpolated trace at the arrival point plus the path integral of v.
-    A field that carries its footprint is not traced again.
+    The node blocks are traced on a thread pool, one thread per CPU in the
+    process's affinity mask, each writing its own slice of the result;
+    the result is the same for any number of threads.  A field that
+    carries its footprint is not traced again.
     """
     if tf.footprint is not None:
         return tf.footprint.apply(v, w_in)
     g = tf.grid
-    w_in = _check_trace(g, w_in)
-    arr, _, integral = _trace(tf, _node_seeds(g), v.values)
-    idx, w = _bilinear_inflow(g, arr)
-    traced = np.sum(w * w_in.reshape(-1)[idx], axis=1)
-    return ScalarField(g, (traced + integral).reshape(g.shape))
+    trace = _check_trace(g, w_in).reshape(-1)
+    stack = _stack(tf, v.values)
+    out = np.empty(g.n_nodes)
+
+    def block(span: tuple[int, int]) -> None:
+        lo, hi = span
+        arr, _, integral = _trace(g, stack, _block_seeds(g, lo, hi), lo)
+        idx, w = _bilinear_inflow(g, arr)
+        out[lo:hi] = np.sum(w * trace[idx], axis=1) + integral
+
+    blocks = _blocks(g.n_nodes)
+    workers = _workers(len(blocks))
+    if workers == 1:
+        for span in blocks:
+            block(span)
+    else:
+        with ThreadPoolExecutor(workers) as ex:
+            # results come in block order, so the first failure in node
+            # order is the one raised
+            for _ in ex.map(block, blocks):
+                pass
+    return ScalarField(g, out.reshape(g.shape))
 
 
 def _mapped_chunk(size: int, width: int):
@@ -404,10 +470,14 @@ class _SourceRecorder:
     """
 
     def __init__(self, grid: Grid):
-        n = grid.n_nodes
         self.grid = grid
         s2 = _strides(grid)[1]
         self.quads = _GroupChunks((0, 1, s2, s2 + 1))  # (d2, d3) corners of a cell face
+
+    def begin(self, first: int, n: int) -> None:
+        """Start a block of n traces, the nodes first..first+n-1; rows are
+        local to the block from here on."""
+        self.first = first
         self.cell = np.full(n, -1, dtype=np.intp)
         self.slots = np.zeros((8, n))
 
@@ -450,7 +520,7 @@ class _SourceRecorder:
         groups of a fresh trace's first move, whose base (cell -1) is no
         node."""
         keep = np.any(vals != 0.0, axis=0)
-        self.quads.append(rows[keep], bases[keep], vals[:, keep])
+        self.quads.append(rows[keep] + self.first, bases[keep], vals[:, keep])
 
     def finish(self) -> "FootprintSource":
         n = self.grid.n_nodes
@@ -497,16 +567,23 @@ class TransportFootprint:
 
 
 def transport_footprint(tf: TransportField) -> TransportFootprint:
-    """Trace every node once and record apply_S as sparse matrices."""
+    """Trace every node once and record apply_S as sparse matrices.
+
+    The node blocks are traced one after another through one recorder,
+    with the same kernel as apply_S on a bare field.
+    """
     g = tf.grid
-    recorder = _SourceRecorder(g)
-    arr = _trace(tf, _node_seeds(g), recorder=recorder)[0]
-    source = recorder.finish()
-    del recorder  # its per-trace state is done with before the inflow part
-    idx, w = _bilinear_inflow(g, arr)
     n = g.n_nodes
+    stack = _stack(tf)
+    recorder = _SourceRecorder(g)
+    idx = np.empty((n, 4), dtype=np.int32)
+    w = np.empty((n, 4))
+    for lo, hi in _blocks(n):
+        arr = _trace(g, stack, _block_seeds(g, lo, hi), lo, recorder)[0]
+        idx[lo:hi], w[lo:hi] = _bilinear_inflow(g, arr)
+    source = recorder.finish()
     inflow = sparse.csr_matrix(
-        (w.reshape(-1), idx.reshape(-1).astype(np.int32), np.arange(0, 4 * n + 1, 4, dtype=np.int32)),
+        (w.reshape(-1), idx.reshape(-1), np.arange(0, 4 * n + 1, 4, dtype=np.int32)),
         shape=(n, g.shape[1] * g.shape[2]),
     )
     return TransportFootprint(g, inflow, source)

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from slipflow.transport import (
     jacobian_bound,
     transport_footprint,
 )
-from slipflow.transport import _landing_step, _rk4_step, _trace
+from slipflow import transport
+from slipflow.transport import _landing_step, _rk4_step, _stack, _trace
 
 
 def make_grid(n1=16, n2=8, n3=8):
@@ -78,7 +80,7 @@ def test_transport_field_rejects_slow_axial_flow():
 def trace_one(tf, x, payload=None):
     """Trace one point to the inflow plane: (arrival, travel, integral)."""
     pay = None if payload is None else payload.values
-    arr, travel, integral = _trace(tf, np.array(x, dtype=float)[:, None], pay)
+    arr, travel, integral = _trace(tf.grid, _stack(tf, pay), np.array(x, dtype=float)[:, None])
     return tuple(arr[:, 0]), float(travel[0]), float(integral[0])
 
 
@@ -113,12 +115,18 @@ def test_trace_payload_constant_and_linear():
     assert trace_one(tf, (1.25, 0.5, 0.5), lin)[2] == pytest.approx(1.25**2 / 2.0, abs=1e-12)
 
 
-def test_stalled_characteristic_reported():
+def test_stalled_characteristic_reported(monkeypatch):
+    # blocks of 16 nodes on two threads: the plane x1 = 0 holds nodes 0-24,
+    # so the first block in node order that stalls is the second one, and
+    # its error names the global index of the first node off that plane
+    monkeypatch.setattr(transport, "_BLOCK", 16)
+    monkeypatch.setattr(transport, "_workers", lambda n_blocks: min(2, n_blocks))
     g = make_grid(8, 4, 4)
     vals = np.zeros((3, *g.shape))  # zero velocity never reaches the inflow
     tf = TransportField(g, vals, 1.0, 0.0, 0.0)
-    with pytest.raises(RuntimeError, match="stalled"):
-        trace_one(tf, (1.0, 0.5, 0.5))
+    with pytest.raises(RuntimeError, match=r"characteristic 25 stalled") as err:
+        apply_S(tf, zeros_scalar(g), np.zeros(g.shape[1:]))
+    assert type(err.value) is RuntimeError
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +190,7 @@ def test_apply_s_satisfies_transport_equation_under_refinement():
 # the recorded footprint of the solution operator
 
 
-# (32, 16, 16) has 9,537 traces, more than one step batch (_STEP_BATCH) and
-# one landing batch (_LANDING_BATCH)
+# (32, 16, 16) has 9,537 traces, more than one block
 @pytest.mark.parametrize("cells", [(8, 4, 4), (16, 8, 8), (32, 16, 16)])
 def test_footprint_reproduces_apply_s(cells):
     g = make_grid(*cells)
@@ -210,8 +217,35 @@ def test_footprint_uniform_flow_constant_cases():
 def test_footprint_reports_stalled_characteristic():
     g = make_grid(8, 4, 4)
     tf = TransportField(g, np.zeros((3, *g.shape)), 1.0, 0.0, 0.0)
-    with pytest.raises(RuntimeError, match="stalled"):
+    with pytest.raises(RuntimeError, match=r"characteristic 25 stalled"):
         transport_footprint(tf)
+
+
+@pytest.mark.parametrize("run", ["one worker", "default pool", "blocks of 1000", "eight threads"])
+def test_block_tracing_is_bit_identical(run, monkeypatch):
+    # (32, 16, 16) has 9,537 nodes: three blocks of 4,096, ten of 1,000
+    g = make_grid(32, 16, 16)
+    tf = wall_respecting_flow(g, 2e-2)
+    v = smooth_scalar(g, 500, 0.4)
+    w_in = smooth_scalar(g, 600, 0.4).values[0]
+    reference = (apply_S(tf, v, w_in).values, transport_footprint(tf).apply(v, w_in).values)
+    if run == "one worker":
+        monkeypatch.setattr(transport, "_workers", lambda n_blocks: 1)
+    elif run == "blocks of 1000":
+        monkeypatch.setattr(transport, "_BLOCK", 1000)
+    elif run == "eight threads":
+        # more threads than CPUs, switching often: a block slice lost or
+        # written twice would show in the result
+        monkeypatch.setattr(transport, "_BLOCK", 500)
+        monkeypatch.setattr(transport, "_workers", lambda n_blocks: min(8, n_blocks))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert np.array_equal(apply_S(tf, v, w_in).values, reference[0])
+        finally:
+            sys.setswitchinterval(interval)
+    assert np.array_equal(apply_S(tf, v, w_in).values, reference[0])
+    assert np.array_equal(transport_footprint(tf).apply(v, w_in).values, reference[1])
 
 
 def test_landing_step_matches_bisection():
@@ -238,6 +272,24 @@ def test_landing_step_matches_bisection():
         lo = np.where(over, lo, mid)
     assert np.max(np.abs(s - 0.5 * (lo + hi))) <= 1e-13
     assert np.max(np.abs(_rk4_step(g, stack, pos, s)[0][0])) <= 1e-13
+
+
+def test_landing_step_is_independent_of_its_batch():
+    g = make_grid()
+    tf = wall_respecting_flow(g, 2e-2)
+    stack = tf.values.reshape(3, -1)
+    ds = min(g.h) / 2.0
+    rng = np.random.default_rng(6)
+    n = 200
+    pos = np.stack([
+        rng.uniform(0.0, 1.0, n) * ds,
+        rng.uniform(0.0, g.config.width2, n),
+        rng.uniform(0.0, g.config.width3, n),
+    ])
+    x1_full = _rk4_step(g, stack, pos, ds)[0][0]
+    together = _landing_step(g, stack, pos, ds, x1_full)
+    alone = [_landing_step(g, stack, pos[:, i:i + 1], ds, x1_full[i:i + 1])[0] for i in range(n)]
+    assert np.array_equal(together, np.array(alone))
 
 
 # ---------------------------------------------------------------------------
