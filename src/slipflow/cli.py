@@ -25,7 +25,7 @@ from .diagnostics import run_diagnostics
 from .fields import NormKind, ScalarField, VectorField, norm
 from .grid import GeometryConfig, Grid, boundary_frames, build_grid
 from .krylov import KrylovError
-from .lame import solve_linear_step
+from .lame import MODES, solve_linear_step
 from .material import compute_F, compute_G
 from .picard import build_setup, convergence_metrics, picard_solve
 from .transport import apply_S, make_transport_field, upwind_march
@@ -208,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", default=None, help="JSON config file (defaults apply)")
         cmd.add_argument("--out", default=None, help="output directory (default from config)")
-        cmd.add_argument("--mode", default=None, choices=("split", "monolithic"),
+        cmd.add_argument("--mode", default=None, choices=MODES,
                          help="override solver.mode")
     return parser
 

@@ -14,12 +14,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
-from .grid import MIN_CELLS, GeometryConfig
+from .grid import FACE_NAMES, MIN_CELLS, WALL_NAMES, GeometryConfig
 from .krylov import KrylovConfig
-from .material import FlowParams, PressureLaw
-
-FACE_NAMES = ("inflow", "outflow", "y0", "y1", "z0", "z1")
-WALL_NAMES = ("y0", "y1", "z0", "z1")
+from .lame import MODES
+from .material import NORMAL_TRACE_FACES, PROFILE_NAMES, FlowParams, PressureLaw
 
 
 class ConfigError(ValueError):
@@ -155,7 +153,7 @@ def _profile_map(block, path: str, allowed_faces) -> dict[str, str]:
     for face, profile in block.items():
         if face not in allowed_faces:
             _fail_unknown(f"{path}.{face}", allowed_faces)
-        out[face] = _string(profile, f"{path}.{face}")
+        out[face] = _string(profile, f"{path}.{face}", allowed=PROFILE_NAMES)
     return out
 
 
@@ -196,8 +194,8 @@ def config_from_mapping(raw: Mapping) -> RunConfig:
 
     data = _merged(raw.get("data", {}), _DATA_DEFAULTS, "data")
     epsilon = _number(data["epsilon"], "data.epsilon", nonneg=True)
-    inflow_density = _string(data["inflow_density"], "data.inflow_density")
-    normal_trace = _profile_map(data["normal_trace"], "data.normal_trace", ("inflow", "outflow"))
+    inflow_density = _string(data["inflow_density"], "data.inflow_density", allowed=PROFILE_NAMES)
+    normal_trace = _profile_map(data["normal_trace"], "data.normal_trace", NORMAL_TRACE_FACES)
     slip = _profile_map(data["slip"], "data.slip", FACE_NAMES)
     data_cfg = DataConfig(
         epsilon=epsilon,
@@ -207,7 +205,7 @@ def config_from_mapping(raw: Mapping) -> RunConfig:
     )
 
     sol = _merged(raw.get("solver", {}), _SOLVER_DEFAULTS, "solver")
-    mode = _string(sol["mode"], "solver.mode", allowed=("split", "monolithic"))
+    mode = _string(sol["mode"], "solver.mode", allowed=MODES)
     outer_tol = _number(sol["outer_tol"], "solver.outer_tol", positive=True)
     max_outer = _integer(sol["max_outer"], "solver.max_outer", minimum=1)
     omega = _number(sol["omega"], "solver.omega", positive=True)

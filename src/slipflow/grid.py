@@ -1,9 +1,9 @@
 """Tensor-product grid over the duct [0,L] x [0,W2] x [0,W3].
 
 The grid is vertex-centered: axis a carries n_a cells and n_a + 1 nodes,
-node (i, j, k) sits exactly at (i*h1, j*h2, k*h3).  Boundary bookkeeping
-(outward frames, face quadrature weights, node region tags) lives here as
-well so that every other module shares one set of conventions.
+node (i, j, k) sits exactly at (i*h1, j*h2, k*h3).  The six boundary faces
+(names, normal axes and sides, face quadrature weights) are laid out here
+as well so that every other module shares one set of conventions.
 """
 from __future__ import annotations
 
@@ -13,13 +13,6 @@ from functools import lru_cache
 import numpy as np
 
 MIN_CELLS = 4
-
-# Region tag values used in BoundaryFrames.tags.
-TAG_INTERIOR = -1
-TAG_INFLOW = 0
-TAG_OUTFLOW = 1
-TAG_LATERAL = 2
-TAG_EDGE = 3
 
 
 @dataclass(frozen=True)
@@ -138,12 +131,13 @@ def _face_axis_weights(n: int, h: float) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Face:
-    """One of the six planar boundary faces with its constant frame.
+    """One of the six boundary faces: the plane x_axis = const.
 
-    in_axes are the two in-face coordinate axes (global axis ids) in the
-    order matching (tau1, tau2) of the frame.  weights is the 2D face
-    quadrature (zero on the ring of edge nodes), coords the in-face node
-    coordinate vectors.
+    The outward normal is side * e_axis.  in_axes are the two in-face
+    coordinate axes (global axis ids) in ascending order; they fix the
+    order of the two tangential rows of any per-face data.  weights is the
+    2D face quadrature (zero on the ring of edge nodes), coords the
+    in-face node coordinate vectors.
     """
 
     name: str
@@ -151,14 +145,10 @@ class Face:
     axis: int
     side: int            # -1 at coordinate 0, +1 at the far end
     index: int           # node index along `axis`
-    normal: np.ndarray
-    tau1: np.ndarray
-    tau2: np.ndarray
     in_axes: tuple[int, int]
     coords: tuple[np.ndarray, np.ndarray]
     spacings: tuple[float, float]
     weights: np.ndarray
-    curvatures: tuple[float, float] = (0.0, 0.0)
 
     def slicer(self) -> tuple:
         """Index expression extracting this face's 2D slab from a node array."""
@@ -171,11 +161,7 @@ class Face:
         return values[self.slicer()]
 
 
-# Tangent axis pairs per face-normal axis; tau1/tau2 are the positive unit
-# vectors along these axes.  x1-faces: (e2, e3); lateral faces put the
-# axial direction first.
-_TANGENT_AXES = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
-
+# (name, normal axis, side, region) of each face, in BoundaryFrames.faces order
 _FACE_LAYOUT = (
     ("inflow", 0, -1, "inflow"),
     ("outflow", 0, +1, "outflow"),
@@ -186,19 +172,16 @@ _FACE_LAYOUT = (
 )
 
 REGIONS = ("inflow", "outflow", "lateral")
+FACE_NAMES = tuple(name for name, _, _, _ in _FACE_LAYOUT)
+WALL_NAMES = tuple(name for name, _, _, region in _FACE_LAYOUT if region == "lateral")
 
 
 @dataclass(frozen=True, eq=False)
 class BoundaryFrames:
-    """All six faces plus a per-node region tag array.
-
-    tags holds TAG_* values; nodes on two or more faces are tagged
-    TAG_EDGE and carry zero face-quadrature weight everywhere.
-    """
+    """All six faces of a grid, in _FACE_LAYOUT order."""
 
     grid: Grid
     faces: tuple[Face, ...]
-    tags: np.ndarray
 
     def face(self, name: str) -> Face:
         for f in self.faces:
@@ -214,19 +197,13 @@ class BoundaryFrames:
         return tuple(f for f in self.faces if f.region == region)
 
 
-def _unit(axis: int) -> np.ndarray:
-    e = np.zeros(3)
-    e[axis] = 1.0
-    return e
-
-
 @lru_cache(maxsize=32)
 def boundary_frames(grid: Grid) -> BoundaryFrames:
-    """Build outward frames, face quadrature and node tags for a grid."""
+    """Build the six faces with their quadrature for a grid."""
     cells = grid.config.cells
     faces = []
     for name, axis, side, region in _FACE_LAYOUT:
-        t1_ax, t2_ax = _TANGENT_AXES[axis]
+        t1_ax, t2_ax = (a for a in range(3) if a != axis)
         wa = _face_axis_weights(cells[t1_ax], grid.h[t1_ax])
         wb = _face_axis_weights(cells[t2_ax], grid.h[t2_ax])
         faces.append(
@@ -236,32 +213,10 @@ def boundary_frames(grid: Grid) -> BoundaryFrames:
                 axis=axis,
                 side=side,
                 index=0 if side < 0 else cells[axis],
-                normal=side * _unit(axis),
-                tau1=_unit(t1_ax),
-                tau2=_unit(t2_ax),
                 in_axes=(t1_ax, t2_ax),
                 coords=(grid.axes[t1_ax], grid.axes[t2_ax]),
                 spacings=(grid.h[t1_ax], grid.h[t2_ax]),
                 weights=np.outer(wa, wb),
             )
         )
-
-    # Count how many faces each node lies on; >= 2 means an edge node.
-    shape = grid.shape
-    count = np.zeros(shape, dtype=np.int8)
-    for axis in range(3):
-        sl_lo = [slice(None)] * 3
-        sl_lo[axis] = 0
-        sl_hi = [slice(None)] * 3
-        sl_hi[axis] = -1
-        count[tuple(sl_lo)] += 1
-        count[tuple(sl_hi)] += 1
-
-    tags = np.full(shape, TAG_INTERIOR, dtype=np.int8)
-    region_tag = {"inflow": TAG_INFLOW, "outflow": TAG_OUTFLOW, "lateral": TAG_LATERAL}
-    for f in faces:
-        slab = tags[f.slicer()]
-        slab[...] = region_tag[f.region]
-    tags[count >= 2] = TAG_EDGE
-
-    return BoundaryFrames(grid=grid, faces=tuple(faces), tags=tags)
+    return BoundaryFrames(grid=grid, faces=tuple(faces))

@@ -19,6 +19,8 @@ from typing import Callable
 
 import numpy as np
 
+_BREAKDOWN_TOL = 1e-30
+
 
 @dataclass(frozen=True)
 class KrylovConfig:
@@ -26,7 +28,6 @@ class KrylovConfig:
 
     rel_tol: float = 1e-10
     max_iter: int | None = None  # default 10 * unknown count
-    breakdown_tol: float = 1e-30
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < 1.0):
@@ -95,7 +96,7 @@ def krylov_solve(
 
     for it in range(1, cap + 1):
         rho = float(r_hat @ r)
-        if abs(rho) < cfg.breakdown_tol * b_norm * b_norm:
+        if abs(rho) < _BREAKDOWN_TOL * b_norm * b_norm:
             # stagnated shadow residual: restart the recurrence at r
             r_hat = r.copy()
             rho = float(r_hat @ r)
@@ -112,7 +113,7 @@ def krylov_solve(
         p_hat = precond(p)
         v = action(p_hat)
         denom = float(r_hat @ v)
-        if abs(denom) < cfg.breakdown_tol:
+        if abs(denom) < _BREAKDOWN_TOL:
             raise KrylovError("solver breakdown (orthogonal search direction)", best, it)
         alpha = rho / denom
         np.multiply(alpha, v, out=s)
@@ -124,7 +125,7 @@ def krylov_solve(
         s_hat = precond(s)
         t = action(s_hat)
         tt = float(t @ t)
-        if tt < cfg.breakdown_tol:
+        if tt < _BREAKDOWN_TOL:
             raise KrylovError("solver breakdown (zero stabilization step)", best, it)
         omega = float(t @ s) / tt
         x += alpha * p_hat

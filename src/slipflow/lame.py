@@ -75,6 +75,11 @@ from .krylov import KrylovConfig, jacobi, krylov_solve
 from .transport import make_transport_field, apply_S, transport_footprint
 from .material import FlowParams
 
+# a linear step alternates sweeps (split) or makes one Krylov solve
+MODES = ("split", "monolithic")
+# split sweeps a linear step may take before it fails as non-convergent
+MAX_SWEEPS = 200
+
 
 @dataclass(frozen=True, eq=False)
 class LameOperator:
@@ -427,7 +432,6 @@ def solve_linear_step(
     mode: str = "split",
     krylov_cfg: KrylovConfig = KrylovConfig(),
     inner_tol: float = 1e-11,
-    max_sweeps: int = 200,
     start: tuple[VectorField, ScalarField] | None = None,
     op: LameOperator | None = None,
 ) -> LinearStepResult:
@@ -439,8 +443,8 @@ def solve_linear_step(
     op is the momentum operator for (grid, frames, params), built here if
     not given; it is the same at every outer iteration of a run.
     """
-    if mode not in ("split", "monolithic"):
-        raise ValueError(f"unknown linear step mode {mode!r} (use 'split' or 'monolithic')")
+    if mode not in MODES:
+        raise ValueError(f"unknown linear step mode {mode!r} (use one of {MODES})")
     tf_values = convect.values.copy()
     tf_values[0] += 1.0
     tf = make_transport_field(grid, tf_values)
@@ -461,7 +465,7 @@ def solve_linear_step(
             w = zeros_scalar(grid)
         total_iters = 0
         res = 0.0
-        for sweep in range(1, max_sweeps + 1):
+        for sweep in range(1, MAX_SWEEPS + 1):
             rhs_u = forcing.values - gamma * grad_array(w.values, grid)
             u_new, iters, res = solve_momentum(op, rhs_u, slip_data, krylov_cfg, x0=u)
             total_iters += iters
@@ -478,7 +482,7 @@ def solve_linear_step(
         else:
             raise RuntimeError(
                 f"linear step alternation did not reach {inner_tol:g} "
-                f"within {max_sweeps} sweeps (last change {delta:.3e})"
+                f"within {MAX_SWEEPS} sweeps (last change {delta:.3e})"
             )
         return LinearStepResult(u, w, total_iters, res, "split", sweep)
 

@@ -16,7 +16,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .grid import Grid, BoundaryFrames, Face, boundary_frames
+from .grid import FACE_NAMES, WALL_NAMES, Grid, BoundaryFrames, Face, boundary_frames
 from .fields import (
     ScalarField,
     VectorField,
@@ -36,7 +36,7 @@ DENSITY_BAND = (0.0, 2.0)
 
 # Faces that may carry a nonzero prescribed normal trace; on the lateral
 # walls the normal trace of the full velocity is pinned to zero.
-NORMAL_TRACE_FACES = ("inflow", "outflow")
+NORMAL_TRACE_FACES = tuple(name for name in FACE_NAMES if name not in WALL_NAMES)
 
 PROFILE_NAMES = ("zero", "sine_bump")
 
@@ -77,12 +77,6 @@ class PressureLaw:
             k = self.coefficient
             return k * rho ** (k - 1.0)
         return self.coefficient * np.ones_like(np.asarray(rho, dtype=float))
-
-    def d2(self, rho):
-        if self.kind == "power":
-            k = self.coefficient
-            return k * (k - 1.0) * rho ** (k - 2.0)
-        return np.zeros_like(np.asarray(rho, dtype=float))
 
     @property
     def gamma(self) -> float:
@@ -134,11 +128,6 @@ class FlowParams:
         if self.pressure.gamma <= 0.0:
             raise ValueError("pressure slope at reference density must be positive")
 
-    @property
-    def gamma_bar(self) -> float:
-        """Pressure slope over the longitudinal viscosity, gamma/(nu + 2mu)."""
-        return self.pressure.gamma / (self.nu + 2.0 * self.mu)
-
 
 # ---------------------------------------------------------------------------
 # boundary data
@@ -164,9 +153,9 @@ class BoundaryDataSpec:
     normal_trace maps a face name to the profile of the normal-trace
     perturbation of the full velocity (only inflow/outflow faces may
     appear; the walls keep a homogeneous normal trace).  slip maps a face
-    name to the pair of given tangential data profiles in that face's
-    (tau1, tau2) frame.  inflow_density is the density perturbation
-    profile on the inflow face.
+    name to the pair of given tangential data profiles along that face's
+    in_axes.  inflow_density is the density perturbation profile on the
+    inflow face.
     """
 
     epsilon: float = 0.0
@@ -201,7 +190,7 @@ def boundary_data_from_names(
     if normal_trace is None:
         normal_trace = {"inflow": "sine_bump"}
     if slip is None:
-        slip = {name: "sine_bump" for name in ("y0", "y1", "z0", "z1")}
+        slip = {name: "sine_bump" for name in WALL_NAMES}
 
     def face_extents(name: str) -> tuple[float, float]:
         f = frames.face(name)
@@ -259,7 +248,7 @@ def extend_normal_trace(grid: Grid, spec: BoundaryDataSpec) -> VectorField:
         shape = [1, 1, 1]
         shape[face.axis] = axis_coords.size
         # n . u0 = trace on the face; the normal component carries it all
-        comp = float(face.normal[face.axis]) * np.expand_dims(trace, face.axis)
+        comp = face.side * np.expand_dims(trace, face.axis)
         vals[face.axis] += comp * ramp.reshape(shape)
     return VectorField(grid, vals)
 
@@ -300,20 +289,13 @@ def assemble_perturbation_data(
         mesh = _face_mesh(face)
         given = spec.slip.get(face.name)
         rows = []
-        for i, tau in enumerate((face.tau1, face.tau2)):
+        for i, t_ax in enumerate(face.in_axes):
             if given is not None:
                 g = spec.epsilon * np.asarray(given[i](*mesh), dtype=float)
             else:
                 g = np.zeros(face.weights.shape)
-            # n . D(u0) . tau_i restricted to the face
-            nd = np.zeros(face.weights.shape)
-            for a in range(3):
-                if face.normal[a] == 0.0:
-                    continue
-                for b in range(3):
-                    if tau[b] == 0.0:
-                        continue
-                    nd += face.normal[a] * tau[b] * face.take(d_u0[a, b])
+            # n . D(u0) . tau_i on the face, tau_i the unit vector along t_ax
+            nd = face.side * face.take(d_u0[face.axis, t_ax])
             rows.append(g - 2.0 * params.mu * nd)
         slip_data[face.name] = np.stack(rows)
 

@@ -42,7 +42,7 @@ from .material import (
     _check_band,
 )
 from .krylov import KrylovConfig, KrylovError
-from .lame import build_lame_operator, solve_linear_step
+from .lame import MODES, build_lame_operator, solve_linear_step
 
 
 @dataclass(frozen=True)
@@ -68,6 +68,8 @@ class ProblemSetup:
             raise ValueError("max_outer must be at least 1")
         if not (0.0 < self.omega <= 1.0):
             raise ValueError("under-relaxation omega must lie in (0, 1]")
+        if self.mode not in MODES:
+            raise ValueError(f"unknown linear step mode {self.mode!r} (use one of {MODES})")
         if not np.isfinite(self.data.b_measure):
             raise ValueError("boundary data measure is not finite")
 
@@ -396,7 +398,7 @@ def reconstruct_physical(
     normal_max = 0.0
     for face in frames.faces:
         sl = face.slicer()
-        na, side = face.axis, float(face.normal[face.axis])
+        na, side = face.axis, face.side
         for i, t_ax in enumerate(face.in_axes):
             traction = 2.0 * mu * side * d_v[na, t_ax][sl]
             row = traction + f * v_vals[t_ax][sl]

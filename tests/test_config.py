@@ -62,6 +62,9 @@ def test_validation_errors_name_dotted_keys():
         ({"physics": {"f": 0.0}}, "physics.f"),
         ({"physics": {"pressure": {"kind": "cubic"}}}, "physics.pressure.kind"),
         ({"data": {"epsilon": -1e-3}}, "data.epsilon"),
+        ({"data": {"inflow_density": "gauss"}}, "data.inflow_density"),
+        ({"data": {"normal_trace": {"outflow": "gauss"}}}, "data.normal_trace.outflow"),
+        ({"data": {"slip": {"z1": "gauss"}}}, "data.slip.z1"),
         ({"solver": {"mode": "fast"}}, "solver.mode"),
         ({"solver": {"omega": 0.0}}, "solver.omega"),
         ({"solver": {"omega": 1.5}}, "solver.omega"),

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from slipflow.diagnostics import (
     apriori_ratio,
     reflection_residual,
     run_diagnostics,
+    _eps,
     DiagnosticReport,
     DEFAULT_TOLERANCES,
 )
@@ -117,6 +120,18 @@ def test_vorticity_zero_fields():
     assert all(v == 0.0 for v in out.values())
 
 
+def test_tangent_signs_match_determinants():
+    # the wall relations' signs det[e_a, n, e_b], n = side * e_axis, in
+    # closed form; the determinants are the reference, bit for bit
+    eye = np.eye(3)
+    for c, a, b in itertools.permutations(range(3)):
+        assert _eps(c, a, b) == float(np.linalg.det(eye[[c, a, b]]))
+    for face in boundary_frames(build_grid(GeometryConfig())).faces:
+        for a, b in (face.in_axes, face.in_axes[::-1]):
+            det = np.linalg.det(np.stack([eye[a], face.side * eye[face.axis], eye[b]], axis=1))
+            assert face.side * _eps(a, face.axis, b) == float(det)
+
+
 def test_vorticity_exact_for_quadratic_shear():
     # u = (x2^2, 0, 0): every stencil involved is exact for quadratics,
     # so slip data built from the analytic traction zeroes the relations
@@ -126,7 +141,7 @@ def test_vorticity_exact_for_quadratic_shear():
     slip = zero_slip(frames, grid)
     for name, wall in (("y0", 0.0), ("y1", 1.0)):
         face = frames.face(name)
-        side = float(face.normal[face.axis])
+        side = face.side
         # tangent rows ordered by in_axes; u1 lives on in-axis 0 of y-faces
         slip[name][0] = params.mu * side * 2.0 * wall + params.friction * wall**2
     for name in ("z0", "z1"):
@@ -146,7 +161,7 @@ def test_vorticity_sign_error_detected():
     slip = zero_slip(frames, grid)
     for name, wall in (("y0", 0.0), ("y1", 1.0)):
         face = frames.face(name)
-        side = float(face.normal[face.axis])
+        side = face.side
         slip[name][0] = -(params.mu * side * 2.0 * wall + params.friction * wall**2)
     out = vorticity_boundary_residual(u, slip, params, frames)
     assert out["y1_tau2"] > 1.0

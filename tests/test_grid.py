@@ -1,16 +1,7 @@
 import numpy as np
 import pytest
 
-from slipflow.grid import (
-    GeometryConfig,
-    build_grid,
-    boundary_frames,
-    TAG_INTERIOR,
-    TAG_INFLOW,
-    TAG_OUTFLOW,
-    TAG_LATERAL,
-    TAG_EDGE,
-)
+from slipflow.grid import GeometryConfig, build_grid, boundary_frames
 
 
 def default_grid(n1=8, n2=4, n3=4, length=2.0, width2=1.0, width3=1.0):
@@ -47,25 +38,19 @@ def test_nonpositive_extent_rejected():
         GeometryConfig(width3=-1.0)
 
 
-def test_face_frames_orthonormal():
-    frames = boundary_frames(default_grid())
-    assert len(frames.faces) == 6
-    for f in frames.faces:
-        basis = np.stack([f.normal, f.tau1, f.tau2])
-        gram = basis @ basis.T
-        assert np.max(np.abs(gram - np.eye(3))) <= 1e-14
-        assert f.curvatures == (0.0, 0.0)
-
-
-def test_expected_normals_and_tangents():
-    frames = boundary_frames(default_grid())
-    assert np.array_equal(frames.face("inflow").normal, [-1.0, 0.0, 0.0])
-    assert np.array_equal(frames.face("outflow").normal, [1.0, 0.0, 0.0])
-    # lateral face at x2 = W2: n = e2, axial tangent first
-    y1 = frames.face("y1")
-    assert np.array_equal(y1.normal, [0.0, 1.0, 0.0])
-    assert np.array_equal(y1.tau1, [1.0, 0.0, 0.0])
-    assert np.array_equal(y1.tau2, [0.0, 0.0, 1.0])
+def test_face_layout():
+    # outward normal side * e_axis; in-face axes ascending, so lateral
+    # faces put the axial direction first
+    frames = boundary_frames(default_grid(8, 4, 6))
+    layout = [(f.name, f.region, f.axis, f.side, f.index, f.in_axes) for f in frames.faces]
+    assert layout == [
+        ("inflow", "inflow", 0, -1, 0, (1, 2)),
+        ("outflow", "outflow", 0, 1, 8, (1, 2)),
+        ("y0", "lateral", 1, -1, 0, (0, 2)),
+        ("y1", "lateral", 1, 1, 4, (0, 2)),
+        ("z0", "lateral", 2, -1, 0, (0, 1)),
+        ("z1", "lateral", 2, 1, 6, (0, 1)),
+    ]
 
 
 def test_face_weight_sums_match_face_areas():
@@ -103,30 +88,6 @@ def test_face_quadrature_second_order_on_smooth_integrand():
         val = np.sum(f.weights * x2**2 * np.ones((n + 1, n + 1)))
         errs.append(abs(val - 1.0 / 3.0))
     assert errs[1] <= errs[0] / 2.5  # about h^2
-
-
-def test_region_tags_partition():
-    g = default_grid()
-    frames = boundary_frames(g)
-    tags = frames.tags
-    n1, n2, n3 = g.config.cells
-    # strict interior
-    assert np.all(tags[1:-1, 1:-1, 1:-1] == TAG_INTERIOR)
-    # face interiors
-    assert np.all(tags[0, 1:-1, 1:-1] == TAG_INFLOW)
-    assert np.all(tags[-1, 1:-1, 1:-1] == TAG_OUTFLOW)
-    assert np.all(tags[1:-1, 0, 1:-1] == TAG_LATERAL)
-    assert np.all(tags[1:-1, 1:-1, -1] == TAG_LATERAL)
-    # nodes on two or more faces are edges
-    assert tags[0, 0, 2] == TAG_EDGE
-    assert tags[0, 0, 0] == TAG_EDGE
-    assert tags[3, 0, -1] == TAG_EDGE
-    # counts: interior + 6 face interiors + edges = all nodes
-    n_interior = (n1 - 1) * (n2 - 1) * (n3 - 1)
-    n_faces = 2 * (n2 - 1) * (n3 - 1) + 2 * (n1 - 1) * (n3 - 1) + 2 * (n1 - 1) * (n2 - 1)
-    assert np.sum(tags == TAG_INTERIOR) == n_interior
-    assert np.sum(tags >= 0) == g.n_nodes - n_interior
-    assert np.sum(tags == TAG_EDGE) == g.n_nodes - n_interior - n_faces
 
 
 def test_volume_weights_sum_to_volume():

@@ -17,6 +17,7 @@ from slipflow.fields import (
 )
 from slipflow.material import FlowParams
 from slipflow.krylov import KrylovConfig, jacobi
+from slipflow import lame
 from slipflow.lame import (
     build_lame_operator,
     apply_lame,
@@ -333,6 +334,17 @@ def test_linear_step_split_accuracy_coarse():
     ew = norm(ScalarField(grid, res.w.values - case.w_exact.values), NormKind.linf_l2())
     assert eu <= 2.5e-2
     assert ew <= 2.0e-2
+
+
+def test_split_step_nonconvergence_is_loud(monkeypatch):
+    monkeypatch.setattr(lame, "MAX_SWEEPS", 2)
+    grid, frames, params = make_setup()
+    case = build_linear_case(grid, params)
+    with pytest.raises(RuntimeError, match="did not reach 1e-11 within 2 sweeps"):
+        solve_linear_step(
+            grid, frames, params, case.convect, case.forcing, case.continuity,
+            case.slip_data, case.w_in, mode="split",
+        )
 
 
 def test_linear_step_modes_solve_one_discrete_system():

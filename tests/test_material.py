@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slipflow.grid import GeometryConfig, build_grid, boundary_frames, TAG_EDGE
+from slipflow.grid import GeometryConfig, build_grid, boundary_frames
 from slipflow.fields import (
     ScalarField,
     VectorField,
@@ -62,7 +62,6 @@ def smooth_vector(grid, seed, amp):
 
 def test_pressure_eval_known_values():
     assert PressureLaw("power", 2.0).d1(1.0) == pytest.approx(2.0)
-    assert PressureLaw("linear", 1.0).d2(1.3) == 0.0
     assert PressureLaw("power", 1.4).value(1.0) == pytest.approx(1.0)
 
 
@@ -118,11 +117,9 @@ def test_delta_pi_prime_band_error_names_node():
 # flow parameters
 
 
-def test_flow_params_defaults_and_gamma_bar():
+def test_flow_params_defaults():
     params = FlowParams()
     assert params.mu == 1.0 and params.nu == 1.0 and params.friction == 10.0
-    # gamma/(nu + 2 mu) = 2/3 for the default closure
-    assert params.gamma_bar == pytest.approx(2.0 / 3.0)
 
 
 def test_flow_params_validation():
@@ -202,9 +199,8 @@ def test_normal_trace_matches_at_nonedge_boundary_nodes():
     spec = boundary_data_from_names(g, 1e-2)
     u0 = extend_normal_trace(g, spec)
     for face in frames.faces:
-        slab_tags = face.take(frames.tags)
-        nonedge = slab_tags != TAG_EDGE
-        trace = sum(face.normal[c] * face.take(u0.values[c]) for c in range(3))
+        nonedge = face.weights > 0
+        trace = face.side * face.take(u0.values[face.axis])
         if face.name == "inflow":
             a, b = np.meshgrid(*face.coords, indexing="ij")
             expected = 1e-2 * np.sin(np.pi * a) * np.sin(np.pi * b)

@@ -96,6 +96,14 @@ def test_max_iter_verdict():
     assert len(bundle.history) == 1
 
 
+def test_split_nonconvergence_verdict(monkeypatch):
+    monkeypatch.setattr(lame, "MAX_SWEEPS", 2)
+    bundle = picard_solve(make_setup(1e-2))
+    assert bundle.verdict.startswith("diverged(linear step alternation did not reach")
+    assert "within 2 sweeps" in bundle.verdict
+    assert bundle.history == ()
+
+
 def test_two_start_uniqueness_same_start_is_exact():
     setup = make_setup(1e-2, mode="monolithic")
     dist = two_start_uniqueness(setup, None, None)
@@ -207,6 +215,8 @@ def test_setup_validation():
         ProblemSetup(grid, frames, params, data, outer_tol=0.0)
     with pytest.raises(ValueError, match="max_outer"):
         ProblemSetup(grid, frames, params, data, max_outer=0)
+    with pytest.raises(ValueError, match="unknown linear step mode 'direct'"):
+        ProblemSetup(grid, frames, params, data, mode="direct")
 
 
 def test_convergence_metrics_needs_history():
