@@ -23,9 +23,9 @@ from . import runio
 from .config import ConfigError, RunConfig, config_from_mapping, parse_config
 from .diagnostics import run_diagnostics
 from .fields import NormKind, ScalarField, VectorField, norm
-from .grid import GeometryConfig, Grid, boundary_frames, build_grid
+from .grid import GeometryConfig, Grid, build_grid
 from .krylov import KrylovError
-from .lame import MODES, solve_linear_step
+from .lame import MODES, build_lame_operator, solve_linear_step
 from .material import compute_F, compute_G
 from .picard import build_setup, convergence_metrics, picard_solve
 from .transport import apply_S, make_transport_field, upwind_march
@@ -74,10 +74,9 @@ def cmd_verify(config: RunConfig, out_dir: str) -> int:
     print(f"{'n1':>4} {'err_u_H1':>12} {'err_w_LinfL2':>13}")
     for n1 in VERIFY_SIZES:
         grid = build_grid(_study_geometry(config.geometry, n1))
-        frames = boundary_frames(grid)
         case = build_linear_case(grid, config.params)
         res = solve_linear_step(
-            grid, frames, config.params,
+            build_lame_operator(grid, config.params),
             case.convect, case.forcing, case.continuity, case.slip_data, case.w_in,
             mode=config.solver.mode,
             krylov_cfg=config.solver.krylov(),
@@ -178,7 +177,7 @@ def cmd_diagnose(config: RunConfig, out_dir: str) -> int:
     continuity = compute_G(u, w, setup.data)
     report = run_diagnostics(
         u, w, forcing, continuity,
-        setup.data.slip_data, setup.data.w_in, config.params, setup.frames,
+        setup.data.slip_data, setup.data.w_in, config.params,
     )
     runio.write_report_json(out / "report.json", report)
     width = max(len(e.name) for e in report.entries)

@@ -17,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .grid import Grid, BoundaryFrames, boundary_frames
+from .grid import Grid
 from .fields import (
     ScalarField,
     VectorField,
@@ -115,7 +115,6 @@ def energy_identity_residual(
     forcing: VectorField,
     slip_data: Mapping[str, np.ndarray],
     params: FlowParams,
-    frames: BoundaryFrames,
 ) -> float:
     """Scaled defect of the kinetic energy balance of the linear step.
 
@@ -144,12 +143,12 @@ def energy_identity_residual(
     lhs -= gamma * _vol_simpson(w.values * div, g)
 
     usq = np.sum(u.values**2, axis=0)
-    for face in frames.faces:
+    for face in g.faces:
         n1 = face.side if face.axis == 0 else 0
         lhs += (f + 0.5 * n1) * _face_simpson(usq[face.slicer()], face, g)
 
     rhs = _vol_simpson(np.sum(forcing.values * u.values, axis=0), g)
-    for face in frames.faces:
+    for face in g.faces:
         sl = face.slicer()
         rows = slip_data[face.name]
         for i, t_ax in enumerate(face.in_axes):
@@ -179,7 +178,6 @@ def vorticity_boundary_residual(
     u: VectorField,
     slip_data: Mapping[str, np.ndarray],
     params: FlowParams,
-    frames: BoundaryFrames,
 ) -> dict:
     """Face-wise defect of the algebraic vorticity traces on slip walls.
 
@@ -201,7 +199,7 @@ def vorticity_boundary_residual(
     g = u.grid
     f = params.friction
     out = {}
-    for face in frames.region_faces("lateral"):
+    for face in g.region_faces("lateral"):
         sl = face.slicer()
         na = face.axis
         t1, t2 = face.in_axes
@@ -243,7 +241,6 @@ def helmholtz_decompose(
     node-by-node, boundary rows included.
     """
     g = u.grid
-    frames = boundary_frames(g)
     vol = g.volume_weights()
     wsum = float(np.sum(vol))
 
@@ -285,7 +282,7 @@ def helmholtz_decompose(
 
     curl_gap = float(np.max(np.abs(curl(a_field).values - curl(u).values)))
     an_sq = 0.0
-    for face in frames.faces:
+    for face in g.faces:
         an = a_vals[face.axis][face.slicer()] * face.side
         an_sq += float(np.sum(face.weights * an**2))
     report = {
@@ -359,13 +356,12 @@ def apriori_ratio(
     under refinement and under data scaling.  Zero data reports 0.
     """
     g = u.grid
-    frames = boundary_frames(g)
     num = norm(u, NormKind.w2p(p)) + norm(w, NormKind.w1p(p))
     den = (
         norm(forcing, NormKind.lp(p))
         + norm(continuity_forcing, NormKind.w1p(p))
-        + trace_gagliardo_norm(frames, slip_data, "all", p)
-        + face_w1p_norm(frames.face("inflow"), w_in, p)
+        + trace_gagliardo_norm(g, slip_data, "all", p)
+        + face_w1p_norm(g.face("inflow"), w_in, p)
     )
     if den == 0.0:
         return 0.0
@@ -400,11 +396,10 @@ def reflection_residual(u: VectorField, params: FlowParams) -> float:
     licenses extending fields evenly across the inflow plane.
     """
     g = u.grid
-    frames = boundary_frames(g)
     reflected = u.values[:, ::-1, :, :].copy()
     reflected[0] = -reflected[0]
-    phi_in = _inflow_slip_functionals(u.values, g, frames.face("inflow"), params)
-    phi_out = _inflow_slip_functionals(reflected, g, frames.face("outflow"), params)
+    phi_in = _inflow_slip_functionals(u.values, g, g.face("inflow"), params)
+    phi_out = _inflow_slip_functionals(reflected, g, g.face("outflow"), params)
     return float(np.max(np.abs(phi_in - phi_out)))
 
 
@@ -464,7 +459,6 @@ def run_diagnostics(
     slip_data: Mapping[str, np.ndarray],
     w_in: np.ndarray,
     params: FlowParams,
-    frames: BoundaryFrames,
     tolerances: Mapping[str, float] | None = None,
 ) -> DiagnosticReport:
     """Run every audit on one solution and grade against tolerances."""
@@ -481,8 +475,8 @@ def run_diagnostics(
             DiagnosticEntry(name, float(value), tol[name], float(value) <= tol[name])
         )
 
-    add("energy_identity", energy_identity_residual(u, w, forcing, slip_data, params, frames))
-    vort = vorticity_boundary_residual(u, slip_data, params, frames)
+    add("energy_identity", energy_identity_residual(u, w, forcing, slip_data, params))
+    vort = vorticity_boundary_residual(u, slip_data, params)
     add("vorticity_slip_max", max(v for k, v in vort.items() if not k.endswith("_nu")))
     pot, a_field, helm = helmholtz_decompose(u)
     add("helmholtz_div_rotational", helm["div_rotational_interior_l2"])

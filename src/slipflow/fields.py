@@ -3,7 +3,7 @@
 Derivatives are second order: central differences at interior nodes and
 3-point (first) / 4-point (second derivative) one-sided stencils on the
 boundary.  Volume quadrature is the tensor trapezoid rule; boundary
-quadrature reuses the edge-free face weights from grid.py.
+quadrature reuses the edge-free face weights of the grid's faces.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, BoundaryFrames, Face, boundary_frames, REGIONS
+from .grid import Grid, Face, REGIONS
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,6 +101,11 @@ def grad_array(values: np.ndarray, grid: Grid) -> np.ndarray:
     return np.stack([diff1(values, grid.h[a], a) for a in range(3)])
 
 
+def div_array(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Divergence of a stacked (3, ...) array."""
+    return sum(diff1(values[a], grid.h[a], a) for a in range(3))
+
+
 def grad_tensor(u: VectorField) -> np.ndarray:
     """Full gradient, G[c, d] = d(u_c)/d(x_d), shape (3, 3, *grid.shape)."""
     return np.stack([grad_array(u.values[c], u.grid) for c in range(3)])
@@ -113,8 +118,7 @@ def sym_gradient(u: VectorField) -> np.ndarray:
 
 
 def divergence(u: VectorField) -> ScalarField:
-    vals = sum(diff1(u.values[a], u.grid.h[a], a) for a in range(3))
-    return ScalarField(u.grid, vals)
+    return ScalarField(u.grid, div_array(u.values, u.grid))
 
 
 def curl(u: VectorField) -> VectorField:
@@ -167,7 +171,6 @@ def advect(conv: np.ndarray, values: np.ndarray, grid: Grid) -> np.ndarray:
 class NormKind:
     kind: str
     p: float = 4.0
-    region: str = "all"
 
     @classmethod
     def lp(cls, p: float = 4.0) -> "NormKind":
@@ -188,14 +191,6 @@ class NormKind:
     @classmethod
     def linf_l2(cls) -> "NormKind":
         return cls("linf_l2", 2.0)
-
-    @classmethod
-    def boundary_lp(cls, region: str = "all", p: float = 4.0) -> "NormKind":
-        return cls("boundary_lp", p, region)
-
-    @classmethod
-    def trace_gagliardo(cls, region: str = "all", p: float = 4.0) -> "NormKind":
-        return cls("trace_gagliardo", p, region)
 
 
 def _check_p(p: float):
@@ -269,14 +264,6 @@ def norm(f: ScalarField | VectorField, kind: NormKind) -> float:
         return float(sum(_w1p_pow(c, grid, w, 2.0) for c in comps) ** 0.5)
     if kind.kind == "linf_l2":
         return _linf_l2(f)
-    if kind.kind == "boundary_lp":
-        frames = boundary_frames(grid)
-        vals = {fc.name: np.stack([fc.take(c) for c in comps]) for fc in frames.faces}
-        return boundary_lp_norm(frames, vals, kind.region, kind.p)
-    if kind.kind == "trace_gagliardo":
-        frames = boundary_frames(grid)
-        vals = {fc.name: np.stack([fc.take(c) for c in comps]) for fc in frames.faces}
-        return trace_gagliardo_norm(frames, vals, kind.region, kind.p)
     raise ValueError(f"unknown norm kind {kind.kind!r}")
 
 
@@ -327,9 +314,9 @@ def face_gagliardo_pow(face: Face, vals: np.ndarray, p: float) -> float:
     return total
 
 
-def boundary_lp_norm(frames: BoundaryFrames, values_by_face, region: str, p: float) -> float:
+def boundary_lp_norm(grid: Grid, values_by_face, region: str, p: float) -> float:
     _check_p(p)
-    faces = frames.region_faces(region)
+    faces = grid.region_faces(region)
     total = sum(face_lp_pow(fc, values_by_face[fc.name], p) for fc in faces)
     return float(total ** (1.0 / p))
 
@@ -340,7 +327,7 @@ def face_w1p_norm(face: Face, vals: np.ndarray, p: float) -> float:
     return float((face_lp_pow(face, vals, p) + face_grad_pow(face, vals, p)) ** (1.0 / p))
 
 
-def trace_gagliardo_norm(frames: BoundaryFrames, values_by_face, region: str, p: float) -> float:
+def trace_gagliardo_norm(grid: Grid, values_by_face, region: str, p: float) -> float:
     """Fractional trace norm.  Within a region: (sum over its faces of
     Lp^p + seminorm^p)^(1/p).  For region='all' the three region norms are
     added; regions are never mixed across edges."""
@@ -349,7 +336,7 @@ def trace_gagliardo_norm(frames: BoundaryFrames, values_by_face, region: str, p:
     total = 0.0
     for reg in regions:
         acc = 0.0
-        for fc in frames.region_faces(reg):
+        for fc in grid.region_faces(reg):
             vals = values_by_face[fc.name]
             acc += face_lp_pow(fc, vals, p) + face_gagliardo_pow(fc, vals, p)
         total += acc ** (1.0 / p)

@@ -1,15 +1,14 @@
 """Tensor-product grid over the duct [0,L] x [0,W2] x [0,W3].
 
 The grid is vertex-centered: axis a carries n_a cells and n_a + 1 nodes,
-node (i, j, k) sits exactly at (i*h1, j*h2, k*h3).  The six boundary faces
-(names, normal axes and sides, face quadrature weights) are laid out here
-as well so that every other module shares one set of conventions.
+node (i, j, k) sits exactly at (i*h1, j*h2, k*h3).  build_grid also lays
+out the six boundary faces once (names, normal axes and sides, face
+quadrature weights); every other module reads them from the grid, so all
+share one set of conventions.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
 MIN_CELLS = 4
@@ -53,68 +52,6 @@ class GeometryConfig:
     @property
     def cells(self) -> tuple[int, int, int]:
         return (self.n1, self.n2, self.n3)
-
-
-@dataclass(frozen=True, eq=False)
-class Grid:
-    """Realized node lattice.  Hash/eq by identity so helpers can memoize."""
-
-    config: GeometryConfig
-    h: tuple[float, float, float]
-    axes: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return tuple(n + 1 for n in self.config.cells)
-
-    @property
-    def n_nodes(self) -> int:
-        s = self.shape
-        return s[0] * s[1] * s[2]
-
-    def meshgrid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Node coordinates as three broadcast (n1+1, n2+1, n3+1) arrays."""
-        return np.meshgrid(*self.axes, indexing="ij")
-
-    def axis_weights(self, axis: int) -> np.ndarray:
-        """1D trapezoid weights along an axis; sums exactly to the extent."""
-        n = self.config.cells[axis]
-        w = np.full(n + 1, self.h[axis])
-        w[0] = 0.5 * self.h[axis]
-        w[-1] = 0.5 * self.h[axis]
-        return w
-
-    def simpson_weights(self, axis: int) -> np.ndarray:
-        """1D composite Simpson weights along an axis.
-
-        With an odd cell count the last cell takes the three-point
-        correction scipy.integrate.simpson uses (Cartwright's), so that on
-        six nodes the weights are h * (1/3, 4/3, 2/3, 5/4, 1, 5/12).
-        """
-        h = self.h[axis]
-        n = self.config.cells[axis]
-        m = n - n % 2  # cells covered by whole Simpson panels
-        w = np.zeros(n + 1)
-        w[0:m + 1:2] = 2.0 * h / 3.0
-        w[1:m:2] = 4.0 * h / 3.0
-        w[0] = w[m] = h / 3.0
-        if n % 2:
-            w[n] += 5.0 * h / 12.0
-            w[n - 1] += 2.0 * h / 3.0
-            w[n - 2] -= h / 12.0
-        return w
-
-    def volume_weights(self) -> np.ndarray:
-        """Tensor trapezoid weights; sums to L*W2*W3 up to rounding."""
-        w1, w2, w3 = (self.axis_weights(a) for a in range(3))
-        return w1[:, None, None] * w2[None, :, None] * w3[None, None, :]
-
-
-def build_grid(config: GeometryConfig) -> Grid:
-    """Construct the node lattice for a validated geometry."""
-    h = tuple(ext / n for ext, n in zip(config.extents, config.cells))
-    axes = tuple(np.arange(n + 1, dtype=float) * h[a] for a, n in enumerate(config.cells))
-    return Grid(config=config, h=h, axes=axes)
 
 
 def _face_axis_weights(n: int, h: float) -> np.ndarray:
@@ -161,7 +98,7 @@ class Face:
         return values[self.slicer()]
 
 
-# (name, normal axis, side, region) of each face, in BoundaryFrames.faces order
+# (name, normal axis, side, region) of each face, in Grid.faces order
 _FACE_LAYOUT = (
     ("inflow", 0, -1, "inflow"),
     ("outflow", 0, +1, "outflow"),
@@ -177,11 +114,23 @@ WALL_NAMES = tuple(name for name, _, _, region in _FACE_LAYOUT if region == "lat
 
 
 @dataclass(frozen=True, eq=False)
-class BoundaryFrames:
-    """All six faces of a grid, in _FACE_LAYOUT order."""
+class Grid:
+    """Realized node lattice with its six boundary faces, in _FACE_LAYOUT
+    order.  Hash/eq by identity so helpers can memoize."""
 
-    grid: Grid
+    config: GeometryConfig
+    h: tuple[float, float, float]
+    axes: tuple[np.ndarray, np.ndarray, np.ndarray]
     faces: tuple[Face, ...]
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return tuple(n + 1 for n in self.config.cells)
+
+    @property
+    def n_nodes(self) -> int:
+        s = self.shape
+        return s[0] * s[1] * s[2]
 
     def face(self, name: str) -> Face:
         for f in self.faces:
@@ -196,16 +145,54 @@ class BoundaryFrames:
             raise ValueError(f"unknown boundary region {region!r}")
         return tuple(f for f in self.faces if f.region == region)
 
+    def meshgrid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Node coordinates as three broadcast (n1+1, n2+1, n3+1) arrays."""
+        return np.meshgrid(*self.axes, indexing="ij")
 
-@lru_cache(maxsize=32)
-def boundary_frames(grid: Grid) -> BoundaryFrames:
-    """Build the six faces with their quadrature for a grid."""
-    cells = grid.config.cells
+    def axis_weights(self, axis: int) -> np.ndarray:
+        """1D trapezoid weights along an axis; sums exactly to the extent."""
+        n = self.config.cells[axis]
+        w = np.full(n + 1, self.h[axis])
+        w[0] = 0.5 * self.h[axis]
+        w[-1] = 0.5 * self.h[axis]
+        return w
+
+    def simpson_weights(self, axis: int) -> np.ndarray:
+        """1D composite Simpson weights along an axis.
+
+        With an odd cell count the last cell takes the three-point
+        correction scipy.integrate.simpson uses (Cartwright's), so that on
+        six nodes the weights are h * (1/3, 4/3, 2/3, 5/4, 1, 5/12).
+        """
+        h = self.h[axis]
+        n = self.config.cells[axis]
+        m = n - n % 2  # cells covered by whole Simpson panels
+        w = np.zeros(n + 1)
+        w[0:m + 1:2] = 2.0 * h / 3.0
+        w[1:m:2] = 4.0 * h / 3.0
+        w[0] = w[m] = h / 3.0
+        if n % 2:
+            w[n] += 5.0 * h / 12.0
+            w[n - 1] += 2.0 * h / 3.0
+            w[n - 2] -= h / 12.0
+        return w
+
+    def volume_weights(self) -> np.ndarray:
+        """Tensor trapezoid weights; sums to L*W2*W3 up to rounding."""
+        w1, w2, w3 = (self.axis_weights(a) for a in range(3))
+        return w1[:, None, None] * w2[None, :, None] * w3[None, None, :]
+
+
+def build_grid(config: GeometryConfig) -> Grid:
+    """Construct the node lattice and its faces for a validated geometry."""
+    cells = config.cells
+    h = tuple(ext / n for ext, n in zip(config.extents, cells))
+    axes = tuple(np.arange(n + 1, dtype=float) * h[a] for a, n in enumerate(cells))
     faces = []
     for name, axis, side, region in _FACE_LAYOUT:
         t1_ax, t2_ax = (a for a in range(3) if a != axis)
-        wa = _face_axis_weights(cells[t1_ax], grid.h[t1_ax])
-        wb = _face_axis_weights(cells[t2_ax], grid.h[t2_ax])
+        wa = _face_axis_weights(cells[t1_ax], h[t1_ax])
+        wb = _face_axis_weights(cells[t2_ax], h[t2_ax])
         faces.append(
             Face(
                 name=name,
@@ -214,9 +201,9 @@ def boundary_frames(grid: Grid) -> BoundaryFrames:
                 side=side,
                 index=0 if side < 0 else cells[axis],
                 in_axes=(t1_ax, t2_ax),
-                coords=(grid.axes[t1_ax], grid.axes[t2_ax]),
-                spacings=(grid.h[t1_ax], grid.h[t2_ax]),
+                coords=(axes[t1_ax], axes[t2_ax]),
+                spacings=(h[t1_ax], h[t2_ax]),
                 weights=np.outer(wa, wb),
             )
         )
-    return BoundaryFrames(grid=grid, faces=tuple(faces))
+    return Grid(config=config, h=h, axes=axes, faces=tuple(faces))

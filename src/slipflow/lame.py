@@ -15,7 +15,9 @@ face is pinned; a component tangential to several faces averages their
 slip rows.
 
 build_lame_operator assembles these rows once, as one CSR matrix on the
-free (unpinned) rows and columns, and builds a preconditioner on it.
+free (unpinned) rows and columns, and builds a preconditioner on it; every
+momentum solve acts through that matrix.  The stencil form of the rows,
+_momentum_rows, stays as the reference the matrix is tested against.
 Where every cell count halves, that is a Galerkin geometric-multigrid
 V-cycle (Trottenberg, Oosterlee & Schueller, Multigrid, 2001):
 
@@ -32,8 +34,10 @@ V-cycle (Trottenberg, Oosterlee & Schueller, Multigrid, 2001):
 A fresh momentum solve then takes 7 to 9 iterations from (8,4,4) to
 (64,32,32), where Jacobi scaling needs 21 to 181.  A grid that does not
 halve, or halves to a last level too large to solve densely, keeps Jacobi
-scaling.  The operator depends only on the grid and the physics, so
-picard_solve builds one per run and passes it to every linear step.
+scaling.  The operator depends only on the grid (whose faces fix the
+boundary rows) and the physics, so picard_solve builds one per run and
+passes it to every linear step, which reads its grid and parameters
+from it.
 
 The linear step couples this operator to the density given by the
 characteristics solver, w = S(g - div u, w_in), and the two modes solve
@@ -57,13 +61,14 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy import sparse
 
-from .grid import Grid, BoundaryFrames
+from .grid import Grid
 from .fields import (
     ScalarField,
     VectorField,
     NormKind,
     norm,
     diff1,
+    div_array,
     laplacian_array,
     grad_array,
     grad_div_array,
@@ -82,26 +87,19 @@ MAX_SWEEPS = 200
 
 
 @dataclass(frozen=True, eq=False)
-class LameOperator:
-    """The momentum rows, assembled, with their boundary bookkeeping.
+class _RowLayout:
+    """The boundary bookkeeping of the momentum rows, all that the matrix
+    and its preconditioner are built from.
 
     pinned marks Dirichlet rows (normal components on their faces, all of
     them homogeneous), robin_cnt counts how many faces contribute a slip
-    row to a component at a node.  matrix holds the rows on the free
-    (unpinned) rows and columns of the flattened (3, *shape) velocity;
-    with it set to None, solve_momentum acts through the stencils instead,
-    which is the reference the matrix is tested against.  precond maps a
-    free-row vector to an approximate solution of the momentum system: a
-    multigrid V-cycle where the grid coarsens, Jacobi scaling otherwise.
+    row to a component at a node.
     """
 
     grid: Grid
-    frames: BoundaryFrames
     params: FlowParams
     pinned: np.ndarray
     robin_cnt: np.ndarray
-    matrix: sparse.csr_matrix | None = None
-    precond: Callable[[np.ndarray], np.ndarray] | None = None
 
     @property
     def robin_mask(self) -> np.ndarray:
@@ -113,25 +111,39 @@ class LameOperator:
         return ~self.pinned.reshape(-1)
 
 
-def build_lame_operator(grid: Grid, frames: BoundaryFrames, params: FlowParams) -> LameOperator:
+@dataclass(frozen=True, eq=False)
+class LameOperator(_RowLayout):
+    """The momentum rows, assembled, with their boundary bookkeeping.
+
+    matrix holds the rows on the free (unpinned) rows and columns of the
+    flattened (3, *shape) velocity.  precond maps a free-row vector to an
+    approximate solution of the momentum system: a multigrid V-cycle where
+    the grid coarsens, Jacobi scaling otherwise.
+    """
+
+    matrix: sparse.csr_matrix
+    precond: Callable[[np.ndarray], np.ndarray]
+
+
+def build_lame_operator(grid: Grid, params: FlowParams) -> LameOperator:
     """Boundary bookkeeping, the momentum rows as a sparse matrix on the
     free rows and columns, and the preconditioner built on that matrix."""
     shape = (3, *grid.shape)
     pinned = np.zeros(shape, dtype=bool)
     cnt = np.zeros(shape, dtype=np.int8)
-    for face in frames.faces:
+    for face in grid.faces:
         pinned[face.axis][face.slicer()] = True
         for t_ax in face.in_axes:
             cnt[t_ax][face.slicer()] += 1
-    op = LameOperator(grid, frames, params, pinned, cnt)
-    matrix = _momentum_matrix(op)
-    precond = _multigrid(op, matrix)
+    layout = _RowLayout(grid, params, pinned, cnt)
+    matrix = _momentum_matrix(layout)
+    precond = _multigrid(layout, matrix)
     if precond is None:
         precond = jacobi(matrix.diagonal())
-    return replace(op, matrix=matrix, precond=precond)
+    return LameOperator(grid, params, pinned, cnt, matrix, precond)
 
 
-def _momentum_rows(op: LameOperator, u: np.ndarray) -> np.ndarray:
+def _momentum_rows(op: _RowLayout, u: np.ndarray) -> np.ndarray:
     """Full row action on a (3, *shape) velocity array."""
     g = op.grid
     mu, nu = op.params.mu, op.params.nu
@@ -139,7 +151,7 @@ def _momentum_rows(op: LameOperator, u: np.ndarray) -> np.ndarray:
     for c in range(3):
         out[c] = diff1(u[c], g.h[0], 0) - mu * laplacian_array(u[c], g) - (nu + mu) * out[c]
     robin = np.zeros_like(out)
-    for face in op.frames.faces:
+    for face in op.grid.faces:
         sl = face.slicer()
         for t_ax in face.in_axes:
             robin[t_ax][sl] += (
@@ -152,7 +164,7 @@ def _momentum_rows(op: LameOperator, u: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pde_stencil(op: LameOperator, c: int) -> list[tuple[int, float]]:
+def _pde_stencil(op: _RowLayout, c: int) -> list[tuple[int, float]]:
     """(column offset, value) of component c's PDE row at an interior
     node, sorted by offset: the row's column is offset plus the node's
     flat index, component a's columns starting at a * n_nodes.
@@ -186,7 +198,7 @@ def _pde_stencil(op: LameOperator, c: int) -> list[tuple[int, float]]:
     return sorted(entries.items())
 
 
-def _momentum_matrix(op: LameOperator) -> sparse.csr_matrix:
+def _momentum_matrix(op: _RowLayout) -> sparse.csr_matrix:
     """The rows of _momentum_rows on the free rows and columns, as a CSR
     matrix with int32 indices.
 
@@ -217,7 +229,7 @@ def _momentum_matrix(op: LameOperator) -> sparse.csr_matrix:
     used = np.zeros(n_free, dtype=np.intp)
     stride = (g.shape[1] * g.shape[2], g.shape[2], 1)
     node_ids = np.arange(n).reshape(g.shape)
-    for face in op.frames.faces:
+    for face in op.grid.faces:
         for t_ax in face.in_axes:
             nodes = node_ids[face.slicer()].reshape(-1)
             nodes = nodes[op.robin_mask[t_ax].reshape(-1)[nodes]]
@@ -269,11 +281,11 @@ def _prolongation(cells, fine_pinned: np.ndarray, coarse_pinned: np.ndarray) -> 
     )
 
 
-def _slip_row_scale(op: LameOperator) -> np.ndarray:
+def _slip_row_scale(op: _RowLayout) -> np.ndarray:
     """Free-row scaling that divides each slip row by the spacing normal
     to its faces (averaged like the row), leaving the PDE rows alone."""
     acc = np.zeros(op.pinned.shape)
-    for face in op.frames.faces:
+    for face in op.grid.faces:
         for t_ax in face.in_axes:
             acc[t_ax][face.slicer()] += 1.0 / op.grid.h[face.axis]
     scale = np.ones(op.pinned.shape)
@@ -335,7 +347,7 @@ class _VCycle:
         return x
 
 
-def _multigrid(op: LameOperator, matrix: sparse.csr_matrix) -> _VCycle | None:
+def _multigrid(op: _RowLayout, matrix: sparse.csr_matrix) -> _VCycle | None:
     """The V-cycle for op's free-row matrix, coarsening while every cell
     count halves; None when the grid does not halve at all or stops at a
     last level too large for a dense solve."""
@@ -360,7 +372,7 @@ def _momentum_rhs(op: LameOperator, forcing: np.ndarray, slip_data: Mapping[str,
     """Right-hand side matching the row layout of _momentum_rows."""
     b = np.array(forcing, dtype=float)
     racc = np.zeros_like(b)
-    for face in op.frames.faces:
+    for face in op.grid.faces:
         sl = face.slicer()
         rows = slip_data[face.name]
         for i, t_ax in enumerate(face.in_axes):
@@ -395,15 +407,9 @@ def solve_momentum(
     cfg: KrylovConfig = KrylovConfig(),
     x0: VectorField | None = None,
 ) -> tuple[VectorField, int, float]:
-    """Solve the slip-wall momentum system for a given volume forcing,
-    through op.matrix, or through the stencils if it is None."""
-    free = op.free
-    if op.matrix is None:
-        act = lambda y: _momentum_rows(op, _scatter(op, y)).reshape(-1)[free]
-    else:
-        act = op.matrix.dot
-    rhs = _momentum_rhs(op, forcing, slip_data).reshape(-1)[free]
-    return _solve_free_rows(op, act, rhs, cfg, None if x0 is None else x0.values)
+    """Solve the slip-wall momentum system for a given volume forcing."""
+    rhs = _momentum_rhs(op, forcing, slip_data).reshape(-1)[op.free]
+    return _solve_free_rows(op, op.matrix.dot, rhs, cfg, None if x0 is None else x0.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -421,9 +427,7 @@ class LinearStepResult:
 
 
 def solve_linear_step(
-    grid: Grid,
-    frames: BoundaryFrames,
-    params: FlowParams,
+    op: LameOperator,
     convect: VectorField,
     forcing: VectorField,
     continuity_forcing: ScalarField,
@@ -433,25 +437,23 @@ def solve_linear_step(
     krylov_cfg: KrylovConfig = KrylovConfig(),
     inner_tol: float = 1e-11,
     start: tuple[VectorField, ScalarField] | None = None,
-    op: LameOperator | None = None,
 ) -> LinearStepResult:
     """Solve the coupled linear system for (u, w) at one outer iteration.
 
     convect is the perturbation part of the advecting velocity (outer
     iterate plus lifted data); the transport speed is e1 + convect.  start
     warm-starts the inner iteration (the result does not depend on it).
-    op is the momentum operator for (grid, frames, params), built here if
-    not given; it is the same at every outer iteration of a run.
+    op is the momentum operator, the same at every outer iteration of a
+    run; the step works on its grid with its physics parameters.
     """
     if mode not in MODES:
         raise ValueError(f"unknown linear step mode {mode!r} (use one of {MODES})")
+    grid = op.grid
     tf_values = convect.values.copy()
     tf_values[0] += 1.0
     tf = make_transport_field(grid, tf_values)
     footprint = transport_footprint(tf)
-    if op is None:
-        op = build_lame_operator(grid, frames, params)
-    gamma = params.pressure.gamma
+    gamma = op.params.pressure.gamma
 
     if mode == "split":
         # both operators are fixed for the step: apply_S goes through the
@@ -469,9 +471,7 @@ def solve_linear_step(
             rhs_u = forcing.values - gamma * grad_array(w.values, grid)
             u_new, iters, res = solve_momentum(op, rhs_u, slip_data, krylov_cfg, x0=u)
             total_iters += iters
-            src = continuity_forcing.values - sum(
-                diff1(u_new.values[a], grid.h[a], a) for a in range(3)
-            )
+            src = continuity_forcing.values - div_array(u_new.values, grid)
             w_new = apply_S(tf, ScalarField(grid, src), w_in)
             delta = norm(
                 VectorField(grid, u_new.values - u.values), NormKind.h1()
@@ -506,8 +506,7 @@ def solve_linear_step(
 
     def traced_divergence(u: np.ndarray) -> np.ndarray:
         """S_v div u, the part of the density that depends on u."""
-        div = sum(diff1(u[a], grid.h[a], a) for a in range(3))
-        return source.apply(div.reshape(-1)).reshape(grid.shape)
+        return source.apply(div_array(u, grid).reshape(-1)).reshape(grid.shape)
 
     u, iters, res = _solve_free_rows(
         op,

@@ -16,13 +16,14 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .grid import FACE_NAMES, WALL_NAMES, Grid, BoundaryFrames, Face, boundary_frames
+from .grid import FACE_NAMES, WALL_NAMES, Grid, Face
 from .fields import (
     ScalarField,
     VectorField,
     NormKind,
     norm,
     diff1,
+    div_array,
     grad_array,
     grad_div_array,
     laplacian_array,
@@ -186,14 +187,13 @@ def boundary_data_from_names(
     Defaults: a sine-bump normal trace on the inflow face, sine-bump slip
     data on the four walls, a sine-bump density perturbation at inflow.
     """
-    frames = boundary_frames(grid)
     if normal_trace is None:
         normal_trace = {"inflow": "sine_bump"}
     if slip is None:
         slip = {name: "sine_bump" for name in WALL_NAMES}
 
     def face_extents(name: str) -> tuple[float, float]:
-        f = frames.face(name)
+        f = grid.face(name)
         return (f.coords[0][-1], f.coords[1][-1])
 
     nt = {name: make_profile(prof, face_extents(name)) for name, prof in normal_trace.items()}
@@ -232,11 +232,10 @@ def extend_normal_trace(grid: Grid, spec: BoundaryDataSpec) -> VectorField:
     contributions are summed, tangential components stay zero.  The
     normal trace matches the prescribed data exactly at face nodes.
     """
-    frames = boundary_frames(grid)
     vals = np.zeros((3, *grid.shape))
     width = ramp_width(grid)
     for name, fn in spec.normal_trace.items():
-        face = frames.face(name)
+        face = grid.face(name)
         mesh = _face_mesh(face)
         trace = spec.epsilon * np.asarray(fn(*mesh), dtype=float)
         axis_coords = grid.axes[face.axis]
@@ -275,7 +274,6 @@ class PerturbationData:
 
 def assemble_perturbation_data(
     grid: Grid,
-    frames: BoundaryFrames,
     spec: BoundaryDataSpec,
     params: FlowParams,
     p: float = 4.0,
@@ -285,7 +283,7 @@ def assemble_perturbation_data(
     d_u0 = sym_gradient(u0)
 
     slip_data: dict[str, np.ndarray] = {}
-    for face in frames.faces:
+    for face in grid.faces:
         mesh = _face_mesh(face)
         given = spec.slip.get(face.name)
         rows = []
@@ -299,7 +297,7 @@ def assemble_perturbation_data(
             rows.append(g - 2.0 * params.mu * nd)
         slip_data[face.name] = np.stack(rows)
 
-    inflow = frames.face("inflow")
+    inflow = grid.face("inflow")
     if spec.inflow_density is not None:
         w_in = spec.epsilon * np.asarray(spec.inflow_density(*_face_mesh(inflow)), dtype=float)
     else:
@@ -308,7 +306,7 @@ def assemble_perturbation_data(
 
     b_measure = (
         norm(u0, NormKind.w2p(p))
-        + trace_gagliardo_norm(frames, slip_data, "all", p)
+        + trace_gagliardo_norm(grid, slip_data, "all", p)
         + face_w1p_norm(inflow, w_in, p)
     )
     return PerturbationData(u0=u0, slip_data=slip_data, w_in=w_in, b_measure=float(b_measure))
@@ -363,6 +361,6 @@ def compute_G(u: VectorField, w: ScalarField, data: PerturbationData) -> ScalarF
     """Continuity forcing of the linear step: -(w + 1) div u0 - w div u."""
     g = u.grid
     _check_band(1.0 + w.values, "compute_G")
-    div_u0 = sum(diff1(data.u0.values[a], g.h[a], a) for a in range(3))
-    div_u = sum(diff1(u.values[a], g.h[a], a) for a in range(3))
+    div_u0 = div_array(data.u0.values, g)
+    div_u = div_array(u.values, g)
     return ScalarField(g, -(w.values + 1.0) * div_u0 - w.values * div_u)

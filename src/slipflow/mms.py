@@ -13,7 +13,7 @@ from typing import Mapping
 import numpy as np
 import sympy as sp
 
-from .grid import Grid, Face, boundary_frames
+from .grid import Grid, Face
 from .fields import ScalarField, VectorField
 from .material import FlowParams
 
@@ -89,7 +89,6 @@ def build_linear_case(grid: Grid, params: FlowParams) -> ManufacturedCase:
     """Smooth (u, w) with n.u = 0 on every face, plus derived data so that
     the coupled linear step has exactly this pair as its continuum
     solution."""
-    frames = boundary_frames(grid)
     x1, x2, x3 = _X
     L, W2, W3 = grid.config.extents
     a = _AMPLITUDE
@@ -117,7 +116,7 @@ def build_linear_case(grid: Grid, params: FlowParams) -> ManufacturedCase:
     forcing_vals = np.stack([_eval_volume(forcing[c], grid) for c in range(3)])
 
     slip_data = {}
-    for face in frames.faces:
+    for face in grid.faces:
         rows = _slip_rows(u, face, params)
         slip_data[face.name] = np.stack([_eval_face(r, face, grid) for r in rows])
 
@@ -129,6 +128,6 @@ def build_linear_case(grid: Grid, params: FlowParams) -> ManufacturedCase:
         forcing=VectorField(grid, forcing_vals),
         continuity=ScalarField(grid, _eval_volume(continuity, grid)),
         slip_data=slip_data,
-        w_in=_eval_face(w, frames.face("inflow"), grid),
+        w_in=_eval_face(w, grid.face("inflow"), grid),
     )
 

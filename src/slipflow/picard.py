@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .grid import Grid, BoundaryFrames, boundary_frames, build_grid
+from .grid import Grid, build_grid
 from .fields import (
     ScalarField,
     VectorField,
     NormKind,
     norm,
-    diff1,
+    div_array,
     advect,
     laplacian_array,
     grad_div_array,
@@ -50,7 +50,6 @@ class ProblemSetup:
     """Everything one outer solve needs, with the loop's tolerances."""
 
     grid: Grid
-    frames: BoundaryFrames
     params: FlowParams
     data: PerturbationData
     outer_tol: float = 1e-9
@@ -77,7 +76,6 @@ class ProblemSetup:
 def build_setup(config: RunConfig) -> ProblemSetup:
     """Materialize grid, boundary data and loop settings from a config."""
     grid = build_grid(config.geometry)
-    frames = boundary_frames(grid)
     spec = boundary_data_from_names(
         grid,
         epsilon=config.data.epsilon,
@@ -85,10 +83,9 @@ def build_setup(config: RunConfig) -> ProblemSetup:
         slip=dict(config.data.slip),
         inflow_density=config.data.inflow_density,
     )
-    data = assemble_perturbation_data(grid, frames, spec, config.params, p=config.solver.p)
+    data = assemble_perturbation_data(grid, spec, config.params, p=config.solver.p)
     return ProblemSetup(
         grid=grid,
-        frames=frames,
         params=config.params,
         data=data,
         outer_tol=config.solver.outer_tol,
@@ -167,7 +164,7 @@ def picard_solve(
 
     # the viscous operator and its preconditioner depend only on the grid
     # and the physics parameters: one serves every linear step of the run
-    op = build_lame_operator(grid, setup.frames, params)
+    op = build_lame_operator(grid, params)
     history: list[IterationRecord] = []
     verdict = "max_iter"
     prev_d = None
@@ -182,9 +179,7 @@ def picard_solve(
             G = compute_G(u, w, data)
             convect = VectorField(grid, u.values + data.u0.values)
             step = solve_linear_step(
-                grid,
-                setup.frames,
-                params,
+                op,
                 convect,
                 F,
                 G,
@@ -194,7 +189,6 @@ def picard_solve(
                 krylov_cfg=setup.krylov_cfg,
                 inner_tol=setup.inner_tol,
                 start=(u, w),
-                op=op,
             )
         except (KrylovError, RuntimeError, ValueError) as err:
             verdict = f"diverged({err})"
@@ -352,7 +346,6 @@ def reconstruct_physical(
     w: ScalarField,
     data: PerturbationData,
     params: FlowParams,
-    frames: BoundaryFrames,
 ) -> PhysicalReconstruction:
     """Undo the perturbation change of variables and audit the full system.
 
@@ -388,7 +381,7 @@ def reconstruct_physical(
     momentum_res = interior_l2(mom, grid)
 
     mass_flux = rho_vals * v_vals
-    cont = sum(diff1(mass_flux[a], grid.h[a], a) for a in range(3))
+    cont = div_array(mass_flux, grid)
     continuity_res = float(interior_l2(cont, grid))
 
     d_v = sym_gradient(v)
@@ -396,7 +389,7 @@ def reconstruct_physical(
     e1_vals = _reference_flow(grid)
     slip_sq = 0.0
     normal_max = 0.0
-    for face in frames.faces:
+    for face in grid.faces:
         sl = face.slicer()
         na, side = face.axis, face.side
         for i, t_ax in enumerate(face.in_axes):
@@ -413,7 +406,7 @@ def reconstruct_physical(
             normal_max, float(np.max(np.abs(side * v_vals[na][sl] - flux_data)))
         )
 
-    inflow = frames.face("inflow")
+    inflow = grid.face("inflow")
     rho_in = 1.0 + data.w_in
     trace_diff = rho.values[inflow.slicer()] - rho_in
     inflow_res = float(np.sqrt(np.sum(inflow.weights * trace_diff**2)))

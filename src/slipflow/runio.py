@@ -108,8 +108,7 @@ def load_field_dump(path) -> tuple[str, np.ndarray, tuple[float, float, float]]:
 
 def write_report_json(path, report) -> None:
     """Write a diagnostics report as sorted, indented JSON."""
-    payload = report.as_flat_dict() if hasattr(report, "as_flat_dict") else dict(report)
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, json.dumps(report.as_flat_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def write_config_echo(path, document: dict) -> None:

@@ -158,17 +158,14 @@ def _sample(flat: np.ndarray, grid: Grid, st: _Stencil) -> np.ndarray:
 
 def _bilinear_inflow(grid: Grid, arrivals: np.ndarray):
     """Inflow-plane flat indices (N, 4) and bilinear weights (N, 4) at the
-    (3, N) arrival points of N traces."""
-    vals = []
-    for a in (1, 2):
-        n = grid.config.cells[a]
-        t = np.clip(arrivals[a] / grid.h[a], 0.0, float(n))
-        i0 = np.minimum(t.astype(np.intp), n - 1)
-        vals.append((i0, t - i0))
-    (j, t2), (k, t3) = vals
-    base = j * grid.shape[2] + k
-    idx = np.stack([base, base + grid.shape[2], base + 1, base + grid.shape[2] + 1], axis=1)
-    w = np.stack([(1 - t2) * (1 - t3), t2 * (1 - t3), (1 - t2) * t3, t2 * t3], axis=1)
+    (3, N) arrival points of N traces, columns (j,k), (j+1,k), (j,k+1),
+    (j+1,k+1).  The arrivals lie on x1 = 0 exactly, where the stencil's
+    low x1 weight is 1: the d1 = 0 corners carry the bilinear weights and
+    their flat indices are the inflow plane's."""
+    st = _locate(grid, arrivals)
+    s2 = _strides(grid)[1]
+    idx = st.base[:, None] + np.array([0, s2, 1, s2 + 1])
+    w = np.stack([st.weights[0], st.weights[2], st.weights[1], st.weights[3]], axis=1)
     return idx, w
 
 
@@ -260,8 +257,8 @@ def _trace(grid: Grid, stack: np.ndarray, seeds: np.ndarray, first: int = 0, rec
     the inflow plane.
 
     stack is the advecting velocity with an optional payload row, as
-    _rk4_step takes it.  Returns (arrivals, travel, integral) arrays; the
-    arrivals are seeds itself, overwritten.  Full steps of size ds are
+    _rk4_step takes it.  Returns (arrivals, integral) arrays; the arrivals
+    are seeds itself, overwritten.  Full steps of size ds are
     taken until a step would cross x1 = 0; once every trace of the block
     has reached that step, one shortened last step each (_landing_step)
     lands them on x1 = 0 exactly.  Every trace's arithmetic is its own, so
@@ -278,7 +275,6 @@ def _trace(grid: Grid, stack: np.ndarray, seeds: np.ndarray, first: int = 0, rec
     max_steps = int(np.ceil(8.0 * grid.config.length / ds)) + 1
     pos = seeds
     n = pos.shape[1]
-    travel = np.zeros(n)
     integral = np.zeros(n)
     if recorder is not None:
         recorder.begin(first, n)
@@ -302,7 +298,6 @@ def _trace(grid: Grid, stack: np.ndarray, seeds: np.ndarray, first: int = 0, rec
         for weight, st in stages:
             recorder.stage(ai, ds, weight, st)
         pos[:, ai] = _clamp(grid, new)
-        travel[ai] += ds
         if inc is not None:
             integral[ai] += inc
 
@@ -320,12 +315,11 @@ def _trace(grid: Grid, stack: np.ndarray, seeds: np.ndarray, first: int = 0, rec
         fin, inc = _rk4_step(grid, stack, start, s_fin, on_stage)
         fin[0] = 0.0
         pos[:, done] = _clamp(grid, fin)
-        travel[done] += s_fin
         if inc is not None:
             integral[done] += inc
         if recorder is not None:
             recorder.close(done)
-    return pos, travel, integral
+    return pos, integral
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +383,7 @@ def apply_S(tf: TransportField, v: ScalarField, w_in: np.ndarray) -> ScalarField
 
     def block(span: tuple[int, int]) -> None:
         lo, hi = span
-        arr, _, integral = _trace(g, stack, _block_seeds(g, lo, hi), lo)
+        arr, integral = _trace(g, stack, _block_seeds(g, lo, hi), lo)
         idx, w = _bilinear_inflow(g, arr)
         out[lo:hi] = np.sum(w * trace[idx], axis=1) + integral
 

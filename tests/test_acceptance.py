@@ -24,8 +24,8 @@ from slipflow.fields import (
     gradient,
     norm,
 )
-from slipflow.grid import GeometryConfig, boundary_frames, build_grid
-from slipflow.lame import solve_linear_step
+from slipflow.grid import GeometryConfig, build_grid
+from slipflow.lame import build_lame_operator, solve_linear_step
 from slipflow.material import FlowParams, compute_F, compute_G
 from slipflow.mms import build_linear_case
 from slipflow.picard import (
@@ -63,7 +63,7 @@ def _diagnostics(run: SimpleNamespace):
     continuity = compute_G(bundle.u, bundle.w, setup.data)
     return run_diagnostics(
         bundle.u, bundle.w, forcing, continuity,
-        setup.data.slip_data, setup.data.w_in, setup.params, setup.frames,
+        setup.data.slip_data, setup.data.w_in, setup.params,
     )
 
 
@@ -230,10 +230,9 @@ def test_criterion_07_manufactured_linear_step_orders():
         errs_u, errs_w = [], []
         for n1 in (8, 16, 32):
             grid = build_grid(GeometryConfig(2.0, 1.0, 1.0, n1, n1 // 2, n1 // 2))
-            frames = boundary_frames(grid)
             case = build_linear_case(grid, params)
             res = solve_linear_step(
-                grid, frames, params, case.convect, case.forcing,
+                build_lame_operator(grid, params), case.convect, case.forcing,
                 case.continuity, case.slip_data, case.w_in, mode=mode,
             )
             errs_u.append(norm(

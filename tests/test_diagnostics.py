@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from slipflow.grid import GeometryConfig, build_grid, boundary_frames
+from slipflow.grid import GeometryConfig, build_grid
 from slipflow.fields import (
     ScalarField,
     VectorField,
@@ -24,7 +24,7 @@ from slipflow.material import (
     compute_G,
 )
 from slipflow.picard import ProblemSetup, picard_solve
-from slipflow.lame import solve_linear_step
+from slipflow.lame import build_lame_operator, solve_linear_step
 from slipflow.mms import build_linear_case
 from slipflow.diagnostics import (
     energy_identity_residual,
@@ -42,14 +42,13 @@ from slipflow.diagnostics import (
 
 def make_setup(n1=8, n2=4, n3=4):
     grid = build_grid(GeometryConfig(2.0, 1.0, 1.0, n1, n2, n3))
-    frames = boundary_frames(grid)
     params = FlowParams()
-    return grid, frames, params
+    return grid, params
 
 
-def zero_slip(frames, grid):
+def zero_slip(grid):
     slip = {}
-    for face in frames.faces:
+    for face in grid.faces:
         slab = np.zeros(grid.shape)[face.slicer()]
         slip[face.name] = np.zeros((2, *slab.shape))
     return slip
@@ -70,24 +69,23 @@ def smooth_vector(grid, seed, amp=0.1):
 
 def solved_mms(n1, mode="monolithic"):
     grid = build_grid(GeometryConfig(2.0, 1.0, 1.0, n1, n1 // 2, n1 // 2))
-    frames = boundary_frames(grid)
     params = FlowParams()
     case = build_linear_case(grid, params)
     step = solve_linear_step(
-        grid, frames, params, case.convect, case.forcing,
+        build_lame_operator(grid, params), case.convect, case.forcing,
         case.continuity, case.slip_data, case.w_in, mode=mode,
     )
-    return grid, frames, params, case, step
+    return grid, params, case, step
 
 
 # --- energy identity ---
 
 
 def test_energy_zero_fields():
-    grid, frames, params = make_setup()
+    grid, params = make_setup()
     res = energy_identity_residual(
         zeros_vector(grid), zeros_scalar(grid), zeros_vector(grid),
-        zero_slip(frames, grid), params, frames,
+        zero_slip(grid), params,
     )
     assert res == 0.0
 
@@ -95,9 +93,9 @@ def test_energy_zero_fields():
 def test_energy_decreases_on_solved_fields():
     vals = {}
     for n1 in (8, 16):
-        grid, frames, params, case, step = solved_mms(n1)
+        grid, params, case, step = solved_mms(n1)
         vals[n1] = energy_identity_residual(
-            step.u, step.w, case.forcing, case.slip_data, params, frames
+            step.u, step.w, case.forcing, case.slip_data, params
         )
     assert vals[8] > 2.0 * vals[16]
     assert vals[16] < 5e-3
@@ -107,9 +105,9 @@ def test_energy_decreases_on_solved_fields():
 
 
 def test_vorticity_zero_fields():
-    grid, frames, params = make_setup()
+    grid, params = make_setup()
     out = vorticity_boundary_residual(
-        zeros_vector(grid), zero_slip(frames, grid), params, frames
+        zeros_vector(grid), zero_slip(grid), params
     )
     assert set(out) == {
         f"{name}_tau{i}{lbl}"
@@ -126,7 +124,7 @@ def test_tangent_signs_match_determinants():
     eye = np.eye(3)
     for c, a, b in itertools.permutations(range(3)):
         assert _eps(c, a, b) == float(np.linalg.det(eye[[c, a, b]]))
-    for face in boundary_frames(build_grid(GeometryConfig())).faces:
+    for face in build_grid(GeometryConfig()).faces:
         for a, b in (face.in_axes, face.in_axes[::-1]):
             det = np.linalg.det(np.stack([eye[a], face.side * eye[face.axis], eye[b]], axis=1))
             assert face.side * _eps(a, face.axis, b) == float(det)
@@ -135,47 +133,47 @@ def test_tangent_signs_match_determinants():
 def test_vorticity_exact_for_quadratic_shear():
     # u = (x2^2, 0, 0): every stencil involved is exact for quadratics,
     # so slip data built from the analytic traction zeroes the relations
-    grid, frames, params = make_setup(8, 8, 8)
+    grid, params = make_setup(8, 8, 8)
     x1, x2, x3 = grid.meshgrid()
     u = VectorField(grid, np.stack([x2**2, np.zeros(grid.shape), np.zeros(grid.shape)]))
-    slip = zero_slip(frames, grid)
+    slip = zero_slip(grid)
     for name, wall in (("y0", 0.0), ("y1", 1.0)):
-        face = frames.face(name)
+        face = grid.face(name)
         side = face.side
         # tangent rows ordered by in_axes; u1 lives on in-axis 0 of y-faces
         slip[name][0] = params.mu * side * 2.0 * wall + params.friction * wall**2
     for name in ("z0", "z1"):
         # normal derivative of u1 vanishes on z walls; traction is pure friction
-        face = frames.face(name)
+        face = grid.face(name)
         slip[name][0] = params.friction * (x2**2)[face.slicer()]
-    out = vorticity_boundary_residual(u, slip, params, frames)
+    out = vorticity_boundary_residual(u, slip, params)
     mu_keys = [k for k in out if not k.endswith("_nu")]
     assert max(out[k] for k in mu_keys) < 1e-12
 
 
 def test_vorticity_sign_error_detected():
     # flipping the slip datum's sign must leave a large residual
-    grid, frames, params = make_setup(8, 8, 8)
+    grid, params = make_setup(8, 8, 8)
     x1, x2, x3 = grid.meshgrid()
     u = VectorField(grid, np.stack([x2**2, np.zeros(grid.shape), np.zeros(grid.shape)]))
-    slip = zero_slip(frames, grid)
+    slip = zero_slip(grid)
     for name, wall in (("y0", 0.0), ("y1", 1.0)):
-        face = frames.face(name)
+        face = grid.face(name)
         side = face.side
         slip[name][0] = -(params.mu * side * 2.0 * wall + params.friction * wall**2)
-    out = vorticity_boundary_residual(u, slip, params, frames)
+    out = vorticity_boundary_residual(u, slip, params)
     assert out["y1_tau2"] > 1.0
 
 
 def test_vorticity_nu_variant_tracks_viscosity_ratio():
-    grid, frames, params = make_setup()
+    grid, params = make_setup()
     rng = np.random.default_rng(11)
     u = smooth_vector(grid, 4)
-    slip = zero_slip(frames, grid)
-    for face in frames.region_faces("lateral"):
+    slip = zero_slip(grid)
+    for face in grid.region_faces("lateral"):
         slip[face.name] = 0.1 * rng.standard_normal(slip[face.name].shape)
     p2 = FlowParams(nu=3.0)
-    out = vorticity_boundary_residual(u, slip, p2, frames)
+    out = vorticity_boundary_residual(u, slip, p2)
     # mu and nu variants are distinct when nu != mu
     assert out["y0_tau1"] != out["y0_tau1_nu"]
 
@@ -184,7 +182,7 @@ def test_vorticity_nu_variant_tracks_viscosity_ratio():
 
 
 def test_helmholtz_zero_field():
-    grid, frames, params = make_setup()
+    grid, params = make_setup()
     pot, a_field, rep = helmholtz_decompose(zeros_vector(grid))
     assert np.all(pot.values == 0.0)
     assert np.all(a_field.values == 0.0)
@@ -194,7 +192,7 @@ def test_helmholtz_zero_field():
 
 
 def test_helmholtz_curl_preserved_and_recomposition():
-    grid, frames, params = make_setup(8, 6, 6)
+    grid, params = make_setup(8, 6, 6)
     u = smooth_vector(grid, 7)
     pot, a_field, rep = helmholtz_decompose(u)
     assert rep["curl_mismatch_max"] < 1e-13
@@ -204,7 +202,7 @@ def test_helmholtz_curl_preserved_and_recomposition():
 
 def test_helmholtz_divergence_free_input_short_circuits():
     # a field whose discrete divergence cancels exactly gets pot = 0
-    grid, frames, params = make_setup(8, 6, 6)
+    grid, params = make_setup(8, 6, 6)
     x1, x2, x3 = grid.meshgrid()
     psi = np.sin(np.pi * x2) * np.sin(np.pi * x3) * np.sin(np.pi * x1 / 2.0)
     av = np.stack([diff1(psi, grid.h[1], 1), -diff1(psi, grid.h[0], 0), np.zeros(grid.shape)])
@@ -214,7 +212,7 @@ def test_helmholtz_divergence_free_input_short_circuits():
 
 
 def test_helmholtz_removes_most_divergence():
-    grid, frames, params = make_setup(12, 8, 8)
+    grid, params = make_setup(12, 8, 8)
     u = smooth_vector(grid, 13, amp=1.0)
     pot, a_field, rep = helmholtz_decompose(u)
     div_u = interior_l2(divergence(u).values, grid)
@@ -222,7 +220,7 @@ def test_helmholtz_removes_most_divergence():
 
 
 def test_helmholtz_pot_weighted_mean_zero():
-    grid, frames, params = make_setup(8, 6, 6)
+    grid, params = make_setup(8, 6, 6)
     u = smooth_vector(grid, 19)
     pot, _, _ = helmholtz_decompose(u)
     vol = grid.volume_weights()
@@ -233,7 +231,7 @@ def test_helmholtz_pot_weighted_mean_zero():
 
 
 def test_gradient_structure_zero_everything():
-    grid, frames, params = make_setup()
+    grid, params = make_setup()
     z = zeros_vector(grid)
     res = gradient_structure_residual(
         z, zeros_scalar(grid), zeros_vector(grid),
@@ -245,7 +243,7 @@ def test_gradient_structure_zero_everything():
 def test_gradient_structure_exact_discrete_gradient():
     # with u = w = 0 the combination reduces to F; a discrete gradient F
     # must be certified at rounding level
-    grid, frames, params = make_setup(10, 8, 8)
+    grid, params = make_setup(10, 8, 8)
     rng = np.random.default_rng(3)
     x1, x2, x3 = grid.meshgrid()
     s = np.cos(x1) * np.cos(2.0 * x2) + np.sin(x3) + rng.normal() * x1 * x2
@@ -259,7 +257,7 @@ def test_gradient_structure_exact_discrete_gradient():
 
 def test_gradient_structure_flags_rotational_forcing():
     # F with order-one curl is not a gradient; the certificate must say so
-    grid, frames, params = make_setup(10, 8, 8)
+    grid, params = make_setup(10, 8, 8)
     x1, x2, x3 = grid.meshgrid()
     forcing = VectorField(
         grid, np.stack([x2, np.zeros(grid.shape), np.zeros(grid.shape)])
@@ -275,16 +273,16 @@ def test_gradient_structure_flags_rotational_forcing():
 
 
 def test_apriori_zero_data_reports_zero():
-    grid, frames, params = make_setup()
+    grid, params = make_setup()
     res = apriori_ratio(
         zeros_vector(grid), zeros_scalar(grid), zeros_vector(grid),
-        zeros_scalar(grid), zero_slip(frames, grid), np.zeros(grid.shape)[frames.face("inflow").slicer()],
+        zeros_scalar(grid), zero_slip(grid), np.zeros(grid.shape)[grid.face("inflow").slicer()],
     )
     assert res == 0.0
 
 
 def test_apriori_scale_invariant():
-    grid, frames, params = make_setup()
+    grid, params = make_setup()
     rng = np.random.default_rng(23)
     u = smooth_vector(grid, 5)
     w = ScalarField(grid, 0.05 * rng.standard_normal(grid.shape))
@@ -292,9 +290,9 @@ def test_apriori_scale_invariant():
     g_forcing = ScalarField(grid, 0.05 * rng.standard_normal(grid.shape))
     slip = {
         face.name: 0.1 * rng.standard_normal((2, *face.weights.shape))
-        for face in frames.faces
+        for face in grid.faces
     }
-    w_in = 0.1 * rng.standard_normal(frames.face("inflow").weights.shape)
+    w_in = 0.1 * rng.standard_normal(grid.face("inflow").weights.shape)
     r1 = apriori_ratio(u, w, forcing, g_forcing, slip, w_in)
     r2 = apriori_ratio(
         VectorField(grid, 3.0 * u.values),
@@ -312,34 +310,34 @@ def test_apriori_scale_invariant():
 
 
 def test_reflection_exact_on_random_fields():
-    grid, frames, params = make_setup(8, 6, 6)
+    grid, params = make_setup(8, 6, 6)
     rng = np.random.default_rng(31)
     u = VectorField(grid, rng.standard_normal((3, *grid.shape)))
     assert reflection_residual(u, params) < 1e-13
 
 
 def test_reflection_zero_field():
-    grid, frames, params = make_setup()
+    grid, params = make_setup()
     assert reflection_residual(zeros_vector(grid), params) == 0.0
 
 
 # --- report assembly ---
 
 
-def diag_inputs(grid, frames):
+def diag_inputs(grid):
     u = zeros_vector(grid)
     w = zeros_scalar(grid)
     forcing = zeros_vector(grid)
     g_forcing = zeros_scalar(grid)
-    slip = zero_slip(frames, grid)
-    w_in = np.zeros(grid.shape)[frames.face("inflow").slicer()]
+    slip = zero_slip(grid)
+    w_in = np.zeros(grid.shape)[grid.face("inflow").slicer()]
     return u, w, forcing, g_forcing, slip, w_in
 
 
 def test_run_diagnostics_zero_fields_all_pass():
-    grid, frames, params = make_setup()
-    u, w, forcing, g_forcing, slip, w_in = diag_inputs(grid, frames)
-    report = run_diagnostics(u, w, forcing, g_forcing, slip, w_in, params, frames)
+    grid, params = make_setup()
+    u, w, forcing, g_forcing, slip, w_in = diag_inputs(grid)
+    report = run_diagnostics(u, w, forcing, g_forcing, slip, w_in, params)
     assert isinstance(report, DiagnosticReport)
     assert report.grid_shape == grid.shape
     assert report.all_passed
@@ -350,36 +348,35 @@ def test_run_diagnostics_zero_fields_all_pass():
 def test_run_diagnostics_converged_run_passes_defaults():
     # default tolerances are calibrated against exactly this kind of run
     grid = build_grid(GeometryConfig(2.0, 1.0, 1.0, 16, 8, 8))
-    frames = boundary_frames(grid)
     params = FlowParams()
     spec = boundary_data_from_names(grid, epsilon=1e-2)
-    data = assemble_perturbation_data(grid, frames, spec, params)
-    bundle = picard_solve(ProblemSetup(grid, frames, params, data, mode="monolithic"))
+    data = assemble_perturbation_data(grid, spec, params)
+    bundle = picard_solve(ProblemSetup(grid, params, data, mode="monolithic"))
     assert bundle.converged
     forcing = compute_F(bundle.u, bundle.w, data, params)
     g_forcing = compute_G(bundle.u, bundle.w, data)
     report = run_diagnostics(
         bundle.u, bundle.w, forcing, g_forcing, data.slip_data,
-        data.w_in, params, frames,
+        data.w_in, params,
     )
     failing = [e.name for e in report.entries if not e.passed]
     assert failing == []
 
 
 def test_run_diagnostics_tolerance_override_flips_pass():
-    grid, frames, params, case, step = solved_mms(8)
+    grid, params, case, step = solved_mms(8)
     report = run_diagnostics(
         step.u, step.w, case.forcing, case.continuity, case.slip_data,
-        case.w_in, params, frames, tolerances={"apriori_ratio": 0.0},
+        case.w_in, params, tolerances={"apriori_ratio": 0.0},
     )
     assert not report.entry("apriori_ratio").passed
     assert not report.all_passed
 
 
 def test_report_flat_dict_and_lookup():
-    grid, frames, params = make_setup()
-    u, w, forcing, g_forcing, slip, w_in = diag_inputs(grid, frames)
-    report = run_diagnostics(u, w, forcing, g_forcing, slip, w_in, params, frames)
+    grid, params = make_setup()
+    u, w, forcing, g_forcing, slip, w_in = diag_inputs(grid)
+    report = run_diagnostics(u, w, forcing, g_forcing, slip, w_in, params)
     flat = report.as_flat_dict()
     assert set(flat) == set(DEFAULT_TOLERANCES)
     assert flat["energy_identity"] == {

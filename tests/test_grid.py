@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slipflow.grid import GeometryConfig, build_grid, boundary_frames
+from slipflow.grid import GeometryConfig, build_grid
 
 
 def default_grid(n1=8, n2=4, n3=4, length=2.0, width2=1.0, width3=1.0):
@@ -41,8 +41,8 @@ def test_nonpositive_extent_rejected():
 def test_face_layout():
     # outward normal side * e_axis; in-face axes ascending, so lateral
     # faces put the axial direction first
-    frames = boundary_frames(default_grid(8, 4, 6))
-    layout = [(f.name, f.region, f.axis, f.side, f.index, f.in_axes) for f in frames.faces]
+    g = default_grid(8, 4, 6)
+    layout = [(f.name, f.region, f.axis, f.side, f.index, f.in_axes) for f in g.faces]
     assert layout == [
         ("inflow", "inflow", 0, -1, 0, (1, 2)),
         ("outflow", "outflow", 0, 1, 8, (1, 2)),
@@ -55,7 +55,6 @@ def test_face_layout():
 
 def test_face_weight_sums_match_face_areas():
     g = default_grid(9, 5, 7, length=1.9, width2=0.7, width3=1.1)
-    frames = boundary_frames(g)
     areas = {
         "inflow": 0.7 * 1.1,
         "outflow": 0.7 * 1.1,
@@ -64,13 +63,12 @@ def test_face_weight_sums_match_face_areas():
         "z0": 1.9 * 0.7,
         "z1": 1.9 * 0.7,
     }
-    for f in frames.faces:
+    for f in g.faces:
         assert abs(f.weights.sum() - areas[f.name]) <= 1e-14 * areas[f.name]
 
 
 def test_edge_nodes_carry_zero_weight():
-    frames = boundary_frames(default_grid())
-    for f in frames.faces:
+    for f in default_grid().faces:
         assert np.all(f.weights[0, :] == 0.0)
         assert np.all(f.weights[-1, :] == 0.0)
         assert np.all(f.weights[:, 0] == 0.0)
@@ -83,7 +81,7 @@ def test_face_quadrature_second_order_on_smooth_integrand():
     errs = []
     for n in (8, 16):
         g = default_grid(4, n, n)
-        f = boundary_frames(g).face("inflow")
+        f = g.face("inflow")
         x2 = g.axes[1][:, None]
         val = np.sum(f.weights * x2**2 * np.ones((n + 1, n + 1)))
         errs.append(abs(val - 1.0 / 3.0))
@@ -111,6 +109,12 @@ def test_simpson_weights_match_scipy(points):
         np.testing.assert_allclose(g.simpson_weights(0), expected, rtol=0, atol=1e-15)
 
 
-def test_frames_memoized_per_grid():
+def test_face_lookup_by_name_and_region():
     g = default_grid()
-    assert boundary_frames(g) is boundary_frames(g)
+    assert g.face("z1") is g.faces[5]
+    assert g.region_faces("all") == g.faces
+    assert [f.name for f in g.region_faces("lateral")] == ["y0", "y1", "z0", "z1"]
+    with pytest.raises(KeyError, match="unknown face 'nope'"):
+        g.face("nope")
+    with pytest.raises(ValueError, match="unknown boundary region 'nope'"):
+        g.region_faces("nope")

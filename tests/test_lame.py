@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from slipflow.grid import GeometryConfig, build_grid, boundary_frames
+from slipflow.grid import GeometryConfig, build_grid
 from slipflow.fields import (
     ScalarField,
     VectorField,
@@ -31,9 +31,8 @@ from slipflow.mms import build_linear_case
 
 def make_setup(n1=8, n2=4, n3=4):
     grid = build_grid(GeometryConfig(2.0, 1.0, 1.0, n1, n2, n3))
-    frames = boundary_frames(grid)
     params = FlowParams()
-    return grid, frames, params
+    return grid, params
 
 
 def interior_slice(values):
@@ -53,31 +52,31 @@ def smooth_vector(grid, seed, amp=0.1):
     return VectorField(grid, np.stack(comps))
 
 
-def zero_slip(frames, grid):
+def zero_slip(grid):
     slip = {}
-    for face in frames.faces:
+    for face in grid.faces:
         slab = np.zeros(grid.shape)[face.slicer()]
         slip[face.name] = np.zeros((2, *slab.shape))
     return slip
 
 
 def test_apply_constant_field():
-    grid, frames, params = make_setup()
-    op = build_lame_operator(grid, frames, params)
+    grid, params = make_setup()
+    op = build_lame_operator(grid, params)
     u = VectorField(grid, np.stack([np.full(grid.shape, c + 1.0) for c in range(3)]))
     out = apply_lame(op, u).values
     assert np.max(np.abs(interior_slice(out))) == 0.0
     # slip rows carry only the friction term, pinned rows echo the value
-    y1 = frames.face("y1")
+    y1 = grid.face("y1")
     assert out[0][y1.slicer()][2, 2] == pytest.approx(params.friction * 1.0, abs=1e-12)
     assert out[1][y1.slicer()][2, 2] == 2.0  # normal component pinned
-    inflow = frames.face("inflow")
+    inflow = grid.face("inflow")
     assert out[0][inflow.slicer()][2, 2] == 1.0
 
 
 def test_apply_affine_axial_field():
-    grid, frames, params = make_setup()
-    op = build_lame_operator(grid, frames, params)
+    grid, params = make_setup()
+    op = build_lame_operator(grid, params)
     x1, _, _ = grid.meshgrid()
     u = VectorField(grid, np.stack([x1, np.zeros(grid.shape), np.zeros(grid.shape)]))
     out = apply_lame(op, u).values
@@ -86,15 +85,15 @@ def test_apply_affine_axial_field():
 
 
 def test_apply_slip_rows_on_shear_field():
-    grid, frames, params = make_setup()
-    op = build_lame_operator(grid, frames, params)
+    grid, params = make_setup()
+    op = build_lame_operator(grid, params)
     _, x2, _ = grid.meshgrid()
     u = VectorField(grid, np.stack([x2, np.zeros(grid.shape), np.zeros(grid.shape)]))
     out = apply_lame(op, u).values
     mu, f = params.mu, params.friction
-    y1 = frames.face("y1")
-    y0 = frames.face("y0")
-    z1 = frames.face("z1")
+    y1 = grid.face("y1")
+    y0 = grid.face("y0")
+    z1 = grid.face("z1")
     # mu du1/dn + f u1 with the outward normal derivative
     assert out[0][y1.slicer()][2, 2] == pytest.approx(mu + f, abs=1e-12)
     assert out[0][y0.slicer()][2, 2] == pytest.approx(-mu, abs=1e-12)
@@ -109,8 +108,8 @@ def test_apply_matches_analytic_rows_under_refinement():
     # axial transport plus the vector Laplacian
     errs = []
     for n1 in (8, 16):
-        grid, frames, params = make_setup(n1, n1 // 2, n1 // 2)
-        op = build_lame_operator(grid, frames, params)
+        grid, params = make_setup(n1, n1 // 2, n1 // 2)
+        op = build_lame_operator(grid, params)
         x1, x2, x3 = grid.meshgrid()
         pi = np.pi
         u = VectorField(grid, np.stack([np.sin(pi * x2), np.sin(pi * x3), np.sin(pi * x1)]))
@@ -139,7 +138,7 @@ def test_apply_matches_analytic_rows_under_refinement():
 def test_momentum_matrix_reproduces_rows(extents, cells, params):
     # the matrix holds the free rows and columns; pinned entries are zero
     grid = build_grid(GeometryConfig(*extents, *cells))
-    op = build_lame_operator(grid, boundary_frames(grid), params)
+    op = build_lame_operator(grid, params)
     assert op.matrix.indices.dtype == op.matrix.indptr.dtype == np.int32
     rng = np.random.default_rng(11)
     for _ in range(3):
@@ -151,14 +150,14 @@ def test_momentum_matrix_reproduces_rows(extents, cells, params):
 
 
 def test_solve_momentum_roundtrip():
-    grid, frames, params = make_setup()
-    op = build_lame_operator(grid, frames, params)
+    grid, params = make_setup()
+    op = build_lame_operator(grid, params)
     u_known = smooth_vector(grid, seed=5)
     u_known.values[op.pinned] = 0.0
 
     forcing = apply_lame(op, u_known).values
     slip = {}
-    for face in frames.faces:
+    for face in grid.faces:
         rows = []
         for t_ax in face.in_axes:
             rows.append(
@@ -173,9 +172,9 @@ def test_solve_momentum_roundtrip():
     assert np.max(np.abs(sol.values - u_known.values)) <= 1e-6 * scale
 
 
-def shear_slip(frames, grid):
+def shear_slip(grid):
     slip = {}
-    for face in frames.faces:
+    for face in grid.faces:
         a, b = np.meshgrid(*face.coords, indexing="ij")
         slip[face.name] = np.stack([0.1 * np.sin(a + b), 0.05 * np.cos(2.0 * a - b)])
     return slip
@@ -185,10 +184,10 @@ def shear_slip(frames, grid):
 def test_multigrid_solve_is_grid_independent(cells):
     # Jacobi scaling doubles the iteration count with each refinement; the
     # V-cycle holds it, and both reach the same solution
-    grid, frames, params = make_setup(*cells)
-    op = build_lame_operator(grid, frames, params)
+    grid, params = make_setup(*cells)
+    op = build_lame_operator(grid, params)
     forcing = smooth_vector(grid, seed=3).values
-    slip = shear_slip(frames, grid)
+    slip = shear_slip(grid)
     u, iters, res = solve_momentum(op, forcing, slip)
     assert iters <= 12 and res <= 1e-10
     by_jacobi = replace(op, precond=jacobi(op.matrix.diagonal()))
@@ -203,27 +202,24 @@ def test_grids_without_a_hierarchy_keep_jacobi(cells):
     # (9, 5, 7) does not halve; (14, 14, 14) halves once, to a last level
     # too large to solve densely
     grid = build_grid(GeometryConfig(2.5, 1.0, 0.7, *cells))
-    frames = boundary_frames(grid)
     params = FlowParams(mu=0.7, nu=0.3, friction=2.5)
-    op = build_lame_operator(grid, frames, params)
+    op = build_lame_operator(grid, params)
     r = np.random.default_rng(2).standard_normal(op.matrix.shape[0])
     np.testing.assert_array_equal(op.precond(r), (1.0 / op.matrix.diagonal()) * r)
-    u, iters, res = solve_momentum(op, smooth_vector(grid, seed=4).values, shear_slip(frames, grid))
+    u, iters, res = solve_momentum(op, smooth_vector(grid, seed=4).values, shear_slip(grid))
     assert res <= 1e-10
     assert np.all(u.values[op.pinned] == 0.0)
 
 
 @pytest.mark.parametrize("mode", ["split", "monolithic"])
 def test_linear_step_zero_data(mode):
-    grid, frames, params = make_setup()
+    grid, params = make_setup()
     res = solve_linear_step(
-        grid,
-        frames,
-        params,
+        build_lame_operator(grid, params),
         zeros_vector(grid),
         zeros_vector(grid),
         zeros_scalar(grid),
-        zero_slip(frames, grid),
+        zero_slip(grid),
         np.zeros((grid.shape[1], grid.shape[2])),
         mode=mode,
     )
@@ -235,16 +231,14 @@ def test_linear_step_zero_data(mode):
 
 
 def test_linear_step_unknown_mode():
-    grid, frames, params = make_setup()
+    grid, params = make_setup()
     with pytest.raises(ValueError, match="unknown linear step mode"):
         solve_linear_step(
-            grid,
-            frames,
-            params,
+            build_lame_operator(grid, params),
             zeros_vector(grid),
             zeros_vector(grid),
             zeros_scalar(grid),
-            zero_slip(frames, grid),
+            zero_slip(grid),
             np.zeros((grid.shape[1], grid.shape[2])),
             mode="direct",
         )
@@ -252,24 +246,22 @@ def test_linear_step_unknown_mode():
 
 def test_linear_step_rejects_unknown_mode_first():
     # a transport field this slow would be rejected if it were built
-    grid, frames, params = make_setup()
+    grid, params = make_setup()
     convect = zeros_vector(grid)
     convect.values[0] = -0.9
     with pytest.raises(ValueError, match="unknown linear step mode"):
         solve_linear_step(
-            grid, frames, params, convect, zeros_vector(grid), zeros_scalar(grid),
-            zero_slip(frames, grid), np.zeros((grid.shape[1], grid.shape[2])), mode="direct",
+            build_lame_operator(grid, params), convect, zeros_vector(grid), zeros_scalar(grid),
+            zero_slip(grid), np.zeros((grid.shape[1], grid.shape[2])), mode="direct",
         )
 
 
 @pytest.mark.parametrize("mode", ["split", "monolithic"])
 def test_linear_step_density_trace_matches_inflow_data(mode):
-    grid, frames, params = make_setup()
+    grid, params = make_setup()
     case = build_linear_case(grid, params)
     res = solve_linear_step(
-        grid,
-        frames,
-        params,
+        build_lame_operator(grid, params),
         case.convect,
         case.forcing,
         case.continuity,
@@ -281,15 +273,15 @@ def test_linear_step_density_trace_matches_inflow_data(mode):
 
 
 def test_linear_step_is_linear_in_data():
-    grid, frames, params = make_setup()
+    grid, params = make_setup()
     case = build_linear_case(grid, params)
+    op = build_lame_operator(grid, params)
     kwargs = dict(mode="monolithic")
     res1 = solve_linear_step(
-        grid, frames, params, case.convect, case.forcing, case.continuity,
-        case.slip_data, case.w_in, **kwargs,
+        op, case.convect, case.forcing, case.continuity, case.slip_data, case.w_in, **kwargs,
     )
     res2 = solve_linear_step(
-        grid, frames, params, case.convect,
+        op, case.convect,
         VectorField(grid, 2.0 * case.forcing.values),
         ScalarField(grid, 2.0 * case.continuity.values),
         {k: 2.0 * v for k, v in case.slip_data.items()},
@@ -305,10 +297,10 @@ def test_linear_step_is_linear_in_data():
 def test_linear_step_monolithic_orders():
     errs_u, errs_w = [], []
     for n1 in (8, 16):
-        grid, frames, params = make_setup(n1, n1 // 2, n1 // 2)
+        grid, params = make_setup(n1, n1 // 2, n1 // 2)
         case = build_linear_case(grid, params)
         res = solve_linear_step(
-            grid, frames, params, case.convect, case.forcing, case.continuity,
+            build_lame_operator(grid, params), case.convect, case.forcing, case.continuity,
             case.slip_data, case.w_in, mode="monolithic",
         )
         errs_u.append(
@@ -322,10 +314,10 @@ def test_linear_step_monolithic_orders():
 
 
 def test_linear_step_split_accuracy_coarse():
-    grid, frames, params = make_setup()
+    grid, params = make_setup()
     case = build_linear_case(grid, params)
     res = solve_linear_step(
-        grid, frames, params, case.convect, case.forcing, case.continuity,
+        build_lame_operator(grid, params), case.convect, case.forcing, case.continuity,
         case.slip_data, case.w_in, mode="split",
     )
     assert res.mode == "split"
@@ -338,22 +330,22 @@ def test_linear_step_split_accuracy_coarse():
 
 def test_split_step_nonconvergence_is_loud(monkeypatch):
     monkeypatch.setattr(lame, "MAX_SWEEPS", 2)
-    grid, frames, params = make_setup()
+    grid, params = make_setup()
     case = build_linear_case(grid, params)
     with pytest.raises(RuntimeError, match="did not reach 1e-11 within 2 sweeps"):
         solve_linear_step(
-            grid, frames, params, case.convect, case.forcing, case.continuity,
+            build_lame_operator(grid, params), case.convect, case.forcing, case.continuity,
             case.slip_data, case.w_in, mode="split",
         )
 
 
 def test_linear_step_modes_solve_one_discrete_system():
-    grid, frames, params = make_setup()
+    grid, params = make_setup()
     case = build_linear_case(grid, params)
+    op = build_lame_operator(grid, params)
     res = {
         mode: solve_linear_step(
-            grid, frames, params, case.convect, case.forcing, case.continuity,
-            case.slip_data, case.w_in, mode=mode,
+            op, case.convect, case.forcing, case.continuity, case.slip_data, case.w_in, mode=mode,
         )
         for mode in ("split", "monolithic")
     }
@@ -363,24 +355,32 @@ def test_linear_step_modes_solve_one_discrete_system():
     assert dw <= 1e-8 * np.max(np.abs(res["monolithic"].w.values))
 
 
+def stencil_momentum_solve(op, forcing, slip_data, x0):
+    """solve_momentum acting through the stencil rows instead of op.matrix,
+    with the same warm start, preconditioner and Krylov settings."""
+    free = op.free
+    act = lambda y: _momentum_rows(op, lame._scatter(op, y)).reshape(-1)[free]
+    rhs = lame._momentum_rhs(op, forcing, slip_data).reshape(-1)[free]
+    return lame._solve_free_rows(op, act, rhs, KrylovConfig(), x0.values)[0]
+
+
 def test_split_step_matches_trace_every_sweep():
-    # the oracle is the split alternation through a bare operator (stencil
-    # rows) and a bare transport field (every node traced on every sweep)
-    grid, frames, params = make_setup()
+    # the oracle is the split alternation through the stencil rows and a
+    # bare transport field (every node traced on every sweep)
+    grid, params = make_setup()
     case = build_linear_case(grid, params)
+    op = build_lame_operator(grid, params)
     res = solve_linear_step(
-        grid, frames, params, case.convect, case.forcing, case.continuity,
-        case.slip_data, case.w_in, mode="split",
+        op, case.convect, case.forcing, case.continuity, case.slip_data, case.w_in, mode="split",
     )
-    op = replace(build_lame_operator(grid, frames, params), matrix=None)
     tf_values = case.convect.values.copy()
     tf_values[0] += 1.0
     tf = make_transport_field(grid, tf_values)
-    assert op.matrix is None and tf.footprint is None
+    assert tf.footprint is None
     u, w = zeros_vector(grid), zeros_scalar(grid)
     for sweep in range(1, 201):
         rhs = case.forcing.values - params.pressure.gamma * grad_array(w.values, grid)
-        u_new = solve_momentum(op, rhs, case.slip_data, x0=u)[0]
+        u_new = stencil_momentum_solve(op, rhs, case.slip_data, u)
         src = case.continuity.values - sum(diff1(u_new.values[a], grid.h[a], a) for a in range(3))
         w_new = apply_S(tf, ScalarField(grid, src), case.w_in)
         delta = norm(VectorField(grid, u_new.values - u.values), NormKind.h1()) + norm(

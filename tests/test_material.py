@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slipflow.grid import GeometryConfig, build_grid, boundary_frames
+from slipflow.grid import GeometryConfig, build_grid
 from slipflow.fields import (
     ScalarField,
     VectorField,
@@ -195,10 +195,9 @@ def test_extend_normal_trace_opposite_faces_sum():
 
 def test_normal_trace_matches_at_nonedge_boundary_nodes():
     g = make_grid()
-    frames = boundary_frames(g)
     spec = boundary_data_from_names(g, 1e-2)
     u0 = extend_normal_trace(g, spec)
-    for face in frames.faces:
+    for face in g.faces:
         nonedge = face.weights > 0
         trace = face.side * face.take(u0.values[face.axis])
         if face.name == "inflow":
@@ -226,9 +225,8 @@ def test_u0_norm_linear_in_amplitude():
 
 def test_assemble_zero_amplitude():
     g = make_grid()
-    frames = boundary_frames(g)
     spec = boundary_data_from_names(g, 0.0)
-    data = assemble_perturbation_data(g, frames, spec, FlowParams())
+    data = assemble_perturbation_data(g, spec, FlowParams())
     assert np.all(data.u0.values == 0.0)
     assert all(np.all(v == 0.0) for v in data.slip_data.values())
     assert np.all(data.w_in == 0.0)
@@ -238,13 +236,12 @@ def test_assemble_zero_amplitude():
 def test_assemble_pure_slip_data_passthrough():
     # u0 = 0, so B_i must equal the given data exactly
     g = make_grid()
-    frames = boundary_frames(g)
     eps = 0.02
     spec = boundary_data_from_names(
         g, eps, normal_trace={}, slip={"y1": "sine_bump"}, inflow_density="zero"
     )
-    data = assemble_perturbation_data(g, frames, spec, FlowParams())
-    face = frames.face("y1")
+    data = assemble_perturbation_data(g, spec, FlowParams())
+    face = g.face("y1")
     a, b = np.meshgrid(*face.coords, indexing="ij")
     expected = eps * np.sin(np.pi * a / 2.0) * np.sin(np.pi * b / 1.0)
     assert np.max(np.abs(data.slip_data["y1"][0] - expected)) <= 1e-15
@@ -257,14 +254,13 @@ def test_assemble_lifting_contribution_on_inflow():
     # -2 mu n.D(u0).tau_i = +mu d(u0_1)/dx_t (n = -e1), computable from
     # the exact face trace alone because u0_2 = u0_3 = 0.
     g = make_grid(16, 8, 8)
-    frames = boundary_frames(g)
     eps = 1e-2
     mu = 1.7
     spec = boundary_data_from_names(
         g, eps, normal_trace={"inflow": "sine_bump"}, slip={}, inflow_density="zero"
     )
-    data = assemble_perturbation_data(g, frames, spec, FlowParams(mu=mu))
-    face = frames.face("inflow")
+    data = assemble_perturbation_data(g, spec, FlowParams(mu=mu))
+    face = g.face("inflow")
     trace = data.u0.values[0][0]  # = -eps * sine bump, exact at face nodes
     expected_1 = mu * diff1(trace, face.spacings[0], 0)
     expected_2 = mu * diff1(trace, face.spacings[1], 1)
@@ -274,27 +270,25 @@ def test_assemble_lifting_contribution_on_inflow():
 
 def test_assemble_w_in_and_b_measure_cross_check():
     g = make_grid()
-    frames = boundary_frames(g)
     eps = 1e-2
     spec = boundary_data_from_names(g, eps)
-    data = assemble_perturbation_data(g, frames, spec, FlowParams(), p=4.0)
-    a, b = np.meshgrid(*frames.face("inflow").coords, indexing="ij")
+    data = assemble_perturbation_data(g, spec, FlowParams(), p=4.0)
+    a, b = np.meshgrid(*g.face("inflow").coords, indexing="ij")
     assert np.allclose(data.w_in, eps * np.sin(np.pi * a) * np.sin(np.pi * b), atol=1e-16)
     recomputed = (
         norm(data.u0, NormKind.w2p(4.0))
-        + trace_gagliardo_norm(frames, data.slip_data, "all", 4.0)
-        + face_w1p_norm(frames.face("inflow"), data.w_in, 4.0)
+        + trace_gagliardo_norm(g, data.slip_data, "all", 4.0)
+        + face_w1p_norm(g.face("inflow"), data.w_in, 4.0)
     )
     assert data.b_measure == pytest.approx(recomputed, abs=1e-12)
 
 
 def test_b_measure_linear_in_amplitude():
     g = make_grid()
-    frames = boundary_frames(g)
     b = []
     for eps in (1e-3, 1e-2):
         spec = boundary_data_from_names(g, eps)
-        b.append(assemble_perturbation_data(g, frames, spec, FlowParams()).b_measure)
+        b.append(assemble_perturbation_data(g, spec, FlowParams()).b_measure)
     assert b[1] / b[0] == pytest.approx(10.0, rel=1e-10)
 
 
@@ -303,9 +297,8 @@ def test_b_measure_linear_in_amplitude():
 
 
 def zero_data(grid):
-    frames = boundary_frames(grid)
     spec = boundary_data_from_names(grid, 0.0)
-    return assemble_perturbation_data(grid, frames, spec, FlowParams())
+    return assemble_perturbation_data(grid, spec, FlowParams())
 
 
 def test_forcings_vanish_at_origin():
@@ -321,10 +314,9 @@ def test_compute_f_reduction_to_lifting_terms():
     # u = 0, w = 0: only terms built from u0 survive, including the axial
     # transport of the lifted field.
     g = make_grid()
-    frames = boundary_frames(g)
     params = FlowParams(mu=1.3, nu=0.4)
     spec = boundary_data_from_names(g, 5e-2)
-    data = assemble_perturbation_data(g, frames, spec, params)
+    data = assemble_perturbation_data(g, spec, params)
     F = compute_F(zeros_vector(g), zeros_scalar(g), data, params)
 
     u0 = data.u0.values
@@ -337,10 +329,9 @@ def test_compute_f_reduction_to_lifting_terms():
 
 def test_compute_g_reductions():
     g = make_grid()
-    frames = boundary_frames(g)
     params = FlowParams()
     spec = boundary_data_from_names(g, 5e-2)
-    data = assemble_perturbation_data(g, frames, spec, params)
+    data = assemble_perturbation_data(g, spec, params)
 
     div_u0 = sum(diff1(data.u0.values[a], g.h[a], a) for a in range(3))
     G0 = compute_G(zeros_vector(g), zeros_scalar(g), data)
@@ -367,10 +358,9 @@ def test_quadratic_forcing_bound_frozen_constant():
     params = FlowParams()
     for n1, n2, n3, seeds in ((8, 4, 4, range(100, 115)), (16, 8, 8, range(100, 104))):
         g = build_grid(GeometryConfig(2.0, 1.0, 1.0, n1, n2, n3))
-        frames = boundary_frames(g)
         for eps in (1e-3, 1e-2, 1e-1):
             spec = boundary_data_from_names(g, eps)
-            data = assemble_perturbation_data(g, frames, spec, params)
+            data = assemble_perturbation_data(g, spec, params)
             u0n = norm(data.u0, NormKind.w2p(4.0))
             for seed in seeds:
                 u = smooth_vector(g, 4000 + seed, 0.1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slipflow.grid import GeometryConfig, build_grid, boundary_frames
+from slipflow.grid import GeometryConfig, build_grid
 from slipflow.fields import ScalarField, VectorField, grad_array, interior_l2
 from slipflow.material import (
     FlowParams,
@@ -26,11 +26,10 @@ from slipflow.picard import (
 
 def make_setup(eps, n1=8, mode="split", **kwargs):
     grid = build_grid(GeometryConfig(2.0, 1.0, 1.0, n1, n1 // 2, n1 // 2))
-    frames = boundary_frames(grid)
     params = FlowParams()
     spec = boundary_data_from_names(grid, epsilon=eps)
-    data = assemble_perturbation_data(grid, frames, spec, params)
-    return ProblemSetup(grid, frames, params, data, mode=mode, **kwargs)
+    data = assemble_perturbation_data(grid, spec, params)
+    return ProblemSetup(grid, params, data, mode=mode, **kwargs)
 
 
 def test_zero_data_exact_fixed_point():
@@ -52,7 +51,7 @@ def test_zero_data_exact_fixed_point():
     assert metrics["max_a"] == 0.0
     assert metrics["max_slack"] <= 0.0
 
-    rec = reconstruct_physical(bundle.u, bundle.w, setup.data, setup.params, setup.frames)
+    rec = reconstruct_physical(bundle.u, bundle.w, setup.data, setup.params)
     for key, val in rec.residuals.items():
         assert val <= 1e-11, key
 
@@ -139,7 +138,7 @@ def test_reconstruction_residuals_sharpen_under_refinement():
         bundle = picard_solve(setup)
         assert bundle.converged
         rec = reconstruct_physical(
-            bundle.u, bundle.w, setup.data, setup.params, setup.frames
+            bundle.u, bundle.w, setup.data, setup.params
         )
         res[n1] = rec.residuals
         # rows the solver enforced audit at solver tolerance
@@ -170,7 +169,7 @@ def test_reconstruct_rejects_out_of_band_density():
     u = VectorField(setup.grid, np.zeros((3, *setup.grid.shape)))
     w = ScalarField(setup.grid, np.full(setup.grid.shape, 1.5))
     with pytest.raises(ValueError, match="admissible band"):
-        reconstruct_physical(u, w, setup.data, setup.params, setup.frames)
+        reconstruct_physical(u, w, setup.data, setup.params)
 
 
 def test_iteration_record_validation():
@@ -205,18 +204,17 @@ def test_history_records_linear_steps(mode, monkeypatch):
 
 def test_setup_validation():
     grid = build_grid(GeometryConfig(2.0, 1.0, 1.0, 8, 4, 4))
-    frames = boundary_frames(grid)
     params = FlowParams()
     spec = boundary_data_from_names(grid, epsilon=0.0)
-    data = assemble_perturbation_data(grid, frames, spec, params)
+    data = assemble_perturbation_data(grid, spec, params)
     with pytest.raises(ValueError, match="omega"):
-        ProblemSetup(grid, frames, params, data, omega=0.0)
+        ProblemSetup(grid, params, data, omega=0.0)
     with pytest.raises(ValueError, match="tolerances"):
-        ProblemSetup(grid, frames, params, data, outer_tol=0.0)
+        ProblemSetup(grid, params, data, outer_tol=0.0)
     with pytest.raises(ValueError, match="max_outer"):
-        ProblemSetup(grid, frames, params, data, max_outer=0)
+        ProblemSetup(grid, params, data, max_outer=0)
     with pytest.raises(ValueError, match="unknown linear step mode 'direct'"):
-        ProblemSetup(grid, frames, params, data, mode="direct")
+        ProblemSetup(grid, params, data, mode="direct")
 
 
 def test_convergence_metrics_needs_history():

@@ -78,28 +78,34 @@ def test_transport_field_rejects_slow_axial_flow():
 
 
 def trace_one(tf, x, payload=None):
-    """Trace one point to the inflow plane: (arrival, travel, integral)."""
+    """Trace one point to the inflow plane: (arrival, integral)."""
     pay = None if payload is None else payload.values
-    arr, travel, integral = _trace(tf.grid, _stack(tf, pay), np.array(x, dtype=float)[:, None])
-    return tuple(arr[:, 0]), float(travel[0]), float(integral[0])
+    arr, integral = _trace(tf.grid, _stack(tf, pay), np.array(x, dtype=float)[:, None])
+    return tuple(arr[:, 0]), float(integral[0])
 
 
 def test_trace_straight_characteristic():
+    # under uniform flow the path integral of a payload of 1 is the travel
     g = make_grid()
     tf = uniform_flow(g)
-    arrival, travel, integral = trace_one(tf, (1.3, 0.7, 0.4))
+    arrival, integral = trace_one(tf, (1.3, 0.7, 0.4))
     assert arrival[0] == 0.0
     assert arrival[1] == pytest.approx(0.7, abs=1e-12)
     assert arrival[2] == pytest.approx(0.4, abs=1e-12)
-    assert travel == pytest.approx(1.3, abs=1e-12)
     assert integral == 0.0
+    one = ScalarField(g, np.ones(g.shape))
+    with_payload, travel = trace_one(tf, (1.3, 0.7, 0.4), one)
+    assert with_payload == arrival
+    assert travel == pytest.approx(1.3, abs=1e-12)
 
 
 def test_trace_constant_drift():
     g = make_grid()
     eps = 1e-3
     tf = uniform_flow(g, u2=eps)
-    arrival, travel, _ = trace_one(tf, (1.5, 0.7, 0.4))
+    one = ScalarField(g, np.ones(g.shape))
+    arrival, travel = trace_one(tf, (1.5, 0.7, 0.4), one)
+    assert arrival[0] == 0.0
     assert arrival[1] == pytest.approx(0.7 - eps * 1.5, abs=1e-10)
     assert arrival[2] == pytest.approx(0.4, abs=1e-12)
     assert travel == pytest.approx(1.5, abs=1e-10)
@@ -109,10 +115,10 @@ def test_trace_payload_constant_and_linear():
     g = make_grid()
     tf = uniform_flow(g)
     one = ScalarField(g, np.ones(g.shape))
-    assert trace_one(tf, (1.25, 0.5, 0.5), one)[2] == pytest.approx(1.25, abs=1e-12)
+    assert trace_one(tf, (1.25, 0.5, 0.5), one)[1] == pytest.approx(1.25, abs=1e-12)
     lin = ScalarField(g, g.meshgrid()[0])
     # integral of (x1 - s) over s in [0, x1]
-    assert trace_one(tf, (1.25, 0.5, 0.5), lin)[2] == pytest.approx(1.25**2 / 2.0, abs=1e-12)
+    assert trace_one(tf, (1.25, 0.5, 0.5), lin)[1] == pytest.approx(1.25**2 / 2.0, abs=1e-12)
 
 
 def test_stalled_characteristic_reported(monkeypatch):
