@@ -177,7 +177,7 @@ def cmd_diagnose(config: RunConfig, out_dir: str) -> int:
     continuity = compute_G(u, w, setup.data)
     report = run_diagnostics(
         u, w, forcing, continuity,
-        setup.data.slip_data, setup.data.w_in, config.params,
+        setup.data.slip_data, setup.data.w_in, config.params, config.solver.p,
     )
     runio.write_report_json(out / "report.json", report)
     width = max(len(e.name) for e in report.entries)

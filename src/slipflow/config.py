@@ -1,80 +1,98 @@
 """Run configuration: one JSON document, fully validated before any compute.
 
 The schema is nested blocks (geometry, physics, data, solver, output) with
-every key optional and defaulted.  Unknown keys are hard errors with a
-nearest-known-key hint, so typos cannot silently fall back to defaults.
-The fully defaulted document is kept on the parsed config for echoing,
+every key optional and defaulted.  Each block is the JSON form of one
+settings dataclass (GeometryConfig, FlowParams with its PressureLaw,
+DataConfig, SolverConfig, OutputConfig), which holds the keys' defaults as
+field defaults and their range checks in __post_init__.  This module does
+the JSON-facing rest: unknown keys are hard errors with a nearest-known-key
+hint, so typos cannot silently fall back to defaults; values must have
+their default's JSON type and profile names must exist; range errors come
+back naming the dotted key.  The merged document is kept for echoing,
 which makes a run reproducible from its own output directory.
 """
 from __future__ import annotations
 
 import difflib
 import json
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Mapping
 
-from .grid import FACE_NAMES, MIN_CELLS, WALL_NAMES, GeometryConfig
+from .grid import FACE_NAMES, GeometryConfig
 from .krylov import KrylovConfig
 from .lame import MODES
-from .material import NORMAL_TRACE_FACES, PROFILE_NAMES, FlowParams, PressureLaw
+from .material import (
+    DEFAULT_INFLOW_DENSITY,
+    DEFAULT_NORMAL_TRACE,
+    DEFAULT_SLIP,
+    NORMAL_TRACE_FACES,
+    PROFILE_NAMES,
+    FlowParams,
+    PressureLaw,
+    check_amplitude,
+)
 
 
 class ConfigError(ValueError):
     """Malformed or invalid run configuration."""
 
 
-_GEOMETRY_DEFAULTS: dict[str, Any] = {
-    "length": 2.0,
-    "width2": 1.0,
-    "width3": 1.0,
-    "n1": 16,
-    "n2": 8,
-    "n3": 8,
-}
-_PRESSURE_DEFAULTS: dict[str, Any] = {"kind": "power", "coefficient": 2.0}
-_PHYSICS_DEFAULTS: dict[str, Any] = {"mu": 1.0, "nu": 1.0, "f": 10.0}
-_DATA_DEFAULTS: dict[str, Any] = {
-    "epsilon": 1e-2,
-    "inflow_density": "sine_bump",
-    "normal_trace": {"inflow": "sine_bump"},
-    "slip": {name: "sine_bump" for name in WALL_NAMES},
-}
-_SOLVER_DEFAULTS: dict[str, Any] = {
-    "mode": "split",
-    "outer_tol": 1e-9,
-    "max_outer": 50,
-    "omega": 1.0,
-    "p": 4.0,
-    "inner_tol": 1e-11,
-    "krylov_rel_tol": 1e-10,
-    "krylov_max_iter": None,
-    "seed": 0,
-}
-_OUTPUT_DEFAULTS: dict[str, Any] = {"directory": "out", "dump_fields": True}
-
-_BLOCKS = ("geometry", "physics", "data", "solver", "output")
-
-
 @dataclass(frozen=True)
 class DataConfig:
-    epsilon: float
-    inflow_density: str
-    normal_trace: tuple[tuple[str, str], ...]
-    slip: tuple[tuple[str, str], ...]
+    """Boundary data by registry profile name, as (face, profile) pairs,
+    all scaled by the amplitude epsilon."""
+
+    epsilon: float = 1e-2
+    inflow_density: str = DEFAULT_INFLOW_DENSITY
+    normal_trace: tuple[tuple[str, str], ...] = DEFAULT_NORMAL_TRACE
+    slip: tuple[tuple[str, str], ...] = DEFAULT_SLIP
+
+    def __post_init__(self):
+        check_amplitude(self.epsilon)
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    mode: str
-    outer_tol: float
-    max_outer: int
-    omega: float
-    p: float
-    inner_tol: float
-    krylov_rel_tol: float
-    krylov_max_iter: int | None
-    seed: int
+    """Outer-loop and linear-solver settings.
+
+    mode picks how the linear step solves its coupled system; the outer
+    loop stops when the update falls to outer_tol (after at least two
+    steps) or after max_outer steps, under-relaxing by omega; p is the
+    Sobolev exponent of the strong norms; inner_tol stops the split
+    sweeps.  The Krylov settings default to KrylovConfig's, which checks
+    them; seed seeds the uniqueness check's random start.
+    """
+
+    mode: str = "split"
+    outer_tol: float = 1e-9
+    max_outer: int = 50
+    omega: float = 1.0
+    p: float = 4.0
+    inner_tol: float = 1e-11
+    krylov_rel_tol: float = KrylovConfig.rel_tol
+    krylov_max_iter: int | None = KrylovConfig.max_iter
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        for name in ("outer_tol", "inner_tol"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if self.max_outer < 1:
+            raise ValueError(f"max_outer must be at least 1, got {self.max_outer!r}")
+        if not 0.0 < self.omega <= 1.0:
+            raise ValueError(f"omega must lie in (0, 1], got {self.omega!r}")
+        if not self.p >= 2.0:
+            raise ValueError(f"p must be at least 2, got {self.p!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed!r}")
+        try:
+            self.krylov()
+        except ValueError as exc:  # KrylovConfig names rel_tol/max_iter
+            raise ValueError(f"krylov_{exc}") from None
 
     def krylov(self) -> KrylovConfig:
         return KrylovConfig(rel_tol=self.krylov_rel_tol, max_iter=self.krylov_max_iter)
@@ -82,8 +100,8 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class OutputConfig:
-    directory: str
-    dump_fields: bool
+    directory: str = "out"
+    dump_fields: bool = True
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,46 +114,20 @@ class RunConfig:
     document: dict  # fully defaulted copy of the input, for the echo
 
 
+_BLOCKS = {
+    "geometry": GeometryConfig,
+    "physics": FlowParams,
+    "data": DataConfig,
+    "solver": SolverConfig,
+    "output": OutputConfig,
+}
+_KEYS = {"friction": "f"}  # dataclass field -> JSON key, where the two differ
+
+
 def _fail_unknown(path: str, known) -> None:
     hint = difflib.get_close_matches(path.rsplit(".", 1)[-1], sorted(known), n=1, cutoff=0.0)
     extra = f"; nearest known key is {hint[0]!r}" if hint else ""
     raise ConfigError(f"unknown config key {path!r}{extra}")
-
-
-def _check_keys(block: Mapping, known, path: str) -> None:
-    if not isinstance(block, Mapping):
-        raise ConfigError(f"config block {path!r} must be an object")
-    for key in block:
-        if key not in known:
-            _fail_unknown(f"{path}.{key}", known)
-
-
-def _merged(block: Mapping, defaults: Mapping, path: str) -> dict:
-    _check_keys(block, defaults.keys(), path)
-    out = dict(defaults)
-    out.update(block)
-    return out
-
-
-def _number(value, path: str, *, positive=False, nonneg=False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path} must be a number, got {value!r}")
-    val = float(value)
-    if val != val or val in (float("inf"), float("-inf")):
-        raise ConfigError(f"{path} must be finite, got {value!r}")
-    if positive and val <= 0.0:
-        raise ConfigError(f"{path} must be positive, got {value!r}")
-    if nonneg and val < 0.0:
-        raise ConfigError(f"{path} must be nonnegative, got {value!r}")
-    return val
-
-
-def _integer(value, path: str, *, minimum=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"{path} must be at least {minimum}, got {value!r}")
-    return value
 
 
 def _string(value, path: str, allowed=None) -> str:
@@ -146,15 +138,69 @@ def _string(value, path: str, allowed=None) -> str:
     return value
 
 
+def _typed(value, default, path: str):
+    """Check one given value against the JSON type of its default: a
+    boolean is no number, and integers stay integers where the default is
+    one (null is admitted only where it is the default)."""
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ConfigError(f"{path} must be true or false, got {value!r}")
+    elif isinstance(default, float):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{path} must be a number, got {value!r}")
+        if not math.isfinite(value):
+            raise ConfigError(f"{path} must be finite, got {value!r}")
+        return float(value)
+    elif isinstance(default, int) or (default is None and value is not None):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{path} must be an integer, got {value!r}")
+    elif isinstance(default, str):
+        _string(value, path)
+    return value  # profile maps are checked by _profile_map
+
+
+def _block(raw, path: str, defaults) -> dict:
+    """Merge one JSON block over the field defaults of a settings dataclass.
+
+    A nested settings dataclass is a nested block; (face, profile) pairs
+    are an object.  The result is the block as echoed.
+    """
+    keys = {_KEYS.get(f.name, f.name): getattr(defaults, f.name) for f in fields(defaults)}
+    if not isinstance(raw, Mapping):
+        raise ConfigError(f"config block {path!r} must be an object")
+    for key in raw:
+        if key not in keys:
+            _fail_unknown(f"{path}.{key}", keys)
+    out = {}
+    for key, default in keys.items():
+        if is_dataclass(default):
+            out[key] = _block(raw.get(key, {}), f"{path}.{key}", default)
+        elif key in raw:
+            out[key] = _typed(raw[key], default, f"{path}.{key}")
+        else:
+            out[key] = dict(default) if isinstance(default, tuple) else default
+    return out
+
+
 def _profile_map(block, path: str, allowed_faces) -> dict[str, str]:
     if not isinstance(block, Mapping):
         raise ConfigError(f"{path} must be an object of face name to profile name")
-    out = {}
     for face, profile in block.items():
         if face not in allowed_faces:
             _fail_unknown(f"{path}.{face}", allowed_faces)
-        out[face] = _string(profile, f"{path}.{face}", allowed=PROFILE_NAMES)
-    return out
+        _string(profile, f"{path}.{face}", allowed=PROFILE_NAMES)
+    return dict(block)
+
+
+def _settings(cls, path: str, block: Mapping):
+    """Build a settings dataclass from its checked block; its range errors
+    start with the field name and come back naming the dotted key."""
+    fields_by_key = {key: name for name, key in _KEYS.items()}
+    try:
+        return cls(**{fields_by_key.get(key, key): value for key, value in block.items()})
+    except ValueError as exc:
+        name, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"{path}.{_KEYS.get(name, name)} {rest}") from exc
 
 
 def config_from_mapping(raw: Mapping) -> RunConfig:
@@ -164,94 +210,26 @@ def config_from_mapping(raw: Mapping) -> RunConfig:
     for key in raw:
         if key not in _BLOCKS:
             _fail_unknown(key, _BLOCKS)
+    doc = {name: _block(raw.get(name, {}), name, cls()) for name, cls in _BLOCKS.items()}
 
-    geo = _merged(raw.get("geometry", {}), _GEOMETRY_DEFAULTS, "geometry")
-    length = _number(geo["length"], "geometry.length", positive=True)
-    width2 = _number(geo["width2"], "geometry.width2", positive=True)
-    width3 = _number(geo["width3"], "geometry.width3", positive=True)
-    n1 = _integer(geo["n1"], "geometry.n1", minimum=MIN_CELLS)
-    n2 = _integer(geo["n2"], "geometry.n2", minimum=MIN_CELLS)
-    n3 = _integer(geo["n3"], "geometry.n3", minimum=MIN_CELLS)
-    geometry = GeometryConfig(length, width2, width3, n1, n2, n3)
+    data = doc["data"]
+    _string(data["inflow_density"], "data.inflow_density", allowed=PROFILE_NAMES)
+    for key, faces in (("normal_trace", NORMAL_TRACE_FACES), ("slip", FACE_NAMES)):
+        data[key] = _profile_map(data[key], f"data.{key}", faces)
 
-    phys_block = raw.get("physics", {})
-    _check_keys(phys_block, set(_PHYSICS_DEFAULTS) | {"pressure"}, "physics")
-    phys = dict(_PHYSICS_DEFAULTS)
-    phys.update({k: v for k, v in phys_block.items() if k != "pressure"})
-    pres = _merged(phys_block.get("pressure", {}), _PRESSURE_DEFAULTS, "physics.pressure")
-    mu = _number(phys["mu"], "physics.mu", positive=True)
-    nu = _number(phys["nu"], "physics.nu")
-    friction = _number(phys["f"], "physics.f", positive=True)
-    kind = _string(pres["kind"], "physics.pressure.kind", allowed=("power", "linear"))
-    coefficient = _number(pres["coefficient"], "physics.pressure.coefficient")
-    try:
-        params = FlowParams(
-            mu=mu, nu=nu, friction=friction,
-            pressure=PressureLaw(kind=kind, coefficient=coefficient),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"physics: {exc}") from exc
-
-    data = _merged(raw.get("data", {}), _DATA_DEFAULTS, "data")
-    epsilon = _number(data["epsilon"], "data.epsilon", nonneg=True)
-    inflow_density = _string(data["inflow_density"], "data.inflow_density", allowed=PROFILE_NAMES)
-    normal_trace = _profile_map(data["normal_trace"], "data.normal_trace", NORMAL_TRACE_FACES)
-    slip = _profile_map(data["slip"], "data.slip", FACE_NAMES)
-    data_cfg = DataConfig(
-        epsilon=epsilon,
-        inflow_density=inflow_density,
-        normal_trace=tuple(sorted(normal_trace.items())),
-        slip=tuple(sorted(slip.items())),
-    )
-
-    sol = _merged(raw.get("solver", {}), _SOLVER_DEFAULTS, "solver")
-    mode = _string(sol["mode"], "solver.mode", allowed=MODES)
-    outer_tol = _number(sol["outer_tol"], "solver.outer_tol", positive=True)
-    max_outer = _integer(sol["max_outer"], "solver.max_outer", minimum=1)
-    omega = _number(sol["omega"], "solver.omega", positive=True)
-    if omega > 1.0:
-        raise ConfigError(f"solver.omega must lie in (0, 1], got {omega!r}")
-    p = _number(sol["p"], "solver.p", positive=True)
-    if p < 2.0:
-        raise ConfigError(f"solver.p must be at least 2, got {p!r}")
-    inner_tol = _number(sol["inner_tol"], "solver.inner_tol", positive=True)
-    krylov_rel_tol = _number(sol["krylov_rel_tol"], "solver.krylov_rel_tol", positive=True)
-    if krylov_rel_tol >= 1.0:
-        raise ConfigError("solver.krylov_rel_tol must be below 1")
-    krylov_max_iter = sol["krylov_max_iter"]
-    if krylov_max_iter is not None:
-        krylov_max_iter = _integer(krylov_max_iter, "solver.krylov_max_iter", minimum=1)
-    seed = _integer(sol["seed"], "solver.seed", minimum=0)
-    solver_cfg = SolverConfig(
-        mode=mode, outer_tol=outer_tol, max_outer=max_outer, omega=omega, p=p,
-        inner_tol=inner_tol, krylov_rel_tol=krylov_rel_tol,
-        krylov_max_iter=krylov_max_iter, seed=seed,
-    )
-
-    out = _merged(raw.get("output", {}), _OUTPUT_DEFAULTS, "output")
-    directory = _string(out["directory"], "output.directory")
-    dump_fields = out["dump_fields"]
-    if not isinstance(dump_fields, bool):
-        raise ConfigError(f"output.dump_fields must be true or false, got {dump_fields!r}")
-    output_cfg = OutputConfig(directory=directory, dump_fields=dump_fields)
-
-    document = {
-        "geometry": {"length": length, "width2": width2, "width3": width3,
-                     "n1": n1, "n2": n2, "n3": n3},
-        "physics": {"mu": mu, "nu": nu, "f": friction,
-                    "pressure": {"kind": kind, "coefficient": coefficient}},
-        "data": {"epsilon": epsilon, "inflow_density": inflow_density,
-                 "normal_trace": dict(data_cfg.normal_trace),
-                 "slip": dict(data_cfg.slip)},
-        "solver": {"mode": mode, "outer_tol": outer_tol, "max_outer": max_outer,
-                   "omega": omega, "p": p, "inner_tol": inner_tol,
-                   "krylov_rel_tol": krylov_rel_tol,
-                   "krylov_max_iter": krylov_max_iter, "seed": seed},
-        "output": {"directory": directory, "dump_fields": dump_fields},
-    }
+    physics = doc["physics"]
+    pressure = _settings(PressureLaw, "physics.pressure", physics["pressure"])
     return RunConfig(
-        geometry=geometry, params=params, data=data_cfg,
-        solver=solver_cfg, output=output_cfg, document=document,
+        geometry=_settings(GeometryConfig, "geometry", doc["geometry"]),
+        params=_settings(FlowParams, "physics", dict(physics, pressure=pressure)),
+        data=_settings(DataConfig, "data", dict(
+            data,
+            normal_trace=tuple(sorted(data["normal_trace"].items())),
+            slip=tuple(sorted(data["slip"].items())),
+        )),
+        solver=_settings(SolverConfig, "solver", doc["solver"]),
+        output=_settings(OutputConfig, "output", doc["output"]),
+        document=doc,
     )
 
 

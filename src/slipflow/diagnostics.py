@@ -35,7 +35,7 @@ from .fields import (
     face_w1p_norm,
 )
 from .material import FlowParams
-from .krylov import KrylovConfig, jacobi, krylov_solve
+from .krylov import jacobi, krylov_solve
 
 # Fixed physical stand-off from walls and face edges for the audit
 # measurement regions.  A fixed distance (not a fixed slab count) keeps the
@@ -71,8 +71,8 @@ def _face_simpson(arr2d: np.ndarray, face, g: Grid) -> float:
 
 
 def _axis_margin_keep(g: Grid, axis: int) -> np.ndarray:
-    x = np.arange(g.shape[axis]) * g.h[axis]
-    extent = g.h[axis] * (g.shape[axis] - 1)
+    x = g.axes[axis]
+    extent = g.config.extents[axis]
     keep = (x >= EDGE_MARGIN - 1e-12) & (x <= extent - EDGE_MARGIN + 1e-12)
     if not np.any(keep):
         # grid too coarse for a margin; fall back to all nodes
@@ -225,9 +225,7 @@ def vorticity_boundary_residual(
     return out
 
 
-def helmholtz_decompose(
-    u: VectorField, krylov_cfg: KrylovConfig = KrylovConfig()
-) -> tuple[ScalarField, VectorField, dict]:
+def helmholtz_decompose(u: VectorField) -> tuple[ScalarField, VectorField, dict]:
     """Split u into a gradient part and a rotational remainder.
 
     Solves lap(pot) = div u with zero Neumann data using the ghost
@@ -272,7 +270,7 @@ def helmholtz_decompose(
         sol = np.zeros(rhs.size)
     else:
         precond = jacobi(np.full(rhs.size, -shift))
-        sol, _, _ = krylov_solve(action, rhs.reshape(-1), krylov_cfg, precond=precond)
+        sol, _, _ = krylov_solve(action, rhs.reshape(-1), precond=precond)
     pot = ScalarField(g, sol.reshape(g.shape))
     grad_pot = grad_array(pot.values, g)
     a_vals = u.values - grad_pot
@@ -347,7 +345,7 @@ def apriori_ratio(
     continuity_forcing: ScalarField,
     slip_data: Mapping[str, np.ndarray],
     w_in: np.ndarray,
-    p: float = 4.0,
+    p: float,
 ) -> float:
     """Solution size over data size in the norms of the solvability bound.
 
@@ -459,9 +457,14 @@ def run_diagnostics(
     slip_data: Mapping[str, np.ndarray],
     w_in: np.ndarray,
     params: FlowParams,
+    p: float,
     tolerances: Mapping[str, float] | None = None,
 ) -> DiagnosticReport:
-    """Run every audit on one solution and grade against tolerances."""
+    """Run every audit on one solution and grade against tolerances.
+
+    p is the run's Sobolev exponent (solver.p), the one its data measure
+    and history norms use; the a-priori ratio is measured in it.
+    """
     tol = dict(DEFAULT_TOLERANCES)
     if tolerances:
         tol.update(tolerances)
@@ -483,6 +486,6 @@ def run_diagnostics(
     add("helmholtz_curl_mismatch", helm["curl_mismatch_max"])
     add("helmholtz_normal_trace", helm["normal_trace_l2"])
     add("gradient_structure", gradient_structure_residual(u, w, forcing, pot, a_field, params))
-    add("apriori_ratio", apriori_ratio(u, w, forcing, continuity_forcing, slip_data, w_in))
+    add("apriori_ratio", apriori_ratio(u, w, forcing, continuity_forcing, slip_data, w_in, p))
     add("reflection", reflection_residual(u, params))
     return DiagnosticReport(tuple(entries), u.grid.shape)

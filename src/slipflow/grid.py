@@ -1,7 +1,9 @@
 """Tensor-product grid over the duct [0,L] x [0,W2] x [0,W3].
 
 The grid is vertex-centered: axis a carries n_a cells and n_a + 1 nodes,
-node (i, j, k) sits exactly at (i*h1, j*h2, k*h3).  build_grid also lays
+node (i, j, k) sits exactly at (i*h1, j*h2, k*h3), except that the last
+node of each axis sits at the extent itself (n*(L/n) can round past L,
+and transport clamps to the extent).  build_grid also lays
 out the six boundary faces once (names, normal axes and sides, face
 quadrature weights); every other module reads them from the grid, so all
 share one set of conventions.
@@ -21,29 +23,28 @@ class GeometryConfig:
     length is the axial (x1) extent, width2/width3 the cross-section
     extents.  Cell counts below MIN_CELLS are rejected: the one-sided
     boundary stencils and the edge-free face quadrature need at least
-    five nodes per axis.
+    five nodes per axis.  The defaults are the documented geometry block.
     """
 
     length: float = 2.0
     width2: float = 1.0
     width3: float = 1.0
-    n1: int = 8
-    n2: int = 4
-    n3: int = 4
+    n1: int = 16
+    n2: int = 8
+    n3: int = 8
 
     def __post_init__(self):
         for name in ("length", "width2", "width3"):
             val = getattr(self, name)
             if not np.isfinite(val) or val <= 0.0:
-                raise ValueError(f"geometry.{name} must be positive and finite, got {val!r}")
+                raise ValueError(f"{name} must be positive and finite, got {val!r}")
         for name in ("n1", "n2", "n3"):
             cnt = getattr(self, name)
             if not isinstance(cnt, (int, np.integer)) or isinstance(cnt, bool):
-                raise ValueError(f"geometry.{name} must be an integer, got {cnt!r}")
+                raise ValueError(f"{name} must be an integer, got {cnt!r}")
             if cnt < MIN_CELLS:
-                raise ValueError(
-                    f"geometry.{name}={cnt} below minimum cell count {MIN_CELLS}"
-                )
+                raise ValueError(f"{name} must be at least the minimum cell count "
+                                 f"{MIN_CELLS}, got {cnt!r}")
 
     @property
     def extents(self) -> tuple[float, float, float]:
@@ -188,6 +189,8 @@ def build_grid(config: GeometryConfig) -> Grid:
     cells = config.cells
     h = tuple(ext / n for ext, n in zip(config.extents, cells))
     axes = tuple(np.arange(n + 1, dtype=float) * h[a] for a, n in enumerate(cells))
+    for ax, ext in zip(axes, config.extents):
+        ax[-1] = ext
     faces = []
     for name, axis, side, region in _FACE_LAYOUT:
         t1_ax, t2_ax = (a for a in range(3) if a != axis)

@@ -12,7 +12,7 @@ field leaving the band as divergence of the outer iteration, never clamps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -41,7 +41,15 @@ NORMAL_TRACE_FACES = tuple(name for name in FACE_NAMES if name not in WALL_NAMES
 
 PROFILE_NAMES = ("zero", "sine_bump")
 
+# The documented boundary data, by profile name: a sine bump as the inflow
+# density perturbation, as the inflow normal trace and as the slip data on
+# every wall; (face, profile) pairs in face-name order.
+DEFAULT_INFLOW_DENSITY = "sine_bump"
+DEFAULT_NORMAL_TRACE = (("inflow", "sine_bump"),)
+DEFAULT_SLIP = tuple((name, "sine_bump") for name in WALL_NAMES)
+
 ProfileFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
+ProfileNames = Mapping[str, str] | Iterable[tuple[str, str]]
 
 
 # ---------------------------------------------------------------------------
@@ -60,13 +68,17 @@ class PressureLaw:
 
     def __post_init__(self):
         if self.kind not in ("power", "linear"):
-            raise ValueError(f"unknown pressure law kind {self.kind!r}")
+            raise ValueError(f"kind must be 'power' or 'linear', got {self.kind!r}")
         if not np.isfinite(self.coefficient):
-            raise ValueError("pressure coefficient must be finite")
+            raise ValueError(f"coefficient must be finite, got {self.coefficient!r}")
         if self.kind == "power" and self.coefficient < 1.0:
-            raise ValueError("power-law exponent must be >= 1")
+            raise ValueError(
+                f"coefficient (the power-law exponent) must be >= 1, got {self.coefficient!r}"
+            )
         if self.kind == "linear" and self.coefficient <= 0.0:
-            raise ValueError("linear pressure slope must be positive")
+            raise ValueError(
+                f"coefficient (the linear slope) must be positive, got {self.coefficient!r}"
+            )
 
     def value(self, rho):
         if self.kind == "power":
@@ -111,7 +123,9 @@ class FlowParams:
     """Viscosities, wall friction and the pressure closure.
 
     mu is the shear viscosity, nu the second viscosity coefficient,
-    friction the Navier-slip coefficient on the tangential rows.
+    friction the Navier-slip coefficient on the tangential rows.  The
+    pressure law's own checks keep its slope at the reference density
+    positive.
     """
 
     mu: float = 1.0
@@ -123,11 +137,11 @@ class FlowParams:
         if not (np.isfinite(self.mu) and self.mu > 0.0):
             raise ValueError(f"mu must be positive, got {self.mu!r}")
         if not np.isfinite(self.nu) or self.mu + 2.0 * self.nu <= 0.0:
-            raise ValueError("need mu + 2*nu > 0 for a well-posed viscous operator")
+            raise ValueError(
+                f"nu must keep mu + 2*nu > 0 for a well-posed viscous operator, got {self.nu!r}"
+            )
         if not (np.isfinite(self.friction) and self.friction > 0.0):
             raise ValueError(f"friction must be positive, got {self.friction!r}")
-        if self.pressure.gamma <= 0.0:
-            raise ValueError("pressure slope at reference density must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +159,12 @@ def make_profile(name: str, extents: tuple[float, float]) -> ProfileFn:
     if name == "sine_bump":
         return lambda a, b: np.sin(np.pi * a / e1) * np.sin(np.pi * b / e2)
     raise ValueError(f"unknown profile {name!r} (available: {', '.join(PROFILE_NAMES)})")
+
+
+def check_amplitude(epsilon: float) -> None:
+    """The one amplitude scaling all boundary data must be finite and >= 0."""
+    if not (np.isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"epsilon (the data amplitude) must be >= 0, got {epsilon!r}")
 
 
 @dataclass(frozen=True)
@@ -165,8 +185,7 @@ class BoundaryDataSpec:
     inflow_density: ProfileFn | None = None
 
     def __post_init__(self):
-        if not (np.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError(f"data amplitude must be >= 0, got {self.epsilon!r}")
+        check_amplitude(self.epsilon)
         bad = set(self.normal_trace) - set(NORMAL_TRACE_FACES)
         if bad:
             raise ValueError(
@@ -178,27 +197,25 @@ class BoundaryDataSpec:
 def boundary_data_from_names(
     grid: Grid,
     epsilon: float,
-    normal_trace: Mapping[str, str] | None = None,
-    slip: Mapping[str, str] | None = None,
-    inflow_density: str = "sine_bump",
+    normal_trace: ProfileNames = DEFAULT_NORMAL_TRACE,
+    slip: ProfileNames = DEFAULT_SLIP,
+    inflow_density: str = DEFAULT_INFLOW_DENSITY,
 ) -> BoundaryDataSpec:
     """Build a BoundaryDataSpec from registry profile names per face.
 
-    Defaults: a sine-bump normal trace on the inflow face, sine-bump slip
-    data on the four walls, a sine-bump density perturbation at inflow.
+    normal_trace and slip map face names to profile names, as a mapping
+    or as (face, profile) pairs; the defaults are the documented data.
     """
-    if normal_trace is None:
-        normal_trace = {"inflow": "sine_bump"}
-    if slip is None:
-        slip = {name: "sine_bump" for name in WALL_NAMES}
-
     def face_extents(name: str) -> tuple[float, float]:
         f = grid.face(name)
         return (f.coords[0][-1], f.coords[1][-1])
 
-    nt = {name: make_profile(prof, face_extents(name)) for name, prof in normal_trace.items()}
+    nt = {
+        name: make_profile(prof, face_extents(name))
+        for name, prof in dict(normal_trace).items()
+    }
     sl = {}
-    for name, prof in slip.items():
+    for name, prof in dict(slip).items():
         fn = make_profile(prof, face_extents(name))
         sl[name] = (fn, fn)
     dens = make_profile(inflow_density, face_extents("inflow"))

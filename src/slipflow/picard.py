@@ -11,11 +11,11 @@ the iteration wander.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, SolverConfig
 from .grid import Grid, build_grid
 from .fields import (
     ScalarField,
@@ -41,61 +41,38 @@ from .material import (
     compute_G,
     _check_band,
 )
-from .krylov import KrylovConfig, KrylovError
-from .lame import MODES, build_lame_operator, solve_linear_step
+from .krylov import KrylovError
+from .lame import build_lame_operator, solve_linear_step
 
 
 @dataclass(frozen=True)
 class ProblemSetup:
-    """Everything one outer solve needs, with the loop's tolerances."""
+    """Everything one outer solve needs: the grid, the physics, the
+    assembled boundary data and the solver settings (checked by
+    SolverConfig itself)."""
 
     grid: Grid
     params: FlowParams
     data: PerturbationData
-    outer_tol: float = 1e-9
-    max_outer: int = 50
-    mode: str = "split"
-    omega: float = 1.0
-    p: float = 4.0
-    krylov_cfg: KrylovConfig = field(default_factory=KrylovConfig)
-    inner_tol: float = 1e-11
+    solver: SolverConfig = SolverConfig()
 
     def __post_init__(self):
-        if self.outer_tol <= 0.0 or self.inner_tol <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.max_outer < 1:
-            raise ValueError("max_outer must be at least 1")
-        if not (0.0 < self.omega <= 1.0):
-            raise ValueError("under-relaxation omega must lie in (0, 1]")
-        if self.mode not in MODES:
-            raise ValueError(f"unknown linear step mode {self.mode!r} (use one of {MODES})")
         if not np.isfinite(self.data.b_measure):
             raise ValueError("boundary data measure is not finite")
 
 
 def build_setup(config: RunConfig) -> ProblemSetup:
-    """Materialize grid, boundary data and loop settings from a config."""
+    """Materialize grid and boundary data from a config."""
     grid = build_grid(config.geometry)
     spec = boundary_data_from_names(
         grid,
         epsilon=config.data.epsilon,
-        normal_trace=dict(config.data.normal_trace),
-        slip=dict(config.data.slip),
+        normal_trace=config.data.normal_trace,
+        slip=config.data.slip,
         inflow_density=config.data.inflow_density,
     )
     data = assemble_perturbation_data(grid, spec, config.params, p=config.solver.p)
-    return ProblemSetup(
-        grid=grid,
-        params=config.params,
-        data=data,
-        outer_tol=config.solver.outer_tol,
-        max_outer=config.solver.max_outer,
-        mode=config.solver.mode,
-        omega=config.solver.omega,
-        p=config.solver.p,
-        krylov_cfg=config.solver.krylov(),
-        inner_tol=config.solver.inner_tol,
-    )
+    return ProblemSetup(grid, config.params, data, config.solver)
 
 
 @dataclass(frozen=True)
@@ -155,7 +132,7 @@ def picard_solve(
     setup: ProblemSetup,
     start: tuple[VectorField, ScalarField] | None = None,
 ) -> SolutionBundle:
-    grid, data, params = setup.grid, setup.data, setup.params
+    grid, data, params, cfg = setup.grid, setup.data, setup.params, setup.solver
     if start is None:
         u, w = zeros_vector(grid), zeros_scalar(grid)
     else:
@@ -165,12 +142,13 @@ def picard_solve(
     # the viscous operator and its preconditioner depend only on the grid
     # and the physics parameters: one serves every linear step of the run
     op = build_lame_operator(grid, params)
+    krylov_cfg = cfg.krylov()
     history: list[IterationRecord] = []
     verdict = "max_iter"
     prev_d = None
 
-    for n in range(setup.max_outer):
-        a_n = _strong_size(u, w, setup.p)
+    for n in range(cfg.max_outer):
+        a_n = _strong_size(u, w, cfg.p)
         if a_n > 1.0:
             verdict = f"diverged(iterate size {a_n:.3e} left the perturbative regime)"
             break
@@ -185,24 +163,21 @@ def picard_solve(
                 G,
                 data.slip_data,
                 data.w_in,
-                mode=setup.mode,
-                krylov_cfg=setup.krylov_cfg,
-                inner_tol=setup.inner_tol,
+                mode=cfg.mode,
+                krylov_cfg=krylov_cfg,
+                inner_tol=cfg.inner_tol,
                 start=(u, w),
             )
         except (KrylovError, RuntimeError, ValueError) as err:
             verdict = f"diverged({err})"
             break
 
-        if setup.omega == 1.0:
+        omega = cfg.omega
+        if omega == 1.0:
             u_next, w_next = step.u, step.w
         else:
-            u_next = VectorField(
-                grid, (1.0 - setup.omega) * u.values + setup.omega * step.u.values
-            )
-            w_next = ScalarField(
-                grid, (1.0 - setup.omega) * w.values + setup.omega * step.w.values
-            )
+            u_next = VectorField(grid, (1.0 - omega) * u.values + omega * step.u.values)
+            w_next = ScalarField(grid, (1.0 - omega) * w.values + omega * step.w.values)
 
         d_n = _weak_distance(u_next.values, u.values, w_next.values, w.values, grid)
         r_n = 0.0 if prev_d is None or prev_d == 0.0 else d_n / prev_d
@@ -212,8 +187,8 @@ def picard_solve(
                 a_n=a_n,
                 d_n=d_n,
                 r_n=r_n,
-                f_lp=norm(F, NormKind.lp(setup.p)),
-                g_w1p=norm(G, NormKind.w1p(setup.p)),
+                f_lp=norm(F, NormKind.lp(cfg.p)),
+                g_w1p=norm(G, NormKind.w1p(cfg.p)),
                 sweeps=step.sweeps,
                 inner_iterations=step.inner_iterations,
                 linear_residual=step.linear_residual,
@@ -223,7 +198,7 @@ def picard_solve(
         prev_d = d_n
         # require one confirming step so even an exact fixed point leaves
         # two history rows for the recursion metrics
-        if d_n <= setup.outer_tol and n >= 1:
+        if d_n <= cfg.outer_tol and n >= 1:
             verdict = "converged"
             break
 
@@ -260,7 +235,7 @@ def random_small_start(
     u = VectorField(setup.grid, np.stack(comps[:3]))
     w = ScalarField(setup.grid, comps[3])
     target = setup.data.b_measure if size is None else min(size, setup.data.b_measure)
-    a0 = _strong_size(u, w, setup.p)
+    a0 = _strong_size(u, w, setup.solver.p)
     if a0 == 0.0 or target == 0.0:
         return zeros_vector(setup.grid), zeros_scalar(setup.grid)
     scale = target / a0

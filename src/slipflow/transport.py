@@ -125,10 +125,15 @@ def _lattice(grid: Grid):
     )
 
 
-def _locate(grid: Grid, pos: np.ndarray) -> _Stencil:
-    """Stencil of (3, N) positions."""
+def _locate(grid: Grid, pos: np.ndarray, ends: bool = False) -> _Stencil:
+    """Stencil of (3, N) positions.  With ends, the far end of an axis
+    sits at cell coordinate n exactly, which extent / h can round below."""
     ext, h, n, last, _ = _lattice(grid)
-    t = np.clip(np.clip(pos, 0.0, ext) / h, 0.0, n)
+    p = np.clip(pos, 0.0, ext)
+    t = p / h
+    if ends:
+        np.copyto(t, n, where=p == ext)
+    np.clip(t, 0.0, n, out=t)
     i0 = np.minimum(t.astype(np.intp), last)
     lohi = np.empty((2, *t.shape))  # low and high weight along each axis
     hi = np.subtract(t, i0, out=lohi[1])
@@ -161,8 +166,9 @@ def _bilinear_inflow(grid: Grid, arrivals: np.ndarray):
     (3, N) arrival points of N traces, columns (j,k), (j+1,k), (j,k+1),
     (j+1,k+1).  The arrivals lie on x1 = 0 exactly, where the stencil's
     low x1 weight is 1: the d1 = 0 corners carry the bilinear weights and
-    their flat indices are the inflow plane's."""
-    st = _locate(grid, arrivals)
+    their flat indices are the inflow plane's.  An arrival on a node,
+    the last ones included, reads that node's trace with weight 1."""
+    st = _locate(grid, arrivals, ends=True)
     s2 = _strides(grid)[1]
     idx = st.base[:, None] + np.array([0, s2, 1, s2 + 1])
     w = np.stack([st.weights[0], st.weights[2], st.weights[1], st.weights[3]], axis=1)

@@ -63,7 +63,7 @@ def _diagnostics(run: SimpleNamespace):
     continuity = compute_G(bundle.u, bundle.w, setup.data)
     return run_diagnostics(
         bundle.u, bundle.w, forcing, continuity,
-        setup.data.slip_data, setup.data.w_in, setup.params,
+        setup.data.slip_data, setup.data.w_in, setup.params, setup.solver.p,
     )
 
 
@@ -147,7 +147,7 @@ def test_criterion_04_uniqueness_and_mode_agreement(run16, run16_mono):
     setup = run16.setup
     start2 = random_small_start(setup, seed=run16.cfg.solver.seed)
     dist = two_start_uniqueness(setup, None, start2)
-    tol = 10.0 * setup.outer_tol
+    tol = 10.0 * setup.solver.outer_tol
     first = dist <= tol
 
     grid = setup.grid

@@ -131,6 +131,27 @@ def test_diagnose_after_solve_writes_report(tmp_path, capsys):
     assert "diagnose: PASS" in capsys.readouterr().out
 
 
+def test_diagnose_grades_apriori_ratio_in_the_run_exponent(tmp_path):
+    from slipflow.diagnostics import apriori_ratio
+    from slipflow.fields import ScalarField, VectorField
+    from slipflow.material import compute_F, compute_G
+
+    cfg = write_config(tmp_path, {"data": {"epsilon": 1e-2},
+                                  "solver": {"mode": "monolithic", "p": 6.0}})
+    assert main(["solve", "--config", str(cfg)]) == 0
+    main(["diagnose", "--config", str(cfg)])
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+
+    setup = build_setup(parse_config(cfg))
+    _, u_vals, _ = load_field_dump(tmp_path / "out" / "field_u.txt")
+    _, w_vals, _ = load_field_dump(tmp_path / "out" / "field_w.txt")
+    u, w = VectorField(setup.grid, u_vals), ScalarField(setup.grid, w_vals)
+    args = (u, w, compute_F(u, w, setup.data, setup.params), compute_G(u, w, setup.data),
+            setup.data.slip_data, setup.data.w_in)
+    assert report["apriori_ratio"]["value"] == apriori_ratio(*args, p=6.0)
+    assert apriori_ratio(*args, p=6.0) != apriori_ratio(*args, p=4.0)
+
+
 def test_diagnose_rejects_mismatched_grid(tmp_path, capsys):
     cfg = write_config(tmp_path, {"data": {"epsilon": 1e-2}})
     assert main(["solve", "--config", str(cfg)]) == 0
@@ -156,10 +177,11 @@ def test_build_setup_wires_solver_settings():
                    "omega": 0.5, "inner_tol": 1e-9},
     })
     setup = build_setup(cfg)
-    assert setup.mode == "monolithic"
-    assert setup.outer_tol == 1e-7
-    assert setup.max_outer == 12
-    assert setup.omega == 0.5
+    assert setup.solver.mode == "monolithic"
+    assert setup.solver.outer_tol == 1e-7
+    assert setup.solver.max_outer == 12
+    assert setup.solver.omega == 0.5
+    assert setup.solver.inner_tol == 1e-9
     assert setup.grid.shape == (9, 5, 5)
     assert setup.data.b_measure > 0.0
 

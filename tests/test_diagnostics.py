@@ -23,6 +23,7 @@ from slipflow.material import (
     compute_F,
     compute_G,
 )
+from slipflow.config import SolverConfig
 from slipflow.picard import ProblemSetup, picard_solve
 from slipflow.lame import build_lame_operator, solve_linear_step
 from slipflow.mms import build_linear_case
@@ -277,6 +278,7 @@ def test_apriori_zero_data_reports_zero():
     res = apriori_ratio(
         zeros_vector(grid), zeros_scalar(grid), zeros_vector(grid),
         zeros_scalar(grid), zero_slip(grid), np.zeros(grid.shape)[grid.face("inflow").slicer()],
+        4.0,
     )
     assert res == 0.0
 
@@ -293,7 +295,7 @@ def test_apriori_scale_invariant():
         for face in grid.faces
     }
     w_in = 0.1 * rng.standard_normal(grid.face("inflow").weights.shape)
-    r1 = apriori_ratio(u, w, forcing, g_forcing, slip, w_in)
+    r1 = apriori_ratio(u, w, forcing, g_forcing, slip, w_in, 4.0)
     r2 = apriori_ratio(
         VectorField(grid, 3.0 * u.values),
         ScalarField(grid, 3.0 * w.values),
@@ -301,6 +303,7 @@ def test_apriori_scale_invariant():
         ScalarField(grid, 3.0 * g_forcing.values),
         {k: 3.0 * v for k, v in slip.items()},
         3.0 * w_in,
+        4.0,
     )
     assert r1 > 0.0
     assert abs(r1 - r2) < 1e-12 * r1 + 1e-14
@@ -337,7 +340,7 @@ def diag_inputs(grid):
 def test_run_diagnostics_zero_fields_all_pass():
     grid, params = make_setup()
     u, w, forcing, g_forcing, slip, w_in = diag_inputs(grid)
-    report = run_diagnostics(u, w, forcing, g_forcing, slip, w_in, params)
+    report = run_diagnostics(u, w, forcing, g_forcing, slip, w_in, params, 4.0)
     assert isinstance(report, DiagnosticReport)
     assert report.grid_shape == grid.shape
     assert report.all_passed
@@ -351,13 +354,13 @@ def test_run_diagnostics_converged_run_passes_defaults():
     params = FlowParams()
     spec = boundary_data_from_names(grid, epsilon=1e-2)
     data = assemble_perturbation_data(grid, spec, params)
-    bundle = picard_solve(ProblemSetup(grid, params, data, mode="monolithic"))
+    bundle = picard_solve(ProblemSetup(grid, params, data, SolverConfig(mode="monolithic")))
     assert bundle.converged
     forcing = compute_F(bundle.u, bundle.w, data, params)
     g_forcing = compute_G(bundle.u, bundle.w, data)
     report = run_diagnostics(
         bundle.u, bundle.w, forcing, g_forcing, data.slip_data,
-        data.w_in, params,
+        data.w_in, params, 4.0,
     )
     failing = [e.name for e in report.entries if not e.passed]
     assert failing == []
@@ -367,7 +370,7 @@ def test_run_diagnostics_tolerance_override_flips_pass():
     grid, params, case, step = solved_mms(8)
     report = run_diagnostics(
         step.u, step.w, case.forcing, case.continuity, case.slip_data,
-        case.w_in, params, tolerances={"apriori_ratio": 0.0},
+        case.w_in, params, 4.0, tolerances={"apriori_ratio": 0.0},
     )
     assert not report.entry("apriori_ratio").passed
     assert not report.all_passed
@@ -376,7 +379,7 @@ def test_run_diagnostics_tolerance_override_flips_pass():
 def test_report_flat_dict_and_lookup():
     grid, params = make_setup()
     u, w, forcing, g_forcing, slip, w_in = diag_inputs(grid)
-    report = run_diagnostics(u, w, forcing, g_forcing, slip, w_in, params)
+    report = run_diagnostics(u, w, forcing, g_forcing, slip, w_in, params, 4.0)
     flat = report.as_flat_dict()
     assert set(flat) == set(DEFAULT_TOLERANCES)
     assert flat["energy_identity"] == {

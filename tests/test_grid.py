@@ -19,11 +19,13 @@ def test_build_grid_example():
 
 
 def test_node_coordinates_exact_products():
+    # 5 * (0.9 / 5) rounds past 0.9: the last node is the extent, not n*h
     g = default_grid(7 + 1, 5, 6, length=1.7, width2=0.9, width3=1.3)
     for a in range(3):
         n = g.config.cells[a]
         expect = np.arange(n + 1) * g.h[a]
-        assert np.array_equal(g.axes[a], expect)
+        assert np.array_equal(g.axes[a][:-1], expect[:-1])
+        assert g.axes[a][-1] == g.config.extents[a]
 
 
 def test_cell_count_below_minimum_rejected():

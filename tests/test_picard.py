@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,7 @@ from slipflow.material import (
     assemble_perturbation_data,
 )
 from slipflow import lame, picard
-from slipflow.config import config_from_mapping
+from slipflow.config import SolverConfig, config_from_mapping
 from slipflow.lame import build_lame_operator
 from slipflow.picard import (
     ProblemSetup,
@@ -29,7 +31,7 @@ def make_setup(eps, n1=8, mode="split", **kwargs):
     params = FlowParams()
     spec = boundary_data_from_names(grid, epsilon=eps)
     data = assemble_perturbation_data(grid, spec, params)
-    return ProblemSetup(grid, params, data, mode=mode, **kwargs)
+    return ProblemSetup(grid, params, data, SolverConfig(mode=mode, **kwargs))
 
 
 def test_zero_data_exact_fixed_point():
@@ -112,10 +114,10 @@ def test_two_start_uniqueness_same_start_is_exact():
 def test_two_start_uniqueness_random_start():
     setup = make_setup(1e-2, mode="monolithic")
     start2 = random_small_start(setup, seed=7)
-    a0 = _strong_size(start2[0], start2[1], setup.p)
+    a0 = _strong_size(start2[0], start2[1], setup.solver.p)
     assert a0 <= setup.data.b_measure * (1.0 + 1e-12)
     dist = two_start_uniqueness(setup, None, start2)
-    assert dist <= 10.0 * setup.outer_tol
+    assert dist <= 10.0 * setup.solver.outer_tol
 
 
 def test_two_start_uniqueness_requires_convergence():
@@ -127,7 +129,7 @@ def test_two_start_uniqueness_requires_convergence():
 def test_random_small_start_hits_requested_size():
     setup = make_setup(1e-2)
     u, w = random_small_start(setup, seed=3, size=0.05)
-    a0 = _strong_size(u, w, setup.p)
+    a0 = _strong_size(u, w, setup.solver.p)
     assert a0 == pytest.approx(0.05, rel=1e-10)
 
 
@@ -199,7 +201,7 @@ def test_history_records_linear_steps(mode, monkeypatch):
     for rec in bundle.history:
         assert rec.sweeps >= 1 if mode == "split" else rec.sweeps == 1
         assert rec.inner_iterations > 0
-        assert rec.linear_residual <= setup.krylov_cfg.rel_tol
+        assert rec.linear_residual <= setup.solver.krylov_rel_tol
 
 
 def test_setup_validation():
@@ -207,14 +209,17 @@ def test_setup_validation():
     params = FlowParams()
     spec = boundary_data_from_names(grid, epsilon=0.0)
     data = assemble_perturbation_data(grid, spec, params)
+    # the solver settings check themselves; the setup checks its data
     with pytest.raises(ValueError, match="omega"):
-        ProblemSetup(grid, params, data, omega=0.0)
-    with pytest.raises(ValueError, match="tolerances"):
-        ProblemSetup(grid, params, data, outer_tol=0.0)
+        SolverConfig(omega=0.0)
+    with pytest.raises(ValueError, match="outer_tol"):
+        SolverConfig(outer_tol=0.0)
     with pytest.raises(ValueError, match="max_outer"):
-        ProblemSetup(grid, params, data, max_outer=0)
-    with pytest.raises(ValueError, match="unknown linear step mode 'direct'"):
-        ProblemSetup(grid, params, data, mode="direct")
+        SolverConfig(max_outer=0)
+    with pytest.raises(ValueError, match="mode must be one of .* got 'direct'"):
+        SolverConfig(mode="direct")
+    with pytest.raises(ValueError, match="measure is not finite"):
+        ProblemSetup(grid, params, replace(data, b_measure=np.inf))
 
 
 def test_convergence_metrics_needs_history():

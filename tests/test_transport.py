@@ -149,6 +149,17 @@ def test_apply_s_pure_advection():
     assert np.max(np.abs(s.values - expected)) <= 1e-12
 
 
+def test_apply_s_reads_inflow_trace_exactly_at_the_lattice_end():
+    # 22 * (0.1 / 22) rounds past 0.1: with the last node at the extent the
+    # inflow-plane nodes take the trace with weight exactly 1
+    g = build_grid(GeometryConfig(2.0, 0.1, 1.0, 8, 22, 8))
+    assert g.axes[1][-1] == 0.1
+    x2, x3 = np.meshgrid(g.axes[1], g.axes[2], indexing="ij")
+    w_in = 0.5 + np.sin(30.0 * x2) * np.cos(x3)
+    s = apply_S(uniform_flow(g), zeros_scalar(g), w_in)
+    assert np.array_equal(s.values[0], w_in)
+
+
 def test_apply_s_constant_source():
     g = make_grid()
     tf = uniform_flow(g)
