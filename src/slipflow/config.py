@@ -22,7 +22,8 @@ from typing import Mapping
 
 from .grid import FACE_NAMES, GeometryConfig
 from .krylov import KrylovConfig
-from .lame import MODES
+from .fields import NormKind
+from .lame import INNER_TOL, MODES
 from .material import (
     DEFAULT_INFLOW_DENSITY,
     DEFAULT_NORMAL_TRACE,
@@ -69,8 +70,8 @@ class SolverConfig:
     outer_tol: float = 1e-9
     max_outer: int = 50
     omega: float = 1.0
-    p: float = 4.0
-    inner_tol: float = 1e-11
+    p: float = NormKind.p
+    inner_tol: float = INNER_TOL
     krylov_rel_tol: float = KrylovConfig.rel_tol
     krylov_max_iter: int | None = KrylovConfig.max_iter
     seed: int = 0
@@ -193,14 +194,17 @@ def _profile_map(block, path: str, allowed_faces) -> dict[str, str]:
 
 
 def _settings(cls, path: str, block: Mapping):
-    """Build a settings dataclass from its checked block; its range errors
-    start with the field name and come back naming the dotted key."""
+    """Build a settings dataclass from its checked block.  A range error
+    that starts with a field name comes back naming the dotted key; any
+    other names the block."""
     fields_by_key = {key: name for name, key in _KEYS.items()}
     try:
         return cls(**{fields_by_key.get(key, key): value for key, value in block.items()})
     except ValueError as exc:
         name, _, rest = str(exc).partition(" ")
-        raise ConfigError(f"{path}.{_KEYS.get(name, name)} {rest}") from exc
+        if name in {f.name for f in fields(cls)}:
+            raise ConfigError(f"{path}.{_KEYS.get(name, name)} {rest}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def config_from_mapping(raw: Mapping) -> RunConfig:

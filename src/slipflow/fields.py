@@ -170,18 +170,18 @@ def advect(conv: np.ndarray, values: np.ndarray, grid: Grid) -> np.ndarray:
 @dataclass(frozen=True)
 class NormKind:
     kind: str
-    p: float = 4.0
+    p: float = 4.0  # the Sobolev exponent of the strong norms, by default
 
     @classmethod
-    def lp(cls, p: float = 4.0) -> "NormKind":
+    def lp(cls, p: float) -> "NormKind":
         return cls("lp", p)
 
     @classmethod
-    def w1p(cls, p: float = 4.0) -> "NormKind":
+    def w1p(cls, p: float) -> "NormKind":
         return cls("w1p", p)
 
     @classmethod
-    def w2p(cls, p: float = 4.0) -> "NormKind":
+    def w2p(cls, p: float) -> "NormKind":
         return cls("w2p", p)
 
     @classmethod

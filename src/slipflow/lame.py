@@ -84,6 +84,8 @@ from .material import FlowParams
 MODES = ("split", "monolithic")
 # split sweeps a linear step may take before it fails as non-convergent
 MAX_SWEEPS = 200
+# the sweep-to-sweep change at which the split sweeps stop, by default
+INNER_TOL = 1e-11
 
 
 @dataclass(frozen=True, eq=False)
@@ -435,7 +437,7 @@ def solve_linear_step(
     w_in: np.ndarray,
     mode: str = "split",
     krylov_cfg: KrylovConfig = KrylovConfig(),
-    inner_tol: float = 1e-11,
+    inner_tol: float = INNER_TOL,
     start: tuple[VectorField, ScalarField] | None = None,
 ) -> LinearStepResult:
     """Solve the coupled linear system for (u, w) at one outer iteration.

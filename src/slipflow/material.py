@@ -12,7 +12,7 @@ field leaving the band as divergence of the outer iteration, never clamps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -49,7 +49,6 @@ DEFAULT_NORMAL_TRACE = (("inflow", "sine_bump"),)
 DEFAULT_SLIP = tuple((name, "sine_bump") for name in WALL_NAMES)
 
 ProfileFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
-ProfileNames = Mapping[str, str] | Iterable[tuple[str, str]]
 
 
 # ---------------------------------------------------------------------------
@@ -197,25 +196,27 @@ class BoundaryDataSpec:
 def boundary_data_from_names(
     grid: Grid,
     epsilon: float,
-    normal_trace: ProfileNames = DEFAULT_NORMAL_TRACE,
-    slip: ProfileNames = DEFAULT_SLIP,
+    normal_trace: Mapping[str, str] | None = None,
+    slip: Mapping[str, str] | None = None,
     inflow_density: str = DEFAULT_INFLOW_DENSITY,
 ) -> BoundaryDataSpec:
     """Build a BoundaryDataSpec from registry profile names per face.
 
-    normal_trace and slip map face names to profile names, as a mapping
-    or as (face, profile) pairs; the defaults are the documented data.
+    normal_trace and slip map face names to profile names; by default
+    they are the documented data.
     """
+    if normal_trace is None:
+        normal_trace = dict(DEFAULT_NORMAL_TRACE)
+    if slip is None:
+        slip = dict(DEFAULT_SLIP)
+
     def face_extents(name: str) -> tuple[float, float]:
         f = grid.face(name)
         return (f.coords[0][-1], f.coords[1][-1])
 
-    nt = {
-        name: make_profile(prof, face_extents(name))
-        for name, prof in dict(normal_trace).items()
-    }
+    nt = {name: make_profile(prof, face_extents(name)) for name, prof in normal_trace.items()}
     sl = {}
-    for name, prof in dict(slip).items():
+    for name, prof in slip.items():
         fn = make_profile(prof, face_extents(name))
         sl[name] = (fn, fn)
     dens = make_profile(inflow_density, face_extents("inflow"))
@@ -293,7 +294,7 @@ def assemble_perturbation_data(
     grid: Grid,
     spec: BoundaryDataSpec,
     params: FlowParams,
-    p: float = 4.0,
+    p: float = NormKind.p,
 ) -> PerturbationData:
     """Evaluate u0, the Robin right-hand sides and the data measure."""
     u0 = extend_normal_trace(grid, spec)

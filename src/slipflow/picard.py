@@ -67,8 +67,8 @@ def build_setup(config: RunConfig) -> ProblemSetup:
     spec = boundary_data_from_names(
         grid,
         epsilon=config.data.epsilon,
-        normal_trace=config.data.normal_trace,
-        slip=config.data.slip,
+        normal_trace=dict(config.data.normal_trace),
+        slip=dict(config.data.slip),
         inflow_density=config.data.inflow_density,
     )
     data = assemble_perturbation_data(grid, spec, config.params, p=config.solver.p)

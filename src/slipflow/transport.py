@@ -111,28 +111,32 @@ def _strides(grid: Grid) -> tuple[int, int]:
 @lru_cache(maxsize=32)
 def _lattice(grid: Grid):
     """Columns for locating (3, N) positions: extents, spacings, cell
-    counts, last cell index per axis, and the 8 corner offsets (d1 slowest,
-    d3 fastest) as an (8, 1) column."""
+    counts, last cell index per axis, the 8 corner offsets (d1 slowest,
+    d3 fastest) as an (8, 1) column, and the axes whose extent / h rounds
+    below the cell count."""
     s1, s2 = _strides(grid)
     cells = np.array(grid.config.cells)[:, None]
     offsets = np.array([d1 * s1 + d2 * s2 + d3 for d1 in (0, 1) for d2 in (0, 1) for d3 in (0, 1)])
+    ext = np.array(grid.config.extents)[:, None]
+    h = np.array(grid.h)[:, None]
     return (
-        np.array(grid.config.extents)[:, None],
-        np.array(grid.h)[:, None],
+        ext,
+        h,
         cells.astype(float),
         cells - 1,
         offsets[:, None],
+        tuple(np.flatnonzero(ext / h < cells)),
     )
 
 
-def _locate(grid: Grid, pos: np.ndarray, ends: bool = False) -> _Stencil:
-    """Stencil of (3, N) positions.  With ends, the far end of an axis
-    sits at cell coordinate n exactly, which extent / h can round below."""
-    ext, h, n, last, _ = _lattice(grid)
+def _locate(grid: Grid, pos: np.ndarray) -> _Stencil:
+    """Stencil of (3, N) positions.  The far end of an axis sits at cell
+    coordinate n exactly, also where extent / h rounds below n."""
+    ext, h, n, last, _, short = _lattice(grid)
     p = np.clip(pos, 0.0, ext)
     t = p / h
-    if ends:
-        np.copyto(t, n, where=p == ext)
+    for a in short:
+        np.copyto(t[a], n[a], where=p[a] == ext[a])
     np.clip(t, 0.0, n, out=t)
     i0 = np.minimum(t.astype(np.intp), last)
     lohi = np.empty((2, *t.shape))  # low and high weight along each axis
@@ -168,7 +172,7 @@ def _bilinear_inflow(grid: Grid, arrivals: np.ndarray):
     low x1 weight is 1: the d1 = 0 corners carry the bilinear weights and
     their flat indices are the inflow plane's.  An arrival on a node,
     the last ones included, reads that node's trace with weight 1."""
-    st = _locate(grid, arrivals, ends=True)
+    st = _locate(grid, arrivals)
     s2 = _strides(grid)[1]
     idx = st.base[:, None] + np.array([0, s2, 1, s2 + 1])
     w = np.stack([st.weights[0], st.weights[2], st.weights[1], st.weights[3]], axis=1)
