@@ -66,7 +66,7 @@ class SolverConfig:
     them; seed seeds the uniqueness check's random start.
     """
 
-    mode: str = "split"
+    mode: str = MODES[0]
     outer_tol: float = 1e-9
     max_outer: int = 50
     omega: float = 1.0

@@ -80,7 +80,8 @@ from .krylov import KrylovConfig, jacobi, krylov_solve
 from .transport import make_transport_field, apply_S, transport_footprint
 from .material import FlowParams
 
-# a linear step alternates sweeps (split) or makes one Krylov solve
+# a linear step alternates sweeps (split) or makes one Krylov solve;
+# the first is the default
 MODES = ("split", "monolithic")
 # split sweeps a linear step may take before it fails as non-convergent
 MAX_SWEEPS = 200
@@ -435,7 +436,7 @@ def solve_linear_step(
     continuity_forcing: ScalarField,
     slip_data: Mapping[str, np.ndarray],
     w_in: np.ndarray,
-    mode: str = "split",
+    mode: str = MODES[0],
     krylov_cfg: KrylovConfig = KrylovConfig(),
     inner_tol: float = INNER_TOL,
     start: tuple[VectorField, ScalarField] | None = None,
