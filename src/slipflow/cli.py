@@ -24,7 +24,6 @@ from .config import ConfigError, RunConfig, config_from_mapping, parse_config
 from .diagnostics import run_diagnostics
 from .fields import NormKind, ScalarField, VectorField, norm
 from .grid import GeometryConfig, Grid, build_grid
-from .krylov import KrylovError
 from .lame import MODES, build_lame_operator, solve_linear_step
 from .material import compute_F, compute_G
 from .picard import build_setup, convergence_metrics, picard_solve
@@ -225,7 +224,7 @@ def main(argv=None) -> int:
             config = config_from_mapping(doc)
         out_dir = args.out if args.out is not None else config.output.directory
         return _COMMANDS[args.command](config, out_dir)
-    except (ConfigError, ValueError, RuntimeError, KrylovError, OSError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

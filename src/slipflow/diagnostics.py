@@ -35,7 +35,6 @@ from .fields import (
     face_w1p_norm,
 )
 from .material import FlowParams
-from .krylov import jacobi, krylov_solve
 
 # Fixed physical stand-off from walls and face edges for the audit
 # measurement regions.  A fixed distance (not a fixed slab count) keeps the
@@ -225,6 +224,30 @@ def vorticity_boundary_residual(
     return out
 
 
+def _neumann_poisson(rhs: np.ndarray, g: Grid) -> np.ndarray:
+    """pot of zero weighted mean with lap(pot) = rhs, for rhs of zero
+    weighted mean and the Neumann stencil of helmholtz_decompose, solved
+    directly (Swarztrauber, SIAM Review 19, 1977).  The stencil is the
+    periodic second difference of the even extension along each axis, so
+    DCT-I diagonalizes it, with eigenvalues -(4/h_a^2) sin^2(pi k_a/(2 n_a))
+    summed over the axes; the k = 0 coefficient is the trapezoid-weighted
+    sum, and leaving it zero fixes the constant mode."""
+    coef = rhs
+    eig = np.zeros(g.shape)
+    for a, n in enumerate(g.config.cells):
+        # the DCT-I of v_0 .. v_n is the real FFT of the even extension
+        # v_0 .. v_n, v_(n-1) .. v_1, whose period is 2n
+        tail = np.take(coef, np.arange(n - 1, 0, -1), axis=a)
+        coef = np.fft.rfft(np.concatenate([coef, tail], axis=a), axis=a).real
+        lam = -(4.0 / g.h[a] ** 2) * np.sin(np.pi * np.arange(n + 1) / (2 * n)) ** 2
+        eig += lam.reshape([-1 if b == a else 1 for b in range(3)])
+    # the constant mode, the one zero eigenvalue, is left at zero
+    coef = np.divide(coef, eig, out=np.zeros_like(coef), where=eig != 0.0)
+    for a, n in enumerate(g.config.cells):
+        coef = np.take(np.fft.irfft(coef, n=2 * n, axis=a), np.arange(n + 1), axis=a)
+    return coef
+
+
 def helmholtz_decompose(u: VectorField) -> tuple[ScalarField, VectorField, dict]:
     """Split u into a gradient part and a rotational remainder.
 
@@ -232,46 +255,24 @@ def helmholtz_decompose(u: VectorField) -> tuple[ScalarField, VectorField, dict]
     eliminated Neumann stencil (boundary rows 2(v_1 - v_0)/h^2 per axis),
     whose left null vector is exactly the trapezoid volume weight array;
     removing the weighted mean of div u therefore puts the data exactly
-    in range.  The remaining constant mode is lifted by a rank-one shift
-    instead of a pinned node, which keeps the spectrum one-signed, and
-    forces the weighted mean of pot to zero.  A = u - grad pot keeps the
+    in range.  A direct cosine-transform solve (_neumann_poisson) then
+    picks the pot of zero weighted mean.  A = u - grad pot keeps the
     full curl to rounding: first differences along distinct axes commute
     node-by-node, boundary rows included.
     """
     g = u.grid
     vol = g.volume_weights()
-    wsum = float(np.sum(vol))
 
     rhs = divergence(u).values.copy()
-    rhs -= float(np.sum(vol * rhs)) / wsum
+    rhs -= float(np.sum(vol * rhs)) / float(np.sum(vol))
 
-    def neumann_lap(pot: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(pot)
-        for a in range(3):
-            v = np.moveaxis(pot, a, 0)
-            o = np.moveaxis(out, a, 0)
-            h2 = g.h[a] ** 2
-            o[1:-1] += (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
-            o[0] += 2.0 * (v[1] - v[0]) / h2
-            o[-1] += 2.0 * (v[-2] - v[-1]) / h2
-        return out
-
-    shift = 2.0 * sum(1.0 / ha**2 for ha in g.h)
-    vflat = vol.reshape(-1)
-
-    def action(x: np.ndarray) -> np.ndarray:
-        y = neumann_lap(x.reshape(g.shape)).reshape(-1)
-        return y - shift * (float(vflat @ x) / wsum)
-
-    # a numerically divergence-free field has a rounding-level potential;
-    # handing the Krylov loop pure roundoff as data would break it down
+    # a numerically divergence-free field has a rounding-level potential:
+    # report it as exactly zero, not as the solve's image of that roundoff
     u_scale = float(np.max(np.abs(u.values)))
     if float(np.max(np.abs(rhs))) <= 1e-14 * max(1.0, u_scale / min(g.h)):
-        sol = np.zeros(rhs.size)
+        pot = ScalarField(g, np.zeros(g.shape))
     else:
-        precond = jacobi(np.full(rhs.size, -shift))
-        sol, _, _ = krylov_solve(action, rhs.reshape(-1), precond=precond)
-    pot = ScalarField(g, sol.reshape(g.shape))
+        pot = ScalarField(g, _neumann_poisson(rhs, g))
     grad_pot = grad_array(pot.values, g)
     a_vals = u.values - grad_pot
     a_field = VectorField(g, a_vals)

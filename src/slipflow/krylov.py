@@ -7,10 +7,9 @@ a zero right-hand side returns immediately, and failure carries the best
 residual seen so the caller can tell near-miss from breakdown.
 
 The preconditioner is any fixed linear map p -> p_hat approximating the
-inverse operator: jacobi(diag) scales by the inverse diagonal, and the
-viscous operator supplies a multigrid V-cycle (slipflow.lame).  Because it
-preconditions from the right, the iterate and the residual stay those of
-the original system whatever map is used.
+inverse operator; the viscous operator supplies a multigrid V-cycle
+(slipflow.lame).  Because it preconditions from the right, the iterate
+and the residual stay those of the original system whatever map is used.
 """
 from __future__ import annotations
 
@@ -46,12 +45,6 @@ class KrylovError(RuntimeError):
         self.iterations = iterations
 
 
-def jacobi(diag: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Jacobi preconditioner: scaling by the inverse of an operator diagonal."""
-    scale = 1.0 / np.asarray(diag, dtype=float)
-    return lambda p: scale * p
-
-
 def krylov_solve(
     action: Callable[[np.ndarray], np.ndarray],
     rhs: np.ndarray,
@@ -61,9 +54,8 @@ def krylov_solve(
 ) -> tuple[np.ndarray, int, float]:
     """Solve action(x) = rhs; returns (x, iterations, relative residual).
 
-    precond maps a vector to an approximate solution of action(x) = vector
-    (jacobi(diag) for Jacobi scaling; none means no preconditioning); x0
-    warm starts the iteration.  Raises KrylovError when the cap is hit.
+    precond maps v to an approximate solution of action(x) = v, or is None;
+    x0 warm starts the iteration.  Raises KrylovError when the cap is hit.
     """
     rhs = np.asarray(rhs, dtype=float)
     if not np.all(np.isfinite(rhs)):

@@ -18,26 +18,29 @@ build_lame_operator assembles these rows once, as one CSR matrix on the
 free (unpinned) rows and columns, and builds a preconditioner on it; every
 momentum solve acts through that matrix.  The stencil form of the rows,
 _momentum_rows, stays as the reference the matrix is tested against.
-Where every cell count halves, that is a Galerkin geometric-multigrid
-V-cycle (Trottenberg, Oosterlee & Schueller, Multigrid, 2001):
+The preconditioner is a Galerkin geometric-multigrid V-cycle
+(Trottenberg, Oosterlee & Schueller, Multigrid, 2001), on every grid:
 
+  - each level takes every cell count m >= 4 to ceil(m/2), so the coarse
+    lattice need not be nested in the fine one; coarsening goes on while
+    every count is at least 4, or while the level is too large for the
+    dense last solve (which only very elongated grids reach);
   - prolongation P is, per component, the Kronecker product of 1-D
-    vertex-centred linear interpolation, restricted to the free fine and
-    free coarse nodes; the coarse pinned pattern comes by injection;
+    vertex-centred linear interpolation between the two lattices,
+    restricted to the free fine and free coarse nodes; the coarse pinned
+    pattern is that of the coarse box;
   - the coarse operators are P^T (D A) P, D dividing each slip row by the
     spacing normal to its face so that it is as large as the 1/h^2 PDE
     rows; Jacobi smoothing is invariant to D, so D enters only there;
   - damped Jacobi (weight 0.7) smooths twice before and twice after the
-    coarse correction, and the last level, reached when some cell count
-    stops halving, is solved through its dense inverse.
+    coarse correction, and the last level is solved through its dense inverse.
 
 A fresh momentum solve then takes 7 to 9 iterations from (8,4,4) to
-(64,32,32), where Jacobi scaling needs 21 to 181.  A grid that does not
-halve, or halves to a last level too large to solve densely, keeps Jacobi
-scaling.  The operator depends only on the grid (whose faces fix the
-boundary rows) and the physics, so picard_solve builds one per run and
-passes it to every linear step, which reads its grid and parameters
-from it.
+(64,32,32), where Jacobi scaling needs 21 to 181, and 10 to 19 on grids
+whose counts do not halve, such as (9,5,7) and (14,14,14).  The operator
+depends only on the grid (whose faces fix the boundary rows) and the
+physics, so picard_solve builds one per run and passes it to every
+linear step, which reads its grid and parameters from it.
 
 The linear step couples this operator to the density given by the
 characteristics solver, w = S(g - div u, w_in), and the two modes solve
@@ -76,7 +79,7 @@ from .fields import (
     zeros_vector,
     zeros_scalar,
 )
-from .krylov import KrylovConfig, jacobi, krylov_solve
+from .krylov import KrylovConfig, krylov_solve
 from .transport import make_transport_field, apply_S, transport_footprint
 from .material import FlowParams
 
@@ -120,8 +123,7 @@ class LameOperator(_RowLayout):
 
     matrix holds the rows on the free (unpinned) rows and columns of the
     flattened (3, *shape) velocity.  precond maps a free-row vector to an
-    approximate solution of the momentum system: a multigrid V-cycle where
-    the grid coarsens, Jacobi scaling otherwise.
+    approximate solution of the momentum system: one multigrid V-cycle.
     """
 
     matrix: sparse.csr_matrix
@@ -131,19 +133,23 @@ class LameOperator(_RowLayout):
 def build_lame_operator(grid: Grid, params: FlowParams) -> LameOperator:
     """Boundary bookkeeping, the momentum rows as a sparse matrix on the
     free rows and columns, and the preconditioner built on that matrix."""
-    shape = (3, *grid.shape)
-    pinned = np.zeros(shape, dtype=bool)
-    cnt = np.zeros(shape, dtype=np.int8)
+    pinned = _pinned_rows(grid.config.cells)
+    cnt = np.zeros(pinned.shape, dtype=np.int8)
     for face in grid.faces:
-        pinned[face.axis][face.slicer()] = True
         for t_ax in face.in_axes:
             cnt[t_ax][face.slicer()] += 1
     layout = _RowLayout(grid, params, pinned, cnt)
     matrix = _momentum_matrix(layout)
-    precond = _multigrid(layout, matrix)
-    if precond is None:
-        precond = jacobi(matrix.diagonal())
-    return LameOperator(grid, params, pinned, cnt, matrix, precond)
+    return LameOperator(grid, params, pinned, cnt, matrix, _multigrid(layout, matrix))
+
+
+def _pinned_rows(cells) -> np.ndarray:
+    """Pinned rows of the (3, *nodes) velocity on a box of the given cell
+    counts: component a on the two faces normal to axis a."""
+    pinned = np.zeros((3, *(m + 1 for m in cells)), dtype=bool)
+    for a in range(3):
+        np.moveaxis(pinned[a], a, 0)[[0, -1]] = True
+    return pinned
 
 
 def _momentum_rows(op: _RowLayout, u: np.ndarray) -> np.ndarray:
@@ -258,28 +264,32 @@ def _momentum_matrix(op: _RowLayout) -> sparse.csr_matrix:
 # after the coarse correction
 _SMOOTH_WEIGHT = 0.7
 _SMOOTH_SWEEPS = 2
-# largest last level solved densely; a grid that stops halving above it
-# keeps Jacobi scaling
+# largest last level solved densely, in free unknowns: coarsening goes on
+# along the counts it can still halve until the last level fits
 _COARSEST_MAX = 1000
 
 
-def _interpolation_1d(n: int) -> np.ndarray:
-    """Vertex-centred linear interpolation from n // 2 cells to n."""
-    p = np.zeros((n + 1, n // 2 + 1))
-    coarse = np.arange(n // 2 + 1)
-    p[2 * coarse, coarse] = 1.0
-    p[2 * coarse[:-1] + 1, coarse[:-1]] = 0.5
-    p[2 * coarse[:-1] + 1, coarse[1:]] = 0.5
+def _interpolation_1d(n: int, m: int) -> np.ndarray:
+    """Vertex-centred linear interpolation from m cells to n on one extent,
+    the lattices not necessarily nested: fine node i, at i*m/n coarse
+    cells, takes 1 - r/n from coarse node q and r/n from q + 1, where
+    (q, r) = divmod(i*m, n) in integers, so m = n/2 gives 1, 1/2, 1/2."""
+    q, r = np.divmod(np.arange(n + 1) * m, n)
+    p = np.zeros((n + 1, m + 1))
+    p[np.arange(n + 1), q] = 1.0 - r / n
+    between = np.flatnonzero(r)  # off the coarse nodes
+    p[between, q[between] + 1] = r[between] / n
     return p
 
 
-def _prolongation(cells, fine_pinned: np.ndarray, coarse_pinned: np.ndarray) -> sparse.csr_matrix:
+def _prolongation(cells, coarse) -> sparse.csr_matrix:
     """Free coarse to free fine velocity: per component the Kronecker
     product of 1-D linear interpolation along each axis."""
-    p0, p1, p2 = (sparse.csr_matrix(_interpolation_1d(m)) for m in cells)
+    p0, p1, p2 = (sparse.csr_matrix(_interpolation_1d(n, m)) for n, m in zip(cells, coarse))
     nodal = sparse.kron(sparse.kron(p0, p1), p2, format="csr")
+    fine_free, coarse_free = ~_pinned_rows(cells), ~_pinned_rows(coarse)
     return sparse.block_diag(
-        [nodal[~fine_pinned[c].reshape(-1)][:, ~coarse_pinned[c].reshape(-1)] for c in range(3)],
+        [nodal[fine_free[c].reshape(-1)][:, coarse_free[c].reshape(-1)] for c in range(3)],
         format="csr",
     )
 
@@ -350,18 +360,16 @@ class _VCycle:
         return x
 
 
-def _multigrid(op: _RowLayout, matrix: sparse.csr_matrix) -> _VCycle | None:
-    """The V-cycle for op's free-row matrix, coarsening while every cell
-    count halves; None when the grid does not halve at all or stops at a
-    last level too large for a dense solve."""
-    cells, pinned = op.grid.config.cells, op.pinned
+def _multigrid(op: _RowLayout, matrix: sparse.csr_matrix) -> _VCycle:
+    """The V-cycle for op's free-row matrix, on the levels the module
+    docstring describes.  A level with more than _COARSEST_MAX free
+    unknowns has a count of at least 4 left to halve, so the loop ends."""
+    cells = op.grid.config.cells
     prolongs = []
-    while all(m % 2 == 0 and m >= 4 for m in cells):
-        coarse_pinned = pinned[:, ::2, ::2, ::2]  # injection
-        prolongs.append(_prolongation(cells, pinned, coarse_pinned))
-        cells, pinned = tuple(m // 2 for m in cells), coarse_pinned
-    if not prolongs or np.count_nonzero(~pinned) > _COARSEST_MAX:
-        return None
+    while all(m >= 4 for m in cells) or np.count_nonzero(~_pinned_rows(cells)) > _COARSEST_MAX:
+        coarse = tuple((m + 1) // 2 if m >= 4 else m for m in cells)
+        prolongs.append(_prolongation(cells, coarse))
+        cells = coarse
     return _VCycle(matrix, _slip_row_scale(op), prolongs)
 
 

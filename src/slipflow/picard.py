@@ -41,7 +41,6 @@ from .material import (
     compute_G,
     _check_band,
 )
-from .krylov import KrylovError
 from .lame import build_lame_operator, solve_linear_step
 
 
@@ -168,7 +167,7 @@ def picard_solve(
                 inner_tol=cfg.inner_tol,
                 start=(u, w),
             )
-        except (KrylovError, RuntimeError, ValueError) as err:
+        except (RuntimeError, ValueError) as err:
             verdict = f"diverged({err})"
             break
 

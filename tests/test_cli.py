@@ -168,6 +168,12 @@ def test_verify_monolithic_passes_and_prints_orders(capsys):
     assert "verify: PASS" in out
 
 
+def test_verify_reports_krylov_failure_and_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"solver": {"krylov_max_iter": 1}})
+    assert main(["verify", "--config", str(cfg)]) == 2
+    assert "error: linear solve did not converge" in capsys.readouterr().err
+
+
 def test_build_setup_wires_solver_settings():
     from slipflow.config import config_from_mapping
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from slipflow.krylov import KrylovConfig, KrylovError, jacobi, krylov_solve
+from slipflow.krylov import KrylovConfig, KrylovError, krylov_solve
 
 
 def dense_action(A):
@@ -50,7 +50,8 @@ def test_jacobi_scaling_handles_wild_diagonal():
     d = 10.0 ** rng.uniform(-3, 3, size=n)
     A = np.diag(d) + 0.05 * rng.normal(size=(n, n))
     b = rng.normal(size=n)
-    x, iters, res = krylov_solve(dense_action(A), b, precond=jacobi(np.diag(A)))
+    diag = np.diag(A)
+    x, iters, res = krylov_solve(dense_action(A), b, precond=lambda p: p / diag)
     np.testing.assert_allclose(A @ x, b, rtol=0, atol=1e-8 * np.linalg.norm(b))
     # without the scaling this system stagnates; with it the cap is never
     # close (observed ~1.5 n)

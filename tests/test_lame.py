@@ -16,7 +16,7 @@ from slipflow.fields import (
     zeros_vector,
 )
 from slipflow.material import FlowParams
-from slipflow.krylov import KrylovConfig, jacobi
+from slipflow.krylov import KrylovConfig
 from slipflow import lame
 from slipflow.lame import (
     build_lame_operator,
@@ -190,25 +190,68 @@ def test_multigrid_solve_is_grid_independent(cells):
     slip = shear_slip(grid)
     u, iters, res = solve_momentum(op, forcing, slip)
     assert iters <= 12 and res <= 1e-10
-    by_jacobi = replace(op, precond=jacobi(op.matrix.diagonal()))
+    diag = op.matrix.diagonal()
+    by_jacobi = replace(op, precond=lambda p: p / diag)
     u_jac, iters_jac, _ = solve_momentum(by_jacobi, forcing, slip)
     assert iters_jac > 2 * iters
     scale = np.max(np.abs(u_jac.values))
     assert np.max(np.abs(u.values - u_jac.values)) <= 1e-9 * scale
 
 
-@pytest.mark.parametrize("cells", [(9, 5, 7), (14, 14, 14)])
-def test_grids_without_a_hierarchy_keep_jacobi(cells):
-    # (9, 5, 7) does not halve; (14, 14, 14) halves once, to a last level
-    # too large to solve densely
+@pytest.mark.parametrize(
+    "cells, v_cycle_iters", [((9, 5, 7), 10), ((14, 14, 14), 19), ((18, 9, 9), 10)]
+)
+def test_every_grid_gets_a_v_cycle(cells, v_cycle_iters):
+    # (9, 5, 7) does not halve; (14, 14, 14) halves once to odd counts and
+    # (18, 9, 9) not at all along x2, x3: their coarse lattices are not
+    # nested in the fine ones
     grid = build_grid(GeometryConfig(2.5, 1.0, 0.7, *cells))
     params = FlowParams(mu=0.7, nu=0.3, friction=2.5)
     op = build_lame_operator(grid, params)
-    r = np.random.default_rng(2).standard_normal(op.matrix.shape[0])
-    np.testing.assert_array_equal(op.precond(r), (1.0 / op.matrix.diagonal()) * r)
-    u, iters, res = solve_momentum(op, smooth_vector(grid, seed=4).values, shear_slip(grid))
-    assert res <= 1e-10
+    assert isinstance(op.precond, lame._VCycle)
+    forcing, slip = smooth_vector(grid, seed=4).values, shear_slip(grid)
+    u, iters, res = solve_momentum(op, forcing, slip)
+    assert iters == v_cycle_iters and res <= 1e-10
     assert np.all(u.values[op.pinned] == 0.0)
+    diag = op.matrix.diagonal()
+    u_jac, _, _ = solve_momentum(replace(op, precond=lambda p: p / diag), forcing, slip)
+    scale = np.max(np.abs(u_jac.values))
+    assert np.max(np.abs(u.values - u_jac.values)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_interpolation_between_nested_lattices_is_exact(n):
+    # the nested matrix the V-cycle used before lattices could be
+    # non-nested: weights 1 on shared nodes, 1/2 and 1/2 between them
+    nested = np.zeros((n + 1, n // 2 + 1))
+    coarse = np.arange(n // 2 + 1)
+    nested[2 * coarse, coarse] = 1.0
+    nested[2 * coarse[:-1] + 1, coarse[:-1]] = 0.5
+    nested[2 * coarse[:-1] + 1, coarse[1:]] = 0.5
+    np.testing.assert_array_equal(lame._interpolation_1d(n, n // 2), nested)
+
+
+def test_interpolation_between_non_nested_lattices_is_linear():
+    # 7 cells to 4: reproduces affine functions of the position
+    p = lame._interpolation_1d(7, 4)
+    np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(p @ (np.arange(5) / 4), np.arange(8) / 7, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("cells, levels", [
+    ((16, 8, 8), [(16, 8, 8), (8, 4, 4), (4, 2, 2)]),
+    ((32, 16, 16), [(32, 16, 16), (16, 8, 8), (8, 4, 4), (4, 2, 2)]),
+    ((256, 4, 4), [(256, 4, 4), (128, 2, 2), (64, 2, 2)]),
+])
+def test_multigrid_levels(cells, levels):
+    # halving grids keep their nested hierarchy down to a count of 2; an
+    # elongated grid goes on along x1 alone until the last level is small
+    # enough for the dense solve
+    grid = build_grid(GeometryConfig(2.0, 1.0, 1.0, *cells))
+    op = build_lame_operator(grid, FlowParams())
+    free = [int(np.count_nonzero(~lame._pinned_rows(c))) for c in levels]
+    assert [p.shape for p in op.precond.prolongs] == list(zip(free[:-1], free[1:]))
+    assert free[-1] <= lame._COARSEST_MAX
 
 
 @pytest.mark.parametrize("mode", ["split", "monolithic"])

@@ -105,6 +105,14 @@ def test_split_nonconvergence_verdict(monkeypatch):
     assert bundle.history == ()
 
 
+@pytest.mark.parametrize("mode", ["split", "monolithic"])
+def test_krylov_failure_verdict(mode):
+    # KrylovError is a RuntimeError: the outer loop reports it as a verdict
+    bundle = picard_solve(make_setup(1e-2, mode=mode, krylov_max_iter=1))
+    assert bundle.verdict.startswith("diverged(linear solve did not converge")
+    assert bundle.history == ()
+
+
 def test_two_start_uniqueness_same_start_is_exact():
     setup = make_setup(1e-2, mode="monolithic")
     dist = two_start_uniqueness(setup, None, None)
