@@ -26,6 +26,7 @@ from .fields import NormKind, ScalarField, VectorField, norm
 from .grid import GeometryConfig, Grid, build_grid
 from .lame import MODES, build_lame_operator, solve_linear_step
 from .material import compute_F, compute_G
+from .mms import build_linear_case
 from .picard import build_setup, convergence_metrics, picard_solve
 from .transport import apply_S, make_transport_field, upwind_march
 
@@ -66,8 +67,6 @@ def cmd_solve(config: RunConfig, out_dir: str) -> int:
 
 
 def cmd_verify(config: RunConfig, out_dir: str) -> int:
-    from .mms import build_linear_case  # sympy loads only for this command
-
     errs_u, errs_w = [], []
     print(f"manufactured-solution study, mode = {config.solver.mode}")
     print(f"{'n1':>4} {'err_u_H1':>12} {'err_w_LinfL2':>13}")
@@ -164,12 +163,16 @@ def cmd_diagnose(config: RunConfig, out_dir: str) -> int:
         )
     setup = build_setup(config)
     grid = setup.grid
-    _, u_values, _ = runio.load_field_dump(u_path)
-    _, w_values, _ = runio.load_field_dump(w_path)
+    _, u_values, u_spacing = runio.load_field_dump(u_path)
+    _, w_values, w_spacing = runio.load_field_dump(w_path)
     if u_values.shape != (3,) + grid.shape or w_values.shape != grid.shape:
         raise ConfigError(
             f"dumped fields in {out_dir} do not match the configured grid {grid.shape}"
         )
+    for spacing in (u_spacing, w_spacing):
+        if spacing != grid.h:
+            raise ConfigError(f"dumped fields in {out_dir} have spacing {spacing}, "
+                              f"the configured grid has spacing {grid.h}")
     u = VectorField(grid, u_values)
     w = ScalarField(grid, w_values)
     forcing = compute_F(u, w, setup.data, config.params)

@@ -276,8 +276,6 @@ def helmholtz_decompose(u: VectorField) -> tuple[ScalarField, VectorField, dict]
     grad_pot = grad_array(pot.values, g)
     a_vals = u.values - grad_pot
     a_field = VectorField(g, a_vals)
-    # recomposition is exact by construction
-    assert np.all((u.values - grad_pot) - a_vals == 0.0)
 
     curl_gap = float(np.max(np.abs(curl(a_field).values - curl(u).values)))
     an_sq = 0.0

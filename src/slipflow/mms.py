@@ -1,9 +1,11 @@
-"""Manufactured solutions with symbolically derived forcing data.
+"""Manufactured solutions with closed-form forcing data.
 
 Exact velocity/density pairs are chosen with zero normal trace on every
-face, the matching volume forcings and slip data are derived with sympy
-once per case, and everything is handed out as plain node arrays so the
-solver can be run against a known answer.
+face.  Every field is a product of one sine or cosine per axis, and so is
+each of its derivatives, so the matching volume forcings and slip data
+are sums and products of such terms.  They are evaluated at the nodes and
+handed out as plain arrays, so the solver can be run against a known
+answer.
 """
 from __future__ import annotations
 
@@ -11,64 +13,44 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-import sympy as sp
 
 from .grid import Grid, Face
 from .fields import ScalarField, VectorField
 from .material import FlowParams
 
-_X = sp.symbols("x1 x2 x3")
 _AMPLITUDE = 0.05  # of the manufactured velocity, density and advecting field
 
 
-def _lambdify(expr):
-    fn = sp.lambdify(_X, expr, modules="numpy")
+@dataclass(frozen=True)
+class _Product:
+    """coef * prod_a trig_a(k[a] * x_a), trig_a = sin where sine[a], else
+    cos.  An axis the product does not depend on has cos and k = 0."""
 
-    def call(x1, x2, x3):
-        out = fn(x1, x2, x3)
-        return np.broadcast_to(np.asarray(out, dtype=float), np.broadcast(x1, x2, x3).shape).copy()
+    coef: float
+    sine: tuple[bool, bool, bool]
+    k: tuple[float, float, float]
 
-    return call
+    def d(self, axis: int) -> _Product:
+        """Derivative along one axis: sin' = k cos, cos' = -k sin."""
+        sign = 1.0 if self.sine[axis] else -1.0
+        sine = tuple(s != (a == axis) for a, s in enumerate(self.sine))
+        return _Product(sign * self.k[axis] * self.coef, sine, self.k)
+
+    def at(self, x1, x2, x3) -> np.ndarray:
+        out = self.coef
+        for s, k, x in zip(self.sine, self.k, (x1, x2, x3)):
+            out = out * (np.sin(k * x) if s else np.cos(k * x))
+        return out
 
 
-def _eval_volume(expr, grid: Grid) -> np.ndarray:
-    x1, x2, x3 = grid.meshgrid()
-    return _lambdify(expr)(x1, x2, x3)
-
-
-def _eval_face(expr, face: Face, grid: Grid) -> np.ndarray:
+def _face_points(face: Face, grid: Grid) -> list[np.ndarray]:
+    """Node coordinates of a face as three (2D) arrays in global axis order."""
     a, b = np.meshgrid(face.coords[0], face.coords[1], indexing="ij")
-    fixed = grid.axes[face.axis][face.index]
     coords = [None, None, None]
-    coords[face.axis] = np.full_like(a, fixed)
+    coords[face.axis] = np.full_like(a, grid.axes[face.axis][face.index])
     coords[face.in_axes[0]] = a
     coords[face.in_axes[1]] = b
-    return _lambdify(expr)(*coords)
-
-
-def _vector_ops(u, params: FlowParams):
-    """Symbolic Lame action and divergence of a 3-tuple of expressions."""
-    div = sum(sp.diff(u[a], _X[a]) for a in range(3))
-    lame = []
-    for c in range(3):
-        lap = sum(sp.diff(u[c], _X[a], 2) for a in range(3))
-        lame.append(
-            sp.diff(u[c], _X[0])
-            - params.mu * lap
-            - (params.nu + params.mu) * sp.diff(div, _X[c])
-        )
-    return lame, div
-
-
-def _slip_rows(u, face: Face, params: FlowParams):
-    """Full traction slip data 2 mu n.D(u).tau_i + f u.tau_i on a face,
-    n = side * e_axis and tau_i the unit vector along in_axes[i]."""
-    n = face.axis
-    rows = []
-    for t in face.in_axes:
-        d_nt = sp.Rational(1, 2) * (sp.diff(u[n], _X[t]) + sp.diff(u[t], _X[n]))
-        rows.append(2 * params.mu * face.side * d_nt + params.friction * u[t])
-    return rows
+    return coords
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,45 +71,49 @@ def build_linear_case(grid: Grid, params: FlowParams) -> ManufacturedCase:
     """Smooth (u, w) with n.u = 0 on every face, plus derived data so that
     the coupled linear step has exactly this pair as its continuum
     solution."""
-    x1, x2, x3 = _X
-    L, W2, W3 = grid.config.extents
+    k1, k2, k3 = (np.pi / ext for ext in grid.config.extents)
     a = _AMPLITUDE
-
-    u = (
-        a * sp.sin(sp.pi * x1 / L) * sp.cos(sp.pi * x2 / W2) * sp.cos(sp.pi * x3 / W3),
-        a * sp.sin(sp.pi * x2 / W2) * sp.cos(sp.pi * x1 / L) * sp.cos(sp.pi * x3 / W3),
-        a * sp.sin(sp.pi * x3 / W3) * sp.cos(sp.pi * x1 / L) * sp.cos(sp.pi * x2 / W2),
-    )
-    w = a * sp.cos(sp.pi * x1 / (2 * L)) * sp.cos(sp.pi * x2 / W2) * sp.cos(sp.pi * x3 / W3)
+    # u_c = a sin(pi x_c / ext_c) prod_{b != c} cos(pi x_b / ext_b)
+    u = [_Product(a, tuple(b == c for b in range(3)), (k1, k2, k3)) for c in range(3)]
+    w = _Product(a, (False, False, False), (k1 / 2, k2, k3))
     convect = (
-        a * sp.sin(sp.pi * x1 / L) * sp.cos(sp.pi * x2 / W2),
-        a * sp.sin(sp.pi * x2 / W2) * sp.cos(sp.pi * x3 / W3),
-        a * sp.sin(sp.pi * x3 / W3) * sp.cos(sp.pi * x1 / L),
+        _Product(a, (True, False, False), (k1, k2, 0.0)),
+        _Product(a, (False, True, False), (0.0, k2, k3)),
+        _Product(a, (False, False, True), (k1, 0.0, k3)),
     )
 
-    lame, div_u = _vector_ops(u, params)
-    gamma = params.pressure.gamma
-    forcing = [lame[c] + gamma * sp.diff(w, _X[c]) for c in range(3)]
-    transport = (1 + convect[0]) * sp.diff(w, x1) + convect[1] * sp.diff(w, x2) + convect[2] * sp.diff(w, x3)
-    continuity = div_u + transport
+    x = grid.meshgrid()
+    convect_vals = np.stack([f.at(*x) for f in convect])
+    grad_w = [w.d(c).at(*x) for c in range(3)]
+    forcing = []
+    for c in range(3):
+        # Lame action u_c,1 - mu lap u_c - (nu + mu) (div u),c, plus gamma w,c
+        lap = sum(u[c].d(b).d(b).at(*x) for b in range(3))
+        grad_div = sum(u[b].d(b).d(c).at(*x) for b in range(3))
+        forcing.append(u[c].d(0).at(*x) - params.mu * lap
+                       - (params.nu + params.mu) * grad_div
+                       + params.pressure.gamma * grad_w[c])
+    div_u = sum(u[b].d(b).at(*x) for b in range(3))
+    continuity = (div_u + (1 + convect_vals[0]) * grad_w[0]
+                  + convect_vals[1] * grad_w[1] + convect_vals[2] * grad_w[2])
 
-    u_vals = np.stack([_eval_volume(u[c], grid) for c in range(3)])
-    convect_vals = np.stack([_eval_volume(convect[c], grid) for c in range(3)])
-    forcing_vals = np.stack([_eval_volume(forcing[c], grid) for c in range(3)])
-
+    # full traction slip data 2 mu n.D(u).tau + f u.tau, n = side * e_axis
     slip_data = {}
     for face in grid.faces:
-        rows = _slip_rows(u, face, params)
-        slip_data[face.name] = np.stack([_eval_face(r, face, grid) for r in rows])
+        p, n = _face_points(face, grid), face.axis
+        slip_data[face.name] = np.stack([
+            params.mu * face.side * (u[n].d(t).at(*p) + u[t].d(n).at(*p))
+            + params.friction * u[t].at(*p)
+            for t in face.in_axes
+        ])
 
     return ManufacturedCase(
         grid=grid,
-        u_exact=VectorField(grid, u_vals),
-        w_exact=ScalarField(grid, _eval_volume(w, grid)),
+        u_exact=VectorField(grid, np.stack([f.at(*x) for f in u])),
+        w_exact=ScalarField(grid, w.at(*x)),
         convect=VectorField(grid, convect_vals),
-        forcing=VectorField(grid, forcing_vals),
-        continuity=ScalarField(grid, _eval_volume(continuity, grid)),
+        forcing=VectorField(grid, np.stack(forcing)),
+        continuity=ScalarField(grid, continuity),
         slip_data=slip_data,
-        w_in=_eval_face(w, grid.face("inflow"), grid),
+        w_in=w.at(*_face_points(grid.face("inflow"), grid)),
     )
-

@@ -49,7 +49,7 @@ def load_history(path) -> list[dict]:
     if header != HISTORY_COLUMNS:
         raise ValueError(f"unexpected history header {header!r}")
     for line in lines[1:]:
-        cells = [cell.strip() for cell in line.split(",")]
+        cells = [cell.strip() for cell in line.split(",", 6)]  # verdicts hold commas
         row = {"n": int(cells[0]), "verdict": cells[6]}
         for key, cell in zip(HISTORY_COLUMNS[1:6], cells[1:6]):
             row[key] = float(cell)

@@ -155,10 +155,18 @@ def test_diagnose_grades_apriori_ratio_in_the_run_exponent(tmp_path):
 def test_diagnose_rejects_mismatched_grid(tmp_path, capsys):
     cfg = write_config(tmp_path, {"data": {"epsilon": 1e-2}})
     assert main(["solve", "--config", str(cfg)]) == 0
-    bigger = write_config(tmp_path, {"geometry": {"n1": 12, "n2": 6, "n3": 6},
-                                     "data": {"epsilon": 1e-2}})
-    assert main(["diagnose", "--config", str(bigger)]) == 2
-    assert "do not match" in capsys.readouterr().err
+    capsys.readouterr()
+    # other node counts; same node counts on another geometry (other spacing)
+    for geometry, message in (
+        ({"n1": 12, "n2": 6, "n3": 6}, "do not match the configured grid"),
+        ({"length": 3.0, "width2": 0.5},
+         "have spacing (0.25, 0.25, 0.25), the configured grid has spacing (0.375, 0.125, 0.25)"),
+    ):
+        other = write_config(tmp_path, {"geometry": geometry, "data": {"epsilon": 1e-2}})
+        assert main(["diagnose", "--config", str(other)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "diagnose:" not in captured.out
 
 
 def test_verify_monolithic_passes_and_prints_orders(capsys):
@@ -208,11 +216,16 @@ def test_package_surface():
         assert getattr(slipflow, name) is not None
     assert slipflow.build_setup is slipflow.picard.build_setup is slipflow.cli.build_setup
     # a bare import must bind the cli module, in a fresh interpreter, and
-    # leave sympy (needed by verify alone) and scipy.integrate unloaded
+    # leave scipy.integrate unloaded; sympy is a test oracle only, so even
+    # deriving a manufactured case must not load it
     src = Path(slipflow.__file__).resolve().parents[1]
     probe = (
         "import sys, slipflow; assert callable(slipflow.cli.main); "
-        "assert 'sympy' not in sys.modules; assert 'scipy.integrate' not in sys.modules"
+        "assert 'scipy.integrate' not in sys.modules; "
+        "from slipflow.grid import GeometryConfig, build_grid; "
+        "from slipflow.material import FlowParams; from slipflow.mms import build_linear_case; "
+        "build_linear_case(build_grid(GeometryConfig(2.0, 1.0, 1.0, 8, 4, 4)), FlowParams()); "
+        "assert 'sympy' not in sys.modules"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     subprocess.run([sys.executable, "-c", probe], check=True, env=env)

@@ -37,6 +37,13 @@ def test_history_header_and_roundtrip(tmp_path):
     # 17 significant digits round-trip doubles exactly
     assert rows[1]["A_n"] == 0.1 + 1e-17
     assert rows[1]["r_n"] == 0.25
+    # a verdict may itself hold commas
+    band = ("diverged(compute_G: density 2.1 at node (3, 4, 5) "
+            "outside admissible band (0.0, 2.0))")
+    write_history(path, records, band)
+    rows = load_history(path)
+    assert [row["verdict"] for row in rows] == [band, band]
+    assert rows[1]["G_w1p"] == 0.25
 
 
 def test_history_rejects_foreign_header(tmp_path):
