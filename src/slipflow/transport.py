@@ -13,16 +13,24 @@ of traces.  apply_S on a field that carries its footprint applies it; on a
 bare field, as make_transport_field returns it, apply_S traces afresh and
 builds nothing.
 
-Both run one kernel, _trace, on fixed blocks of _BLOCK consecutive nodes:
-a block takes full RK4 steps until each of its traces is about to cross
-x1 = 0, then lands them all in one root solve in which every trace stops
-on its own tolerance.  No trace's arithmetic depends on the others in its
-block, so each trace's arrival and path integral are bit-identical for any
-block size and any thread count.  apply_S on a bare field spreads the
-blocks over a thread pool with one thread per CPU in the process's
-affinity mask (there is no setting for it); transport_footprint traces
-them one after another, because its recorder is Python code that holds
-the interpreter lock.
+Both run one kernel, _trace, on blocks of consecutive nodes, the fewest
+of at most _BLOCK = 16384 nodes, equal in size to within one: a block
+takes full RK4 steps until each of its traces is about to cross x1 = 0,
+then lands them, a quarter of the block at a time, in a root solve in
+which every trace stops on its own tolerance.  No trace's arithmetic depends on the others in its block,
+so each trace's arrival and path integral are bit-identical for any block
+size and any thread count.  A block allocates its work arrays once (a
+_Kernel) and reuses them through every stage of every step, about 260
+bytes per traced node at its peak; long numpy calls on large blocks let
+the threads overlap instead of trading the interpreter lock.  apply_S on
+a bare field spreads the blocks over a thread pool with one thread per
+CPU in the process's affinity mask (there is no setting for it), last
+block first: a trace costs more the further from the inflow plane it
+starts and the blocks run x1 slowest, so the cheap blocks fill in at the
+end.  transport_footprint traces them one after another, because its
+recorder is Python code that holds the interpreter lock; it also keeps
+each step's stage stencils until the step is done, about 730 bytes per
+node of the block at its peak.
 
 An independent slice-marching discretization (upwind_march) of the same
 equation is kept deliberately separate as a cross-check, and
@@ -90,93 +98,81 @@ def make_transport_field(grid: Grid, velocity: np.ndarray) -> TransportField:
 # ---------------------------------------------------------------------------
 # interpolation
 
-@dataclass(frozen=True)
-class _Stencil:
-    """Trilinear stencil of N positions clamped to the closed duct: flat
-    node index of each cell's low corner and the (8, N) weights of the cell
-    corners, d1 slowest and d3 fastest (the order of _lattice's offsets)."""
-
-    base: np.ndarray  # (N,) flat index of corner (i0, j0, k0)
-    weights: np.ndarray  # (8, N)
-
-    def subset(self, keep: np.ndarray) -> "_Stencil":
-        return _Stencil(self.base[keep], self.weights[:, keep])
-
-
 def _strides(grid: Grid) -> tuple[int, int]:
     """Flat-index strides of the x1 and x2 axes (x3 has stride 1)."""
     return grid.shape[1] * grid.shape[2], grid.shape[2]
 
 
 @lru_cache(maxsize=32)
-def _lattice(grid: Grid):
-    """Columns for locating (3, N) positions: extents, spacings, cell
-    counts, last cell index per axis, the 8 corner offsets (d1 slowest,
-    d3 fastest) as an (8, 1) column, and the axes whose extent / h rounds
+def _lattice(grid: Grid, axes: tuple[int, ...] = (0, 1, 2)):
+    """Columns for locating (len(axes), m) coordinates on the given axes:
+    extents, spacings, cell counts and last cell indices as columns, the
+    flat-index stride of each axis, and the rows whose extent / h rounds
     below the cell count."""
     s1, s2 = _strides(grid)
-    cells = np.array(grid.config.cells)[:, None]
-    offsets = np.array([d1 * s1 + d2 * s2 + d3 for d1 in (0, 1) for d2 in (0, 1) for d3 in (0, 1)])
-    ext = np.array(grid.config.extents)[:, None]
-    h = np.array(grid.h)[:, None]
+    cells = np.array([grid.config.cells[a] for a in axes])
+    ext = np.array([grid.config.extents[a] for a in axes])
+    h = np.array([grid.h[a] for a in axes])
     return (
-        ext,
-        h,
-        cells.astype(float),
-        cells - 1,
-        offsets[:, None],
+        ext[:, None],
+        h[:, None],
+        cells[:, None].astype(float),
+        cells[:, None] - 1,
+        np.array([(s1, s2, 1)[a] for a in axes], dtype=np.int64),
         tuple(np.flatnonzero(ext / h < cells)),
     )
 
 
-def _locate(grid: Grid, pos: np.ndarray) -> _Stencil:
-    """Stencil of (3, N) positions.  The far end of an axis sits at cell
-    coordinate n exactly, also where extent / h rounds below n."""
-    ext, h, n, last, _, short = _lattice(grid)
-    p = np.clip(pos, 0.0, ext)
-    t = p / h
-    for a in short:
-        np.copyto(t[a], n[a], where=p[a] == ext[a])
-    np.clip(t, 0.0, n, out=t)
-    i0 = np.minimum(t.astype(np.intp), last)
-    lohi = np.empty((2, *t.shape))  # low and high weight along each axis
-    hi = np.subtract(t, i0, out=lohi[1])
-    np.subtract(1.0, hi, out=lohi[0])
-    s1, s2 = _strides(grid)
-    base = i0[0] * s1 + i0[1] * s2 + i0[2]
-    wa, wb, wc = lohi.transpose(1, 0, 2)
-    weights = ((wa[:, None, :] * wb[None, :, :])[:, :, None, :] * wc[None, None, :, :])
-    return _Stencil(base, weights.reshape(8, -1))
+def _locate(grid: Grid, p: np.ndarray, base: np.ndarray, lo: np.ndarray,
+            axes: tuple[int, ...] = (0, 1, 2)) -> None:
+    """Locate (k, m) coordinates on k axes of the lattice, in place.
 
-
-def _sample(flat: np.ndarray, grid: Grid, st: _Stencil) -> np.ndarray:
-    """Interpolate the rows of a (C, n_nodes) array through a stencil.
-
-    The weighted corners are summed one after another, elementwise, so a
-    point's value does not depend on how many points are sampled with it.
-    One corner is gathered at a time, which keeps the temporaries small.
+    p is clamped to the closed duct and becomes the high weight of each
+    point along each axis, lo the low weight 1 - high and base the flat
+    index of each cell's low corner.  The far end of an axis sits at cell
+    coordinate n exactly, also where extent / h rounds below n.
     """
-    offsets = _lattice(grid)[4][:, 0]
-    out = np.take(flat, st.base + offsets[0], axis=1) * st.weights[0]
-    for off, w in zip(offsets[1:], st.weights[1:]):
-        term = np.take(flat, st.base + off, axis=1)
-        term *= w
-        out += term
-    return out
+    ext, h, n, last, strides, short = _lattice(grid, axes)
+    np.clip(p, 0.0, ext, out=p)
+    at_end = [(a, p[a] == ext[a]) for a in short]
+    np.divide(p, h, out=p)
+    for a, where in at_end:
+        np.copyto(p[a], n[a], where=where)
+    np.clip(p, 0.0, n, out=p)
+    # lo's storage holds the cell indices until the weights are formed
+    cell = lo.view(np.int64)
+    np.copyto(cell, p, casting="unsafe")  # truncates, as astype does
+    np.minimum(cell, last, out=cell)
+    np.subtract(p, cell, out=p)
+    np.dot(strides, cell, out=base)
+    np.subtract(1.0, p, out=lo)
 
 
-def _bilinear_inflow(grid: Grid, arrivals: np.ndarray):
-    """Inflow-plane flat indices (N, 4) and bilinear weights (N, 4) at the
-    (3, N) arrival points of N traces, columns (j,k), (j+1,k), (j,k+1),
-    (j+1,k+1).  The arrivals lie on x1 = 0 exactly, where the stencil's
-    low x1 weight is 1: the d1 = 0 corners carry the bilinear weights and
-    their flat indices are the inflow plane's.  An arrival on a node,
-    the last ones included, reads that node's trace with weight 1."""
-    st = _locate(grid, arrivals)
-    s2 = _strides(grid)[1]
-    idx = st.base[:, None] + np.array([0, s2, 1, s2 + 1])
-    w = np.stack([st.weights[0], st.weights[2], st.weights[1], st.weights[3]], axis=1)
-    return idx, w
+def _corners(lo: np.ndarray, hi: np.ndarray, strides, pair: np.ndarray, outs):
+    """(offset, weight) of the 8 corners of each point's cell, d1 slowest
+    and d3 fastest, from the (3, m) low and high weights.  Each weight is
+    formed as (w_a w_b) w_c into the next of the 8 arrays outs, through the
+    work array pair."""
+    s1, s2 = int(strides[0]), int(strides[1])
+    outs = iter(outs)
+    for o1, wa in ((0, lo[0]), (s1, hi[0])):
+        for o2, wb in ((0, lo[1]), (s2, hi[1])):
+            ab = np.multiply(wa, wb, out=pair)
+            for o3, wc in ((0, lo[2]), (1, hi[2])):
+                yield o1 + o2 + o3, np.multiply(ab, wc, out=next(outs))
+
+
+@dataclass(frozen=True)
+class _Stencil:
+    """Trilinear stencil of m points, as the footprint recorder keeps it:
+    flat index of each cell's low corner and the (8, m) weights of the
+    cell corners, in _corners order."""
+
+    base: np.ndarray  # (m,)
+    weights: np.ndarray  # (8, m)
+
+    def subset(self, keep: np.ndarray) -> "_Stencil":
+        return _Stencil(self.base[keep], self.weights[:, keep])
 
 
 # ---------------------------------------------------------------------------
@@ -185,168 +181,295 @@ def _bilinear_inflow(grid: Grid, arrivals: np.ndarray):
 _RK4_WEIGHTS = (1.0, 2.0, 2.0, 1.0)
 _LANDING_TOL = 1e-13  # |x1| at the landing point, relative to the step ds
 _LANDING_MAX_ITER = 50
-_BLOCK = 4096  # node seeds traced together to completion
+_BLOCK = 16384  # node seeds traced together to completion
 
 
-def _clamp(grid: Grid, pos: np.ndarray) -> np.ndarray:
-    return np.clip(pos, 0.0, _lattice(grid)[0], out=pos)
+class _Kernel:
+    """Trilinear sampling and backward RK4 steps through one advecting field.
 
-
-def _rk4_step(grid: Grid, stack: np.ndarray, pos: np.ndarray, s, on_stage=None):
-    """One backward RK4 step of size s (scalar or per point) from (3, N)
-    positions.
-
-    stack holds the advecting velocity as rows 0-2 of a (C, n_nodes) array,
-    optionally followed by a payload row; each stage point is located once
-    and both are sampled through that stencil.  on_stage(weight, stencil),
-    if given, sees every stage with its RK4 weight.  Returns the new
-    positions and the payload quadrature over the step (None without a
-    payload).
+    The (3, n_nodes) velocity and an optional (n_nodes,) payload are read
+    in place.  The work arrays are allocated once, for up to size points,
+    and reused by every stage of every step, so a kernel serves one block
+    on one thread.  The arrays its methods return are views of that work
+    space, valid until the next call.
     """
-    s = np.asarray(s, dtype=float)
-    total = pay_total = slope = None
-    # k1 + 2 k2 + 2 k3 + k4 is summed in that order as the stages go, so
-    # only one stage's values are held at a time
-    for frac, weight in zip((0.0, 0.5, 0.5, 1.0), _RK4_WEIGHTS):
-        p = pos if slope is None else pos + frac * s * slope
-        st = _locate(grid, p)
-        vals = _sample(stack, grid, st)
-        slope = -vals[:3]
-        pay = vals[3] if stack.shape[0] > 3 else None
-        if total is None:
-            total, pay_total = slope, pay
-        else:
-            total = total + weight * slope
-            if pay is not None:
-                pay_total = pay_total + weight * pay
-        if on_stage is not None:
-            on_stage(weight, st)
-    new = pos + (s / 6.0) * total
-    inc = None if pay_total is None else (s / 6.0) * pay_total
-    return new, inc
+
+    def __init__(self, grid: Grid, velocity: np.ndarray, payload: np.ndarray | None, size: int):
+        self.grid = grid
+        self.velocity = velocity.reshape(3, -1)
+        self.payload = None if payload is None else payload.reshape(1, -1)
+        rows = 3 if payload is None else 4
+        self._p = np.empty(3 * size)  # stage points, then their high weights
+        self._lo = np.empty(3 * size)
+        self._idx = np.empty(size, dtype=np.intp)
+        self._pair = np.empty(size)
+        self._w = np.empty(size)
+        self._vals = np.empty(rows * size)
+        self._term = np.empty(rows * size)
+        self._total = np.empty(rows * size)
+
+    def _sample_p(self, m: int, rows: int, out: np.ndarray | None = None,
+                  keep: bool = False):
+        """Interpolate the first rows fields (velocity, then payload) at the
+        m points held in _p, which then holds their high weights.
+
+        The weighted corners are summed one after another, elementwise, so
+        a point's value does not depend on how many points are sampled
+        with it.  Returns the values and, if keep, the points' _Stencil.
+        """
+        p = self._p[:3 * m].reshape(3, m)
+        lo = self._lo[:3 * m].reshape(3, m)
+        idx = self._idx[:m]
+        _locate(self.grid, p, idx, lo)
+        vals = self._vals[:rows * m].reshape(rows, m) if out is None else out
+        term = self._term[:rows * m].reshape(rows, m)
+        dst = vals
+        st = _Stencil(idx.copy(), np.empty((8, m))) if keep else None
+        outs = (self._w[:m],) * 8 if st is None else st.weights
+        last = 0
+        for off, w in _corners(lo, p, _lattice(self.grid)[4], self._pair[:m], outs):
+            if off != last:  # each corner's index, stepped from the cell base
+                np.add(idx, off - last, out=idx)
+                last = off
+            np.take(self.velocity, idx, axis=1, out=dst[:3], mode="clip")
+            if rows == 4:
+                np.take(self.payload, idx, axis=1, out=dst[3:], mode="clip")
+            dst *= w
+            if dst is term:
+                vals += term
+            dst = term
+        return vals, st
+
+    def sample(self, points: np.ndarray) -> np.ndarray:
+        """The velocity at (3, m) points, as a (3, m) work array."""
+        m = points.shape[1]
+        np.copyto(self._p[:3 * m].reshape(3, m), points)
+        return self._sample_p(m, 3)[0]
+
+    def rk4(self, pos: np.ndarray, s, payload: bool = False, on_stage=None):
+        """One backward RK4 step of size s (scalar or per point) from the
+        (3, m) positions pos, which are only read.
+
+        Returns the new positions and, with payload, the payload's
+        quadrature over the step (else None), both work arrays.  Each
+        stage point is located once and every field is sampled through
+        that stencil; on_stage(weight, stencil), if given, sees every stage
+        with its RK4 weight.
+        """
+        m = pos.shape[1]
+        rows = 4 if payload else 3
+        p = self._p[:3 * m].reshape(3, m)
+        total = self._total[:rows * m].reshape(rows, m)
+        # per-point fractions of s go to _w, free between stages
+        frac_out = self._w[:m] if np.ndim(s) else None
+        # k1 + 2 k2 + 2 k3 + k4 is summed in that order as the stages go.
+        # The sampled velocity is minus the backward slope, so every
+        # position subtracts it.
+        np.copyto(p, pos)
+        for stage, weight in enumerate(_RK4_WEIGHTS):
+            vals, st = self._sample_p(m, rows, total if stage == 0 else None, on_stage is not None)
+            if on_stage is not None:
+                on_stage(weight, st)
+            if stage < 3:  # the next stage point, half, half and a full step on
+                np.multiply(vals[:3], s if stage == 2 else np.multiply(0.5, s, out=frac_out), out=p)
+                np.subtract(pos, p, out=p)
+            if stage > 0:
+                if weight != 1.0:
+                    vals *= weight
+                total += vals
+        sixth = np.divide(s, 6.0, out=frac_out)
+        np.multiply(total[:3], sixth, out=p)
+        np.subtract(pos, p, out=p)
+        inc = np.multiply(total[3], sixth, out=total[3]) if payload else None
+        return p, inc
 
 
-def _landing_step(grid: Grid, stack: np.ndarray, pos: np.ndarray, ds: float, x1_full: np.ndarray):
+def _landing_step(kern: _Kernel, pos: np.ndarray, ds: float, x1_full: np.ndarray,
+                  rows: np.ndarray, first: int = 0) -> np.ndarray:
     """Step sizes in (0, ds] that land each trace on x1 = 0.
 
-    x1_full is the (non-positive) axial position after a full step.  The
-    root of x1(s) on the bracket [0, ds] is found by the Illinois variant
-    of regula falsi, which keeps the bracket and converges superlinearly.
-    Each trace stops at its own first iterate with |x1| <= tol, so its
-    result does not depend on which traces are landed with it.
+    pos holds the (3, m) positions before the step and x1_full the
+    (non-positive) axial positions after a full step.  The root of x1(s)
+    on the bracket [0, ds] is found by the Illinois variant of regula
+    falsi, which keeps the bracket and converges superlinearly.  Each trace
+    stops at its own first iterate with |x1| <= tol and keeps it; stepping
+    it again to the same point gives the same x1, so its result does not
+    depend on which traces are landed with it.  A trace still above tol
+    after _LANDING_MAX_ITER iterations raises RuntimeError naming its
+    global node index, first + its entry of rows, and its x1 residual.
     """
-    s = np.full(pos.shape[1], ds)
-    live = np.arange(pos.shape[1])
-    lo = np.zeros(live.size)
-    f_lo = pos[0].copy()
+    s = np.full(pos.shape[1], ds)  # each trace's latest iterate
+    lo = np.zeros(s.size)
     hi = s.copy()
-    f_hi = np.array(x1_full, dtype=float)
-    last = np.zeros(live.size, dtype=np.int8)
+    f_lo = pos[0].copy()
+    f = f_hi = np.array(x1_full, dtype=float)
+    last = np.zeros(s.size, dtype=np.int8)
+    live = np.ones(s.size, dtype=bool)
+    work = np.empty(s.size)
     tol = _LANDING_TOL * ds
     for _ in range(_LANDING_MAX_ITER):
-        trial = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        s[live] = trial
-        f = _rk4_step(grid, stack, pos, trial)[0][0]
-        keep = np.abs(f) > tol
-        if not np.any(keep):
-            break
-        live, pos, trial, f = live[keep], pos[:, keep], trial[keep], f[keep]
-        lo, hi, f_lo, f_hi, last = lo[keep], hi[keep], f_lo[keep], f_hi[keep], last[keep]
+        # s = (lo f_hi - hi f_lo) / (f_hi - f_lo) on the live traces
+        np.multiply(lo, f_hi, out=s, where=live)
+        np.multiply(hi, f_lo, out=work, where=live)
+        np.subtract(s, work, out=s, where=live)
+        np.subtract(f_hi, f_lo, out=work, where=live)
+        np.divide(s, work, out=s, where=live)
+        f = kern.rk4(pos, s)[0][0]
+        np.greater(np.abs(f, out=work), tol, out=live)
+        if not np.any(live):
+            return s
         over = f <= 0.0
+        lo_end, hi_end = live & ~over, live & over
         # Illinois: halve the stale end's value when one end is kept twice
-        f_lo = np.where(over, np.where(last < 0, 0.5 * f_lo, f_lo), f)
-        f_hi = np.where(over, f, np.where(last > 0, 0.5 * f_hi, f_hi))
-        lo = np.where(over, lo, trial)
-        hi = np.where(over, trial, hi)
-        last = np.where(over, -1, 1).astype(np.int8)
-    return s
+        np.multiply(f_lo, 0.5, out=f_lo, where=hi_end & (last < 0))
+        np.multiply(f_hi, 0.5, out=f_hi, where=lo_end & (last > 0))
+        np.copyto(f_lo, f, where=lo_end)
+        np.copyto(f_hi, f, where=hi_end)
+        np.copyto(lo, s, where=lo_end)
+        np.copyto(hi, s, where=hi_end)
+        np.copyto(last, 1, where=lo_end)
+        np.copyto(last, -1, where=hi_end)
+    bad = int(np.flatnonzero(live)[0])
+    raise RuntimeError(
+        f"characteristic {first + int(rows[bad])} did not land on x1 = 0 within "
+        f"{_LANDING_MAX_ITER} iterations: x1 residual {float(f[bad]):.3e}"
+    )
 
 
-def _trace(grid: Grid, stack: np.ndarray, seeds: np.ndarray, first: int = 0, recorder=None):
+def _trace(kern: _Kernel, seeds: np.ndarray, first: int = 0, recorder=None):
     """Trace one block of seeds, the columns of a (3, N) array, backward to
-    the inflow plane.
+    the inflow plane through kern, integrating its payload if it has one.
 
-    stack is the advecting velocity with an optional payload row, as
-    _rk4_step takes it.  Returns (arrivals, integral) arrays; the arrivals
-    are seeds itself, overwritten.  Full steps of size ds are
-    taken until a step would cross x1 = 0; once every trace of the block
-    has reached that step, one shortened last step each (_landing_step)
-    lands them on x1 = 0 exactly.  Every trace's arithmetic is its own, so
-    the results do not depend on how the seeds are split into blocks.
+    Returns (arrivals, integral) arrays; the arrivals are seeds itself,
+    overwritten.  Full steps of size ds are taken until a step would cross
+    x1 = 0; once every trace of the block has reached that step, one
+    shortened last step each (_landing_step) lands them on x1 = 0 exactly.
+    Every trace's arithmetic is its own, so the results do not depend on
+    how the seeds are split into blocks.
 
     first is the global node index of the first seed, for the message of
-    a stalled trace.  A recorder, if given, is reset to the block by
-    recorder.begin(first, N) and sees every stage of every step a trace
-    keeps, in order, through recorder.stage(rows, s, weight, stencil) once
-    the step is done (rows local to the block), and recorder.close(rows)
-    once those traces have landed.
+    a trace that stalls or does not land.  A recorder, if given, is reset
+    to the block by recorder.begin(first, N) and sees every stage of every
+    step a trace keeps, in order, through recorder.stage(rows, s, weight,
+    stencil) once the step is done (rows local to the block), and
+    recorder.close(rows) once those traces have landed.
     """
+    grid = kern.grid
     ds = min(grid.h) / 2.0
     max_steps = int(np.ceil(8.0 * grid.config.length / ds)) + 1
-    pos = seeds
-    n = pos.shape[1]
-    integral = np.zeros(n)
+    ext = _lattice(grid)[0]
+    payload = kern.payload is not None
+    integral = np.zeros(seeds.shape[1])
     if recorder is not None:
-        recorder.begin(first, n)
-    ai = np.flatnonzero(pos[0] > 0.0)
-    crossed = []  # (rows, position before the crossing step, x1 after it)
+        recorder.begin(first, seeds.shape[1])
+    # One slot per traced seed: the m traces still stepping in front, in
+    # node order, and behind them, last first, those whose next step would
+    # cross x1 = 0, waiting for the block's landing solve.  A slot holds a
+    # row of the block, a position (before the crossing step for a waiting
+    # trace) and the path integral so far.  The positions take the front of
+    # seeds' own storage, as a (3, m) array and then (x1, x2, x3) triples,
+    # and seeds receives the arrivals at the end.
+    rows = np.flatnonzero(seeds[0] > 0.0)
+    m = rows.size
+    untraced = np.flatnonzero(seeds[0] <= 0.0)
+    arrived = seeds[:, untraced]  # already on the inflow plane
+    pos = seeds.reshape(-1)[:3 * m]
+    cur = pos.reshape(3, m)
+    if untraced.size:
+        cur[...] = seeds[:, rows]
+    held = np.zeros(m)
+    x1_after = np.empty(m)  # x1 after the crossing step, in crossing order
+    n_done = 0
     for _ in range(max_steps):
-        if ai.size == 0:
+        if m == 0:
             break
         stages = []
         on_stage = None if recorder is None else lambda weight, st: stages.append((weight, st))
-        new, inc = _rk4_step(grid, stack, pos[:, ai], ds, on_stage)
+        new, inc = kern.rk4(cur, ds, payload, on_stage)
         crossing = new[0] <= 0.0
         if np.any(crossing):
-            done = ai[crossing]
-            crossed.append((done, pos[:, done], new[0, crossing]))
-            cont = ~crossing
-            ai, new = ai[cont], new[:, cont]
-            inc = None if inc is None else inc[cont]
-            stages = [(weight, st.subset(cont)) for weight, st in stages]
+            hit = np.flatnonzero(crossing)
+            keep = np.flatnonzero(~crossing)
+            x1_after[n_done:n_done + hit.size] = new[0, hit]
+            n_done += hit.size
+            waiting = rows[hit], cur[:, hit], held[hit]
+            rows[:keep.size], held[:keep.size] = rows[keep], held[keep]
+            if payload:
+                inc = inc[keep]
+            cur = pos[:3 * keep.size].reshape(3, -1)
+            np.take(new, keep, axis=1, out=cur, mode="clip")
+            new = cur
+            rows[keep.size:m] = waiting[0][::-1]
+            pos.reshape(-1, 3)[keep.size:m] = waiting[1].T[::-1]
+            held[keep.size:m] = waiting[2][::-1]
+            m = keep.size
+            for i, (weight, st) in enumerate(stages):
+                stages[i] = weight, st.subset(keep)
         # a crossing trace records its shortened last step when it lands
         for weight, st in stages:
-            recorder.stage(ai, ds, weight, st)
-        pos[:, ai] = _clamp(grid, new)
-        if inc is not None:
-            integral[ai] += inc
+            recorder.stage(rows[:m], ds, weight, st)
+        np.clip(new, 0.0, ext, out=cur)
+        if payload:
+            held[:m] += inc
 
-    if ai.size:
-        bad = int(ai[0])
+    if m:
         raise RuntimeError(
-            f"characteristic {first + bad} stalled after {max_steps} steps "
-            f"at {tuple(float(c) for c in pos[:, bad])}"
+            f"characteristic {first + int(rows[0])} stalled after {max_steps} steps "
+            f"at {tuple(float(c) for c in cur[:, 0])}"
         )
-    if crossed:
-        done = np.concatenate([d for d, _, _ in crossed])
-        start = np.concatenate([p for _, p, _ in crossed], axis=1)
-        s_fin = _landing_step(grid, stack, start, ds, np.concatenate([x for _, _, x in crossed]))
+    if n_done:
+        done, start = rows[::-1], pos.reshape(-1, 3)[::-1].T  # in crossing order
+        # a quarter of the block at a time, which quarters the landing's
+        # work arrays
+        s_fin = np.empty(n_done)
+        cuts = [k * n_done // 4 for k in range(5)]
+        for part in map(slice, cuts[:-1], cuts[1:]):
+            s_fin[part] = _landing_step(kern, start[:, part], ds, x1_after[part], done[part], first)
         on_stage = None if recorder is None else lambda weight, st: recorder.stage(done, s_fin, weight, st)
-        fin, inc = _rk4_step(grid, stack, start, s_fin, on_stage)
+        fin, inc = kern.rk4(start, s_fin, payload, on_stage)
         fin[0] = 0.0
-        pos[:, done] = _clamp(grid, fin)
-        if inc is not None:
-            integral[done] += inc
+        seeds[:, done] = np.clip(fin, 0.0, ext, out=fin)
+        if payload:
+            integral[done] = held[::-1] + inc
         if recorder is not None:
             recorder.close(done)
-    return pos, integral
+    seeds[:, untraced] = arrived
+    return seeds, integral
+
+
+def _bilinear_inflow(kern: _Kernel, arrivals: np.ndarray):
+    """Inflow-plane corners of the (3, m) arrival points of m traces.
+
+    Returns the flat node index of each arrival's cell corner (j, k) and
+    an iterator over the columns (j,k), (j+1,k), (j,k+1), (j+1,k+1) that
+    gives each column's flat offset from that corner and its weight at
+    every arrival (work arrays of kern, valid until the next column).  The
+    arrivals lie on x1 = 0 exactly, where the trilinear low x1 weight is 1,
+    so the corner (j + d2, k + d3) takes w_b w_c, bit for bit the trilinear
+    (1 w_b) w_c, and its flat index is the inflow plane's.  An arrival on a
+    node, the last ones included, reads that node's trace with weight 1.
+    """
+    m = arrivals.shape[1]
+    hi = kern._p[:2 * m].reshape(2, m)
+    lo = kern._lo[:2 * m].reshape(2, m)
+    base, w = kern._idx[:m], kern._w[:m]
+    np.copyto(hi, arrivals[1:])
+    _locate(kern.grid, hi, base, lo, axes=(1, 2))
+    s2 = _strides(kern.grid)[1]
+    corners = ((d2 * s2 + d3, np.multiply((lo, hi)[d2][0], (lo, hi)[d3][1], out=w))
+               for d2, d3 in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    return base, corners
 
 
 # ---------------------------------------------------------------------------
 # the inflow-traced solution operator
 
-def _stack(tf: TransportField, payload: np.ndarray | None = None) -> np.ndarray:
-    """The advecting velocity as a (3, n_nodes) array, followed by the
-    payload as a fourth row if one is given."""
-    stack = tf.values.reshape(3, -1)
-    if payload is None:
-        return stack
-    return np.concatenate([stack, payload.reshape(1, -1)])
-
-
 def _blocks(n_nodes: int) -> list[tuple[int, int]]:
-    """Flat-index ranges [lo, hi) of the node blocks traced together."""
-    return [(lo, min(lo + _BLOCK, n_nodes)) for lo in range(0, n_nodes, _BLOCK)]
+    """Flat-index ranges [lo, hi) of the node blocks traced together: the
+    fewest blocks of at most _BLOCK nodes, equal in size to within one."""
+    count = -(-n_nodes // _BLOCK)
+    cuts = [k * n_nodes // count for k in range(count + 1)]
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def _block_seeds(grid: Grid, lo: int, hi: int) -> np.ndarray:
@@ -371,6 +494,8 @@ def _check_trace(grid: Grid, w_in: np.ndarray) -> np.ndarray:
     w_in = np.asarray(w_in, dtype=float)
     if w_in.shape != (grid.shape[1], grid.shape[2]):
         raise ValueError(f"inflow trace shape {w_in.shape} != {(grid.shape[1], grid.shape[2])}")
+    if not np.all(np.isfinite(w_in)):
+        raise ValueError("inflow trace contains non-finite values")
     return w_in
 
 
@@ -388,14 +513,17 @@ def apply_S(tf: TransportField, v: ScalarField, w_in: np.ndarray) -> ScalarField
         return tf.footprint.apply(v, w_in)
     g = tf.grid
     trace = _check_trace(g, w_in).reshape(-1)
-    stack = _stack(tf, v.values)
     out = np.empty(g.n_nodes)
 
     def block(span: tuple[int, int]) -> None:
         lo, hi = span
-        arr, integral = _trace(g, stack, _block_seeds(g, lo, hi), lo)
-        idx, w = _bilinear_inflow(g, arr)
-        out[lo:hi] = np.sum(w * trace[idx], axis=1) + integral
+        kern = _Kernel(g, tf.values, v.values, hi - lo)
+        arr, integral = _trace(kern, _block_seeds(g, lo, hi), lo)
+        terms = kern._vals[:4 * (hi - lo)].reshape(-1, 4)  # free once traced
+        base, corners = _bilinear_inflow(kern, arr)
+        for c, (off, w) in enumerate(corners):
+            np.multiply(w, trace[off:][base], out=terms[:, c])
+        np.add(np.sum(terms, axis=1), integral, out=out[lo:hi])
 
     blocks = _blocks(g.n_nodes)
     workers = _workers(len(blocks))
@@ -404,10 +532,13 @@ def apply_S(tf: TransportField, v: ScalarField, w_in: np.ndarray) -> ScalarField
             block(span)
     else:
         with ThreadPoolExecutor(workers) as ex:
-            # results come in block order, so the first failure in node
-            # order is the one raised
-            for _ in ex.map(block, blocks):
-                pass
+            # a trace's cost grows with its x1 and the blocks run x1
+            # slowest, so the costliest block goes first and the cheap ones
+            # fill in at the end; waiting in node order raises the first
+            # failure in node order
+            running = [ex.submit(block, span) for span in reversed(blocks)]
+            for future in reversed(running):
+                future.result()
     return ScalarField(g, out.reshape(g.shape))
 
 
@@ -495,11 +626,9 @@ class _SourceRecorder:
             r, b, o = rows[moved], st.base[moved], old[moved]
             down = b == o - s1
             rd, od, rf, of = r[down], o[down], r[~down], o[~down]
-            self._emit(
-                np.concatenate([rd, rf, rf]),
-                np.concatenate([od + s1, of, of + s1]),
-                np.concatenate([slots[4:, rd], slots[:4, rf], slots[4:, rf]], axis=1),
-            )
+            self._emit(rd, od + s1, slots[4:, rd])
+            self._emit(rf, of, slots[:4, rf])
+            self._emit(rf, of + s1, slots[4:, rf])
             slots[4:, rd] = slots[:4, rd]
             slots[:4, rd] = 0.0
             slots[:, rf] = 0.0
@@ -511,11 +640,8 @@ class _SourceRecorder:
     def close(self, rows: np.ndarray) -> None:
         """Emit what the given (landed) traces still hold."""
         cells = self.cell[rows]
-        self._emit(
-            np.concatenate([rows, rows]),
-            np.concatenate([cells, cells + _strides(self.grid)[0]]),
-            np.concatenate([self.slots[:4, rows], self.slots[4:, rows]], axis=1),
-        )
+        self._emit(rows, cells, self.slots[:4, rows])
+        self._emit(rows, cells + _strides(self.grid)[0], self.slots[4:, rows])
         self.cell[rows] = -1
 
     def _emit(self, rows: np.ndarray, bases: np.ndarray, vals: np.ndarray) -> None:
@@ -578,13 +704,16 @@ def transport_footprint(tf: TransportField) -> TransportFootprint:
     """
     g = tf.grid
     n = g.n_nodes
-    stack = _stack(tf)
     recorder = _SourceRecorder(g)
     idx = np.empty((n, 4), dtype=np.int32)
     w = np.empty((n, 4))
     for lo, hi in _blocks(n):
-        arr = _trace(g, stack, _block_seeds(g, lo, hi), lo, recorder)[0]
-        idx[lo:hi], w[lo:hi] = _bilinear_inflow(g, arr)
+        kern = _Kernel(g, tf.values, None, hi - lo)
+        arr = _trace(kern, _block_seeds(g, lo, hi), lo, recorder)[0]
+        base, corners = _bilinear_inflow(kern, arr)
+        for c, (off, wc) in enumerate(corners):
+            np.add(base, off, out=idx[lo:hi, c], casting="unsafe")
+            w[lo:hi, c] = wc
     source = recorder.finish()
     inflow = sparse.csr_matrix(
         (w.reshape(-1), idx.reshape(-1), np.arange(0, 4 * n + 1, 4, dtype=np.int32)),
@@ -650,12 +779,12 @@ def jacobian_bound(tf: TransportField) -> float:
     length = g.config.length
     max_steps = int(np.ceil(8.0 * length / ds)) + 1
     h2, h3 = g.h[1], g.h[2]
-    flat = tf.values.reshape(3, -1)
 
     n2, n3 = g.shape[1], g.shape[2]
     z2, z3 = np.meshgrid(g.axes[1], g.axes[2], indexing="ij")
     pos = np.stack([np.zeros_like(z2).ravel(), z2.ravel(), z3.ravel()], axis=1)
     exited = np.zeros(n2 * n3, dtype=bool)
+    kern = _Kernel(g, tf.values, None, n2 * n3)
 
     def det_samples(p: np.ndarray, ex: np.ndarray) -> float:
         grid3 = p.reshape(n2, n3, 3)
@@ -670,7 +799,7 @@ def jacobian_bound(tf: TransportField) -> float:
         if not np.any(ok):
             return 0.0
         centers = grid3[1:-1, 1:-1].reshape(-1, 3)
-        c1 = _sample(flat, g, _locate(g, centers.T)).T.reshape(n2 - 2, n3 - 2, 3)
+        c1 = kern.sample(centers.T).T.reshape(n2 - 2, n3 - 2, 3)
         c2 = (grid3[2:, 1:-1] - grid3[:-2, 1:-1]) / (2.0 * h2)
         c3 = (grid3[1:-1, 2:] - grid3[1:-1, :-2]) / (2.0 * h3)
         det = (
@@ -685,7 +814,7 @@ def jacobian_bound(tf: TransportField) -> float:
         live = np.flatnonzero(~exited)
         if live.size == 0:
             break
-        stepped = _rk4_step(g, flat, pos[live].T, -ds)[0].T  # negative s: forward flow
+        stepped = kern.rk4(pos[live].T, -ds)[0].T  # negative s: forward flow
         pos[live] = stepped
         exited[live] = stepped[:, 0] >= length - 1e-12
         pos[:, 1] = np.clip(pos[:, 1], 0.0, g.config.width2)

@@ -84,8 +84,15 @@ def test_apply_affine_axial_field():
     assert np.max(np.abs(interior_slice(out[1:]))) <= 1e-13
 
 
-def test_apply_slip_rows_on_shear_field():
-    grid, params = make_setup()
+# with the defaults mu = nu = 1, so a viscous coefficient swapped with nu
+# would not show
+@pytest.mark.parametrize(
+    "params",
+    [FlowParams(), FlowParams(mu=0.7, nu=0.3, friction=2.5)],
+    ids=["defaults", "mu0.7-nu0.3-f2.5"],
+)
+def test_apply_slip_rows_on_shear_field(params):
+    grid = make_setup()[0]
     op = build_lame_operator(grid, params)
     _, x2, _ = grid.meshgrid()
     u = VectorField(grid, np.stack([x2, np.zeros(grid.shape), np.zeros(grid.shape)]))

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import sys
 
 import numpy as np
@@ -15,7 +16,7 @@ from slipflow.transport import (
     transport_footprint,
 )
 from slipflow import transport
-from slipflow.transport import _landing_step, _rk4_step, _stack, _trace
+from slipflow.transport import _Kernel, _landing_step, _trace
 
 
 def make_grid(n1=16, n2=8, n3=8):
@@ -80,7 +81,7 @@ def test_transport_field_rejects_slow_axial_flow():
 def trace_one(tf, x, payload=None):
     """Trace one point to the inflow plane: (arrival, integral)."""
     pay = None if payload is None else payload.values
-    arr, integral = _trace(tf.grid, _stack(tf, pay), np.array(x, dtype=float)[:, None])
+    arr, integral = _trace(_Kernel(tf.grid, tf.values, pay, 1), np.array(x, dtype=float)[:, None])
     return tuple(arr[:, 0]), float(integral[0])
 
 
@@ -122,9 +123,10 @@ def test_trace_payload_constant_and_linear():
 
 
 def test_stalled_characteristic_reported(monkeypatch):
-    # blocks of 16 nodes on two threads: the plane x1 = 0 holds nodes 0-24,
-    # so the first block in node order that stalls is the second one, and
-    # its error names the global index of the first node off that plane
+    # blocks of at most 16 nodes (15 here) on two threads: the plane x1 = 0
+    # holds nodes 0-24, so the first block in node order that stalls is the
+    # second one, and its error names the global index of the first node
+    # off that plane
     monkeypatch.setattr(transport, "_BLOCK", 16)
     monkeypatch.setattr(transport, "_workers", lambda n_blocks: min(2, n_blocks))
     g = make_grid(8, 4, 4)
@@ -207,7 +209,7 @@ def test_apply_s_satisfies_transport_equation_under_refinement():
 # the recorded footprint of the solution operator
 
 
-# (32, 16, 16) has 9,537 traces, more than one block
+# footprints over several blocks are checked in test_block_tracing_is_bit_identical
 @pytest.mark.parametrize("cells", [(8, 4, 4), (16, 8, 8), (32, 16, 16)])
 def test_footprint_reproduces_apply_s(cells):
     g = make_grid(*cells)
@@ -240,7 +242,8 @@ def test_footprint_reports_stalled_characteristic():
 
 @pytest.mark.parametrize("run", ["one worker", "default pool", "blocks of 1000", "eight threads"])
 def test_block_tracing_is_bit_identical(run, monkeypatch):
-    # (32, 16, 16) has 9,537 nodes: three blocks of 4,096, ten of 1,000
+    # (32, 16, 16) has 9,537 nodes: one block at the default size, ten of
+    # at most 1,000
     g = make_grid(32, 16, 16)
     tf = wall_respecting_flow(g, 2e-2)
     v = smooth_scalar(g, 500, 0.4)
@@ -265,48 +268,87 @@ def test_block_tracing_is_bit_identical(run, monkeypatch):
     assert np.array_equal(transport_footprint(tf).apply(v, w_in).values, reference[1])
 
 
+def test_transport_outputs_match_pinned_digests():
+    # sha256 of the float64 bytes of both routes on the case above, recorded
+    # before the block kernel was reworked for buffer reuse.  They change
+    # only with a change that is meant to move transport results, and such
+    # a change says so in CHANGES.md.
+    g = make_grid(32, 16, 16)
+    tf = wall_respecting_flow(g, 2e-2)
+    v = smooth_scalar(g, 500, 0.4)
+    w_in = smooth_scalar(g, 600, 0.4).values[0]
+
+    def digest(values):
+        return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
+
+    assert digest(apply_S(tf, v, w_in).values) == (
+        "3447c80888fea6d791709f8b560ea99294ae068025b20200ca38ab5b400b2da0"
+    )
+    assert digest(transport_footprint(tf).apply(v, w_in).values) == (
+        "7997a826a0a3142735ba4f0df0e604d647ee166b7c978859d76dbdfbe854104d"
+    )
+
+
 def test_landing_step_matches_bisection():
     g = make_grid()
     tf = wall_respecting_flow(g, 2e-2)
-    stack = tf.values.reshape(3, -1)
     ds = min(g.h) / 2.0
     rng = np.random.default_rng(5)
     n = 200
+    kern = _Kernel(g, tf.values, None, n)
     pos = np.stack([
         rng.uniform(0.05, 0.95, n) * ds,
         rng.uniform(0.0, g.config.width2, n),
         rng.uniform(0.0, g.config.width3, n),
     ])
-    x1_full = _rk4_step(g, stack, pos, ds)[0][0]
+    x1_full = kern.rk4(pos, ds)[0][0].copy()
     assert np.all(x1_full <= 0.0)
-    s = _landing_step(g, stack, pos, ds, x1_full)
+    s = _landing_step(kern, pos, ds, x1_full, np.arange(n))
     # the 52-step bisection on the one-step map that the secant replaced
     lo, hi = np.zeros(n), np.full(n, ds)
     for _ in range(52):
         mid = 0.5 * (lo + hi)
-        over = _rk4_step(g, stack, pos, mid)[0][0] <= 0.0
+        over = kern.rk4(pos, mid)[0][0] <= 0.0
         hi = np.where(over, mid, hi)
         lo = np.where(over, lo, mid)
     assert np.max(np.abs(s - 0.5 * (lo + hi))) <= 1e-13
-    assert np.max(np.abs(_rk4_step(g, stack, pos, s)[0][0])) <= 1e-13
+    assert np.max(np.abs(kern.rk4(pos, s)[0][0])) <= 1e-13
 
 
 def test_landing_step_is_independent_of_its_batch():
     g = make_grid()
     tf = wall_respecting_flow(g, 2e-2)
-    stack = tf.values.reshape(3, -1)
     ds = min(g.h) / 2.0
     rng = np.random.default_rng(6)
     n = 200
+    kern = _Kernel(g, tf.values, None, n)
     pos = np.stack([
         rng.uniform(0.0, 1.0, n) * ds,
         rng.uniform(0.0, g.config.width2, n),
         rng.uniform(0.0, g.config.width3, n),
     ])
-    x1_full = _rk4_step(g, stack, pos, ds)[0][0]
-    together = _landing_step(g, stack, pos, ds, x1_full)
-    alone = [_landing_step(g, stack, pos[:, i:i + 1], ds, x1_full[i:i + 1])[0] for i in range(n)]
+    x1_full = kern.rk4(pos, ds)[0][0].copy()
+    rows = np.arange(n)
+    together = _landing_step(kern, pos, ds, x1_full, rows)
+    alone = [_landing_step(kern, pos[:, i:i + 1], ds, x1_full[i:i + 1], rows[i:i + 1])[0]
+             for i in range(n)]
     assert np.array_equal(together, np.array(alone))
+
+
+@pytest.mark.parametrize("solver", ["apply_S", "footprint"])
+def test_trace_that_does_not_land_is_reported(solver, monkeypatch):
+    # axial speed 0.9 and ds = 0.125: the plane x1 = 0.25 (nodes 25-49) is
+    # the first to cross, on its third step, to x1 = 0.25 - 3 * 0.1125; with
+    # no landing iterations allowed its first node is reported unlanded
+    monkeypatch.setattr(transport, "_LANDING_MAX_ITER", 0)
+    g = make_grid(8, 4, 4)
+    tf = uniform_flow(g, axial=0.9)
+    message = r"characteristic 25 did not land on x1 = 0 within 0 iterations: x1 residual -8\.750e-02"
+    with pytest.raises(RuntimeError, match=message):
+        if solver == "apply_S":
+            apply_S(tf, zeros_scalar(g), np.zeros(g.shape[1:]))
+        else:
+            transport_footprint(tf)
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +381,31 @@ def test_upwind_cfl_guard():
         upwind_march(tf, zeros_scalar(g), np.zeros((g.shape[1], g.shape[2])))
 
 
-@pytest.mark.parametrize("w_in", [0.7, np.full(5, 0.7)], ids=["scalar", "row"])
-def test_both_solvers_reject_malformed_inflow_trace(w_in):
+@pytest.mark.parametrize(
+    "w_in, message",
+    [
+        (0.7, "inflow trace shape"),
+        (np.full(5, 0.7), "inflow trace shape"),
+        (np.where(np.eye(5) > 0.0, np.nan, 0.7), "inflow trace contains non-finite values"),
+        (np.where(np.eye(5) > 0.0, -np.inf, 0.7), "inflow trace contains non-finite values"),
+    ],
+    ids=["scalar", "row", "nan", "inf"],
+)
+def test_both_solvers_reject_malformed_inflow_trace(w_in, message, monkeypatch):
     g = make_grid(8, 4, 4)  # trace shape (5, 5): a (5,) row would broadcast
     tf = uniform_flow(g)
+    footprint = transport_footprint(tf)
+
+    def no_tracing(*args, **kwargs):
+        raise AssertionError("traced before checking the inflow trace")
+
+    monkeypatch.setattr(transport, "_trace", no_tracing)
     messages = []
-    for solver in (apply_S, upwind_march):
-        with pytest.raises(ValueError, match="inflow trace shape") as err:
+    for solver in (apply_S, upwind_march, lambda tf, v, w: footprint.apply(v, w)):
+        with pytest.raises(ValueError, match=message) as err:
             solver(tf, zeros_scalar(g), w_in)
         messages.append(str(err.value))
-    assert messages[0] == messages[1]
+    assert len(set(messages)) == 1
 
 
 def test_apply_s_and_upwind_converge_together():
