@@ -17,9 +17,10 @@ Both run one kernel, _trace, on blocks of consecutive nodes, the fewest
 of at most _BLOCK = 16384 nodes, equal in size to within one: a block
 takes full RK4 steps until each of its traces is about to cross x1 = 0,
 then lands them, a quarter of the block at a time, in a root solve in
-which every trace stops on its own tolerance.  No trace's arithmetic depends on the others in its block,
-so each trace's arrival and path integral are bit-identical for any block
-size and any thread count.  A block allocates its work arrays once (a
+which every trace stops on its own tolerance and is not stepped again.
+No trace's arithmetic depends on the others in its block, so each
+trace's arrival and path integral are bit-identical for any block size
+and any thread count.  A block allocates its work arrays once (a
 _Kernel) and reuses them through every stage of every step, about 260
 bytes per traced node at its peak; long numpy calls on large blocks let
 the threads overlap instead of trading the interpreter lock.  apply_S on
@@ -28,9 +29,11 @@ CPU in the process's affinity mask (there is no setting for it), last
 block first: a trace costs more the further from the inflow plane it
 starts and the blocks run x1 slowest, so the cheap blocks fill in at the
 end.  transport_footprint traces them one after another, because its
-recorder is Python code that holds the interpreter lock; it also keeps
-each step's stage stencils until the step is done, about 730 bytes per
-node of the block at its peak.
+recorder is Python code that holds the interpreter lock.  Its kernel
+keeps the four stage stencils of the step just taken, allocated once,
+until the step shows which traces cross x1 = 0, and the recorder keeps
+each trace's state in that trace's slot, so a stage adds to it in place;
+a build holds about 680 bytes per node of the block at its peak.
 
 An independent slice-marching discretization (upwind_march) of the same
 equation is kept deliberately separate as a cross-check, and
@@ -162,19 +165,6 @@ def _corners(lo: np.ndarray, hi: np.ndarray, strides, pair: np.ndarray, outs):
                 yield o1 + o2 + o3, np.multiply(ab, wc, out=next(outs))
 
 
-@dataclass(frozen=True)
-class _Stencil:
-    """Trilinear stencil of m points, as the footprint recorder keeps it:
-    flat index of each cell's low corner and the (8, m) weights of the
-    cell corners, in _corners order."""
-
-    base: np.ndarray  # (m,)
-    weights: np.ndarray  # (8, m)
-
-    def subset(self, keep: np.ndarray) -> "_Stencil":
-        return _Stencil(self.base[keep], self.weights[:, keep])
-
-
 # ---------------------------------------------------------------------------
 # backward tracing
 
@@ -191,10 +181,14 @@ class _Kernel:
     in place.  The work arrays are allocated once, for up to size points,
     and reused by every stage of every step, so a kernel serves one block
     on one thread.  The arrays its methods return are views of that work
-    space, valid until the next call.
+    space, valid until the next call.  A kernel made with record keeps
+    the stencils of the four stages of its last recorded step, also
+    allocated once: stage_base, the flat index of each stage point's cell
+    low corner, and stage_weights, its 8 corner weights in _corners order.
     """
 
-    def __init__(self, grid: Grid, velocity: np.ndarray, payload: np.ndarray | None, size: int):
+    def __init__(self, grid: Grid, velocity: np.ndarray, payload: np.ndarray | None, size: int,
+                 record: bool = False):
         self.grid = grid
         self.velocity = velocity.reshape(3, -1)
         self.payload = None if payload is None else payload.reshape(1, -1)
@@ -207,25 +201,32 @@ class _Kernel:
         self._vals = np.empty(rows * size)
         self._term = np.empty(rows * size)
         self._total = np.empty(rows * size)
+        if record:
+            self.stage_base = np.empty((4, size), dtype=np.int32)
+            self.stage_weights = np.empty((4, 8, size))
 
     def _sample_p(self, m: int, rows: int, out: np.ndarray | None = None,
-                  keep: bool = False):
+                  stage: int | None = None) -> np.ndarray:
         """Interpolate the first rows fields (velocity, then payload) at the
         m points held in _p, which then holds their high weights.
 
         The weighted corners are summed one after another, elementwise, so
         a point's value does not depend on how many points are sampled
-        with it.  Returns the values and, if keep, the points' _Stencil.
+        with it.  With a stage number the points' stencil is kept as that
+        stage's.
         """
         p = self._p[:3 * m].reshape(3, m)
         lo = self._lo[:3 * m].reshape(3, m)
         idx = self._idx[:m]
         _locate(self.grid, p, idx, lo)
+        if stage is None:
+            outs = (self._w[:m],) * 8
+        else:
+            np.copyto(self.stage_base[stage, :m], idx, casting="unsafe")
+            outs = self.stage_weights[stage, :, :m]
         vals = self._vals[:rows * m].reshape(rows, m) if out is None else out
         term = self._term[:rows * m].reshape(rows, m)
         dst = vals
-        st = _Stencil(idx.copy(), np.empty((8, m))) if keep else None
-        outs = (self._w[:m],) * 8 if st is None else st.weights
         last = 0
         for off, w in _corners(lo, p, _lattice(self.grid)[4], self._pair[:m], outs):
             if off != last:  # each corner's index, stepped from the cell base
@@ -238,23 +239,23 @@ class _Kernel:
             if dst is term:
                 vals += term
             dst = term
-        return vals, st
+        return vals
 
     def sample(self, points: np.ndarray) -> np.ndarray:
         """The velocity at (3, m) points, as a (3, m) work array."""
         m = points.shape[1]
         np.copyto(self._p[:3 * m].reshape(3, m), points)
-        return self._sample_p(m, 3)[0]
+        return self._sample_p(m, 3)
 
-    def rk4(self, pos: np.ndarray, s, payload: bool = False, on_stage=None):
+    def rk4(self, pos: np.ndarray, s, payload: bool = False, record: bool = False):
         """One backward RK4 step of size s (scalar or per point) from the
         (3, m) positions pos, which are only read.
 
         Returns the new positions and, with payload, the payload's
         quadrature over the step (else None), both work arrays.  Each
         stage point is located once and every field is sampled through
-        that stencil; on_stage(weight, stencil), if given, sees every stage
-        with its RK4 weight.
+        that stencil; with record, the stencils are kept as the step's
+        stages (see stages).
         """
         m = pos.shape[1]
         rows = 4 if payload else 3
@@ -267,9 +268,7 @@ class _Kernel:
         # position subtracts it.
         np.copyto(p, pos)
         for stage, weight in enumerate(_RK4_WEIGHTS):
-            vals, st = self._sample_p(m, rows, total if stage == 0 else None, on_stage is not None)
-            if on_stage is not None:
-                on_stage(weight, st)
+            vals = self._sample_p(m, rows, total if stage == 0 else None, stage if record else None)
             if stage < 3:  # the next stage point, half, half and a full step on
                 np.multiply(vals[:3], s if stage == 2 else np.multiply(0.5, s, out=frac_out), out=p)
                 np.subtract(pos, p, out=p)
@@ -283,6 +282,11 @@ class _Kernel:
         inc = np.multiply(total[3], sixth, out=total[3]) if payload else None
         return p, inc
 
+    def stages(self, m: int):
+        """The (4, m) bases and (4, 8, m) corner weights of the last
+        recorded step's m points, as work arrays."""
+        return self.stage_base[:, :m], self.stage_weights[:, :, :m]
+
 
 def _landing_step(kern: _Kernel, pos: np.ndarray, ds: float, x1_full: np.ndarray,
                   rows: np.ndarray, first: int = 0) -> np.ndarray:
@@ -292,34 +296,55 @@ def _landing_step(kern: _Kernel, pos: np.ndarray, ds: float, x1_full: np.ndarray
     (non-positive) axial positions after a full step.  The root of x1(s)
     on the bracket [0, ds] is found by the Illinois variant of regula
     falsi, which keeps the bracket and converges superlinearly.  Each trace
-    stops at its own first iterate with |x1| <= tol and keeps it; stepping
-    it again to the same point gives the same x1, so its result does not
-    depend on which traces are landed with it.  A trace still above tol
-    after _LANDING_MAX_ITER iterations raises RuntimeError naming its
-    global node index, first + its entry of rows, and its x1 residual.
+    stops at its own first iterate with |x1| <= tol and keeps it, and is
+    not stepped again: the live traces are kept in front of the work
+    arrays, in batch order, so no trace's result depends on which traces
+    are landed with it.  A trace still above tol after _LANDING_MAX_ITER
+    iterations raises RuntimeError naming its global node index, first +
+    its entry of rows, and its x1 residual.
     """
-    s = np.full(pos.shape[1], ds)  # each trace's latest iterate
-    lo = np.zeros(s.size)
-    hi = s.copy()
+    n = pos.shape[1]
+    out = np.empty(n)
+    at = np.arange(n)  # each live trace's place in the batch
+    s = np.empty(n)  # each live trace's latest iterate
+    lo = np.zeros(n)
+    hi = np.full(n, ds)
     f_lo = pos[0].copy()
-    f = f_hi = np.array(x1_full, dtype=float)
-    last = np.zeros(s.size, dtype=np.int8)
-    live = np.ones(s.size, dtype=bool)
-    work = np.empty(s.size)
+    f_hi = np.array(x1_full, dtype=float)
+    last = np.zeros(n, dtype=np.int8)  # the end the last iterate replaced
+    live = np.empty(n, dtype=bool)
+    work = np.empty(n)
+    start = pos  # the live traces' positions
     tol = _LANDING_TOL * ds
     for _ in range(_LANDING_MAX_ITER):
-        # s = (lo f_hi - hi f_lo) / (f_hi - f_lo) on the live traces
-        np.multiply(lo, f_hi, out=s, where=live)
-        np.multiply(hi, f_lo, out=work, where=live)
-        np.subtract(s, work, out=s, where=live)
-        np.subtract(f_hi, f_lo, out=work, where=live)
-        np.divide(s, work, out=s, where=live)
-        f = kern.rk4(pos, s)[0][0]
+        # s = (lo f_hi - hi f_lo) / (f_hi - f_lo)
+        np.multiply(lo, f_hi, out=s)
+        np.multiply(hi, f_lo, out=work)
+        np.subtract(s, work, out=s)
+        np.subtract(f_hi, f_lo, out=work)
+        np.divide(s, work, out=s)
+        f = kern.rk4(start, s)[0][0]
         np.greater(np.abs(f, out=work), tol, out=live)
-        if not np.any(live):
-            return s
-        over = f <= 0.0
-        lo_end, hi_end = live & ~over, live & over
+        k = np.count_nonzero(live)
+        if k == 0:
+            out[at] = s
+            return out
+        if k < at.size:  # the landed traces leave the work arrays
+            landed = ~live
+            out[at[landed]] = s[landed]
+            keep = np.flatnonzero(live)
+            f = f[keep]
+            for a in (at, s, lo, hi, f_lo, f_hi, last):
+                a[:k] = a[keep]
+            at, s, lo, hi, f_lo, f_hi, last, live, work = (
+                a[:k] for a in (at, s, lo, hi, f_lo, f_hi, last, live, work))
+            if start is pos:
+                start = pos[:, keep]
+            else:
+                start[:, :k] = start[:, keep]
+                start = start[:, :k]
+        hi_end = f <= 0.0  # the end each iterate replaces
+        lo_end = ~hi_end
         # Illinois: halve the stale end's value when one end is kept twice
         np.multiply(f_lo, 0.5, out=f_lo, where=hi_end & (last < 0))
         np.multiply(f_hi, 0.5, out=f_hi, where=lo_end & (last > 0))
@@ -329,10 +354,10 @@ def _landing_step(kern: _Kernel, pos: np.ndarray, ds: float, x1_full: np.ndarray
         np.copyto(hi, s, where=hi_end)
         np.copyto(last, 1, where=lo_end)
         np.copyto(last, -1, where=hi_end)
-    bad = int(np.flatnonzero(live)[0])
+    resid = (f_hi, f_lo)[int(last[0] > 0)][0]  # the replaced end holds the last x1
     raise RuntimeError(
-        f"characteristic {first + int(rows[bad])} did not land on x1 = 0 within "
-        f"{_LANDING_MAX_ITER} iterations: x1 residual {float(f[bad]):.3e}"
+        f"characteristic {first + int(rows[at[0]])} did not land on x1 = 0 within "
+        f"{_LANDING_MAX_ITER} iterations: x1 residual {float(resid):.3e}"
     )
 
 
@@ -348,20 +373,27 @@ def _trace(kern: _Kernel, seeds: np.ndarray, first: int = 0, recorder=None):
     how the seeds are split into blocks.
 
     first is the global node index of the first seed, for the message of
-    a trace that stalls or does not land.  A recorder, if given, is reset
-    to the block by recorder.begin(first, N) and sees every stage of every
-    step a trace keeps, in order, through recorder.stage(rows, s, weight,
-    stencil) once the step is done (rows local to the block), and
-    recorder.close(rows) once those traces have landed.
+    a trace that stalls or does not land.  A recorder, if given, keeps its
+    per-trace state in the traces' slots (below) and reads each step's
+    stage stencils from kern, which must record.  recorder.begin(first, m)
+    starts the m traced seeds in slots 0..m-1, in node order.  After each
+    step, recorder.step(rows[:m], ds, *kern.stages(m), skip=hit) adds its
+    four stages for every trace but those in the slots hit, which cross
+    x1 = 0 on it (rows are local to the block), and on a crossing step
+    recorder.move(order) then reorders the slots exactly as the step
+    reorders them here.  Once the block has landed, recorder.land(n) turns
+    the slots to crossing order, the order of done, in which the landing
+    step is taken, and recorder.step(done, s_fin, ...) and
+    recorder.close(done) record that step and emit what each trace still
+    holds.
     """
     grid = kern.grid
     ds = min(grid.h) / 2.0
     max_steps = int(np.ceil(8.0 * grid.config.length / ds)) + 1
     ext = _lattice(grid)[0]
     payload = kern.payload is not None
+    record = recorder is not None
     integral = np.zeros(seeds.shape[1])
-    if recorder is not None:
-        recorder.begin(first, seeds.shape[1])
     # One slot per traced seed: the m traces still stepping in front, in
     # node order, and behind them, last first, those whose next step would
     # cross x1 = 0, waiting for the block's landing solve.  A slot holds a
@@ -371,43 +403,42 @@ def _trace(kern: _Kernel, seeds: np.ndarray, first: int = 0, recorder=None):
     # and seeds receives the arrivals at the end.
     rows = np.flatnonzero(seeds[0] > 0.0)
     m = rows.size
+    if record:
+        recorder.begin(first, m)
     untraced = np.flatnonzero(seeds[0] <= 0.0)
     arrived = seeds[:, untraced]  # already on the inflow plane
     pos = seeds.reshape(-1)[:3 * m]
     cur = pos.reshape(3, m)
     if untraced.size:
         cur[...] = seeds[:, rows]
-    held = np.zeros(m)
+    held = np.zeros(m) if payload else None
     x1_after = np.empty(m)  # x1 after the crossing step, in crossing order
     n_done = 0
     for _ in range(max_steps):
         if m == 0:
             break
-        stages = []
-        on_stage = None if recorder is None else lambda weight, st: stages.append((weight, st))
-        new, inc = kern.rk4(cur, ds, payload, on_stage)
+        new, inc = kern.rk4(cur, ds, payload, record)
         crossing = new[0] <= 0.0
-        if np.any(crossing):
-            hit = np.flatnonzero(crossing)
+        hit = np.flatnonzero(crossing)
+        if record:  # a crossing trace records its shortened last step when it lands
+            recorder.step(rows[:m], ds, *kern.stages(m), skip=hit)
+        if hit.size:
             keep = np.flatnonzero(~crossing)
             x1_after[n_done:n_done + hit.size] = new[0, hit]
             n_done += hit.size
-            waiting = rows[hit], cur[:, hit], held[hit]
-            rows[:keep.size], held[:keep.size] = rows[keep], held[keep]
+            order = np.concatenate((keep, hit[::-1]))
+            rows[:m] = rows[order]
+            waiting = cur[:, hit]
             if payload:
+                held[:m] = held[order]
                 inc = inc[keep]
             cur = pos[:3 * keep.size].reshape(3, -1)
             np.take(new, keep, axis=1, out=cur, mode="clip")
             new = cur
-            rows[keep.size:m] = waiting[0][::-1]
-            pos.reshape(-1, 3)[keep.size:m] = waiting[1].T[::-1]
-            held[keep.size:m] = waiting[2][::-1]
+            pos.reshape(-1, 3)[keep.size:m] = waiting.T[::-1]
             m = keep.size
-            for i, (weight, st) in enumerate(stages):
-                stages[i] = weight, st.subset(keep)
-        # a crossing trace records its shortened last step when it lands
-        for weight, st in stages:
-            recorder.stage(rows[:m], ds, weight, st)
+            if record:
+                recorder.move(order)
         np.clip(new, 0.0, ext, out=cur)
         if payload:
             held[:m] += inc
@@ -425,14 +456,15 @@ def _trace(kern: _Kernel, seeds: np.ndarray, first: int = 0, recorder=None):
         cuts = [k * n_done // 4 for k in range(5)]
         for part in map(slice, cuts[:-1], cuts[1:]):
             s_fin[part] = _landing_step(kern, start[:, part], ds, x1_after[part], done[part], first)
-        on_stage = None if recorder is None else lambda weight, st: recorder.stage(done, s_fin, weight, st)
-        fin, inc = kern.rk4(start, s_fin, payload, on_stage)
+        fin, inc = kern.rk4(start, s_fin, payload, record)
+        if record:
+            recorder.land(n_done)
+            recorder.step(done, s_fin, *kern.stages(n_done))
+            recorder.close(done)
         fin[0] = 0.0
         seeds[:, done] = np.clip(fin, 0.0, ext, out=fin)
         if payload:
             integral[done] = held[::-1] + inc
-        if recorder is not None:
-            recorder.close(done)
     seeds[:, untraced] = arrived
     return seeds, integral
 
@@ -602,6 +634,13 @@ class _SourceRecorder:
     trace sees the stages of every step it takes in order, and its
     shortened last step when it lands.  Every emitted group with a nonzero
     weight is stored as four weights.
+
+    A trace's state, its cell (the flat index of the cell's low corner)
+    and the 8 weights of its two groups, sits in the trace's slot in
+    _trace, and moves when _trace moves the trace (move, land): a step's
+    stages add to the front slots in place, and the groups of the traces
+    a stage moves are emitted in slot order, which is the traces' order
+    in that stage.
     """
 
     def __init__(self, grid: Grid):
@@ -610,45 +649,78 @@ class _SourceRecorder:
         self.quads = _GroupChunks((0, 1, s2, s2 + 1))  # (d2, d3) corners of a cell face
 
     def begin(self, first: int, n: int) -> None:
-        """Start a block of n traces, the nodes first..first+n-1; rows are
-        local to the block from here on."""
+        """Start a block's n traced seeds in slots 0..n-1; rows are local to
+        the block, whose first node is first."""
         self.first = first
-        self.cell = np.full(n, -1, dtype=np.intp)
+        self.cell = np.full(n, -1, dtype=np.int32)
         self.slots = np.zeros((8, n))
 
-    def stage(self, rows: np.ndarray, s, weight: float, st: _Stencil) -> None:
-        """Add one RK4 stage of a step of size s taken by the given rows."""
+    def move(self, order: np.ndarray) -> None:
+        """Slot k takes what slot order[k] held, for k < order.size."""
+        m = order.size
+        self.cell[:m] = self.cell[order]
+        self.slots[:, :m] = self.slots[:, order]
+
+    def land(self, n: int) -> None:
+        """Turn the first n slots, the landing traces, to crossing order:
+        slot k becomes slot n-1-k, as a view."""
+        self.cell, self.slots = self.cell[:n][::-1], self.slots[:, :n][:, ::-1]
+
+    def step(self, rows: np.ndarray, s, bases: np.ndarray, weights: np.ndarray,
+             skip: np.ndarray | None = None) -> None:
+        """Add the four RK4 stages of a step of size s (scalar or per trace)
+        taken by the traces rows in the first rows.size slots, from their
+        (4, m) bases and (4, 8, m) corner weights, which are scaled in
+        place.  The traces in the slots skip are left as they are: their
+        stage points are put in their cells with zero weights, and adding
+        a zero leaves a slot unchanged, since slots are sums of nonnegative
+        products and never -0.0."""
+        if skip is not None:
+            bases[:, skip] = self.cell[skip]
+            weights[:, :, skip] = 0.0
+        sixth = s / 6.0
+        for weight, base, w in zip(_RK4_WEIGHTS, bases, weights):
+            self._stage(rows, sixth * weight, base, w)
+
+    def _stage(self, rows: np.ndarray, coef, base: np.ndarray, w: np.ndarray) -> None:
+        """One stage of step, its weights scaled by coef = s/6 times the
+        stage's RK4 weight."""
         s1 = _strides(self.grid)[0]
-        slots = self.slots
-        old = self.cell.take(rows)
-        moved = st.base != old
-        if np.any(moved):
-            r, b, o = rows[moved], st.base[moved], old[moved]
-            down = b == o - s1
-            rd, od, rf, of = r[down], o[down], r[~down], o[~down]
-            self._emit(rd, od + s1, slots[4:, rd])
-            self._emit(rf, of, slots[:4, rf])
-            self._emit(rf, of + s1, slots[4:, rf])
-            slots[4:, rd] = slots[:4, rd]
-            slots[:4, rd] = 0.0
-            slots[:, rf] = 0.0
-            self.cell[r] = b
-        coef = (s / 6.0) * weight
-        for row, w in zip(slots, st.weights):
-            row[rows] = row.take(rows) + coef * w
+        m = rows.size
+        cell, slots = self.cell[:m], self.slots[:, :m]
+        moved = np.flatnonzero(base != cell)
+        if moved.size:
+            o = cell[moved]
+            down = base[moved] == o - s1
+            # a fresh trace (cell -1) holds nothing yet
+            far = ~down & (o >= 0)
+            kd, kf = moved[down], moved[far]
+            # the high group of each trace moving one cell down, then the
+            # low and the high group of each other move
+            if kd.size:
+                self._emit(rows[kd], o[down] + s1, slots[4:, kd])
+            if kf.size:
+                of = o[far]
+                self._emit(rows[kf], of, slots[:4, kf])
+                self._emit(rows[kf], of + s1, slots[4:, kf])
+            slots[4:, kd] = slots[:4, kd]
+            slots[:4, kd] = 0.0
+            slots[:, kf] = 0.0
+            cell[moved] = base[moved]
+        slots += np.multiply(w, coef, out=w)
 
     def close(self, rows: np.ndarray) -> None:
-        """Emit what the given (landed) traces still hold."""
-        cells = self.cell[rows]
-        self._emit(rows, cells, self.slots[:4, rows])
-        self._emit(rows, cells + _strides(self.grid)[0], self.slots[4:, rows])
-        self.cell[rows] = -1
+        """Emit what the traces rows, in the first rows.size slots, still
+        hold."""
+        m = rows.size
+        cells = self.cell[:m]
+        self._emit(rows, cells, self.slots[:4, :m])
+        self._emit(rows, cells + _strides(self.grid)[0], self.slots[4:, :m])
 
     def _emit(self, rows: np.ndarray, bases: np.ndarray, vals: np.ndarray) -> None:
         """Store groups: row, corner (j0, k0) base and the (4, n) face
-        weights.  All-zero groups are dropped; among them are the empty
-        groups of a fresh trace's first move, whose base (cell -1) is no
-        node."""
+        weights.  All-zero groups are dropped, such as the high group of a
+        trace whose stage points in that cell all lay on its low face."""
         keep = np.any(vals != 0.0, axis=0)
         self.quads.append(rows[keep] + self.first, bases[keep], vals[:, keep])
 
@@ -708,7 +780,7 @@ def transport_footprint(tf: TransportField) -> TransportFootprint:
     idx = np.empty((n, 4), dtype=np.int32)
     w = np.empty((n, 4))
     for lo, hi in _blocks(n):
-        kern = _Kernel(g, tf.values, None, hi - lo)
+        kern = _Kernel(g, tf.values, None, hi - lo, record=True)
         arr = _trace(kern, _block_seeds(g, lo, hi), lo, recorder)[0]
         base, corners = _bilinear_inflow(kern, arr)
         for c, (off, wc) in enumerate(corners):

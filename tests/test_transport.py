@@ -289,6 +289,51 @@ def test_transport_outputs_match_pinned_digests():
     )
 
 
+def _sha256(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("chunk", [None, 4096])
+def test_recorded_footprint_matches_pinned_digests(chunk, monkeypatch):
+    # sha256 of the footprint recorded on the case above, recorded before
+    # the recorder kept its state in trace-slot order: the group stream
+    # (rows, bases and the four weight rows of every chunk, in order, which
+    # is the same however it is chunked), the inflow CSR arrays, and
+    # footprint.apply.  Chunks of 4096 groups split the stream as
+    # (64, 32, 32) does at the default chunk size, and change the sums of
+    # apply.
+    if chunk is not None:
+        monkeypatch.setattr(transport._GroupChunks, "CHUNK", chunk)
+    g = make_grid(32, 16, 16)
+    tf = wall_respecting_flow(g, 2e-2)
+    v = smooth_scalar(g, 500, 0.4)
+    w_in = smooth_scalar(g, 600, 0.4).values[0]
+    fp = transport_footprint(tf)
+    terms = [mat for _, mat in fp.source.terms]
+    chunks = [terms[i:i + 4] for i in range(0, len(terms), 4)]  # one matrix per face corner
+    assert len(chunks) == (1 if chunk is None else 43)
+    rows = np.concatenate([c[0].row for c in chunks]).astype(np.int64)
+    bases = np.concatenate([c[0].col for c in chunks]).astype(np.int64)
+    weights = np.concatenate([np.stack([mat.data for mat in c]) for c in chunks], axis=1)
+    assert _sha256(rows, bases, weights) == (
+        "e0d08d8c89f6c7e9b07e3687dcfaae25a8dc328a6e5a05a14e21ab9112340dce"
+    )
+    csr = fp.inflow
+    assert _sha256(csr.data, csr.indices.astype(np.int64), csr.indptr.astype(np.int64)) == (
+        "7af76977d7176068427d0864963b846a35d07509e1067afd9976183a9af333d3"
+    )
+    applied = fp.apply(v, w_in).values
+    assert _sha256(applied) == {
+        None: "7997a826a0a3142735ba4f0df0e604d647ee166b7c978859d76dbdfbe854104d",
+        4096: "cf72b2c22adbf05f27fe486d933da338f18b97bbdbfe62157b765c6025dfad2c",
+    }[chunk]
+    if chunk is not None:
+        assert np.max(np.abs(applied - apply_S(tf, v, w_in).values)) <= 1e-13
+
+
 def test_landing_step_matches_bisection():
     g = make_grid()
     tf = wall_respecting_flow(g, 2e-2)
@@ -333,6 +378,41 @@ def test_landing_step_is_independent_of_its_batch():
     alone = [_landing_step(kern, pos[:, i:i + 1], ds, x1_full[i:i + 1], rows[i:i + 1])[0]
              for i in range(n)]
     assert np.array_equal(together, np.array(alone))
+
+
+def test_landing_steps_only_unconverged_traces(monkeypatch):
+    g = make_grid()
+    tf = wall_respecting_flow(g, 2e-2)
+    ds = min(g.h) / 2.0
+    rng = np.random.default_rng(7)
+    n = 200
+    kern = _Kernel(g, tf.values, None, n)
+    pos = np.stack([
+        rng.uniform(0.0, 1.0, n) * ds,
+        rng.uniform(0.0, g.config.width2, n),  # tells the traces apart
+        rng.uniform(0.0, g.config.width3, n),
+    ])
+    x1_full = kern.rk4(pos, ds)[0][0].copy()
+    tol = transport._LANDING_TOL * ds
+    rk4, calls = kern.rk4, []
+
+    def counted(p, s, *args):
+        new = rk4(p, s, *args)
+        calls.append((p[1].copy(), new[0][0].copy()))
+        return new
+
+    monkeypatch.setattr(kern, "rk4", counted)
+    s = _landing_step(kern, pos, ds, x1_full, np.arange(n))
+    landed, unlanded_per_call = set(), []
+    for x2, x1 in calls:
+        assert not landed & set(x2.tolist())  # no landed trace is stepped again
+        unlanded_per_call.append(n - len(landed))
+        landed |= set(x2[np.abs(x1) <= tol].tolist())
+    assert landed == set(pos[1].tolist())
+    evaluations = sum(x2.size for x2, _ in calls)
+    assert evaluations == sum(unlanded_per_call) < n * len(calls)
+    monkeypatch.undo()
+    assert np.max(np.abs(kern.rk4(pos, s)[0][0])) <= tol
 
 
 @pytest.mark.parametrize("solver", ["apply_S", "footprint"])
