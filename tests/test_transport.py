@@ -1,12 +1,17 @@
 import dataclasses
 import hashlib
-import sys
+import multiprocessing
+import os
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
+from slipflow.config import SolverConfig
 from slipflow.grid import GeometryConfig, build_grid
 from slipflow.fields import ScalarField, NormKind, norm, diff1, interior_l2, zeros_scalar
+from slipflow.material import FlowParams, assemble_perturbation_data, boundary_data_from_names
+from slipflow.picard import ProblemSetup, picard_solve
 from slipflow.transport import (
     TransportField,
     make_transport_field,
@@ -123,7 +128,7 @@ def test_trace_payload_constant_and_linear():
 
 
 def test_stalled_characteristic_reported(monkeypatch):
-    # blocks of at most 16 nodes (15 here) on two threads: the plane x1 = 0
+    # blocks of at most 16 nodes (15 here) on two workers: the plane x1 = 0
     # holds nodes 0-24, so the first block in node order that stalls is the
     # second one, and its error names the global index of the first node
     # off that plane
@@ -135,6 +140,7 @@ def test_stalled_characteristic_reported(monkeypatch):
     with pytest.raises(RuntimeError, match=r"characteristic 25 stalled") as err:
         apply_S(tf, zeros_scalar(g), np.zeros(g.shape[1:]))
     assert type(err.value) is RuntimeError
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +246,7 @@ def test_footprint_reports_stalled_characteristic():
         transport_footprint(tf)
 
 
-@pytest.mark.parametrize("run", ["one worker", "default pool", "blocks of 1000", "eight threads"])
+@pytest.mark.parametrize("run", ["one worker", "default pool", "blocks of 1000", "eight workers"])
 def test_block_tracing_is_bit_identical(run, monkeypatch):
     # (32, 16, 16) has 9,537 nodes: one block at the default size, ten of
     # at most 1,000
@@ -253,19 +259,48 @@ def test_block_tracing_is_bit_identical(run, monkeypatch):
         monkeypatch.setattr(transport, "_workers", lambda n_blocks: 1)
     elif run == "blocks of 1000":
         monkeypatch.setattr(transport, "_BLOCK", 1000)
-    elif run == "eight threads":
-        # more threads than CPUs, switching often: a block slice lost or
-        # written twice would show in the result
+    elif run == "eight workers":
+        # more workers than CPUs, each taking several of the 20 blocks: a
+        # block slice lost or written twice would show in the result
         monkeypatch.setattr(transport, "_BLOCK", 500)
         monkeypatch.setattr(transport, "_workers", lambda n_blocks: min(8, n_blocks))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            assert np.array_equal(apply_S(tf, v, w_in).values, reference[0])
-        finally:
-            sys.setswitchinterval(interval)
     assert np.array_equal(apply_S(tf, v, w_in).values, reference[0])
     assert np.array_equal(transport_footprint(tf).apply(v, w_in).values, reference[1])
+    assert multiprocessing.active_children() == []
+
+
+def test_footprint_recorded_on_workers_is_the_serial_one(monkeypatch):
+    # ten blocks of at most 1,000 nodes: two workers send their blocks'
+    # groups back to be appended in block order, and the group stream and
+    # the inflow CSR arrays are those of the same blocks traced in turn
+    monkeypatch.setattr(transport, "_BLOCK", 1000)
+    g = make_grid(32, 16, 16)
+    tf = wall_respecting_flow(g, 2e-2)
+    digests = []
+    for workers in (1, 2):
+        monkeypatch.setattr(transport, "_workers", lambda n_blocks, k=workers: min(k, n_blocks))
+        digests.append(_footprint_digests(transport_footprint(tf)))
+        assert multiprocessing.active_children() == []
+    assert digests[0] == digests[1]
+
+
+def test_daemonic_process_traces_its_blocks_itself():
+    # a daemonic process, such as a multiprocessing.Pool worker, may not
+    # start children: there the two blocks of (40, 20, 20) are traced in
+    # that process, with the same result
+    g = make_grid(40, 20, 20)
+    tf = wall_respecting_flow(g, 2e-2)
+    v = smooth_scalar(g, 500, 0.4)
+    w_in = smooth_scalar(g, 600, 0.4).values[0]
+    ctx = multiprocessing.get_context("fork")
+    recv, send = ctx.Pipe(duplex=False)
+    proc = ctx.Process(target=lambda: send.send(apply_S(tf, v, w_in).values), daemon=True)
+    proc.start()
+    send.close()
+    got = recv.recv() if recv.poll(120) else None
+    proc.join(120)
+    assert proc.exitcode == 0
+    assert np.array_equal(got, apply_S(tf, v, w_in).values)
 
 
 def test_transport_outputs_match_pinned_digests():
@@ -296,15 +331,30 @@ def _sha256(*arrays):
     return h.hexdigest()
 
 
+def _footprint_digests(fp):
+    """Chunk count, then sha256 of the group stream (rows, bases and the
+    four weight rows of every chunk, in order, which is the same however
+    it is chunked) and of the inflow CSR arrays."""
+    terms = [mat for _, mat in fp.source.terms]
+    chunks = [terms[i:i + 4] for i in range(0, len(terms), 4)]  # one matrix per face corner
+    rows = np.concatenate([c[0].row for c in chunks]).astype(np.int64)
+    bases = np.concatenate([c[0].col for c in chunks]).astype(np.int64)
+    weights = np.concatenate([np.stack([mat.data for mat in c]) for c in chunks], axis=1)
+    csr = fp.inflow
+    return (
+        len(chunks),
+        _sha256(rows, bases, weights),
+        _sha256(csr.data, csr.indices.astype(np.int64), csr.indptr.astype(np.int64)),
+    )
+
+
 @pytest.mark.parametrize("chunk", [None, 4096])
 def test_recorded_footprint_matches_pinned_digests(chunk, monkeypatch):
     # sha256 of the footprint recorded on the case above, recorded before
-    # the recorder kept its state in trace-slot order: the group stream
-    # (rows, bases and the four weight rows of every chunk, in order, which
-    # is the same however it is chunked), the inflow CSR arrays, and
-    # footprint.apply.  Chunks of 4096 groups split the stream as
-    # (64, 32, 32) does at the default chunk size, and change the sums of
-    # apply.
+    # the recorder kept its state in trace-slot order: the group stream,
+    # the inflow CSR arrays, and footprint.apply.  Chunks of 4096 groups
+    # split the stream as (64, 32, 32) does at the default chunk size, and
+    # change the sums of apply.
     if chunk is not None:
         monkeypatch.setattr(transport._GroupChunks, "CHUNK", chunk)
     g = make_grid(32, 16, 16)
@@ -312,18 +362,10 @@ def test_recorded_footprint_matches_pinned_digests(chunk, monkeypatch):
     v = smooth_scalar(g, 500, 0.4)
     w_in = smooth_scalar(g, 600, 0.4).values[0]
     fp = transport_footprint(tf)
-    terms = [mat for _, mat in fp.source.terms]
-    chunks = [terms[i:i + 4] for i in range(0, len(terms), 4)]  # one matrix per face corner
-    assert len(chunks) == (1 if chunk is None else 43)
-    rows = np.concatenate([c[0].row for c in chunks]).astype(np.int64)
-    bases = np.concatenate([c[0].col for c in chunks]).astype(np.int64)
-    weights = np.concatenate([np.stack([mat.data for mat in c]) for c in chunks], axis=1)
-    assert _sha256(rows, bases, weights) == (
-        "e0d08d8c89f6c7e9b07e3687dcfaae25a8dc328a6e5a05a14e21ab9112340dce"
-    )
-    csr = fp.inflow
-    assert _sha256(csr.data, csr.indices.astype(np.int64), csr.indptr.astype(np.int64)) == (
-        "7af76977d7176068427d0864963b846a35d07509e1067afd9976183a9af333d3"
+    assert _footprint_digests(fp) == (
+        1 if chunk is None else 43,
+        "e0d08d8c89f6c7e9b07e3687dcfaae25a8dc328a6e5a05a14e21ab9112340dce",
+        "7af76977d7176068427d0864963b846a35d07509e1067afd9976183a9af333d3",
     )
     applied = fp.apply(v, w_in).values
     assert _sha256(applied) == {
@@ -415,20 +457,71 @@ def test_landing_steps_only_unconverged_traces(monkeypatch):
     assert np.max(np.abs(kern.rk4(pos, s)[0][0])) <= tol
 
 
-@pytest.mark.parametrize("solver", ["apply_S", "footprint"])
+@pytest.mark.parametrize(
+    "solver", ["apply_S", "footprint", "apply_S on two workers", "footprint on two workers"])
 def test_trace_that_does_not_land_is_reported(solver, monkeypatch):
     # axial speed 0.9 and ds = 0.125: the plane x1 = 0.25 (nodes 25-49) is
     # the first to cross, on its third step, to x1 = 0.25 - 3 * 0.1125; with
-    # no landing iterations allowed its first node is reported unlanded
+    # no landing iterations allowed its first node is reported unlanded.
+    # On two workers, in blocks of at most 16 nodes (15 here), the first
+    # block in node order that fails is [15, 30), and its error reaches
+    # the caller as it was raised.
     monkeypatch.setattr(transport, "_LANDING_MAX_ITER", 0)
+    if solver.endswith(" on two workers"):
+        monkeypatch.setattr(transport, "_BLOCK", 16)
+        monkeypatch.setattr(transport, "_workers", lambda n_blocks: min(2, n_blocks))
     g = make_grid(8, 4, 4)
     tf = uniform_flow(g, axial=0.9)
     message = r"characteristic 25 did not land on x1 = 0 within 0 iterations: x1 residual -8\.750e-02"
-    with pytest.raises(RuntimeError, match=message):
+    with pytest.raises(RuntimeError, match=message) as err:
+        if solver.startswith("apply_S"):
+            apply_S(tf, zeros_scalar(g), np.zeros(g.shape[1:]))
+        else:
+            transport_footprint(tf)
+    assert type(err.value) is RuntimeError
+    assert multiprocessing.active_children() == []
+
+
+def _trace_kills_its_worker(monkeypatch):
+    """Blocks of at most 100 nodes on two workers, each of which exits as
+    soon as it starts a block; no block may be traced in this process."""
+    caller = os.getpid()
+
+    def die(*args, **kwargs):
+        assert os.getpid() != caller, "a block was traced in the calling process"
+        os._exit(1)
+
+    monkeypatch.setattr(transport, "_BLOCK", 100)
+    monkeypatch.setattr(transport, "_workers", lambda n_blocks: min(2, n_blocks))
+    monkeypatch.setattr(transport, "_trace", die)
+
+
+@pytest.mark.parametrize("solver", ["apply_S", "footprint"])
+def test_worker_that_dies_fails_loudly(solver, monkeypatch):
+    # the pool's BrokenProcessPool is a RuntimeError; no worker is left
+    _trace_kills_its_worker(monkeypatch)
+    g = make_grid(8, 4, 4)
+    tf = uniform_flow(g)
+    with pytest.raises(BrokenProcessPool, match="terminated abruptly") as err:
         if solver == "apply_S":
             apply_S(tf, zeros_scalar(g), np.zeros(g.shape[1:]))
         else:
             transport_footprint(tf)
+    assert isinstance(err.value, RuntimeError)
+    assert multiprocessing.active_children() == []
+
+
+def test_worker_that_dies_gives_a_diverged_verdict(monkeypatch):
+    # every linear step builds a footprint: the broken pool ends the
+    # outer loop with a verdict instead of an exception or a hang
+    _trace_kills_its_worker(monkeypatch)
+    g = make_grid(8, 4, 4)
+    params = FlowParams()
+    data = assemble_perturbation_data(g, boundary_data_from_names(g, epsilon=1e-2), params)
+    bundle = picard_solve(ProblemSetup(g, params, data, SolverConfig()))
+    assert bundle.verdict.startswith("diverged(A process in the process pool was terminated abruptly")
+    assert bundle.history == ()
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
