@@ -63,7 +63,7 @@ class SolverConfig:
     steps) or after max_outer steps, under-relaxing by omega; p is the
     Sobolev exponent of the strong norms; inner_tol stops the split
     sweeps.  The Krylov settings default to KrylovConfig's, which checks
-    them; seed seeds the uniqueness check's random start.
+    them.
     """
 
     mode: str = MODES[0]
@@ -74,7 +74,6 @@ class SolverConfig:
     inner_tol: float = INNER_TOL
     krylov_rel_tol: float = KrylovConfig.rel_tol
     krylov_max_iter: int | None = KrylovConfig.max_iter
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -88,8 +87,6 @@ class SolverConfig:
             raise ValueError(f"omega must lie in (0, 1], got {self.omega!r}")
         if not self.p >= 2.0:
             raise ValueError(f"p must be at least 2, got {self.p!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be at least 0, got {self.seed!r}")
         try:
             self.krylov()
         except ValueError as exc:  # KrylovConfig names rel_tol/max_iter

@@ -45,11 +45,14 @@ def load_history(path) -> list[dict]:
     """Read a history CSV back into a list of per-row dicts."""
     rows = []
     lines = Path(path).read_text().splitlines()
-    header = tuple(cell.strip() for cell in lines[0].split(","))
+    header = tuple(cell.strip() for cell in lines[0].split(",")) if lines else ()
     if header != HISTORY_COLUMNS:
-        raise ValueError(f"unexpected history header {header!r}")
-    for line in lines[1:]:
+        raise ValueError(f"unexpected history header {header!r} in {path}")
+    for number, line in enumerate(lines[1:], start=2):
         cells = [cell.strip() for cell in line.split(",", 6)]  # verdicts hold commas
+        if len(cells) < len(HISTORY_COLUMNS):
+            raise ValueError(f"history row {number} of {path} has {len(cells)} of "
+                             f"{len(HISTORY_COLUMNS)} cells")
         row = {"n": int(cells[0]), "verdict": cells[6]}
         for key, cell in zip(HISTORY_COLUMNS[1:6], cells[1:6]):
             row[key] = float(cell)
@@ -92,11 +95,16 @@ def load_field_dump(path) -> tuple[str, np.ndarray, tuple[float, float, float]]:
     first, matching what write_field_dump accepted.
     """
     lines = Path(path).read_text().splitlines()
+    if len(lines) < 3:
+        raise ValueError(f"field dump {path} has {len(lines)} of its 3 header lines")
     nodes = tuple(int(tok) for tok in lines[0].split()[1:])
     spacing = tuple(float(tok) for tok in lines[1].split()[1:])
+    for line, values in ((lines[0], nodes), (lines[1], spacing)):
+        if len(values) != 3:
+            raise ValueError(f"field dump {path}: header line {line!r} needs 3 values")
     head = lines[2].split()
-    if head[0] != "field" or head[2] != "components":
-        raise ValueError(f"malformed field header {lines[2]!r}")
+    if len(head) != 4 or head[0] != "field" or head[2] != "components":
+        raise ValueError(f"malformed field header {lines[2]!r} in {path}")
     name, ncomp = head[1], int(head[3])
     table = np.array([[float(tok) for tok in line.split()] for line in lines[3:]])
     if table.shape != (int(np.prod(nodes)), ncomp):

@@ -22,25 +22,23 @@ No trace's arithmetic depends on the others in its block, so each
 trace's arrival and path integral are bit-identical for any block size
 and any number of workers.  A block allocates its work arrays once (a
 _Kernel) and reuses them through every stage of every step, about 260
-bytes per traced node at its peak.  With more than one block and more
-than one CPU in the process's affinity mask (there is no setting for
-it), the blocks are traced on that many worker processes started by
-fork, last block first: a trace costs more the further from the inflow
-plane it starts and the blocks run x1 slowest, so the cheap blocks fill
-in at the end.  The workers inherit the fields at the fork, each block
-sends back only what it computed, and the workers are joined before the
-call returns or raises; their work arrays are held by the workers, not
-by the calling process.  Otherwise the blocks are traced one after
-another in the calling process.  A footprint build records each block
-with its own recorder in a worker, and the caller appends the blocks'
-groups in block order, so the recorded matrices are the same as when the
-blocks run in the caller, through one recorder; the caller then holds
-the groups of the blocks that arrive before block 0 besides its own
-copy.  The recording kernel keeps the four stage stencils of the step
-just taken, allocated once, until the step shows which traces cross
-x1 = 0, and the recorder keeps each trace's state in that trace's slot,
-so a stage adds to it in place; a build holds about 680 bytes per node
-of the block at its peak.
+bytes per traced node at its peak.  apply_S on a bare field, with more
+than one block and more than one CPU in the process's affinity mask
+(there is no setting for it), traces the blocks on that many worker
+processes started by fork, last block first: a trace costs more the
+further from the inflow plane it starts and the blocks run x1 slowest,
+so the cheap blocks fill in at the end.  The workers inherit the fields
+at the fork, each block sends back only its slice of the result, and
+the workers are joined before the call returns or raises; their work
+arrays are held by the workers, not by the calling process.  Otherwise
+the blocks are traced one after another in the calling process.  A
+footprint build always traces its blocks in turn in the calling
+process, all into one recorder: groups recorded on workers would come
+back copied and be held twice by the caller.  The recording kernel
+keeps the four stage stencils of the step just taken, allocated once,
+until the step shows which traces cross x1 = 0, and the recorder keeps
+each trace's state in that trace's slot, so a stage adds to it in
+place; a build holds about 680 bytes per node of the block at its peak.
 
 An independent slice-marching discretization (upwind_march) of the same
 equation is kept deliberately separate as a cross-check, and
@@ -546,46 +544,8 @@ def _start_worker(task) -> None:
     _worker_task = task
 
 
-def _run_in_worker(lo: int, hi: int):
-    return _worker_task(lo, hi, False)
-
-
-def _each_block(task, blocks: list[tuple[int, int]]):
-    """Yield task(lo, hi, here) for each block [lo, hi), in block order.
-
-    here is True when the task runs in the calling process, where what it
-    writes to the caller's arrays stays there, and False in a worker,
-    which writes to its own copies of them and from which only what the
-    task returns reaches the caller.  With more than one worker (_workers)
-    the tasks run on a pool of processes started by fork, which inherit
-    task and everything it reads, so a task is sent as its (lo, hi) alone;
-    spawned workers would import the package again and be sent the fields
-    by pickle.  Forking after BLAS has started threads is safe here only
-    because the block code never calls BLAS.  A trace's cost grows with
-    its x1 and the blocks run x1 slowest, so the costliest block goes
-    first and the cheap ones fill in at the end; waiting in block order
-    raises the first failure in block order, with its own type and
-    message.  Each result is let go once it is yielded.  A worker that
-    dies fails every block not yet returned with the pool's
-    BrokenProcessPool, a RuntimeError.  The pool is shut down and its
-    workers joined before the generator finishes, raises or is closed.
-    """
-    workers = _workers(len(blocks))
-    if workers == 1:
-        for lo, hi in blocks:
-            yield task(lo, hi, True)
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_start_worker, initargs=(task,))
-    try:
-        running = [pool.submit(_run_in_worker, lo, hi) for lo, hi in reversed(blocks)]
-        while running:
-            yield running.pop().result()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+def _run_in_worker(lo: int, hi: int) -> np.ndarray:
+    return _worker_task(lo, hi)
 
 
 def _check_trace(grid: Grid, w_in: np.ndarray) -> np.ndarray:
@@ -602,33 +562,53 @@ def apply_S(tf: TransportField, v: ScalarField, w_in: np.ndarray) -> ScalarField
 
     Every node is traced back to x1 = 0; the value is the bilinearly
     interpolated trace at the arrival point plus the path integral of v.
+    A field that carries its footprint is not traced again.
+
     The node blocks are traced on worker processes, one per CPU in the
     process's affinity mask, or in the calling process where _workers
-    gives one (_each_block); each block sends back its slice of the
-    result, which is the same for any number of workers.  A field that
-    carries its footprint is not traced again.
+    gives one; the result is the same for any number of workers.  The
+    pool's workers are started by fork and inherit the block task and
+    everything it reads, so a block is sent as its (lo, hi) alone and
+    sends back its slice of the result; spawned workers would import the
+    package again and be sent the fields by pickle.  Forking after BLAS
+    has started threads is safe here only because the block code never
+    calls BLAS.  The costliest block, the last, goes first, and the
+    results are read in block order, which raises the first failure in
+    block order with its own type and message.  A worker that dies fails
+    every block not yet returned with the pool's BrokenProcessPool, a
+    RuntimeError.  The pool is shut down and its workers joined before
+    apply_S returns or raises.
     """
     if tf.footprint is not None:
         return tf.footprint.apply(v, w_in)
     g = tf.grid
     trace = _check_trace(g, w_in).reshape(-1)
-    out = np.empty(g.n_nodes)
 
-    def block(lo: int, hi: int, here: bool) -> np.ndarray | None:
+    def block(lo: int, hi: int) -> np.ndarray:
         kern = _Kernel(g, tf.values, v.values, hi - lo)
         arr, integral = _trace(kern, _block_seeds(g, lo, hi), lo)
         terms = kern._vals[:4 * (hi - lo)].reshape(-1, 4)  # free once traced
         base, corners = _bilinear_inflow(kern, arr)
         for c, (off, w) in enumerate(corners):
             np.multiply(w, trace[off:][base], out=terms[:, c])
-        np.add(np.sum(terms, axis=1), integral, out=out[lo:hi])
-        return None if here else out[lo:hi]
+        return np.add(np.sum(terms, axis=1), integral, out=integral)
 
     blocks = _blocks(g.n_nodes)
-    for sent, (lo, hi) in zip(_each_block(block, blocks), blocks):
-        if sent is not None:
-            out[lo:hi] = sent
-    return ScalarField(g, out.reshape(g.shape))
+    workers = _workers(len(blocks))
+    if workers == 1:
+        parts = [block(lo, hi) for lo, hi in blocks]
+    else:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_start_worker, initargs=(block,))
+        try:
+            running = [pool.submit(_run_in_worker, lo, hi) for lo, hi in reversed(blocks)]
+            parts = [job.result() for job in reversed(running)]
+        finally:
+            pool.shutdown(wait=True, cancel_futures=True)
+    return ScalarField(g, np.concatenate(parts).reshape(g.shape))
 
 
 def _mapped_chunk(size: int, width: int):
@@ -669,19 +649,14 @@ class _GroupChunks:
             self.fill = end
             done += take
 
-    def filled(self):
-        """(rows, bases, weights) of each chunk, cut to the groups written."""
-        for i, (r, b, w) in enumerate(self.chunks):
-            used = self.fill if i == len(self.chunks) - 1 else self.CHUNK
-            yield r[:used], b[:used], w[:, :used]
-
     def terms(self, n_nodes: int):
         """(offset, matrix) pairs; each matrix acts on the node array
         shifted by its offset."""
         n_cols = n_nodes - max(self.offsets)
-        for r, b, w in self.filled():
+        for i, (r, b, w) in enumerate(self.chunks):
+            used = self.fill if i == len(self.chunks) - 1 else self.CHUNK
             for off, wq in zip(self.offsets, w):
-                yield off, sparse.coo_matrix((wq, (r, b)), shape=(n_nodes, n_cols))
+                yield off, sparse.coo_matrix((wq[:used], (r[:used], b[:used])), shape=(n_nodes, n_cols))
 
 
 class _SourceRecorder:
@@ -834,34 +809,21 @@ def transport_footprint(tf: TransportField) -> TransportFootprint:
     """Trace every node once and record apply_S as sparse matrices.
 
     The node blocks are traced with the same kernel as apply_S on a bare
-    field, and on the same workers (_each_block).  In the calling process
-    every block records into one recorder; a worker records its block
-    with a recorder of its own and sends back the block's groups and
-    inflow corners, and the groups are appended in block order, so the
-    group stream and its chunks are the same either way.
+    field, one after another in the calling process, and every block
+    records into one recorder.
     """
     g = tf.grid
     n = g.n_nodes
     recorder = _SourceRecorder(g)
     idx = np.empty((n, 4), dtype=np.int32)
     w = np.empty((n, 4))
-
-    def block(lo: int, hi: int, here: bool):
-        rec = recorder if here else _SourceRecorder(g)
+    for lo, hi in _blocks(n):
         kern = _Kernel(g, tf.values, None, hi - lo, record=True)
-        arr = _trace(kern, _block_seeds(g, lo, hi), lo, rec)[0]
+        arr = _trace(kern, _block_seeds(g, lo, hi), lo, recorder)[0]
         base, corners = _bilinear_inflow(kern, arr)
         for c, (off, wc) in enumerate(corners):
             np.add(base, off, out=idx[lo:hi, c], casting="unsafe")
             w[lo:hi, c] = wc
-        return None if here else (idx[lo:hi], w[lo:hi], list(rec.quads.filled()))
-
-    blocks = _blocks(n)
-    for sent, (lo, hi) in zip(_each_block(block, blocks), blocks):
-        if sent is not None:
-            idx[lo:hi], w[lo:hi], groups = sent
-            for chunk in groups:
-                recorder.quads.append(*chunk)
     source = recorder.finish()
     inflow = sparse.csr_matrix(
         (w.reshape(-1), idx.reshape(-1), np.arange(0, 4 * n + 1, 4, dtype=np.int32)),

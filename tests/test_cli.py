@@ -152,6 +152,19 @@ def test_diagnose_grades_apriori_ratio_in_the_run_exponent(tmp_path):
     assert apriori_ratio(*args, p=6.0) != apriori_ratio(*args, p=4.0)
 
 
+def test_diagnose_reports_truncated_dump_and_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"data": {"epsilon": 1e-2}})
+    assert main(["solve", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    w_path = tmp_path / "out" / "field_w.txt"
+    w_path.write_text(w_path.read_text().splitlines()[0] + "\n")  # the nodes line alone
+    assert main(["diagnose", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert str(w_path) in captured.err
+    assert "diagnose:" not in captured.out
+
+
 def test_diagnose_rejects_mismatched_grid(tmp_path, capsys):
     cfg = write_config(tmp_path, {"data": {"epsilon": 1e-2}})
     assert main(["solve", "--config", str(cfg)]) == 0

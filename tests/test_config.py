@@ -91,8 +91,8 @@ def test_profile_maps_reject_unknown_faces():
 def test_booleans_are_not_numbers():
     with pytest.raises(ConfigError, match="physics.mu"):
         config_from_mapping({"physics": {"mu": True}})
-    with pytest.raises(ConfigError, match="solver.seed"):
-        config_from_mapping({"solver": {"seed": False}})
+    with pytest.raises(ConfigError, match="solver.max_outer"):
+        config_from_mapping({"solver": {"max_outer": False}})
 
 
 def test_krylov_max_iter_null_and_int_both_pass():

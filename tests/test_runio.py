@@ -53,6 +53,30 @@ def test_history_rejects_foreign_header(tmp_path):
         load_history(path)
 
 
+def test_history_rejects_short_row(tmp_path):
+    path = tmp_path / "history.csv"
+    path.write_text(", ".join(HISTORY_COLUMNS) + "\n0, 0.0, 0.125, 0.0\n")
+    with pytest.raises(ValueError, match=r"history row 2 of .*history\.csv has 4 of 7 cells"):
+        load_history(path)
+
+
+@pytest.mark.parametrize("header, message", [
+    (["nodes 9 5 5"], "has 1 of its 3 header lines"),
+    ([], "has 0 of its 3 header lines"),
+    (["nodes 9 5", "spacing 0.25 0.25 0.25", "field w components 1"],
+     "header line 'nodes 9 5' needs 3 values"),
+    (["nodes 9 5 5", "spacing 0.25", "field w components 1"],
+     "header line 'spacing 0.25' needs 3 values"),
+    (["nodes 9 5 5", "spacing 0.25 0.25 0.25", "field w"], "malformed field header 'field w'"),
+], ids=["nodes line alone", "empty", "two node counts", "one spacing", "no component count"])
+def test_truncated_field_dump_names_the_file(header, message, tmp_path):
+    path = tmp_path / "field_w.txt"
+    path.write_text("".join(line + "\n" for line in header))
+    with pytest.raises(ValueError, match="field_w.txt") as err:
+        load_field_dump(path)
+    assert message in str(err.value)
+
+
 def test_field_dump_header_lines(tmp_path):
     g = small_grid()
     path = tmp_path / "field_w.txt"

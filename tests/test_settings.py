@@ -21,7 +21,7 @@ BAD = {
     DataConfig: [{"epsilon": -1e-3}],
     SolverConfig: [
         {"mode": "direct"}, {"outer_tol": 0.0}, {"inner_tol": -1.0}, {"max_outer": 0},
-        {"omega": 1.5}, {"p": 1.0}, {"seed": -1}, {"krylov_rel_tol": 1.0},
+        {"omega": 1.5}, {"p": 1.0}, {"krylov_rel_tol": 1.0},
         {"krylov_max_iter": 0},
     ],
     KrylovConfig: [{"rel_tol": 0.0}, {"max_iter": -5}],

@@ -269,19 +269,22 @@ def test_block_tracing_is_bit_identical(run, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_footprint_recorded_on_workers_is_the_serial_one(monkeypatch):
-    # ten blocks of at most 1,000 nodes: two workers send their blocks'
-    # groups back to be appended in block order, and the group stream and
-    # the inflow CSR arrays are those of the same blocks traced in turn
-    monkeypatch.setattr(transport, "_BLOCK", 1000)
-    g = make_grid(32, 16, 16)
-    tf = wall_respecting_flow(g, 2e-2)
-    digests = []
-    for workers in (1, 2):
-        monkeypatch.setattr(transport, "_workers", lambda n_blocks, k=workers: min(k, n_blocks))
-        digests.append(_footprint_digests(transport_footprint(tf)))
-        assert multiprocessing.active_children() == []
-    assert digests[0] == digests[1]
+def test_footprint_is_recorded_in_the_calling_process(monkeypatch):
+    # ten blocks of at most 100 nodes and two workers allowed: a footprint
+    # build still traces every block in this process and starts none
+    monkeypatch.setattr(transport, "_BLOCK", 100)
+    monkeypatch.setattr(transport, "_workers", lambda n_blocks: min(2, n_blocks))
+    g = make_grid(8, 4, 4)
+    pids, trace = [], transport._trace
+
+    def traced_here(*args, **kwargs):
+        pids.append(os.getpid())
+        return trace(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "_trace", traced_here)
+    transport_footprint(wall_respecting_flow(g, 2e-2))
+    assert pids == [os.getpid()] * len(transport._blocks(g.n_nodes))
+    assert multiprocessing.active_children() == []
 
 
 def test_daemonic_process_traces_its_blocks_itself():
@@ -458,16 +461,16 @@ def test_landing_steps_only_unconverged_traces(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "solver", ["apply_S", "footprint", "apply_S on two workers", "footprint on two workers"])
+    "solver", ["apply_S", "footprint", "apply_S on two workers", "footprint in blocks of 16"])
 def test_trace_that_does_not_land_is_reported(solver, monkeypatch):
     # axial speed 0.9 and ds = 0.125: the plane x1 = 0.25 (nodes 25-49) is
     # the first to cross, on its third step, to x1 = 0.25 - 3 * 0.1125; with
     # no landing iterations allowed its first node is reported unlanded.
-    # On two workers, in blocks of at most 16 nodes (15 here), the first
-    # block in node order that fails is [15, 30), and its error reaches
-    # the caller as it was raised.
+    # In blocks of at most 16 nodes (15 here), the first block in node
+    # order that fails is [15, 30), and its error reaches the caller as it
+    # was raised, from a worker or from the calling process.
     monkeypatch.setattr(transport, "_LANDING_MAX_ITER", 0)
-    if solver.endswith(" on two workers"):
+    if solver.endswith((" on two workers", " in blocks of 16")):
         monkeypatch.setattr(transport, "_BLOCK", 16)
         monkeypatch.setattr(transport, "_workers", lambda n_blocks: min(2, n_blocks))
     g = make_grid(8, 4, 4)
@@ -482,9 +485,11 @@ def test_trace_that_does_not_land_is_reported(solver, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def _trace_kills_its_worker(monkeypatch):
-    """Blocks of at most 100 nodes on two workers, each of which exits as
-    soon as it starts a block; no block may be traced in this process."""
+@pytest.mark.parametrize("solver", ["apply_S"])  # the one route that starts workers
+def test_worker_that_dies_fails_loudly(solver, monkeypatch):
+    # blocks of at most 100 nodes on two workers, each of which exits as
+    # soon as it starts a block: the pool's BrokenProcessPool is a
+    # RuntimeError, and no worker is left
     caller = os.getpid()
 
     def die(*args, **kwargs):
@@ -494,34 +499,26 @@ def _trace_kills_its_worker(monkeypatch):
     monkeypatch.setattr(transport, "_BLOCK", 100)
     monkeypatch.setattr(transport, "_workers", lambda n_blocks: min(2, n_blocks))
     monkeypatch.setattr(transport, "_trace", die)
-
-
-@pytest.mark.parametrize("solver", ["apply_S", "footprint"])
-def test_worker_that_dies_fails_loudly(solver, monkeypatch):
-    # the pool's BrokenProcessPool is a RuntimeError; no worker is left
-    _trace_kills_its_worker(monkeypatch)
     g = make_grid(8, 4, 4)
-    tf = uniform_flow(g)
     with pytest.raises(BrokenProcessPool, match="terminated abruptly") as err:
-        if solver == "apply_S":
-            apply_S(tf, zeros_scalar(g), np.zeros(g.shape[1:]))
-        else:
-            transport_footprint(tf)
+        apply_S(uniform_flow(g), zeros_scalar(g), np.zeros(g.shape[1:]))
     assert isinstance(err.value, RuntimeError)
     assert multiprocessing.active_children() == []
 
 
 def test_worker_that_dies_gives_a_diverged_verdict(monkeypatch):
-    # every linear step builds a footprint: the broken pool ends the
-    # outer loop with a verdict instead of an exception or a hang
-    _trace_kills_its_worker(monkeypatch)
+    # every linear step builds a footprint, in the calling process, so no
+    # worker runs under the outer loop; a characteristic that does not
+    # land is what fails a build there, and it ends the outer loop with a
+    # verdict instead of an exception
+    monkeypatch.setattr(transport, "_LANDING_MAX_ITER", 0)
     g = make_grid(8, 4, 4)
     params = FlowParams()
     data = assemble_perturbation_data(g, boundary_data_from_names(g, epsilon=1e-2), params)
     bundle = picard_solve(ProblemSetup(g, params, data, SolverConfig()))
-    assert bundle.verdict.startswith("diverged(A process in the process pool was terminated abruptly")
+    assert bundle.verdict.startswith("diverged(characteristic ")
+    assert " did not land on x1 = 0 within 0 iterations" in bundle.verdict
     assert bundle.history == ()
-    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------
