@@ -228,13 +228,6 @@ def _w2p_pow(comp: np.ndarray, grid: Grid, weights: np.ndarray, p: float) -> flo
     return total
 
 
-def slice_l2(f: ScalarField, i: int) -> float:
-    """L2 norm of one x1 = const cross-section (full 2D trapezoid)."""
-    g = f.grid
-    w = g.axis_weights(1)[:, None] * g.axis_weights(2)[None, :]
-    return float(np.sqrt(np.sum(w * f.values[i] ** 2)))
-
-
 def _linf_l2(f: ScalarField | VectorField) -> float:
     g = f.grid
     w = g.axis_weights(1)[:, None] * g.axis_weights(2)[None, :]
@@ -312,13 +305,6 @@ def face_gagliardo_pow(face: Face, vals: np.ndarray, p: float) -> float:
         np.fill_diagonal(dv, 0.0)
         total += float(np.sum(kernel * dv))
     return total
-
-
-def boundary_lp_norm(grid: Grid, values_by_face, region: str, p: float) -> float:
-    _check_p(p)
-    faces = grid.region_faces(region)
-    total = sum(face_lp_pow(fc, values_by_face[fc.name], p) for fc in faces)
-    return float(total ** (1.0 / p))
 
 
 def face_w1p_norm(face: Face, vals: np.ndarray, p: float) -> float:

@@ -17,7 +17,8 @@ slip rows.
 build_lame_operator assembles these rows once, as one CSR matrix on the
 free (unpinned) rows and columns, and builds a preconditioner on it; every
 momentum solve acts through that matrix.  The stencil form of the rows,
-_momentum_rows, stays as the reference the matrix is tested against.
+which the matrix is tested against, lives with the tests
+(tests/test_lame.py).
 The preconditioner is a Galerkin geometric-multigrid V-cycle
 (Trottenberg, Oosterlee & Schueller, Multigrid, 2001), on every grid:
 
@@ -70,12 +71,8 @@ from .fields import (
     VectorField,
     NormKind,
     norm,
-    diff1,
     div_array,
-    laplacian_array,
     grad_array,
-    grad_div_array,
-    onesided_normal_d1,
     zeros_vector,
     zeros_scalar,
 )
@@ -152,27 +149,6 @@ def _pinned_rows(cells) -> np.ndarray:
     return pinned
 
 
-def _momentum_rows(op: _RowLayout, u: np.ndarray) -> np.ndarray:
-    """Full row action on a (3, *shape) velocity array."""
-    g = op.grid
-    mu, nu = op.params.mu, op.params.nu
-    out = grad_div_array(u, g)
-    for c in range(3):
-        out[c] = diff1(u[c], g.h[0], 0) - mu * laplacian_array(u[c], g) - (nu + mu) * out[c]
-    robin = np.zeros_like(out)
-    for face in op.grid.faces:
-        sl = face.slicer()
-        for t_ax in face.in_axes:
-            robin[t_ax][sl] += (
-                mu * onesided_normal_d1(u[t_ax], face, g.h[face.axis])
-                + op.params.friction * u[t_ax][sl]
-            )
-    m = op.robin_mask
-    out[m] = robin[m] / op.robin_cnt[m]
-    out[op.pinned] = u[op.pinned]
-    return out
-
-
 def _pde_stencil(op: _RowLayout, c: int) -> list[tuple[int, float]]:
     """(column offset, value) of component c's PDE row at an interior
     node, sorted by offset: the row's column is offset plus the node's
@@ -208,8 +184,8 @@ def _pde_stencil(op: _RowLayout, c: int) -> list[tuple[int, float]]:
 
 
 def _momentum_matrix(op: _RowLayout) -> sparse.csr_matrix:
-    """The rows of _momentum_rows on the free rows and columns, as a CSR
-    matrix with int32 indices.
+    """The rows described in the module docstring on the free rows and
+    columns, as a CSR matrix with int32 indices.
 
     Every free row has at most 15 entries (an interior PDE row; a slip row
     has 3 per face it averages), so the rows are written into fixed-width
@@ -373,14 +349,10 @@ def _multigrid(op: _RowLayout, matrix: sparse.csr_matrix) -> _VCycle:
     return _VCycle(matrix, _slip_row_scale(op), prolongs)
 
 
-def apply_lame(op: LameOperator, u: VectorField) -> VectorField:
-    """Row-wise operator action (PDE rows inside, boundary rows on the
-    boundary) as a field."""
-    return VectorField(op.grid, _momentum_rows(op, u.values))
-
-
 def _momentum_rhs(op: LameOperator, forcing: np.ndarray, slip_data: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Right-hand side matching the row layout of _momentum_rows."""
+    """Right-hand side matching the row layout: the forcing on the PDE
+    rows, the averaged slip data on the slip rows and zero on the pinned
+    rows."""
     b = np.array(forcing, dtype=float)
     racc = np.zeros_like(b)
     for face in op.grid.faces:

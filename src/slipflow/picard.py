@@ -212,38 +212,6 @@ def _reference_flow(grid: Grid) -> np.ndarray:
     return vals
 
 
-def random_small_start(
-    setup: ProblemSetup, seed: int, size: float | None = None
-) -> tuple[VectorField, ScalarField]:
-    """Smooth seeded start with strong-norm size min(size, b_measure).
-
-    Used by the uniqueness check: the fixed point should not depend on
-    where the iteration begins, as long as it begins small.
-    """
-    rng = np.random.default_rng(seed)
-    x1, x2, x3 = setup.grid.meshgrid()
-    comps = []
-    for _ in range(4):
-        v = np.zeros(setup.grid.shape)
-        for _ in range(3):
-            k = rng.integers(0, 3, size=3)
-            v += rng.normal() * np.cos(k[0] * x1) * np.cos(k[1] * x2 + 0.2) * np.cos(
-                k[2] * x3 - 0.4
-            )
-        comps.append(v)
-    u = VectorField(setup.grid, np.stack(comps[:3]))
-    w = ScalarField(setup.grid, comps[3])
-    target = setup.data.b_measure if size is None else min(size, setup.data.b_measure)
-    a0 = _strong_size(u, w, setup.solver.p)
-    if a0 == 0.0 or target == 0.0:
-        return zeros_vector(setup.grid), zeros_scalar(setup.grid)
-    scale = target / a0
-    return (
-        VectorField(setup.grid, scale * u.values),
-        ScalarField(setup.grid, scale * w.values),
-    )
-
-
 def convergence_metrics(
     history: tuple[IterationRecord, ...], b_measure: float
 ) -> dict:
@@ -280,32 +248,6 @@ def convergence_metrics(
         "max_ratio": float(ratios.max()) if ratios.size else 0.0,
         "fit_rate": fit_rate,
     }
-
-
-def two_start_uniqueness(
-    setup: ProblemSetup,
-    start1: tuple[VectorField, ScalarField] | None = None,
-    start2: tuple[VectorField, ScalarField] | None = None,
-) -> float:
-    """Distance between fixed points reached from two starts.
-
-    Measured in H1 for velocity plus plain L2 for density, the metric the
-    uniqueness argument contracts in.
-    """
-    run1 = picard_solve(setup, start1)
-    run2 = picard_solve(setup, start2)
-    if not (run1.converged and run2.converged):
-        raise RuntimeError(
-            "uniqueness check needs two converged runs, got "
-            f"{run1.verdict!r} and {run2.verdict!r}"
-        )
-    du = norm(
-        VectorField(setup.grid, run1.u.values - run2.u.values), NormKind.h1()
-    )
-    dw = norm(
-        ScalarField(setup.grid, run1.w.values - run2.w.values), NormKind.lp(2.0)
-    )
-    return du + dw
 
 
 @dataclass(frozen=True, eq=False)

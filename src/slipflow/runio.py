@@ -53,9 +53,12 @@ def load_history(path) -> list[dict]:
         if len(cells) < len(HISTORY_COLUMNS):
             raise ValueError(f"history row {number} of {path} has {len(cells)} of "
                              f"{len(HISTORY_COLUMNS)} cells")
-        row = {"n": int(cells[0]), "verdict": cells[6]}
-        for key, cell in zip(HISTORY_COLUMNS[1:6], cells[1:6]):
-            row[key] = float(cell)
+        try:
+            row = {"n": int(cells[0]), "verdict": cells[6]}
+            for key, cell in zip(HISTORY_COLUMNS[1:6], cells[1:6]):
+                row[key] = float(cell)
+        except ValueError as exc:
+            raise ValueError(f"history row {number} of {path}: {exc}") from None
         rows.append(row)
     return rows
 
@@ -97,18 +100,33 @@ def load_field_dump(path) -> tuple[str, np.ndarray, tuple[float, float, float]]:
     lines = Path(path).read_text().splitlines()
     if len(lines) < 3:
         raise ValueError(f"field dump {path} has {len(lines)} of its 3 header lines")
-    nodes = tuple(int(tok) for tok in lines[0].split()[1:])
-    spacing = tuple(float(tok) for tok in lines[1].split()[1:])
-    for line, values in ((lines[0], nodes), (lines[1], spacing)):
-        if len(values) != 3:
-            raise ValueError(f"field dump {path}: header line {line!r} needs 3 values")
     head = lines[2].split()
     if len(head) != 4 or head[0] != "field" or head[2] != "components":
         raise ValueError(f"malformed field header {lines[2]!r} in {path}")
-    name, ncomp = head[1], int(head[3])
-    table = np.array([[float(tok) for tok in line.split()] for line in lines[3:]])
-    if table.shape != (int(np.prod(nodes)), ncomp):
-        raise ValueError(f"field body shape {table.shape} does not match header")
+    try:
+        nodes = tuple(int(tok) for tok in lines[0].split()[1:])
+        spacing = tuple(float(tok) for tok in lines[1].split()[1:])
+        name, ncomp = head[1], int(head[3])
+    except ValueError as exc:
+        raise ValueError(f"field dump {path}, header: {exc}") from None
+    for line, values in ((lines[0], nodes), (lines[1], spacing)):
+        if len(values) != 3:
+            raise ValueError(f"field dump {path}: header line {line!r} needs 3 values")
+    n_nodes = int(np.prod(nodes))
+    if len(lines) - 3 != n_nodes:
+        raise ValueError(f"field dump {path} has {len(lines) - 3} body lines, "
+                         f"its nodes line {n_nodes}")
+    rows = []
+    for number, line in enumerate(lines[3:], start=4):
+        try:
+            row = list(map(float, line.split()))
+        except ValueError as exc:
+            raise ValueError(f"field dump {path}, line {number}: {exc}") from None
+        if len(row) != ncomp:
+            raise ValueError(f"field dump {path}, line {number} has {len(row)} "
+                             f"of its {ncomp} values")
+        rows.append(row)
+    table = np.array(rows)
     comps = np.stack([table[:, c].reshape(nodes, order="F") for c in range(ncomp)])
     values = comps[0] if ncomp == 1 else comps
     return name, values, spacing

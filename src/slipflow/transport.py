@@ -41,9 +41,7 @@ each trace's state in that trace's slot, so a stage adds to it in
 place; a build holds about 680 bytes per node of the block at its peak.
 
 An independent slice-marching discretization (upwind_march) of the same
-equation is kept deliberately separate as a cross-check, and
-jacobian_bound estimates how far the characteristic flow is from volume
-preserving.
+equation is kept deliberately separate as a cross-check.
 """
 from __future__ import annotations
 
@@ -244,12 +242,6 @@ class _Kernel:
                 vals += term
             dst = term
         return vals
-
-    def sample(self, points: np.ndarray) -> np.ndarray:
-        """The velocity at (3, m) points, as a (3, m) work array."""
-        m = points.shape[1]
-        np.copyto(self._p[:3 * m].reshape(3, m), points)
-        return self._sample_p(m, 3)
 
     def rk4(self, pos: np.ndarray, s, payload: bool = False, record: bool = False):
         """One backward RK4 step of size s (scalar or per point) from the
@@ -871,63 +863,3 @@ def upwind_march(tf: TransportField, v: ScalarField, w_in: np.ndarray) -> Scalar
         ) / u1[i]
         out[i + 1] = slab + h1 * rhs
     return ScalarField(g, out)
-
-
-# ---------------------------------------------------------------------------
-# volume distortion of the characteristic flow
-
-def jacobian_bound(tf: TransportField) -> float:
-    """Estimate sup |J - 1| of the inflow-seeded characteristic map.
-
-    Seeds the whole inflow plane, marches forward with fixed steps, and at
-    every step evaluates J = det[u~(x), dx/dz2, dx/dz3] by central
-    differences across neighboring traces.  Samples are discarded once any
-    trace in the stencil has left through the outflow plane.
-    """
-    g = tf.grid
-    ds = min(g.h) / 2.0
-    length = g.config.length
-    max_steps = int(np.ceil(8.0 * length / ds)) + 1
-    h2, h3 = g.h[1], g.h[2]
-
-    n2, n3 = g.shape[1], g.shape[2]
-    z2, z3 = np.meshgrid(g.axes[1], g.axes[2], indexing="ij")
-    pos = np.stack([np.zeros_like(z2).ravel(), z2.ravel(), z3.ravel()], axis=1)
-    exited = np.zeros(n2 * n3, dtype=bool)
-    kern = _Kernel(g, tf.values, None, n2 * n3)
-
-    def det_samples(p: np.ndarray, ex: np.ndarray) -> float:
-        grid3 = p.reshape(n2, n3, 3)
-        ex2 = ex.reshape(n2, n3)
-        ok = ~(
-            ex2[1:-1, 1:-1]
-            | ex2[:-2, 1:-1]
-            | ex2[2:, 1:-1]
-            | ex2[1:-1, :-2]
-            | ex2[1:-1, 2:]
-        )
-        if not np.any(ok):
-            return 0.0
-        centers = grid3[1:-1, 1:-1].reshape(-1, 3)
-        c1 = kern.sample(centers.T).T.reshape(n2 - 2, n3 - 2, 3)
-        c2 = (grid3[2:, 1:-1] - grid3[:-2, 1:-1]) / (2.0 * h2)
-        c3 = (grid3[1:-1, 2:] - grid3[1:-1, :-2]) / (2.0 * h3)
-        det = (
-            c1[..., 0] * (c2[..., 1] * c3[..., 2] - c2[..., 2] * c3[..., 1])
-            - c2[..., 0] * (c1[..., 1] * c3[..., 2] - c1[..., 2] * c3[..., 1])
-            + c3[..., 0] * (c1[..., 1] * c2[..., 2] - c1[..., 2] * c2[..., 1])
-        )
-        return float(np.max(np.abs(det - 1.0)[ok]))
-
-    worst = det_samples(pos, exited)
-    for _ in range(max_steps):
-        live = np.flatnonzero(~exited)
-        if live.size == 0:
-            break
-        stepped = kern.rk4(pos[live].T, -ds)[0].T  # negative s: forward flow
-        pos[live] = stepped
-        exited[live] = stepped[:, 0] >= length - 1e-12
-        pos[:, 1] = np.clip(pos[:, 1], 0.0, g.config.width2)
-        pos[:, 2] = np.clip(pos[:, 2], 0.0, g.config.width3)
-        worst = max(worst, det_samples(pos, exited))
-    return worst

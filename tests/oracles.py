@@ -1,0 +1,131 @@
+"""Reference computations that tests share and no command runs.
+
+Test modules import them as ``from oracles import ...``: pytest puts this
+directory on sys.path when it collects a test module from it.
+"""
+import numpy as np
+from scipy.interpolate import RegularGridInterpolator
+
+from slipflow.fields import NormKind, ScalarField, VectorField, norm, zeros_scalar, zeros_vector
+from slipflow.picard import ProblemSetup, _strong_size, picard_solve
+from slipflow.transport import TransportField
+
+
+# ---------------------------------------------------------------------------
+# uniqueness of the fixed point
+
+def random_small_start(
+    setup: ProblemSetup, seed: int, size: float | None = None
+) -> tuple[VectorField, ScalarField]:
+    """Smooth seeded start with strong-norm size min(size, b_measure).
+
+    Used by the uniqueness check: the fixed point should not depend on
+    where the iteration begins, as long as it begins small.
+    """
+    rng = np.random.default_rng(seed)
+    x1, x2, x3 = setup.grid.meshgrid()
+    comps = []
+    for _ in range(4):
+        v = np.zeros(setup.grid.shape)
+        for _ in range(3):
+            k = rng.integers(0, 3, size=3)
+            v += rng.normal() * np.cos(k[0] * x1) * np.cos(k[1] * x2 + 0.2) * np.cos(
+                k[2] * x3 - 0.4
+            )
+        comps.append(v)
+    u = VectorField(setup.grid, np.stack(comps[:3]))
+    w = ScalarField(setup.grid, comps[3])
+    target = setup.data.b_measure if size is None else min(size, setup.data.b_measure)
+    a0 = _strong_size(u, w, setup.solver.p)
+    if a0 == 0.0 or target == 0.0:
+        return zeros_vector(setup.grid), zeros_scalar(setup.grid)
+    scale = target / a0
+    return (
+        VectorField(setup.grid, scale * u.values),
+        ScalarField(setup.grid, scale * w.values),
+    )
+
+
+def two_start_uniqueness(
+    setup: ProblemSetup,
+    start1: tuple[VectorField, ScalarField] | None = None,
+    start2: tuple[VectorField, ScalarField] | None = None,
+) -> float:
+    """Distance between fixed points reached from two starts.
+
+    Measured in H1 for velocity plus plain L2 for density, the metric the
+    uniqueness argument contracts in.
+    """
+    run1 = picard_solve(setup, start1)
+    run2 = picard_solve(setup, start2)
+    if not (run1.converged and run2.converged):
+        raise RuntimeError(
+            "uniqueness check needs two converged runs, got "
+            f"{run1.verdict!r} and {run2.verdict!r}"
+        )
+    du = norm(
+        VectorField(setup.grid, run1.u.values - run2.u.values), NormKind.h1()
+    )
+    dw = norm(
+        ScalarField(setup.grid, run1.w.values - run2.w.values), NormKind.lp(2.0)
+    )
+    return du + dw
+
+
+# ---------------------------------------------------------------------------
+# volume distortion of the characteristic flow
+
+def jacobian_bound(tf: TransportField) -> float:
+    """Estimate sup |J - 1| of the inflow-seeded characteristic map.
+
+    Seeds every node of the inflow plane and marches forward with RK4
+    steps of min(h) / 2, sampling u~ trilinearly at points clamped to the
+    closed duct.  At every step J = det[u~(x), dx/dz2, dx/dz3] is formed
+    by central differences across neighboring traces.  A trace stops once
+    it reaches the outflow plane, and a sample is discarded once any trace
+    in its stencil has stopped.
+    """
+    g = tf.grid
+    ext = np.array(g.config.extents)
+    sample = RegularGridInterpolator(
+        g.axes, np.moveaxis(tf.values, 0, -1), bounds_error=False, fill_value=None
+    )
+
+    def velocity(p: np.ndarray) -> np.ndarray:
+        return sample(np.clip(p, 0.0, ext))
+
+    ds = min(g.h) / 2.0
+    length = g.config.length
+    max_steps = int(np.ceil(8.0 * length / ds)) + 1
+    n2, n3 = g.shape[1], g.shape[2]
+    z2, z3 = np.meshgrid(g.axes[1], g.axes[2], indexing="ij")
+    pos = np.stack([np.zeros(n2 * n3), z2.ravel(), z3.ravel()], axis=1)
+    exited = np.zeros(n2 * n3, dtype=bool)
+
+    def distortion() -> float:
+        p = pos.reshape(n2, n3, 3)
+        ex = exited.reshape(n2, n3)
+        ok = ~(ex[1:-1, 1:-1] | ex[:-2, 1:-1] | ex[2:, 1:-1] | ex[1:-1, :-2] | ex[1:-1, 2:])
+        if not np.any(ok):
+            return 0.0
+        c1 = velocity(p[1:-1, 1:-1])
+        c2 = (p[2:, 1:-1] - p[:-2, 1:-1]) / (2.0 * g.h[1])
+        c3 = (p[1:-1, 2:] - p[1:-1, :-2]) / (2.0 * g.h[2])
+        det = np.linalg.det(np.stack([c1, c2, c3], axis=-1))
+        return float(np.max(np.abs(det - 1.0)[ok]))
+
+    worst = distortion()
+    for _ in range(max_steps):
+        live = np.flatnonzero(~exited)
+        if live.size == 0:
+            break
+        p = pos[live]
+        k1 = velocity(p)
+        k2 = velocity(p + 0.5 * ds * k1)
+        k3 = velocity(p + 0.5 * ds * k2)
+        k4 = velocity(p + ds * k3)
+        pos[live] = p + ds / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        exited[live] = pos[live, 0] >= length - 1e-12
+        np.clip(pos[:, 1:], 0.0, ext[1:], out=pos[:, 1:])
+        worst = max(worst, distortion())
+    return worst

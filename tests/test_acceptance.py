@@ -32,15 +32,13 @@ from slipflow.picard import (
     build_setup,
     convergence_metrics,
     picard_solve,
-    random_small_start,
-    two_start_uniqueness,
 )
 from slipflow.transport import (
     apply_S,
-    jacobian_bound,
     make_transport_field,
     upwind_march,
 )
+from oracles import jacobian_bound, random_small_start, two_start_uniqueness
 
 
 def _verdict(number: int, label: str, ok: bool, detail: str) -> None:

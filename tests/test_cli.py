@@ -165,6 +165,20 @@ def test_diagnose_reports_truncated_dump_and_exits_two(tmp_path, capsys):
     assert "diagnose:" not in captured.out
 
 
+def test_diagnose_reports_corrupt_dump_row_and_exits_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"data": {"epsilon": 1e-2}})
+    assert main(["solve", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    u_path = tmp_path / "out" / "field_u.txt"
+    lines = u_path.read_text().splitlines()
+    lines[3] = "0 0"  # the first body row, one value short
+    u_path.write_text("\n".join(lines) + "\n")
+    assert main(["diagnose", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: field dump {u_path}, line 4 has 2 of its 3 values" in captured.err
+    assert "diagnose:" not in captured.out
+
+
 def test_diagnose_rejects_mismatched_grid(tmp_path, capsys):
     cfg = write_config(tmp_path, {"data": {"epsilon": 1e-2}})
     assert main(["solve", "--config", str(cfg)]) == 0

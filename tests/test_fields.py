@@ -7,7 +7,6 @@ from slipflow.fields import (
     VectorField,
     NormKind,
     norm,
-    slice_l2,
     gradient,
     divergence,
     curl,
@@ -16,9 +15,23 @@ from slipflow.fields import (
     diff1,
     diff2,
     interior_l2,
-    boundary_lp_norm,
+    face_lp_pow,
     trace_gagliardo_norm,
 )
+
+
+def slice_l2(f: ScalarField, i: int) -> float:
+    """L2 norm of one x1 = const cross-section (full 2D trapezoid)."""
+    g = f.grid
+    w = g.axis_weights(1)[:, None] * g.axis_weights(2)[None, :]
+    return float(np.sqrt(np.sum(w * f.values[i] ** 2)))
+
+
+def boundary_lp_norm(grid, values_by_face, region: str, p: float) -> float:
+    """Lp norm of boundary data over the faces of one region."""
+    faces = grid.region_faces(region)
+    total = sum(face_lp_pow(fc, values_by_face[fc.name], p) for fc in faces)
+    return float(total ** (1.0 / p))
 
 
 def make_grid(n1=8, n2=8, n3=8, length=2.0, width2=1.0, width3=1.0):

@@ -19,11 +19,10 @@ from slipflow.picard import (
     IterationRecord,
     picard_solve,
     convergence_metrics,
-    two_start_uniqueness,
-    random_small_start,
     reconstruct_physical,
     _strong_size,
 )
+from oracles import random_small_start, two_start_uniqueness
 
 
 def make_setup(eps, n1=8, mode="split", **kwargs):

@@ -77,6 +77,62 @@ def test_truncated_field_dump_names_the_file(header, message, tmp_path):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("0, 0.0, 0.125, 0.0, x, 0.25, converged", "could not convert string to float: 'x'"),
+    ("1.5, 0.0, 0.125, 0.0, 1.5, 0.25, converged", "invalid literal for int()"),
+], ids=["non-float cell", "non-integer n"])
+def test_corrupt_history_cell_names_the_file_and_row(row, message, tmp_path):
+    path = tmp_path / "history.csv"
+    path.write_text(", ".join(HISTORY_COLUMNS) + "\n" + row + "\n")
+    with pytest.raises(ValueError, match=r"history row 2 of .*history\.csv") as err:
+        load_history(path)
+    assert message in str(err.value)
+
+
+def corrupt_vector_dump(tmp_path, line, row):
+    """A 3-component dump on small_grid whose given line is replaced by
+    row, or dropped if row is None."""
+    g = small_grid()
+    path = tmp_path / "field_u.txt"
+    write_field_dump(path, "u", np.zeros((3, *g.shape)), g)
+    lines = path.read_text().splitlines()
+    lines[line - 1:line] = [] if row is None else [row]
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0 0", "line 5 has 2 of its 3 values"),
+    ("x", "line 5: could not convert string to float: 'x'"),
+    ("0 x 0", "line 5: could not convert string to float: 'x'"),
+], ids=["ragged", "non-numeric", "non-numeric inside"])
+def test_corrupt_field_dump_row_names_the_file_and_line(row, message, tmp_path):
+    path = corrupt_vector_dump(tmp_path, 5, row)
+    with pytest.raises(ValueError, match="field_u.txt") as err:
+        load_field_dump(path)
+    assert message in str(err.value)
+
+
+@pytest.mark.parametrize("header", [
+    ["nodes 9 x 5", "spacing 0.25 0.25 0.25", "field w components 1"],
+    ["nodes 9 5 5", "spacing 0.25 0.25 0.25", "field w components x"],
+], ids=["node count", "component count"])
+def test_non_numeric_field_header_names_the_file(header, tmp_path):
+    path = tmp_path / "field_w.txt"
+    path.write_text("".join(line + "\n" for line in header))
+    with pytest.raises(ValueError, match="field_w.txt") as err:
+        load_field_dump(path)
+    assert "header: invalid literal for int() with base 10: 'x'" in str(err.value)
+
+
+def test_field_dump_body_shorter_than_nodes_line_names_the_file(tmp_path):
+    path = corrupt_vector_dump(tmp_path, 5, None)
+    n_nodes = int(np.prod(small_grid().shape))
+    with pytest.raises(ValueError, match="field_u.txt") as err:
+        load_field_dump(path)
+    assert f"has {n_nodes - 1} body lines, its nodes line {n_nodes}" in str(err.value)
+
+
 def test_field_dump_header_lines(tmp_path):
     g = small_grid()
     path = tmp_path / "field_w.txt"

@@ -17,11 +17,11 @@ from slipflow.transport import (
     make_transport_field,
     apply_S,
     upwind_march,
-    jacobian_bound,
     transport_footprint,
 )
 from slipflow import transport
 from slipflow.transport import _Kernel, _landing_step, _trace
+from oracles import jacobian_bound
 
 
 def make_grid(n1=16, n2=8, n3=8):
@@ -209,6 +209,39 @@ def test_apply_s_satisfies_transport_equation_under_refinement():
         resid = sum(tf.values[a] * diff1(s.values, g.h[a], a) for a in range(3)) - v.values
         errs.append(interior_l2(resid, g))
     assert errs[0] / errs[1] >= 1.5  # at least first order
+
+
+@pytest.mark.parametrize("amp, ceilings", [
+    (0.01, (5.35e-4, 2.63e-4, 1.18e-4)),
+    (0.05, (2.12e-3, 8.02e-4, 1.97e-4)),
+])
+def test_apply_s_converges_to_exact_density(amp, ceilings):
+    # w is exact, v = u~ . grad w at the nodes and w_in = w on x1 = 0; the
+    # ceilings are the tracer's sup errors on (16,8,8), (32,16,16) and
+    # (64,32,32), up to 5%, and its fitted orders are 1.09 and 1.71
+    errs = []
+    for n1 in (16, 32, 64):
+        g = make_grid(n1, n1 // 2, n1 // 2)
+        x1, x2, x3 = g.meshgrid()
+        c1, s1 = np.cos(0.5 * np.pi * x1), np.sin(0.5 * np.pi * x1)
+        vals = np.stack([
+            1.0 + amp * np.sin(np.pi * x2) * np.sin(np.pi * x3) * c1,
+            amp * np.sin(np.pi * x2) * np.cos(np.pi * x3) * c1,
+            amp * np.cos(np.pi * x2) * np.sin(np.pi * x3) * s1,
+        ])
+        a, b, c = x1 + 0.5, 2.0 * np.pi * x2, np.pi * x3 + 0.3
+        w = 0.05 * np.sin(a) * np.cos(b) * np.cos(c)
+        grad_w = 0.05 * np.stack([
+            np.cos(a) * np.cos(b) * np.cos(c),
+            -2.0 * np.pi * np.sin(a) * np.sin(b) * np.cos(c),
+            -np.pi * np.sin(a) * np.cos(b) * np.sin(c),
+        ])
+        v = ScalarField(g, np.sum(vals * grad_w, axis=0))
+        s = apply_S(make_transport_field(g, vals), v, w[0])
+        errs.append(float(np.max(np.abs(s.values - w))))
+    for err, ceiling in zip(errs, ceilings):
+        assert err <= 1.05 * ceiling
+    assert -np.polyfit(np.arange(3.0), np.log2(errs), 1)[0] >= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -643,6 +676,25 @@ def test_jacobian_monotone_in_amplitude():
         bounds.append(jacobian_bound(make_transport_field(g, vals)))
     assert bounds[0] <= 1e-10
     assert bounds[0] <= bounds[1] <= bounds[2]
+
+
+@pytest.mark.parametrize(
+    "cells, flow, expected",
+    [
+        # the values the estimate gave when it stepped the tracer's RK4
+        # kernel, on the flows of criterion 06 and of the tests above
+        ((16, 8, 8), lambda g: wall_respecting_flow(g, 1e-2), 0.05549348837909274),
+        ((8, 4, 4), lambda g: wall_respecting_flow(g, 5e-3), 0.017886132222521),
+        ((8, 4, 4), lambda g: uniform_flow(g), 0.0),
+        ((16, 8, 8), lambda g: uniform_flow(g, axial=1.0 + 1e-2 * np.sin(np.pi * g.meshgrid()[1])),
+         0.010000000000000009),
+        ((16, 8, 8), lambda g: uniform_flow(g, axial=1.0 + 1e-2 * g.meshgrid()[0]),
+         0.019563913405807654),
+    ],
+    ids=["criterion 06 flow", "estimate flow", "identity", "shear", "accelerating"],
+)
+def test_jacobian_oracle_matches_tracer_kernel_values(cells, flow, expected):
+    assert abs(jacobian_bound(flow(make_grid(*cells))) - expected) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
