@@ -2,9 +2,10 @@
 
 The continuity update is solved in Lagrangian form: every node is traced
 backward along d(X)/ds = -u~(X) until it arrives at the inflow plane, carrying
-the path integral of the source as an augmented ODE state.  The axial
-component of u~ stays >= 1/2 in the admissible regime, so every
-characteristic arrives at x1 = 0 in travel parameter at most 2L.
+the path integral of the source as an augmented ODE state.  A TransportField
+is rejected unless the axial component of u~ is at least 1/2 everywhere, so
+every step lowers x1 by at least half its size and every characteristic
+arrives at x1 = 0 in travel parameter at most 2L.
 
 For one advecting field the solve is affine in (source, inflow trace).
 transport_footprint traces every node once and records it as sparse
@@ -16,8 +17,9 @@ builds nothing.
 Both run one kernel, _trace, on blocks of consecutive nodes, the fewest
 of at most _BLOCK = 16384 nodes, equal in size to within one: a block
 takes full RK4 steps until each of its traces is about to cross x1 = 0,
-then lands them, a quarter of the block at a time, in a root solve in
-which every trace stops on its own tolerance and is not stepped again.
+then lands them all in one last RK4 step taken in x1 instead of s
+(dX/dx1 = u~/u~1, integrand v/u~1) over each trace's remaining x1, whose
+stage points sit at x1, x1/2, x1/2 and 0.  There is no root solve.
 No trace's arithmetic depends on the others in its block, so each
 trace's arrival and path integral are bit-identical for any block size
 and any number of workers.  A block allocates its work arrays once (a
@@ -59,45 +61,55 @@ from .fields import ScalarField
 
 @dataclass(frozen=True, eq=False)
 class TransportField:
-    """Full advecting velocity u~ = e1 + (ubar + u0) with its smallness
-    certificate: sup of |u~1 - 1|, sup of the transverse components, and
-    the largest wall-normal trace leak.  footprint, if recorded for these
-    values, is what apply_S applies instead of tracing."""
+    """Full advecting velocity u~ = e1 + (ubar + u0) on the nodes, (3, n1+1,
+    n2+1, n3+1).  footprint, if recorded for these values, is what apply_S
+    applies instead of tracing.
+
+    Construction rejects values of another shape, non-finite values and
+    an axial speed below 1/2 anywhere: sampled trilinearly, u~1 then
+    stays at least 1/2 along every trace, so no characteristic can fail
+    to reach the inflow plane.
+    """
 
     grid: Grid
-    values: np.ndarray  # (3, n1+1, n2+1, n3+1)
-    sup_axial_dev: float
-    sup_transverse: float
-    wall_trace_defect: float
+    values: np.ndarray
     footprint: TransportFootprint | None = None
+
+    def __post_init__(self):
+        velocity = self.values
+        if np.shape(velocity) != (3, *self.grid.shape):
+            raise ValueError(f"transport velocity shape {np.shape(velocity)} != (3, *{self.grid.shape})")
+        if not np.all(np.isfinite(velocity)):
+            raise ValueError("transport velocity contains non-finite values")
+        ax_min = float(np.min(velocity[0]))
+        if ax_min < 0.5:
+            raise ValueError(
+                f"axial transport speed fell to {ax_min:.6g} < 1/2; "
+                "forward progress of characteristics is lost"
+            )
+
+    # the smallness certificate
+    @property
+    def sup_axial_dev(self) -> float:
+        """sup of |u~1 - 1|."""
+        return float(np.max(np.abs(self.values[0] - 1.0)))
+
+    @property
+    def sup_transverse(self) -> float:
+        """sup of the transverse components."""
+        return float(np.max(np.abs(self.values[1:])))
+
+    @property
+    def wall_trace_defect(self) -> float:
+        """The largest wall-normal trace leak."""
+        v = self.values
+        return max(float(np.max(np.abs(face))) for face in (
+            v[1][:, 0, :], v[1][:, -1, :], v[2][:, :, 0], v[2][:, :, -1]))
 
 
 def make_transport_field(grid: Grid, velocity: np.ndarray) -> TransportField:
-    """Validate and certify a full advecting velocity array."""
-    velocity = np.asarray(velocity, dtype=float)
-    if velocity.shape != (3, *grid.shape):
-        raise ValueError(f"transport velocity shape {velocity.shape} != (3, *{grid.shape})")
-    if not np.all(np.isfinite(velocity)):
-        raise ValueError("transport velocity contains non-finite values")
-    ax_min = float(np.min(velocity[0]))
-    if ax_min < 0.5:
-        raise ValueError(
-            f"axial transport speed fell to {ax_min:.6g} < 1/2; "
-            "forward progress of characteristics is lost"
-        )
-    defect = max(
-        float(np.max(np.abs(velocity[1][:, 0, :]))),
-        float(np.max(np.abs(velocity[1][:, -1, :]))),
-        float(np.max(np.abs(velocity[2][:, :, 0]))),
-        float(np.max(np.abs(velocity[2][:, :, -1]))),
-    )
-    return TransportField(
-        grid=grid,
-        values=velocity,
-        sup_axial_dev=float(np.max(np.abs(velocity[0] - 1.0))),
-        sup_transverse=float(np.max(np.abs(velocity[1:]))),
-        wall_trace_defect=defect,
-    )
+    """Validate a full advecting velocity array (see TransportField)."""
+    return TransportField(grid, np.asarray(velocity, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +183,6 @@ def _corners(lo: np.ndarray, hi: np.ndarray, strides, pair: np.ndarray, outs):
 # backward tracing
 
 _RK4_WEIGHTS = (1.0, 2.0, 2.0, 1.0)
-_LANDING_TOL = 1e-13  # |x1| at the landing point, relative to the step ds
-_LANDING_MAX_ITER = 50
 _BLOCK = 16384  # node seeds traced together to completion
 
 
@@ -243,7 +253,8 @@ class _Kernel:
             dst = term
         return vals
 
-    def rk4(self, pos: np.ndarray, s, payload: bool = False, record: bool = False):
+    def rk4(self, pos: np.ndarray, s, payload: bool = False, record: bool = False,
+            axial: bool = False):
         """One backward RK4 step of size s (scalar or per point) from the
         (3, m) positions pos, which are only read.
 
@@ -251,7 +262,10 @@ class _Kernel:
         quadrature over the step (else None), both work arrays.  Each
         stage point is located once and every field is sampled through
         that stencil; with record, the stencils are kept as the step's
-        stages (see stages).
+        stages (see stages).  With axial, s is a length in x1 and the step
+        is taken in x1, of dX/dx1 = u~/u~1 with integrand payload/u~1:
+        every sampled row is divided by the sampled u~1, the recorded
+        stage weights too, and the x1 slope is exactly 1.
         """
         m = pos.shape[1]
         rows = 4 if payload else 3
@@ -265,6 +279,11 @@ class _Kernel:
         np.copyto(p, pos)
         for stage, weight in enumerate(_RK4_WEIGHTS):
             vals = self._sample_p(m, rows, total if stage == 0 else None, stage if record else None)
+            if axial:
+                if record:
+                    self.stage_weights[stage, :, :m] /= vals[0]
+                np.divide(vals[1:], vals[0], out=vals[1:])
+                vals[0] = 1.0
             if stage < 3:  # the next stage point, half, half and a full step on
                 np.multiply(vals[:3], s if stage == 2 else np.multiply(0.5, s, out=frac_out), out=p)
                 np.subtract(pos, p, out=p)
@@ -284,121 +303,47 @@ class _Kernel:
         return self.stage_base[:, :m], self.stage_weights[:, :, :m]
 
 
-def _landing_step(kern: _Kernel, pos: np.ndarray, ds: float, x1_full: np.ndarray,
-                  rows: np.ndarray, first: int = 0) -> np.ndarray:
-    """Step sizes in (0, ds] that land each trace on x1 = 0.
-
-    pos holds the (3, m) positions before the step and x1_full the
-    (non-positive) axial positions after a full step.  The root of x1(s)
-    on the bracket [0, ds] is found by the Illinois variant of regula
-    falsi, which keeps the bracket and converges superlinearly.  Each trace
-    stops at its own first iterate with |x1| <= tol and keeps it, and is
-    not stepped again: the live traces are kept in front of the work
-    arrays, in batch order, so no trace's result depends on which traces
-    are landed with it.  A trace still above tol after _LANDING_MAX_ITER
-    iterations raises RuntimeError naming its global node index, first +
-    its entry of rows, and its x1 residual.
-    """
-    n = pos.shape[1]
-    out = np.empty(n)
-    at = np.arange(n)  # each live trace's place in the batch
-    s = np.empty(n)  # each live trace's latest iterate
-    lo = np.zeros(n)
-    hi = np.full(n, ds)
-    f_lo = pos[0].copy()
-    f_hi = np.array(x1_full, dtype=float)
-    last = np.zeros(n, dtype=np.int8)  # the end the last iterate replaced
-    live = np.empty(n, dtype=bool)
-    work = np.empty(n)
-    start = pos  # the live traces' positions
-    tol = _LANDING_TOL * ds
-    for _ in range(_LANDING_MAX_ITER):
-        # s = (lo f_hi - hi f_lo) / (f_hi - f_lo)
-        np.multiply(lo, f_hi, out=s)
-        np.multiply(hi, f_lo, out=work)
-        np.subtract(s, work, out=s)
-        np.subtract(f_hi, f_lo, out=work)
-        np.divide(s, work, out=s)
-        f = kern.rk4(start, s)[0][0]
-        np.greater(np.abs(f, out=work), tol, out=live)
-        k = np.count_nonzero(live)
-        if k == 0:
-            out[at] = s
-            return out
-        if k < at.size:  # the landed traces leave the work arrays
-            landed = ~live
-            out[at[landed]] = s[landed]
-            keep = np.flatnonzero(live)
-            f = f[keep]
-            for a in (at, s, lo, hi, f_lo, f_hi, last):
-                a[:k] = a[keep]
-            at, s, lo, hi, f_lo, f_hi, last, live, work = (
-                a[:k] for a in (at, s, lo, hi, f_lo, f_hi, last, live, work))
-            if start is pos:
-                start = pos[:, keep]
-            else:
-                start[:, :k] = start[:, keep]
-                start = start[:, :k]
-        hi_end = f <= 0.0  # the end each iterate replaces
-        lo_end = ~hi_end
-        # Illinois: halve the stale end's value when one end is kept twice
-        np.multiply(f_lo, 0.5, out=f_lo, where=hi_end & (last < 0))
-        np.multiply(f_hi, 0.5, out=f_hi, where=lo_end & (last > 0))
-        np.copyto(f_lo, f, where=lo_end)
-        np.copyto(f_hi, f, where=hi_end)
-        np.copyto(lo, s, where=lo_end)
-        np.copyto(hi, s, where=hi_end)
-        np.copyto(last, 1, where=lo_end)
-        np.copyto(last, -1, where=hi_end)
-    resid = (f_hi, f_lo)[int(last[0] > 0)][0]  # the replaced end holds the last x1
-    raise RuntimeError(
-        f"characteristic {first + int(rows[at[0]])} did not land on x1 = 0 within "
-        f"{_LANDING_MAX_ITER} iterations: x1 residual {float(resid):.3e}"
-    )
-
-
 def _trace(kern: _Kernel, seeds: np.ndarray, first: int = 0, recorder=None):
     """Trace one block of seeds, the columns of a (3, N) array, backward to
     the inflow plane through kern, integrating its payload if it has one.
 
     Returns (arrivals, integral) arrays; the arrivals are seeds itself,
     overwritten.  Full steps of size ds are taken until a step would cross
-    x1 = 0; once every trace of the block has reached that step, one
-    shortened last step each (_landing_step) lands them on x1 = 0 exactly.
-    Every trace's arithmetic is its own, so the results do not depend on
-    how the seeds are split into blocks.
+    x1 = 0; as u~1 >= 1/2, each lowers x1 by at least ds/2.  Once every
+    trace of the block has reached that step, one RK4 step in x1 each
+    (kern.rk4 with axial), over the trace's remaining x1, lands them all
+    on x1 = 0 exactly.  Every trace's arithmetic is its own, so the
+    results do not depend on how the seeds are split into blocks.
 
-    first is the global node index of the first seed, for the message of
-    a trace that stalls or does not land.  A recorder, if given, keeps its
-    per-trace state in the traces' slots (below) and reads each step's
-    stage stencils from kern, which must record.  recorder.begin(first, m)
-    starts the m traced seeds in slots 0..m-1, in node order.  After each
-    step, recorder.step(rows[:m], ds, *kern.stages(m), skip=hit) adds its
-    four stages for every trace but those in the slots hit, which cross
-    x1 = 0 on it (rows are local to the block), and on a crossing step
-    recorder.move(order) then reorders the slots exactly as the step
-    reorders them here.  Once the block has landed, recorder.land(n) turns
-    the slots to crossing order, the order of done, in which the landing
-    step is taken, and recorder.step(done, s_fin, ...) and
-    recorder.close(done) record that step and emit what each trace still
+    first is the global node index of the first seed.  A recorder, if
+    given, keeps its per-trace state in the traces' slots (below) and
+    reads each step's stage stencils from kern, which must record.
+    recorder.begin(first, m) starts the m traced seeds in slots 0..m-1, in
+    node order.  After each step, recorder.step(rows[:m], ds,
+    *kern.stages(m), skip=hit) adds its four stages for every trace but
+    those in the slots hit, which cross x1 = 0 on it (rows are local to
+    the block), and on a crossing step recorder.move(order) then reorders
+    the slots exactly as the step reorders them here.  Once the block has
+    landed, recorder.land(n) turns the slots to crossing order, the order
+    of done, in which the landing step is taken, and recorder.step(done,
+    x1, ...) and recorder.close(done) record that step, whose stage
+    weights the kernel has divided by u~1, and emit what each trace still
     holds.
     """
-    grid = kern.grid
-    ds = min(grid.h) / 2.0
-    max_steps = int(np.ceil(8.0 * grid.config.length / ds)) + 1
-    ext = _lattice(grid)[0]
+    ds = min(kern.grid.h) / 2.0
+    ext = _lattice(kern.grid)[0]
     payload = kern.payload is not None
     record = recorder is not None
     integral = np.zeros(seeds.shape[1])
     # One slot per traced seed: the m traces still stepping in front, in
     # node order, and behind them, last first, those whose next step would
-    # cross x1 = 0, waiting for the block's landing solve.  A slot holds a
+    # cross x1 = 0, waiting for the block's landing step.  A slot holds a
     # row of the block, a position (before the crossing step for a waiting
     # trace) and the path integral so far.  The positions take the front of
     # seeds' own storage, as a (3, m) array and then (x1, x2, x3) triples,
     # and seeds receives the arrivals at the end.
     rows = np.flatnonzero(seeds[0] > 0.0)
-    m = rows.size
+    m = n = rows.size
     if record:
         recorder.begin(first, m)
     untraced = np.flatnonzero(seeds[0] <= 0.0)
@@ -408,20 +353,14 @@ def _trace(kern: _Kernel, seeds: np.ndarray, first: int = 0, recorder=None):
     if untraced.size:
         cur[...] = seeds[:, rows]
     held = np.zeros(m) if payload else None
-    x1_after = np.empty(m)  # x1 after the crossing step, in crossing order
-    n_done = 0
-    for _ in range(max_steps):
-        if m == 0:
-            break
+    while m:
         new, inc = kern.rk4(cur, ds, payload, record)
         crossing = new[0] <= 0.0
         hit = np.flatnonzero(crossing)
-        if record:  # a crossing trace records its shortened last step when it lands
+        if record:  # a crossing trace records its landing step instead
             recorder.step(rows[:m], ds, *kern.stages(m), skip=hit)
         if hit.size:
             keep = np.flatnonzero(~crossing)
-            x1_after[n_done:n_done + hit.size] = new[0, hit]
-            n_done += hit.size
             order = np.concatenate((keep, hit[::-1]))
             rows[:m] = rows[order]
             waiting = cur[:, hit]
@@ -439,23 +378,13 @@ def _trace(kern: _Kernel, seeds: np.ndarray, first: int = 0, recorder=None):
         if payload:
             held[:m] += inc
 
-    if m:
-        raise RuntimeError(
-            f"characteristic {first + int(rows[0])} stalled after {max_steps} steps "
-            f"at {tuple(float(c) for c in cur[:, 0])}"
-        )
-    if n_done:
+    if n:
         done, start = rows[::-1], pos.reshape(-1, 3)[::-1].T  # in crossing order
-        # a quarter of the block at a time, which quarters the landing's
-        # work arrays
-        s_fin = np.empty(n_done)
-        cuts = [k * n_done // 4 for k in range(5)]
-        for part in map(slice, cuts[:-1], cuts[1:]):
-            s_fin[part] = _landing_step(kern, start[:, part], ds, x1_after[part], done[part], first)
-        fin, inc = kern.rk4(start, s_fin, payload, record)
+        x1 = start[0]  # the step in x1 that lands each trace
+        fin, inc = kern.rk4(start, x1, payload, record, axial=True)
         if record:
-            recorder.land(n_done)
-            recorder.step(done, s_fin, *kern.stages(n_done))
+            recorder.land(n)
+            recorder.step(done, x1, *kern.stages(n))
             recorder.close(done)
         fin[0] = 0.0
         seeds[:, done] = np.clip(fin, 0.0, ext, out=fin)
@@ -661,7 +590,7 @@ class _SourceRecorder:
     the new high one; any other move emits both.  A step's stages are
     recorded once the step is done and only for the traces it kept, so a
     trace sees the stages of every step it takes in order, and its
-    shortened last step when it lands.  Every emitted group with a nonzero
+    landing step in x1 when it lands.  Every emitted group with a nonzero
     weight is stored as four weights.
 
     A trace's state, its cell (the flat index of the cell's low corner)

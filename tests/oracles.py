@@ -129,3 +129,60 @@ def jacobian_bound(tf: TransportField) -> float:
         np.clip(pos[:, 1:], 0.0, ext[1:], out=pos[:, 1:])
         worst = max(worst, distortion())
     return worst
+
+
+# ---------------------------------------------------------------------------
+# characteristics landed by bisection
+
+def bisection_landing_solve(tf: TransportField, v: ScalarField, w_in: np.ndarray) -> np.ndarray:
+    """Nodal solution of u~.grad(w) = v with trace w_in, traced to the
+    inflow plane and landed there by a root solve.
+
+    Every node takes backward RK4 steps of min(h) / 2 in the travel
+    parameter s, with u~ and v sampled trilinearly at points clamped to
+    the closed duct, until a step would cross x1 = 0.  A 52-step bisection
+    on the size of that last step then lands it on x1 = 0.  The value is
+    w_in, interpolated bilinearly at the arrival, plus the path integral
+    of v.
+    """
+    g = tf.grid
+    ext = np.array(g.config.extents)
+    fields = RegularGridInterpolator(
+        g.axes, np.moveaxis(np.concatenate([tf.values, v.values[None]]), 0, -1),
+        bounds_error=False, fill_value=None,
+    )
+
+    def step(p: np.ndarray, s) -> tuple[np.ndarray, np.ndarray]:
+        s = np.reshape(s, (-1, 1))
+        k1 = fields(np.clip(p, 0.0, ext))
+        k2 = fields(np.clip(p - 0.5 * s * k1[:, :3], 0.0, ext))
+        k3 = fields(np.clip(p - 0.5 * s * k2[:, :3], 0.0, ext))
+        k4 = fields(np.clip(p - s * k3[:, :3], 0.0, ext))
+        k = s / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return p - k[:, :3], k[:, 3]
+
+    ds = min(g.h) / 2.0
+    pos = np.stack([c.ravel() for c in g.meshgrid()], axis=1)
+    integral = np.zeros(len(pos))
+    live = np.flatnonzero(pos[:, 0] > 0.0)
+    waiting = []  # each trace waits where its next step would cross x1 = 0
+    while live.size:
+        new, inc = step(pos[live], ds)
+        crossing = new[:, 0] <= 0.0
+        waiting.append(live[crossing])
+        live = live[~crossing]
+        pos[live] = np.clip(new[~crossing], 0.0, ext)
+        integral[live] += inc[~crossing]
+    land = np.concatenate(waiting)
+    lo, hi = np.zeros(land.size), np.full(land.size, ds)
+    for _ in range(52):
+        mid = 0.5 * (lo + hi)
+        over = step(pos[land], mid)[0][:, 0] <= 0.0
+        hi = np.where(over, mid, hi)
+        lo = np.where(over, lo, mid)
+    new, inc = step(pos[land], 0.5 * (lo + hi))
+    pos[land] = np.clip(new, 0.0, ext)
+    pos[land, 0] = 0.0
+    integral[land] += inc
+    inflow = RegularGridInterpolator(g.axes[1:], w_in, bounds_error=False, fill_value=None)
+    return (inflow(pos[:, 1:]) + integral).reshape(g.shape)

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,3 +245,17 @@ def test_under_relaxation_still_converges():
     ref = picard_solve(make_setup(1e-2, mode="monolithic"))
     du = np.max(np.abs(bundle.u.values - ref.u.values))
     assert du <= 1e-7
+
+
+def test_default_split_solution_matches_the_recorded_reference():
+    # the split solution of the default config, recorded under bench/ and
+    # checked by the benchmark within 10 (outer_tol + inner_tol): a change
+    # that moves it further fails here first
+    config = config_from_mapping({"solver": {"mode": "split"}})
+    bundle = picard_solve(build_setup(config))
+    assert bundle.converged
+    tol = 10.0 * (config.solver.outer_tol + config.solver.inner_tol)
+    reference = Path(__file__).resolve().parent.parent / "bench" / "reference" / "split_default_seed0.npz"
+    with np.load(reference) as ref:
+        assert np.max(np.abs(bundle.u.values - ref["u"])) <= tol
+        assert np.max(np.abs(bundle.w.values - ref["w"])) <= tol

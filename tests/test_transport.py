@@ -9,7 +9,7 @@ import pytest
 
 from slipflow.config import SolverConfig
 from slipflow.grid import GeometryConfig, build_grid
-from slipflow.fields import ScalarField, NormKind, norm, diff1, interior_l2, zeros_scalar
+from slipflow.fields import ScalarField, VectorField, NormKind, norm, diff1, interior_l2, zeros_scalar
 from slipflow.material import FlowParams, assemble_perturbation_data, boundary_data_from_names
 from slipflow.picard import ProblemSetup, picard_solve
 from slipflow.transport import (
@@ -20,8 +20,8 @@ from slipflow.transport import (
     transport_footprint,
 )
 from slipflow import transport
-from slipflow.transport import _Kernel, _landing_step, _trace
-from oracles import jacobian_bound
+from slipflow.transport import _Kernel, _trace
+from oracles import bisection_landing_solve, jacobian_bound
 
 
 def make_grid(n1=16, n2=8, n3=8):
@@ -127,20 +127,12 @@ def test_trace_payload_constant_and_linear():
     assert trace_one(tf, (1.25, 0.5, 0.5), lin)[1] == pytest.approx(1.25**2 / 2.0, abs=1e-12)
 
 
-def test_stalled_characteristic_reported(monkeypatch):
-    # blocks of at most 16 nodes (15 here) on two workers: the plane x1 = 0
-    # holds nodes 0-24, so the first block in node order that stalls is the
-    # second one, and its error names the global index of the first node
-    # off that plane
-    monkeypatch.setattr(transport, "_BLOCK", 16)
-    monkeypatch.setattr(transport, "_workers", lambda n_blocks: min(2, n_blocks))
+def test_transport_field_rejects_a_flow_that_would_stall():
+    # zero velocity never reaches the inflow plane: the field cannot be
+    # made, so no route traces it
     g = make_grid(8, 4, 4)
-    vals = np.zeros((3, *g.shape))  # zero velocity never reaches the inflow
-    tf = TransportField(g, vals, 1.0, 0.0, 0.0)
-    with pytest.raises(RuntimeError, match=r"characteristic 25 stalled") as err:
-        apply_S(tf, zeros_scalar(g), np.zeros(g.shape[1:]))
-    assert type(err.value) is RuntimeError
-    assert multiprocessing.active_children() == []
+    with pytest.raises(ValueError, match=r"axial transport speed fell to 0 < 1/2"):
+        TransportField(g, np.zeros((3, *g.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +180,27 @@ def test_apply_s_affine_in_data():
     combo = apply_S(tf, ScalarField(g, a * v1.values + b * v2.values), a * t1 + b * t2)
     parts = a * apply_S(tf, v1, t1).values + b * apply_S(tf, v2, t2).values
     assert np.max(np.abs(combo.values - parts)) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "solver", ["apply_S", "footprint", "apply_S on two workers", "footprint in blocks of 16"])
+def test_every_route_lands_a_slow_uniform_flow_exactly(solver, monkeypatch):
+    # axial speed 0.9: the steps in s integrate a unit source to the travel
+    # and the last step, in x1, divides it by u~1, so w = w_in + x1 / 0.9.
+    # Blocks of at most 16 nodes (15 here) land a few traces at a time.
+    if solver.endswith((" on two workers", " in blocks of 16")):
+        monkeypatch.setattr(transport, "_BLOCK", 16)
+        monkeypatch.setattr(transport, "_workers", lambda n_blocks: min(2, n_blocks))
+    g = make_grid(8, 4, 4)
+    tf = uniform_flow(g, axial=0.9)
+    one = ScalarField(g, np.ones(g.shape))
+    w_in = smooth_scalar(g, 3, 0.5).values[0]
+    if solver.startswith("apply_S"):
+        w = apply_S(tf, one, w_in)
+    else:
+        w = transport_footprint(tf).apply(one, w_in)
+    assert np.max(np.abs(w.values - (w_in + g.meshgrid()[0] / 0.9))) <= 1e-13
+    assert multiprocessing.active_children() == []
 
 
 def test_apply_s_shape_validation():
@@ -272,11 +285,18 @@ def test_footprint_uniform_flow_constant_cases():
         assert np.max(np.abs(w.values - (trace_val + source_val * x1))) <= 1e-10
 
 
-def test_footprint_reports_stalled_characteristic():
+def test_transport_field_rejects_malformed_velocity():
+    # every way of making a field checks its values, replace included
     g = make_grid(8, 4, 4)
-    tf = TransportField(g, np.zeros((3, *g.shape)), 1.0, 0.0, 0.0)
-    with pytest.raises(RuntimeError, match=r"characteristic 25 stalled"):
-        transport_footprint(tf)
+    tf = uniform_flow(g)
+    with pytest.raises(ValueError, match=r"transport velocity shape \(3, 9, 5\) != \(3, \*\(9, 5, 5\)\)"):
+        TransportField(g, tf.values[:, :, :, 0])
+    for comp, bad in ((0, np.inf), (2, np.nan)):
+        vals = tf.values.copy()
+        vals[comp, 4, 2, 3] = bad
+        for make in (lambda: TransportField(g, vals), lambda: dataclasses.replace(tf, values=vals)):
+            with pytest.raises(ValueError, match="transport velocity contains non-finite values"):
+                make()
 
 
 @pytest.mark.parametrize("run", ["one worker", "default pool", "blocks of 1000", "eight workers"])
@@ -341,9 +361,9 @@ def test_daemonic_process_traces_its_blocks_itself():
 
 def test_transport_outputs_match_pinned_digests():
     # sha256 of the float64 bytes of both routes on the case above, recorded
-    # before the block kernel was reworked for buffer reuse.  They change
-    # only with a change that is meant to move transport results, and such
-    # a change says so in CHANGES.md.
+    # when the landing step became one RK4 step in x1.  They change only
+    # with a change that is meant to move transport results, and such a
+    # change says so in CHANGES.md.
     g = make_grid(32, 16, 16)
     tf = wall_respecting_flow(g, 2e-2)
     v = smooth_scalar(g, 500, 0.4)
@@ -353,10 +373,10 @@ def test_transport_outputs_match_pinned_digests():
         return hashlib.sha256(np.ascontiguousarray(values, dtype=np.float64).tobytes()).hexdigest()
 
     assert digest(apply_S(tf, v, w_in).values) == (
-        "3447c80888fea6d791709f8b560ea99294ae068025b20200ca38ab5b400b2da0"
+        "0e1e6c53584880962bf342be1b7682d1cb0c4ed69f30511f682e88f6b2124783"
     )
     assert digest(transport_footprint(tf).apply(v, w_in).values) == (
-        "7997a826a0a3142735ba4f0df0e604d647ee166b7c978859d76dbdfbe854104d"
+        "4353a66e6453c6e852987b0fced6645fb7b68addedd281bb7524ad16bdee9ff8"
     )
 
 
@@ -386,9 +406,9 @@ def _footprint_digests(fp):
 
 @pytest.mark.parametrize("chunk", [None, 4096])
 def test_recorded_footprint_matches_pinned_digests(chunk, monkeypatch):
-    # sha256 of the footprint recorded on the case above, recorded before
-    # the recorder kept its state in trace-slot order: the group stream,
-    # the inflow CSR arrays, and footprint.apply.  Chunks of 4096 groups
+    # sha256 of the footprint recorded on the case above, recorded when the
+    # landing step became one RK4 step in x1: the group stream, the inflow
+    # CSR arrays, and footprint.apply.  Chunks of 4096 groups
     # split the stream as (64, 32, 32) does at the default chunk size, and
     # change the sums of apply.
     if chunk is not None:
@@ -400,122 +420,28 @@ def test_recorded_footprint_matches_pinned_digests(chunk, monkeypatch):
     fp = transport_footprint(tf)
     assert _footprint_digests(fp) == (
         1 if chunk is None else 43,
-        "e0d08d8c89f6c7e9b07e3687dcfaae25a8dc328a6e5a05a14e21ab9112340dce",
-        "7af76977d7176068427d0864963b846a35d07509e1067afd9976183a9af333d3",
+        "fa13953d83063a9650f98c79123ea88905cbfea5daa69ebd3fc5bf4f8b551ed2",
+        "bfdf520dc465681df8f083ac3690099a1255e2f2d9bd8e8654c17b9b582af2c9",
     )
     applied = fp.apply(v, w_in).values
     assert _sha256(applied) == {
-        None: "7997a826a0a3142735ba4f0df0e604d647ee166b7c978859d76dbdfbe854104d",
-        4096: "cf72b2c22adbf05f27fe486d933da338f18b97bbdbfe62157b765c6025dfad2c",
+        None: "4353a66e6453c6e852987b0fced6645fb7b68addedd281bb7524ad16bdee9ff8",
+        4096: "53701ef1697e2544bc5b164b57432ff8dfb6c9bff5486fa0100c88c66ca37986",
     }[chunk]
     if chunk is not None:
         assert np.max(np.abs(applied - apply_S(tf, v, w_in).values)) <= 1e-13
 
 
-def test_landing_step_matches_bisection():
-    g = make_grid()
+def test_apply_s_matches_the_bisection_landing_oracle():
+    # the last step of each trace, taken in x1, lands where a root solve on
+    # the size of a step in s lands it, to the step's own error
+    g = make_grid(32, 16, 16)
     tf = wall_respecting_flow(g, 2e-2)
-    ds = min(g.h) / 2.0
-    rng = np.random.default_rng(5)
-    n = 200
-    kern = _Kernel(g, tf.values, None, n)
-    pos = np.stack([
-        rng.uniform(0.05, 0.95, n) * ds,
-        rng.uniform(0.0, g.config.width2, n),
-        rng.uniform(0.0, g.config.width3, n),
-    ])
-    x1_full = kern.rk4(pos, ds)[0][0].copy()
-    assert np.all(x1_full <= 0.0)
-    s = _landing_step(kern, pos, ds, x1_full, np.arange(n))
-    # the 52-step bisection on the one-step map that the secant replaced
-    lo, hi = np.zeros(n), np.full(n, ds)
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        over = kern.rk4(pos, mid)[0][0] <= 0.0
-        hi = np.where(over, mid, hi)
-        lo = np.where(over, lo, mid)
-    assert np.max(np.abs(s - 0.5 * (lo + hi))) <= 1e-13
-    assert np.max(np.abs(kern.rk4(pos, s)[0][0])) <= 1e-13
-
-
-def test_landing_step_is_independent_of_its_batch():
-    g = make_grid()
-    tf = wall_respecting_flow(g, 2e-2)
-    ds = min(g.h) / 2.0
-    rng = np.random.default_rng(6)
-    n = 200
-    kern = _Kernel(g, tf.values, None, n)
-    pos = np.stack([
-        rng.uniform(0.0, 1.0, n) * ds,
-        rng.uniform(0.0, g.config.width2, n),
-        rng.uniform(0.0, g.config.width3, n),
-    ])
-    x1_full = kern.rk4(pos, ds)[0][0].copy()
-    rows = np.arange(n)
-    together = _landing_step(kern, pos, ds, x1_full, rows)
-    alone = [_landing_step(kern, pos[:, i:i + 1], ds, x1_full[i:i + 1], rows[i:i + 1])[0]
-             for i in range(n)]
-    assert np.array_equal(together, np.array(alone))
-
-
-def test_landing_steps_only_unconverged_traces(monkeypatch):
-    g = make_grid()
-    tf = wall_respecting_flow(g, 2e-2)
-    ds = min(g.h) / 2.0
-    rng = np.random.default_rng(7)
-    n = 200
-    kern = _Kernel(g, tf.values, None, n)
-    pos = np.stack([
-        rng.uniform(0.0, 1.0, n) * ds,
-        rng.uniform(0.0, g.config.width2, n),  # tells the traces apart
-        rng.uniform(0.0, g.config.width3, n),
-    ])
-    x1_full = kern.rk4(pos, ds)[0][0].copy()
-    tol = transport._LANDING_TOL * ds
-    rk4, calls = kern.rk4, []
-
-    def counted(p, s, *args):
-        new = rk4(p, s, *args)
-        calls.append((p[1].copy(), new[0][0].copy()))
-        return new
-
-    monkeypatch.setattr(kern, "rk4", counted)
-    s = _landing_step(kern, pos, ds, x1_full, np.arange(n))
-    landed, unlanded_per_call = set(), []
-    for x2, x1 in calls:
-        assert not landed & set(x2.tolist())  # no landed trace is stepped again
-        unlanded_per_call.append(n - len(landed))
-        landed |= set(x2[np.abs(x1) <= tol].tolist())
-    assert landed == set(pos[1].tolist())
-    evaluations = sum(x2.size for x2, _ in calls)
-    assert evaluations == sum(unlanded_per_call) < n * len(calls)
-    monkeypatch.undo()
-    assert np.max(np.abs(kern.rk4(pos, s)[0][0])) <= tol
-
-
-@pytest.mark.parametrize(
-    "solver", ["apply_S", "footprint", "apply_S on two workers", "footprint in blocks of 16"])
-def test_trace_that_does_not_land_is_reported(solver, monkeypatch):
-    # axial speed 0.9 and ds = 0.125: the plane x1 = 0.25 (nodes 25-49) is
-    # the first to cross, on its third step, to x1 = 0.25 - 3 * 0.1125; with
-    # no landing iterations allowed its first node is reported unlanded.
-    # In blocks of at most 16 nodes (15 here), the first block in node
-    # order that fails is [15, 30), and its error reaches the caller as it
-    # was raised, from a worker or from the calling process.
-    monkeypatch.setattr(transport, "_LANDING_MAX_ITER", 0)
-    if solver.endswith((" on two workers", " in blocks of 16")):
-        monkeypatch.setattr(transport, "_BLOCK", 16)
-        monkeypatch.setattr(transport, "_workers", lambda n_blocks: min(2, n_blocks))
-    g = make_grid(8, 4, 4)
-    tf = uniform_flow(g, axial=0.9)
-    message = r"characteristic 25 did not land on x1 = 0 within 0 iterations: x1 residual -8\.750e-02"
-    with pytest.raises(RuntimeError, match=message) as err:
-        if solver.startswith("apply_S"):
-            apply_S(tf, zeros_scalar(g), np.zeros(g.shape[1:]))
-        else:
-            transport_footprint(tf)
-    assert type(err.value) is RuntimeError
-    assert multiprocessing.active_children() == []
+    v = smooth_scalar(g, 500, 0.4)
+    w_in = smooth_scalar(g, 600, 0.4).values[0]
+    expected = bisection_landing_solve(tf, v, w_in)
+    assert np.max(np.abs(apply_S(tf, v, w_in).values - expected)) <= 1e-11
+    assert np.max(np.abs(transport_footprint(tf).apply(v, w_in).values - expected)) <= 1e-11
 
 
 @pytest.mark.parametrize("solver", ["apply_S"])  # the one route that starts workers
@@ -539,18 +465,21 @@ def test_worker_that_dies_fails_loudly(solver, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_worker_that_dies_gives_a_diverged_verdict(monkeypatch):
-    # every linear step builds a footprint, in the calling process, so no
-    # worker runs under the outer loop; a characteristic that does not
-    # land is what fails a build there, and it ends the outer loop with a
-    # verdict instead of an exception
-    monkeypatch.setattr(transport, "_LANDING_MAX_ITER", 0)
+def test_transport_rejection_gives_a_diverged_verdict():
+    # a start iterate whose axial speed falls below 1/2 cannot make a
+    # transport field: the first linear step fails, and the outer loop
+    # ends with a verdict instead of an exception
     g = make_grid(8, 4, 4)
     params = FlowParams()
     data = assemble_perturbation_data(g, boundary_data_from_names(g, epsilon=1e-2), params)
-    bundle = picard_solve(ProblemSetup(g, params, data, SolverConfig()))
-    assert bundle.verdict.startswith("diverged(characteristic ")
-    assert " did not land on x1 = 0 within 0 iterations" in bundle.verdict
+    u = np.zeros((3, *g.shape))
+    u[0] = -0.6
+    start = (VectorField(g, u), zeros_scalar(g))
+    bundle = picard_solve(ProblemSetup(g, params, data, SolverConfig()), start)
+    assert bundle.verdict == (
+        "diverged(axial transport speed fell to 0.39 < 1/2; "
+        "forward progress of characteristics is lost)"
+    )
     assert bundle.history == ()
 
 
