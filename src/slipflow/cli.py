@@ -177,10 +177,7 @@ def cmd_diagnose(config: RunConfig, out_dir: str) -> int:
     w = ScalarField(grid, w_values)
     forcing = compute_F(u, w, setup.data, config.params)
     continuity = compute_G(u, w, setup.data)
-    report = run_diagnostics(
-        u, w, forcing, continuity,
-        setup.data.slip_data, setup.data.w_in, config.params, config.solver.p,
-    )
+    report = run_diagnostics(u, w, forcing, continuity, setup.data, config.params)
     runio.write_report_json(out / "report.json", report)
     width = max(len(e.name) for e in report.entries)
     for e in report.entries:

@@ -18,19 +18,8 @@ import numpy as np
 
 from .grid import FACE_NAMES, WALL_NAMES, Grid, Face
 from .fields import (
-    ScalarField,
-    VectorField,
-    NormKind,
-    norm,
-    diff1,
-    div_array,
-    grad_array,
-    grad_div_array,
-    laplacian_array,
-    sym_gradient,
-    advect,
-    trace_gagliardo_norm,
-    face_w1p_norm,
+    ScalarField, VectorField, NormKind, norm, diff1, div_array, grad_array, grad_div_array,
+    laplacian_array, sym_gradient, advect, trace_gagliardo_norm, face_w1p_norm,
 )
 
 DENSITY_BAND = (0.0, 2.0)
@@ -275,19 +264,46 @@ def extend_normal_trace(grid: Grid, spec: BoundaryDataSpec) -> VectorField:
 
 @dataclass(frozen=True)
 class PerturbationData:
-    """Everything the linear step needs about the boundary data.
+    """Everything the linear step needs about the boundary data, and the
+    data's size in the norms of the smallness regime.
 
     slip_data maps face name -> (2, m, n) array: the right-hand sides of
     the two tangential Robin rows in the face frame, given data minus the
     lifted-field contribution 2 mu n.D(u0).tau_i.  w_in is the density
-    perturbation trace on the inflow face.  b_measure is the single
-    scalar data size driving the smallness regime.
+    perturbation trace on the inflow face.  The measures are taken in the
+    Sobolev exponent p: u0_w2p = |u0|_W2p, slip_trace the fractional trace
+    norm of the slip data, inflow_w1p = |w_in|_W1p of the inflow face, and
+    b_measure, their sum, the single scalar data size driving the
+    smallness regime.  measured() computes them.
     """
 
     u0: VectorField
     slip_data: Mapping[str, np.ndarray]
     w_in: np.ndarray
+    p: float
+    u0_w2p: float
+    slip_trace: float
+    inflow_w1p: float
     b_measure: float
+
+    @classmethod
+    def measured(
+        cls, u0: VectorField, slip_data: Mapping[str, np.ndarray], w_in: np.ndarray, p: float
+    ) -> "PerturbationData":
+        """The data with their measures taken in p, each trace norm once."""
+        grid = u0.grid
+        u0_w2p = norm(u0, NormKind.w2p(p))
+        slip_trace = trace_gagliardo_norm(grid, slip_data, "all", p)
+        inflow_w1p = face_w1p_norm(grid.face("inflow"), w_in, p)
+        return cls(u0, slip_data, w_in, p, u0_w2p, slip_trace, inflow_w1p,
+                   b_measure=u0_w2p + slip_trace + inflow_w1p)
+
+
+def reference_flow(grid: Grid) -> np.ndarray:
+    """The uniform axial flow e1 the perturbation is taken about."""
+    vals = np.zeros((3, *grid.shape))
+    vals[0] = 1.0
+    return vals
 
 
 def assemble_perturbation_data(
@@ -296,7 +312,7 @@ def assemble_perturbation_data(
     params: FlowParams,
     p: float = NormKind.p,
 ) -> PerturbationData:
-    """Evaluate u0, the Robin right-hand sides and the data measure."""
+    """Evaluate u0, the Robin right-hand sides and the data measures."""
     u0 = extend_normal_trace(grid, spec)
     d_u0 = sym_gradient(u0)
 
@@ -321,13 +337,7 @@ def assemble_perturbation_data(
     else:
         w_in = np.zeros(inflow.weights.shape)
     _check_band(1.0 + w_in, "inflow density trace")
-
-    b_measure = (
-        norm(u0, NormKind.w2p(p))
-        + trace_gagliardo_norm(grid, slip_data, "all", p)
-        + face_w1p_norm(inflow, w_in, p)
-    )
-    return PerturbationData(u0=u0, slip_data=slip_data, w_in=w_in, b_measure=float(b_measure))
+    return PerturbationData.measured(u0, slip_data, w_in, p)
 
 
 # ---------------------------------------------------------------------------
@@ -349,8 +359,8 @@ def compute_F(
     which is the full momentum residual of the reconstructed physical
     fields minus the linear-step left-hand side, except for the pressure
     term: on the grid, grad(pi(1 + w)) differs from pi'(1 + w) grad(w) by
-    the discrete chain-rule defect, which reconstruct_physical's momentum
-    audit therefore measures.
+    the discrete chain-rule defect, which the momentum audit of
+    diagnostics.reconstruct_physical therefore measures.
     """
     g = u.grid
     dpi = delta_pi_prime(params.pressure, w).values

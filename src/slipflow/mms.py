@@ -1,11 +1,11 @@
 """Manufactured solutions with closed-form forcing data.
 
 Exact velocity/density pairs are chosen with zero normal trace on every
-face.  Every field is a product of one sine or cosine per axis, and so is
-each of its derivatives, so the matching volume forcings and slip data
-are sums and products of such terms.  They are evaluated at the nodes and
-handed out as plain arrays, so the solver can be run against a known
-answer.
+face.  Every field is a sum of products of one sine or cosine per axis,
+and so is each of its derivatives, so the matching volume forcings and
+slip data are sums and products of such terms.  They are evaluated at the
+nodes and handed out as plain arrays, so the solver can be run against a
+known answer.
 """
 from __future__ import annotations
 
@@ -43,6 +43,19 @@ class _Product:
         return out
 
 
+@dataclass(frozen=True)
+class _Sum:
+    """A sum of _Product terms, differentiated and evaluated termwise."""
+
+    terms: tuple[_Product, ...]
+
+    def d(self, axis: int) -> _Sum:
+        return _Sum(tuple(t.d(axis) for t in self.terms))
+
+    def at(self, x1, x2, x3) -> np.ndarray:
+        return sum(t.at(x1, x2, x3) for t in self.terms)
+
+
 def _face_points(face: Face, grid: Grid) -> list[np.ndarray]:
     """Node coordinates of a face as three (2D) arrays in global axis order."""
     a, b = np.meshgrid(face.coords[0], face.coords[1], indexing="ij")
@@ -73,8 +86,12 @@ def build_linear_case(grid: Grid, params: FlowParams) -> ManufacturedCase:
     solution."""
     k1, k2, k3 = (np.pi / ext for ext in grid.config.extents)
     a = _AMPLITUDE
-    # u_c = a sin(pi x_c / ext_c) prod_{b != c} cos(pi x_b / ext_b)
-    u = [_Product(a, tuple(b == c for b in range(3)), (k1, k2, k3)) for c in range(3)]
+    # u_c = a sin(pi x_c / ext_c) prod_{b != c} cos(pi x_b / ext_b) plus a
+    # shear term a prod_b sin(pi x_b / ext_b): it vanishes on every face
+    # but its wall-normal derivative does not, so every slip row carries mu
+    shear = _Product(a, (True, True, True), (k1, k2, k3))
+    u = [_Sum((_Product(a, tuple(b == c for b in range(3)), (k1, k2, k3)), shear))
+         for c in range(3)]
     w = _Product(a, (False, False, False), (k1 / 2, k2, k3))
     convect = (
         _Product(a, (True, False, False), (k1, k2, 0.0)),

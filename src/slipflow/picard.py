@@ -17,21 +17,7 @@ import numpy as np
 
 from .config import RunConfig, SolverConfig
 from .grid import Grid, build_grid
-from .fields import (
-    ScalarField,
-    VectorField,
-    NormKind,
-    norm,
-    div_array,
-    advect,
-    laplacian_array,
-    grad_div_array,
-    grad_array,
-    sym_gradient,
-    interior_l2,
-    zeros_scalar,
-    zeros_vector,
-)
+from .fields import ScalarField, VectorField, NormKind, norm, zeros_scalar, zeros_vector
 from .material import (
     FlowParams,
     PerturbationData,
@@ -39,7 +25,7 @@ from .material import (
     boundary_data_from_names,
     compute_F,
     compute_G,
-    _check_band,
+    reference_flow,
 )
 from .lame import build_lame_operator, solve_linear_step
 
@@ -201,15 +187,9 @@ def picard_solve(
             verdict = "converged"
             break
 
-    v = VectorField(grid, u.values + data.u0.values + _reference_flow(grid))
+    v = VectorField(grid, u.values + data.u0.values + reference_flow(grid))
     rho = ScalarField(grid, 1.0 + w.values)
     return SolutionBundle(u, w, v, rho, tuple(history), verdict)
-
-
-def _reference_flow(grid: Grid) -> np.ndarray:
-    vals = np.zeros((3, *grid.shape))
-    vals[0] = 1.0
-    return vals
 
 
 def convergence_metrics(
@@ -248,90 +228,3 @@ def convergence_metrics(
         "max_ratio": float(ratios.max()) if ratios.size else 0.0,
         "fit_rate": fit_rate,
     }
-
-
-@dataclass(frozen=True, eq=False)
-class PhysicalReconstruction:
-    v: VectorField
-    rho: ScalarField
-    residuals: dict
-
-
-def reconstruct_physical(
-    u: VectorField,
-    w: ScalarField,
-    data: PerturbationData,
-    params: FlowParams,
-) -> PhysicalReconstruction:
-    """Undo the perturbation change of variables and audit the full system.
-
-    v = u + (1,0,0) + u0 and rho = 1 + w; the report carries the discrete
-    residuals of the steady momentum balance and continuity equation at
-    interior nodes, the slip rows and impermeability on the boundary, and
-    the inflow density trace.  All residual rows are built from the same
-    difference operators the solver composes, so a converged solve audits
-    at solver tolerance for every row it enforced; rows it never saw
-    (the physical nonlinearity is in the forcing) audit at truncation
-    level.
-    """
-    grid = u.grid
-    mu, nu, f = params.mu, params.nu, params.friction
-    v_vals = u.values + data.u0.values + _reference_flow(grid)
-    rho_vals = 1.0 + w.values
-    _check_band(rho_vals, "reconstruct_physical")
-    v = VectorField(grid, v_vals)
-    rho = ScalarField(grid, rho_vals)
-
-    pressure = params.pressure.value(rho_vals)
-    grad_p = grad_array(pressure, grid)
-    gd = grad_div_array(v_vals, grid)
-    mom = np.stack(
-        [
-            rho_vals * advect(v_vals, v_vals[c], grid)
-            - mu * laplacian_array(v_vals[c], grid)
-            - (nu + mu) * gd[c]
-            + grad_p[c]
-            for c in range(3)
-        ]
-    )
-    momentum_res = interior_l2(mom, grid)
-
-    mass_flux = rho_vals * v_vals
-    cont = div_array(mass_flux, grid)
-    continuity_res = float(interior_l2(cont, grid))
-
-    d_v = sym_gradient(v)
-    d_u0 = sym_gradient(VectorField(grid, data.u0.values))
-    e1_vals = _reference_flow(grid)
-    slip_sq = 0.0
-    normal_max = 0.0
-    for face in grid.faces:
-        sl = face.slicer()
-        na, side = face.axis, face.side
-        for i, t_ax in enumerate(face.in_axes):
-            traction = 2.0 * mu * side * d_v[na, t_ax][sl]
-            row = traction + f * v_vals[t_ax][sl]
-            b_full = (
-                data.slip_data[face.name][i]
-                + 2.0 * mu * side * d_u0[na, t_ax][sl]
-                + f * (e1_vals[t_ax][sl] + data.u0.values[t_ax][sl])
-            )
-            slip_sq += float(np.sum(face.weights * (row - b_full) ** 2))
-        flux_data = side * (e1_vals[na][sl] + data.u0.values[na][sl])
-        normal_max = max(
-            normal_max, float(np.max(np.abs(side * v_vals[na][sl] - flux_data)))
-        )
-
-    inflow = grid.face("inflow")
-    rho_in = 1.0 + data.w_in
-    trace_diff = rho.values[inflow.slicer()] - rho_in
-    inflow_res = float(np.sqrt(np.sum(inflow.weights * trace_diff**2)))
-
-    report = {
-        "momentum_interior_l2": momentum_res,
-        "continuity_interior_l2": continuity_res,
-        "slip_boundary_l2": float(np.sqrt(slip_sq)),
-        "normal_trace_max": normal_max,
-        "inflow_density_l2": inflow_res,
-    }
-    return PhysicalReconstruction(v, rho, report)

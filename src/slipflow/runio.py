@@ -85,9 +85,10 @@ def write_field_dump(path, name: str, values: np.ndarray, grid: Grid) -> None:
         "spacing " + " ".join(_fmt(h) for h in grid.h),
         f"field {name} components {comps.shape[0]}",
     ]
-    columns = [comps[c].reshape(-1, order="F") for c in range(comps.shape[0])]
-    for entries in zip(*columns):
-        lines.append(" ".join(_fmt(v) for v in entries))
+    # one "%.17g" per value, the same text as _fmt, formatted a row at a time
+    row = " ".join(["%.17g"] * comps.shape[0])
+    columns = [comps[c].reshape(-1, order="F").tolist() for c in range(comps.shape[0])]
+    lines.extend(row % entries for entries in zip(*columns))
     _atomic_write(path, "\n".join(lines) + "\n")
 
 

@@ -59,10 +59,7 @@ def _diagnostics(run: SimpleNamespace):
     setup, bundle = run.setup, run.bundle
     forcing = compute_F(bundle.u, bundle.w, setup.data, setup.params)
     continuity = compute_G(bundle.u, bundle.w, setup.data)
-    return run_diagnostics(
-        bundle.u, bundle.w, forcing, continuity,
-        setup.data.slip_data, setup.data.w_in, setup.params, setup.solver.p,
-    )
+    return run_diagnostics(bundle.u, bundle.w, forcing, continuity, setup.data, setup.params)
 
 
 def _fit_order(errors) -> float:

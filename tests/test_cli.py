@@ -134,7 +134,7 @@ def test_diagnose_after_solve_writes_report(tmp_path, capsys):
 def test_diagnose_grades_apriori_ratio_in_the_run_exponent(tmp_path):
     from slipflow.diagnostics import apriori_ratio
     from slipflow.fields import ScalarField, VectorField
-    from slipflow.material import compute_F, compute_G
+    from slipflow.material import PerturbationData, compute_F, compute_G
 
     cfg = write_config(tmp_path, {"data": {"epsilon": 1e-2},
                                   "solver": {"mode": "monolithic", "p": 6.0}})
@@ -146,10 +146,30 @@ def test_diagnose_grades_apriori_ratio_in_the_run_exponent(tmp_path):
     _, u_vals, _ = load_field_dump(tmp_path / "out" / "field_u.txt")
     _, w_vals, _ = load_field_dump(tmp_path / "out" / "field_w.txt")
     u, w = VectorField(setup.grid, u_vals), ScalarField(setup.grid, w_vals)
-    args = (u, w, compute_F(u, w, setup.data, setup.params), compute_G(u, w, setup.data),
-            setup.data.slip_data, setup.data.w_in)
-    assert report["apriori_ratio"]["value"] == apriori_ratio(*args, p=6.0)
-    assert apriori_ratio(*args, p=6.0) != apriori_ratio(*args, p=4.0)
+    args = (u, w, compute_F(u, w, setup.data, setup.params), compute_G(u, w, setup.data))
+    assert setup.data.p == 6.0
+    data4 = PerturbationData.measured(setup.data.u0, setup.data.slip_data, setup.data.w_in, 4.0)
+    assert report["apriori_ratio"]["value"] == apriori_ratio(*args, setup.data)
+    assert apriori_ratio(*args, setup.data) != apriori_ratio(*args, data4)
+
+
+def test_diagnose_sums_each_trace_seminorm_once(tmp_path, monkeypatch):
+    # the set-up measures the data once per face and the a-priori ratio
+    # reads those measures: six faces, six seminorm sums
+    from slipflow import fields
+
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"output": {"directory": str(tmp_path / "out")}}))
+    assert main(["solve", "--config", str(cfg)]) == 0
+    original, calls = fields.face_gagliardo_pow, []
+
+    def counting(face, vals, p):
+        calls.append(face.name)
+        return original(face, vals, p)
+
+    monkeypatch.setattr(fields, "face_gagliardo_pow", counting)
+    assert main(["diagnose", "--config", str(cfg)]) == 0
+    assert sorted(calls) == ["inflow", "outflow", "y0", "y1", "z0", "z1"]
 
 
 def test_diagnose_reports_truncated_dump_and_exits_two(tmp_path, capsys):

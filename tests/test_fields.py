@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from slipflow.fields import (
     diff2,
     interior_l2,
     face_lp_pow,
+    face_gagliardo_pow,
     trace_gagliardo_norm,
 )
 
@@ -215,6 +218,57 @@ def test_trace_gagliardo_positive_for_varying_trace():
     tg = trace_gagliardo_norm(g, vals, "lateral", 4.0)
     bl = boundary_lp_norm(g, vals, "lateral", 4.0)
     assert tg > bl
+
+
+def dense_gagliardo_pow(face, vals, p):
+    """The seminorm's double sum over all ordered node pairs at once, in
+    full F x F arrays."""
+    v = np.asarray(vals, dtype=float)
+    v = v[None] if v.ndim == 2 else v
+    t1, t2 = np.meshgrid(face.coords[0], face.coords[1], indexing="ij")
+    w = face.weights.ravel()
+    keep = w > 0.0
+    w, x, y = w[keep], t1.ravel()[keep], t2.ravel()[keep]
+    d2 = (x[:, None] - x[None, :]) ** 2 + (y[:, None] - y[None, :]) ** 2
+    np.fill_diagonal(d2, 1.0)
+    kernel = (w[:, None] * w[None, :]) / d2 ** (0.5 * (p + 1.0))
+    total = 0.0
+    for c in range(v.shape[0]):
+        g = v[c].ravel()[keep]
+        dv = np.abs(g[:, None] - g[None, :]) ** p
+        np.fill_diagonal(dv, 0.0)
+        total += float(np.sum(kernel * dv))
+    return total
+
+
+@pytest.mark.parametrize("p", [4.0, 2.5])
+def test_face_gagliardo_pow_matches_the_dense_double_sum(p):
+    # faces of 112 to 238 weighted nodes: two to four blocks of pair rows,
+    # the last one partial
+    g = build_grid(GeometryConfig(2.0, 1.0, 0.7, 18, 9, 15))
+    rng = np.random.default_rng(41)
+    for face in g.faces:
+        vals = rng.standard_normal((2, *face.weights.shape)) * np.exp(
+            rng.uniform(-3.0, 3.0, face.weights.shape))
+        for data in (vals, vals[0]):
+            want = dense_gagliardo_pow(face, data, p)
+            assert abs(face_gagliardo_pow(face, data, p) - want) <= 1e-13 * want, face.name
+
+
+def test_face_gagliardo_pow_memory_is_bounded():
+    # a (64,32,32) wall face has 1,953 weighted nodes: one dense F x F
+    # array of pairs would take 30.5 MB
+    g = build_grid(GeometryConfig(2.0, 1.0, 1.0, 64, 32, 32))
+    face = g.face("y0")
+    vals = np.random.default_rng(43).standard_normal((2, *face.weights.shape))
+    tracemalloc.start()
+    try:
+        face_gagliardo_pow(face, vals, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert int(np.count_nonzero(face.weights)) == 1953
+    assert peak < 8e6
 
 
 def test_invalid_p_rejected():

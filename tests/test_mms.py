@@ -5,11 +5,17 @@ as expression trees, differentiated symbolically and evaluated through
 lambdify.  Every array of ManufacturedCase must agree with it to
 rounding.
 """
+import re
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import sympy as sp
+from scipy import sparse
 
+from slipflow import cli
 from slipflow.grid import GeometryConfig, build_grid
+from slipflow.lame import build_lame_operator
 from slipflow.material import FlowParams, PressureLaw
 from slipflow.mms import _AMPLITUDE, build_linear_case
 
@@ -70,10 +76,11 @@ def symbolic_case(grid, params):
     L, W2, W3 = grid.config.extents
     a = _AMPLITUDE
 
+    shear = a * sp.sin(sp.pi * x1 / L) * sp.sin(sp.pi * x2 / W2) * sp.sin(sp.pi * x3 / W3)
     u = (
-        a * sp.sin(sp.pi * x1 / L) * sp.cos(sp.pi * x2 / W2) * sp.cos(sp.pi * x3 / W3),
-        a * sp.sin(sp.pi * x2 / W2) * sp.cos(sp.pi * x1 / L) * sp.cos(sp.pi * x3 / W3),
-        a * sp.sin(sp.pi * x3 / W3) * sp.cos(sp.pi * x1 / L) * sp.cos(sp.pi * x2 / W2),
+        a * sp.sin(sp.pi * x1 / L) * sp.cos(sp.pi * x2 / W2) * sp.cos(sp.pi * x3 / W3) + shear,
+        a * sp.sin(sp.pi * x2 / W2) * sp.cos(sp.pi * x1 / L) * sp.cos(sp.pi * x3 / W3) + shear,
+        a * sp.sin(sp.pi * x3 / W3) * sp.cos(sp.pi * x1 / L) * sp.cos(sp.pi * x2 / W2) + shear,
     )
     w = a * sp.cos(sp.pi * x1 / (2 * L)) * sp.cos(sp.pi * x2 / W2) * sp.cos(sp.pi * x3 / W3)
     convect = (
@@ -136,3 +143,32 @@ def test_closed_form_matches_symbolic_derivation(cells, params, extents):
         assert scale > 0.0, key
         gap = float(np.max(np.abs(got[key] - ref)))
         assert gap <= 1e-13 * scale, (key, gap, scale)
+
+
+def test_slip_data_carry_the_viscous_term():
+    grid = build_grid(GeometryConfig(2.0, 1.0, 1.0, 8, 4, 4))
+    one, three = (build_linear_case(grid, FlowParams(mu=mu)) for mu in (1.0, 3.0))
+    for name, rows in one.slip_data.items():
+        assert float(np.max(np.abs(rows - three.slip_data[name]))) > 0.1, name
+
+
+def _slip_rows_with_scaled_mu(scale):
+    """build_lame_operator whose matrix takes its slip rows from an
+    operator built with mu * scale, and its PDE rows from the true one."""
+
+    def build(grid, params):
+        op = build_lame_operator(grid, params)
+        mutant = build_lame_operator(grid, replace(params, mu=scale * params.mu))
+        slip = sparse.diags(op.robin_mask.reshape(-1)[op.free].astype(float))
+        pde = sparse.identity(slip.shape[0]) - slip
+        return replace(op, matrix=(pde @ op.matrix + slip @ mutant.matrix).tocsr())
+
+    return build
+
+
+@pytest.mark.parametrize("mode", ["split", "monolithic"])
+def test_verify_fails_a_five_percent_error_in_the_slip_rows_viscosity(mode, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_lame_operator", _slip_rows_with_scaled_mu(1.05))
+    assert cli.main(["verify", "--mode", mode]) == 1
+    order = float(re.search(r"velocity order (\S+),", capsys.readouterr().out).group(1))
+    assert order < 1.8

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from slipflow.grid import GeometryConfig, build_grid
-from slipflow.fields import ScalarField, VectorField, grad_array, interior_l2
 from slipflow.material import (
     FlowParams,
     boundary_data_from_names,
@@ -13,6 +12,7 @@ from slipflow.material import (
 )
 from slipflow import lame, picard
 from slipflow.config import SolverConfig, config_from_mapping
+from slipflow.diagnostics import reconstruct_physical
 from slipflow.lame import build_lame_operator
 from slipflow.picard import (
     ProblemSetup,
@@ -20,7 +20,6 @@ from slipflow.picard import (
     IterationRecord,
     picard_solve,
     convergence_metrics,
-    reconstruct_physical,
     _strong_size,
 )
 from oracles import random_small_start, two_start_uniqueness
@@ -53,8 +52,8 @@ def test_zero_data_exact_fixed_point():
     assert metrics["max_a"] == 0.0
     assert metrics["max_slack"] <= 0.0
 
-    rec = reconstruct_physical(bundle.u, bundle.w, setup.data, setup.params)
-    for key, val in rec.residuals.items():
+    residuals = reconstruct_physical(bundle.u, bundle.w, setup.data, setup.params)
+    for key, val in residuals.items():
         assert val <= 1e-11, key
 
 
@@ -139,47 +138,6 @@ def test_random_small_start_hits_requested_size():
     u, w = random_small_start(setup, seed=3, size=0.05)
     a0 = _strong_size(u, w, setup.solver.p)
     assert a0 == pytest.approx(0.05, rel=1e-10)
-
-
-def test_reconstruction_residuals_sharpen_under_refinement():
-    res = {}
-    for n1 in (8, 16):
-        setup = make_setup(1e-2, n1=n1, mode="monolithic")
-        bundle = picard_solve(setup)
-        assert bundle.converged
-        rec = reconstruct_physical(
-            bundle.u, bundle.w, setup.data, setup.params
-        )
-        res[n1] = rec.residuals
-        # rows the solver enforced audit at solver tolerance
-        assert rec.residuals["slip_boundary_l2"] <= 1e-9
-        assert rec.residuals["normal_trace_max"] == 0.0
-        assert rec.residuals["inflow_density_l2"] == 0.0
-        # the momentum audit is what the linearized pressure rows leave out:
-        # the discrete chain-rule defect grad p(rho) - p'(rho) grad rho
-        rho = rec.rho.values
-        law = setup.params.pressure
-        defect = interior_l2(
-            grad_array(law.value(rho), setup.grid) - law.d1(rho) * grad_array(rho, setup.grid),
-            setup.grid,
-        )
-        assert rec.residuals["momentum_interior_l2"] == pytest.approx(defect, rel=1e-4)
-    # the continuity audit compares central products against the
-    # characteristics density the solver enforced; its leading term is
-    # first order but the boundary-layer ramp is still resolving at these
-    # sizes (ratio observed 1.53 here)
-    assert res[8]["continuity_interior_l2"] / res[16]["continuity_interior_l2"] >= 1.3
-    # the chain-rule defect follows the smoothness of the traced density,
-    # which sharpens slowly (ratio observed 1.94 here, 2.29 one doubling later)
-    assert res[16]["momentum_interior_l2"] < res[8]["momentum_interior_l2"]
-
-
-def test_reconstruct_rejects_out_of_band_density():
-    setup = make_setup(0.0)
-    u = VectorField(setup.grid, np.zeros((3, *setup.grid.shape)))
-    w = ScalarField(setup.grid, np.full(setup.grid.shape, 1.5))
-    with pytest.raises(ValueError, match="admissible band"):
-        reconstruct_physical(u, w, setup.data, setup.params)
 
 
 def test_iteration_record_validation():

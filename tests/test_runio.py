@@ -181,6 +181,25 @@ def test_vector_dump_roundtrip_is_bit_identical(tmp_path):
     assert np.array_equal(loaded, vals)
 
 
+@pytest.mark.parametrize("ncomp", [1, 3])
+def test_field_dump_body_matches_per_value_formatting(ncomp, tmp_path):
+    # each body value reads exactly as format(v, ".17g") writes it, signed
+    # zero, subnormals, extremes and 17-digit values included
+    g = small_grid()
+    rng = np.random.default_rng(9)
+    vals = rng.standard_normal((ncomp,) + g.shape)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
+               2.2250738585072014e-308, 0.1, 1.0 / 3.0, 12345678901234567.0,
+               np.nextafter(1.0, 2.0), -9.8765432109876543e-12]
+    flat = vals.reshape(-1)
+    flat[:len(special)] = special
+    path = tmp_path / "field.txt"
+    write_field_dump(path, "f", vals[0] if ncomp == 1 else vals, g)
+    columns = [vals[c].reshape(-1, order="F") for c in range(ncomp)]
+    want = [" ".join(format(float(v), ".17g") for v in entries) for entries in zip(*columns)]
+    assert path.read_text().splitlines()[3:] == want
+
+
 def test_field_dump_rejects_wrong_shape(tmp_path):
     g = small_grid()
     with pytest.raises(ValueError, match="does not match"):
