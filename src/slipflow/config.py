@@ -24,34 +24,11 @@ from .grid import FACE_NAMES, GeometryConfig
 from .krylov import KrylovConfig
 from .fields import NormKind
 from .lame import INNER_TOL, MODES
-from .material import (
-    DEFAULT_INFLOW_DENSITY,
-    DEFAULT_NORMAL_TRACE,
-    DEFAULT_SLIP,
-    NORMAL_TRACE_FACES,
-    PROFILE_NAMES,
-    FlowParams,
-    PressureLaw,
-    check_amplitude,
-)
+from .material import NORMAL_TRACE_FACES, PROFILE_NAMES, DataConfig, FlowParams, PressureLaw
 
 
 class ConfigError(ValueError):
     """Malformed or invalid run configuration."""
-
-
-@dataclass(frozen=True)
-class DataConfig:
-    """Boundary data by registry profile name, as (face, profile) pairs,
-    all scaled by the amplitude epsilon."""
-
-    epsilon: float = 1e-2
-    inflow_density: str = DEFAULT_INFLOW_DENSITY
-    normal_trace: tuple[tuple[str, str], ...] = DEFAULT_NORMAL_TRACE
-    slip: tuple[tuple[str, str], ...] = DEFAULT_SLIP
-
-    def __post_init__(self):
-        check_amplitude(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -60,16 +37,14 @@ class SolverConfig:
 
     mode picks how the linear step solves its coupled system; the outer
     loop stops when the update falls to outer_tol (after at least two
-    steps) or after max_outer steps, under-relaxing by omega; p is the
-    Sobolev exponent of the strong norms; inner_tol stops the split
-    sweeps.  The Krylov settings default to KrylovConfig's, which checks
-    them.
+    steps) or after max_outer steps; p is the Sobolev exponent of the
+    strong norms; inner_tol stops the split sweeps.  The Krylov settings
+    default to KrylovConfig's, which checks them.
     """
 
     mode: str = MODES[0]
     outer_tol: float = 1e-9
     max_outer: int = 50
-    omega: float = 1.0
     p: float = NormKind.p
     inner_tol: float = INNER_TOL
     krylov_rel_tol: float = KrylovConfig.rel_tol
@@ -83,8 +58,6 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.max_outer < 1:
             raise ValueError(f"max_outer must be at least 1, got {self.max_outer!r}")
-        if not 0.0 < self.omega <= 1.0:
-            raise ValueError(f"omega must lie in (0, 1], got {self.omega!r}")
         if not self.p >= 2.0:
             raise ValueError(f"p must be at least 2, got {self.p!r}")
         try:
@@ -99,7 +72,6 @@ class SolverConfig:
 @dataclass(frozen=True)
 class OutputConfig:
     directory: str = "out"
-    dump_fields: bool = True
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,10 +112,7 @@ def _typed(value, default, path: str):
     """Check one given value against the JSON type of its default: a
     boolean is no number, and integers stay integers where the default is
     one (null is admitted only where it is the default)."""
-    if isinstance(default, bool):
-        if not isinstance(value, bool):
-            raise ConfigError(f"{path} must be true or false, got {value!r}")
-    elif isinstance(default, float):
+    if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path} must be a number, got {value!r}")
         if not math.isfinite(value):
@@ -214,7 +183,6 @@ def config_from_mapping(raw: Mapping) -> RunConfig:
     doc = {name: _block(raw.get(name, {}), name, cls()) for name, cls in _BLOCKS.items()}
 
     data = doc["data"]
-    _string(data["inflow_density"], "data.inflow_density", allowed=PROFILE_NAMES)
     for key, faces in (("normal_trace", NORMAL_TRACE_FACES), ("slip", FACE_NAMES)):
         data[key] = _profile_map(data[key], f"data.{key}", faces)
 

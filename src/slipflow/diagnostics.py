@@ -173,9 +173,7 @@ def vorticity_boundary_residual(
     the slip data: the in-face derivatives act on the vanishing normal
     component and curl(u) . tau reduces to a signed normal derivative,
     which the slip row expresses through (B - f u_t).  The relations
-    divide by the shear viscosity; a variant dividing by the volume
-    viscosity is reported alongside since the two coincide only when
-    mu = nu.
+    divide by the shear viscosity.
 
     The face L2 excludes a strip of width EDGE_MARGIN next to the face
     edges: second and higher normal derivatives of the computed fields
@@ -201,15 +199,10 @@ def vorticity_boundary_residual(
         sigma2 = face.side * _eps(t2, na, t1)
         b1 = slip_data[face.name][0]
         b2 = slip_data[face.name][1]
-        for label, visc in (("", params.mu), ("_nu", params.nu)):
-            rel1 = alpha1 - sigma1 * (b2 - f * u.values[t2][sl]) / visc
-            rel2 = alpha2 - sigma2 * (b1 - f * u.values[t1][sl]) / visc
-            out[f"{face.name}_tau1{label}"] = float(
-                np.sqrt(np.sum(weights * rel1**2))
-            )
-            out[f"{face.name}_tau2{label}"] = float(
-                np.sqrt(np.sum(weights * rel2**2))
-            )
+        rel1 = alpha1 - sigma1 * (b2 - f * u.values[t2][sl]) / params.mu
+        rel2 = alpha2 - sigma2 * (b1 - f * u.values[t1][sl]) / params.mu
+        out[f"{face.name}_tau1"] = float(np.sqrt(np.sum(weights * rel1**2)))
+        out[f"{face.name}_tau2"] = float(np.sqrt(np.sum(weights * rel2**2)))
     return out
 
 
@@ -539,7 +532,7 @@ def run_diagnostics(
     slip_data = data.slip_data
     add("energy_identity", energy_identity_residual(u, w, forcing, slip_data, params))
     vort = vorticity_boundary_residual(u, slip_data, params)
-    add("vorticity_slip_max", max(v for k, v in vort.items() if not k.endswith("_nu")))
+    add("vorticity_slip_max", max(vort.values()))
     pot, a_field, helm = helmholtz_decompose(u)
     add("helmholtz_div_rotational", helm["div_rotational_interior_l2"])
     add("helmholtz_curl_mismatch", helm["curl_mismatch_max"])

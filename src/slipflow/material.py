@@ -12,7 +12,7 @@ field leaving the band as divergence of the outer iteration, never clamps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -29,15 +29,6 @@ DENSITY_BAND = (0.0, 2.0)
 NORMAL_TRACE_FACES = tuple(name for name in FACE_NAMES if name not in WALL_NAMES)
 
 PROFILE_NAMES = ("zero", "sine_bump")
-
-# The documented boundary data, by profile name: a sine bump as the inflow
-# density perturbation, as the inflow normal trace and as the slip data on
-# every wall; (face, profile) pairs in face-name order.
-DEFAULT_INFLOW_DENSITY = "sine_bump"
-DEFAULT_NORMAL_TRACE = (("inflow", "sine_bump"),)
-DEFAULT_SLIP = tuple((name, "sine_bump") for name in WALL_NAMES)
-
-ProfileFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -135,89 +126,61 @@ class FlowParams:
 # ---------------------------------------------------------------------------
 # boundary data
 
-def make_profile(name: str, extents: tuple[float, float]) -> ProfileFn:
-    """Closed-form in-face profile by registry name.
-
-    Profiles take the two in-face coordinate meshes and return unscaled
-    values; the data amplitude epsilon multiplies them at evaluation time.
-    """
-    e1, e2 = extents
-    if name == "zero":
-        return lambda a, b: np.zeros(np.broadcast(a, b).shape)
-    if name == "sine_bump":
-        return lambda a, b: np.sin(np.pi * a / e1) * np.sin(np.pi * b / e2)
-    raise ValueError(f"unknown profile {name!r} (available: {', '.join(PROFILE_NAMES)})")
-
-
-def check_amplitude(epsilon: float) -> None:
-    """The one amplitude scaling all boundary data must be finite and >= 0."""
-    if not (np.isfinite(epsilon) and epsilon >= 0.0):
-        raise ValueError(f"epsilon (the data amplitude) must be >= 0, got {epsilon!r}")
-
-
 @dataclass(frozen=True)
-class BoundaryDataSpec:
-    """Prescribed boundary perturbations, all scaled by one amplitude.
+class DataConfig:
+    """Prescribed boundary perturbations by registry profile name, all
+    scaled by the amplitude epsilon; the defaults are the documented data,
+    a sine bump everywhere.
 
-    normal_trace maps a face name to the profile of the normal-trace
-    perturbation of the full velocity (only inflow/outflow faces may
-    appear; the walls keep a homogeneous normal trace).  slip maps a face
-    name to the pair of given tangential data profiles along that face's
-    in_axes.  inflow_density is the density perturbation profile on the
-    inflow face.
+    normal_trace holds (face, profile) pairs for the normal trace of the
+    full velocity, on inflow/outflow only (the walls keep a homogeneous
+    normal trace); slip holds (face, profile) pairs for the tangential
+    data, one profile for both rows of a face, and a face without a pair
+    has zero data; inflow_density is the density profile on the inflow
+    face.
     """
 
-    epsilon: float = 0.0
-    normal_trace: Mapping[str, ProfileFn] = field(default_factory=dict)
-    slip: Mapping[str, tuple[ProfileFn, ProfileFn]] = field(default_factory=dict)
-    inflow_density: ProfileFn | None = None
+    epsilon: float = 1e-2
+    inflow_density: str = "sine_bump"
+    normal_trace: tuple[tuple[str, str], ...] = (("inflow", "sine_bump"),)
+    slip: tuple[tuple[str, str], ...] = tuple((name, "sine_bump") for name in WALL_NAMES)
 
     def __post_init__(self):
-        check_amplitude(self.epsilon)
-        bad = set(self.normal_trace) - set(NORMAL_TRACE_FACES)
-        if bad:
-            raise ValueError(
-                f"normal-trace data not allowed on faces {sorted(bad)}; "
-                "the wall normal trace is homogeneous"
-            )
+        if not (np.isfinite(self.epsilon) and self.epsilon >= 0.0):
+            raise ValueError(f"epsilon (the data amplitude) must be >= 0, got {self.epsilon!r}")
+        if self.inflow_density not in PROFILE_NAMES:
+            raise ValueError(f"inflow_density must be one of {sorted(PROFILE_NAMES)}, "
+                             f"got {self.inflow_density!r}")
+        for key in ("normal_trace", "slip"):
+            pairs = getattr(self, key)
+            if len({face for face, _ in pairs}) < len(pairs):
+                raise ValueError(f"{key} names a face more than once: {pairs!r}")
+            for face, profile in pairs:
+                if face not in FACE_NAMES:
+                    raise ValueError(f"{key} names unknown face {face!r} "
+                                     f"(faces: {', '.join(FACE_NAMES)})")
+                if key == "normal_trace" and face not in NORMAL_TRACE_FACES:
+                    raise ValueError(f"normal_trace data not allowed on face {face!r}; "
+                                     "the wall normal trace is homogeneous")
+                if profile not in PROFILE_NAMES:
+                    raise ValueError(f"{key} profile {profile!r} on face {face!r} is unknown "
+                                     f"(available: {', '.join(PROFILE_NAMES)})")
 
 
-def boundary_data_from_names(
-    grid: Grid,
-    epsilon: float,
-    normal_trace: Mapping[str, str] | None = None,
-    slip: Mapping[str, str] | None = None,
-    inflow_density: str = DEFAULT_INFLOW_DENSITY,
-) -> BoundaryDataSpec:
-    """Build a BoundaryDataSpec from registry profile names per face.
-
-    normal_trace and slip map face names to profile names; by default
-    they are the documented data.
-    """
-    if normal_trace is None:
-        normal_trace = dict(DEFAULT_NORMAL_TRACE)
-    if slip is None:
-        slip = dict(DEFAULT_SLIP)
-
-    def face_extents(name: str) -> tuple[float, float]:
-        f = grid.face(name)
-        return (f.coords[0][-1], f.coords[1][-1])
-
-    nt = {name: make_profile(prof, face_extents(name)) for name, prof in normal_trace.items()}
-    sl = {}
-    for name, prof in slip.items():
-        fn = make_profile(prof, face_extents(name))
-        sl[name] = (fn, fn)
-    dens = make_profile(inflow_density, face_extents("inflow"))
-    return BoundaryDataSpec(epsilon=epsilon, normal_trace=nt, slip=sl, inflow_density=dens)
+def face_profile(name: str, face: Face) -> np.ndarray:
+    """Closed-form profile by registry name at the face's nodes, unscaled:
+    the data amplitude epsilon multiplies it."""
+    a, b = np.meshgrid(face.coords[0], face.coords[1], indexing="ij")
+    if name == "zero":
+        return np.zeros(a.shape)
+    if name == "sine_bump":
+        e1, e2 = face.coords[0][-1], face.coords[1][-1]
+        return np.sin(np.pi * a / e1) * np.sin(np.pi * b / e2)
+    raise ValueError(f"unknown profile {name!r} (available: {', '.join(PROFILE_NAMES)})")
 
 
 # ---------------------------------------------------------------------------
 # lifting of the inhomogeneous normal trace
-
-def _face_mesh(face: Face) -> tuple[np.ndarray, np.ndarray]:
-    return np.meshgrid(face.coords[0], face.coords[1], indexing="ij")
-
 
 def _hermite_ramp(xi: np.ndarray) -> np.ndarray:
     """C2 cutoff: 1 at 0, 0 at 1, vanishing first and second derivatives
@@ -230,7 +193,7 @@ def ramp_width(grid: Grid) -> float:
     return min(grid.config.extents) / 4.0
 
 
-def extend_normal_trace(grid: Grid, spec: BoundaryDataSpec) -> VectorField:
+def extend_normal_trace(grid: Grid, data: DataConfig) -> VectorField:
     """Lift the prescribed normal-trace perturbation into the duct.
 
     Each face contribution is the face profile times a quintic Hermite
@@ -241,10 +204,9 @@ def extend_normal_trace(grid: Grid, spec: BoundaryDataSpec) -> VectorField:
     """
     vals = np.zeros((3, *grid.shape))
     width = ramp_width(grid)
-    for name, fn in spec.normal_trace.items():
+    for name, profile in data.normal_trace:
         face = grid.face(name)
-        mesh = _face_mesh(face)
-        trace = spec.epsilon * np.asarray(fn(*mesh), dtype=float)
+        trace = data.epsilon * face_profile(profile, face)
         axis_coords = grid.axes[face.axis]
         if face.side < 0:
             dist = axis_coords
@@ -308,34 +270,26 @@ def reference_flow(grid: Grid) -> np.ndarray:
 
 def assemble_perturbation_data(
     grid: Grid,
-    spec: BoundaryDataSpec,
+    data: DataConfig,
     params: FlowParams,
     p: float = NormKind.p,
 ) -> PerturbationData:
     """Evaluate u0, the Robin right-hand sides and the data measures."""
-    u0 = extend_normal_trace(grid, spec)
+    u0 = extend_normal_trace(grid, data)
     d_u0 = sym_gradient(u0)
 
+    slip = dict(data.slip)
     slip_data: dict[str, np.ndarray] = {}
     for face in grid.faces:
-        mesh = _face_mesh(face)
-        given = spec.slip.get(face.name)
+        g = data.epsilon * face_profile(slip.get(face.name, "zero"), face)
         rows = []
-        for i, t_ax in enumerate(face.in_axes):
-            if given is not None:
-                g = spec.epsilon * np.asarray(given[i](*mesh), dtype=float)
-            else:
-                g = np.zeros(face.weights.shape)
+        for t_ax in face.in_axes:
             # n . D(u0) . tau_i on the face, tau_i the unit vector along t_ax
             nd = face.side * face.take(d_u0[face.axis, t_ax])
             rows.append(g - 2.0 * params.mu * nd)
         slip_data[face.name] = np.stack(rows)
 
-    inflow = grid.face("inflow")
-    if spec.inflow_density is not None:
-        w_in = spec.epsilon * np.asarray(spec.inflow_density(*_face_mesh(inflow)), dtype=float)
-    else:
-        w_in = np.zeros(inflow.weights.shape)
+    w_in = data.epsilon * face_profile(data.inflow_density, grid.face("inflow"))
     _check_band(1.0 + w_in, "inflow density trace")
     return PerturbationData.measured(u0, slip_data, w_in, p)
 

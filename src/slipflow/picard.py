@@ -22,7 +22,6 @@ from .material import (
     FlowParams,
     PerturbationData,
     assemble_perturbation_data,
-    boundary_data_from_names,
     compute_F,
     compute_G,
     reference_flow,
@@ -49,14 +48,7 @@ class ProblemSetup:
 def build_setup(config: RunConfig) -> ProblemSetup:
     """Materialize grid and boundary data from a config."""
     grid = build_grid(config.geometry)
-    spec = boundary_data_from_names(
-        grid,
-        epsilon=config.data.epsilon,
-        normal_trace=dict(config.data.normal_trace),
-        slip=dict(config.data.slip),
-        inflow_density=config.data.inflow_density,
-    )
-    data = assemble_perturbation_data(grid, spec, config.params, p=config.solver.p)
+    data = assemble_perturbation_data(grid, config.data, config.params, p=config.solver.p)
     return ProblemSetup(grid, config.params, data, config.solver)
 
 
@@ -157,14 +149,7 @@ def picard_solve(
             verdict = f"diverged({err})"
             break
 
-        omega = cfg.omega
-        if omega == 1.0:
-            u_next, w_next = step.u, step.w
-        else:
-            u_next = VectorField(grid, (1.0 - omega) * u.values + omega * step.u.values)
-            w_next = ScalarField(grid, (1.0 - omega) * w.values + omega * step.w.values)
-
-        d_n = _weak_distance(u_next.values, u.values, w_next.values, w.values, grid)
+        d_n = _weak_distance(step.u.values, u.values, step.w.values, w.values, grid)
         r_n = 0.0 if prev_d is None or prev_d == 0.0 else d_n / prev_d
         history.append(
             IterationRecord(
@@ -179,7 +164,7 @@ def picard_solve(
                 linear_residual=step.linear_residual,
             )
         )
-        u, w = u_next, w_next
+        u, w = step.u, step.w
         prev_d = d_n
         # require one confirming step so even an exact fixed point leaves
         # two history rows for the recursion metrics

@@ -152,12 +152,10 @@ def write_outputs(out_dir, bundle, config) -> list[str]:
     write_history(history_path, bundle.history, bundle.verdict)
     written.append(str(history_path))
 
-    if config.output.dump_fields:
-        fields = (("u", bundle.u), ("w", bundle.w), ("v", bundle.v), ("rho", bundle.rho))
-        for name, fld in fields:
-            path = out / f"field_{name}.txt"
-            write_field_dump(path, name, fld.values, fld.grid)
-            written.append(str(path))
+    for name, fld in (("u", bundle.u), ("w", bundle.w), ("v", bundle.v), ("rho", bundle.rho)):
+        path = out / f"field_{name}.txt"
+        write_field_dump(path, name, fld.values, fld.grid)
+        written.append(str(path))
 
     echo_path = out / "config.json"
     write_config_echo(echo_path, config.document)

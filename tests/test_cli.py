@@ -235,13 +235,12 @@ def test_build_setup_wires_solver_settings():
     cfg = config_from_mapping({
         "geometry": {"n1": 8, "n2": 4, "n3": 4},
         "solver": {"mode": "monolithic", "outer_tol": 1e-7, "max_outer": 12,
-                   "omega": 0.5, "inner_tol": 1e-9},
+                   "inner_tol": 1e-9},
     })
     setup = build_setup(cfg)
     assert setup.solver.mode == "monolithic"
     assert setup.solver.outer_tol == 1e-7
     assert setup.solver.max_outer == 12
-    assert setup.solver.omega == 0.5
     assert setup.solver.inner_tol == 1e-9
     assert setup.grid.shape == (9, 5, 5)
     assert setup.data.b_measure > 0.0

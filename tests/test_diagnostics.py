@@ -19,7 +19,7 @@ from slipflow.fields import (
 from slipflow.material import (
     FlowParams,
     PerturbationData,
-    boundary_data_from_names,
+    DataConfig,
     assemble_perturbation_data,
     compute_F,
     compute_G,
@@ -79,7 +79,7 @@ def measured(grid, slip, w_in):
 def default_data_setup(eps, n1=8, mode="split"):
     grid = build_grid(GeometryConfig(2.0, 1.0, 1.0, n1, n1 // 2, n1 // 2))
     params = FlowParams()
-    data = assemble_perturbation_data(grid, boundary_data_from_names(grid, epsilon=eps), params)
+    data = assemble_perturbation_data(grid, DataConfig(epsilon=eps), params)
     return ProblemSetup(grid, params, data, SolverConfig(mode=mode))
 
 
@@ -126,10 +126,9 @@ def test_vorticity_zero_fields():
         zeros_vector(grid), zero_slip(grid), params
     )
     assert set(out) == {
-        f"{name}_tau{i}{lbl}"
+        f"{name}_tau{i}"
         for name in ("y0", "y1", "z0", "z1")
         for i in (1, 2)
-        for lbl in ("", "_nu")
     }
     assert all(v == 0.0 for v in out.values())
 
@@ -163,8 +162,7 @@ def test_vorticity_exact_for_quadratic_shear():
         face = grid.face(name)
         slip[name][0] = params.friction * (x2**2)[face.slicer()]
     out = vorticity_boundary_residual(u, slip, params)
-    mu_keys = [k for k in out if not k.endswith("_nu")]
-    assert max(out[k] for k in mu_keys) < 1e-12
+    assert max(out.values()) < 1e-12
 
 
 def test_vorticity_sign_error_detected():
@@ -179,19 +177,6 @@ def test_vorticity_sign_error_detected():
         slip[name][0] = -(params.mu * side * 2.0 * wall + params.friction * wall**2)
     out = vorticity_boundary_residual(u, slip, params)
     assert out["y1_tau2"] > 1.0
-
-
-def test_vorticity_nu_variant_tracks_viscosity_ratio():
-    grid, params = make_setup()
-    rng = np.random.default_rng(11)
-    u = smooth_vector(grid, 4)
-    slip = zero_slip(grid)
-    for face in grid.region_faces("lateral"):
-        slip[face.name] = 0.1 * rng.standard_normal(slip[face.name].shape)
-    p2 = FlowParams(nu=3.0)
-    out = vorticity_boundary_residual(u, slip, p2)
-    # mu and nu variants are distinct when nu != mu
-    assert out["y0_tau1"] != out["y0_tau1_nu"]
 
 
 # --- Helmholtz split ---

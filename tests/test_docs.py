@@ -24,3 +24,11 @@ def test_readme_export_list_is_the_package_all():
     words = ("zero one two three four five six seven eight nine ten eleven twelve thirteen "
              "fourteen fifteen sixteen seventeen eighteen nineteen twenty").split()
     assert words.index(match.group(1)) == len(slipflow.__all__)
+
+
+def test_readme_python_examples_run():
+    # every example runs as written, in order and in one namespace, since
+    # the later ones continue the earlier ones
+    namespace = {}
+    for block in re.findall(r"```python\n(.*?)\n```", README.read_text(), re.S):
+        exec(compile(block, str(README), "exec"), namespace)

@@ -20,9 +20,8 @@ from slipflow.fields import (
 from slipflow.material import (
     PressureLaw,
     FlowParams,
-    BoundaryDataSpec,
-    boundary_data_from_names,
-    make_profile,
+    DataConfig,
+    face_profile,
     delta_pi_prime,
     extend_normal_trace,
     assemble_perturbation_data,
@@ -135,36 +134,34 @@ def test_flow_params_validation():
 # boundary data and lifting
 
 
-def test_make_profile_registry():
-    fn = make_profile("sine_bump", (1.0, 1.0))
-    a, b = np.meshgrid(np.linspace(0, 1, 5), np.linspace(0, 1, 5), indexing="ij")
-    vals = fn(a, b)
+def test_face_profile_registry():
+    face = make_grid().face("inflow")  # 5 x 5 nodes on the unit square
+    vals = face_profile("sine_bump", face)
     assert vals[2, 2] == pytest.approx(1.0)
     assert np.allclose(vals[0, :], 0.0, atol=1e-14)
     with pytest.raises(ValueError, match="unknown profile"):
-        make_profile("gaussian", (1.0, 1.0))
+        face_profile("gaussian", face)
 
 
 def test_boundary_spec_rejects_lateral_normal_trace():
-    fn = make_profile("sine_bump", (2.0, 1.0))
-    with pytest.raises(ValueError, match="normal-trace"):
-        BoundaryDataSpec(epsilon=0.1, normal_trace={"y0": fn})
+    with pytest.raises(ValueError, match="normal_trace data not allowed on face 'y0'"):
+        DataConfig(epsilon=0.1, normal_trace=(("y0", "sine_bump"),))
     with pytest.raises(ValueError, match="amplitude"):
-        BoundaryDataSpec(epsilon=-0.1)
+        DataConfig(epsilon=-0.1)
 
 
 def test_extend_normal_trace_zero_amplitude():
     g = make_grid()
-    spec = boundary_data_from_names(g, 0.0)
-    u0 = extend_normal_trace(g, spec)
+    boundary = DataConfig(epsilon=0.0)
+    u0 = extend_normal_trace(g, boundary)
     assert np.all(u0.values == 0.0)
 
 
 def test_extend_normal_trace_inflow_sine():
     g = make_grid(16, 8, 8)
     eps = 1e-2
-    spec = boundary_data_from_names(g, eps, normal_trace={"inflow": "sine_bump"})
-    u0 = extend_normal_trace(g, spec)
+    boundary = DataConfig(epsilon=eps, normal_trace=(("inflow", "sine_bump"),))
+    u0 = extend_normal_trace(g, boundary)
     x2 = g.axes[1][:, None]
     x3 = g.axes[2][None, :]
     prof = np.sin(np.pi * x2 / 1.0) * np.sin(np.pi * x3 / 1.0)
@@ -182,10 +179,10 @@ def test_extend_normal_trace_inflow_sine():
 def test_extend_normal_trace_opposite_faces_sum():
     g = make_grid()
     eps = 0.05
-    spec = boundary_data_from_names(
-        g, eps, normal_trace={"inflow": "sine_bump", "outflow": "sine_bump"}
+    boundary = DataConfig(
+        epsilon=eps, normal_trace=(("inflow", "sine_bump"), ("outflow", "sine_bump"))
     )
-    u0 = extend_normal_trace(g, spec)
+    u0 = extend_normal_trace(g, boundary)
     x2 = g.axes[1][:, None]
     x3 = g.axes[2][None, :]
     prof = np.sin(np.pi * x2) * np.sin(np.pi * x3)
@@ -195,8 +192,8 @@ def test_extend_normal_trace_opposite_faces_sum():
 
 def test_normal_trace_matches_at_nonedge_boundary_nodes():
     g = make_grid()
-    spec = boundary_data_from_names(g, 1e-2)
-    u0 = extend_normal_trace(g, spec)
+    boundary = DataConfig(epsilon=1e-2)
+    u0 = extend_normal_trace(g, boundary)
     for face in g.faces:
         nonedge = face.weights > 0
         trace = face.side * face.take(u0.values[face.axis])
@@ -212,8 +209,8 @@ def test_u0_norm_linear_in_amplitude():
     g = make_grid()
     norms = []
     for eps in (1e-3, 1e-2, 1e-1):
-        spec = boundary_data_from_names(g, eps)
-        u0 = extend_normal_trace(g, spec)
+        boundary = DataConfig(epsilon=eps)
+        u0 = extend_normal_trace(g, boundary)
         norms.append(norm(u0, NormKind.w2p(4.0)))
     assert norms[1] / norms[0] == pytest.approx(10.0, rel=1e-12)
     assert norms[2] / norms[1] == pytest.approx(10.0, rel=1e-12)
@@ -225,8 +222,8 @@ def test_u0_norm_linear_in_amplitude():
 
 def test_assemble_zero_amplitude():
     g = make_grid()
-    spec = boundary_data_from_names(g, 0.0)
-    data = assemble_perturbation_data(g, spec, FlowParams())
+    boundary = DataConfig(epsilon=0.0)
+    data = assemble_perturbation_data(g, boundary, FlowParams())
     assert np.all(data.u0.values == 0.0)
     assert all(np.all(v == 0.0) for v in data.slip_data.values())
     assert np.all(data.w_in == 0.0)
@@ -237,10 +234,10 @@ def test_assemble_pure_slip_data_passthrough():
     # u0 = 0, so B_i must equal the given data exactly
     g = make_grid()
     eps = 0.02
-    spec = boundary_data_from_names(
-        g, eps, normal_trace={}, slip={"y1": "sine_bump"}, inflow_density="zero"
+    boundary = DataConfig(
+        epsilon=eps, normal_trace=(), slip=(("y1", "sine_bump"),), inflow_density="zero"
     )
-    data = assemble_perturbation_data(g, spec, FlowParams())
+    data = assemble_perturbation_data(g, boundary, FlowParams())
     face = g.face("y1")
     a, b = np.meshgrid(*face.coords, indexing="ij")
     expected = eps * np.sin(np.pi * a / 2.0) * np.sin(np.pi * b / 1.0)
@@ -256,10 +253,10 @@ def test_assemble_lifting_contribution_on_inflow():
     g = make_grid(16, 8, 8)
     eps = 1e-2
     mu = 1.7
-    spec = boundary_data_from_names(
-        g, eps, normal_trace={"inflow": "sine_bump"}, slip={}, inflow_density="zero"
+    boundary = DataConfig(
+        epsilon=eps, normal_trace=(("inflow", "sine_bump"),), slip=(), inflow_density="zero"
     )
-    data = assemble_perturbation_data(g, spec, FlowParams(mu=mu))
+    data = assemble_perturbation_data(g, boundary, FlowParams(mu=mu))
     face = g.face("inflow")
     trace = data.u0.values[0][0]  # = -eps * sine bump, exact at face nodes
     expected_1 = mu * diff1(trace, face.spacings[0], 0)
@@ -271,8 +268,8 @@ def test_assemble_lifting_contribution_on_inflow():
 def test_assemble_w_in_and_b_measure_cross_check():
     g = make_grid()
     eps = 1e-2
-    spec = boundary_data_from_names(g, eps)
-    data = assemble_perturbation_data(g, spec, FlowParams(), p=4.0)
+    boundary = DataConfig(epsilon=eps)
+    data = assemble_perturbation_data(g, boundary, FlowParams(), p=4.0)
     a, b = np.meshgrid(*g.face("inflow").coords, indexing="ij")
     assert np.allclose(data.w_in, eps * np.sin(np.pi * a) * np.sin(np.pi * b), atol=1e-16)
     recomputed = (
@@ -287,8 +284,8 @@ def test_b_measure_linear_in_amplitude():
     g = make_grid()
     b = []
     for eps in (1e-3, 1e-2):
-        spec = boundary_data_from_names(g, eps)
-        b.append(assemble_perturbation_data(g, spec, FlowParams()).b_measure)
+        boundary = DataConfig(epsilon=eps)
+        b.append(assemble_perturbation_data(g, boundary, FlowParams()).b_measure)
     assert b[1] / b[0] == pytest.approx(10.0, rel=1e-10)
 
 
@@ -297,8 +294,8 @@ def test_b_measure_linear_in_amplitude():
 
 
 def zero_data(grid):
-    spec = boundary_data_from_names(grid, 0.0)
-    return assemble_perturbation_data(grid, spec, FlowParams())
+    boundary = DataConfig(epsilon=0.0)
+    return assemble_perturbation_data(grid, boundary, FlowParams())
 
 
 def test_forcings_vanish_at_origin():
@@ -315,8 +312,8 @@ def test_compute_f_reduction_to_lifting_terms():
     # transport of the lifted field.
     g = make_grid()
     params = FlowParams(mu=1.3, nu=0.4)
-    spec = boundary_data_from_names(g, 5e-2)
-    data = assemble_perturbation_data(g, spec, params)
+    boundary = DataConfig(epsilon=5e-2)
+    data = assemble_perturbation_data(g, boundary, params)
     F = compute_F(zeros_vector(g), zeros_scalar(g), data, params)
 
     u0 = data.u0.values
@@ -330,8 +327,8 @@ def test_compute_f_reduction_to_lifting_terms():
 def test_compute_g_reductions():
     g = make_grid()
     params = FlowParams()
-    spec = boundary_data_from_names(g, 5e-2)
-    data = assemble_perturbation_data(g, spec, params)
+    boundary = DataConfig(epsilon=5e-2)
+    data = assemble_perturbation_data(g, boundary, params)
 
     div_u0 = sum(diff1(data.u0.values[a], g.h[a], a) for a in range(3))
     G0 = compute_G(zeros_vector(g), zeros_scalar(g), data)
@@ -359,8 +356,8 @@ def test_quadratic_forcing_bound_frozen_constant():
     for n1, n2, n3, seeds in ((8, 4, 4, range(100, 115)), (16, 8, 8, range(100, 104))):
         g = build_grid(GeometryConfig(2.0, 1.0, 1.0, n1, n2, n3))
         for eps in (1e-3, 1e-2, 1e-1):
-            spec = boundary_data_from_names(g, eps)
-            data = assemble_perturbation_data(g, spec, params)
+            boundary = DataConfig(epsilon=eps)
+            data = assemble_perturbation_data(g, boundary, params)
             u0n = norm(data.u0, NormKind.w2p(4.0))
             for seed in seeds:
                 u = smooth_vector(g, 4000 + seed, 0.1)

@@ -7,7 +7,7 @@ import pytest
 from slipflow.grid import GeometryConfig, build_grid
 from slipflow.material import (
     FlowParams,
-    boundary_data_from_names,
+    DataConfig,
     assemble_perturbation_data,
 )
 from slipflow import lame, picard
@@ -28,8 +28,8 @@ from oracles import random_small_start, two_start_uniqueness
 def make_setup(eps, n1=8, mode="split", **kwargs):
     grid = build_grid(GeometryConfig(2.0, 1.0, 1.0, n1, n1 // 2, n1 // 2))
     params = FlowParams()
-    spec = boundary_data_from_names(grid, epsilon=eps)
-    data = assemble_perturbation_data(grid, spec, params)
+    boundary = DataConfig(epsilon=eps)
+    data = assemble_perturbation_data(grid, boundary, params)
     return ProblemSetup(grid, params, data, SolverConfig(mode=mode, **kwargs))
 
 
@@ -173,11 +173,9 @@ def test_history_records_linear_steps(mode, monkeypatch):
 def test_setup_validation():
     grid = build_grid(GeometryConfig(2.0, 1.0, 1.0, 8, 4, 4))
     params = FlowParams()
-    spec = boundary_data_from_names(grid, epsilon=0.0)
-    data = assemble_perturbation_data(grid, spec, params)
+    boundary = DataConfig(epsilon=0.0)
+    data = assemble_perturbation_data(grid, boundary, params)
     # the solver settings check themselves; the setup checks its data
-    with pytest.raises(ValueError, match="omega"):
-        SolverConfig(omega=0.0)
     with pytest.raises(ValueError, match="outer_tol"):
         SolverConfig(outer_tol=0.0)
     with pytest.raises(ValueError, match="max_outer"):
@@ -194,15 +192,6 @@ def test_convergence_metrics_needs_history():
             (IterationRecord(n=0, a_n=0.0, d_n=0.0, r_n=0.0, f_lp=0.0, g_w1p=0.0),),
             1.0,
         )
-
-
-def test_under_relaxation_still_converges():
-    setup = make_setup(1e-2, mode="monolithic", omega=0.5)
-    bundle = picard_solve(setup)
-    assert bundle.converged
-    ref = picard_solve(make_setup(1e-2, mode="monolithic"))
-    du = np.max(np.abs(bundle.u.values - ref.u.values))
-    assert du <= 1e-7
 
 
 def test_default_split_solution_matches_the_recorded_reference():

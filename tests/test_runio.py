@@ -252,17 +252,3 @@ def test_write_outputs_produces_standard_artifact_set(tmp_path):
     write_outputs(out, bundle, cfg)
     second = {p.name: p.read_bytes() for p in out.iterdir()}
     assert first == second
-
-
-def test_write_outputs_respects_dump_fields_flag(tmp_path):
-    from slipflow.picard import build_setup, picard_solve
-
-    cfg = config_from_mapping({
-        "geometry": {"n1": 8, "n2": 4, "n3": 4},
-        "data": {"epsilon": 0.0},
-        "output": {"dump_fields": False},
-    })
-    bundle = picard_solve(build_setup(cfg))
-    written = write_outputs(tmp_path / "run", bundle, cfg)
-    names = sorted(os.path.basename(p) for p in written)
-    assert names == ["config.json", "history.csv"]

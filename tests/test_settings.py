@@ -3,10 +3,10 @@ from dataclasses import fields
 
 import pytest
 
-from slipflow.config import DataConfig, SolverConfig
+from slipflow.config import SolverConfig
 from slipflow.grid import GeometryConfig
 from slipflow.krylov import KrylovConfig
-from slipflow.material import FlowParams, PressureLaw
+from slipflow.material import DataConfig, FlowParams, PressureLaw
 
 # one rejected value per range check of each settings dataclass
 BAD = {
@@ -18,10 +18,14 @@ BAD = {
         {"kind": "power", "coefficient": 0.5}, {"kind": "linear", "coefficient": 0.0},
     ],
     FlowParams: [{"mu": 0.0}, {"nu": -1.0}, {"friction": -2.0}],
-    DataConfig: [{"epsilon": -1e-3}],
+    DataConfig: [
+        {"epsilon": -1e-3}, {"inflow_density": "gauss"}, {"slip": (("x0", "zero"),)},
+        {"normal_trace": (("y0", "sine_bump"),)}, {"slip": (("z1", "gauss"),)},
+        {"normal_trace": (("inflow", "sine_bump"), ("inflow", "zero"))},
+    ],
     SolverConfig: [
         {"mode": "direct"}, {"outer_tol": 0.0}, {"inner_tol": -1.0}, {"max_outer": 0},
-        {"omega": 1.5}, {"p": 1.0}, {"krylov_rel_tol": 1.0},
+        {"p": 1.0}, {"krylov_rel_tol": 1.0},
         {"krylov_max_iter": 0},
     ],
     KrylovConfig: [{"rel_tol": 0.0}, {"max_iter": -5}],

@@ -10,7 +10,7 @@ import pytest
 from slipflow.config import SolverConfig
 from slipflow.grid import GeometryConfig, build_grid
 from slipflow.fields import ScalarField, VectorField, NormKind, norm, diff1, interior_l2, zeros_scalar
-from slipflow.material import FlowParams, assemble_perturbation_data, boundary_data_from_names
+from slipflow.material import DataConfig, FlowParams, assemble_perturbation_data
 from slipflow.picard import ProblemSetup, picard_solve
 from slipflow.transport import (
     TransportField,
@@ -471,7 +471,7 @@ def test_transport_rejection_gives_a_diverged_verdict():
     # ends with a verdict instead of an exception
     g = make_grid(8, 4, 4)
     params = FlowParams()
-    data = assemble_perturbation_data(g, boundary_data_from_names(g, epsilon=1e-2), params)
+    data = assemble_perturbation_data(g, DataConfig(epsilon=1e-2), params)
     u = np.zeros((3, *g.shape))
     u[0] = -0.6
     start = (VectorField(g, u), zeros_scalar(g))
