@@ -4,12 +4,13 @@ The schema is nested blocks (geometry, physics, data, solver, output) with
 every key optional and defaulted.  Each block is the JSON form of one
 settings dataclass (GeometryConfig, FlowParams with its PressureLaw,
 DataConfig, SolverConfig, OutputConfig), which holds the keys' defaults as
-field defaults and their range checks in __post_init__.  This module does
-the JSON-facing rest: unknown keys are hard errors with a nearest-known-key
-hint, so typos cannot silently fall back to defaults; values must have
-their default's JSON type and profile names must exist; range errors come
-back naming the dotted key.  The merged document is kept for echoing,
-which makes a run reproducible from its own output directory.
+field defaults and every value check (ranges, finiteness, face and
+profile names) in __post_init__.  This module does the JSON-facing rest:
+unknown keys are hard errors with a nearest-known-key hint, so typos
+cannot silently fall back to defaults; values must have their default's
+JSON type; and the dataclass errors come back naming the dotted key.  The
+merged document is kept for echoing, which makes a run reproducible from
+its own output directory.
 """
 from __future__ import annotations
 
@@ -20,11 +21,11 @@ from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .grid import FACE_NAMES, GeometryConfig
+from .grid import GeometryConfig
 from .krylov import KrylovConfig
 from .fields import NormKind
 from .lame import INNER_TOL, MODES
-from .material import NORMAL_TRACE_FACES, PROFILE_NAMES, DataConfig, FlowParams, PressureLaw
+from .material import DataConfig, FlowParams, PressureLaw
 
 
 class ConfigError(ValueError):
@@ -54,12 +55,13 @@ class SolverConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name in ("outer_tol", "inner_tol"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+            val = getattr(self, name)
+            if not (math.isfinite(val) and val > 0.0):
+                raise ValueError(f"{name} must be positive and finite, got {val!r}")
         if self.max_outer < 1:
             raise ValueError(f"max_outer must be at least 1, got {self.max_outer!r}")
-        if not self.p >= 2.0:
-            raise ValueError(f"p must be at least 2, got {self.p!r}")
+        if not (math.isfinite(self.p) and self.p >= 2.0):
+            raise ValueError(f"p must be finite and at least 2, got {self.p!r}")
         try:
             self.krylov()
         except ValueError as exc:  # KrylovConfig names rel_tol/max_iter
@@ -100,30 +102,26 @@ def _fail_unknown(path: str, known) -> None:
     raise ConfigError(f"unknown config key {path!r}{extra}")
 
 
-def _string(value, path: str, allowed=None) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"{path} must be a string, got {value!r}")
-    if allowed is not None and value not in allowed:
-        raise ConfigError(f"{path} must be one of {sorted(allowed)}, got {value!r}")
-    return value
-
-
 def _typed(value, default, path: str):
     """Check one given value against the JSON type of its default: a
-    boolean is no number, and integers stay integers where the default is
-    one (null is admitted only where it is the default)."""
+    boolean is no number, integers stay integers where the default is one
+    (null only where it is the default), a profile map is an object of
+    strings.  The settings dataclass checks ranges, finiteness and names."""
     if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path} must be a number, got {value!r}")
-        if not math.isfinite(value):
-            raise ConfigError(f"{path} must be finite, got {value!r}")
         return float(value)
+    elif isinstance(default, tuple):
+        if not (isinstance(value, Mapping) and all(isinstance(v, str) for v in value.values())):
+            raise ConfigError(f"{path} must be an object of face name to profile name, "
+                              f"got {value!r}")
+        return dict(value)
     elif isinstance(default, int) or (default is None and value is not None):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path} must be an integer, got {value!r}")
-    elif isinstance(default, str):
-        _string(value, path)
-    return value  # profile maps are checked by _profile_map
+    elif isinstance(default, str) and not isinstance(value, str):
+        raise ConfigError(f"{path} must be a string, got {value!r}")
+    return value
 
 
 def _block(raw, path: str, defaults) -> dict:
@@ -149,27 +147,18 @@ def _block(raw, path: str, defaults) -> dict:
     return out
 
 
-def _profile_map(block, path: str, allowed_faces) -> dict[str, str]:
-    if not isinstance(block, Mapping):
-        raise ConfigError(f"{path} must be an object of face name to profile name")
-    for face, profile in block.items():
-        if face not in allowed_faces:
-            _fail_unknown(f"{path}.{face}", allowed_faces)
-        _string(profile, f"{path}.{face}", allowed=PROFILE_NAMES)
-    return dict(block)
-
-
 def _settings(cls, path: str, block: Mapping):
-    """Build a settings dataclass from its checked block.  A range error
-    that starts with a field name comes back naming the dotted key; any
-    other names the block."""
+    """Build a settings dataclass from its typed block.  An error whose
+    first word is a field name, or a field name and a dotted tail such as
+    slip.z1, comes back naming the dotted key; any other names the block."""
     fields_by_key = {key: name for name, key in _KEYS.items()}
     try:
         return cls(**{fields_by_key.get(key, key): value for key, value in block.items()})
     except ValueError as exc:
-        name, _, rest = str(exc).partition(" ")
+        head, _, rest = str(exc).partition(" ")
+        name = head.split(".")[0]
         if name in {f.name for f in fields(cls)}:
-            raise ConfigError(f"{path}.{_KEYS.get(name, name)} {rest}") from exc
+            raise ConfigError(f"{path}.{_KEYS.get(name, name)}{head[len(name):]} {rest}") from exc
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -182,11 +171,7 @@ def config_from_mapping(raw: Mapping) -> RunConfig:
             _fail_unknown(key, _BLOCKS)
     doc = {name: _block(raw.get(name, {}), name, cls()) for name, cls in _BLOCKS.items()}
 
-    data = doc["data"]
-    for key, faces in (("normal_trace", NORMAL_TRACE_FACES), ("slip", FACE_NAMES)):
-        data[key] = _profile_map(data[key], f"data.{key}", faces)
-
-    physics = doc["physics"]
+    physics, data = doc["physics"], doc["data"]
     pressure = _settings(PressureLaw, "physics.pressure", physics["pressure"])
     return RunConfig(
         geometry=_settings(GeometryConfig, "geometry", doc["geometry"]),

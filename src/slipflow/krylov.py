@@ -4,7 +4,9 @@ Hand-rolled rather than delegated so the stopping rule, iteration count and
 best-residual reporting are exactly the ones the outer solver budgets for:
 convergence means relative residual <= rtol in the unpreconditioned norm,
 a zero right-hand side returns immediately, and failure carries the best
-residual seen so the caller can tell near-miss from breakdown.
+residual seen so the caller can tell near-miss from breakdown.  Every
+breakdown guard compares an inner product with ||b||^2, so the scale of b
+alone never decides a breakdown.
 
 The preconditioner is any fixed linear map p -> p_hat approximating the
 inverse operator; the viscous operator supplies a multigrid V-cycle
@@ -85,10 +87,11 @@ def krylov_solve(
     # its textbook form, so results do not depend on it
     s = np.empty_like(rhs)
     best = res
+    tiny = _BREAKDOWN_TOL * b_norm * b_norm  # breakdown floor for inner products
 
     for it in range(1, cap + 1):
         rho = float(r_hat @ r)
-        if abs(rho) < _BREAKDOWN_TOL * b_norm * b_norm:
+        if abs(rho) < tiny:
             # stagnated shadow residual: restart the recurrence at r
             r_hat = r.copy()
             rho = float(r_hat @ r)
@@ -105,7 +108,7 @@ def krylov_solve(
         p_hat = precond(p)
         v = action(p_hat)
         denom = float(r_hat @ v)
-        if abs(denom) < _BREAKDOWN_TOL:
+        if abs(denom) < tiny:
             raise KrylovError("solver breakdown (orthogonal search direction)", best, it)
         alpha = rho / denom
         np.multiply(alpha, v, out=s)
@@ -117,7 +120,7 @@ def krylov_solve(
         s_hat = precond(s)
         t = action(s_hat)
         tt = float(t @ t)
-        if tt < _BREAKDOWN_TOL:
+        if tt < tiny:
             raise KrylovError("solver breakdown (zero stabilization step)", best, it)
         omega = float(t @ s) / tt
         x += alpha * p_hat

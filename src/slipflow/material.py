@@ -137,7 +137,7 @@ class DataConfig:
     normal trace); slip holds (face, profile) pairs for the tangential
     data, one profile for both rows of a face, and a face without a pair
     has zero data; inflow_density is the density profile on the inflow
-    face.
+    face.  An error about one face starts with <field>.<face>, as slip.z1.
     """
 
     epsilon: float = 1e-2
@@ -153,18 +153,21 @@ class DataConfig:
                              f"got {self.inflow_density!r}")
         for key in ("normal_trace", "slip"):
             pairs = getattr(self, key)
-            if len({face for face, _ in pairs}) < len(pairs):
-                raise ValueError(f"{key} names a face more than once: {pairs!r}")
+            if not (isinstance(pairs, tuple)
+                    and all(isinstance(pair, tuple) and len(pair) == 2 for pair in pairs)):
+                raise ValueError(f"{key} must be a tuple of (face, profile) tuples, got {pairs!r}")
             for face, profile in pairs:
                 if face not in FACE_NAMES:
-                    raise ValueError(f"{key} names unknown face {face!r} "
+                    raise ValueError(f"{key}.{face} is not a face "
                                      f"(faces: {', '.join(FACE_NAMES)})")
                 if key == "normal_trace" and face not in NORMAL_TRACE_FACES:
-                    raise ValueError(f"normal_trace data not allowed on face {face!r}; "
+                    raise ValueError(f"normal_trace.{face} is not allowed: "
                                      "the wall normal trace is homogeneous")
                 if profile not in PROFILE_NAMES:
-                    raise ValueError(f"{key} profile {profile!r} on face {face!r} is unknown "
+                    raise ValueError(f"{key}.{face} profile {profile!r} is unknown "
                                      f"(available: {', '.join(PROFILE_NAMES)})")
+            if len({face for face, _ in pairs}) < len(pairs):
+                raise ValueError(f"{key} names a face more than once: {pairs!r}")
 
 
 def face_profile(name: str, face: Face) -> np.ndarray:

@@ -84,6 +84,32 @@ def test_profile_maps_reject_unknown_faces():
         config_from_mapping({"data": {"normal_trace": {"y0": "sine_bump"}}})
 
 
+FLOAT_KEYS = [
+    "geometry.length", "geometry.width2", "geometry.width3", "physics.mu", "physics.nu",
+    "physics.f", "physics.pressure.coefficient", "data.epsilon", "solver.outer_tol",
+    "solver.inner_tol", "solver.p", "solver.krylov_rel_tol",
+]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("value", ["Infinity", "NaN"])
+def test_non_finite_numbers_name_the_dotted_key(key, value):
+    # JSON text may carry Infinity and NaN; the settings dataclass of each
+    # float key rejects them, and the error names the key
+    text = value
+    for part in reversed(key.split(".")):
+        text = f'{{"{part}": {text}}}'
+    with pytest.raises(ConfigError, match=key.replace(".", r"\.") + " "):
+        config_from_mapping(json.loads(text))
+
+
+def test_profile_maps_are_objects_of_strings():
+    with pytest.raises(ConfigError, match=r"data\.slip must be an object"):
+        config_from_mapping({"data": {"slip": ["y0", "sine_bump"]}})
+    with pytest.raises(ConfigError, match=r"data\.normal_trace must be an object"):
+        config_from_mapping({"data": {"normal_trace": {"inflow": 1}}})
+
+
 def test_booleans_are_not_numbers():
     with pytest.raises(ConfigError, match="physics.mu"):
         config_from_mapping({"physics": {"mu": True}})

@@ -16,6 +16,7 @@ from slipflow.fields import (
     zeros_scalar,
     zeros_vector,
 )
+from slipflow import material
 from slipflow.material import (
     FlowParams,
     PerturbationData,
@@ -395,6 +396,8 @@ def test_reconstruction_residuals_sharpen_under_refinement():
             setup.grid,
         )
         assert residuals["momentum_interior_l2"] == pytest.approx(defect, rel=1e-4)
+        # the identity row is what is left: the residual minus the defect
+        assert residuals["momentum_identity_l2"] <= 1e-9
     # the continuity audit compares central products against the
     # characteristics density the solver enforced; its leading term is
     # first order but the boundary-layer ramp is still resolving at these
@@ -403,6 +406,22 @@ def test_reconstruction_residuals_sharpen_under_refinement():
     # the chain-rule defect follows the smoothness of the traced density,
     # which sharpens slowly (ratio observed 1.94 here, 2.29 one doubling later)
     assert res[16]["momentum_interior_l2"] < res[8]["momentum_interior_l2"]
+
+
+def test_momentum_identity_catches_a_convection_error(monkeypatch):
+    # a 5% error in the convection term of compute_F leaves the truncation-
+    # level momentum row passing (it even falls) but fails the identity row
+    advect = material.advect
+    monkeypatch.setattr(material, "advect", lambda *args: 1.05 * advect(*args))
+    setup = build_setup(config_from_mapping({}))
+    bundle = picard_solve(setup)
+    assert bundle.converged
+    forcing = compute_F(bundle.u, bundle.w, setup.data, setup.params)
+    g_forcing = compute_G(bundle.u, bundle.w, setup.data)
+    report = run_diagnostics(bundle.u, bundle.w, forcing, g_forcing, setup.data, setup.params)
+    assert report.entry("momentum_interior_l2").passed
+    identity = report.entry("momentum_identity_l2")
+    assert not identity.passed and identity.value > 1e-7
 
 
 def test_reconstruct_rejects_out_of_band_density():
@@ -456,7 +475,7 @@ def test_run_diagnostics_converged_run_passes_defaults():
         report = run_diagnostics(
             bundle.u, bundle.w, forcing, g_forcing, setup.data, setup.params,
         )
-        assert len(report.entries) == len(DEFAULT_TOLERANCES) == 13
+        assert len(report.entries) == len(DEFAULT_TOLERANCES) == 14
         failing = [e.name for e in report.entries if not e.passed]
         assert failing == []
 

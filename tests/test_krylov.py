@@ -44,6 +44,22 @@ def test_nonsymmetric_solve_matches_direct(seed):
     np.testing.assert_allclose(x, ref, rtol=1e-7, atol=1e-10)
 
 
+def test_scaled_rhs_takes_the_same_iterations():
+    # every breakdown guard is relative to |b|^2: a scaled system takes the
+    # same steps, with no spurious breakdown near convergence on tiny data
+    rng = np.random.default_rng(0)
+    n = 60
+    A = np.eye(n) + 0.3 * rng.normal(size=(n, n)) / np.sqrt(n)
+    b = rng.normal(size=n)
+    x1, iters1, _ = krylov_solve(dense_action(A), b)
+    assert iters1 == 10
+    for scale in (1e-8, 1e-12, 1e-20, 1e20):
+        x, iters, res = krylov_solve(dense_action(A), scale * b)
+        assert iters == iters1, scale
+        assert res <= 1e-10
+        np.testing.assert_allclose(x / scale, x1, rtol=1e-12, atol=0)
+
+
 def test_jacobi_scaling_handles_wild_diagonal():
     rng = np.random.default_rng(7)
     n = 50

@@ -144,7 +144,7 @@ def test_face_profile_registry():
 
 
 def test_boundary_spec_rejects_lateral_normal_trace():
-    with pytest.raises(ValueError, match="normal_trace data not allowed on face 'y0'"):
+    with pytest.raises(ValueError, match=r"^normal_trace\.y0 is not allowed"):
         DataConfig(epsilon=0.1, normal_trace=(("y0", "sine_bump"),))
     with pytest.raises(ValueError, match="amplitude"):
         DataConfig(epsilon=-0.1)

@@ -83,6 +83,17 @@ def test_solution_scales_near_linearly_with_data():
     assert 0.3 <= factor <= 0.7
 
 
+@pytest.mark.parametrize("mode", ["split", "monolithic"])
+@pytest.mark.parametrize("eps", [1e-8, 1e-12])
+def test_tiny_data_converge(eps, mode):
+    # the Krylov breakdown guards scale with the right-hand side, so data
+    # far below the default amplitude still converge like the default
+    setup = build_setup(config_from_mapping({"data": {"epsilon": eps}, "solver": {"mode": mode}}))
+    bundle = picard_solve(setup)
+    assert bundle.verdict == "converged"
+    assert len(bundle.history) == 2
+
+
 def test_large_data_fails_loudly():
     bundle = picard_solve(make_setup(0.5))
     assert not bundle.converged

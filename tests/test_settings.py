@@ -22,11 +22,13 @@ BAD = {
         {"epsilon": -1e-3}, {"inflow_density": "gauss"}, {"slip": (("x0", "zero"),)},
         {"normal_trace": (("y0", "sine_bump"),)}, {"slip": (("z1", "gauss"),)},
         {"normal_trace": (("inflow", "sine_bump"), ("inflow", "zero"))},
+        {"slip": ("y0", "sine_bump")},
     ],
     SolverConfig: [
         {"mode": "direct"}, {"outer_tol": 0.0}, {"inner_tol": -1.0}, {"max_outer": 0},
         {"p": 1.0}, {"krylov_rel_tol": 1.0},
         {"krylov_max_iter": 0},
+        {"outer_tol": float("inf")}, {"inner_tol": float("inf")}, {"p": float("inf")},
     ],
     KrylovConfig: [{"rel_tol": 0.0}, {"max_iter": -5}],
 }
@@ -35,11 +37,13 @@ BAD = {
 @pytest.mark.parametrize("cls", list(BAD), ids=lambda c: c.__name__)
 def test_every_range_check_names_its_field(cls):
     # config errors name the dotted key by the field a message starts with,
-    # so every check of a settings dataclass must start with one
+    # alone or with a dotted tail such as slip.z1, so every check of a
+    # settings dataclass must start with one
     assert len(BAD[cls]) >= inspect.getsource(cls.__post_init__).count("raise ValueError")
     names = {f.name for f in fields(cls)}
     for kwargs in BAD[cls]:
         with pytest.raises(ValueError) as exc:
             cls(**kwargs)
-        assert str(exc.value).split(" ", 1)[0] in names, (kwargs, str(exc.value))
+        head = str(exc.value).split(" ", 1)[0]
+        assert head.split(".", 1)[0] in names, (kwargs, str(exc.value))
 
