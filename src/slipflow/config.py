@@ -39,8 +39,11 @@ class SolverConfig:
     mode picks how the linear step solves its coupled system; the outer
     loop stops when the update falls to outer_tol (after at least two
     steps) or after max_outer steps; p is the Sobolev exponent of the
-    strong norms; inner_tol stops the split sweeps.  The Krylov settings
-    default to KrylovConfig's, which checks them.
+    strong norms; inner_tol stops the split sweeps.  krylov_rel_tol is
+    the relative residual of a monolithic step's Krylov solve, and the
+    floor of a split sweep's, which stops once it has cut its warm-start
+    residual tenfold.  The Krylov settings default to KrylovConfig's,
+    which checks them.
     """
 
     mode: str = MODES[0]

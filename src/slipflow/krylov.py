@@ -2,9 +2,12 @@
 
 Hand-rolled rather than delegated so the stopping rule, iteration count and
 best-residual reporting are exactly the ones the outer solver budgets for:
-convergence means relative residual <= rtol in the unpreconditioned norm,
-a zero right-hand side returns immediately, and failure carries the best
-residual seen so the caller can tell near-miss from breakdown.  Every
+convergence means relative residual <= rtol in the unpreconditioned norm
+(or, for an inexact solve, <= a fixed fraction of the starting residual
+when that is looser: a fixed forcing term in the sense of Eisenstat &
+Walker, SIAM J. Sci. Comput. 17, 1996), a zero right-hand side returns
+immediately, and failure carries the best residual seen so the caller
+can tell near-miss from breakdown.  Every
 breakdown guard compares an inner product with ||b||^2, so the scale of b
 alone never decides a breakdown.
 
@@ -53,12 +56,19 @@ def krylov_solve(
     cfg: KrylovConfig = KrylovConfig(),
     precond: Callable[[np.ndarray], np.ndarray] | None = None,
     x0: np.ndarray | None = None,
+    reduction: float | None = None,
 ) -> tuple[np.ndarray, int, float]:
     """Solve action(x) = rhs; returns (x, iterations, relative residual).
 
     precond maps v to an approximate solution of action(x) = v, or is None;
-    x0 warm starts the iteration.  Raises KrylovError when the cap is hit.
+    x0 warm starts the iteration.  reduction, in (0, 1), makes the solve
+    inexact: it also stops once the residual is reduction times the
+    starting one, or times ||b|| (a zero start's) if the start is further
+    off, so the tolerance stays in (0, 1); cfg.rel_tol is the floor.
+    Raises KrylovError when the cap is hit.
     """
+    if reduction is not None and not 0.0 < reduction < 1.0:
+        raise ValueError(f"reduction must be in (0, 1), got {reduction!r}")
     rhs = np.asarray(rhs, dtype=float)
     if not np.all(np.isfinite(rhs)):
         raise ValueError("right-hand side contains non-finite values")
@@ -74,7 +84,8 @@ def krylov_solve(
     x0 = None  # x replaces it for the rest of the solve
     r = rhs - action(x) if warm else rhs.copy()
     res = float(np.linalg.norm(r)) / b_norm
-    if res <= cfg.rel_tol:
+    tol = cfg.rel_tol if reduction is None else max(cfg.rel_tol, reduction * min(res, 1.0))
+    if res <= tol:
         return x, 0, res
 
     r_hat = r.copy()
@@ -114,7 +125,7 @@ def krylov_solve(
         np.multiply(alpha, v, out=s)
         np.subtract(r, s, out=s)  # s = r - alpha v
         s_norm = float(np.linalg.norm(s)) / b_norm
-        if s_norm <= cfg.rel_tol:
+        if s_norm <= tol:
             x += alpha * p_hat
             return x, it, s_norm
         s_hat = precond(s)
@@ -129,7 +140,7 @@ def krylov_solve(
         np.subtract(s, r, out=r)  # r = s - omega t
         res = float(np.linalg.norm(r)) / b_norm
         best = min(best, res)
-        if res <= cfg.rel_tol:
+        if res <= tol:
             return x, it, res
         rho_prev = rho
 

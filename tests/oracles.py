@@ -3,12 +3,18 @@
 Test modules import them as ``from oracles import ...``: pytest puts this
 directory on sys.path when it collects a test module from it.
 """
+from dataclasses import replace
+
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
-from slipflow.fields import NormKind, ScalarField, VectorField, norm, zeros_scalar, zeros_vector
+from slipflow import lame
+from slipflow.fields import (
+    NormKind, ScalarField, VectorField, div_array, grad_array, norm, zeros_scalar, zeros_vector,
+)
+from slipflow.krylov import KrylovConfig
 from slipflow.picard import ProblemSetup, _strong_size, picard_solve
-from slipflow.transport import TransportField
+from slipflow.transport import TransportField, apply_S, make_transport_field, transport_footprint
 
 
 # ---------------------------------------------------------------------------
@@ -186,3 +192,41 @@ def bisection_landing_solve(tf: TransportField, v: ScalarField, w_in: np.ndarray
     integral[land] += inc
     inflow = RegularGridInterpolator(g.axes[1:], w_in, bounds_error=False, fill_value=None)
     return (inflow(pos[:, 1:]) + integral).reshape(g.shape)
+
+
+# ---------------------------------------------------------------------------
+# split sweeps with exact momentum solves
+
+def full_solve_split_step(
+    op, convect, forcing, continuity_forcing, slip_data, w_in,
+    mode="split", krylov_cfg=KrylovConfig(), inner_tol=lame.INNER_TOL, start=None,
+) -> lame.LinearStepResult:
+    """The split linear step with every sweep's momentum rows solved to
+    krylov_cfg.rel_tol, warm-started from the last sweep's u; otherwise
+    the alternation of lame.solve_linear_step (same stopping rule, sweep
+    cap and transport footprint), whose signature it takes so that it
+    can stand in for it under picard_solve."""
+    assert mode == "split"
+    grid = op.grid
+    tf_values = convect.values.copy()
+    tf_values[0] += 1.0
+    tf = make_transport_field(grid, tf_values)
+    tf = replace(tf, footprint=transport_footprint(tf))
+    if start is None:
+        u, w = zeros_vector(grid), zeros_scalar(grid)
+    else:
+        u, w = start
+    total_iters = 0
+    for sweep in range(1, lame.MAX_SWEEPS + 1):
+        rhs_u = forcing.values - op.params.pressure.gamma * grad_array(w.values, grid)
+        u_new, iters, res = lame.solve_momentum(op, rhs_u, slip_data, krylov_cfg, x0=u)
+        total_iters += iters
+        src = continuity_forcing.values - div_array(u_new.values, grid)
+        w_new = apply_S(tf, ScalarField(grid, src), w_in)
+        delta = norm(VectorField(grid, u_new.values - u.values), NormKind.h1()) + norm(
+            ScalarField(grid, w_new.values - w.values), NormKind.linf_l2()
+        )
+        u, w = u_new, w_new
+        if delta < inner_tol:
+            return lame.LinearStepResult(u, w, total_iters, res, "split", sweep)
+    raise RuntimeError(f"split sweeps did not reach {inner_tol:g} within {lame.MAX_SWEEPS}")

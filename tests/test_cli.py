@@ -8,7 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from slipflow import lame
 from slipflow.cli import main
+from slipflow.krylov import KrylovError
 from slipflow.config import parse_config
 from slipflow.picard import build_setup, picard_solve
 from slipflow.runio import load_field_dump, load_history
@@ -223,9 +225,14 @@ def test_verify_monolithic_passes_and_prints_orders(capsys):
     assert "verify: PASS" in out
 
 
-def test_verify_reports_krylov_failure_and_exits_two(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"solver": {"krylov_max_iter": 1}})
-    assert main(["verify", "--config", str(cfg)]) == 2
+def test_verify_reports_krylov_failure_and_exits_two(monkeypatch, capsys):
+    # a split sweep's momentum solve stops at a tenth of its warm-start
+    # residual, which one iteration reaches, so it is made to fail here
+    def failing(*args, **kwargs):
+        raise KrylovError("linear solve did not converge within the iteration cap", 1.0, 1)
+
+    monkeypatch.setattr(lame, "krylov_solve", failing)
+    assert main(["verify"]) == 2
     assert "error: linear solve did not converge" in capsys.readouterr().err
 
 

@@ -104,6 +104,58 @@ def test_iteration_cap_raises_with_best_residual():
         assert "best relative residual" in str(err)
 
 
+def _warm_started_system(seed, offset):
+    """A nonsymmetric system, its solution and a start offset from it by
+    a random vector of the given size."""
+    rng = np.random.default_rng(seed)
+    n = 60
+    A = np.eye(n) + 0.3 * rng.normal(size=(n, n)) / np.sqrt(n)
+    b = rng.normal(size=n)
+    xs = np.linalg.solve(A, b)
+    return A, b, xs, xs + offset * rng.normal(size=n)
+
+
+def relative_residual(A, b, x):
+    return np.linalg.norm(b - A @ x) / np.linalg.norm(b)
+
+
+def test_reduction_stops_at_a_fraction_of_the_start_residual():
+    A, b, xs, x0 = _warm_started_system(5, 1e-3)
+    res0 = relative_residual(A, b, x0)
+    x, iters, res = krylov_solve(dense_action(A), b, x0=x0, reduction=0.1)
+    assert res <= 0.1 * res0
+    assert abs(res - relative_residual(A, b, x)) <= 1e-5 * res
+    full = krylov_solve(dense_action(A), b, x0=x0)
+    assert 0 < iters < full[1]
+
+
+def test_reduction_of_a_start_worse_than_zero_is_capped():
+    # a start residual of 10 or more would ask for a tolerance of 1 or
+    # more; the cap asks for reduction * |b|, a zero start's target
+    A, b, xs, x0 = _warm_started_system(6, 100.0)
+    assert relative_residual(A, b, x0) >= 10.0
+    x, iters, res = krylov_solve(dense_action(A), b, x0=x0, reduction=0.1)
+    assert iters > 0
+    assert res <= 0.1
+
+
+def test_rel_tol_is_the_floor_of_a_reduction():
+    # 0.1 of this start's residual is below rel_tol, so the solve runs to
+    # rel_tol exactly as without a reduction
+    A, b, xs, x0 = _warm_started_system(7, 1e-10)
+    assert 1e-10 < relative_residual(A, b, x0) < 1e-9
+    reduced = krylov_solve(dense_action(A), b, x0=x0, reduction=0.1)
+    full = krylov_solve(dense_action(A), b, x0=x0)
+    assert reduced[1] == full[1] > 0
+    np.testing.assert_array_equal(reduced[0], full[0])
+
+
+@pytest.mark.parametrize("reduction", [0.0, 1.0, -0.5, float("nan")])
+def test_reduction_outside_the_unit_interval_rejected(reduction):
+    with pytest.raises(ValueError, match="reduction must be in"):
+        krylov_solve(dense_action(np.eye(3)), np.ones(3), reduction=reduction)
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="rel_tol"):
         KrylovConfig(rel_tol=0.0)

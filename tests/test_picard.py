@@ -13,6 +13,7 @@ from slipflow.material import (
 from slipflow import lame, picard
 from slipflow.config import SolverConfig, config_from_mapping
 from slipflow.diagnostics import reconstruct_physical
+from slipflow.krylov import KrylovError
 from slipflow.lame import build_lame_operator
 from slipflow.picard import (
     ProblemSetup,
@@ -22,7 +23,7 @@ from slipflow.picard import (
     convergence_metrics,
     _strong_size,
 )
-from oracles import random_small_start, two_start_uniqueness
+from oracles import full_solve_split_step, random_small_start, two_start_uniqueness
 
 
 def make_setup(eps, n1=8, mode="split", **kwargs):
@@ -116,11 +117,52 @@ def test_split_nonconvergence_verdict(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["split", "monolithic"])
-def test_krylov_failure_verdict(mode):
-    # KrylovError is a RuntimeError: the outer loop reports it as a verdict
-    bundle = picard_solve(make_setup(1e-2, mode=mode, krylov_max_iter=1))
+def test_krylov_failure_verdict(mode, monkeypatch):
+    # KrylovError is a RuntimeError: the outer loop reports it as a verdict.
+    # One iteration fails the monolithic solve; a split sweep's solve stops
+    # at a tenth of its warm-start residual, which one iteration reaches,
+    # so there every solve is made to fail as an exhausted cap does
+    if mode == "split":
+        def failing(*args, **kwargs):
+            raise KrylovError("linear solve did not converge within the iteration cap", 1.0, 1)
+
+        monkeypatch.setattr(lame, "krylov_solve", failing)
+        setup = make_setup(1e-2, mode=mode)
+    else:
+        setup = make_setup(1e-2, mode=mode, krylov_max_iter=1)
+    bundle = picard_solve(setup)
     assert bundle.verdict.startswith("diverged(linear solve did not converge")
     assert bundle.history == ()
+
+
+def test_split_sweeps_converge_on_one_krylov_iteration():
+    # every split sweep cuts its warm-start residual tenfold in one
+    # iteration on the default data, so the cap of one costs nothing
+    default = picard_solve(build_setup(config_from_mapping({"solver": {"mode": "split"}})))
+    capped = picard_solve(build_setup(config_from_mapping(
+        {"solver": {"mode": "split", "krylov_max_iter": 1}}
+    )))
+    assert capped.converged
+    assert np.max(np.abs(capped.u.values - default.u.values)) <= 1e-11
+    assert np.max(np.abs(capped.w.values - default.w.values)) <= 1e-11
+    assert [r.sweeps for r in capped.history] == [r.sweeps for r in default.history]
+
+
+def test_inexact_sweeps_reach_the_full_solve_fixed_point_of_the_default_run(monkeypatch):
+    # the oracle solves every sweep's momentum rows to krylov_rel_tol
+    setup = build_setup(config_from_mapping({"solver": {"mode": "split"}}))
+    inexact = picard_solve(setup)
+    monkeypatch.setattr(picard, "solve_linear_step", full_solve_split_step)
+    full = picard_solve(setup)
+    assert inexact.converged and full.converged
+    assert np.max(np.abs(inexact.u.values - full.u.values)) <= 1e-11
+    assert np.max(np.abs(inexact.w.values - full.w.values)) <= 1e-11
+    assert len(inexact.history) == len(full.history)
+    for a, b in zip(inexact.history, full.history):
+        assert abs(a.sweeps - b.sweeps) <= 2
+    assert sum(r.inner_iterations for r in inexact.history) < sum(
+        r.inner_iterations for r in full.history
+    ) / 2
 
 
 def test_two_start_uniqueness_same_start_is_exact():
