@@ -77,7 +77,6 @@ def cmd_verify(config: RunConfig, out_dir: str) -> int:
             build_lame_operator(grid, config.params),
             case.convect, case.forcing, case.continuity, case.slip_data, case.w_in,
             mode=config.solver.mode,
-            krylov_cfg=config.solver.krylov(),
             inner_tol=config.solver.inner_tol,
         )
         eu = norm(VectorField(grid, res.u.values - case.u_exact.values), NormKind.h1())

@@ -17,12 +17,12 @@ from __future__ import annotations
 import difflib
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Mapping
 
 from .grid import GeometryConfig
-from .krylov import KrylovConfig
 from .fields import NormKind
 from .lame import INNER_TOL, MODES
 from .material import DataConfig, FlowParams, PressureLaw
@@ -39,11 +39,12 @@ class SolverConfig:
     mode picks how the linear step solves its coupled system; the outer
     loop stops when the update falls to outer_tol (after at least two
     steps) or after max_outer steps; p is the Sobolev exponent of the
-    strong norms; inner_tol stops the split sweeps.  krylov_rel_tol is
-    the relative residual of a monolithic step's Krylov solve, and the
-    floor of a split sweep's, which stops once it has cut its warm-start
-    residual tenfold.  The Krylov settings default to KrylovConfig's,
-    which checks them.
+    strong norms.  inner_tol is the one accuracy setting of a linear step
+    in both modes: the split sweeps stop at a change below it, and every
+    Krylov solve of the step stops at the relative residual
+    lame.krylov_tol(inner_tol) = 10 inner_tol (a split sweep's earlier,
+    once it has cut its warm-start residual tenfold), so inner_tol must
+    be below 0.1.
     """
 
     mode: str = MODES[0]
@@ -51,8 +52,6 @@ class SolverConfig:
     max_outer: int = 50
     p: float = NormKind.p
     inner_tol: float = INNER_TOL
-    krylov_rel_tol: float = KrylovConfig.rel_tol
-    krylov_max_iter: int | None = KrylovConfig.max_iter
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -61,17 +60,13 @@ class SolverConfig:
             val = getattr(self, name)
             if not (math.isfinite(val) and val > 0.0):
                 raise ValueError(f"{name} must be positive and finite, got {val!r}")
-        if self.max_outer < 1:
-            raise ValueError(f"max_outer must be at least 1, got {self.max_outer!r}")
+        if self.inner_tol >= 0.1:
+            raise ValueError(f"inner_tol must be below 0.1, got {self.inner_tol!r}")
+        n = self.max_outer
+        if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"max_outer must be an integer of at least 1, got {n!r}")
         if not (math.isfinite(self.p) and self.p >= 2.0):
             raise ValueError(f"p must be finite and at least 2, got {self.p!r}")
-        try:
-            self.krylov()
-        except ValueError as exc:  # KrylovConfig names rel_tol/max_iter
-            raise ValueError(f"krylov_{exc}") from None
-
-    def krylov(self) -> KrylovConfig:
-        return KrylovConfig(rel_tol=self.krylov_rel_tol, max_iter=self.krylov_max_iter)
 
 
 @dataclass(frozen=True)
@@ -107,9 +102,9 @@ def _fail_unknown(path: str, known) -> None:
 
 def _typed(value, default, path: str):
     """Check one given value against the JSON type of its default: a
-    boolean is no number, integers stay integers where the default is one
-    (null only where it is the default), a profile map is an object of
-    strings.  The settings dataclass checks ranges, finiteness and names."""
+    boolean is no number, integers stay integers where the default is one,
+    a profile map is an object of strings.  The settings dataclass checks
+    ranges, finiteness and names."""
     if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path} must be a number, got {value!r}")
@@ -119,7 +114,7 @@ def _typed(value, default, path: str):
             raise ConfigError(f"{path} must be an object of face name to profile name, "
                               f"got {value!r}")
         return dict(value)
-    elif isinstance(default, int) or (default is None and value is not None):
+    elif isinstance(default, int):
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{path} must be an integer, got {value!r}")
     elif isinstance(default, str) and not isinstance(value, str):

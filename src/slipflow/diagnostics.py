@@ -517,25 +517,19 @@ def run_diagnostics(
     continuity_forcing: ScalarField,
     data: PerturbationData,
     params: FlowParams,
-    tolerances: Mapping[str, float] | None = None,
 ) -> DiagnosticReport:
-    """Run every audit on one solution and grade against tolerances.
+    """Run every audit on one solution and grade against DEFAULT_TOLERANCES.
 
     data are the run's boundary data; the a-priori ratio is measured in
     the exponent data.p their measures were taken in (the run's solver.p).
     """
-    tol = dict(DEFAULT_TOLERANCES)
-    if tolerances:
-        tol.update(tolerances)
-
     entries = []
 
     def add(name, value):
         if not np.isfinite(value):
             raise ValueError(f"diagnostic {name} produced non-finite value {value!r}")
-        entries.append(
-            DiagnosticEntry(name, float(value), tol[name], float(value) <= tol[name])
-        )
+        tol = DEFAULT_TOLERANCES[name]
+        entries.append(DiagnosticEntry(name, float(value), tol, float(value) <= tol))
 
     slip_data = data.slip_data
     add("energy_identity", energy_identity_residual(u, w, forcing, slip_data, params))

@@ -2,14 +2,16 @@
 
 Hand-rolled rather than delegated so the stopping rule, iteration count and
 best-residual reporting are exactly the ones the outer solver budgets for:
-convergence means relative residual <= rtol in the unpreconditioned norm
-(or, for an inexact solve, <= a fixed fraction of the starting residual
-when that is looser: a fixed forcing term in the sense of Eisenstat &
-Walker, SIAM J. Sci. Comput. 17, 1996), a zero right-hand side returns
-immediately, and failure carries the best residual seen so the caller
-can tell near-miss from breakdown.  Every
-breakdown guard compares an inner product with ||b||^2, so the scale of b
-alone never decides a breakdown.
+convergence means relative residual <= rel_tol in the unpreconditioned
+norm (or, for an inexact solve, <= a fixed fraction of the starting
+residual when that is looser: a fixed forcing term in the sense of
+Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996), a zero right-hand
+side returns immediately, the iteration cap is ten times the unknown
+count, and failure carries the best residual seen so the caller can tell
+near-miss from breakdown.  The caller chooses rel_tol; the linear step
+derives it from its inner_tol (slipflow.lame).  Every breakdown guard
+compares an inner product with ||b||^2, so the scale of b alone never
+decides a breakdown.
 
 The preconditioner is any fixed linear map p -> p_hat approximating the
 inverse operator; the viscous operator supplies a multigrid V-cycle
@@ -18,26 +20,11 @@ and the residual stay those of the original system whatever map is used.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 _BREAKDOWN_TOL = 1e-30
-
-
-@dataclass(frozen=True)
-class KrylovConfig:
-    """Stopping rule for the linear solves."""
-
-    rel_tol: float = 1e-10
-    max_iter: int | None = None  # default 10 * unknown count
-
-    def __post_init__(self):
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ValueError(f"rel_tol must be in (0, 1), got {self.rel_tol!r}")
-        if self.max_iter is not None and self.max_iter <= 0:
-            raise ValueError("max_iter must be positive")
 
 
 class KrylovError(RuntimeError):
@@ -53,22 +40,29 @@ class KrylovError(RuntimeError):
 def krylov_solve(
     action: Callable[[np.ndarray], np.ndarray],
     rhs: np.ndarray,
-    cfg: KrylovConfig = KrylovConfig(),
+    rel_tol: float,
     precond: Callable[[np.ndarray], np.ndarray] | None = None,
     x0: np.ndarray | None = None,
     reduction: float | None = None,
+    max_iter: int | None = None,
 ) -> tuple[np.ndarray, int, float]:
-    """Solve action(x) = rhs; returns (x, iterations, relative residual).
+    """Solve action(x) = rhs to the relative residual rel_tol, in (0, 1);
+    returns (x, iterations, relative residual).
 
     precond maps v to an approximate solution of action(x) = v, or is None;
     x0 warm starts the iteration.  reduction, in (0, 1), makes the solve
     inexact: it also stops once the residual is reduction times the
     starting one, or times ||b|| (a zero start's) if the start is further
-    off, so the tolerance stays in (0, 1); cfg.rel_tol is the floor.
-    Raises KrylovError when the cap is hit.
+    off, so the tolerance stays in (0, 1); rel_tol is the floor.  max_iter
+    overrides the cap of ten iterations per unknown.  Raises KrylovError
+    when the cap is hit.
     """
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol!r}")
     if reduction is not None and not 0.0 < reduction < 1.0:
         raise ValueError(f"reduction must be in (0, 1), got {reduction!r}")
+    if max_iter is not None and max_iter <= 0:
+        raise ValueError(f"max_iter must be positive, got {max_iter!r}")
     rhs = np.asarray(rhs, dtype=float)
     if not np.all(np.isfinite(rhs)):
         raise ValueError("right-hand side contains non-finite values")
@@ -76,7 +70,7 @@ def krylov_solve(
     if b_norm == 0.0:
         return np.zeros_like(rhs), 0, 0.0
 
-    cap = cfg.max_iter if cfg.max_iter is not None else 10 * rhs.size
+    cap = max_iter if max_iter is not None else 10 * rhs.size
     if precond is None:
         precond = lambda p: p
     warm = x0 is not None
@@ -84,7 +78,7 @@ def krylov_solve(
     x0 = None  # x replaces it for the rest of the solve
     r = rhs - action(x) if warm else rhs.copy()
     res = float(np.linalg.norm(r)) / b_norm
-    tol = cfg.rel_tol if reduction is None else max(cfg.rel_tol, reduction * min(res, 1.0))
+    tol = rel_tol if reduction is None else max(rel_tol, reduction * min(res, 1.0))
     if res <= tol:
         return x, 0, res
 

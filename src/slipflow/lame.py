@@ -54,13 +54,17 @@ for the step's advecting field as sparse matrices once
 (transport_footprint), so a split sweep costs one momentum solve and one
 footprint apply, and both precondition their Krylov solve with the
 operator's V-cycle.  A bare transport field, as make_transport_field
-returns it, traces afresh: apply_S builds nothing on it.  A split sweep
-solves its momentum rows inexactly, warm-started from the last sweep's
-velocity, to a tenth of that start's residual with the Krylov rel_tol as
-the floor (inexact Uzawa: Elman & Golub, SIAM J. Numer. Anal. 31, 1994),
-since the next sweep replaces them; on the default data that is about
-one Krylov iteration per sweep.  Both modes converge to the same discrete
-solution.
+returns it, traces afresh: apply_S builds nothing on it.
+
+One setting, inner_tol, sets how exactly a step is solved: every Krylov
+solve of the step stops at the relative residual krylov_tol(inner_tol),
+and the split sweeps stop once a sweep changes the solution by less than
+inner_tol.  A split sweep solves its momentum rows inexactly,
+warm-started from the last sweep's velocity, to a tenth of that start's
+residual with krylov_tol as the floor (inexact Uzawa: Elman & Golub,
+SIAM J. Numer. Anal. 31, 1994), since the next sweep replaces them; on
+the default data that is about one Krylov iteration per sweep.  Both
+modes converge to the same discrete solution.
 """
 from __future__ import annotations
 
@@ -81,7 +85,7 @@ from .fields import (
     zeros_vector,
     zeros_scalar,
 )
-from .krylov import KrylovConfig, krylov_solve
+from .krylov import krylov_solve
 from .transport import make_transport_field, apply_S, transport_footprint
 from .material import FlowParams
 
@@ -90,12 +94,20 @@ from .material import FlowParams
 MODES = ("split", "monolithic")
 # split sweeps a linear step may take before it fails as non-convergent
 MAX_SWEEPS = 200
-# the sweep-to-sweep change at which the split sweeps stop, by default
+# the sweep-to-sweep change at which the split sweeps stop, by default;
+# it also sets the step's Krylov tolerance (krylov_tol)
 INNER_TOL = 1e-11
 # a split sweep's momentum solve stops once it has cut its warm-start
-# residual by this factor (krylov_rel_tol is the floor): the next sweep
+# residual by this factor (krylov_tol is the floor): the next sweep
 # replaces that u, so a full solve per sweep buys nothing
 SWEEP_REDUCTION = 0.1
+
+
+def krylov_tol(inner_tol: float) -> float:
+    """The relative residual at which every Krylov solve of a linear step
+    with this inner_tol stops: ten times it, in (0, 1) for the inner_tol
+    below 0.1 that SolverConfig admits."""
+    return 10.0 * inner_tol
 
 
 @dataclass(frozen=True, eq=False)
@@ -359,9 +371,8 @@ def _multigrid(op: _RowLayout, matrix: sparse.csr_matrix) -> _VCycle:
 
 
 def _momentum_rhs(op: LameOperator, forcing: np.ndarray, slip_data: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Right-hand side matching the row layout: the forcing on the PDE
-    rows, the averaged slip data on the slip rows and zero on the pinned
-    rows."""
+    """Free-row right-hand side matching the row layout: the forcing on
+    the PDE rows and the averaged slip data on the slip rows."""
     b = np.array(forcing, dtype=float)
     racc = np.zeros_like(b)
     for face in op.grid.faces:
@@ -371,8 +382,7 @@ def _momentum_rhs(op: LameOperator, forcing: np.ndarray, slip_data: Mapping[str,
             racc[t_ax][sl] += rows[i]
     m = op.robin_mask
     b[m] = racc[m] / op.robin_cnt[m]
-    b[op.pinned] = 0.0
-    return b
+    return b.reshape(-1)[op.free]
 
 
 def _scatter(op: LameOperator, y: np.ndarray) -> np.ndarray:
@@ -383,15 +393,15 @@ def _scatter(op: LameOperator, y: np.ndarray) -> np.ndarray:
 
 
 def _solve_free_rows(
-    op: LameOperator, act, rhs: np.ndarray, cfg: KrylovConfig, x0: np.ndarray | None,
+    op: LameOperator, act, rhs: np.ndarray, rel_tol: float, x0: np.ndarray | None,
     reduction: float | None = None,
 ):
-    """Solve act(y) = rhs for the free rows y of the velocity, which is
-    zero on the pinned ones: preconditioned by op.precond, warm-started
-    from the (3, *shape) array x0 if given, to krylov_solve's reduction
-    of the starting residual if given."""
+    """Solve act(y) = rhs to rel_tol for the free rows y of the velocity,
+    which is zero on the pinned ones: preconditioned by op.precond,
+    warm-started from the (3, *shape) array x0 if given, to krylov_solve's
+    reduction of the starting residual if given."""
     y, iters, res = krylov_solve(
-        act, rhs, cfg, precond=op.precond,
+        act, rhs, rel_tol, precond=op.precond,
         x0=None if x0 is None else x0.reshape(-1)[op.free], reduction=reduction,
     )
     return VectorField(op.grid, _scatter(op, y)), iters, res
@@ -399,18 +409,16 @@ def _solve_free_rows(
 
 def solve_momentum(
     op: LameOperator,
-    forcing: np.ndarray,
-    slip_data: Mapping[str, np.ndarray],
-    cfg: KrylovConfig = KrylovConfig(),
+    rhs: np.ndarray,
+    rel_tol: float,
     x0: VectorField | None = None,
     reduction: float | None = None,
 ) -> tuple[VectorField, int, float]:
-    """Solve the slip-wall momentum system for a given volume forcing,
-    warm-started from x0 if given; reduction makes the solve inexact, as
-    krylov_solve describes."""
-    rhs = _momentum_rhs(op, forcing, slip_data).reshape(-1)[op.free]
+    """Solve the slip-wall momentum system for a free-row right-hand side
+    (as _momentum_rhs builds it) to rel_tol, warm-started from x0 if
+    given; reduction makes the solve inexact, as krylov_solve describes."""
     return _solve_free_rows(
-        op, op.matrix.dot, rhs, cfg, None if x0 is None else x0.values, reduction
+        op, op.matrix.dot, rhs, rel_tol, None if x0 is None else x0.values, reduction
     )
 
 
@@ -420,7 +428,8 @@ class LinearStepResult:
     (1 in monolithic mode), inner_iterations the Krylov iterations over
     all of them (about one per split sweep on the default data, each
     sweep's solve stopping at a tenth of its warm-start residual) and
-    linear_residual the last solve's relative residual."""
+    linear_residual the last solve's relative residual, at most
+    krylov_tol(inner_tol)."""
 
     u: VectorField
     w: ScalarField
@@ -438,15 +447,16 @@ def solve_linear_step(
     slip_data: Mapping[str, np.ndarray],
     w_in: np.ndarray,
     mode: str = MODES[0],
-    krylov_cfg: KrylovConfig = KrylovConfig(),
     inner_tol: float = INNER_TOL,
     start: tuple[VectorField, ScalarField] | None = None,
 ) -> LinearStepResult:
     """Solve the coupled linear system for (u, w) at one outer iteration.
 
     convect is the perturbation part of the advecting velocity (outer
-    iterate plus lifted data); the transport speed is e1 + convect.  start
-    warm-starts the inner iteration (the result does not depend on it).
+    iterate plus lifted data); the transport speed is e1 + convect.
+    inner_tol sets how exactly the step is solved, as the module docstring
+    describes.  start warm-starts the inner iteration (the result does not
+    depend on it).
     op is the momentum operator, the same at every outer iteration of a
     run; the step works on its grid with its physics parameters.
     """
@@ -458,6 +468,19 @@ def solve_linear_step(
     tf = make_transport_field(grid, tf_values)
     footprint = transport_footprint(tf)
     gamma = op.params.pressure.gamma
+    rel_tol = krylov_tol(inner_tol)
+    rhs = _momentum_rhs(op, forcing.values, slip_data)
+    pde = ~(op.pinned | op.robin_mask)
+    pde_free = pde.reshape(-1)[op.free]  # the PDE rows among the free rows
+
+    def add_pressure(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """rows - gamma grad(w) on the PDE rows of a free-row vector, in
+        place; the momentum rows take gamma grad(w) there and nowhere
+        else."""
+        grad = grad_array(w, grid)
+        grad *= -gamma
+        rows[pde_free] += grad[pde]
+        return rows
 
     if mode == "split":
         # both operators are fixed for the step: apply_S goes through the
@@ -472,9 +495,8 @@ def solve_linear_step(
         total_iters = 0
         res = 0.0
         for sweep in range(1, MAX_SWEEPS + 1):
-            rhs_u = forcing.values - gamma * grad_array(w.values, grid)
             u_new, iters, res = solve_momentum(
-                op, rhs_u, slip_data, krylov_cfg, x0=u, reduction=SWEEP_REDUCTION
+                op, add_pressure(rhs.copy(), w.values), rel_tol, x0=u, reduction=SWEEP_REDUCTION
             )
             total_iters += iters
             src = continuity_forcing.values - div_array(u_new.values, grid)
@@ -498,17 +520,6 @@ def solve_linear_step(
     w_fixed = footprint.apply(continuity_forcing, w_in).values
     source = footprint.source
     del footprint, tf, tf_values  # the Krylov solve needs only the source part
-    pde = ~(op.pinned | op.robin_mask)
-    pde_free = pde.reshape(-1)[op.free]  # the PDE rows among the free rows
-
-    def add_pressure(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """rows - gamma grad(w) on the PDE rows of a free-row vector, in
-        place; the momentum rows take gamma grad(w) there and nowhere
-        else."""
-        grad = grad_array(w, grid)
-        grad *= -gamma
-        rows[pde_free] += grad[pde]
-        return rows
 
     def traced_divergence(u: np.ndarray) -> np.ndarray:
         """S_v div u, the part of the density that depends on u."""
@@ -517,8 +528,8 @@ def solve_linear_step(
     u, iters, res = _solve_free_rows(
         op,
         lambda y: add_pressure(op.matrix @ y, traced_divergence(_scatter(op, y))),
-        add_pressure(_momentum_rhs(op, forcing.values, slip_data).reshape(-1)[op.free], w_fixed),
-        krylov_cfg,
+        add_pressure(rhs, w_fixed),
+        rel_tol,
         None if start is None else start[0].values,
     )
     w = ScalarField(grid, w_fixed - traced_divergence(u.values))

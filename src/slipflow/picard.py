@@ -119,7 +119,6 @@ def picard_solve(
     # the viscous operator and its preconditioner depend only on the grid
     # and the physics parameters: one serves every linear step of the run
     op = build_lame_operator(grid, params)
-    krylov_cfg = cfg.krylov()
     history: list[IterationRecord] = []
     verdict = "max_iter"
     prev_d = None
@@ -141,7 +140,6 @@ def picard_solve(
                 data.slip_data,
                 data.w_in,
                 mode=cfg.mode,
-                krylov_cfg=krylov_cfg,
                 inner_tol=cfg.inner_tol,
                 start=(u, w),
             )

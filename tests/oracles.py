@@ -12,7 +12,6 @@ from slipflow import lame
 from slipflow.fields import (
     NormKind, ScalarField, VectorField, div_array, grad_array, norm, zeros_scalar, zeros_vector,
 )
-from slipflow.krylov import KrylovConfig
 from slipflow.picard import ProblemSetup, _strong_size, picard_solve
 from slipflow.transport import TransportField, apply_S, make_transport_field, transport_footprint
 
@@ -199,13 +198,13 @@ def bisection_landing_solve(tf: TransportField, v: ScalarField, w_in: np.ndarray
 
 def full_solve_split_step(
     op, convect, forcing, continuity_forcing, slip_data, w_in,
-    mode="split", krylov_cfg=KrylovConfig(), inner_tol=lame.INNER_TOL, start=None,
+    mode="split", inner_tol=lame.INNER_TOL, start=None,
 ) -> lame.LinearStepResult:
     """The split linear step with every sweep's momentum rows solved to
-    krylov_cfg.rel_tol, warm-started from the last sweep's u; otherwise
-    the alternation of lame.solve_linear_step (same stopping rule, sweep
-    cap and transport footprint), whose signature it takes so that it
-    can stand in for it under picard_solve."""
+    lame.krylov_tol(inner_tol), warm-started from the last sweep's u;
+    otherwise the alternation of lame.solve_linear_step (same stopping
+    rule, sweep cap and transport footprint), whose signature it takes so
+    that it can stand in for it under picard_solve."""
     assert mode == "split"
     grid = op.grid
     tf_values = convect.values.copy()
@@ -219,7 +218,9 @@ def full_solve_split_step(
     total_iters = 0
     for sweep in range(1, lame.MAX_SWEEPS + 1):
         rhs_u = forcing.values - op.params.pressure.gamma * grad_array(w.values, grid)
-        u_new, iters, res = lame.solve_momentum(op, rhs_u, slip_data, krylov_cfg, x0=u)
+        u_new, iters, res = lame.solve_momentum(
+            op, lame._momentum_rhs(op, rhs_u, slip_data), lame.krylov_tol(inner_tol), x0=u
+        )
         total_iters += iters
         src = continuity_forcing.values - div_array(u_new.values, grid)
         w_new = apply_S(tf, ScalarField(grid, src), w_in)

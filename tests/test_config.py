@@ -67,8 +67,7 @@ def test_validation_errors_name_dotted_keys():
         ({"solver": {"mode": "fast"}}, "solver.mode"),
         ({"solver": {"max_outer": 0}}, "solver.max_outer"),
         ({"solver": {"outer_tol": 0.0}}, "solver.outer_tol"),
-        ({"solver": {"krylov_rel_tol": 1.0}}, "solver.krylov_rel_tol"),
-        ({"solver": {"krylov_max_iter": 0}}, "solver.krylov_max_iter"),
+        ({"solver": {"inner_tol": 0.1}}, "solver.inner_tol"),
         ({"solver": {"p": 1.5}}, "solver.p"),
     ]
     for raw, key in bad:
@@ -87,7 +86,7 @@ def test_profile_maps_reject_unknown_faces():
 FLOAT_KEYS = [
     "geometry.length", "geometry.width2", "geometry.width3", "physics.mu", "physics.nu",
     "physics.f", "physics.pressure.coefficient", "data.epsilon", "solver.outer_tol",
-    "solver.inner_tol", "solver.p", "solver.krylov_rel_tol",
+    "solver.inner_tol", "solver.p",
 ]
 
 
@@ -117,11 +116,12 @@ def test_booleans_are_not_numbers():
         config_from_mapping({"solver": {"max_outer": False}})
 
 
-def test_krylov_max_iter_null_and_int_both_pass():
-    assert config_from_mapping({}).solver.krylov_max_iter is None
-    cfg = config_from_mapping({"solver": {"krylov_max_iter": 500}})
-    assert cfg.solver.krylov_max_iter == 500
-    assert cfg.solver.krylov().max_iter == 500
+@pytest.mark.parametrize("key", ["krylov_rel_tol", "krylov_max_iter"])
+def test_removed_krylov_keys_are_unknown(key):
+    # inner_tol sets the Krylov tolerance; the removed keys fail like any
+    # unknown key
+    with pytest.raises(ConfigError, match=f"unknown config key 'solver.{key}'"):
+        config_from_mapping({"solver": {key: 1}})
 
 
 def test_nonsense_physics_combination_is_rejected():

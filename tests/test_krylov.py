@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from slipflow.krylov import KrylovConfig, KrylovError, krylov_solve
+from slipflow.krylov import KrylovError, krylov_solve
+
+# the linear step's Krylov tolerance at the default inner_tol
+TOL = 1e-10
 
 
 def dense_action(A):
@@ -9,7 +12,7 @@ def dense_action(A):
 
 
 def test_zero_rhs_returns_immediately():
-    x, iters, res = krylov_solve(dense_action(np.eye(5)), np.zeros(5))
+    x, iters, res = krylov_solve(dense_action(np.eye(5)), np.zeros(5), TOL)
     assert np.array_equal(x, np.zeros(5))
     assert iters == 0
     assert res == 0.0
@@ -18,7 +21,7 @@ def test_zero_rhs_returns_immediately():
 def test_identity_converges_in_one_iteration():
     rng = np.random.default_rng(3)
     b = rng.normal(size=40)
-    x, iters, res = krylov_solve(dense_action(np.eye(40)), b)
+    x, iters, res = krylov_solve(dense_action(np.eye(40)), b, TOL)
     assert iters == 1
     np.testing.assert_allclose(x, b, rtol=0, atol=1e-14)
 
@@ -27,7 +30,7 @@ def test_exact_warm_start_costs_nothing():
     rng = np.random.default_rng(4)
     A = np.eye(12) + 0.1 * rng.normal(size=(12, 12))
     xs = rng.normal(size=12)
-    x, iters, res = krylov_solve(dense_action(A), A @ xs, x0=xs)
+    x, iters, res = krylov_solve(dense_action(A), A @ xs, TOL, x0=xs)
     assert iters == 0
     np.testing.assert_allclose(x, xs, rtol=0, atol=0)
 
@@ -38,7 +41,7 @@ def test_nonsymmetric_solve_matches_direct(seed):
     n = 60
     A = np.eye(n) + 0.3 * rng.normal(size=(n, n)) / np.sqrt(n)
     b = rng.normal(size=n)
-    x, iters, res = krylov_solve(dense_action(A), b)
+    x, iters, res = krylov_solve(dense_action(A), b, TOL)
     ref = np.linalg.solve(A, b)
     assert res <= 1e-10
     np.testing.assert_allclose(x, ref, rtol=1e-7, atol=1e-10)
@@ -51,10 +54,10 @@ def test_scaled_rhs_takes_the_same_iterations():
     n = 60
     A = np.eye(n) + 0.3 * rng.normal(size=(n, n)) / np.sqrt(n)
     b = rng.normal(size=n)
-    x1, iters1, _ = krylov_solve(dense_action(A), b)
+    x1, iters1, _ = krylov_solve(dense_action(A), b, TOL)
     assert iters1 == 10
     for scale in (1e-8, 1e-12, 1e-20, 1e20):
-        x, iters, res = krylov_solve(dense_action(A), scale * b)
+        x, iters, res = krylov_solve(dense_action(A), scale * b, TOL)
         assert iters == iters1, scale
         assert res <= 1e-10
         np.testing.assert_allclose(x / scale, x1, rtol=1e-12, atol=0)
@@ -67,7 +70,7 @@ def test_jacobi_scaling_handles_wild_diagonal():
     A = np.diag(d) + 0.05 * rng.normal(size=(n, n))
     b = rng.normal(size=n)
     diag = np.diag(A)
-    x, iters, res = krylov_solve(dense_action(A), b, precond=lambda p: p / diag)
+    x, iters, res = krylov_solve(dense_action(A), b, TOL, precond=lambda p: p / diag)
     np.testing.assert_allclose(A @ x, b, rtol=0, atol=1e-8 * np.linalg.norm(b))
     # without the scaling this system stagnates; with it the cap is never
     # close (observed ~1.5 n)
@@ -83,7 +86,7 @@ def test_preconditioned_residual_is_the_true_residual(seed):
     A = np.eye(n) + 0.3 * rng.normal(size=(n, n)) / np.sqrt(n)
     b = rng.normal(size=n)
     approx_inverse = np.linalg.inv(A + 0.05 * rng.normal(size=(n, n)) / np.sqrt(n))
-    x, iters, res = krylov_solve(dense_action(A), b, precond=lambda p: approx_inverse @ p)
+    x, iters, res = krylov_solve(dense_action(A), b, TOL, precond=lambda p: approx_inverse @ p)
     true_res = np.linalg.norm(b - A @ x) / np.linalg.norm(b)
     assert res <= 1e-10
     assert abs(res - true_res) <= 1e-5 * res
@@ -95,9 +98,9 @@ def test_iteration_cap_raises_with_best_residual():
     A = np.eye(n) + 0.3 * rng.normal(size=(n, n)) / np.sqrt(n)
     b = rng.normal(size=n)
     with pytest.raises(KrylovError, match="iteration cap"):
-        krylov_solve(dense_action(A), b, KrylovConfig(max_iter=2))
+        krylov_solve(dense_action(A), b, TOL, max_iter=2)
     try:
-        krylov_solve(dense_action(A), b, KrylovConfig(max_iter=2))
+        krylov_solve(dense_action(A), b, TOL, max_iter=2)
     except KrylovError as err:
         assert 0.0 < err.best_residual < 1.0
         assert err.iterations == 2
@@ -122,10 +125,10 @@ def relative_residual(A, b, x):
 def test_reduction_stops_at_a_fraction_of_the_start_residual():
     A, b, xs, x0 = _warm_started_system(5, 1e-3)
     res0 = relative_residual(A, b, x0)
-    x, iters, res = krylov_solve(dense_action(A), b, x0=x0, reduction=0.1)
+    x, iters, res = krylov_solve(dense_action(A), b, TOL, x0=x0, reduction=0.1)
     assert res <= 0.1 * res0
     assert abs(res - relative_residual(A, b, x)) <= 1e-5 * res
-    full = krylov_solve(dense_action(A), b, x0=x0)
+    full = krylov_solve(dense_action(A), b, TOL, x0=x0)
     assert 0 < iters < full[1]
 
 
@@ -134,7 +137,7 @@ def test_reduction_of_a_start_worse_than_zero_is_capped():
     # more; the cap asks for reduction * |b|, a zero start's target
     A, b, xs, x0 = _warm_started_system(6, 100.0)
     assert relative_residual(A, b, x0) >= 10.0
-    x, iters, res = krylov_solve(dense_action(A), b, x0=x0, reduction=0.1)
+    x, iters, res = krylov_solve(dense_action(A), b, TOL, x0=x0, reduction=0.1)
     assert iters > 0
     assert res <= 0.1
 
@@ -144,8 +147,8 @@ def test_rel_tol_is_the_floor_of_a_reduction():
     # rel_tol exactly as without a reduction
     A, b, xs, x0 = _warm_started_system(7, 1e-10)
     assert 1e-10 < relative_residual(A, b, x0) < 1e-9
-    reduced = krylov_solve(dense_action(A), b, x0=x0, reduction=0.1)
-    full = krylov_solve(dense_action(A), b, x0=x0)
+    reduced = krylov_solve(dense_action(A), b, TOL, x0=x0, reduction=0.1)
+    full = krylov_solve(dense_action(A), b, TOL, x0=x0)
     assert reduced[1] == full[1] > 0
     np.testing.assert_array_equal(reduced[0], full[0])
 
@@ -153,18 +156,20 @@ def test_rel_tol_is_the_floor_of_a_reduction():
 @pytest.mark.parametrize("reduction", [0.0, 1.0, -0.5, float("nan")])
 def test_reduction_outside_the_unit_interval_rejected(reduction):
     with pytest.raises(ValueError, match="reduction must be in"):
-        krylov_solve(dense_action(np.eye(3)), np.ones(3), reduction=reduction)
+        krylov_solve(dense_action(np.eye(3)), np.ones(3), TOL, reduction=reduction)
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="rel_tol"):
-        KrylovConfig(rel_tol=0.0)
-    with pytest.raises(ValueError, match="rel_tol"):
-        KrylovConfig(rel_tol=2.0)
-    with pytest.raises(ValueError, match="max_iter"):
-        KrylovConfig(max_iter=0)
+    # the tolerance must lie in (0, 1) and a given cap must be positive
+    action, b = dense_action(np.eye(3)), np.ones(3)
+    for rel_tol in (0.0, 1.0, 2.0, float("nan")):
+        with pytest.raises(ValueError, match="rel_tol must be in"):
+            krylov_solve(action, b, rel_tol)
+    for max_iter in (0, -5):
+        with pytest.raises(ValueError, match="max_iter must be positive"):
+            krylov_solve(action, b, TOL, max_iter=max_iter)
 
 
 def test_non_finite_rhs_rejected():
     with pytest.raises(ValueError, match="non-finite"):
-        krylov_solve(dense_action(np.eye(3)), np.array([1.0, np.nan, 0.0]))
+        krylov_solve(dense_action(np.eye(3)), np.array([1.0, np.nan, 0.0]), TOL)

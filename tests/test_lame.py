@@ -18,7 +18,6 @@ from slipflow.fields import (
     zeros_vector,
 )
 from slipflow.material import FlowParams
-from slipflow.krylov import KrylovConfig
 from slipflow import lame
 from slipflow.lame import (
     build_lame_operator,
@@ -187,6 +186,13 @@ def test_momentum_matrix_reproduces_rows(extents, cells, params):
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
+def momentum_solve(op, forcing, slip):
+    """solve_momentum for a volume forcing and slip data, to the linear
+    step's Krylov tolerance at the default inner_tol."""
+    rhs = lame._momentum_rhs(op, forcing, slip)
+    return solve_momentum(op, rhs, lame.krylov_tol(lame.INNER_TOL))
+
+
 def test_solve_momentum_roundtrip():
     grid, params = make_setup()
     op = build_lame_operator(grid, params)
@@ -204,7 +210,7 @@ def test_solve_momentum_roundtrip():
             )
         slip[face.name] = np.stack(rows)
 
-    sol, iters, res = solve_momentum(op, forcing, slip)
+    sol, iters, res = momentum_solve(op, forcing, slip)
     scale = np.max(np.abs(u_known.values))
     assert res <= 1e-10
     assert np.max(np.abs(sol.values - u_known.values)) <= 1e-6 * scale
@@ -226,11 +232,11 @@ def test_multigrid_solve_is_grid_independent(cells):
     op = build_lame_operator(grid, params)
     forcing = smooth_vector(grid, seed=3).values
     slip = shear_slip(grid)
-    u, iters, res = solve_momentum(op, forcing, slip)
+    u, iters, res = momentum_solve(op, forcing, slip)
     assert iters <= 12 and res <= 1e-10
     diag = op.matrix.diagonal()
     by_jacobi = replace(op, precond=lambda p: p / diag)
-    u_jac, iters_jac, _ = solve_momentum(by_jacobi, forcing, slip)
+    u_jac, iters_jac, _ = momentum_solve(by_jacobi, forcing, slip)
     assert iters_jac > 2 * iters
     scale = np.max(np.abs(u_jac.values))
     assert np.max(np.abs(u.values - u_jac.values)) <= 1e-9 * scale
@@ -248,11 +254,11 @@ def test_every_grid_gets_a_v_cycle(cells, v_cycle_iters):
     op = build_lame_operator(grid, params)
     assert isinstance(op.precond, lame._VCycle)
     forcing, slip = smooth_vector(grid, seed=4).values, shear_slip(grid)
-    u, iters, res = solve_momentum(op, forcing, slip)
+    u, iters, res = momentum_solve(op, forcing, slip)
     assert iters == v_cycle_iters and res <= 1e-10
     assert np.all(u.values[op.pinned] == 0.0)
     diag = op.matrix.diagonal()
-    u_jac, _, _ = solve_momentum(replace(op, precond=lambda p: p / diag), forcing, slip)
+    u_jac, _, _ = momentum_solve(replace(op, precond=lambda p: p / diag), forcing, slip)
     scale = np.max(np.abs(u_jac.values))
     assert np.max(np.abs(u.values - u_jac.values)) <= 1e-9 * scale
 
@@ -442,9 +448,9 @@ def stencil_momentum_solve(op, forcing, slip_data, x0):
     settings and per-sweep residual reduction."""
     free = op.free
     act = lambda y: _momentum_rows(op, lame._scatter(op, y)).reshape(-1)[free]
-    rhs = lame._momentum_rhs(op, forcing, slip_data).reshape(-1)[free]
+    rhs = lame._momentum_rhs(op, forcing, slip_data)
     return lame._solve_free_rows(
-        op, act, rhs, KrylovConfig(), x0.values, reduction=lame.SWEEP_REDUCTION
+        op, act, rhs, lame.krylov_tol(lame.INNER_TOL), x0.values, reduction=lame.SWEEP_REDUCTION
     )[0]
 
 
@@ -481,16 +487,16 @@ def test_split_step_matches_trace_every_sweep():
 
 def test_inexact_sweeps_reach_the_full_solve_fixed_point():
     # a split sweep solves its momentum rows only to a tenth of the
-    # warm-start residual; the oracle solves them to rel_tol every sweep.
-    # Each ends within about rel_tol * |u| of the discrete solution (1.6e-11
-    # apart in w at the default 1e-10), so both run at 1e-11 here
+    # warm-start residual; the oracle solves them to the step's Krylov
+    # tolerance every sweep.  Each ends within about that tolerance times
+    # |u| of the discrete solution (1.6e-11 apart in w at the default
+    # inner_tol), so both run at inner_tol 1e-12 here
     grid, params = make_setup()
     case = build_linear_case(grid, params)
     op = build_lame_operator(grid, params)
     args = (op, case.convect, case.forcing, case.continuity, case.slip_data, case.w_in)
-    cfg = KrylovConfig(rel_tol=1e-11)
-    res = solve_linear_step(*args, krylov_cfg=cfg)
-    full = full_solve_split_step(*args, krylov_cfg=cfg)
+    res = solve_linear_step(*args, inner_tol=1e-12)
+    full = full_solve_split_step(*args, inner_tol=1e-12)
     assert np.max(np.abs(res.u.values - full.u.values)) <= 1e-11
     assert np.max(np.abs(res.w.values - full.w.values)) <= 1e-11
     assert abs(res.sweeps - full.sweeps) <= 2

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from slipflow.material import (
 from slipflow import lame, picard
 from slipflow.config import SolverConfig, config_from_mapping
 from slipflow.diagnostics import reconstruct_physical
-from slipflow.krylov import KrylovError
+from slipflow.krylov import KrylovError, krylov_solve
 from slipflow.lame import build_lame_operator
 from slipflow.picard import (
     ProblemSetup,
@@ -119,29 +120,29 @@ def test_split_nonconvergence_verdict(monkeypatch):
 @pytest.mark.parametrize("mode", ["split", "monolithic"])
 def test_krylov_failure_verdict(mode, monkeypatch):
     # KrylovError is a RuntimeError: the outer loop reports it as a verdict.
-    # One iteration fails the monolithic solve; a split sweep's solve stops
-    # at a tenth of its warm-start residual, which one iteration reaches,
-    # so there every solve is made to fail as an exhausted cap does
+    # A cap of one iteration fails the monolithic solve; a split sweep's
+    # solve stops at a tenth of its warm-start residual, which one
+    # iteration reaches, so there every solve is made to fail as an
+    # exhausted cap does
     if mode == "split":
         def failing(*args, **kwargs):
             raise KrylovError("linear solve did not converge within the iteration cap", 1.0, 1)
 
         monkeypatch.setattr(lame, "krylov_solve", failing)
-        setup = make_setup(1e-2, mode=mode)
     else:
-        setup = make_setup(1e-2, mode=mode, krylov_max_iter=1)
-    bundle = picard_solve(setup)
+        monkeypatch.setattr(lame, "krylov_solve", partial(krylov_solve, max_iter=1))
+    bundle = picard_solve(make_setup(1e-2, mode=mode))
     assert bundle.verdict.startswith("diverged(linear solve did not converge")
     assert bundle.history == ()
 
 
-def test_split_sweeps_converge_on_one_krylov_iteration():
+def test_split_sweeps_converge_on_one_krylov_iteration(monkeypatch):
     # every split sweep cuts its warm-start residual tenfold in one
     # iteration on the default data, so the cap of one costs nothing
-    default = picard_solve(build_setup(config_from_mapping({"solver": {"mode": "split"}})))
-    capped = picard_solve(build_setup(config_from_mapping(
-        {"solver": {"mode": "split", "krylov_max_iter": 1}}
-    )))
+    setup = build_setup(config_from_mapping({"solver": {"mode": "split"}}))
+    default = picard_solve(setup)
+    monkeypatch.setattr(lame, "krylov_solve", partial(krylov_solve, max_iter=1))
+    capped = picard_solve(setup)
     assert capped.converged
     assert np.max(np.abs(capped.u.values - default.u.values)) <= 1e-11
     assert np.max(np.abs(capped.w.values - default.w.values)) <= 1e-11
@@ -149,7 +150,8 @@ def test_split_sweeps_converge_on_one_krylov_iteration():
 
 
 def test_inexact_sweeps_reach_the_full_solve_fixed_point_of_the_default_run(monkeypatch):
-    # the oracle solves every sweep's momentum rows to krylov_rel_tol
+    # the oracle solves every sweep's momentum rows to the step's Krylov
+    # tolerance
     setup = build_setup(config_from_mapping({"solver": {"mode": "split"}}))
     inexact = picard_solve(setup)
     monkeypatch.setattr(picard, "solve_linear_step", full_solve_split_step)
@@ -163,6 +165,23 @@ def test_inexact_sweeps_reach_the_full_solve_fixed_point_of_the_default_run(monk
     assert sum(r.inner_iterations for r in inexact.history) < sum(
         r.inner_iterations for r in full.history
     ) / 2
+
+
+@pytest.mark.parametrize("mode", ["split", "monolithic"])
+def test_inner_tol_sets_how_exactly_a_step_is_solved(mode):
+    # inner_tol sets every Krylov solve of a linear step, so tightening it
+    # from 1e-11 to 1e-13 brings the default solution at least five times
+    # closer to a monolithic solve at 1e-15 (measured in w: 1.48e-13 to
+    # 1.21e-14 split, 2.40e-13 to 6.28e-15 monolithic)
+    def solve_w(mode, inner_tol):
+        config = config_from_mapping({"solver": {"mode": mode, "inner_tol": inner_tol}})
+        bundle = picard_solve(build_setup(config))
+        assert bundle.converged
+        return bundle.w.values
+
+    w_ref = solve_w("monolithic", 1e-15)
+    loose, tight = (np.max(np.abs(solve_w(mode, tol) - w_ref)) for tol in (1e-11, 1e-13))
+    assert tight <= loose / 5, (loose, tight)
 
 
 def test_two_start_uniqueness_same_start_is_exact():
@@ -220,7 +239,7 @@ def test_history_records_linear_steps(mode, monkeypatch):
     for rec in bundle.history:
         assert rec.sweeps >= 1 if mode == "split" else rec.sweeps == 1
         assert rec.inner_iterations > 0
-        assert rec.linear_residual <= setup.solver.krylov_rel_tol
+        assert rec.linear_residual <= lame.krylov_tol(setup.solver.inner_tol)
 
 
 def test_setup_validation():

@@ -5,7 +5,6 @@ import pytest
 
 from slipflow.config import SolverConfig
 from slipflow.grid import GeometryConfig
-from slipflow.krylov import KrylovConfig
 from slipflow.material import DataConfig, FlowParams, PressureLaw
 
 # one rejected value per range check of each settings dataclass
@@ -26,11 +25,9 @@ BAD = {
     ],
     SolverConfig: [
         {"mode": "direct"}, {"outer_tol": 0.0}, {"inner_tol": -1.0}, {"max_outer": 0},
-        {"p": 1.0}, {"krylov_rel_tol": 1.0},
-        {"krylov_max_iter": 0},
+        {"p": 1.0}, {"inner_tol": 0.1}, {"max_outer": 2.5}, {"max_outer": True},
         {"outer_tol": float("inf")}, {"inner_tol": float("inf")}, {"p": float("inf")},
     ],
-    KrylovConfig: [{"rel_tol": 0.0}, {"max_iter": -5}],
 }
 
 
