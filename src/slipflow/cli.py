@@ -25,7 +25,6 @@ from .diagnostics import run_diagnostics
 from .fields import NormKind, ScalarField, VectorField, norm
 from .grid import GeometryConfig, Grid, build_grid
 from .lame import MODES, build_lame_operator, solve_linear_step
-from .material import compute_F, compute_G
 from .mms import build_linear_case
 from .picard import build_setup, convergence_metrics, picard_solve
 from .transport import apply_S, make_transport_field, upwind_march
@@ -174,9 +173,7 @@ def cmd_diagnose(config: RunConfig, out_dir: str) -> int:
                               f"the configured grid has spacing {grid.h}")
     u = VectorField(grid, u_values)
     w = ScalarField(grid, w_values)
-    forcing = compute_F(u, w, setup.data, config.params)
-    continuity = compute_G(u, w, setup.data)
-    report = run_diagnostics(u, w, forcing, continuity, setup.data, config.params)
+    report = run_diagnostics(u, w, setup.data, config.params)
     runio.write_report_json(out / "report.json", report)
     width = max(len(e.name) for e in report.entries)
     for e in report.entries:

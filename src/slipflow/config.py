@@ -44,7 +44,9 @@ class SolverConfig:
     Krylov solve of the step stops at the relative residual
     lame.krylov_tol(inner_tol) = 10 inner_tol (a split sweep's earlier,
     once it has cut its warm-start residual tenfold), so inner_tol must
-    be below 0.1.
+    be below 0.1; it must also be at least 1e-15, since a relative
+    residual below 1e-14 is round-off, which BiCGStab meets as a
+    breakdown rather than a converged solve.
     """
 
     mode: str = MODES[0]
@@ -62,6 +64,9 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive and finite, got {val!r}")
         if self.inner_tol >= 0.1:
             raise ValueError(f"inner_tol must be below 0.1, got {self.inner_tol!r}")
+        if self.inner_tol < 1e-15:
+            raise ValueError(f"inner_tol must be at least 1e-15: below it the linear step's "
+                             f"Krylov tolerance is round-off, got {self.inner_tol!r}")
         n = self.max_outer
         if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1:
             raise ValueError(f"max_outer must be an integer of at least 1, got {n!r}")

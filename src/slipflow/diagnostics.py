@@ -23,7 +23,9 @@ from .fields import (
     ScalarField, VectorField, NormKind, norm, diff1, div_array, advect, laplacian_array,
     grad_array, grad_div_array, sym_gradient, divergence, curl, onesided_normal_d1, interior_l2,
 )
-from .material import FlowParams, PerturbationData, _check_band, reference_flow
+from .material import (
+    FlowParams, PerturbationData, _check_band, compute_F, compute_G, reference_flow,
+)
 
 # Fixed physical stand-off from walls and face edges for the audit
 # measurement regions.  A fixed distance (not a fixed slab count) keeps the
@@ -274,7 +276,6 @@ def helmholtz_decompose(u: VectorField) -> tuple[ScalarField, VectorField, dict]
 
 def gradient_structure_residual(
     u: VectorField,
-    w: ScalarField,
     forcing: VectorField,
     pot: ScalarField,
     a_field: VectorField,
@@ -285,7 +286,8 @@ def gradient_structure_residual(
     Substituting the Helmholtz split into the momentum rows isolates
     R = F - d(A)/dx1 + mu lap A + (nu + mu) grad div A - d(grad pot)/dx1;
     in the continuum R collects only gradients (the pressure coupling and
-    the potential's own transport), so curl R vanishes.  Returns
+    the potential's own transport), so curl R vanishes and the density
+    is not read.  pot and a_field are helmholtz_decompose(u).  Returns
     |curl R|_L2(interior) / |R|_L2, zero when R itself vanishes.
 
     R is assembled with the solver's own stencils, so at interior nodes
@@ -491,7 +493,6 @@ class DiagnosticEntry:
 @dataclass(frozen=True, eq=False)
 class DiagnosticReport:
     entries: tuple[DiagnosticEntry, ...]
-    grid_shape: tuple[int, int, int]
 
     def entry(self, name: str) -> DiagnosticEntry:
         for e in self.entries:
@@ -513,16 +514,17 @@ class DiagnosticReport:
 def run_diagnostics(
     u: VectorField,
     w: ScalarField,
-    forcing: VectorField,
-    continuity_forcing: ScalarField,
     data: PerturbationData,
     params: FlowParams,
 ) -> DiagnosticReport:
     """Run every audit on one solution and grade against DEFAULT_TOLERANCES.
 
-    data are the run's boundary data; the a-priori ratio is measured in
-    the exponent data.p their measures were taken in (the run's solver.p).
+    data are the run's boundary data.  The audits read the linear step's
+    forcings at (u, w) itself, compute_F and compute_G; the a-priori
+    ratio is measured in the exponent data.p (the run's solver.p).
     """
+    forcing = compute_F(u, w, data, params)
+    continuity_forcing = compute_G(u, w, data)
     entries = []
 
     def add(name, value):
@@ -539,9 +541,9 @@ def run_diagnostics(
     add("helmholtz_div_rotational", helm["div_rotational_interior_l2"])
     add("helmholtz_curl_mismatch", helm["curl_mismatch_max"])
     add("helmholtz_normal_trace", helm["normal_trace_l2"])
-    add("gradient_structure", gradient_structure_residual(u, w, forcing, pot, a_field, params))
+    add("gradient_structure", gradient_structure_residual(u, forcing, pot, a_field, params))
     add("apriori_ratio", apriori_ratio(u, w, forcing, continuity_forcing, data))
     add("reflection", reflection_residual(u, params))
     for name, value in reconstruct_physical(u, w, data, params).items():
         add(name, value)
-    return DiagnosticReport(tuple(entries), u.grid.shape)
+    return DiagnosticReport(tuple(entries))

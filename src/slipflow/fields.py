@@ -92,11 +92,6 @@ def onesided_normal_d1(values: np.ndarray, face: Face, h: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # differential operators on fields
 
-def gradient(f: ScalarField) -> VectorField:
-    g = np.stack([diff1(f.values, f.grid.h[a], a) for a in range(3)])
-    return VectorField(f.grid, g)
-
-
 def grad_array(values: np.ndarray, grid: Grid) -> np.ndarray:
     return np.stack([diff1(values, grid.h[a], a) for a in range(3)])
 
@@ -319,14 +314,13 @@ def face_w1p_norm(face: Face, vals: np.ndarray, p: float) -> float:
     return float((face_lp_pow(face, vals, p) + face_grad_pow(face, vals, p)) ** (1.0 / p))
 
 
-def trace_gagliardo_norm(grid: Grid, values_by_face, region: str, p: float) -> float:
-    """Fractional trace norm.  Within a region: (sum over its faces of
-    Lp^p + seminorm^p)^(1/p).  For region='all' the three region norms are
-    added; regions are never mixed across edges."""
+def trace_gagliardo_norm(grid: Grid, values_by_face, p: float) -> float:
+    """Fractional trace norm of data on every face: the sum of the three
+    region norms, each (sum over its faces of Lp^p + seminorm^p)^(1/p);
+    regions are never mixed across edges."""
     _check_p(p)
-    regions = REGIONS if region == "all" else (region,)
     total = 0.0
-    for reg in regions:
+    for reg in REGIONS:
         acc = 0.0
         for fc in grid.region_faces(reg):
             vals = values_by_face[fc.name]

@@ -140,8 +140,6 @@ class Grid:
         raise KeyError(f"unknown face {name!r}")
 
     def region_faces(self, region: str) -> tuple[Face, ...]:
-        if region == "all":
-            return self.faces
         if region not in REGIONS:
             raise ValueError(f"unknown boundary region {region!r}")
         return tuple(f for f in self.faces if f.region == region)

@@ -424,18 +424,17 @@ def solve_momentum(
 
 @dataclass(frozen=True, eq=False)
 class LinearStepResult:
-    """Solution of one linear step: sweeps is the number of split sweeps
-    (1 in monolithic mode), inner_iterations the Krylov iterations over
-    all of them (about one per split sweep on the default data, each
-    sweep's solve stopping at a tenth of its warm-start residual) and
-    linear_residual the last solve's relative residual, at most
-    krylov_tol(inner_tol)."""
+    """Solution of one linear step in the mode the caller passed: sweeps
+    is the number of split sweeps (1 in monolithic mode),
+    inner_iterations the Krylov iterations over all of them (about one
+    per split sweep on the default data, each sweep's solve stopping at a
+    tenth of its warm-start residual) and linear_residual the last
+    solve's relative residual, at most krylov_tol(inner_tol)."""
 
     u: VectorField
     w: ScalarField
     inner_iterations: int
     linear_residual: float
-    mode: str
     sweeps: int
 
 
@@ -512,7 +511,7 @@ def solve_linear_step(
                 f"linear step alternation did not reach {inner_tol:g} "
                 f"within {MAX_SWEEPS} sweeps (last change {delta:.3e})"
             )
-        return LinearStepResult(u, w, total_iters, res, "split", sweep)
+        return LinearStepResult(u, w, total_iters, res, sweep)
 
     # the density is w = S_in w_in + S_v (g - div u), the value the split
     # alternation converges to; substituting it into the momentum rows
@@ -533,4 +532,4 @@ def solve_linear_step(
         None if start is None else start[0].values,
     )
     w = ScalarField(grid, w_fixed - traced_divergence(u.values))
-    return LinearStepResult(u, w, iters, res, "monolithic", 1)
+    return LinearStepResult(u, w, iters, res, 1)

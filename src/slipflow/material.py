@@ -258,7 +258,7 @@ class PerturbationData:
         """The data with their measures taken in p, each trace norm once."""
         grid = u0.grid
         u0_w2p = norm(u0, NormKind.w2p(p))
-        slip_trace = trace_gagliardo_norm(grid, slip_data, "all", p)
+        slip_trace = trace_gagliardo_norm(grid, slip_data, p)
         inflow_w1p = face_w1p_norm(grid.face("inflow"), w_in, p)
         return cls(u0, slip_data, w_in, p, u0_w2p, slip_trace, inflow_w1p,
                    b_measure=u0_w2p + slip_trace + inflow_w1p)

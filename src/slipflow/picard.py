@@ -33,7 +33,8 @@ from .lame import build_lame_operator, solve_linear_step
 class ProblemSetup:
     """Everything one outer solve needs: the grid, the physics, the
     assembled boundary data and the solver settings (checked by
-    SolverConfig itself)."""
+    SolverConfig itself).  data.p must be solver.p: the outer loop sizes
+    iterates in solver.p, the a-priori audit in data.p."""
 
     grid: Grid
     params: FlowParams
@@ -43,6 +44,9 @@ class ProblemSetup:
     def __post_init__(self):
         if not np.isfinite(self.data.b_measure):
             raise ValueError("boundary data measure is not finite")
+        if self.data.p != self.solver.p:
+            raise ValueError(f"boundary data measured in p = {self.data.p!r}, "
+                             f"but the solver sizes iterates in p = {self.solver.p!r}")
 
 
 def build_setup(config: RunConfig) -> ProblemSetup:
@@ -184,6 +188,8 @@ def convergence_metrics(
     c_b = (A_1 - A_0^2) / b_measure, so the slack
     s_n = A_{n+1} - (A_n^2 + b_measure * c_b) vanishes at n = 0 by
     construction and should stay <= 0 afterwards on contracting runs.
+    Returns c_b, max_a, bound = 2 c_b b_measure, bound_ok (every A_n
+    within it), max_slack and fit_rate (the fitted geometric rate of d_n).
     """
     if len(history) < 2:
         raise ValueError("need at least 2 iterations to fit convergence metrics")
@@ -191,7 +197,6 @@ def convergence_metrics(
     d = np.array([rec.d_n for rec in history])
     c_b = 0.0 if b_measure == 0.0 else max((a[1] - a[0] ** 2) / b_measure, 0.0)
     slack = a[1:] - (a[:-1] ** 2 + b_measure * c_b)
-    ratios = np.array([rec.r_n for rec in history[1:]])
     positive = d > 0.0
     if positive.sum() >= 2:
         ns = np.flatnonzero(positive)
@@ -205,9 +210,6 @@ def convergence_metrics(
         "max_a": float(a.max()),
         "bound": float(bound),
         "bound_ok": bool(np.all(a <= bound + 1e-15)),
-        "slack": slack.tolist(),
         "max_slack": float(slack.max()),
-        "ratios": ratios.tolist(),
-        "max_ratio": float(ratios.max()) if ratios.size else 0.0,
         "fit_rate": fit_rate,
     }

@@ -95,11 +95,6 @@ class TransportField:
         return float(np.max(np.abs(self.values[0] - 1.0)))
 
     @property
-    def sup_transverse(self) -> float:
-        """sup of the transverse components."""
-        return float(np.max(np.abs(self.values[1:])))
-
-    @property
     def wall_trace_defect(self) -> float:
         """The largest wall-normal trace leak."""
         v = self.values

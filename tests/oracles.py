@@ -229,5 +229,5 @@ def full_solve_split_step(
         )
         u, w = u_new, w_new
         if delta < inner_tol:
-            return lame.LinearStepResult(u, w, total_iters, res, "split", sweep)
+            return lame.LinearStepResult(u, w, total_iters, res, sweep)
     raise RuntimeError(f"split sweeps did not reach {inner_tol:g} within {lame.MAX_SWEEPS}")

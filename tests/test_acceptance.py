@@ -21,12 +21,12 @@ from slipflow.fields import (
     VectorField,
     curl,
     divergence,
-    gradient,
+    grad_array,
     norm,
 )
 from slipflow.grid import GeometryConfig, build_grid
 from slipflow.lame import build_lame_operator, solve_linear_step
-from slipflow.material import FlowParams, compute_F, compute_G
+from slipflow.material import FlowParams
 from slipflow.mms import build_linear_case
 from slipflow.picard import (
     build_setup,
@@ -53,13 +53,6 @@ def _timed_run(doc: dict) -> SimpleNamespace:
     bundle = picard_solve(setup)
     seconds = time.perf_counter() - t0
     return SimpleNamespace(cfg=cfg, setup=setup, bundle=bundle, seconds=seconds)
-
-
-def _diagnostics(run: SimpleNamespace):
-    setup, bundle = run.setup, run.bundle
-    forcing = compute_F(bundle.u, bundle.w, setup.data, setup.params)
-    continuity = compute_G(bundle.u, bundle.w, setup.data)
-    return run_diagnostics(bundle.u, bundle.w, forcing, continuity, setup.data, setup.params)
 
 
 def _fit_order(errors) -> float:
@@ -247,7 +240,8 @@ def test_criterion_07_manufactured_linear_step_orders():
 
 
 def test_criterion_08_estimate_machinery_audits(run16, run32, run16_eps3):
-    d16, d32, d3 = (_diagnostics(r) for r in (run16, run32, run16_eps3))
+    d16, d32, d3 = (run_diagnostics(r.bundle.u, r.bundle.w, r.setup.data, r.setup.params)
+                    for r in (run16, run32, run16_eps3))
     gains = {
         name: d16.entry(name).value / d32.entry(name).value
         for name in ("energy_identity", "vorticity_slip_max", "gradient_structure")
@@ -267,7 +261,8 @@ def test_criterion_09_exact_stencil_identities():
     g = build_grid(GeometryConfig(2.0, 1.0, 1.0, 16, 8, 8))
     rng = np.random.default_rng(99)
     s = ScalarField(g, rng.standard_normal(g.shape))
-    cg = np.max(np.abs(curl(gradient(s)).values[:, 1:-1, 1:-1, 1:-1]))
+    grad = VectorField(g, grad_array(s.values, g))
+    cg = np.max(np.abs(curl(grad).values[:, 1:-1, 1:-1, 1:-1]))
     v = VectorField(g, rng.standard_normal((3, *g.shape)))
     dc = np.max(np.abs(divergence(curl(v)).values[1:-1, 1:-1, 1:-1]))
     ok = cg <= 1e-13 and dc <= 1e-13

@@ -236,6 +236,26 @@ def test_verify_reports_krylov_failure_and_exits_two(monkeypatch, capsys):
     assert "error: linear solve did not converge" in capsys.readouterr().err
 
 
+def test_transport_test_passes(capsys):
+    assert main(["transport-test"]) == 0
+    out = capsys.readouterr().out
+    assert "mutual convergence order" in out
+    assert out.splitlines()[-1] == "transport-test: PASS"
+
+
+def test_linear_pressure_law_solves_and_passes_every_audit(tmp_path):
+    # pi(rho) = 2 rho on the default data: the physical momentum row
+    # evaluates the law itself, not only its slope
+    cfg = write_config(tmp_path, {"geometry": {"n1": 16, "n2": 8, "n3": 8},
+                                  "data": {"epsilon": 1e-2},
+                                  "physics": {"pressure": {"kind": "linear", "coefficient": 2.0}}})
+    assert main(["solve", "--config", str(cfg)]) == 0
+    assert main(["diagnose", "--config", str(cfg)]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert len(report) == 14 and all(entry["pass"] for entry in report.values())
+    assert report["momentum_identity_l2"]["value"] <= 1e-9
+
+
 def test_build_setup_wires_solver_settings():
     from slipflow.config import config_from_mapping
 

@@ -68,6 +68,7 @@ def test_validation_errors_name_dotted_keys():
         ({"solver": {"max_outer": 0}}, "solver.max_outer"),
         ({"solver": {"outer_tol": 0.0}}, "solver.outer_tol"),
         ({"solver": {"inner_tol": 0.1}}, "solver.inner_tol"),
+        ({"solver": {"inner_tol": 1e-16}}, "solver.inner_tol"),
         ({"solver": {"p": 1.5}}, "solver.p"),
     ]
     for raw, key in bad:
@@ -114,6 +115,13 @@ def test_booleans_are_not_numbers():
         config_from_mapping({"physics": {"mu": True}})
     with pytest.raises(ConfigError, match="solver.max_outer"):
         config_from_mapping({"solver": {"max_outer": False}})
+
+
+def test_values_and_blocks_of_the_wrong_json_type():
+    with pytest.raises(ConfigError, match=r"^solver\.mode must be a string, got 3$"):
+        config_from_mapping({"solver": {"mode": 3}})
+    with pytest.raises(ConfigError, match=r"^config block 'geometry' must be an object$"):
+        config_from_mapping({"geometry": 5})
 
 
 @pytest.mark.parametrize("key", ["krylov_rel_tol", "krylov_max_iter"])

@@ -22,8 +22,6 @@ from slipflow.material import (
     PerturbationData,
     DataConfig,
     assemble_perturbation_data,
-    compute_F,
-    compute_G,
 )
 from slipflow.config import SolverConfig, config_from_mapping
 from slipflow.picard import ProblemSetup, build_setup, picard_solve
@@ -286,8 +284,7 @@ def test_gradient_structure_zero_everything():
     grid, params = make_setup()
     z = zeros_vector(grid)
     res = gradient_structure_residual(
-        z, zeros_scalar(grid), zeros_vector(grid),
-        zeros_scalar(grid), zeros_vector(grid), params,
+        z, zeros_vector(grid), zeros_scalar(grid), zeros_vector(grid), params,
     )
     assert res == 0.0
 
@@ -301,8 +298,7 @@ def test_gradient_structure_exact_discrete_gradient():
     s = np.cos(x1) * np.cos(2.0 * x2) + np.sin(x3) + rng.normal() * x1 * x2
     forcing = VectorField(grid, grad_array(s, grid))
     res = gradient_structure_residual(
-        zeros_vector(grid), zeros_scalar(grid), forcing,
-        zeros_scalar(grid), zeros_vector(grid), params,
+        zeros_vector(grid), forcing, zeros_scalar(grid), zeros_vector(grid), params,
     )
     assert res < 1e-13
 
@@ -315,8 +311,7 @@ def test_gradient_structure_flags_rotational_forcing():
         grid, np.stack([x2, np.zeros(grid.shape), np.zeros(grid.shape)])
     )
     res = gradient_structure_residual(
-        zeros_vector(grid), zeros_scalar(grid), forcing,
-        zeros_scalar(grid), zeros_vector(grid), params,
+        zeros_vector(grid), forcing, zeros_scalar(grid), zeros_vector(grid), params,
     )
     assert res > 0.1
 
@@ -416,9 +411,7 @@ def test_momentum_identity_catches_a_convection_error(monkeypatch):
     setup = build_setup(config_from_mapping({}))
     bundle = picard_solve(setup)
     assert bundle.converged
-    forcing = compute_F(bundle.u, bundle.w, setup.data, setup.params)
-    g_forcing = compute_G(bundle.u, bundle.w, setup.data)
-    report = run_diagnostics(bundle.u, bundle.w, forcing, g_forcing, setup.data, setup.params)
+    report = run_diagnostics(bundle.u, bundle.w, setup.data, setup.params)
     assert report.entry("momentum_interior_l2").passed
     identity = report.entry("momentum_identity_l2")
     assert not identity.passed and identity.value > 1e-7
@@ -436,20 +429,14 @@ def test_reconstruct_rejects_out_of_band_density():
 
 
 def diag_inputs(grid):
-    u = zeros_vector(grid)
-    w = zeros_scalar(grid)
-    forcing = zeros_vector(grid)
-    g_forcing = zeros_scalar(grid)
     data = measured(grid, zero_slip(grid), np.zeros(grid.shape)[grid.face("inflow").slicer()])
-    return u, w, forcing, g_forcing, data
+    return zeros_vector(grid), zeros_scalar(grid), data
 
 
 def test_run_diagnostics_zero_fields_all_pass():
     grid, params = make_setup()
-    u, w, forcing, g_forcing, data = diag_inputs(grid)
-    report = run_diagnostics(u, w, forcing, g_forcing, data, params)
+    report = run_diagnostics(*diag_inputs(grid), params)
     assert isinstance(report, DiagnosticReport)
-    assert report.grid_shape == grid.shape
     assert report.all_passed
     assert {e.name for e in report.entries} == set(DEFAULT_TOLERANCES)
     assert all(e.value == 0.0 for e in report.entries)
@@ -470,11 +457,7 @@ def test_run_diagnostics_converged_run_passes_defaults():
     for setup in runs:
         bundle = picard_solve(setup)
         assert bundle.converged
-        forcing = compute_F(bundle.u, bundle.w, setup.data, setup.params)
-        g_forcing = compute_G(bundle.u, bundle.w, setup.data)
-        report = run_diagnostics(
-            bundle.u, bundle.w, forcing, g_forcing, setup.data, setup.params,
-        )
+        report = run_diagnostics(bundle.u, bundle.w, setup.data, setup.params)
         assert len(report.entries) == len(DEFAULT_TOLERANCES) == 14
         failing = [e.name for e in report.entries if not e.passed]
         assert failing == []
@@ -483,10 +466,7 @@ def test_run_diagnostics_converged_run_passes_defaults():
 def test_run_diagnostics_tolerance_override_flips_pass(monkeypatch):
     grid, params, case, step = solved_mms(8)
     monkeypatch.setitem(DEFAULT_TOLERANCES, "apriori_ratio", 0.0)
-    report = run_diagnostics(
-        step.u, step.w, case.forcing, case.continuity,
-        measured(grid, case.slip_data, case.w_in), params,
-    )
+    report = run_diagnostics(step.u, step.w, measured(grid, case.slip_data, case.w_in), params)
     assert not report.entry("apriori_ratio").passed
     assert not report.all_passed
 

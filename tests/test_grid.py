@@ -114,7 +114,6 @@ def test_simpson_weights_match_scipy(points):
 def test_face_lookup_by_name_and_region():
     g = default_grid()
     assert g.face("z1") is g.faces[5]
-    assert g.region_faces("all") == g.faces
     assert [f.name for f in g.region_faces("lateral")] == ["y0", "y1", "z0", "z1"]
     with pytest.raises(KeyError, match="unknown face 'nope'"):
         g.face("nope")

@@ -107,6 +107,33 @@ def test_iteration_cap_raises_with_best_residual():
         assert "best relative residual" in str(err)
 
 
+@pytest.mark.parametrize("A, b, reason", [
+    # r_hat . A r = 0 on the first step: the search direction is
+    # orthogonal to the shadow residual
+    ([[0.0, -1.0], [1.0, 0.0]], [1.0, 0.0], "orthogonal search direction"),
+    # s = r - alpha A r lies in the null space of A, so t = A s = 0
+    ([[1.0, 1.0], [0.0, 0.0]], [1.0, 1.0], "zero stabilization step"),
+], ids=["orthogonal", "stabilization"])
+def test_breakdowns_raise_on_the_first_iteration(A, b, reason):
+    A, b = np.array(A), np.array(b)
+    with pytest.raises(KrylovError, match=reason) as exc:
+        krylov_solve(dense_action(A), b, TOL)
+    assert exc.value.iterations == 1
+    assert exc.value.best_residual == 1.0
+
+
+def test_stagnated_shadow_residual_restarts_and_converges():
+    # after the first iteration the new residual is orthogonal to the
+    # shadow residual b; restarting the recurrence at r recovers, and
+    # the solve converges in three iterations
+    A = np.array([[-1.0, -1.0, -1.0], [-1.0, -1.0, 0.0], [1.0, -1.0, -1.0]])
+    b = np.array([1.0, 0.0, 0.0])
+    x, iters, res = krylov_solve(dense_action(A), b, TOL)
+    assert iters == 3
+    assert res <= 1e-15
+    np.testing.assert_allclose(x, [-0.5, 0.5, -1.0], rtol=0, atol=1e-15)
+
+
 def _warm_started_system(seed, offset):
     """A nonsymmetric system, its solution and a start offset from it by
     a random vector of the given size."""

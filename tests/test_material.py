@@ -274,7 +274,7 @@ def test_assemble_w_in_and_b_measure_cross_check():
     assert np.allclose(data.w_in, eps * np.sin(np.pi * a) * np.sin(np.pi * b), atol=1e-16)
     recomputed = (
         norm(data.u0, NormKind.w2p(4.0))
-        + trace_gagliardo_norm(g, data.slip_data, "all", 4.0)
+        + trace_gagliardo_norm(g, data.slip_data, 4.0)
         + face_w1p_norm(g.face("inflow"), data.w_in, 4.0)
     )
     assert data.b_measure == pytest.approx(recomputed, abs=1e-12)

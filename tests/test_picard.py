@@ -258,6 +258,18 @@ def test_setup_validation():
         ProblemSetup(grid, params, replace(data, b_measure=np.inf))
 
 
+def test_setup_rejects_data_measured_in_another_exponent():
+    # the outer loop sizes iterates in solver.p and the a-priori audit
+    # reads data.p: a hand-built setup may not hold two exponents
+    grid = build_grid(GeometryConfig(2.0, 1.0, 1.0, 8, 4, 4))
+    params = FlowParams()
+    data = assemble_perturbation_data(grid, DataConfig(), params)
+    with pytest.raises(ValueError, match=r"measured in p = 4\.0, .* p = 6\.0"):
+        ProblemSetup(grid, params, data, SolverConfig(p=6.0))
+    data6 = assemble_perturbation_data(grid, DataConfig(), params, p=6.0)
+    assert ProblemSetup(grid, params, data6, SolverConfig(p=6.0)).data.p == 6.0
+
+
 def test_convergence_metrics_needs_history():
     with pytest.raises(ValueError, match="at least 2"):
         convergence_metrics(

@@ -27,8 +27,17 @@ BAD = {
         {"mode": "direct"}, {"outer_tol": 0.0}, {"inner_tol": -1.0}, {"max_outer": 0},
         {"p": 1.0}, {"inner_tol": 0.1}, {"max_outer": 2.5}, {"max_outer": True},
         {"outer_tol": float("inf")}, {"inner_tol": float("inf")}, {"p": float("inf")},
+        {"inner_tol": 1e-16},
     ],
 }
+
+
+def test_inner_tol_floor_is_round_off():
+    # a Krylov tolerance of 10 inner_tol below 1e-14 is round-off, which
+    # BiCGStab meets as a breakdown; 1e-15 still converges
+    with pytest.raises(ValueError, match=r"^inner_tol .*round-off"):
+        SolverConfig(inner_tol=1e-16)
+    assert SolverConfig(inner_tol=1e-15).inner_tol == 1e-15
 
 
 @pytest.mark.parametrize("cls", list(BAD), ids=lambda c: c.__name__)
