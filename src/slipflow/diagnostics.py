@@ -20,8 +20,9 @@ import numpy as np
 
 from .grid import Grid
 from .fields import (
-    ScalarField, VectorField, NormKind, norm, diff1, div_array, advect, laplacian_array,
-    grad_array, grad_div_array, sym_gradient, divergence, curl, onesided_normal_d1, interior_l2,
+    ScalarField, VectorField, NormKind, norm, strong_size, diff1, div_array, advect,
+    laplacian_array, grad_array, grad_div_array, sym_gradient, divergence, curl,
+    onesided_normal_d1, interior_l2,
 )
 from .material import (
     FlowParams, PerturbationData, _check_band, compute_F, compute_G, reference_flow,
@@ -337,7 +338,7 @@ def apriori_ratio(
     through their recorded trace norms.  Zero data reports 0.
     """
     p = data.p
-    num = norm(u, NormKind.w2p(p)) + norm(w, NormKind.w1p(p))
+    num = strong_size(u, w, p)
     den = (
         norm(forcing, NormKind.lp(p))
         + norm(continuity_forcing, NormKind.w1p(p))

@@ -255,6 +255,17 @@ def norm(f: ScalarField | VectorField, kind: NormKind) -> float:
     raise ValueError(f"unknown norm kind {kind.kind!r}")
 
 
+def strong_size(u: VectorField, w: ScalarField, p: float) -> float:
+    """|u|_W2p + |w|_W1p: the size of (u, w) in the paper's solvability bound."""
+    return norm(u, NormKind.w2p(p)) + norm(w, NormKind.w1p(p))
+
+
+def weak_distance(ua: VectorField, ub: VectorField, wa: ScalarField, wb: ScalarField) -> float:
+    """|ua - ub|_H1 + |wa - wb|_LinfL2: the distance the paper's fixed-point map contracts in."""
+    du = norm(VectorField(ua.grid, ua.values - ub.values), NormKind.h1())
+    return du + norm(ScalarField(wa.grid, wa.values - wb.values), NormKind.linf_l2())
+
+
 # ---------------------------------------------------------------------------
 # trace norms over faces; `values_by_face` maps face name -> 2D array or a
 # stacked (C, m, n) array of components.

@@ -52,19 +52,23 @@ for the velocity, whose operator is the matrix product plus the pressure
 of the traced divergence on the PDE rows.  Both record the transport solve
 for the step's advecting field as sparse matrices once
 (transport_footprint), so a split sweep costs one momentum solve and one
-footprint apply, and both precondition their Krylov solve with the
-operator's V-cycle.  A bare transport field, as make_transport_field
-returns it, traces afresh: apply_S builds nothing on it.
+footprint apply, and the monolithic operator applies the footprint's
+source part (footprint.source) to div u; both precondition their Krylov
+solve with the operator's V-cycle.  A bare transport field, as
+make_transport_field returns it, traces afresh: apply_S builds nothing
+on it.
 
 One setting, inner_tol, sets how exactly a step is solved: every Krylov
 solve of the step stops at the relative residual krylov_tol(inner_tol),
 and the split sweeps stop once a sweep changes the solution by less than
-inner_tol.  A split sweep solves its momentum rows inexactly,
-warm-started from the last sweep's velocity, to a tenth of that start's
-residual with krylov_tol as the floor (inexact Uzawa: Elman & Golub,
-SIAM J. Numer. Anal. 31, 1994), since the next sweep replaces them; on
-the default data that is about one Krylov iteration per sweep.  Both
-modes converge to the same discrete solution.
+inner_tol in the distance the outer iteration contracts in
+(fields.weak_distance: H1 in u plus LinfL2 in w).  A split sweep solves
+its momentum rows inexactly, warm-started from the last sweep's
+velocity, to a tenth of that start's residual with krylov_tol as the
+floor (inexact Uzawa: Elman & Golub, SIAM J. Numer. Anal. 31, 1994),
+since the next sweep replaces them; on the default data that is about
+one Krylov iteration per sweep.  Both modes converge to the same
+discrete solution.
 """
 from __future__ import annotations
 
@@ -78,8 +82,7 @@ from .grid import Grid
 from .fields import (
     ScalarField,
     VectorField,
-    NormKind,
-    norm,
+    weak_distance,
     div_array,
     grad_array,
     zeros_vector,
@@ -500,9 +503,7 @@ def solve_linear_step(
             total_iters += iters
             src = continuity_forcing.values - div_array(u_new.values, grid)
             w_new = apply_S(tf, ScalarField(grid, src), w_in)
-            delta = norm(
-                VectorField(grid, u_new.values - u.values), NormKind.h1()
-            ) + norm(ScalarField(grid, w_new.values - w.values), NormKind.linf_l2())
+            delta = weak_distance(u_new, u, w_new, w)
             u, w = u_new, w_new
             if delta < inner_tol:
                 break
@@ -517,12 +518,11 @@ def solve_linear_step(
     # alternation converges to; substituting it into the momentum rows
     # leaves one Krylov solve in u alone
     w_fixed = footprint.apply(continuity_forcing, w_in).values
-    source = footprint.source
-    del footprint, tf, tf_values  # the Krylov solve needs only the source part
+    del tf, tf_values  # the Krylov solve needs only the footprint
 
     def traced_divergence(u: np.ndarray) -> np.ndarray:
         """S_v div u, the part of the density that depends on u."""
-        return source.apply(div_array(u, grid).reshape(-1)).reshape(grid.shape)
+        return footprint.source(div_array(u, grid).reshape(-1)).reshape(grid.shape)
 
     u, iters, res = _solve_free_rows(
         op,

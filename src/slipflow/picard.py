@@ -18,6 +18,7 @@ import numpy as np
 from .config import RunConfig, SolverConfig
 from .grid import Grid, build_grid
 from .fields import ScalarField, VectorField, NormKind, norm, zeros_scalar, zeros_vector
+from .fields import strong_size, weak_distance
 from .material import (
     FlowParams,
     PerturbationData,
@@ -99,16 +100,6 @@ class SolutionBundle:
         return self.verdict == "converged"
 
 
-def _strong_size(u: VectorField, w: ScalarField, p: float) -> float:
-    return norm(u, NormKind.w2p(p)) + norm(w, NormKind.w1p(p))
-
-
-def _weak_distance(ua, ub, wa, wb, grid: Grid) -> float:
-    du = norm(VectorField(grid, ua - ub), NormKind.h1())
-    dw = norm(ScalarField(grid, wa - wb), NormKind.linf_l2())
-    return du + dw
-
-
 def picard_solve(
     setup: ProblemSetup,
     start: tuple[VectorField, ScalarField] | None = None,
@@ -128,7 +119,7 @@ def picard_solve(
     prev_d = None
 
     for n in range(cfg.max_outer):
-        a_n = _strong_size(u, w, cfg.p)
+        a_n = strong_size(u, w, cfg.p)
         if a_n > 1.0:
             verdict = f"diverged(iterate size {a_n:.3e} left the perturbative regime)"
             break
@@ -151,7 +142,7 @@ def picard_solve(
             verdict = f"diverged({err})"
             break
 
-        d_n = _weak_distance(step.u.values, u.values, step.w.values, w.values, grid)
+        d_n = weak_distance(step.u, u, step.w, w)
         r_n = 0.0 if prev_d is None or prev_d == 0.0 else d_n / prev_d
         history.append(
             IterationRecord(

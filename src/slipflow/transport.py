@@ -19,8 +19,9 @@ of at most _BLOCK = 16384 nodes, equal in size to within one: a block
 takes full RK4 steps until each of its traces is about to cross x1 = 0,
 then lands them all in one last RK4 step taken in x1 instead of s
 (dX/dx1 = u~/u~1, integrand v/u~1) over each trace's remaining x1, whose
-stage points sit at x1, x1/2, x1/2 and 0.  There is no root solve.
-No trace's arithmetic depends on the others in its block, so each
+stage points sit at x1, x1/2, x1/2 and 0.  There is no root solve, and a
+node on the inflow plane is traced like any other: it lands where it
+starts.  No trace's arithmetic depends on the others in its block, so each
 trace's arrival and path integral are bit-identical for any block size
 and any number of workers.  A block allocates its work arrays once (a
 _Kernel) and reuses them through every stage of every step, about 260
@@ -116,35 +117,33 @@ def _strides(grid: Grid) -> tuple[int, int]:
 
 
 @lru_cache(maxsize=32)
-def _lattice(grid: Grid, axes: tuple[int, ...] = (0, 1, 2)):
-    """Columns for locating (len(axes), m) coordinates on the given axes:
-    extents, spacings, cell counts and last cell indices as columns, the
-    flat-index stride of each axis, and the rows whose extent / h rounds
-    below the cell count."""
+def _lattice(grid: Grid):
+    """Columns for locating (3, m) coordinates: extents, spacings, cell
+    counts and last cell indices as columns, the flat-index stride of each
+    axis, and the axes whose extent / h rounds below the cell count."""
     s1, s2 = _strides(grid)
-    cells = np.array([grid.config.cells[a] for a in axes])
-    ext = np.array([grid.config.extents[a] for a in axes])
-    h = np.array([grid.h[a] for a in axes])
+    cells = np.array(grid.config.cells)
+    ext = np.array(grid.config.extents)
+    h = np.array(grid.h)
     return (
         ext[:, None],
         h[:, None],
         cells[:, None].astype(float),
         cells[:, None] - 1,
-        np.array([(s1, s2, 1)[a] for a in axes], dtype=np.int64),
+        np.array((s1, s2, 1), dtype=np.int64),
         tuple(np.flatnonzero(ext / h < cells)),
     )
 
 
-def _locate(grid: Grid, p: np.ndarray, base: np.ndarray, lo: np.ndarray,
-            axes: tuple[int, ...] = (0, 1, 2)) -> None:
-    """Locate (k, m) coordinates on k axes of the lattice, in place.
+def _locate(grid: Grid, p: np.ndarray, base: np.ndarray, lo: np.ndarray) -> None:
+    """Locate (3, m) coordinates on the lattice, in place.
 
     p is clamped to the closed duct and becomes the high weight of each
     point along each axis, lo the low weight 1 - high and base the flat
     index of each cell's low corner.  The far end of an axis sits at cell
     coordinate n exactly, also where extent / h rounds below n.
     """
-    ext, h, n, last, strides, short = _lattice(grid, axes)
+    ext, h, n, last, strides, short = _lattice(grid)
     np.clip(p, 0.0, ext, out=p)
     at_end = [(a, p[a] == ext[a]) for a in short]
     np.divide(p, h, out=p)
@@ -189,8 +188,8 @@ class _Kernel:
     and reused by every stage of every step, so a kernel serves one block
     at a time.  The arrays its methods return are views of that work
     space, valid until the next call.  A kernel made with record keeps
-    the stencils of the four stages of its last recorded step, also
-    allocated once: stage_base, the flat index of each stage point's cell
+    the stencils of the four stages of its last step, also allocated
+    once: stage_base, the flat index of each stage point's cell
     low corner, and stage_weights, its 8 corner weights in _corners order.
     """
 
@@ -199,22 +198,23 @@ class _Kernel:
         self.grid = grid
         self.velocity = velocity.reshape(3, -1)
         self.payload = None if payload is None else payload.reshape(1, -1)
-        rows = 3 if payload is None else 4
+        self.rows = 3 if payload is None else 4  # the fields sampled
+        self.record = record
         self._p = np.empty(3 * size)  # stage points, then their high weights
         self._lo = np.empty(3 * size)
         self._idx = np.empty(size, dtype=np.intp)
         self._pair = np.empty(size)
         self._w = np.empty(size)
-        self._vals = np.empty(rows * size)
-        self._term = np.empty(rows * size)
-        self._total = np.empty(rows * size)
+        self._vals = np.empty(self.rows * size)
+        self._term = np.empty(self.rows * size)
+        self._total = np.empty(self.rows * size)
         if record:
             self.stage_base = np.empty((4, size), dtype=np.int32)
             self.stage_weights = np.empty((4, 8, size))
 
-    def _sample_p(self, m: int, rows: int, out: np.ndarray | None = None,
+    def _sample_p(self, m: int, out: np.ndarray | None = None,
                   stage: int | None = None) -> np.ndarray:
-        """Interpolate the first rows fields (velocity, then payload) at the
+        """Interpolate the velocity, and the payload if there is one, at the
         m points held in _p, which then holds their high weights.
 
         The weighted corners are summed one after another, elementwise, so
@@ -231,8 +231,8 @@ class _Kernel:
         else:
             np.copyto(self.stage_base[stage, :m], idx, casting="unsafe")
             outs = self.stage_weights[stage, :, :m]
-        vals = self._vals[:rows * m].reshape(rows, m) if out is None else out
-        term = self._term[:rows * m].reshape(rows, m)
+        vals = self._vals[:self.rows * m].reshape(self.rows, m) if out is None else out
+        term = self._term[:self.rows * m].reshape(self.rows, m)
         dst = vals
         last = 0
         for off, w in _corners(lo, p, _lattice(self.grid)[4], self._pair[:m], outs):
@@ -240,7 +240,7 @@ class _Kernel:
                 np.add(idx, off - last, out=idx)
                 last = off
             np.take(self.velocity, idx, axis=1, out=dst[:3], mode="clip")
-            if rows == 4:
+            if self.payload is not None:
                 np.take(self.payload, idx, axis=1, out=dst[3:], mode="clip")
             dst *= w
             if dst is term:
@@ -248,24 +248,22 @@ class _Kernel:
             dst = term
         return vals
 
-    def rk4(self, pos: np.ndarray, s, payload: bool = False, record: bool = False,
-            axial: bool = False):
+    def rk4(self, pos: np.ndarray, s, axial: bool = False):
         """One backward RK4 step of size s (scalar or per point) from the
         (3, m) positions pos, which are only read.
 
-        Returns the new positions and, with payload, the payload's
-        quadrature over the step (else None), both work arrays.  Each
-        stage point is located once and every field is sampled through
-        that stencil; with record, the stencils are kept as the step's
-        stages (see stages).  With axial, s is a length in x1 and the step
-        is taken in x1, of dX/dx1 = u~/u~1 with integrand payload/u~1:
-        every sampled row is divided by the sampled u~1, the recorded
-        stage weights too, and the x1 slope is exactly 1.
+        Returns the new positions and, if the kernel has a payload, the
+        payload's quadrature over the step (else None), both work arrays.
+        Each stage point is located once and every field is sampled
+        through that stencil; a recording kernel keeps the stencils as the
+        step's stages (see stages).  With axial, s is a length in x1 and
+        the step is taken in x1, of dX/dx1 = u~/u~1 with integrand
+        payload/u~1: every sampled row is divided by the sampled u~1, the
+        recorded stage weights too, and the x1 slope is exactly 1.
         """
         m = pos.shape[1]
-        rows = 4 if payload else 3
         p = self._p[:3 * m].reshape(3, m)
-        total = self._total[:rows * m].reshape(rows, m)
+        total = self._total[:self.rows * m].reshape(self.rows, m)
         # per-point fractions of s go to _w, free between stages
         frac_out = self._w[:m] if np.ndim(s) else None
         # k1 + 2 k2 + 2 k3 + k4 is summed in that order as the stages go.
@@ -273,9 +271,9 @@ class _Kernel:
         # position subtracts it.
         np.copyto(p, pos)
         for stage, weight in enumerate(_RK4_WEIGHTS):
-            vals = self._sample_p(m, rows, total if stage == 0 else None, stage if record else None)
+            vals = self._sample_p(m, total if stage == 0 else None, stage if self.record else None)
             if axial:
-                if record:
+                if self.record:
                     self.stage_weights[stage, :, :m] /= vals[0]
                 np.divide(vals[1:], vals[0], out=vals[1:])
                 vals[0] = 1.0
@@ -289,7 +287,7 @@ class _Kernel:
         sixth = np.divide(s, 6.0, out=frac_out)
         np.multiply(total[:3], sixth, out=p)
         np.subtract(pos, p, out=p)
-        inc = np.multiply(total[3], sixth, out=total[3]) if payload else None
+        inc = None if self.payload is None else np.multiply(total[3], sixth, out=total[3])
         return p, inc
 
     def stages(self, m: int):
@@ -298,7 +296,7 @@ class _Kernel:
         return self.stage_base[:, :m], self.stage_weights[:, :, :m]
 
 
-def _trace(kern: _Kernel, seeds: np.ndarray, first: int = 0, recorder=None):
+def _trace(kern: _Kernel, seeds: np.ndarray, recorder=None):
     """Trace one block of seeds, the columns of a (3, N) array, backward to
     the inflow plane through kern, integrating its payload if it has one.
 
@@ -307,49 +305,42 @@ def _trace(kern: _Kernel, seeds: np.ndarray, first: int = 0, recorder=None):
     x1 = 0; as u~1 >= 1/2, each lowers x1 by at least ds/2.  Once every
     trace of the block has reached that step, one RK4 step in x1 each
     (kern.rk4 with axial), over the trace's remaining x1, lands them all
-    on x1 = 0 exactly.  Every trace's arithmetic is its own, so the
-    results do not depend on how the seeds are split into blocks.
+    on x1 = 0 exactly.  A seed on the inflow plane crosses on its first
+    step and lands where it starts, in a step of length 0, with integral 0
+    and zero recorded weights.  Every trace's arithmetic is its own, so
+    the results do not depend on how the seeds are split into blocks.
 
-    first is the global node index of the first seed.  A recorder, if
-    given, keeps its per-trace state in the traces' slots (below) and
-    reads each step's stage stencils from kern, which must record.
-    recorder.begin(first, m) starts the m traced seeds in slots 0..m-1, in
-    node order.  After each step, recorder.step(rows[:m], ds,
-    *kern.stages(m), skip=hit) adds its four stages for every trace but
-    those in the slots hit, which cross x1 = 0 on it (rows are local to
-    the block), and on a crossing step recorder.move(order) then reorders
-    the slots exactly as the step reorders them here.  Once the block has
-    landed, recorder.land(n) turns the slots to crossing order, the order
-    of done, in which the landing step is taken, and recorder.step(done,
-    x1, ...) and recorder.close(done) record that step, whose stage
-    weights the kernel has divided by u~1, and emit what each trace still
-    holds.
+    A recorder, if given, has been started on the block (recorder.begin)
+    with seed k in slot k, keeps its per-trace state in the traces' slots
+    (below) and reads each step's stage stencils from kern, which must
+    record.  After each step, recorder.step(rows[:m], ds, *kern.stages(m),
+    skip=hit) adds its four stages for every trace but those in the slots
+    hit, which cross x1 = 0 on it (rows are local to the block), and on a
+    crossing step recorder.move(order) then reorders the slots exactly as
+    the step reorders them here.  Once the block has landed,
+    recorder.land(n) turns the slots to crossing order, the order of
+    done, in which the landing step is taken, and recorder.step(done, x1,
+    ...) and recorder.close(done) record that step, whose stage weights
+    the kernel has divided by u~1, and emit what each trace still holds.
     """
     ds = min(kern.grid.h) / 2.0
     ext = _lattice(kern.grid)[0]
     payload = kern.payload is not None
     record = recorder is not None
-    integral = np.zeros(seeds.shape[1])
-    # One slot per traced seed: the m traces still stepping in front, in
-    # node order, and behind them, last first, those whose next step would
+    # One slot per seed: the m traces still stepping in front, in seed
+    # order, and behind them, last first, those whose next step would
     # cross x1 = 0, waiting for the block's landing step.  A slot holds a
     # row of the block, a position (before the crossing step for a waiting
-    # trace) and the path integral so far.  The positions take the front of
-    # seeds' own storage, as a (3, m) array and then (x1, x2, x3) triples,
-    # and seeds receives the arrivals at the end.
-    rows = np.flatnonzero(seeds[0] > 0.0)
-    m = n = rows.size
-    if record:
-        recorder.begin(first, m)
-    untraced = np.flatnonzero(seeds[0] <= 0.0)
-    arrived = seeds[:, untraced]  # already on the inflow plane
-    pos = seeds.reshape(-1)[:3 * m]
+    # trace) and the path integral so far.  The positions take seeds' own
+    # storage, as a (3, m) array and then (x1, x2, x3) triples, and seeds
+    # receives the arrivals at the end.
+    m = n = seeds.shape[1]
+    rows = np.arange(n)
+    pos = seeds.reshape(-1)
     cur = pos.reshape(3, m)
-    if untraced.size:
-        cur[...] = seeds[:, rows]
     held = np.zeros(m) if payload else None
     while m:
-        new, inc = kern.rk4(cur, ds, payload, record)
+        new, inc = kern.rk4(cur, ds)
         crossing = new[0] <= 0.0
         hit = np.flatnonzero(crossing)
         if record:  # a crossing trace records its landing step instead
@@ -373,19 +364,18 @@ def _trace(kern: _Kernel, seeds: np.ndarray, first: int = 0, recorder=None):
         if payload:
             held[:m] += inc
 
-    if n:
-        done, start = rows[::-1], pos.reshape(-1, 3)[::-1].T  # in crossing order
-        x1 = start[0]  # the step in x1 that lands each trace
-        fin, inc = kern.rk4(start, x1, payload, record, axial=True)
-        if record:
-            recorder.land(n)
-            recorder.step(done, x1, *kern.stages(n))
-            recorder.close(done)
-        fin[0] = 0.0
-        seeds[:, done] = np.clip(fin, 0.0, ext, out=fin)
-        if payload:
-            integral[done] = held[::-1] + inc
-    seeds[:, untraced] = arrived
+    done, start = rows[::-1], pos.reshape(-1, 3)[::-1].T  # in crossing order
+    x1 = start[0]  # the step in x1 that lands each trace
+    fin, inc = kern.rk4(start, x1, axial=True)
+    if record:
+        recorder.land(n)
+        recorder.step(done, x1, *kern.stages(n))
+        recorder.close(done)
+    fin[0] = 0.0
+    seeds[:, done] = np.clip(fin, 0.0, ext, out=fin)
+    integral = np.zeros(n)
+    if payload:
+        integral[done] = held[::-1] + inc
     return seeds, integral
 
 
@@ -396,19 +386,20 @@ def _bilinear_inflow(kern: _Kernel, arrivals: np.ndarray):
     an iterator over the columns (j,k), (j+1,k), (j,k+1), (j+1,k+1) that
     gives each column's flat offset from that corner and its weight at
     every arrival (work arrays of kern, valid until the next column).  The
-    arrivals lie on x1 = 0 exactly, where the trilinear low x1 weight is 1,
-    so the corner (j + d2, k + d3) takes w_b w_c, bit for bit the trilinear
-    (1 w_b) w_c, and its flat index is the inflow plane's.  An arrival on a
-    node, the last ones included, reads that node's trace with weight 1.
+    arrivals lie on x1 = 0 exactly, where the trilinear low x1 weight is 1
+    and the cell's flat index is the inflow plane's, so the corner
+    (j + d2, k + d3) takes w_b w_c, bit for bit the trilinear (1 w_b) w_c.
+    An arrival on a node, the last ones included, reads that node's trace
+    with weight 1.
     """
     m = arrivals.shape[1]
-    hi = kern._p[:2 * m].reshape(2, m)
-    lo = kern._lo[:2 * m].reshape(2, m)
+    hi = kern._p[:3 * m].reshape(3, m)
+    lo = kern._lo[:3 * m].reshape(3, m)
     base, w = kern._idx[:m], kern._w[:m]
-    np.copyto(hi, arrivals[1:])
-    _locate(kern.grid, hi, base, lo, axes=(1, 2))
+    np.copyto(hi, arrivals)
+    _locate(kern.grid, hi, base, lo)
     s2 = _strides(kern.grid)[1]
-    corners = ((d2 * s2 + d3, np.multiply((lo, hi)[d2][0], (lo, hi)[d3][1], out=w))
+    corners = ((d2 * s2 + d3, np.multiply((lo, hi)[d2][1], (lo, hi)[d3][2], out=w))
                for d2, d3 in ((0, 0), (1, 0), (0, 1), (1, 1)))
     return base, corners
 
@@ -464,13 +455,16 @@ def _run_in_worker(lo: int, hi: int) -> np.ndarray:
     return _worker_task(lo, hi)
 
 
-def _check_trace(grid: Grid, w_in: np.ndarray) -> np.ndarray:
+def _check_data(grid: Grid, v: ScalarField, w_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The source values and the inflow trace of a solve on grid, checked."""
+    if v.values.shape != grid.shape:
+        raise ValueError(f"source field shape {v.values.shape} != transport grid shape {grid.shape}")
     w_in = np.asarray(w_in, dtype=float)
     if w_in.shape != (grid.shape[1], grid.shape[2]):
         raise ValueError(f"inflow trace shape {w_in.shape} != {(grid.shape[1], grid.shape[2])}")
     if not np.all(np.isfinite(w_in)):
         raise ValueError("inflow trace contains non-finite values")
-    return w_in
+    return v.values, w_in
 
 
 def apply_S(tf: TransportField, v: ScalarField, w_in: np.ndarray) -> ScalarField:
@@ -498,11 +492,12 @@ def apply_S(tf: TransportField, v: ScalarField, w_in: np.ndarray) -> ScalarField
     if tf.footprint is not None:
         return tf.footprint.apply(v, w_in)
     g = tf.grid
-    trace = _check_trace(g, w_in).reshape(-1)
+    source, trace = _check_data(g, v, w_in)
+    trace = trace.reshape(-1)
 
     def block(lo: int, hi: int) -> np.ndarray:
-        kern = _Kernel(g, tf.values, v.values, hi - lo)
-        arr, integral = _trace(kern, _block_seeds(g, lo, hi), lo)
+        kern = _Kernel(g, tf.values, source, hi - lo)
+        arr, integral = _trace(kern, _block_seeds(g, lo, hi))
         terms = kern._vals[:4 * (hi - lo)].reshape(-1, 4)  # free once traced
         base, corners = _bilinear_inflow(kern, arr)
         for c, (off, w) in enumerate(corners):
@@ -602,8 +597,8 @@ class _SourceRecorder:
         self.quads = _GroupChunks((0, 1, s2, s2 + 1))  # (d2, d3) corners of a cell face
 
     def begin(self, first: int, n: int) -> None:
-        """Start a block's n traced seeds in slots 0..n-1; rows are local to
-        the block, whose first node is first."""
+        """Start a block's n seeds in slots 0..n-1; rows are local to the
+        block, whose first node is first."""
         self.first = first
         self.cell = np.full(n, -1, dtype=np.int32)
         self.slots = np.zeros((8, n))
@@ -677,47 +672,35 @@ class _SourceRecorder:
         keep = np.any(vals != 0.0, axis=0)
         self.quads.append(rows[keep] + self.first, bases[keep], vals[:, keep])
 
-    def finish(self) -> "FootprintSource":
-        n = self.grid.n_nodes
-        return FootprintSource(n, tuple(self.quads.terms(n)))
-
-
-@dataclass(frozen=True, eq=False)
-class FootprintSource:
-    """The source part of apply_S for one advecting field, as a linear map
-    on flattened node arrays: the trilinear weights of every RK4 stage
-    point times the step quadrature, four to a cell face.  For each corner
-    offset of a face one sparse matrix acts on v shifted by that offset;
-    the products sum to the result."""
-
-    n_nodes: int
-    terms: tuple[tuple[int, sparse.coo_matrix], ...]  # (offset, matrix)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n_nodes)
-        for off, mat in self.terms:
-            out += mat @ v[off:off + mat.shape[1]]
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class TransportFootprint:
     """apply_S for one advecting field, recorded as sparse matrices.
 
     With the field fixed, apply_S is affine in (source, inflow trace):
-    w = inflow @ w_in + source.apply(v) on flattened arrays, where inflow
-    holds the bilinear weights at every node's arrival point.
+    w = inflow @ w_in + source(v) on flattened arrays.  inflow holds the
+    bilinear weights at every node's arrival point; terms hold the
+    trilinear weights of every RK4 stage point times the step quadrature,
+    four to a cell face, as one sparse matrix per corner offset of a face,
+    which acts on v shifted by that offset.
     """
 
     grid: Grid
     inflow: sparse.csr_matrix
-    source: FootprintSource
+    terms: tuple[tuple[int, sparse.coo_matrix], ...]  # (offset, matrix)
+
+    def source(self, v: np.ndarray) -> np.ndarray:
+        """The source part, on a flattened node array v."""
+        out = np.zeros(self.grid.n_nodes)
+        for off, mat in self.terms:
+            out += mat @ v[off:off + mat.shape[1]]
+        return out
 
     def apply(self, v: ScalarField, w_in: np.ndarray) -> ScalarField:
         """Same result as apply_S(tf, v, w_in) for the recorded field."""
         g = self.grid
-        w_in = _check_trace(g, w_in)
-        vals = self.inflow @ w_in.reshape(-1) + self.source.apply(v.values.reshape(-1))
+        source, w_in = _check_data(g, v, w_in)
+        vals = self.inflow @ w_in.reshape(-1) + self.source(source.reshape(-1))
         return ScalarField(g, vals.reshape(g.shape))
 
 
@@ -735,17 +718,18 @@ def transport_footprint(tf: TransportField) -> TransportFootprint:
     w = np.empty((n, 4))
     for lo, hi in _blocks(n):
         kern = _Kernel(g, tf.values, None, hi - lo, record=True)
-        arr = _trace(kern, _block_seeds(g, lo, hi), lo, recorder)[0]
+        recorder.begin(lo, hi - lo)
+        arr = _trace(kern, _block_seeds(g, lo, hi), recorder)[0]
         base, corners = _bilinear_inflow(kern, arr)
         for c, (off, wc) in enumerate(corners):
             np.add(base, off, out=idx[lo:hi, c], casting="unsafe")
             w[lo:hi, c] = wc
-    source = recorder.finish()
+    terms = tuple(recorder.quads.terms(n))
     inflow = sparse.csr_matrix(
         (w.reshape(-1), idx.reshape(-1), np.arange(0, 4 * n + 1, 4, dtype=np.int32)),
         shape=(n, g.shape[1] * g.shape[2]),
     )
-    return TransportFootprint(g, inflow, source)
+    return TransportFootprint(g, inflow, terms)
 
 
 def upwind_march(tf: TransportField, v: ScalarField, w_in: np.ndarray) -> ScalarField:
@@ -756,7 +740,7 @@ def upwind_march(tf: TransportField, v: ScalarField, w_in: np.ndarray) -> Scalar
     any characteristic-tracing code on purpose.
     """
     g = tf.grid
-    w_in = _check_trace(g, w_in)
+    source, w_in = _check_data(g, v, w_in)
     h1, h2, h3 = g.h
     u1, u2, u3 = tf.values
     cfl = float(np.max(np.abs(tf.values[1:]))) * h1 / (float(np.min(u1)) * min(h2, h3))
@@ -766,14 +750,9 @@ def upwind_march(tf: TransportField, v: ScalarField, w_in: np.ndarray) -> Scalar
         )
 
     def upwind(slab: np.ndarray, speed: np.ndarray, h: float, axis: int) -> np.ndarray:
-        back = np.zeros_like(slab)
-        fwd = np.zeros_like(slab)
-        sl_b = [slice(None)] * 2
-        sl_b[axis] = slice(1, None)
-        sl_bm = [slice(None)] * 2
-        sl_bm[axis] = slice(None, -1)
-        back[tuple(sl_b)] = (slab[tuple(sl_b)] - slab[tuple(sl_bm)]) / h
-        fwd[tuple(sl_bm)] = back[tuple(sl_b)]
+        """Backward differences where speed > 0, else forward; 0 off the slab."""
+        back = np.diff(slab, axis=axis, prepend=slab.take([0], axis)) / h
+        fwd = np.diff(slab, axis=axis, append=slab.take([-1], axis)) / h
         return np.where(speed > 0.0, back, fwd)
 
     out = np.empty(g.shape)
@@ -781,7 +760,7 @@ def upwind_march(tf: TransportField, v: ScalarField, w_in: np.ndarray) -> Scalar
     for i in range(g.shape[0] - 1):
         slab = out[i]
         rhs = (
-            v.values[i]
+            source[i]
             - u2[i] * upwind(slab, u2[i], h2, 0)
             - u3[i] * upwind(slab, u3[i], h3, 1)
         ) / u1[i]

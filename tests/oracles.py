@@ -10,9 +10,10 @@ from scipy.interpolate import RegularGridInterpolator
 
 from slipflow import lame
 from slipflow.fields import (
-    NormKind, ScalarField, VectorField, div_array, grad_array, norm, zeros_scalar, zeros_vector,
+    NormKind, ScalarField, VectorField, div_array, grad_array, norm, strong_size, zeros_scalar,
+    zeros_vector,
 )
-from slipflow.picard import ProblemSetup, _strong_size, picard_solve
+from slipflow.picard import ProblemSetup, picard_solve
 from slipflow.transport import TransportField, apply_S, make_transport_field, transport_footprint
 
 
@@ -41,7 +42,7 @@ def random_small_start(
     u = VectorField(setup.grid, np.stack(comps[:3]))
     w = ScalarField(setup.grid, comps[3])
     target = setup.data.b_measure if size is None else min(size, setup.data.b_measure)
-    a0 = _strong_size(u, w, setup.solver.p)
+    a0 = strong_size(u, w, setup.solver.p)
     if a0 == 0.0 or target == 0.0:
         return zeros_vector(setup.grid), zeros_scalar(setup.grid)
     scale = target / a0

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from slipflow.grid import GeometryConfig, build_grid
+from slipflow.fields import strong_size
 from slipflow.material import (
     FlowParams,
     DataConfig,
@@ -22,7 +23,6 @@ from slipflow.picard import (
     IterationRecord,
     picard_solve,
     convergence_metrics,
-    _strong_size,
 )
 from oracles import full_solve_split_step, random_small_start, two_start_uniqueness
 
@@ -80,7 +80,7 @@ def test_solution_scales_near_linearly_with_data():
     for eps in (1e-2, 5e-3):
         bundle = picard_solve(make_setup(eps, mode="monolithic"))
         assert bundle.converged
-        sizes[eps] = _strong_size(bundle.u, bundle.w, 4.0)
+        sizes[eps] = strong_size(bundle.u, bundle.w, 4.0)
     factor = sizes[5e-3] / sizes[1e-2]
     assert 0.3 <= factor <= 0.7
 
@@ -193,7 +193,7 @@ def test_two_start_uniqueness_same_start_is_exact():
 def test_two_start_uniqueness_random_start():
     setup = make_setup(1e-2, mode="monolithic")
     start2 = random_small_start(setup, seed=7)
-    a0 = _strong_size(start2[0], start2[1], setup.solver.p)
+    a0 = strong_size(start2[0], start2[1], setup.solver.p)
     assert a0 <= setup.data.b_measure * (1.0 + 1e-12)
     dist = two_start_uniqueness(setup, None, start2)
     assert dist <= 10.0 * setup.solver.outer_tol
@@ -208,7 +208,7 @@ def test_two_start_uniqueness_requires_convergence():
 def test_random_small_start_hits_requested_size():
     setup = make_setup(1e-2)
     u, w = random_small_start(setup, seed=3, size=0.05)
-    a0 = _strong_size(u, w, setup.solver.p)
+    a0 = strong_size(u, w, setup.solver.p)
     assert a0 == pytest.approx(0.05, rel=1e-10)
 
 

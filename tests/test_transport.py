@@ -126,6 +126,18 @@ def test_trace_payload_constant_and_linear():
     assert trace_one(tf, (1.25, 0.5, 0.5), lin)[1] == pytest.approx(1.25**2 / 2.0, abs=1e-12)
 
 
+def test_inflow_plane_seed_arrives_where_it_starts():
+    # a seed on x1 = 0 crosses on its first step and lands in a step of
+    # length 0: it arrives at itself with an integral of exactly 0.0
+    g = make_grid()
+    tf = wall_respecting_flow(g, 2e-2)
+    seed = (0.0, 0.7, 0.4)
+    for payload in (None, smooth_scalar(g, 500, 0.4)):
+        arrival, integral = trace_one(tf, seed, payload)
+        assert arrival == seed
+        assert integral == 0.0
+
+
 def test_transport_field_rejects_a_flow_that_would_stall():
     # zero velocity never reaches the inflow plane: the field cannot be
     # made, so no route traces it
@@ -275,6 +287,18 @@ def test_footprint_reproduces_apply_s(cells):
         assert np.max(np.abs(apply_S(carried, v, w_in).values - expected)) <= 1e-13
 
 
+@pytest.mark.parametrize("cells", [(8, 4, 4), (16, 8, 8)])
+def test_footprint_of_the_inflow_plane_is_its_trace(cells):
+    # the inflow-plane nodes come first in flat order; on these grids each
+    # lies on a lattice node exactly, so its inflow row reads its own trace
+    # node with weight 1.0 alone, and it takes nothing from the source
+    g = make_grid(*cells)
+    fp = transport_footprint(wall_respecting_flow(g, 2e-2))
+    plane = g.shape[1] * g.shape[2]
+    assert np.array_equal(fp.inflow[:plane].toarray(), np.eye(plane))
+    assert all(np.all(mat.row >= plane) for _, mat in fp.terms)
+
+
 def test_footprint_uniform_flow_constant_cases():
     g = make_grid(8, 4, 4)
     fp = transport_footprint(uniform_flow(g))
@@ -390,7 +414,7 @@ def _footprint_digests(fp):
     """Chunk count, then sha256 of the group stream (rows, bases and the
     four weight rows of every chunk, in order, which is the same however
     it is chunked) and of the inflow CSR arrays."""
-    terms = [mat for _, mat in fp.source.terms]
+    terms = [mat for _, mat in fp.terms]
     chunks = [terms[i:i + 4] for i in range(0, len(terms), 4)]  # one matrix per face corner
     rows = np.concatenate([c[0].row for c in chunks]).astype(np.int64)
     bases = np.concatenate([c[0].col for c in chunks]).astype(np.int64)
@@ -537,6 +561,25 @@ def test_both_solvers_reject_malformed_inflow_trace(w_in, message, monkeypatch):
             solver(tf, zeros_scalar(g), w_in)
         messages.append(str(err.value))
     assert len(set(messages)) == 1
+
+
+@pytest.mark.parametrize("n1", [4, 16])
+@pytest.mark.parametrize("route", ["bare apply_S", "apply_S with footprint", "footprint.apply",
+                                   "upwind_march"])
+def test_every_route_rejects_a_source_from_another_grid(route, n1):
+    g = make_grid(8, 4, 4)
+    tf = uniform_flow(g)
+    fp = transport_footprint(tf)
+    solve = {
+        "bare apply_S": lambda v, w: apply_S(tf, v, w),
+        "apply_S with footprint": lambda v, w: apply_S(dataclasses.replace(tf, footprint=fp), v, w),
+        "footprint.apply": fp.apply,
+        "upwind_march": lambda v, w: upwind_march(tf, v, w),
+    }[route]
+    v = smooth_scalar(make_grid(n1, 4, 4), 500, 0.4)
+    with pytest.raises(ValueError, match=rf"source field shape \({n1 + 1}, 5, 5\) != "
+                                         r"transport grid shape \(9, 5, 5\)"):
+        solve(v, np.zeros(g.shape[1:]))
 
 
 def test_apply_s_and_upwind_converge_together():
