@@ -10,9 +10,8 @@ arrives at x1 = 0 in travel parameter at most 2L.
 For one advecting field the solve is affine in (source, inflow trace).
 transport_footprint traces every node once and records it as sparse
 matrices, so that a linear step can apply it many times through one set
-of traces.  apply_S on a field that carries its footprint applies it; on a
-bare field, as make_transport_field returns it, apply_S traces afresh and
-builds nothing.
+of traces.  apply_S takes a TransportField, which it traces afresh, or
+the TransportFootprint recorded for one, which it applies.
 
 Both run one kernel, _trace, on blocks of consecutive nodes, the fewest
 of at most _BLOCK = 16384 nodes, equal in size to within one: a block
@@ -25,7 +24,7 @@ starts.  No trace's arithmetic depends on the others in its block, so each
 trace's arrival and path integral are bit-identical for any block size
 and any number of workers.  A block allocates its work arrays once (a
 _Kernel) and reuses them through every stage of every step, about 260
-bytes per traced node at its peak.  apply_S on a bare field, with more
+bytes per traced node at its peak.  apply_S on a field, with more
 than one block and more than one CPU in the process's affinity mask
 (there is no setting for it), traces the blocks on that many worker
 processes started by fork, last block first: a trace costs more the
@@ -63,8 +62,7 @@ from .fields import ScalarField
 @dataclass(frozen=True, eq=False)
 class TransportField:
     """Full advecting velocity u~ = e1 + (ubar + u0) on the nodes, (3, n1+1,
-    n2+1, n3+1).  footprint, if recorded for these values, is what apply_S
-    applies instead of tracing.
+    n2+1, n3+1), and its two certificates.
 
     Construction rejects values of another shape, non-finite values and
     an axial speed below 1/2 anywhere: sampled trilinearly, u~1 then
@@ -74,7 +72,6 @@ class TransportField:
 
     grid: Grid
     values: np.ndarray
-    footprint: TransportFootprint | None = None
 
     def __post_init__(self):
         velocity = self.values
@@ -390,15 +387,21 @@ def _bilinear_inflow(kern: _Kernel, arrivals: np.ndarray):
     and the cell's flat index is the inflow plane's, so the corner
     (j + d2, k + d3) takes w_b w_c, bit for bit the trilinear (1 w_b) w_c.
     An arrival on a node, the last ones included, reads that node's trace
-    with weight 1.
+    with weight 1: where the node's coordinate j h divided by h is not j
+    exactly, its weights along that axis, a few ulps off, are rounded.
     """
     m = arrivals.shape[1]
+    g = kern.grid
     hi = kern._p[:3 * m].reshape(3, m)
     lo = kern._lo[:3 * m].reshape(3, m)
     base, w = kern._idx[:m], kern._w[:m]
     np.copyto(hi, arrivals)
-    _locate(kern.grid, hi, base, lo)
-    s2 = _strides(kern.grid)[1]
+    _locate(g, hi, base, lo)
+    for a in (1, 2):
+        on = arrivals[a] == g.axes[a][np.rint(arrivals[a] / g.h[a]).astype(np.intp)]
+        np.rint(hi[a], out=hi[a], where=on)
+        np.subtract(1.0, hi[a], out=lo[a], where=on)
+    s2 = _strides(g)[1]
     corners = ((d2 * s2 + d3, np.multiply((lo, hi)[d2][1], (lo, hi)[d3][2], out=w))
                for d2, d3 in ((0, 0), (1, 0), (0, 1), (1, 1)))
     return base, corners
@@ -467,14 +470,14 @@ def _check_data(grid: Grid, v: ScalarField, w_in: np.ndarray) -> tuple[np.ndarra
     return v.values, w_in
 
 
-def apply_S(tf: TransportField, v: ScalarField, w_in: np.ndarray) -> ScalarField:
+def apply_S(tf: TransportField | TransportFootprint, v: ScalarField, w_in: np.ndarray) -> ScalarField:
     """Solve u~.grad(w) = v with trace w_in on the inflow plane.
 
     Every node is traced back to x1 = 0; the value is the bilinearly
     interpolated trace at the arrival point plus the path integral of v.
-    A field that carries its footprint is not traced again.
+    A footprint is applied (TransportFootprint.apply), not traced.
 
-    The node blocks are traced on worker processes, one per CPU in the
+    A field's node blocks are traced on worker processes, one per CPU in the
     process's affinity mask, or in the calling process where _workers
     gives one; the result is the same for any number of workers.  The
     pool's workers are started by fork and inherit the block task and
@@ -489,8 +492,8 @@ def apply_S(tf: TransportField, v: ScalarField, w_in: np.ndarray) -> ScalarField
     RuntimeError.  The pool is shut down and its workers joined before
     apply_S returns or raises.
     """
-    if tf.footprint is not None:
-        return tf.footprint.apply(v, w_in)
+    if isinstance(tf, TransportFootprint):
+        return tf.apply(v, w_in)
     g = tf.grid
     source, trace = _check_data(g, v, w_in)
     trace = trace.reshape(-1)
@@ -707,7 +710,7 @@ class TransportFootprint:
 def transport_footprint(tf: TransportField) -> TransportFootprint:
     """Trace every node once and record apply_S as sparse matrices.
 
-    The node blocks are traced with the same kernel as apply_S on a bare
+    The node blocks are traced with the same kernel as apply_S on a
     field, one after another in the calling process, and every block
     records into one recorder.
     """

@@ -3,8 +3,6 @@
 Test modules import them as ``from oracles import ...``: pytest puts this
 directory on sys.path when it collects a test module from it.
 """
-from dataclasses import replace
-
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
@@ -210,8 +208,7 @@ def full_solve_split_step(
     grid = op.grid
     tf_values = convect.values.copy()
     tf_values[0] += 1.0
-    tf = make_transport_field(grid, tf_values)
-    tf = replace(tf, footprint=transport_footprint(tf))
+    footprint = transport_footprint(make_transport_field(grid, tf_values))
     if start is None:
         u, w = zeros_vector(grid), zeros_scalar(grid)
     else:
@@ -224,7 +221,7 @@ def full_solve_split_step(
         )
         total_iters += iters
         src = continuity_forcing.values - div_array(u_new.values, grid)
-        w_new = apply_S(tf, ScalarField(grid, src), w_in)
+        w_new = apply_S(footprint, ScalarField(grid, src), w_in)
         delta = norm(VectorField(grid, u_new.values - u.values), NormKind.h1()) + norm(
             ScalarField(grid, w_new.values - w.values), NormKind.linf_l2()
         )

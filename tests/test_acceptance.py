@@ -1,4 +1,4 @@
-"""Acceptance gate: the ten desk-scale criteria the package must meet.
+"""Acceptance gate: the eleven desk-scale criteria the package must meet.
 
 Each test prints one verdict line (visible with -s, and in the captured
 output on failure) and asserts the criterion at its stated tolerance.
@@ -284,3 +284,28 @@ def test_criterion_10_bit_identical_reruns(tmp_path):
     ok = all(same.values())
     _verdict(10, "bit-identical reruns", ok,
              "identical: " + ", ".join(f"{k}={v}" for k, v in same.items()))
+
+
+def test_criterion_11_contraction_scales_with_the_data():
+    # the paper's fixed-point argument: for small data the contraction
+    # constant and the iterate size are each linear in the data measure B,
+    # so max r_n / B (after the first step) and max A_n / B hold across
+    # data sizes; the guard a_n > 1 and r_n = 1/2 are then extrapolated
+    epsilons = (1e-3, 3e-3, 1e-2, 3e-2)
+    rate, size, b_per_eps, ok = [], [], [], True
+    for eps in epsilons:
+        run = _timed_run({"data": {"epsilon": eps}, "solver": {"mode": "monolithic"}})
+        b = run.setup.data.b_measure
+        ok = ok and run.bundle.converged
+        rate.append(max(rec.r_n for rec in run.bundle.history if rec.n >= 1) / b)
+        size.append(max(rec.a_n for rec in run.bundle.history) / b)
+        b_per_eps.append(b / eps)
+    spread = [float(np.max(np.abs(np.array(c) / np.mean(c) - 1.0))) for c in (rate, size)]
+    ok = ok and max(spread) <= 0.02
+    eps_guard = 1.0 / (np.mean(size) * np.mean(b_per_eps))
+    eps_half = 0.5 / (np.mean(rate) * np.mean(b_per_eps))
+    _verdict(11, "contraction scales with the data", ok,
+             f"max r_n / B {np.mean(rate):.4f} (spread {spread[0]:.1%}), "
+             f"max A_n / B {np.mean(size):.4f} (spread {spread[1]:.1%}) over eps "
+             f"{epsilons[0]:g} to {epsilons[-1]:g}; A_n reaches 1 near eps {eps_guard:.3f}, "
+             f"r_n reaches 1/2 near eps {eps_half:.2f}")

@@ -1,3 +1,5 @@
+import time
+import warnings
 from dataclasses import replace
 from functools import partial
 from pathlib import Path
@@ -6,7 +8,7 @@ import numpy as np
 import pytest
 
 from slipflow.grid import GeometryConfig, build_grid
-from slipflow.fields import strong_size
+from slipflow.fields import strong_size, weak_distance, zeros_scalar, zeros_vector
 from slipflow.material import (
     FlowParams,
     DataConfig,
@@ -115,6 +117,42 @@ def test_split_nonconvergence_verdict(monkeypatch):
     assert bundle.verdict.startswith("diverged(linear step alternation did not reach")
     assert "within 2 sweeps" in bundle.verdict
     assert bundle.history == ()
+
+
+def linear_law_run(gamma, mode="split"):
+    """picard_solve on the default config with a linear pressure law of
+    slope gamma, and its wall time."""
+    cfg = config_from_mapping({"physics": {"pressure": {"kind": "linear", "coefficient": gamma}},
+                               "solver": {"mode": mode}})
+    setup = build_setup(cfg)
+    t0 = time.perf_counter()
+    bundle = picard_solve(setup)
+    return bundle, time.perf_counter() - t0
+
+
+def test_split_sweeps_converge_up_to_their_reach():
+    # the sweep rate is about 0.065 gamma at mu = nu = 1; at gamma = 13 a
+    # step's changes first grow up to about 400-fold, then fall, and the
+    # sweeps reach the monolithic solution (criterion 04's relative gap)
+    split, _ = linear_law_run(13.0)
+    mono, _ = linear_law_run(13.0, "monolithic")
+    assert split.converged and mono.converged
+    grid = mono.u.grid
+    size = weak_distance(mono.u, zeros_vector(grid), mono.w, zeros_scalar(grid))
+    assert weak_distance(split.u, mono.u, split.w, mono.w) <= 1e-6 * size
+
+
+@pytest.mark.parametrize("gamma", [20.0, 200.0])
+def test_split_sweeps_beyond_their_reach_fail_fast(gamma):
+    # the sweeps diverge here; they stop once a change is DIVERGED_GROWTH
+    # times the first, before any overflow, and name monolithic mode
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        bundle, seconds = linear_law_run(gamma)
+    assert bundle.verdict.startswith("diverged(split sweeps grow: change ")
+    assert bundle.verdict.endswith("monolithic mode (--mode monolithic) solves the same step)")
+    assert bundle.history == ()
+    assert seconds < 1.0
 
 
 @pytest.mark.parametrize("mode", ["split", "monolithic"])
