@@ -9,9 +9,16 @@ Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996), a zero right-hand
 side returns immediately, the iteration cap is ten times the unknown
 count, and failure carries the best residual seen so the caller can tell
 near-miss from breakdown.  The caller chooses rel_tol; the linear step
-derives it from its inner_tol (slipflow.lame).  Every breakdown guard
-compares an inner product with ||b||^2, so the scale of b alone never
-decides a breakdown.
+derives it from its inner_tol (slipflow.lame).
+
+Every failure is a KrylovError, raised as soon as it is seen: the
+iteration cap; a search direction orthogonal to the shadow residual
+(|r_hat . v| below 1e-30 ||b||^2); and a zero stabilization step, where
+t . t is below 1e-30 ||b||^2 or omega = (t . s) / (t . t) is zero or not
+finite, as when t . t overflows on a diverging iterate.  A shadow
+residual orthogonal to the residual is no failure: the recurrence
+restarts at r.  Every breakdown guard compares an inner product with
+||b||^2, so the scale of b alone never decides a breakdown.
 
 The preconditioner is any fixed linear map p -> p_hat approximating the
 inverse operator; the viscous operator supplies a multigrid V-cycle
@@ -55,7 +62,8 @@ def krylov_solve(
     starting one, or times ||b|| (a zero start's) if the start is further
     off, so the tolerance stays in (0, 1); rel_tol is the floor.  max_iter
     overrides the cap of ten iterations per unknown.  Raises KrylovError
-    when the cap is hit.
+    when the cap is hit or the iteration breaks down, as the module
+    docstring lists.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol!r}")
@@ -124,10 +132,13 @@ def krylov_solve(
             return x, it, s_norm
         s_hat = precond(s)
         t = action(s_hat)
-        tt = float(t @ t)
-        if tt < tiny:
+        # t @ t overflows where the iterate blows up: omega is then 0 or
+        # NaN, which the check below reports instead of numpy's warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            tt = float(t @ t)
+            omega = float(t @ s) / tt if tt >= tiny else 0.0
+        if omega == 0.0 or not np.isfinite(omega):
             raise KrylovError("solver breakdown (zero stabilization step)", best, it)
-        omega = float(t @ s) / tt
         x += alpha * p_hat
         x += omega * s_hat
         np.multiply(omega, t, out=r)

@@ -14,10 +14,13 @@ full traction form.  On edge nodes each component normal to a containing
 face is pinned; a component tangential to several faces averages their
 slip rows.
 
-build_lame_operator assembles these rows once, as one CSR matrix on the
-free (unpinned) rows and columns, and builds a preconditioner on it; every
-momentum solve acts through that matrix.  The stencil form of the rows,
-which the matrix is tested against, lives with the tests
+build_lame_operator lays these rows out once: it stores their masks on
+the operator as read-only arrays (pinned, slip and PDE rows, the free
+(unpinned) rows, and the count of faces that share each slip row),
+assembles the rows as one CSR matrix on the free rows and columns, and
+builds a preconditioner on it.  Every momentum solve acts through that
+matrix, and every linear step reads those masks.  The stencil form of
+the rows, which the matrix is tested against, lives with the tests
 (tests/test_lame.py).
 The preconditioner is a Galerkin geometric-multigrid V-cycle
 (Trottenberg, Oosterlee & Schueller, Multigrid, 2001), on every grid:
@@ -120,54 +123,65 @@ def krylov_tol(inner_tol: float) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class _RowLayout:
-    """The boundary bookkeeping of the momentum rows, all that the matrix
-    and its preconditioner are built from.
+class LameOperator:
+    """The momentum rows, assembled, with the row layout they were
+    assembled on; build_lame_operator builds each array once, read-only.
 
     pinned marks Dirichlet rows (normal components on their faces, all of
-    them homogeneous), robin_cnt counts how many faces contribute a slip
-    row to a component at a node.
+    them homogeneous), robin_mask the slip rows, with robin_cnt counting
+    how many faces contribute a slip row to a component at a node, and pde
+    the PDE rows (interior nodes only); each is a (3, *shape) array.  free
+    marks the free (unpinned) rows of the flattened velocity, and pde_free
+    the PDE rows among them.  matrix holds the rows on the free rows and
+    columns.  precond maps a free-row vector to an approximate solution of
+    the momentum system: one multigrid V-cycle.
     """
 
     grid: Grid
     params: FlowParams
     pinned: np.ndarray
     robin_cnt: np.ndarray
-
-    @property
-    def robin_mask(self) -> np.ndarray:
-        return (self.robin_cnt > 0) & ~self.pinned
-
-    @property
-    def free(self) -> np.ndarray:
-        """Free rows of the flattened (3, *shape) velocity."""
-        return ~self.pinned.reshape(-1)
-
-
-@dataclass(frozen=True, eq=False)
-class LameOperator(_RowLayout):
-    """The momentum rows, assembled, with their boundary bookkeeping.
-
-    matrix holds the rows on the free (unpinned) rows and columns of the
-    flattened (3, *shape) velocity.  precond maps a free-row vector to an
-    approximate solution of the momentum system: one multigrid V-cycle.
-    """
-
+    robin_mask: np.ndarray
+    pde: np.ndarray
+    free: np.ndarray
+    pde_free: np.ndarray
     matrix: sparse.csr_matrix
     precond: Callable[[np.ndarray], np.ndarray]
 
 
 def build_lame_operator(grid: Grid, params: FlowParams) -> LameOperator:
-    """Boundary bookkeeping, the momentum rows as a sparse matrix on the
-    free rows and columns, and the preconditioner built on that matrix."""
+    """The row layout, the momentum rows as a sparse matrix on the free
+    rows and columns, and the preconditioner built on that matrix."""
     pinned = _pinned_rows(grid.config.cells)
-    cnt = np.zeros(pinned.shape, dtype=np.int8)
+    robin_cnt = np.zeros(pinned.shape, dtype=np.int8)
     for face in grid.faces:
         for t_ax in face.in_axes:
-            cnt[t_ax][face.slicer()] += 1
-    layout = _RowLayout(grid, params, pinned, cnt)
-    matrix = _momentum_matrix(layout)
-    return LameOperator(grid, params, pinned, cnt, matrix, _multigrid(layout, matrix))
+            robin_cnt[t_ax][face.slicer()] += 1
+    robin_mask = (robin_cnt > 0) & ~pinned
+    pde = ~(pinned | robin_mask)
+    free = ~pinned.reshape(-1)
+    pde_free = pde.reshape(-1)[free]
+    for array in (pinned, robin_cnt, robin_mask, pde, free, pde_free):
+        array.flags.writeable = False
+    matrix = _momentum_matrix(grid, params, robin_cnt, robin_mask, pde, free)
+    # the V-cycle divides each slip row by the spacing normal to its faces
+    normal_h = _slip_average(grid, robin_cnt, lambda face, i: 1.0 / grid.h[face.axis])
+    row_scale = np.where(robin_mask, normal_h, 1.0).reshape(-1)[free]
+    return LameOperator(
+        grid, params, pinned, robin_cnt, robin_mask, pde, free, pde_free,
+        matrix, _multigrid(grid, matrix, row_scale),
+    )
+
+
+def _slip_average(grid: Grid, robin_cnt: np.ndarray, value) -> np.ndarray:
+    """The (3, *shape) average, over the faces that share each slip row,
+    of value(face, i): what a face gives the slip rows of its i-th in-face
+    component, face.in_axes[i].  Only its slip rows (robin_mask) are read."""
+    acc = np.zeros(robin_cnt.shape)
+    for face in grid.faces:
+        for i, t_ax in enumerate(face.in_axes):
+            acc[t_ax][face.slicer()] += value(face, i)
+    return acc / np.maximum(robin_cnt, 1)
 
 
 def _pinned_rows(cells) -> np.ndarray:
@@ -179,7 +193,7 @@ def _pinned_rows(cells) -> np.ndarray:
     return pinned
 
 
-def _pde_stencil(op: _RowLayout, c: int) -> list[tuple[int, float]]:
+def _pde_stencil(g: Grid, params: FlowParams, c: int) -> list[tuple[int, float]]:
     """(column offset, value) of component c's PDE row at an interior
     node, sorted by offset: the row's column is offset plus the node's
     flat index, component a's columns starting at a * n_nodes.
@@ -189,8 +203,7 @@ def _pde_stencil(op: _RowLayout, c: int) -> list[tuple[int, float]]:
     difference of u_c along x_c, and its mixed terms d_c d_a u_a compose
     central first differences along the two axes.
     """
-    g = op.grid
-    mu, nu = op.params.mu, op.params.nu
+    mu, nu = params.mu, params.nu
     n = g.n_nodes
     stride = (g.shape[1] * g.shape[2], g.shape[2], 1)
     entries: dict[int, float] = {}
@@ -213,30 +226,31 @@ def _pde_stencil(op: _RowLayout, c: int) -> list[tuple[int, float]]:
     return sorted(entries.items())
 
 
-def _momentum_matrix(op: _RowLayout) -> sparse.csr_matrix:
+def _momentum_matrix(
+    g: Grid, params: FlowParams, robin_cnt: np.ndarray, robin_mask: np.ndarray,
+    pde: np.ndarray, free: np.ndarray,
+) -> sparse.csr_matrix:
     """The rows described in the module docstring on the free rows and
-    columns, as a CSR matrix with int32 indices.
+    columns of the row layout (as LameOperator stores it), as a CSR matrix
+    with int32 indices.
 
     Every free row has at most 15 entries (an interior PDE row; a slip row
     has 3 per face it averages), so the rows are written into fixed-width
     column and value tables, then packed; pinned columns are dropped,
     their values being zero.
     """
-    g = op.grid
-    mu, friction = op.params.mu, op.params.friction
+    mu, friction = params.mu, params.friction
     n = g.n_nodes
-    free = op.free
     n_free = int(np.count_nonzero(free))
     index = np.full(3 * n, -1, dtype=np.int32)  # free position, -1 if pinned
     index[free] = np.arange(n_free, dtype=np.int32)
     cols = np.full((n_free, 15), -1, dtype=np.int32)
     vals = np.zeros((n_free, 15))
 
-    pde = ~(op.pinned | op.robin_mask)  # interior nodes only
     for c in range(3):
         nodes = np.flatnonzero(pde[c])
         rows = index[c * n + nodes]
-        for slot, (offset, value) in enumerate(_pde_stencil(op, c)):
+        for slot, (offset, value) in enumerate(_pde_stencil(g, params, c)):
             cols[rows, slot] = index[nodes + offset]
             vals[rows, slot] = value
 
@@ -244,12 +258,12 @@ def _momentum_matrix(op: _RowLayout) -> sparse.csr_matrix:
     used = np.zeros(n_free, dtype=np.intp)
     stride = (g.shape[1] * g.shape[2], g.shape[2], 1)
     node_ids = np.arange(n).reshape(g.shape)
-    for face in op.grid.faces:
+    for face in g.faces:
         for t_ax in face.in_axes:
             nodes = node_ids[face.slicer()].reshape(-1)
-            nodes = nodes[op.robin_mask[t_ax].reshape(-1)[nodes]]
+            nodes = nodes[robin_mask[t_ax].reshape(-1)[nodes]]
             rows = index[t_ax * n + nodes]
-            scale = 1.0 / op.robin_cnt[t_ax].reshape(-1)[nodes]
+            scale = 1.0 / robin_cnt[t_ax].reshape(-1)[nodes]
             slot = used[rows]
             for k, coef in enumerate((3.0, -4.0, 1.0)):
                 inward = nodes - face.side * k * stride[face.axis]
@@ -298,19 +312,6 @@ def _prolongation(cells, coarse) -> sparse.csr_matrix:
         [nodal[fine_free[c].reshape(-1)][:, coarse_free[c].reshape(-1)] for c in range(3)],
         format="csr",
     )
-
-
-def _slip_row_scale(op: _RowLayout) -> np.ndarray:
-    """Free-row scaling that divides each slip row by the spacing normal
-    to its faces (averaged like the row), leaving the PDE rows alone."""
-    acc = np.zeros(op.pinned.shape)
-    for face in op.grid.faces:
-        for t_ax in face.in_axes:
-            acc[t_ax][face.slicer()] += 1.0 / op.grid.h[face.axis]
-    scale = np.ones(op.pinned.shape)
-    m = op.robin_mask
-    scale[m] = acc[m] / op.robin_cnt[m]
-    return scale.reshape(-1)[op.free]
 
 
 def _galerkin(restrict: sparse.csr_matrix, matrix: sparse.csr_matrix, prolong: sparse.csr_matrix):
@@ -366,32 +367,25 @@ class _VCycle:
         return x
 
 
-def _multigrid(op: _RowLayout, matrix: sparse.csr_matrix) -> _VCycle:
-    """The V-cycle for op's free-row matrix, on the levels the module
-    docstring describes.  A level with more than _COARSEST_MAX free
-    unknowns has a count of at least 4 left to halve, so the loop ends."""
-    cells = op.grid.config.cells
+def _multigrid(g: Grid, matrix: sparse.csr_matrix, row_scale: np.ndarray) -> _VCycle:
+    """The V-cycle for the free-row matrix on g with the slip-row scaling
+    row_scale, on the levels the module docstring describes.  A level with
+    more than _COARSEST_MAX free unknowns has a count of at least 4 left
+    to halve, so the loop ends."""
+    cells = g.config.cells
     prolongs = []
     while all(m >= 4 for m in cells) or np.count_nonzero(~_pinned_rows(cells)) > _COARSEST_MAX:
         coarse = tuple((m + 1) // 2 if m >= 4 else m for m in cells)
         prolongs.append(_prolongation(cells, coarse))
         cells = coarse
-    return _VCycle(matrix, _slip_row_scale(op), prolongs)
+    return _VCycle(matrix, row_scale, prolongs)
 
 
 def _momentum_rhs(op: LameOperator, forcing: np.ndarray, slip_data: Mapping[str, np.ndarray]) -> np.ndarray:
     """Free-row right-hand side matching the row layout: the forcing on
     the PDE rows and the averaged slip data on the slip rows."""
-    b = np.array(forcing, dtype=float)
-    racc = np.zeros_like(b)
-    for face in op.grid.faces:
-        sl = face.slicer()
-        rows = slip_data[face.name]
-        for i, t_ax in enumerate(face.in_axes):
-            racc[t_ax][sl] += rows[i]
-    m = op.robin_mask
-    b[m] = racc[m] / op.robin_cnt[m]
-    return b.reshape(-1)[op.free]
+    slip = _slip_average(op.grid, op.robin_cnt, lambda face, i: slip_data[face.name][i])
+    return np.where(op.robin_mask, slip, forcing).reshape(-1)[op.free]
 
 
 def _scatter(op: LameOperator, y: np.ndarray) -> np.ndarray:
@@ -463,8 +457,10 @@ def solve_linear_step(
     convect is the perturbation part of the advecting velocity (outer
     iterate plus lifted data); the transport speed is e1 + convect.
     inner_tol sets how exactly the step is solved, as the module docstring
-    describes.  start warm-starts the inner iteration (the result does not
-    depend on it).
+    describes.  start, a (u, w) pair the step does not modify, warm-starts
+    the inner iteration; the result depends on it only within inner_tol,
+    since the number of sweeps (in monolithic mode, the Krylov iterate)
+    moves with the start.
     op is the momentum operator, the same at every outer iteration of a
     run; the step works on its grid with its physics parameters.
     """
@@ -477,8 +473,6 @@ def solve_linear_step(
     gamma = op.params.pressure.gamma
     rel_tol = krylov_tol(inner_tol)
     rhs = _momentum_rhs(op, forcing.values, slip_data)
-    pde = ~(op.pinned | op.robin_mask)
-    pde_free = pde.reshape(-1)[op.free]  # the PDE rows among the free rows
 
     def add_pressure(rows: np.ndarray, w: np.ndarray) -> np.ndarray:
         """rows - gamma grad(w) on the PDE rows of a free-row vector, in
@@ -486,18 +480,14 @@ def solve_linear_step(
         else."""
         grad = grad_array(w, grid)
         grad *= -gamma
-        rows[pde_free] += grad[pde]
+        rows[op.pde_free] += grad[op.pde]
         return rows
 
     if mode == "split":
         # both operators are fixed for the step: apply_S applies the
-        # footprint, solve_momentum goes through the operator's matrix
-        if start is not None:
-            u = VectorField(grid, start[0].values.copy())
-            w = ScalarField(grid, start[1].values.copy())
-        else:
-            u = zeros_vector(grid)
-            w = zeros_scalar(grid)
+        # footprint, solve_momentum goes through the operator's matrix;
+        # each sweep makes new arrays, so start is read, never written
+        u, w = start if start is not None else (zeros_vector(grid), zeros_scalar(grid))
         total_iters = 0
         res = 0.0
         for sweep in range(1, MAX_SWEEPS + 1):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -118,6 +120,19 @@ def test_breakdowns_raise_on_the_first_iteration(A, b, reason):
     A, b = np.array(A), np.array(b)
     with pytest.raises(KrylovError, match=reason) as exc:
         krylov_solve(dense_action(A), b, TOL)
+    assert exc.value.iterations == 1
+    assert exc.value.best_residual == 1.0
+
+
+def test_overflowing_stabilization_step_is_a_breakdown():
+    # s = (1/3, -1/3) after the first half step, so t = A s is of size
+    # 1e160 and t . t overflows: omega = (t . s) / inf is zero, which the
+    # next iteration would divide by; it is a breakdown, without a warning
+    A = np.diag([1e160, 2e160])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(KrylovError, match="zero stabilization step") as exc:
+            krylov_solve(dense_action(A), np.ones(2), TOL)
     assert exc.value.iterations == 1
     assert exc.value.best_residual == 1.0
 

@@ -186,6 +186,21 @@ def test_momentum_matrix_reproduces_rows(extents, cells, params):
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
+def test_operator_stores_its_row_layout_read_only():
+    # every row of the velocity is exactly one of pinned, slip or PDE, and
+    # the operator holds each mask, and the slip-row counts, read-only
+    grid = build_grid(GeometryConfig(2.5, 1.0, 0.7, 9, 5, 7))
+    op = build_lame_operator(grid, FlowParams())
+    layout = (op.pinned, op.robin_cnt, op.robin_mask, op.pde, op.free, op.pde_free)
+    assert all(not array.flags.writeable for array in layout)
+    np.testing.assert_array_equal(
+        op.pinned.astype(int) + op.robin_mask + op.pde, np.ones((3, *grid.shape), dtype=int)
+    )
+    np.testing.assert_array_equal(op.free, ~op.pinned.reshape(-1))
+    np.testing.assert_array_equal(op.pde_free, op.pde.reshape(-1)[op.free])
+    assert op.matrix.shape[0] == np.count_nonzero(op.free)
+
+
 def momentum_solve(op, forcing, slip):
     """solve_momentum for a volume forcing and slip data, to the linear
     step's Krylov tolerance at the default inner_tol."""
@@ -422,6 +437,46 @@ def test_split_step_nonconvergence_is_loud(monkeypatch):
             build_lame_operator(grid, params), case.convect, case.forcing, case.continuity,
             case.slip_data, case.w_in, mode="split",
         )
+
+
+@pytest.mark.parametrize("mode", ["split", "monolithic"])
+def test_linear_step_leaves_its_inputs_untouched(mode):
+    # the step writes into none of its arrays, start included, so a call
+    # on copies returns the same bits
+    grid, params = make_setup()
+    case = build_linear_case(grid, params)
+    op = build_lame_operator(grid, params)
+
+    def inputs():
+        return (
+            VectorField(grid, case.convect.values.copy()),
+            VectorField(grid, case.forcing.values.copy()),
+            ScalarField(grid, case.continuity.values.copy()),
+            {name: rows.copy() for name, rows in case.slip_data.items()},
+            case.w_in.copy(),
+        )
+
+    def start():
+        return (VectorField(grid, 0.9 * case.u_exact.values),
+                ScalarField(grid, 0.9 * case.w_exact.values))
+
+    given, given_start = inputs(), start()
+    res = solve_linear_step(op, *given, mode=mode, start=given_start)
+    for before, after in zip(inputs() + start(), given + given_start):
+        if isinstance(before, dict):
+            assert before.keys() == after.keys()
+            for name in before:
+                np.testing.assert_array_equal(after[name], before[name], strict=True)
+        else:
+            before, after = (getattr(a, "values", a) for a in (before, after))
+            np.testing.assert_array_equal(after, before, strict=True)
+    assert not np.shares_memory(res.u.values, given_start[0].values)
+    assert not np.shares_memory(res.w.values, given_start[1].values)
+    again = solve_linear_step(op, *inputs(), mode=mode, start=start())
+    assert np.array_equal(again.u.values, res.u.values)
+    assert np.array_equal(again.w.values, res.w.values)
+    assert (again.sweeps, again.inner_iterations, again.linear_residual) == (
+        res.sweeps, res.inner_iterations, res.linear_residual)
 
 
 def test_linear_step_modes_solve_one_discrete_system():

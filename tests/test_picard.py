@@ -261,23 +261,52 @@ def test_iteration_record_validation():
 
 @pytest.mark.parametrize("mode", ["split", "monolithic"])
 def test_history_records_linear_steps(mode, monkeypatch):
-    # every linear step of a run shares one momentum operator
-    built = []
+    # every linear step of a run shares one momentum operator, and makes
+    # the calls the benchmark counts through lame's names: per split sweep
+    # one solve_momentum call with one krylov_solve under it and one
+    # apply_S call (42 of each on the default config), per monolithic step
+    # one krylov_solve and no apply_S
+    calls = dict.fromkeys(("build", "steps", "solve_momentum", "krylov_solve", "apply_S"), 0)
+    krylov_per_momentum = []
 
-    def counting_build(*args, **kwargs):
-        built.append(args)
-        return build_lame_operator(*args, **kwargs)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
+    solve_momentum = counting("solve_momentum", lame.solve_momentum)
+
+    def momentum(*args, **kwargs):
+        before = calls["krylov_solve"]
+        out = solve_momentum(*args, **kwargs)
+        krylov_per_momentum.append(calls["krylov_solve"] - before)
+        return out
+
+    counting_build = counting("build", build_lame_operator)
     monkeypatch.setattr(picard, "build_lame_operator", counting_build)
     monkeypatch.setattr(lame, "build_lame_operator", counting_build)
+    monkeypatch.setattr(picard, "solve_linear_step", counting("steps", lame.solve_linear_step))
+    monkeypatch.setattr(lame, "solve_momentum", momentum)
+    monkeypatch.setattr(lame, "krylov_solve", counting("krylov_solve", lame.krylov_solve))
+    monkeypatch.setattr(lame, "apply_S", counting("apply_S", lame.apply_S))
     setup = build_setup(config_from_mapping({"solver": {"mode": mode}}))
     bundle = picard_solve(setup)
     assert bundle.converged
-    assert len(bundle.history) >= 2 and len(built) == 1
+    assert len(bundle.history) >= 2 and calls["build"] == 1
+    assert calls["steps"] == len(bundle.history)
     for rec in bundle.history:
         assert rec.sweeps >= 1 if mode == "split" else rec.sweeps == 1
         assert rec.inner_iterations > 0
         assert rec.linear_residual <= lame.krylov_tol(setup.solver.inner_tol)
+    if mode == "split":
+        sweeps = sum(r.sweeps for r in bundle.history)
+        assert sweeps == 42
+        assert krylov_per_momentum == [1] * sweeps
+        assert calls["solve_momentum"] == calls["krylov_solve"] == calls["apply_S"] == sweeps
+    else:
+        assert calls["krylov_solve"] == len(bundle.history)
+        assert calls["solve_momentum"] == calls["apply_S"] == 0
 
 
 def test_setup_validation():
