@@ -21,8 +21,8 @@ import numpy as np
 from .grid import Grid
 from .fields import (
     ScalarField, VectorField, NormKind, norm, strong_size, diff1, div_array, advect,
-    laplacian_array, grad_array, grad_div_array, sym_gradient, divergence, curl,
-    onesided_normal_d1, interior_l2,
+    laplacian_array, grad_array, grad_div_array, lame_array, sym_gradient, divergence,
+    curl, onesided_normal_d1, interior_l2,
 )
 from .material import (
     FlowParams, PerturbationData, _check_band, compute_F, compute_G, reference_flow,
@@ -285,11 +285,12 @@ def gradient_structure_residual(
     """Normalized curl of the combination that must be a pure gradient.
 
     Substituting the Helmholtz split into the momentum rows isolates
-    R = F - d(A)/dx1 + mu lap A + (nu + mu) grad div A - d(grad pot)/dx1;
-    in the continuum R collects only gradients (the pressure coupling and
-    the potential's own transport), so curl R vanishes and the density
-    is not read.  pot and a_field are helmholtz_decompose(u).  Returns
-    |curl R|_L2(interior) / |R|_L2, zero when R itself vanishes.
+    R = F - L(A) - d(grad pot)/dx1, L being the linear momentum rows
+    (fields.lame_array); in the continuum R collects only gradients (the
+    pressure coupling and the potential's own transport), so curl R
+    vanishes and the density is not read.  pot and a_field are
+    helmholtz_decompose(u).  Returns |curl R|_L2(interior) / |R|_L2, zero
+    when R itself vanishes.
 
     R is assembled with the solver's own stencils, so at interior nodes
     the momentum rows cancel exactly and only the gradient pair remains.
@@ -303,14 +304,9 @@ def gradient_structure_residual(
     residual decreases at about first order.
     """
     g = u.grid
-    mu, nu = params.mu, params.nu
-    a = a_field.values
-    da1 = np.stack([diff1(a[c], g.h[0], 0) for c in range(3)])
-    lap_a = np.stack([laplacian_array(a[c], g) for c in range(3)])
-    gd_a = grad_div_array(a, g)
     gp = grad_array(pot.values, g)
     dgp1 = np.stack([diff1(gp[c], g.h[0], 0) for c in range(3)])
-    r = forcing.values - da1 + mu * lap_a + (nu + mu) * gd_a - dgp1
+    r = forcing.values - lame_array(a_field.values, g, params.mu, params.nu) - dgp1
     r_norm = norm(VectorField(g, r), NormKind.lp(2.0))
     if r_norm == 0.0:
         return 0.0

@@ -153,6 +153,15 @@ def grad_div_array(values: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
+def lame_array(values: np.ndarray, grid: Grid, mu: float, nu: float) -> np.ndarray:
+    """d(u)/dx1 - mu lap(u) - (nu + mu) grad(div u) for a stacked (3, ...)
+    array u: the linear viscous momentum rows at interior nodes."""
+    out = -(nu + mu) * grad_div_array(values, grid)
+    for c in range(3):
+        out[c] += diff1(values[c], grid.h[0], 0) - mu * laplacian_array(values[c], grid)
+    return out
+
+
 def advect(conv: np.ndarray, values: np.ndarray, grid: Grid) -> np.ndarray:
     """(conv . grad) values for a stacked (3, ...) convecting array and a
     scalar node array."""

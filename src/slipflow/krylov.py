@@ -12,13 +12,15 @@ near-miss from breakdown.  The caller chooses rel_tol; the linear step
 derives it from its inner_tol (slipflow.lame).
 
 Every failure is a KrylovError, raised as soon as it is seen: the
-iteration cap; a search direction orthogonal to the shadow residual
-(|r_hat . v| below 1e-30 ||b||^2); and a zero stabilization step, where
-t . t is below 1e-30 ||b||^2 or omega = (t . s) / (t . t) is zero or not
-finite, as when t . t overflows on a diverging iterate.  A shadow
-residual orthogonal to the residual is no failure: the recurrence
-restarts at r.  Every breakdown guard compares an inner product with
-||b||^2, so the scale of b alone never decides a breakdown.
+iteration cap; stagnation, 500 iterations without a new best residual
+(converging momentum solves went at most 55 without one); a search
+direction orthogonal to the shadow residual (|r_hat . v| below
+1e-30 ||b||^2); and a zero stabilization step, where t . t is below
+1e-30 ||b||^2 or omega = (t . s) / (t . t) is zero or not finite, as
+when t . t overflows on a diverging iterate.  A shadow residual
+orthogonal to the residual is no failure: the recurrence restarts at
+r.  Every breakdown guard compares an inner product with ||b||^2, so
+the scale of b alone never decides a breakdown.
 
 The preconditioner is any fixed linear map p -> p_hat approximating the
 inverse operator; the viscous operator supplies a multigrid V-cycle
@@ -32,6 +34,7 @@ from typing import Callable
 import numpy as np
 
 _BREAKDOWN_TOL = 1e-30
+_STAGNATION = 500
 
 
 class KrylovError(RuntimeError):
@@ -62,8 +65,7 @@ def krylov_solve(
     starting one, or times ||b|| (a zero start's) if the start is further
     off, so the tolerance stays in (0, 1); rel_tol is the floor.  max_iter
     overrides the cap of ten iterations per unknown.  Raises KrylovError
-    when the cap is hit or the iteration breaks down, as the module
-    docstring lists.
+    on every failure the module docstring lists.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol!r}")
@@ -99,7 +101,7 @@ def krylov_solve(
     # work array updated in place: it keeps the exact operation order of
     # its textbook form, so results do not depend on it
     s = np.empty_like(rhs)
-    best = res
+    best, best_it = res, 0
     tiny = _BREAKDOWN_TOL * b_norm * b_norm  # breakdown floor for inner products
 
     for it in range(1, cap + 1):
@@ -144,9 +146,12 @@ def krylov_solve(
         np.multiply(omega, t, out=r)
         np.subtract(s, r, out=r)  # r = s - omega t
         res = float(np.linalg.norm(r)) / b_norm
-        best = min(best, res)
         if res <= tol:
             return x, it, res
+        if res < best:
+            best, best_it = res, it
+        elif it - best_it >= _STAGNATION:
+            raise KrylovError("linear solve stagnated", best, it)
         rho_prev = rho
 
     raise KrylovError("linear solve did not converge within the iteration cap", best, cap)

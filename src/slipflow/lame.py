@@ -1,11 +1,12 @@
 """Discrete viscous momentum operator with slip walls, and the linear step.
 
-The momentum rows at interior nodes are exact compositions of the shared
-difference operators (axial convection, vector Laplacian, gradient of the
-divergence), so residuals reconstructed later through field calculus agree
-with what was solved.  Boundary rows replace the PDE rows: the normal
-velocity component on every face is pinned to zero and eliminated exactly,
-tangential components carry the reduced slip row
+The momentum rows at interior nodes are read off fields.lame_array, the
+one composition of the shared difference operators (axial convection,
+vector Laplacian, gradient of the divergence) that compute_F and the
+audits apply too, so residuals reconstructed later through field
+calculus agree with what was solved.  Boundary rows replace the PDE
+rows: the normal velocity component on every face is pinned to zero and
+eliminated exactly, tangential components carry the reduced slip row
 
     mu * d(u_t)/dn + friction * u_t = B_t,
 
@@ -19,8 +20,8 @@ the operator as read-only arrays (pinned, slip and PDE rows, the free
 (unpinned) rows, and the count of faces that share each slip row),
 assembles the rows as one CSR matrix on the free rows and columns, and
 builds a preconditioner on it.  Every momentum solve acts through that
-matrix, and every linear step reads those masks.  The stencil form of
-the rows, which the matrix is tested against, lives with the tests
+matrix, and every linear step reads those masks.  The tests check the
+matrix against a stencil form of all the rows of their own
 (tests/test_lame.py).
 The preconditioner is a Galerkin geometric-multigrid V-cycle
 (Trottenberg, Oosterlee & Schueller, Multigrid, 2001), on every grid:
@@ -83,13 +84,14 @@ from typing import Callable, Mapping
 import numpy as np
 from scipy import sparse
 
-from .grid import Grid
+from .grid import GeometryConfig, Grid, build_grid
 from .fields import (
     ScalarField,
     VectorField,
     weak_distance,
     div_array,
     grad_array,
+    lame_array,
     zeros_vector,
     zeros_scalar,
 )
@@ -193,37 +195,29 @@ def _pinned_rows(cells) -> np.ndarray:
     return pinned
 
 
-def _pde_stencil(g: Grid, params: FlowParams, c: int) -> list[tuple[int, float]]:
-    """(column offset, value) of component c's PDE row at an interior
-    node, sorted by offset: the row's column is offset plus the node's
-    flat index, component a's columns starting at a * n_nodes.
+def _pde_stencil(g: Grid, params: FlowParams) -> list[list[tuple[int, float]]]:
+    """Per component c, the (column offset, value) pairs of c's PDE row at
+    an interior node, sorted by offset: the row's column is offset plus
+    the node's flat index, component a's columns starting at a * n_nodes.
 
-    The x1 convection and the vector Laplacian are 3-point stencils along
-    each axis on u_c, the diagonal term of grad div takes the second
-    difference of u_c along x_c, and its mixed terms d_c d_a u_a compose
-    central first differences along the two axes.
+    The rows are read off fields.lame_array on a box of four cells with
+    g's spacings (4h/4 is h exactly), where every row within one node of
+    the centre is an interior row: applied to a unit in component a at
+    the centre, its value for component c at centre - offset is the entry
+    of c's row at a's column offset, so three probes give every row.  An
+    entry that cancels to exactly zero is left out.
     """
-    mu, nu = params.mu, params.nu
-    n = g.n_nodes
-    stride = (g.shape[1] * g.shape[2], g.shape[2], 1)
-    entries: dict[int, float] = {}
-
-    def add(offset: int, value: float) -> None:
-        entries[offset] = entries.get(offset, 0.0) + value
-
-    for b in range(3):
-        k = (mu + (nu + mu) * (b == c)) / g.h[b] ** 2
-        conv = 1.0 / (2.0 * g.h[0]) if b == 0 else 0.0
-        add(c * n - stride[b], -k - conv)
-        add(c * n, 2.0 * k)
-        add(c * n + stride[b], -k + conv)
+    box = build_grid(GeometryConfig(*(4.0 * h for h in g.h), 4, 4, 4))
+    rows = [[], [], []]
     for a in range(3):
-        if a != c:
-            for sa in (-1, 1):
-                for sc in (-1, 1):
-                    add(a * n + sa * stride[a] + sc * stride[c],
-                        -(nu + mu) * (sa / (2.0 * g.h[a])) * (sc / (2.0 * g.h[c])))
-    return sorted(entries.items())
+        unit = np.zeros((3, *box.shape))
+        unit[a, 2, 2, 2] = 1.0
+        # window[c, 1 + offset] is component c's value at centre - offset
+        window = lame_array(unit, box, params.mu, params.nu)[:, 3:0:-1, 3:0:-1, 3:0:-1]
+        for c, i, j, k in np.argwhere(window):
+            offset = a * g.n_nodes + ((i - 1) * g.shape[1] + j - 1) * g.shape[2] + k - 1
+            rows[c].append((int(offset), float(window[c, i, j, k])))
+    return [sorted(row) for row in rows]
 
 
 def _momentum_matrix(
@@ -247,10 +241,10 @@ def _momentum_matrix(
     cols = np.full((n_free, 15), -1, dtype=np.int32)
     vals = np.zeros((n_free, 15))
 
-    for c in range(3):
+    for c, stencil in enumerate(_pde_stencil(g, params)):
         nodes = np.flatnonzero(pde[c])
         rows = index[c * n + nodes]
-        for slot, (offset, value) in enumerate(_pde_stencil(g, params, c)):
+        for slot, (offset, value) in enumerate(stencil):
             cols[rows, slot] = index[nodes + offset]
             vals[rows, slot] = value
 

@@ -18,8 +18,8 @@ import numpy as np
 
 from .grid import FACE_NAMES, WALL_NAMES, Grid, Face
 from .fields import (
-    ScalarField, VectorField, NormKind, norm, diff1, div_array, grad_array, grad_div_array,
-    laplacian_array, sym_gradient, advect, trace_gagliardo_norm, face_w1p_norm,
+    ScalarField, VectorField, NormKind, norm, diff1, div_array, grad_array, lame_array,
+    sym_gradient, advect, trace_gagliardo_norm, face_w1p_norm,
 )
 
 DENSITY_BAND = (0.0, 2.0)
@@ -310,14 +310,14 @@ def compute_F(
     d(u)/dx1, the viscous terms in u and the reference pressure gradient
     on the left; everything else lands here:
 
-        F = -(1 + w) (s . grad) s - w d(s)/dx1 - d(u0)/dx1
-            + mu lap(u0) + (nu + mu) grad(div u0) - dpi'(w) grad(w)
+        F = -(1 + w) (s . grad) s - w d(s)/dx1 - L(u0) - dpi'(w) grad(w),
 
-    which is the full momentum residual of the reconstructed physical
-    fields minus the linear-step left-hand side, except for the pressure
-    term: on the grid, grad(pi(1 + w)) differs from pi'(1 + w) grad(w) by
-    the discrete chain-rule defect, which the momentum audit of
-    diagnostics.reconstruct_physical therefore measures.
+    with L(u) = d(u)/dx1 - mu lap(u) - (nu + mu) grad(div u) the linear
+    rows (fields.lame_array).  F is the full momentum residual of the
+    reconstructed physical fields minus the linear-step left-hand side,
+    except for the pressure term: on the grid, grad(pi(1 + w)) differs
+    from pi'(1 + w) grad(w) by the discrete chain-rule defect, which the
+    momentum audit of diagnostics.reconstruct_physical therefore measures.
     """
     g = u.grid
     dpi = delta_pi_prime(params.pressure, w).values
@@ -326,17 +326,12 @@ def compute_F(
 
     conv = np.stack([advect(s, s[c], g) for c in range(3)])
     dx1_s = np.stack([diff1(s[c], g.h[0], 0) for c in range(3)])
-    dx1_u0 = np.stack([diff1(u0[c], g.h[0], 0) for c in range(3)])
-    lap_u0 = np.stack([laplacian_array(u0[c], g) for c in range(3)])
-    grad_div_u0 = grad_div_array(u0, g)
     grad_w = grad_array(w.values, g)
 
     vals = (
         -(1.0 + w.values) * conv
         - w.values * dx1_s
-        - dx1_u0
-        + params.mu * lap_u0
-        + (params.nu + params.mu) * grad_div_u0
+        - lame_array(u0, g, params.mu, params.nu)
         - dpi * grad_w
     )
     return VectorField(g, vals)

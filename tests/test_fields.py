@@ -14,6 +14,7 @@ from slipflow.fields import (
     curl,
     laplacian_array,
     grad_div_array,
+    lame_array,
     diff1,
     diff2,
     interior_l2,
@@ -327,6 +328,21 @@ def test_grad_div_exact_on_quadratics():
     assert np.max(np.abs(out[0])) <= 1e-11
     assert np.max(np.abs(out[1] - 1.0)) <= 1e-11
     assert np.max(np.abs(out[2])) <= 1e-11
+
+
+def test_lame_array_exact_on_quadratics():
+    # u = (x1^2/2 + x1 x2 - x3, x2 x3 + 0.3 x1^2, x3^2 - x1 x3): div u =
+    # x2 + 3 x3, lap u = (1, 0.6, 2), d(u)/dx1 = (x1 + x2, 0.6 x1, -x3)
+    g = make_grid(8, 6, 5, length=2.5, width2=1.0, width3=0.7)
+    x1, x2, x3 = g.meshgrid()
+    u = np.stack([0.5 * x1**2 + x1 * x2 - x3, x2 * x3 + 0.3 * x1**2, x3**2 - x1 * x3])
+    mu, nu = 0.7, 0.3
+    exact = np.stack([
+        x1 + x2 - mu * 1.0,
+        0.6 * x1 - mu * 0.6 - (nu + mu) * 1.0,
+        -x3 - mu * 2.0 - (nu + mu) * 3.0,
+    ])
+    assert np.max(np.abs(lame_array(u, g, mu, nu) - exact)) <= 1e-11
 
 
 def test_grad_div_second_order_everywhere():

@@ -109,6 +109,20 @@ def test_iteration_cap_raises_with_best_residual():
         assert "best relative residual" in str(err)
 
 
+def test_stagnated_solve_raises_long_before_the_cap():
+    # on a cyclic shift, orthogonal with its eigenvalues spread over the
+    # unit circle, BiCGStab never gets below the starting residual; the
+    # solve ends after 500 iterations without a new best, not at the cap
+    # of 10 * 60 = 600
+    n = 60
+    shift = np.roll(np.eye(n), 1, axis=0)
+    b = np.random.default_rng(0).normal(size=n)
+    with pytest.raises(KrylovError, match="linear solve stagnated") as exc:
+        krylov_solve(dense_action(shift), b, TOL)
+    assert exc.value.iterations == 500
+    assert exc.value.best_residual == 1.0
+
+
 @pytest.mark.parametrize("A, b, reason", [
     # r_hat . A r = 0 on the first step: the search direction is
     # orthogonal to the shadow residual

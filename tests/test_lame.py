@@ -186,6 +186,65 @@ def test_momentum_matrix_reproduces_rows(extents, cells, params):
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
+def _closed_form_stencil(g, params, c) -> dict[int, float]:
+    """Column offset -> value of component c's PDE row at an interior
+    node, derived by hand: the x1 convection and the vector Laplacian are
+    3-point stencils along each axis on u_c, the diagonal term of grad div
+    takes the second difference of u_c along x_c, and its mixed terms
+    d_c d_a u_a compose central first differences along the two axes."""
+    mu, nu = params.mu, params.nu
+    n = g.n_nodes
+    stride = (g.shape[1] * g.shape[2], g.shape[2], 1)
+    entries: dict[int, float] = {}
+
+    def add(offset: int, value: float) -> None:
+        entries[offset] = entries.get(offset, 0.0) + value
+
+    for b in range(3):
+        k = (mu + (nu + mu) * (b == c)) / g.h[b] ** 2
+        conv = 1.0 / (2.0 * g.h[0]) if b == 0 else 0.0
+        add(c * n - stride[b], -k - conv)
+        add(c * n, 2.0 * k)
+        add(c * n + stride[b], -k + conv)
+    for a in range(3):
+        if a != c:
+            for sa in (-1, 1):
+                for sc in (-1, 1):
+                    add(a * n + sa * stride[a] + sc * stride[c],
+                        -(nu + mu) * (sa / (2.0 * g.h[a])) * (sc / (2.0 * g.h[c])))
+    return entries
+
+
+# at mu = h1/2 the x1 convection cancels the x1 viscous coupling of u2 and
+# u3 on one side, which the probed stencil leaves out
+@pytest.mark.parametrize(
+    "extents, cells, params, cancelled",
+    [
+        ((2.0, 1.0, 1.0), (16, 8, 8), FlowParams(), 0),
+        ((2.5, 1.0, 0.7), (9, 5, 7), FlowParams(mu=0.7, nu=0.3), 0),
+        ((2.0, 1.0, 1.0), (16, 8, 8), FlowParams(mu=0.0625), 2),
+    ],
+    ids=["default", "anisotropic", "cancelling"],
+)
+def test_probed_stencil_matches_closed_form(extents, cells, params, cancelled):
+    # the rows read off fields.lame_array agree with the hand-derived
+    # coefficients to 4 ulps per entry, an absent entry reading as 0
+    grid = build_grid(GeometryConfig(*extents, *cells))
+    stencils = lame._pde_stencil(grid, params)
+    zeros = 0
+    for c, stencil in enumerate(stencils):
+        assert stencil == sorted(stencil)
+        probed = dict(stencil)
+        expected = _closed_form_stencil(grid, params, c)
+        assert len(probed) == len(stencil) and probed.keys() <= expected.keys()
+        zeros += sum(value == 0.0 for value in expected.values())
+        for offset, value in expected.items():
+            got = probed.get(offset, 0.0)
+            assert abs(got - value) <= 4 * np.spacing(max(abs(got), abs(value))), (c, offset)
+    assert zeros == cancelled
+    assert sum(map(len, stencils)) == 45 - cancelled
+
+
 def test_operator_stores_its_row_layout_read_only():
     # every row of the velocity is exactly one of pinned, slip or PDE, and
     # the operator holds each mask, and the slip-row counts, read-only
