@@ -29,12 +29,15 @@ and the residual stay those of the original system whatever map is used.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
 
 _BREAKDOWN_TOL = 1e-30
 _STAGNATION = 500
+# the iteration cap, per unknown (rounded up)
+_ITERATIONS_PER_UNKNOWN = 10
 
 
 class KrylovError(RuntimeError):
@@ -54,7 +57,6 @@ def krylov_solve(
     precond: Callable[[np.ndarray], np.ndarray] | None = None,
     x0: np.ndarray | None = None,
     reduction: float | None = None,
-    max_iter: int | None = None,
 ) -> tuple[np.ndarray, int, float]:
     """Solve action(x) = rhs to the relative residual rel_tol, in (0, 1);
     returns (x, iterations, relative residual).
@@ -63,16 +65,13 @@ def krylov_solve(
     x0 warm starts the iteration.  reduction, in (0, 1), makes the solve
     inexact: it also stops once the residual is reduction times the
     starting one, or times ||b|| (a zero start's) if the start is further
-    off, so the tolerance stays in (0, 1); rel_tol is the floor.  max_iter
-    overrides the cap of ten iterations per unknown.  Raises KrylovError
-    on every failure the module docstring lists.
+    off, so the tolerance stays in (0, 1); rel_tol is the floor.  Raises
+    KrylovError on every failure the module docstring lists.
     """
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must be in (0, 1), got {rel_tol!r}")
     if reduction is not None and not 0.0 < reduction < 1.0:
         raise ValueError(f"reduction must be in (0, 1), got {reduction!r}")
-    if max_iter is not None and max_iter <= 0:
-        raise ValueError(f"max_iter must be positive, got {max_iter!r}")
     rhs = np.asarray(rhs, dtype=float)
     if not np.all(np.isfinite(rhs)):
         raise ValueError("right-hand side contains non-finite values")
@@ -80,7 +79,7 @@ def krylov_solve(
     if b_norm == 0.0:
         return np.zeros_like(rhs), 0, 0.0
 
-    cap = max_iter if max_iter is not None else 10 * rhs.size
+    cap = math.ceil(_ITERATIONS_PER_UNKNOWN * rhs.size)
     if precond is None:
         precond = lambda p: p
     warm = x0 is not None

@@ -18,11 +18,11 @@ slip rows.
 build_lame_operator lays these rows out once: it stores their masks on
 the operator as read-only arrays (pinned, slip and PDE rows, the free
 (unpinned) rows, and the count of faces that share each slip row),
-assembles the rows as one CSR matrix on the free rows and columns, and
-builds a preconditioner on it.  Every momentum solve acts through that
-matrix, and every linear step reads those masks.  The tests check the
-matrix against a stencil form of all the rows of their own
-(tests/test_lame.py).
+assembles the rows from (row, column, value) triplets as one CSR matrix
+on the free rows and columns, and builds a preconditioner on it.  Every
+momentum solve acts through that matrix, and every linear step reads
+those masks.  The tests check the matrix against a stencil form of all
+the rows of their own (tests/test_lame.py).
 The preconditioner is a Galerkin geometric-multigrid V-cycle
 (Trottenberg, Oosterlee & Schueller, Multigrid, 2001), on every grid:
 
@@ -228,50 +228,49 @@ def _momentum_matrix(
     columns of the row layout (as LameOperator stores it), as a CSR matrix
     with int32 indices.
 
-    Every free row has at most 15 entries (an interior PDE row; a slip row
-    has 3 per face it averages), so the rows are written into fixed-width
-    column and value tables, then packed; pinned columns are dropped,
-    their values being zero.
+    The matrix is assembled from (row, column, value) triplets: each PDE
+    stencil entry at every PDE node, and each face's three one-sided
+    entries of the slip rows it shares, scaled by 1/robin_cnt.  Rows and
+    columns are free positions, and the diagonal entry an edge slip row
+    takes from each of its faces is summed.
     """
     mu, friction = params.mu, params.friction
     n = g.n_nodes
     n_free = int(np.count_nonzero(free))
     index = np.full(3 * n, -1, dtype=np.int32)  # free position, -1 if pinned
     index[free] = np.arange(n_free, dtype=np.int32)
-    cols = np.full((n_free, 15), -1, dtype=np.int32)
-    vals = np.zeros((n_free, 15))
+    rows, cols, vals = [], [], []
+
+    def add(row: np.ndarray, col: np.ndarray, value) -> None:
+        """Entries at (row, col) of the velocity; pinned columns are zero."""
+        col = index[col]
+        keep = col >= 0
+        rows.append(index[row[keep]])
+        cols.append(col[keep])
+        vals.append(np.broadcast_to(value, row.shape)[keep])
 
     for c, stencil in enumerate(_pde_stencil(g, params)):
         nodes = np.flatnonzero(pde[c])
-        rows = index[c * n + nodes]
-        for slot, (offset, value) in enumerate(stencil):
-            cols[rows, slot] = index[nodes + offset]
-            vals[rows, slot] = value
+        for offset, value in stencil:
+            add(c * n + nodes, nodes + offset, value)
 
     # slip rows: mu du_t/dn + friction u_t, averaged over the faces
-    used = np.zeros(n_free, dtype=np.intp)
     stride = (g.shape[1] * g.shape[2], g.shape[2], 1)
     node_ids = np.arange(n).reshape(g.shape)
     for face in g.faces:
         for t_ax in face.in_axes:
             nodes = node_ids[face.slicer()].reshape(-1)
-            nodes = nodes[robin_mask[t_ax].reshape(-1)[nodes]]
-            rows = index[t_ax * n + nodes]
-            scale = 1.0 / robin_cnt[t_ax].reshape(-1)[nodes]
-            slot = used[rows]
+            nodes = t_ax * n + nodes[robin_mask[t_ax].reshape(-1)[nodes]]
+            scale = 1.0 / robin_cnt.reshape(-1)[nodes]
             for k, coef in enumerate((3.0, -4.0, 1.0)):
-                inward = nodes - face.side * k * stride[face.axis]
-                cols[rows, slot + k] = index[t_ax * n + inward]
                 v = mu * coef / (2.0 * g.h[face.axis]) + (friction if k == 0 else 0.0)
-                vals[rows, slot + k] = v * scale
-            used[rows] += 3
+                add(nodes, nodes - face.side * k * stride[face.axis], v * scale)
 
-    keep = cols >= 0
-    indptr = np.zeros(n_free + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
-    matrix = sparse.csr_matrix((vals[keep], cols[keep], indptr), shape=(n_free, n_free))
-    matrix.sum_duplicates()  # an edge slip row names its node once per face
-    return matrix
+    # joined one list at a time: only one is held both in pieces and whole
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(n_free, n_free))
 
 
 # damped Jacobi smoothing of the V-cycle: weight, and sweeps before and
@@ -327,18 +326,19 @@ class _VCycle:
     approximately solves D A x = D r.  Jacobi smoothing is invariant to a
     row scaling, so the finest level smooths A x = r and scales only the
     residual it restricts; the coarse matrices are P^T (D A) P and so on
-    down, and the last level is solved through its dense inverse.
+    down, and the last level is solved through its dense inverse.  Only P
+    is stored; its transposed view P.T restricts, summing as a CSR P^T would.
     """
 
     def __init__(self, matrix: sparse.csr_matrix, row_scale: np.ndarray, prolongs):
         self.row_scale = row_scale
         self.prolongs = prolongs
-        self.restricts = [p.T.tocsr() for p in prolongs]  # CSR products are the fastest
-        scaled = self.restricts[0].copy()  # P^T D
+        # the products are fastest with P^T as CSR, held only while they form
+        scaled = prolongs[0].T.tocsr()  # P^T D
         scaled.data *= row_scale[scaled.indices]
         self.mats = [matrix, _galerkin(scaled, matrix, prolongs[0])]
-        for r, p in zip(self.restricts[1:], prolongs[1:]):
-            self.mats.append(_galerkin(r, self.mats[-1], p))
+        for p in prolongs[1:]:
+            self.mats.append(_galerkin(p.T.tocsr(), self.mats[-1], p))
         self.weights = [_SMOOTH_WEIGHT / m.diagonal() for m in self.mats[:-1]]
         self.coarsest = np.linalg.inv(self.mats.pop().toarray())
 
@@ -355,7 +355,7 @@ class _VCycle:
         r = b - a @ x
         if level == 0:
             r *= self.row_scale
-        x += self.prolongs[level] @ self._cycle(level + 1, self.restricts[level] @ r)
+        x += self.prolongs[level] @ self._cycle(level + 1, self.prolongs[level].T @ r)
         for _ in range(_SMOOTH_SWEEPS):
             x += weight * (b - a @ x)
         return x

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import re
@@ -319,3 +320,29 @@ def test_python_dash_m_runs_the_cli():
 def test_unknown_command_rejected():
     with pytest.raises(SystemExit):
         main(["explode"])
+
+
+def _imported_modules(tree):
+    """Every module an import in tree names, absolute; a relative import
+    is within slipflow, whose modules all sit at the top of the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                base = f"slipflow.{base}".rstrip(".")
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_library_modules_do_not_import_the_cli():
+    # only the package entry points import slipflow.cli; every other
+    # module is library code the CLI is built on
+    importers = {
+        path.name
+        for path in Path(lame.__file__).parent.glob("*.py")
+        if any(name == "slipflow.cli" or name.startswith("slipflow.cli.")
+               for name in _imported_modules(ast.parse(path.read_text())))
+    }
+    assert importers == {"__init__.py", "__main__.py"}

@@ -1,3 +1,4 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -164,14 +165,34 @@ def test_apply_matches_analytic_rows_under_refinement():
 
 # (9, 5, 7) on an anisotropic duct: odd counts, unequal spacings, and edges
 # whose tangential components average two slip rows with different h
-@pytest.mark.parametrize(
-    "extents, cells, params",
-    [
-        ((2.0, 1.0, 1.0), (8, 4, 4), FlowParams()),
-        ((2.0, 1.0, 1.0), (16, 8, 8), FlowParams()),
-        ((2.5, 1.0, 0.7), (9, 5, 7), FlowParams(mu=0.7, nu=0.3, friction=2.5)),
-    ],
-)
+MATRIX_CASES = [
+    ((2.0, 1.0, 1.0), (8, 4, 4), FlowParams()),
+    ((2.0, 1.0, 1.0), (16, 8, 8), FlowParams()),
+    ((2.5, 1.0, 0.7), (9, 5, 7), FlowParams(mu=0.7, nu=0.3, friction=2.5)),
+]
+# sha256 of the matrix's data, indices and indptr as stored: the assembly
+# calls no BLAS, so a reordered sum or a moved entry shows here, where the
+# 1e-14 comparison of the rows cannot see it
+MATRIX_SHA256 = {
+    (8, 4, 4): (
+        "348bcc0a112762119023fd21c41c9c89ec9b4fbeb6f6e2d6224e2bbc03931849",
+        "58667dcc3165165ef51176bdd03e5736aafe7ac18588337c00d24c7610795183",
+        "c3c973afec76963eb00c0b5105f5afdb6426dad24694f4252ddcaba99531095f",
+    ),
+    (16, 8, 8): (
+        "a452bd0fdecc67fb5baab8163607239363b01a70f4243f98d2213e76195c685f",
+        "a68ceb0a557c890fc3c0b9cf9d23af65837fc25f1581849dcdb17fcb7f57065a",
+        "b6c0ade23787474d58aeb0ea7036f4414b43d3c556350fd90f5ee0047bff5111",
+    ),
+    (9, 5, 7): (
+        "9e83f31e8d782649065e0c73651ff363bf57296fd79d953f15cfa623aa6b3f70",
+        "766ef525996dae7d72ce4142c9eab45a2ee25e68cab2aaeddcfe0046353fdfb3",
+        "8c8a25a65286b522635198befc2f7626d6b34d43d7a9fcc348bf237bdf142068",
+    ),
+}
+
+
+@pytest.mark.parametrize("extents, cells, params", MATRIX_CASES)
 def test_momentum_matrix_reproduces_rows(extents, cells, params):
     # the matrix holds the free rows and columns; pinned entries are zero
     grid = build_grid(GeometryConfig(*extents, *cells))
@@ -184,6 +205,19 @@ def test_momentum_matrix_reproduces_rows(extents, cells, params):
         expected = _momentum_rows(op, u).reshape(-1)[op.free]
         got = op.matrix @ u.reshape(-1)[op.free]
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+    stored = (op.matrix.data, op.matrix.indices, op.matrix.indptr)
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in stored) == MATRIX_SHA256[cells]
+
+
+@pytest.mark.parametrize("extents, cells, params", MATRIX_CASES)
+def test_restriction_by_transposed_view_is_bitwise_a_csr_copy(extents, cells, params):
+    # the V-cycle restricts by P.T, a view of P's arrays; its product adds
+    # each coarse entry in the order a CSR copy of P^T does
+    op = build_lame_operator(build_grid(GeometryConfig(*extents, *cells)), params)
+    rng = np.random.default_rng(2)
+    for p in op.precond.prolongs:
+        r = rng.standard_normal(p.shape[0])
+        np.testing.assert_array_equal(p.T @ r, p.T.tocsr() @ r)
 
 
 def _closed_form_stencil(g, params, c) -> dict[int, float]:

@@ -1,7 +1,6 @@
 import time
 import warnings
 from dataclasses import replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -14,10 +13,10 @@ from slipflow.material import (
     DataConfig,
     assemble_perturbation_data,
 )
-from slipflow import lame, material, picard
+from slipflow import krylov, lame, material, picard
 from slipflow.config import SolverConfig, config_from_mapping
 from slipflow.diagnostics import reconstruct_physical
-from slipflow.krylov import KrylovError, krylov_solve
+from slipflow.krylov import KrylovError
 from slipflow.lame import build_lame_operator
 from slipflow.picard import (
     ProblemSetup,
@@ -158,17 +157,17 @@ def test_split_sweeps_beyond_their_reach_fail_fast(gamma):
 @pytest.mark.parametrize("mode", ["split", "monolithic"])
 def test_krylov_failure_verdict(mode, monkeypatch):
     # KrylovError is a RuntimeError: the outer loop reports it as a verdict.
-    # A cap of one iteration fails the monolithic solve; a split sweep's
-    # solve stops at a tenth of its warm-start residual, which one
-    # iteration reaches, so there every solve is made to fail as an
-    # exhausted cap does
+    # A cap of one iteration (a tiny rate per unknown, rounded up) fails
+    # the monolithic solve; a split sweep's solve stops at a tenth of its
+    # warm-start residual, which one iteration reaches, so there every
+    # solve is made to fail as an exhausted cap does
     if mode == "split":
         def failing(*args, **kwargs):
             raise KrylovError("linear solve did not converge within the iteration cap", 1.0, 1)
 
         monkeypatch.setattr(lame, "krylov_solve", failing)
     else:
-        monkeypatch.setattr(lame, "krylov_solve", partial(krylov_solve, max_iter=1))
+        monkeypatch.setattr(krylov, "_ITERATIONS_PER_UNKNOWN", 1e-9)
     bundle = picard_solve(make_setup(1e-2, mode=mode))
     assert bundle.verdict.startswith("diverged(linear solve did not converge")
     assert bundle.history == ()
@@ -179,7 +178,7 @@ def test_split_sweeps_converge_on_one_krylov_iteration(monkeypatch):
     # iteration on the default data, so the cap of one costs nothing
     setup = build_setup(config_from_mapping({"solver": {"mode": "split"}}))
     default = picard_solve(setup)
-    monkeypatch.setattr(lame, "krylov_solve", partial(krylov_solve, max_iter=1))
+    monkeypatch.setattr(krylov, "_ITERATIONS_PER_UNKNOWN", 1e-9)  # a cap of one
     capped = picard_solve(setup)
     assert capped.converged
     assert np.max(np.abs(capped.u.values - default.u.values)) <= 1e-11
