@@ -46,6 +46,8 @@ def _study_geometry(base: GeometryConfig, n1: int) -> GeometryConfig:
 
 
 def cmd_solve(config: RunConfig, out_dir: str) -> int:
+    # an out_dir that cannot be a directory fails here, not after the solve
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     setup = build_setup(config)
     bundle = picard_solve(setup)
     paths = runio.write_outputs(out_dir, bundle, config)

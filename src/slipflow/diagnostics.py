@@ -21,8 +21,8 @@ import numpy as np
 from .grid import Grid
 from .fields import (
     ScalarField, VectorField, NormKind, norm, strong_size, diff1, div_array, advect,
-    laplacian_array, grad_array, grad_div_array, lame_array, sym_gradient, divergence,
-    curl, onesided_normal_d1, interior_l2,
+    laplacian_array, grad_array, grad_div_array, lame_array, slip_traction, divergence,
+    curl, interior_l2,
 )
 from .material import (
     FlowParams, PerturbationData, _check_band, compute_F, compute_G, reference_flow,
@@ -386,22 +386,16 @@ def reconstruct_physical(
     mom_identity = mom_rest + law.d1(rho_vals) * grad_array(w.values, grid)
     continuity = div_array(rho_vals * v_vals, grid)
 
-    d_v = sym_gradient(VectorField(grid, v_vals))
-    d_u0 = sym_gradient(data.u0)
+    # the slip rows of v against the data of u plus the rows of e1 + u0
+    rows = slip_traction(v_vals, grid, mu, f)
+    lifted = slip_traction(e1_vals + data.u0.values, grid, mu, f)
     slip_sq = 0.0
     normal_max = 0.0
     for face in grid.faces:
         sl = face.slicer()
         na, side = face.axis, face.side
-        for i, t_ax in enumerate(face.in_axes):
-            traction = 2.0 * mu * side * d_v[na, t_ax][sl]
-            row = traction + f * v_vals[t_ax][sl]
-            b_full = (
-                data.slip_data[face.name][i]
-                + 2.0 * mu * side * d_u0[na, t_ax][sl]
-                + f * (e1_vals[t_ax][sl] + data.u0.values[t_ax][sl])
-            )
-            slip_sq += float(np.sum(face.weights * (row - b_full) ** 2))
+        defect = rows[face.name] - (data.slip_data[face.name] + lifted[face.name])
+        slip_sq += float(np.sum(face.weights * defect ** 2))
         flux_data = side * (e1_vals[na][sl] + data.u0.values[na][sl])
         normal_max = max(normal_max, float(np.max(np.abs(side * v_vals[na][sl] - flux_data))))
 
@@ -417,38 +411,25 @@ def reconstruct_physical(
     }
 
 
-def _inflow_slip_functionals(
-    vals: np.ndarray, grid: Grid, face, params: FlowParams
-) -> np.ndarray:
-    """Normal trace and tangential traction rows of a field on one
-    axial face, stacked (3, m, n)."""
-    mu, f = params.mu, params.friction
-    sl = face.slicer()
-    side = face.side
-    rows = [side * vals[face.axis][sl]]
-    for t_ax in face.in_axes:
-        dn_ut = onesided_normal_d1(vals[t_ax], face, grid.h[face.axis])
-        dt_un = side * diff1(vals[face.axis], grid.h[t_ax], t_ax)[sl]
-        rows.append(mu * (dn_ut + dt_un) + f * vals[t_ax][sl])
-    return np.stack(rows)
-
-
 def reflection_residual(u: VectorField, params: FlowParams) -> float:
     """Mirror-extension compatibility of the inflow-plane slip functionals.
 
     Reflecting through the inflow plane flips the axial coordinate and the
     axial velocity component; the reflected duct's outflow face then lands
     on the original inflow plane.  The slip functionals (normal trace and
-    tangential traction rows) evaluated there from the reflected field
-    must reproduce the original inflow values; discretely the two
-    evaluations use mirrored stencils and agree to rounding, which is what
-    licenses extending fields evenly across the inflow plane.
+    the slip rows of fields.slip_traction) evaluated there from the
+    reflected field must reproduce the original inflow values; discretely
+    the two evaluations use mirrored stencils and agree to rounding, which
+    is what licenses extending fields evenly across the inflow plane.
     """
     g = u.grid
     reflected = u.values[:, ::-1, :, :].copy()
     reflected[0] = -reflected[0]
-    phi_in = _inflow_slip_functionals(u.values, g, g.face("inflow"), params)
-    phi_out = _inflow_slip_functionals(reflected, g, g.face("outflow"), params)
+    phi_in, phi_out = (
+        np.concatenate((face.side * vals[0][face.slicer()][None],
+                        slip_traction(vals, g, params.mu, params.friction)[face.name]))
+        for vals, face in ((u.values, g.face("inflow")), (reflected, g.face("outflow")))
+    )
     return float(np.max(np.abs(phi_in - phi_out)))
 
 

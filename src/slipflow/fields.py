@@ -2,7 +2,10 @@
 
 Derivatives are second order: central differences at interior nodes and
 3-point (first) / 4-point (second derivative) one-sided stencils on the
-boundary.  Volume quadrature is the tensor trapezoid rule; boundary
+boundary.  lame_array (interior momentum rows) and slip_traction (the
+Navier-slip rows on the faces) are written here once: the momentum
+matrix reads its stencils off them, and every other caller applies them.
+Volume quadrature is the tensor trapezoid rule; boundary
 quadrature reuses the edge-free face weights of the grid's faces.
 """
 from __future__ import annotations
@@ -78,17 +81,6 @@ def diff2(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     return out
 
 
-def onesided_normal_d1(values: np.ndarray, face: Face, h: float) -> np.ndarray:
-    """Outward normal derivative of a node array restricted to a face,
-    using the same 3-point one-sided stencil as diff1.  Returns the 2D
-    face slab d(values)/dn."""
-    v = np.moveaxis(values, face.axis, 0)
-    if face.side < 0:
-        # outward is -axis: dv/dn = -dv/dx_a one-sided from below
-        return (3.0 * v[0] - 4.0 * v[1] + v[2]) / (2.0 * h)
-    return (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
-
-
 # ---------------------------------------------------------------------------
 # differential operators on fields
 
@@ -99,17 +91,6 @@ def grad_array(values: np.ndarray, grid: Grid) -> np.ndarray:
 def div_array(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Divergence of a stacked (3, ...) array."""
     return sum(diff1(values[a], grid.h[a], a) for a in range(3))
-
-
-def grad_tensor(u: VectorField) -> np.ndarray:
-    """Full gradient, G[c, d] = d(u_c)/d(x_d), shape (3, 3, *grid.shape)."""
-    return np.stack([grad_array(u.values[c], u.grid) for c in range(3)])
-
-
-def sym_gradient(u: VectorField) -> np.ndarray:
-    """Rate-of-strain tensor D(u) = (grad u + grad u^T)/2."""
-    g = grad_tensor(u)
-    return 0.5 * (g + np.swapaxes(g, 0, 1))
 
 
 def divergence(u: VectorField) -> ScalarField:
@@ -160,6 +141,24 @@ def lame_array(values: np.ndarray, grid: Grid, mu: float, nu: float) -> np.ndarr
     for c in range(3):
         out[c] += diff1(values[c], grid.h[0], 0) - mu * laplacian_array(values[c], grid)
     return out
+
+
+def slip_traction(values: np.ndarray, grid: Grid, mu: float, friction: float) -> dict:
+    """The Navier-slip rows 2 mu n.D(u).tau_i + friction u.tau_i of a
+    stacked (3, ...) array u on every face, by face name: a (2, m, n)
+    array of the face's nodes, row i along face.in_axes[i].  n = side e_a
+    is the outward normal and D(u) = (grad u + grad u^T)/2 is taken with
+    diff1, so the normal derivative is diff1's one-sided boundary row."""
+    # d(u_c)/d(x_d) for c != d, the only entries of grad u the rows take
+    grad = {(c, d): diff1(values[c], grid.h[d], d) for c in range(3) for d in range(3) if c != d}
+    rows = {}
+    for face in grid.faces:
+        a, sl = face.axis, face.slicer()
+        rows[face.name] = np.stack([
+            2.0 * mu * (face.side * (0.5 * (grad[a, t][sl] + grad[t, a][sl])))
+            + friction * values[t][sl] for t in face.in_axes
+        ])
+    return rows
 
 
 def advect(conv: np.ndarray, values: np.ndarray, grid: Grid) -> np.ndarray:

@@ -117,7 +117,7 @@ WALL_NAMES = tuple(name for name, _, _, region in _FACE_LAYOUT if region == "lat
 @dataclass(frozen=True, eq=False)
 class Grid:
     """Realized node lattice with its six boundary faces, in _FACE_LAYOUT
-    order.  Hash/eq by identity so helpers can memoize."""
+    order.  Hash/eq by identity."""
 
     config: GeometryConfig
     h: tuple[float, float, float]

@@ -6,14 +6,14 @@ vector Laplacian, gradient of the divergence) that compute_F and the
 audits apply too, so residuals reconstructed later through field
 calculus agree with what was solved.  Boundary rows replace the PDE
 rows: the normal velocity component on every face is pinned to zero and
-eliminated exactly, tangential components carry the reduced slip row
+eliminated exactly, tangential components carry the Navier-slip row
+read off fields.slip_traction, which the lift data and the audits apply:
 
-    mu * d(u_t)/dn + friction * u_t = B_t,
+    2 mu n.D(u).tau + friction u.tau = B_tau,
 
-which on a flat face with the normal component pinned is identical to the
-full traction form.  On edge nodes each component normal to a containing
-face is pinned; a component tangential to several faces averages their
-slip rows.
+with the normal component pinned, mu du_t/dn + friction u_t.  On edge
+nodes each component normal to a containing face is pinned; a component
+tangential to several faces averages their slip rows.
 
 build_lame_operator lays these rows out once: it stores their masks on
 the operator as read-only arrays (pinned, slip and PDE rows, the free
@@ -92,6 +92,7 @@ from .fields import (
     div_array,
     grad_array,
     lame_array,
+    slip_traction,
     zeros_vector,
     zeros_scalar,
 )
@@ -220,6 +221,25 @@ def _pde_stencil(g: Grid, params: FlowParams) -> list[list[tuple[int, float]]]:
     return [sorted(row) for row in rows]
 
 
+def _slip_stencil(g: Grid, params: FlowParams) -> dict[str, np.ndarray]:
+    """Per face name, the (3, 2) values of its slip rows: [k, i] multiplies
+    component face.in_axes[i] k nodes inward from the row's node.  They
+    are read off fields.slip_traction on _pde_stencil's box: probe k puts
+    a unit in every component k nodes in from every face centre, where
+    each face's row sees only the unit on its own normal line."""
+    box = build_grid(GeometryConfig(*(4.0 * h for h in g.h), 4, 4, 4))
+    rows = {face.name: np.empty((3, 2)) for face in box.faces}
+    for k in range(3):
+        unit = np.zeros((3, *box.shape))
+        for face in box.faces:
+            at = [2, 2, 2]
+            at[face.axis] = face.index - face.side * k
+            unit[:, at[0], at[1], at[2]] = 1.0
+        for name, traction in slip_traction(unit, box, params.mu, params.friction).items():
+            rows[name][k] = traction[:, 2, 2]
+    return rows
+
+
 def _momentum_matrix(
     g: Grid, params: FlowParams, robin_cnt: np.ndarray, robin_mask: np.ndarray,
     pde: np.ndarray, free: np.ndarray,
@@ -229,12 +249,11 @@ def _momentum_matrix(
     with int32 indices.
 
     The matrix is assembled from (row, column, value) triplets: each PDE
-    stencil entry at every PDE node, and each face's three one-sided
-    entries of the slip rows it shares, scaled by 1/robin_cnt.  Rows and
-    columns are free positions, and the diagonal entry an edge slip row
-    takes from each of its faces is summed.
+    stencil entry at every PDE node, and each face's three slip stencil
+    entries (_slip_stencil) on the slip rows it shares, scaled by
+    1/robin_cnt.  Rows and columns are free positions, and the diagonal
+    entry an edge slip row takes from each of its faces is summed.
     """
-    mu, friction = params.mu, params.friction
     n = g.n_nodes
     n_free = int(np.count_nonzero(free))
     index = np.full(3 * n, -1, dtype=np.int32)  # free position, -1 if pinned
@@ -254,17 +273,17 @@ def _momentum_matrix(
         for offset, value in stencil:
             add(c * n + nodes, nodes + offset, value)
 
-    # slip rows: mu du_t/dn + friction u_t, averaged over the faces
+    # slip rows, averaged over the faces that share them
     stride = (g.shape[1] * g.shape[2], g.shape[2], 1)
     node_ids = np.arange(n).reshape(g.shape)
+    slip = _slip_stencil(g, params)
     for face in g.faces:
-        for t_ax in face.in_axes:
+        for i, t_ax in enumerate(face.in_axes):
             nodes = node_ids[face.slicer()].reshape(-1)
             nodes = t_ax * n + nodes[robin_mask[t_ax].reshape(-1)[nodes]]
             scale = 1.0 / robin_cnt.reshape(-1)[nodes]
-            for k, coef in enumerate((3.0, -4.0, 1.0)):
-                v = mu * coef / (2.0 * g.h[face.axis]) + (friction if k == 0 else 0.0)
-                add(nodes, nodes - face.side * k * stride[face.axis], v * scale)
+            for k, value in enumerate(slip[face.name][:, i]):
+                add(nodes, nodes - face.side * k * stride[face.axis], value * scale)
 
     # joined one list at a time: only one is held both in pieces and whole
     rows = np.concatenate(rows)
@@ -326,13 +345,15 @@ class _VCycle:
     approximately solves D A x = D r.  Jacobi smoothing is invariant to a
     row scaling, so the finest level smooths A x = r and scales only the
     residual it restricts; the coarse matrices are P^T (D A) P and so on
-    down, and the last level is solved through its dense inverse.  Only P
-    is stored; its transposed view P.T restricts, summing as a CSR P^T would.
+    down, and the last level is solved through its dense inverse.  Each
+    level keeps P and, to restrict, its transposed view P.T, made once: a
+    CSC matrix on P's own arrays that sums as a CSR P^T would.
     """
 
     def __init__(self, matrix: sparse.csr_matrix, row_scale: np.ndarray, prolongs):
         self.row_scale = row_scale
         self.prolongs = prolongs
+        self.restricts = [p.T for p in prolongs]
         # the products are fastest with P^T as CSR, held only while they form
         scaled = prolongs[0].T.tocsr()  # P^T D
         scaled.data *= row_scale[scaled.indices]
@@ -355,7 +376,7 @@ class _VCycle:
         r = b - a @ x
         if level == 0:
             r *= self.row_scale
-        x += self.prolongs[level] @ self._cycle(level + 1, self.prolongs[level].T @ r)
+        x += self.prolongs[level] @ self._cycle(level + 1, self.restricts[level] @ r)
         for _ in range(_SMOOTH_SWEEPS):
             x += weight * (b - a @ x)
         return x

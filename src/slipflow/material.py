@@ -19,7 +19,7 @@ import numpy as np
 from .grid import FACE_NAMES, WALL_NAMES, Grid, Face
 from .fields import (
     ScalarField, VectorField, NormKind, norm, diff1, div_array, grad_array, lame_array,
-    sym_gradient, advect, trace_gagliardo_norm, face_w1p_norm,
+    slip_traction, advect, trace_gagliardo_norm, face_w1p_norm,
 )
 
 DENSITY_BAND = (0.0, 2.0)
@@ -234,12 +234,12 @@ class PerturbationData:
 
     slip_data maps face name -> (2, m, n) array: the right-hand sides of
     the two tangential Robin rows in the face frame, given data minus the
-    lifted-field contribution 2 mu n.D(u0).tau_i.  w_in is the density
-    perturbation trace on the inflow face.  The measures are taken in the
-    Sobolev exponent p: u0_w2p = |u0|_W2p, slip_trace the fractional trace
-    norm of the slip data, inflow_w1p = |w_in|_W1p of the inflow face, and
-    b_measure, their sum, the single scalar data size driving the
-    smallness regime.  measured() computes them.
+    lifted field's slip rows (fields.slip_traction of u0).  w_in is the
+    density perturbation trace on the inflow face.  The measures are taken
+    in the Sobolev exponent p: u0_w2p = |u0|_W2p, slip_trace the
+    fractional trace norm of the slip data, inflow_w1p = |w_in|_W1p of the
+    inflow face, and b_measure, their sum, the single scalar data size
+    driving the smallness regime.  measured() computes them.
     """
 
     u0: VectorField
@@ -279,18 +279,15 @@ def assemble_perturbation_data(
 ) -> PerturbationData:
     """Evaluate u0, the Robin right-hand sides and the data measures."""
     u0 = extend_normal_trace(grid, data)
-    d_u0 = sym_gradient(u0)
-
+    # the slip rows of u + u0 take the data.  u0 has no tangential trace
+    # (its normal components' profiles vanish on the face rims), so its
+    # friction term is left out, not the 1e-18 sin(pi) leaves on two walls
+    lifted = slip_traction(u0.values, grid, params.mu, 0.0)
     slip = dict(data.slip)
-    slip_data: dict[str, np.ndarray] = {}
-    for face in grid.faces:
-        g = data.epsilon * face_profile(slip.get(face.name, "zero"), face)
-        rows = []
-        for t_ax in face.in_axes:
-            # n . D(u0) . tau_i on the face, tau_i the unit vector along t_ax
-            nd = face.side * face.take(d_u0[face.axis, t_ax])
-            rows.append(g - 2.0 * params.mu * nd)
-        slip_data[face.name] = np.stack(rows)
+    slip_data = {
+        face.name: data.epsilon * face_profile(slip.get(face.name, "zero"), face) - lifted[face.name]
+        for face in grid.faces
+    }
 
     w_in = data.epsilon * face_profile(data.inflow_density, grid.face("inflow"))
     _check_band(1.0 + w_in, "inflow density trace")

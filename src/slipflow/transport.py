@@ -50,7 +50,6 @@ from __future__ import annotations
 import mmap
 import os
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import sparse
@@ -113,7 +112,6 @@ def _strides(grid: Grid) -> tuple[int, int]:
     return grid.shape[1] * grid.shape[2], grid.shape[2]
 
 
-@lru_cache(maxsize=32)
 def _lattice(grid: Grid):
     """Columns for locating (3, m) coordinates: extents, spacings, cell
     counts and last cell indices as columns, the flat-index stride of each
@@ -132,15 +130,15 @@ def _lattice(grid: Grid):
     )
 
 
-def _locate(grid: Grid, p: np.ndarray, base: np.ndarray, lo: np.ndarray) -> None:
-    """Locate (3, m) coordinates on the lattice, in place.
+def _locate(lattice, p: np.ndarray, base: np.ndarray, lo: np.ndarray) -> None:
+    """Locate (3, m) coordinates on the lattice columns _lattice gives, in place.
 
     p is clamped to the closed duct and becomes the high weight of each
     point along each axis, lo the low weight 1 - high and base the flat
     index of each cell's low corner.  The far end of an axis sits at cell
     coordinate n exactly, also where extent / h rounds below n.
     """
-    ext, h, n, last, strides, short = _lattice(grid)
+    ext, h, n, last, strides, short = lattice
     np.clip(p, 0.0, ext, out=p)
     at_end = [(a, p[a] == ext[a]) for a in short]
     np.divide(p, h, out=p)
@@ -181,18 +179,20 @@ class _Kernel:
     """Trilinear sampling and backward RK4 steps through one advecting field.
 
     The (3, n_nodes) velocity and an optional (n_nodes,) payload are read
-    in place.  The work arrays are allocated once, for up to size points,
-    and reused by every stage of every step, so a kernel serves one block
-    at a time.  The arrays its methods return are views of that work
-    space, valid until the next call.  A kernel made with record keeps
-    the stencils of the four stages of its last step, also allocated
-    once: stage_base, the flat index of each stage point's cell
-    low corner, and stage_weights, its 8 corner weights in _corners order.
+    in place.  The grid's lattice columns (_lattice) are formed once, and
+    the work arrays are allocated once, for up to size points, and reused
+    by every stage of every step, so a kernel serves one block at a time.
+    The arrays its methods return are views of that work space, valid
+    until the next call.  A kernel made with record keeps the stencils of
+    the four stages of its last step, also allocated once: stage_base,
+    the flat index of each stage point's cell low corner, and
+    stage_weights, its 8 corner weights in _corners order.
     """
 
     def __init__(self, grid: Grid, velocity: np.ndarray, payload: np.ndarray | None, size: int,
                  record: bool = False):
         self.grid = grid
+        self.lattice = _lattice(grid)
         self.velocity = velocity.reshape(3, -1)
         self.payload = None if payload is None else payload.reshape(1, -1)
         self.rows = 3 if payload is None else 4  # the fields sampled
@@ -222,7 +222,7 @@ class _Kernel:
         p = self._p[:3 * m].reshape(3, m)
         lo = self._lo[:3 * m].reshape(3, m)
         idx = self._idx[:m]
-        _locate(self.grid, p, idx, lo)
+        _locate(self.lattice, p, idx, lo)
         if stage is None:
             outs = (self._w[:m],) * 8
         else:
@@ -232,7 +232,7 @@ class _Kernel:
         term = self._term[:self.rows * m].reshape(self.rows, m)
         dst = vals
         last = 0
-        for off, w in _corners(lo, p, _lattice(self.grid)[4], self._pair[:m], outs):
+        for off, w in _corners(lo, p, self.lattice[4], self._pair[:m], outs):
             if off != last:  # each corner's index, stepped from the cell base
                 np.add(idx, off - last, out=idx)
                 last = off
@@ -321,7 +321,7 @@ def _trace(kern: _Kernel, seeds: np.ndarray, recorder=None):
     the kernel has divided by u~1, and emit what each trace still holds.
     """
     ds = min(kern.grid.h) / 2.0
-    ext = _lattice(kern.grid)[0]
+    ext = kern.lattice[0]
     payload = kern.payload is not None
     record = recorder is not None
     # One slot per seed: the m traces still stepping in front, in seed
@@ -396,7 +396,7 @@ def _bilinear_inflow(kern: _Kernel, arrivals: np.ndarray):
     lo = kern._lo[:3 * m].reshape(3, m)
     base, w = kern._idx[:m], kern._w[:m]
     np.copyto(hi, arrivals)
-    _locate(g, hi, base, lo)
+    _locate(kern.lattice, hi, base, lo)
     for a in (1, 2):
         on = arrivals[a] == g.axes[a][np.rint(arrivals[a] / g.h[a]).astype(np.intp)]
         np.rint(hi[a], out=hi[a], where=on)

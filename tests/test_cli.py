@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slipflow import lame
+from slipflow import cli, lame
 from slipflow.cli import main
 from slipflow.krylov import KrylovError
 from slipflow.config import parse_config
@@ -102,6 +102,17 @@ def test_out_flag_overrides_config(tmp_path):
     assert main(["solve", "--config", str(cfg), "--out", str(other)]) == 0
     assert (other / "history.csv").exists()
     assert not (tmp_path / "out").exists()
+
+
+def test_out_path_that_is_a_file_fails_before_the_solve(tmp_path, monkeypatch, capsys):
+    def solve_not_reached(setup):
+        raise AssertionError("picard_solve ran before the output directory was made")
+
+    monkeypatch.setattr(cli, "picard_solve", solve_not_reached)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["solve", "--config", str(write_config(tmp_path)), "--out", str(taken)]) == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_bad_config_reports_error_and_exits_two(tmp_path, capsys):

@@ -15,6 +15,7 @@ from slipflow.fields import (
     laplacian_array,
     grad_div_array,
     lame_array,
+    slip_traction,
     diff1,
     diff2,
     interior_l2,
@@ -343,6 +344,31 @@ def test_lame_array_exact_on_quadratics():
         -x3 - mu * 2.0 - (nu + mu) * 3.0,
     ])
     assert np.max(np.abs(lame_array(u, g, mu, nu) - exact)) <= 1e-11
+
+
+def test_slip_traction_exact_on_quadratics():
+    # the quadratic field above, whose gradient grad[c][d] = d(u_c)/d(x_d)
+    # is written out; each face's rows are 2 mu side D[a, t] + f u_t with
+    # D the symmetric gradient, a the face's axis and t its in-face axes
+    g = make_grid(8, 6, 5, length=2.5, width2=1.0, width3=0.7)
+    x1, x2, x3 = g.meshgrid()
+    u = np.stack([0.5 * x1**2 + x1 * x2 - x3, x2 * x3 + 0.3 * x1**2, x3**2 - x1 * x3])
+    one, zero = np.ones(g.shape), np.zeros(g.shape)
+    grad = [
+        [x1 + x2, x1, -one],
+        [0.6 * x1, x3, x2],
+        [-x3, zero, 2.0 * x3 - x1],
+    ]
+    mu, f = 0.7, 2.5
+    rows = slip_traction(u, g, mu, f)
+    assert rows.keys() == {face.name for face in g.faces}
+    for face in g.faces:
+        a, sl = face.axis, face.slicer()
+        exact = np.stack([
+            mu * face.side * (grad[a][t] + grad[t][a])[sl] + f * u[t][sl] for t in face.in_axes
+        ])
+        assert rows[face.name].shape == exact.shape
+        assert np.max(np.abs(rows[face.name] - exact)) <= 1e-11, face.name
 
 
 def test_grad_div_second_order_everywhere():

@@ -14,7 +14,6 @@ from slipflow.fields import (
     grad_array,
     grad_div_array,
     laplacian_array,
-    onesided_normal_d1,
     zeros_scalar,
     zeros_vector,
 )
@@ -29,6 +28,16 @@ from slipflow.transport import apply_S, make_transport_field
 from slipflow.mms import build_linear_case
 
 from oracles import full_solve_split_step
+
+
+def onesided_normal_d1(values: np.ndarray, face, h: float) -> np.ndarray:
+    """Outward normal derivative of a node array on a face, by the 3-point
+    one-sided stencil written out by hand: the slip rows' derivative, kept
+    here apart from fields.slip_traction, which the matrix reads."""
+    v = np.moveaxis(values, face.axis, 0)
+    if face.side < 0:
+        return (3.0 * v[0] - 4.0 * v[1] + v[2]) / (2.0 * h)
+    return (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * h)
 
 
 def _momentum_rows(op, u: np.ndarray) -> np.ndarray:
@@ -185,7 +194,7 @@ MATRIX_SHA256 = {
         "b6c0ade23787474d58aeb0ea7036f4414b43d3c556350fd90f5ee0047bff5111",
     ),
     (9, 5, 7): (
-        "9e83f31e8d782649065e0c73651ff363bf57296fd79d953f15cfa623aa6b3f70",
+        "f68dcc95d16dc9e9e029ff4f15f8b9973e57ce6e8100d837e786a5f077531daf",
         "766ef525996dae7d72ce4142c9eab45a2ee25e68cab2aaeddcfe0046353fdfb3",
         "8c8a25a65286b522635198befc2f7626d6b34d43d7a9fcc348bf237bdf142068",
     ),
@@ -277,6 +286,30 @@ def test_probed_stencil_matches_closed_form(extents, cells, params, cancelled):
             assert abs(got - value) <= 4 * np.spacing(max(abs(got), abs(value))), (c, offset)
     assert zeros == cancelled
     assert sum(map(len, stencils)) == 45 - cancelled
+
+
+@pytest.mark.parametrize(
+    "extents, cells, params",
+    [
+        ((2.0, 1.0, 1.0), (16, 8, 8), FlowParams()),
+        ((2.5, 1.0, 0.7), (9, 5, 7), FlowParams(mu=0.7, nu=0.3, friction=2.5)),
+    ],
+    ids=["default", "anisotropic"],
+)
+def test_probed_slip_stencil_matches_closed_form(extents, cells, params):
+    # the slip rows read off fields.slip_traction are, on both in-face
+    # components of every face, mu (3, -4, 1) / (2h) along the inward
+    # normal plus the friction on the face node, to 4 ulps per entry
+    grid = build_grid(GeometryConfig(*extents, *cells))
+    stencil = lame._slip_stencil(grid, params)
+    assert stencil.keys() == {face.name for face in grid.faces}
+    for face in grid.faces:
+        h = grid.h[face.axis]
+        assert stencil[face.name].shape == (3, 2)
+        for k, coef in enumerate((3.0, -4.0, 1.0)):
+            value = params.mu * coef / (2.0 * h) + (params.friction if k == 0 else 0.0)
+            for got in stencil[face.name][k]:
+                assert abs(got - value) <= 4 * np.spacing(max(abs(got), abs(value))), (face.name, k)
 
 
 def test_operator_stores_its_row_layout_read_only():

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import hashlib
 import multiprocessing
 import os
+import weakref
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -302,6 +304,18 @@ def test_footprint_of_the_inflow_plane_is_its_trace(cells):
     w_in = 0.5 + smooth_scalar(g, 601, 0.4).values[0]
     for solver in (tf, fp):
         assert np.array_equal(apply_S(solver, v, w_in).values[0], w_in)
+
+
+def test_traced_grid_is_collected_once_dropped():
+    # the transport module keeps no grid alive after its callers drop it
+    g = make_grid(8, 4, 4)
+    tf = wall_respecting_flow(g, 2e-2)
+    transport_footprint(tf)
+    apply_S(tf, smooth_scalar(g, 700, 0.4), np.zeros(g.shape[1:]))
+    alive = weakref.ref(g)
+    del g, tf
+    gc.collect()
+    assert alive() is None
 
 
 def test_footprint_uniform_flow_constant_cases():
