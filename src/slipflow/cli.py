@@ -1,15 +1,16 @@
-"""Command-line front end.
+"""Command-line front end: parses arguments, calls the library, prints.
 
 Four subcommands share one config format:
 
   solve           run the outer iteration, dump history and fields
-  verify          manufactured-solution order study for the linear step
+  verify          print study.manufactured_study, the linear step's orders
   diagnose        grade a previously dumped solution against the audits
-  transport-test  cross-check the two transport solvers against each other
+  transport-test  print study.transport_study, the two transport solvers
+                  checked against each other
 
 Exit status is 0 only when the command's acceptance condition holds
-(converged / order reached / all audits green / suite passed); any module
-error is reported on stderr with status 2.
+(converged / velocity and density orders reached / all audits green /
+suite passed); any module error is reported on stderr with status 2.
 """
 from __future__ import annotations
 
@@ -17,32 +18,16 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import runio
 from .config import ConfigError, RunConfig, config_from_mapping, parse_config
 from .diagnostics import run_diagnostics
-from .fields import NormKind, ScalarField, VectorField, norm
-from .grid import GeometryConfig, Grid, build_grid
-from .lame import MODES, build_lame_operator, solve_linear_step
-from .mms import build_linear_case
+from .fields import ScalarField, VectorField
+from .lame import MODES
 from .picard import build_setup, convergence_metrics, picard_solve
-from .transport import apply_S, make_transport_field, upwind_march
-
-VERIFY_SIZES = (8, 16, 32)
-TRANSPORT_SIZES = (8, 16, 32, 64)
-
-
-def _fit_order(errors) -> float:
-    """Least-squares convergence order across successive grid doublings."""
-    levels = np.arange(len(errors), dtype=float)
-    logs = np.log2(np.maximum(np.asarray(errors, dtype=float), 1e-300))
-    slope = np.polyfit(levels, logs, 1)[0]
-    return float(-slope)
-
-
-def _study_geometry(base: GeometryConfig, n1: int) -> GeometryConfig:
-    return GeometryConfig(base.length, base.width2, base.width3, n1, n1 // 2, n1 // 2)
+from .study import (
+    DENSITY_ORDER_MIN, MUTUAL_ORDER_MIN, VELOCITY_ORDER_MIN, manufactured_study, transport_study,
+)
+from .transport import apply_S  # noqa: F401  bench/selftest.py checks the tracer rebinds it here
 
 
 def cmd_solve(config: RunConfig, out_dir: str) -> int:
@@ -68,90 +53,30 @@ def cmd_solve(config: RunConfig, out_dir: str) -> int:
 
 
 def cmd_verify(config: RunConfig, out_dir: str) -> int:
-    errs_u, errs_w = [], []
+    result = manufactured_study(config.geometry, config.params, config.solver.mode,
+                                config.solver.inner_tol)
     print(f"manufactured-solution study, mode = {config.solver.mode}")
     print(f"{'n1':>4} {'err_u_H1':>12} {'err_w_LinfL2':>13}")
-    for n1 in VERIFY_SIZES:
-        grid = build_grid(_study_geometry(config.geometry, n1))
-        case = build_linear_case(grid, config.params)
-        res = solve_linear_step(
-            build_lame_operator(grid, config.params),
-            case.convect, case.forcing, case.continuity, case.slip_data, case.w_in,
-            mode=config.solver.mode,
-            inner_tol=config.solver.inner_tol,
-        )
-        eu = norm(VectorField(grid, res.u.values - case.u_exact.values), NormKind.h1())
-        ew = norm(ScalarField(grid, res.w.values - case.w_exact.values), NormKind.linf_l2())
-        errs_u.append(eu)
-        errs_w.append(ew)
+    for n1, eu, ew in zip(result.sizes, result.errors_u, result.errors_w):
         print(f"{n1:>4} {eu:>12.4e} {ew:>13.4e}")
-    order_u = _fit_order(errs_u)
-    order_w = _fit_order(errs_w)
-    print(f"velocity order {order_u:.2f}, density order {order_w:.2f}")
-    passed = order_u >= 1.8
-    print(f"verify: {'PASS' if passed else 'FAIL'} (velocity order >= 1.8 required)")
-    return 0 if passed else 1
-
-
-def _suite_flow(grid: Grid, eps: float) -> np.ndarray:
-    """Smooth advecting velocity with no flux through the lateral walls."""
-    x1, x2, x3 = grid.meshgrid()
-    ext = grid.config.extents
-    vals = np.zeros((3,) + grid.shape)
-    vals[0] = 1.0 + eps * np.sin(np.pi * x1 / ext[0]) * np.sin(np.pi * x2 / ext[1])
-    vals[1] = eps * np.sin(np.pi * x2 / ext[1]) * np.cos(np.pi * x3 / ext[2])
-    vals[2] = eps * np.sin(np.pi * x3 / ext[2]) * np.cos(0.5 * np.pi * x1 / ext[0])
-    return vals
+    print(f"velocity order {result.order_u:.2f}, density order {result.order_w:.2f}")
+    print(f"verify: {'PASS' if result.passed else 'FAIL'} (velocity order >= "
+          f"{VELOCITY_ORDER_MIN} and density order >= {DENSITY_ORDER_MIN} required)")
+    return 0 if result.passed else 1
 
 
 def cmd_transport_test(config: RunConfig, out_dir: str) -> int:
-    base = config.geometry
-    eps = 1e-2  # fixed: the suite checks the solvers, not the run's data size
-
-    # constant cases: uniform axial flow, both solvers must be exact
-    exact_ok = True
-    grid = build_grid(_study_geometry(base, TRANSPORT_SIZES[0]))
-    uniform = np.zeros((3,) + grid.shape)
-    uniform[0] = 1.0
-    tf = make_transport_field(grid, uniform)
-    x1 = grid.meshgrid()[0]
-    trace_shape = (grid.shape[1], grid.shape[2])
-    for label, source_val, trace_val in (("trace", 0.0, 0.7), ("source", 0.3, 0.7)):
-        source = ScalarField(grid, np.full(grid.shape, source_val))
-        w_in = np.full(trace_shape, trace_val)
-        expected = trace_val + source_val * x1
-        for solver_name, fn in (("apply_S", apply_S), ("upwind_march", upwind_march)):
-            err = float(np.max(np.abs(fn(tf, source, w_in).values - expected)))
-            ok = err <= 1e-10
-            exact_ok = exact_ok and ok
-            print(f"constant {label:<6} {solver_name:<12} max error {err:.2e} "
-                  f"{'PASS' if ok else 'FAIL'}")
-
-    # smooth case: the two solvers must agree at first order or better
-    diffs = []
+    result = transport_study(config.geometry)
+    for case in result.exact:
+        print(f"constant {case.label:<6} {case.solver:<12} max error {case.error:.2e} "
+              f"{'PASS' if case.passed else 'FAIL'}")
     print(f"{'n1':>4} {'|S - march|_L2':>15}")
-    for n1 in TRANSPORT_SIZES:
-        grid = build_grid(_study_geometry(base, n1))
-        x1, x2, x3 = grid.meshgrid()
-        ext = grid.config.extents
-        tf = make_transport_field(grid, _suite_flow(grid, eps))
-        source = ScalarField(
-            grid,
-            0.1 + 0.25 * np.sin(np.pi * x1 / ext[0])
-            * np.cos(np.pi * x2 / ext[1]) * np.cos(np.pi * x3 / ext[2]),
-        )
-        mesh2, mesh3 = np.meshgrid(grid.axes[1], grid.axes[2], indexing="ij")
-        w_in = 0.1 * np.sin(np.pi * mesh2 / ext[1]) * np.sin(np.pi * mesh3 / ext[2])
-        diff = apply_S(tf, source, w_in).values - upwind_march(tf, source, w_in).values
-        diffs.append(norm(ScalarField(grid, diff), NormKind.lp(2.0)))
-        print(f"{n1:>4} {diffs[-1]:>15.4e}")
-    order = _fit_order(diffs)
-    order_ok = order >= 0.8
-    print(f"mutual convergence order {order:.2f} "
-          f"{'PASS' if order_ok else 'FAIL'} (>= 0.8 required)")
-    passed = exact_ok and order_ok
-    print(f"transport-test: {'PASS' if passed else 'FAIL'}")
-    return 0 if passed else 1
+    for n1, diff in zip(result.sizes, result.differences):
+        print(f"{n1:>4} {diff:>15.4e}")
+    print(f"mutual convergence order {result.order:.2f} "
+          f"{'PASS' if result.order_ok else 'FAIL'} (>= {MUTUAL_ORDER_MIN} required)")
+    print(f"transport-test: {'PASS' if result.passed else 'FAIL'}")
+    return 0 if result.passed else 1
 
 
 def cmd_diagnose(config: RunConfig, out_dir: str) -> int:

@@ -170,15 +170,23 @@ class DataConfig:
                 raise ValueError(f"{key} names a face more than once: {pairs!r}")
 
 
+def _half_sine(m: int) -> np.ndarray:
+    """sin(pi i / (m - 1)) at the node indices i = 0 .. m - 1, taken at the
+    index mirrored into the first half: exactly 0 at both ends, where
+    sin(pi) would give 1.22e-16."""
+    i = np.arange(m)
+    return np.sin(np.pi * np.minimum(i, m - 1 - i) / (m - 1))
+
+
 def face_profile(name: str, face: Face) -> np.ndarray:
     """Closed-form profile by registry name at the face's nodes, unscaled:
-    the data amplitude epsilon multiplies it."""
-    a, b = np.meshgrid(face.coords[0], face.coords[1], indexing="ij")
+    the data amplitude epsilon multiplies it.  Both profiles vanish
+    exactly on the face's rim."""
+    m, n = face.coords[0].size, face.coords[1].size
     if name == "zero":
-        return np.zeros(a.shape)
+        return np.zeros((m, n))
     if name == "sine_bump":
-        e1, e2 = face.coords[0][-1], face.coords[1][-1]
-        return np.sin(np.pi * a / e1) * np.sin(np.pi * b / e2)
+        return np.outer(_half_sine(m), _half_sine(n))
     raise ValueError(f"unknown profile {name!r} (available: {', '.join(PROFILE_NAMES)})")
 
 
@@ -279,10 +287,8 @@ def assemble_perturbation_data(
 ) -> PerturbationData:
     """Evaluate u0, the Robin right-hand sides and the data measures."""
     u0 = extend_normal_trace(grid, data)
-    # the slip rows of u + u0 take the data.  u0 has no tangential trace
-    # (its normal components' profiles vanish on the face rims), so its
-    # friction term is left out, not the 1e-18 sin(pi) leaves on two walls
-    lifted = slip_traction(u0.values, grid, params.mu, 0.0)
+    # the slip rows of u + u0 take the data
+    lifted = slip_traction(u0.values, grid, params.mu, params.friction)
     slip = dict(data.slip)
     slip_data = {
         face.name: data.epsilon * face_profile(slip.get(face.name, "zero"), face) - lifted[face.name]

@@ -41,28 +41,6 @@ def write_history(path, history: Iterable, verdict: str) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def load_history(path) -> list[dict]:
-    """Read a history CSV back into a list of per-row dicts."""
-    rows = []
-    lines = Path(path).read_text().splitlines()
-    header = tuple(cell.strip() for cell in lines[0].split(",")) if lines else ()
-    if header != HISTORY_COLUMNS:
-        raise ValueError(f"unexpected history header {header!r} in {path}")
-    for number, line in enumerate(lines[1:], start=2):
-        cells = [cell.strip() for cell in line.split(",", 6)]  # verdicts hold commas
-        if len(cells) < len(HISTORY_COLUMNS):
-            raise ValueError(f"history row {number} of {path} has {len(cells)} of "
-                             f"{len(HISTORY_COLUMNS)} cells")
-        try:
-            row = {"n": int(cells[0]), "verdict": cells[6]}
-            for key, cell in zip(HISTORY_COLUMNS[1:6], cells[1:6]):
-                row[key] = float(cell)
-        except ValueError as exc:
-            raise ValueError(f"history row {number} of {path}: {exc}") from None
-        rows.append(row)
-    return rows
-
-
 def write_field_dump(path, name: str, values: np.ndarray, grid: Grid) -> None:
     """Write one field on the full node lattice.
 

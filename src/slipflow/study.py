@@ -1,0 +1,169 @@
+"""Refinement studies: one problem solved on grids (n1, n1/2, n1/2) that
+halve the cell size at the base geometry's extents, the order of its errors
+fitted across them, and the verdict.  ``manufactured_study`` is the linear
+step against the manufactured case of ``mms`` (code verification);
+``transport_study`` is the characteristics route against the upwind march.
+``slipflow verify`` and ``slipflow transport-test`` print what they return,
+and acceptance criteria 07 and 05 assert on it.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+
+from .fields import NormKind, ScalarField, VectorField, norm
+from .grid import GeometryConfig, Grid, build_grid
+from .lame import INNER_TOL, build_lame_operator, solve_linear_step
+from .material import FlowParams
+from .mms import build_linear_case
+from .transport import apply_S, make_transport_field, upwind_march
+
+VERIFY_SIZES = (8, 16, 32)
+VELOCITY_ORDER_MIN = 1.8
+# measured 2.40 on the default data and 2.41 at mu = 0.7, nu = 0.3, f = 2.5,
+# in both modes
+DENSITY_ORDER_MIN = 2.0
+
+TRANSPORT_SIZES = (8, 16, 32, 64)
+TRANSPORT_EPSILON = 1e-2  # fixed: the suite checks the solvers, not a run's data size
+EXACT_TOL = 1e-10
+MUTUAL_ORDER_MIN = 0.8
+
+
+def fit_order(errors) -> float:
+    """Least-squares convergence order across successive grid doublings."""
+    levels = np.arange(len(errors), dtype=float)
+    logs = np.log2(np.maximum(np.asarray(errors, dtype=float), 1e-300))
+    return float(-np.polyfit(levels, logs, 1)[0])
+
+
+def _study_geometry(base: GeometryConfig, n1: int) -> GeometryConfig:
+    return GeometryConfig(base.length, base.width2, base.width3, n1, n1 // 2, n1 // 2)
+
+
+# ---------------------------------------------------------------------------
+# manufactured solution of the linear step
+
+@dataclass(frozen=True)
+class ManufacturedStudy:
+    """Velocity (H1) and density (Linf(L2)) errors per size, and their orders."""
+
+    sizes: tuple[int, ...]
+    errors_u: tuple[float, ...]
+    errors_w: tuple[float, ...]
+    order_u: float
+    order_w: float
+
+    @property
+    def passed(self) -> bool:
+        return self.order_u >= VELOCITY_ORDER_MIN and self.order_w >= DENSITY_ORDER_MIN
+
+
+def _manufactured_errors(grid: Grid, params: FlowParams, mode: str, inner_tol: float):
+    case = build_linear_case(grid, params)
+    res = solve_linear_step(
+        build_lame_operator(grid, params),
+        case.convect, case.forcing, case.continuity, case.slip_data, case.w_in,
+        mode=mode, inner_tol=inner_tol,
+    )
+    eu = norm(VectorField(grid, res.u.values - case.u_exact.values), NormKind.h1())
+    ew = norm(ScalarField(grid, res.w.values - case.w_exact.values), NormKind.linf_l2())
+    return eu, ew
+
+
+def manufactured_study(
+    geometry: GeometryConfig, params: FlowParams, mode: str, inner_tol: float = INNER_TOL
+) -> ManufacturedStudy:
+    """The linear step's errors against the manufactured case on VERIFY_SIZES."""
+    errs_u, errs_w = zip(*(
+        _manufactured_errors(build_grid(_study_geometry(geometry, n1)), params, mode, inner_tol)
+        for n1 in VERIFY_SIZES
+    ))
+    return ManufacturedStudy(VERIFY_SIZES, errs_u, errs_w,
+                             fit_order(errs_u), fit_order(errs_w))
+
+
+# ---------------------------------------------------------------------------
+# characteristics route against the upwind march
+
+def suite_flow(grid: Grid, eps: float) -> np.ndarray:
+    """Smooth advecting velocity with no flux through the lateral walls."""
+    x1, x2, x3 = grid.meshgrid()
+    ext = grid.config.extents
+    vals = np.zeros((3,) + grid.shape)
+    vals[0] = 1.0 + eps * np.sin(np.pi * x1 / ext[0]) * np.sin(np.pi * x2 / ext[1])
+    vals[1] = eps * np.sin(np.pi * x2 / ext[1]) * np.cos(np.pi * x3 / ext[2])
+    vals[2] = eps * np.sin(np.pi * x3 / ext[2]) * np.cos(0.5 * np.pi * x1 / ext[0])
+    return vals
+
+
+class ExactCase(NamedTuple):
+    """One solver on uniform axial flow with constant data, whose exact
+    solution is trace + source * x1: its max nodal error."""
+
+    label: str
+    solver: str
+    error: float
+    passed: bool
+
+
+@dataclass(frozen=True)
+class TransportStudy:
+    """The constant cases, and the L2 difference of the two routes per size
+    on the smooth flow with its fitted order."""
+
+    exact: tuple[ExactCase, ...]
+    sizes: tuple[int, ...]
+    differences: tuple[float, ...]
+    order: float
+
+    @property
+    def order_ok(self) -> bool:
+        return self.order >= MUTUAL_ORDER_MIN
+
+    @property
+    def passed(self) -> bool:
+        return all(case.passed for case in self.exact) and self.order_ok
+
+
+def _exact_cases(grid: Grid) -> tuple[ExactCase, ...]:
+    uniform = np.zeros((3,) + grid.shape)
+    uniform[0] = 1.0
+    tf = make_transport_field(grid, uniform)
+    x1 = grid.meshgrid()[0]
+    trace_shape = (grid.shape[1], grid.shape[2])
+    cases = []
+    for label, source_val, trace_val in (("trace", 0.0, 0.7), ("source", 0.3, 0.7)):
+        source = ScalarField(grid, np.full(grid.shape, source_val))
+        w_in = np.full(trace_shape, trace_val)
+        expected = trace_val + source_val * x1
+        for name, fn in (("apply_S", apply_S), ("upwind_march", upwind_march)):
+            err = float(np.max(np.abs(fn(tf, source, w_in).values - expected)))
+            cases.append(ExactCase(label, name, err, err <= EXACT_TOL))
+    return tuple(cases)
+
+
+def _route_difference(grid: Grid) -> float:
+    x1, x2, x3 = grid.meshgrid()
+    ext = grid.config.extents
+    tf = make_transport_field(grid, suite_flow(grid, TRANSPORT_EPSILON))
+    source = ScalarField(
+        grid,
+        0.1 + 0.25 * np.sin(np.pi * x1 / ext[0])
+        * np.cos(np.pi * x2 / ext[1]) * np.cos(np.pi * x3 / ext[2]),
+    )
+    mesh2, mesh3 = np.meshgrid(grid.axes[1], grid.axes[2], indexing="ij")
+    w_in = 0.1 * np.sin(np.pi * mesh2 / ext[1]) * np.sin(np.pi * mesh3 / ext[2])
+    diff = apply_S(tf, source, w_in).values - upwind_march(tf, source, w_in).values
+    return norm(ScalarField(grid, diff), NormKind.lp(2.0))
+
+
+def transport_study(geometry: GeometryConfig) -> TransportStudy:
+    """Both transport routes on the constant cases at the coarsest size, and
+    their mutual difference on suite_flow over TRANSPORT_SIZES."""
+    exact = _exact_cases(build_grid(_study_geometry(geometry, TRANSPORT_SIZES[0])))
+    diffs = tuple(_route_difference(build_grid(_study_geometry(geometry, n1)))
+                  for n1 in TRANSPORT_SIZES)
+    return TransportStudy(exact, TRANSPORT_SIZES, diffs, fit_order(diffs))

@@ -3,6 +3,8 @@
 Test modules import them as ``from oracles import ...``: pytest puts this
 directory on sys.path when it collects a test module from it.
 """
+from pathlib import Path
+
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
@@ -11,8 +13,71 @@ from slipflow.fields import (
     NormKind, ScalarField, VectorField, div_array, grad_array, norm, strong_size, zeros_scalar,
     zeros_vector,
 )
+from slipflow.grid import GeometryConfig, build_grid
+from slipflow.material import FlowParams
 from slipflow.picard import ProblemSetup, picard_solve
+from slipflow.runio import HISTORY_COLUMNS
 from slipflow.transport import TransportField, apply_S, make_transport_field, transport_footprint
+
+
+# ---------------------------------------------------------------------------
+# small cases: grid and physics, zero slip data, seeded smooth fields
+
+def make_setup(n1=8, n2=4, n3=4):
+    return build_grid(GeometryConfig(2.0, 1.0, 1.0, n1, n2, n3)), FlowParams()
+
+
+def zero_slip(grid):
+    """Zero slip data, a (2, m, n) array per face."""
+    return {face.name: np.zeros((2, *(c.size for c in face.coords))) for face in grid.faces}
+
+
+def smooth_scalar(grid, seed, amp):
+    """Sum of four seeded cosine products, scaled to sup norm amp."""
+    rng = np.random.default_rng(seed)
+    x1, x2, x3 = grid.meshgrid()
+    vals = np.zeros(grid.shape)
+    for _ in range(4):
+        k = rng.integers(0, 3, size=3)
+        vals += rng.normal() * np.cos(k[0] * x1) * np.cos(k[1] * x2 + 0.3) * np.cos(k[2] * x3 - 0.2)
+    m = np.max(np.abs(vals))
+    return ScalarField(grid, amp * vals / max(m, 1e-30))
+
+
+def smooth_vector(grid, seed, amp=0.1):
+    """Three components, each a sum of three seeded cosine products times amp."""
+    rng = np.random.default_rng(seed)
+    x1, x2, x3 = grid.meshgrid()
+    comps = []
+    for _ in range(3):
+        v = np.zeros(grid.shape)
+        for _ in range(3):
+            k = rng.integers(0, 3, size=3)
+            v += rng.normal() * np.cos(k[0] * x1) * np.cos(k[1] * x2 + 0.4) * np.cos(k[2] * x3)
+        comps.append(amp * v)
+    return VectorField(grid, np.stack(comps))
+
+
+def wall_respecting_flow(grid, eps):
+    """Smooth advecting field with exactly zero wall-normal trace."""
+    x1, x2, x3 = grid.meshgrid()
+    vals = np.empty((3, *grid.shape))
+    vals[0] = 1.0 + eps * np.sin(0.5 * np.pi * x1) * np.sin(np.pi * x2)
+    vals[1] = eps * np.sin(np.pi * x2) * np.cos(np.pi * x3)
+    vals[2] = eps * np.sin(np.pi * x3) * np.cos(0.5 * np.pi * x1)
+    return make_transport_field(grid, vals)
+
+
+# ---------------------------------------------------------------------------
+# history.csv read back
+
+def load_history(path) -> list[dict]:
+    """history.csv as one dict per row: n an int, the verdict a string
+    (it may hold commas), the other columns floats."""
+    header, *lines = Path(path).read_text().splitlines()
+    assert header == ", ".join(HISTORY_COLUMNS)
+    return [{"n": int(n), **dict(zip(HISTORY_COLUMNS[1:6], map(float, cells))), "verdict": verdict}
+            for n, *cells, verdict in (line.split(", ", 6) for line in lines)]
 
 
 # ---------------------------------------------------------------------------

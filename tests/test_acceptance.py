@@ -25,20 +25,19 @@ from slipflow.fields import (
     norm,
 )
 from slipflow.grid import GeometryConfig, build_grid
-from slipflow.lame import build_lame_operator, solve_linear_step
 from slipflow.material import FlowParams
-from slipflow.mms import build_linear_case
 from slipflow.picard import (
     build_setup,
     convergence_metrics,
     picard_solve,
 )
-from slipflow.transport import (
-    apply_S,
-    make_transport_field,
-    upwind_march,
+from slipflow.study import (
+    DENSITY_ORDER_MIN, VELOCITY_ORDER_MIN, manufactured_study, transport_study,
 )
-from oracles import jacobian_bound, random_small_start, two_start_uniqueness
+from slipflow.transport import apply_S
+from oracles import (
+    jacobian_bound, random_small_start, smooth_scalar, two_start_uniqueness, wall_respecting_flow,
+)
 
 
 def _verdict(number: int, label: str, ok: bool, detail: str) -> None:
@@ -53,33 +52,6 @@ def _timed_run(doc: dict) -> SimpleNamespace:
     bundle = picard_solve(setup)
     seconds = time.perf_counter() - t0
     return SimpleNamespace(cfg=cfg, setup=setup, bundle=bundle, seconds=seconds)
-
-
-def _fit_order(errors) -> float:
-    levels = np.arange(len(errors), dtype=float)
-    logs = np.log2(np.maximum(np.asarray(errors, dtype=float), 1e-300))
-    return float(-np.polyfit(levels, logs, 1)[0])
-
-
-def _smooth_scalar(grid, seed, amp):
-    rng = np.random.default_rng(seed)
-    x1, x2, x3 = grid.meshgrid()
-    vals = np.zeros(grid.shape)
-    for _ in range(4):
-        k = rng.integers(0, 3, size=3)
-        vals += rng.normal() * np.cos(k[0] * x1) * np.cos(k[1] * x2 + 0.3) \
-            * np.cos(k[2] * x3 - 0.2)
-    peak = np.max(np.abs(vals))
-    return ScalarField(grid, amp * vals / max(peak, 1e-30))
-
-
-def _wall_respecting_flow(grid, eps):
-    x1, x2, x3 = grid.meshgrid()
-    vals = np.empty((3, *grid.shape))
-    vals[0] = 1.0 + eps * np.sin(0.5 * np.pi * x1) * np.sin(np.pi * x2)
-    vals[1] = eps * np.sin(np.pi * x2) * np.cos(np.pi * x3)
-    vals[2] = eps * np.sin(np.pi * x3) * np.cos(0.5 * np.pi * x1)
-    return make_transport_field(grid, vals)
 
 
 @pytest.fixture(scope="module")
@@ -153,54 +125,23 @@ def test_criterion_04_uniqueness_and_mode_agreement(run16, run16_mono):
 
 
 def test_criterion_05_transport_route_equivalence():
-    base = GeometryConfig(2.0, 1.0, 1.0, 8, 4, 4)
-
-    grid = build_grid(base)
-    uniform = np.zeros((3, *grid.shape))
-    uniform[0] = 1.0
-    tf = make_transport_field(grid, uniform)
-    x1 = grid.meshgrid()[0]
-    trace_shape = (grid.shape[1], grid.shape[2])
-    exact_errs = []
-    for source_val, trace_val in ((0.0, 0.7), (0.3, 0.7)):
-        source = ScalarField(grid, np.full(grid.shape, source_val))
-        w_in = np.full(trace_shape, trace_val)
-        expected = trace_val + source_val * x1
-        for fn in (apply_S, upwind_march):
-            exact_errs.append(float(np.max(np.abs(fn(tf, source, w_in).values - expected))))
-    exact_ok = max(exact_errs) <= 1e-10
-
-    diffs = []
-    for n1 in (8, 16, 32, 64):
-        g = build_grid(GeometryConfig(2.0, 1.0, 1.0, n1, n1 // 2, n1 // 2))
-        x1, x2, x3 = g.meshgrid()
-        tf = _wall_respecting_flow(g, 1e-2)
-        source = ScalarField(
-            g, 0.1 + 0.25 * np.sin(0.5 * np.pi * x1) * np.cos(np.pi * x2) * np.cos(np.pi * x3)
-        )
-        m2, m3 = np.meshgrid(g.axes[1], g.axes[2], indexing="ij")
-        w_in = 0.1 * np.sin(np.pi * m2) * np.sin(np.pi * m3)
-        diff = apply_S(tf, source, w_in).values - upwind_march(tf, source, w_in).values
-        diffs.append(norm(ScalarField(g, diff), NormKind.lp(2.0)))
-    order = _fit_order(diffs)
-
-    ok = exact_ok and order >= 0.8
-    _verdict(5, "transport route equivalence", ok,
-             f"constant-case max error {max(exact_errs):.1e}, "
-             f"mutual order {order:.2f}")
+    study = transport_study(GeometryConfig())
+    worst = max(case.error for case in study.exact)
+    _verdict(5, "transport route equivalence", study.passed,
+             f"constant-case max error {worst:.1e}, mutual order {study.order:.2f}")
 
 
 def test_criterion_06_transport_solution_estimate():
     g = build_grid(GeometryConfig(2.0, 1.0, 1.0, 16, 8, 8))
-    tf = _wall_respecting_flow(g, 1e-2)
+    tf = wall_respecting_flow(g, 1e-2)
     jb = jacobian_bound(tf)
     w2 = g.axis_weights(1)[:, None] * g.axis_weights(2)[None, :]
     factor = np.sqrt(4.0 * g.config.length)
     worst = 0.0
     holds = True
     for seed in range(100):
-        v = _smooth_scalar(g, 1000 + seed, 0.4)
-        w_in = _smooth_scalar(g, 5000 + seed, 0.4).values[0]
+        v = smooth_scalar(g, 1000 + seed, 0.4)
+        w_in = smooth_scalar(g, 5000 + seed, 0.4).values[0]
         lhs = norm(apply_S(tf, v, w_in), NormKind.linf_l2())
         trace_l2 = float(np.sqrt(np.sum(w2 * w_in**2)))
         rhs = (1.0 + jb) * (trace_l2 + factor * norm(v, NormKind.lp(2.0)))
@@ -212,31 +153,15 @@ def test_criterion_06_transport_solution_estimate():
 
 def test_criterion_07_manufactured_linear_step_orders():
     t0 = time.perf_counter()
-    params = FlowParams()
-
-    def study(mode):
-        errs_u, errs_w = [], []
-        for n1 in (8, 16, 32):
-            grid = build_grid(GeometryConfig(2.0, 1.0, 1.0, n1, n1 // 2, n1 // 2))
-            case = build_linear_case(grid, params)
-            res = solve_linear_step(
-                build_lame_operator(grid, params), case.convect, case.forcing,
-                case.continuity, case.slip_data, case.w_in, mode=mode,
-            )
-            errs_u.append(norm(
-                VectorField(grid, res.u.values - case.u_exact.values), NormKind.h1()))
-            errs_w.append(norm(
-                ScalarField(grid, res.w.values - case.w_exact.values), NormKind.linf_l2()))
-        return _fit_order(errs_u), _fit_order(errs_w)
-
-    order_u_split, _ = study("split")
-    order_u_mono, order_w_mono = study("monolithic")
+    split, mono = (manufactured_study(GeometryConfig(), FlowParams(), mode)
+                   for mode in ("split", "monolithic"))
     seconds = time.perf_counter() - t0
-    ok = (order_u_split >= 1.8 and order_u_mono >= 1.8
-          and order_w_mono >= 0.8 and seconds < 300.0)
+    ok = (min(split.order_u, mono.order_u) >= VELOCITY_ORDER_MIN
+          and min(split.order_w, mono.order_w) >= DENSITY_ORDER_MIN and seconds < 300.0)
     _verdict(7, "manufactured linear-step orders", ok,
-             f"u orders split {order_u_split:.2f} / monolithic {order_u_mono:.2f}, "
-             f"w order monolithic {order_w_mono:.2f}, {seconds:.0f} s")
+             f"u orders split {split.order_u:.2f} / monolithic {mono.order_u:.2f}, "
+             f"w orders split {split.order_w:.2f} / monolithic {mono.order_w:.2f}, "
+             f"{seconds:.0f} s")
 
 
 def test_criterion_08_estimate_machinery_audits(run16, run32, run16_eps3):

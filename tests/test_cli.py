@@ -9,12 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from slipflow import cli, lame
+from slipflow import cli, lame, study
 from slipflow.cli import main
 from slipflow.krylov import KrylovError
 from slipflow.config import parse_config
 from slipflow.picard import build_setup, picard_solve
-from slipflow.runio import load_field_dump, load_history
+from slipflow.runio import load_field_dump
+from oracles import load_history
 
 
 def write_config(tmp_path, extra=None):
@@ -230,11 +231,32 @@ def test_diagnose_rejects_mismatched_grid(tmp_path, capsys):
         assert "diagnose:" not in captured.out
 
 
+TRANSCRIPTS = Path(__file__).resolve().parent / "transcripts"
+
+
 def test_verify_monolithic_passes_and_prints_orders(capsys):
+    # every number to 4 significant digits: a change that means to move
+    # them re-records the transcript
     assert main(["verify", "--mode", "monolithic"]) == 0
+    assert capsys.readouterr().out == (TRANSCRIPTS / "verify-monolithic.txt").read_text()
+
+
+def test_verify_gates_the_density_order(monkeypatch, capsys):
+    # an O(h) error in w: the density order falls to about 1, the
+    # velocity order stays above its bound, and verify fails
+    def first_order_w(op, *args, **kwargs):
+        res = lame.solve_linear_step(op, *args, **kwargs)
+        x1, x2, x3 = op.grid.meshgrid()
+        res.w.values[...] += op.grid.h[0] * np.cos(x1) * np.cos(np.pi * x2) * np.cos(np.pi * x3)
+        return res
+
+    monkeypatch.setattr(study, "solve_linear_step", first_order_w)
+    assert main(["verify", "--mode", "monolithic"]) == 1
     out = capsys.readouterr().out
-    assert "velocity order" in out
-    assert "verify: PASS" in out
+    orders = re.search(r"velocity order (\S+), density order (\S+)", out)
+    assert float(orders.group(1)) >= study.VELOCITY_ORDER_MIN
+    assert float(orders.group(2)) < study.DENSITY_ORDER_MIN
+    assert out.splitlines()[-1].startswith("verify: FAIL")
 
 
 def test_verify_reports_krylov_failure_and_exits_two(monkeypatch, capsys):
@@ -250,9 +272,7 @@ def test_verify_reports_krylov_failure_and_exits_two(monkeypatch, capsys):
 
 def test_transport_test_passes(capsys):
     assert main(["transport-test"]) == 0
-    out = capsys.readouterr().out
-    assert "mutual convergence order" in out
-    assert out.splitlines()[-1] == "transport-test: PASS"
+    assert capsys.readouterr().out == (TRANSCRIPTS / "transport-test.txt").read_text()
 
 
 def test_linear_pressure_law_solves_and_passes_every_audit(tmp_path):

@@ -7,8 +7,6 @@ from slipflow.grid import GeometryConfig, build_grid
 from slipflow.fields import (
     ScalarField,
     VectorField,
-    NormKind,
-    norm,
     diff1,
     grad_array,
     divergence,
@@ -41,33 +39,7 @@ from slipflow.diagnostics import (
     DiagnosticReport,
     DEFAULT_TOLERANCES,
 )
-
-
-def make_setup(n1=8, n2=4, n3=4):
-    grid = build_grid(GeometryConfig(2.0, 1.0, 1.0, n1, n2, n3))
-    params = FlowParams()
-    return grid, params
-
-
-def zero_slip(grid):
-    slip = {}
-    for face in grid.faces:
-        slab = np.zeros(grid.shape)[face.slicer()]
-        slip[face.name] = np.zeros((2, *slab.shape))
-    return slip
-
-
-def smooth_vector(grid, seed, amp=0.1):
-    rng = np.random.default_rng(seed)
-    x1, x2, x3 = grid.meshgrid()
-    comps = []
-    for _ in range(3):
-        v = np.zeros(grid.shape)
-        for _ in range(3):
-            k = rng.integers(0, 3, size=3)
-            v += rng.normal() * np.cos(k[0] * x1) * np.cos(k[1] * x2 + 0.4) * np.cos(k[2] * x3)
-        comps.append(amp * v)
-    return VectorField(grid, np.stack(comps))
+from oracles import make_setup, smooth_vector, zero_slip
 
 
 def measured(grid, slip, w_in):

@@ -27,7 +27,7 @@ from slipflow.lame import (
 from slipflow.transport import apply_S, make_transport_field
 from slipflow.mms import build_linear_case
 
-from oracles import full_solve_split_step
+from oracles import full_solve_split_step, make_setup, smooth_vector, zero_slip
 
 
 def onesided_normal_d1(values: np.ndarray, face, h: float) -> np.ndarray:
@@ -69,35 +69,8 @@ def apply_lame(op, u: VectorField) -> VectorField:
     return VectorField(op.grid, _momentum_rows(op, u.values))
 
 
-def make_setup(n1=8, n2=4, n3=4):
-    grid = build_grid(GeometryConfig(2.0, 1.0, 1.0, n1, n2, n3))
-    params = FlowParams()
-    return grid, params
-
-
 def interior_slice(values):
     return values[..., 1:-1, 1:-1, 1:-1]
-
-
-def smooth_vector(grid, seed, amp=0.1):
-    rng = np.random.default_rng(seed)
-    x1, x2, x3 = grid.meshgrid()
-    comps = []
-    for _ in range(3):
-        v = np.zeros(grid.shape)
-        for _ in range(3):
-            k = rng.integers(0, 3, size=3)
-            v += rng.normal() * np.cos(k[0] * x1) * np.cos(k[1] * x2 + 0.4) * np.cos(k[2] * x3)
-        comps.append(amp * v)
-    return VectorField(grid, np.stack(comps))
-
-
-def zero_slip(grid):
-    slip = {}
-    for face in grid.faces:
-        slab = np.zeros(grid.shape)[face.slicer()]
-        slip[face.name] = np.zeros((2, *slab.shape))
-    return slip
 
 
 def test_apply_constant_field():

@@ -8,7 +8,6 @@ from slipflow.fields import (
     NormKind,
     norm,
     diff1,
-    grad_array,
     grad_div_array,
     laplacian_array,
     advect,
@@ -29,6 +28,7 @@ from slipflow.material import (
     compute_G,
     ramp_width,
 )
+from oracles import smooth_scalar
 
 # Frozen from a scan of the forcing bound over seeded random fields of
 # amplitude <= 0.1 on two grids (max observed ratio 2.76, x1.5 margin).
@@ -37,17 +37,6 @@ QUADRATIC_BOUND_C = 4.2
 
 def make_grid(n1=8, n2=4, n3=4):
     return build_grid(GeometryConfig(2.0, 1.0, 1.0, n1, n2, n3))
-
-
-def smooth_scalar(grid, seed, amp):
-    rng = np.random.default_rng(seed)
-    x1, x2, x3 = grid.meshgrid()
-    vals = np.zeros(grid.shape)
-    for _ in range(4):
-        k = rng.integers(0, 3, size=3)
-        vals += rng.normal() * np.cos(k[0] * x1) * np.cos(k[1] * x2 + 0.3) * np.cos(k[2] * x3 - 0.2)
-    m = np.max(np.abs(vals))
-    return ScalarField(grid, amp * vals / max(m, 1e-30))
 
 
 def smooth_vector(grid, seed, amp):
@@ -203,6 +192,17 @@ def test_normal_trace_matches_at_nonedge_boundary_nodes():
         else:
             expected = np.zeros_like(trace)
         assert np.max(np.abs((trace - expected)[nonedge])) <= 1e-15
+
+
+@pytest.mark.parametrize("cells", [(16, 8, 8), (9, 5, 7)])
+def test_lift_has_exactly_zero_tangential_trace(cells):
+    # so the friction term of the lift's slip rows is exactly zero
+    g = make_grid(*cells)
+    data = DataConfig(normal_trace=(("inflow", "sine_bump"), ("outflow", "sine_bump")))
+    u0 = extend_normal_trace(g, data).values
+    for face in g.faces:
+        for axis in face.in_axes:
+            assert np.all(face.take(u0[axis]) == 0.0), (face.name, axis)
 
 
 def test_u0_norm_linear_in_amplitude():

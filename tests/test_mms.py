@@ -13,7 +13,7 @@ import pytest
 import sympy as sp
 from scipy import sparse
 
-from slipflow import cli
+from slipflow import cli, study
 from slipflow.grid import GeometryConfig, build_grid
 from slipflow.lame import build_lame_operator
 from slipflow.material import FlowParams, PressureLaw
@@ -168,7 +168,7 @@ def _slip_rows_with_scaled_mu(scale):
 
 @pytest.mark.parametrize("mode", ["split", "monolithic"])
 def test_verify_fails_a_five_percent_error_in_the_slip_rows_viscosity(mode, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "build_lame_operator", _slip_rows_with_scaled_mu(1.05))
+    monkeypatch.setattr(study, "build_lame_operator", _slip_rows_with_scaled_mu(1.05))
     assert cli.main(["verify", "--mode", mode]) == 1
     order = float(re.search(r"velocity order (\S+),", capsys.readouterr().out).group(1))
     assert order < 1.8

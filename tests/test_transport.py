@@ -23,7 +23,7 @@ from slipflow.transport import (
 )
 from slipflow import transport
 from slipflow.transport import _Kernel, _trace
-from oracles import bisection_landing_solve, jacobian_bound
+from oracles import bisection_landing_solve, jacobian_bound, smooth_scalar, wall_respecting_flow
 
 
 def make_grid(n1=16, n2=8, n3=8):
@@ -35,27 +35,6 @@ def uniform_flow(grid, u2=0.0, u3=0.0, axial=1.0):
     vals[0] = axial
     vals[1] = u2
     vals[2] = u3
-    return make_transport_field(grid, vals)
-
-
-def smooth_scalar(grid, seed, amp):
-    rng = np.random.default_rng(seed)
-    x1, x2, x3 = grid.meshgrid()
-    vals = np.zeros(grid.shape)
-    for _ in range(4):
-        k = rng.integers(0, 3, size=3)
-        vals += rng.normal() * np.cos(k[0] * x1) * np.cos(k[1] * x2 + 0.3) * np.cos(k[2] * x3 - 0.2)
-    m = np.max(np.abs(vals))
-    return ScalarField(grid, amp * vals / max(m, 1e-30))
-
-
-def wall_respecting_flow(grid, eps):
-    """Smooth advecting field with exactly zero wall-normal trace."""
-    x1, x2, x3 = grid.meshgrid()
-    vals = np.empty((3, *grid.shape))
-    vals[0] = 1.0 + eps * np.sin(0.5 * np.pi * x1) * np.sin(np.pi * x2)
-    vals[1] = eps * np.sin(np.pi * x2) * np.cos(np.pi * x3)
-    vals[2] = eps * np.sin(np.pi * x3) * np.cos(0.5 * np.pi * x1)
     return make_transport_field(grid, vals)
 
 
