@@ -94,10 +94,6 @@ class Face:
         sl[self.axis] = self.index
         return tuple(sl)
 
-    def take(self, values: np.ndarray) -> np.ndarray:
-        """Restrict a (n1+1, n2+1, n3+1) node array to the face (2D view)."""
-        return values[self.slicer()]
-
 
 # (name, normal axis, side, region) of each face, in Grid.faces order
 _FACE_LAYOUT = (

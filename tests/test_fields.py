@@ -57,7 +57,7 @@ def smooth_random_scalar(grid, seed):
 
 def face_values(f):
     """A scalar field's trace on every face, by face name."""
-    return {face.name: face.take(f.values) for face in f.grid.faces}
+    return {face.name: f.values[face.slicer()] for face in f.grid.faces}
 
 
 def on_region(grid, values_by_face, region: str):

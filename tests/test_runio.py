@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -79,7 +80,8 @@ def corrupt_vector_dump(tmp_path, line, row):
     ("0 0", "line 5 has 2 of its 3 values"),
     ("x", "line 5: could not convert string to float: 'x'"),
     ("0 x 0", "line 5: could not convert string to float: 'x'"),
-], ids=["ragged", "non-numeric", "non-numeric inside"])
+    ("", "line 5 has 0 of its 3 values"),
+], ids=["ragged", "non-numeric", "non-numeric inside", "blank"])
 def test_corrupt_field_dump_row_names_the_file_and_line(row, message, tmp_path):
     path = corrupt_vector_dump(tmp_path, 5, row)
     with pytest.raises(ValueError, match="field_u.txt") as err:
@@ -105,6 +107,27 @@ def test_field_dump_body_shorter_than_nodes_line_names_the_file(tmp_path):
     with pytest.raises(ValueError, match="field_u.txt") as err:
         load_field_dump(path)
     assert f"has {n_nodes - 1} body lines, its nodes line {n_nodes}" in str(err.value)
+
+
+def test_field_dump_blank_line_after_last_row_names_the_file(tmp_path):
+    # numpy's reader skips blank lines; the line count still sees this one
+    path = corrupt_vector_dump(tmp_path, 3 + 225 + 1, "")
+    with pytest.raises(ValueError, match="field_u.txt") as err:
+        load_field_dump(path)
+    assert "has 226 body lines, its nodes line 225" in str(err.value)
+
+
+@pytest.mark.parametrize("newline, pad", [("\r\n", ""), ("\n", "  ")],
+                         ids=["CRLF", "trailing spaces"])
+def test_field_dump_reads_crlf_and_trailing_spaces(newline, pad, tmp_path):
+    g = small_grid()
+    vals = np.random.default_rng(5).standard_normal((3,) + g.shape)
+    path = tmp_path / "field_u.txt"
+    write_field_dump(path, "u", vals, g)
+    lines = path.read_text().splitlines()
+    path.write_text("".join(line + pad + newline for line in lines), newline="")
+    _, loaded, _ = load_field_dump(path)
+    assert np.array_equal(loaded, vals)
 
 
 def test_field_dump_header_lines(tmp_path):
@@ -153,6 +176,27 @@ def test_vector_dump_roundtrip_is_bit_identical(tmp_path):
     assert name == "u"
     assert loaded.shape == (3,) + g.shape
     assert np.array_equal(loaded, vals)
+
+
+def test_dump_write_and_read_make_no_python_object_per_value(tmp_path):
+    # a (32,16,16) velocity, 0.22 MiB: each direction peaks below three
+    # times the field's size, which a Python float per value (32 bytes
+    # with its list slot, against the array's 8) would exceed
+    g = small_grid(32, 16, 16)
+    vals = np.random.default_rng(10).standard_normal((3,) + g.shape)
+    path = tmp_path / "field_u.txt"
+    tracemalloc.start()
+    try:
+        write_field_dump(path, "u", vals, g)
+        write_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        _, loaded, _ = load_field_dump(path)
+        read_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(loaded, vals)
+    assert write_peak < 3 * vals.nbytes
+    assert read_peak < 3 * vals.nbytes
 
 
 @pytest.mark.parametrize("ncomp", [1, 3])
