@@ -249,15 +249,12 @@ def norm(f: ScalarField | VectorField, kind: NormKind) -> float:
     if kind.kind == "lp":
         w = grid.volume_weights()
         return float(sum(_lp_pow(c, w, kind.p) for c in comps) ** (1.0 / kind.p))
-    if kind.kind == "w1p":
+    if kind.kind in ("w1p", "h1"):  # h1 is w1p at p = 2
         w = grid.volume_weights()
         return float(sum(_w1p_pow(c, grid, w, kind.p) for c in comps) ** (1.0 / kind.p))
     if kind.kind == "w2p":
         w = grid.volume_weights()
         return float(sum(_w2p_pow(c, grid, w, kind.p) for c in comps) ** (1.0 / kind.p))
-    if kind.kind == "h1":
-        w = grid.volume_weights()
-        return float(sum(_w1p_pow(c, grid, w, 2.0) for c in comps) ** 0.5)
     if kind.kind == "linf_l2":
         return _linf_l2(f)
     raise ValueError(f"unknown norm kind {kind.kind!r}")

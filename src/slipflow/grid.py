@@ -2,11 +2,10 @@
 
 The grid is vertex-centered: axis a carries n_a cells and n_a + 1 nodes,
 node (i, j, k) sits exactly at (i*h1, j*h2, k*h3), except that the last
-node of each axis sits at the extent itself (n*(L/n) can round past L,
-and transport clamps to the extent).  build_grid also lays
-out the six boundary faces once (names, normal axes and sides, face
-quadrature weights); every other module reads them from the grid, so all
-share one set of conventions.
+node of each axis sits at the extent itself (n*(L/n) can round past
+L).  build_grid also lays out the six boundary faces once (names, normal
+axes and sides, face quadrature weights); every other module reads them
+from the grid, so all share one set of conventions.
 """
 from __future__ import annotations
 

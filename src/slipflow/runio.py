@@ -4,10 +4,11 @@ Every writer is deterministic (same inputs give byte-identical files) and
 atomic (stream into a sibling temp file, then rename), so an interrupted
 run never leaves a truncated artifact behind.  Floats are printed with 17
 significant digits, which round-trips IEEE doubles exactly.  Field dumps
-go through numpy's text writer and reader, so neither direction makes a
-Python object per value: the writer prints each value as
-format(value, ".17g") does, and a body the reader rejects is scanned line
-by line, so a malformed dump is reported by file and first bad line.
+are written 512 rows at a time, each value as format(value, ".17g")
+prints it, and read through numpy's text reader, so neither direction
+holds a Python object per value of the field; a body the reader rejects
+is scanned line by line, so a malformed dump is reported by file and
+first bad line.
 """
 from __future__ import annotations
 
@@ -58,8 +59,8 @@ def write_field_dump(path, name: str, values: np.ndarray, grid: Grid) -> None:
     Three header lines (node counts per axis, spacings, field name and
     component count) followed by one line per node with the first axis
     index varying fastest.  Vector fields put the components side by
-    side on each line.  numpy's text writer prints every value as
-    format(value, ".17g") does, a row at a time.
+    side on each line.  Every value is printed as format(value, ".17g")
+    prints it, from Python floats taken 512 rows at a time.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 3:
@@ -76,7 +77,9 @@ def write_field_dump(path, name: str, values: np.ndarray, grid: Grid) -> None:
         fh.write("nodes " + " ".join(str(n) for n in grid.shape) + "\n")
         fh.write("spacing " + " ".join(_fmt(h) for h in grid.h) + "\n")
         fh.write(f"field {name} components {comps.shape[0]}\n")
-        np.savetxt(fh, table, fmt="%.17g")
+        row = " ".join(["%.17g"] * comps.shape[0]) + "\n"
+        for i in range(0, len(table), 512):
+            fh.writelines(row % tuple(r) for r in table[i:i + 512].tolist())
 
 
 def load_field_dump(path) -> tuple[str, np.ndarray, tuple[float, float, float]]:

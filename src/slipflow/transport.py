@@ -14,11 +14,16 @@ of traces.  apply_S takes a TransportField, which it traces afresh, or
 the TransportFootprint recorded for one, which it applies.
 
 Both run one kernel, _trace, on blocks of consecutive nodes, the fewest
-of at most _BLOCK = 16384 nodes, equal in size to within one: a block
-takes full RK4 steps until each of its traces is about to cross x1 = 0,
-then lands them all in one last RK4 step taken in x1 instead of s
-(dX/dx1 = u~/u~1, integrand v/u~1) over each trace's remaining x1, whose
-stage points sit at x1, x1/2, x1/2 and 0.  There is no root solve, and a
+of at most _BLOCK = 16384 nodes, equal in size to within one.  The
+kernel works in cell units: a node's position is its index (i, j, k) and
+it samples u~_a / h_a, so it reads no physical coordinate, and the far
+end of an axis of n cells is n exactly.  Scaling by a power of two is
+exact, so on a grid whose spacings are powers of two every trace takes
+the bits it would take in physical coordinates.  A block takes full RK4
+steps in s until each of its traces is about to cross x1 = 0, then
+lands them all in one last RK4 step taken in x1 instead of s (dX/dx1 =
+u~/u~1, integrand v/u~1) over each trace's remaining x1, whose stage
+points sit at x1, x1/2, x1/2 and 0.  There is no root solve, and a
 node on the inflow plane is traced like any other: it lands where it
 starts.  No trace's arithmetic depends on the others in its block, so each
 trace's arrival and path integral are bit-identical for any block size
@@ -113,37 +118,22 @@ def _strides(grid: Grid) -> tuple[int, int]:
 
 
 def _lattice(grid: Grid):
-    """Columns for locating (3, m) coordinates: extents, spacings, cell
-    counts and last cell indices as columns, the flat-index stride of each
-    axis, and the axes whose extent / h rounds below the cell count."""
-    s1, s2 = _strides(grid)
-    cells = np.array(grid.config.cells)
-    ext = np.array(grid.config.extents)
-    h = np.array(grid.h)
-    return (
-        ext[:, None],
-        h[:, None],
-        cells[:, None].astype(float),
-        cells[:, None] - 1,
-        np.array((s1, s2, 1), dtype=np.int64),
-        tuple(np.flatnonzero(ext / h < cells)),
-    )
+    """Columns for locating (3, m) points in cell units: the cell counts
+    and the last cell indices as columns, and the flat-index stride of
+    each axis."""
+    cells = np.array(grid.config.cells)[:, None]
+    return cells.astype(float), cells - 1, np.array((*_strides(grid), 1), dtype=np.int64)
 
 
 def _locate(lattice, p: np.ndarray, base: np.ndarray, lo: np.ndarray) -> None:
-    """Locate (3, m) coordinates on the lattice columns _lattice gives, in place.
+    """Locate (3, m) points in cell units on the lattice columns _lattice
+    gives, in place.
 
-    p is clamped to the closed duct and becomes the high weight of each
-    point along each axis, lo the low weight 1 - high and base the flat
-    index of each cell's low corner.  The far end of an axis sits at cell
-    coordinate n exactly, also where extent / h rounds below n.
+    p is clamped to the closed duct, [0, n] along an axis of n cells, and
+    becomes the high weight of each point along each axis, lo the low
+    weight 1 - high and base the flat index of each cell's low corner.
     """
-    ext, h, n, last, strides, short = lattice
-    np.clip(p, 0.0, ext, out=p)
-    at_end = [(a, p[a] == ext[a]) for a in short]
-    np.divide(p, h, out=p)
-    for a, where in at_end:
-        np.copyto(p[a], n[a], where=where)
+    n, last, strides = lattice
     np.clip(p, 0.0, n, out=p)
     # lo's storage holds the cell indices until the weights are formed
     cell = lo.view(np.int64)
@@ -178,8 +168,9 @@ _BLOCK = 16384  # node seeds traced together to completion
 class _Kernel:
     """Trilinear sampling and backward RK4 steps through one advecting field.
 
-    The (3, n_nodes) velocity and an optional (n_nodes,) payload are read
-    in place.  The grid's lattice columns (_lattice) are formed once, and
+    The (3, n_nodes) velocity, u~_a / h_a in cells per unit of s, and an
+    optional (n_nodes,) payload are read in place; positions are in cell
+    units.  The grid's lattice columns (_lattice) are formed once, and
     the work arrays are allocated once, for up to size points, and reused
     by every stage of every step, so a kernel serves one block at a time.
     The arrays its methods return are views of that work space, valid
@@ -232,7 +223,7 @@ class _Kernel:
         term = self._term[:self.rows * m].reshape(self.rows, m)
         dst = vals
         last = 0
-        for off, w in _corners(lo, p, self.lattice[4], self._pair[:m], outs):
+        for off, w in _corners(lo, p, self.lattice[2], self._pair[:m], outs):
             if off != last:  # each corner's index, stepped from the cell base
                 np.add(idx, off - last, out=idx)
                 last = off
@@ -253,10 +244,11 @@ class _Kernel:
         payload's quadrature over the step (else None), both work arrays.
         Each stage point is located once and every field is sampled
         through that stencil; a recording kernel keeps the stencils as the
-        step's stages (see stages).  With axial, s is a length in x1 and
-        the step is taken in x1, of dX/dx1 = u~/u~1 with integrand
-        payload/u~1: every sampled row is divided by the sampled u~1, the
-        recorded stage weights too, and the x1 slope is exactly 1.
+        step's stages (see stages).  With axial, s is a length in x1 cells
+        and the step is taken in x1, of dX/dx1 = u~/u~1 with integrand
+        payload/u~1, in cell units: every sampled row is divided by the
+        sampled u~1 / h1, the recorded stage weights too, and the x1 slope
+        is exactly 1.
         """
         m = pos.shape[1]
         p = self._p[:3 * m].reshape(3, m)
@@ -294,15 +286,17 @@ class _Kernel:
 
 
 def _trace(kern: _Kernel, seeds: np.ndarray, recorder=None):
-    """Trace one block of seeds, the columns of a (3, N) array, backward to
-    the inflow plane through kern, integrating its payload if it has one.
+    """Trace one block of seeds, the columns of a (3, N) array in cell
+    units, backward to the inflow plane through kern, integrating its
+    payload if it has one.
 
-    Returns (arrivals, integral) arrays; the arrivals are seeds itself,
-    overwritten.  Full steps of size ds are taken until a step would cross
-    x1 = 0; as u~1 >= 1/2, each lowers x1 by at least ds/2.  Once every
+    Returns (arrivals, integral) arrays; the arrivals, in cell units, are
+    seeds itself, overwritten.  Full steps of size ds = min(h) / 2 in s
+    are taken until a step would cross x1 = 0; as u~1 >= 1/2, each lowers
+    x1 by at least ds/2.  Once every
     trace of the block has reached that step, one RK4 step in x1 each
-    (kern.rk4 with axial), over the trace's remaining x1, lands them all
-    on x1 = 0 exactly.  A seed on the inflow plane crosses on its first
+    (kern.rk4 with axial), over the trace's remaining x1 cells, lands them
+    all on x1 = 0 exactly.  A seed on the inflow plane crosses on its first
     step and lands where it starts, in a step of length 0, with integral 0
     and zero recorded weights.  Every trace's arithmetic is its own, so
     the results do not depend on how the seeds are split into blocks.
@@ -321,7 +315,7 @@ def _trace(kern: _Kernel, seeds: np.ndarray, recorder=None):
     the kernel has divided by u~1, and emit what each trace still holds.
     """
     ds = min(kern.grid.h) / 2.0
-    ext = kern.lattice[0]
+    n_cells = kern.lattice[0]
     payload = kern.payload is not None
     record = recorder is not None
     # One slot per seed: the m traces still stepping in front, in seed
@@ -357,7 +351,7 @@ def _trace(kern: _Kernel, seeds: np.ndarray, recorder=None):
             m = keep.size
             if record:
                 recorder.move(order)
-        np.clip(new, 0.0, ext, out=cur)
+        np.clip(new, 0.0, n_cells, out=cur)
         if payload:
             held[:m] += inc
 
@@ -369,7 +363,7 @@ def _trace(kern: _Kernel, seeds: np.ndarray, recorder=None):
         recorder.step(done, x1, *kern.stages(n))
         recorder.close(done)
     fin[0] = 0.0
-    seeds[:, done] = np.clip(fin, 0.0, ext, out=fin)
+    seeds[:, done] = np.clip(fin, 0.0, n_cells, out=fin)
     integral = np.zeros(n)
     if payload:
         integral[done] = held[::-1] + inc
@@ -377,7 +371,8 @@ def _trace(kern: _Kernel, seeds: np.ndarray, recorder=None):
 
 
 def _bilinear_inflow(kern: _Kernel, arrivals: np.ndarray):
-    """Inflow-plane corners of the (3, m) arrival points of m traces.
+    """Inflow-plane corners of the (3, m) arrival points of m traces, in
+    cell units.
 
     Returns the flat node index of each arrival's cell corner (j, k) and
     an iterator over the columns (j,k), (j+1,k), (j,k+1), (j+1,k+1) that
@@ -386,22 +381,16 @@ def _bilinear_inflow(kern: _Kernel, arrivals: np.ndarray):
     arrivals lie on x1 = 0 exactly, where the trilinear low x1 weight is 1
     and the cell's flat index is the inflow plane's, so the corner
     (j + d2, k + d3) takes w_b w_c, bit for bit the trilinear (1 w_b) w_c.
-    An arrival on a node, the last ones included, reads that node's trace
-    with weight 1: where the node's coordinate j h divided by h is not j
-    exactly, its weights along that axis, a few ulps off, are rounded.
+    An arrival on a node, the last ones included, sits at its integer
+    index and reads that node's trace with weight 1.
     """
     m = arrivals.shape[1]
-    g = kern.grid
     hi = kern._p[:3 * m].reshape(3, m)
     lo = kern._lo[:3 * m].reshape(3, m)
     base, w = kern._idx[:m], kern._w[:m]
     np.copyto(hi, arrivals)
     _locate(kern.lattice, hi, base, lo)
-    for a in (1, 2):
-        on = arrivals[a] == g.axes[a][np.rint(arrivals[a] / g.h[a]).astype(np.intp)]
-        np.rint(hi[a], out=hi[a], where=on)
-        np.subtract(1.0, hi[a], out=lo[a], where=on)
-    s2 = _strides(g)[1]
+    s2 = _strides(kern.grid)[1]
     corners = ((d2 * s2 + d3, np.multiply((lo, hi)[d2][1], (lo, hi)[d3][2], out=w))
                for d2, d3 in ((0, 0), (1, 0), (0, 1), (1, 1)))
     return base, corners
@@ -419,11 +408,9 @@ def _blocks(n_nodes: int) -> list[tuple[int, int]]:
 
 
 def _block_seeds(grid: Grid, lo: int, hi: int) -> np.ndarray:
-    """(3, hi - lo) positions of the nodes with flat indices lo..hi-1."""
-    s1, s2 = _strides(grid)
-    i, rest = np.divmod(np.arange(lo, hi), s1)
-    j, k = np.divmod(rest, s2)
-    return np.stack([grid.axes[0][i], grid.axes[1][j], grid.axes[2][k]])
+    """(3, hi - lo) positions in cell units of the nodes with flat indices
+    lo..hi-1: their node indices (i, j, k), as floats."""
+    return np.array(np.unravel_index(np.arange(lo, hi), grid.shape), dtype=float)
 
 
 def _workers(n_blocks: int) -> int:
@@ -462,6 +449,8 @@ def _check_data(grid: Grid, v: ScalarField, w_in: np.ndarray) -> tuple[np.ndarra
     """The source values and the inflow trace of a solve on grid, checked."""
     if v.values.shape != grid.shape:
         raise ValueError(f"source field shape {v.values.shape} != transport grid shape {grid.shape}")
+    if v.grid.config != grid.config:
+        raise ValueError(f"source field geometry {v.grid.config} != transport grid geometry {grid.config}")
     w_in = np.asarray(w_in, dtype=float)
     if w_in.shape != (grid.shape[1], grid.shape[2]):
         raise ValueError(f"inflow trace shape {w_in.shape} != {(grid.shape[1], grid.shape[2])}")
@@ -497,9 +486,10 @@ def apply_S(tf: TransportField | TransportFootprint, v: ScalarField, w_in: np.nd
     g = tf.grid
     source, trace = _check_data(g, v, w_in)
     trace = trace.reshape(-1)
+    rate = tf.values / np.reshape(g.h, (3, 1, 1, 1))  # u~_a / h_a, in cells
 
     def block(lo: int, hi: int) -> np.ndarray:
-        kern = _Kernel(g, tf.values, source, hi - lo)
+        kern = _Kernel(g, rate, source, hi - lo)
         arr, integral = _trace(kern, _block_seeds(g, lo, hi))
         terms = kern._vals[:4 * (hi - lo)].reshape(-1, 4)  # free once traced
         base, corners = _bilinear_inflow(kern, arr)
@@ -717,10 +707,11 @@ def transport_footprint(tf: TransportField) -> TransportFootprint:
     g = tf.grid
     n = g.n_nodes
     recorder = _SourceRecorder(g)
+    rate = tf.values / np.reshape(g.h, (3, 1, 1, 1))
     idx = np.empty((n, 4), dtype=np.int32)
     w = np.empty((n, 4))
     for lo, hi in _blocks(n):
-        kern = _Kernel(g, tf.values, None, hi - lo, record=True)
+        kern = _Kernel(g, rate, None, hi - lo, record=True)
         recorder.begin(lo, hi - lo)
         arr = _trace(kern, _block_seeds(g, lo, hi), recorder)[0]
         base, corners = _bilinear_inflow(kern, arr)

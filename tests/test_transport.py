@@ -64,10 +64,14 @@ def test_transport_field_rejects_slow_axial_flow():
 
 
 def trace_one(tf, x, payload=None):
-    """Trace one point to the inflow plane: (arrival, integral)."""
+    """Trace one point to the inflow plane: (arrival, integral).  The
+    kernel works in cell units: x and u~ go in divided by h, and the
+    arrival comes out multiplied by h."""
     pay = None if payload is None else payload.values
-    arr, integral = _trace(_Kernel(tf.grid, tf.values, pay, 1), np.array(x, dtype=float)[:, None])
-    return tuple(arr[:, 0]), float(integral[0])
+    h = np.array(tf.grid.h)
+    kern = _Kernel(tf.grid, tf.values / h[:, None, None, None], pay, 1)
+    arr, integral = _trace(kern, (np.array(x, dtype=float) / h)[:, None])
+    return tuple(arr[:, 0] * h), float(integral[0])
 
 
 def test_trace_straight_characteristic():
@@ -142,8 +146,9 @@ def test_apply_s_pure_advection():
 
 
 def test_apply_s_reads_inflow_trace_exactly_at_the_lattice_end():
-    # 22 * (0.1 / 22) rounds past 0.1: with the last node at the extent the
-    # inflow-plane nodes take the trace with weight exactly 1
+    # 22 * (0.1 / 22) rounds past 0.1, but the tracer works in cell units,
+    # where the last node is 22 exactly: the inflow-plane nodes take the
+    # trace with weight exactly 1
     g = build_grid(GeometryConfig(2.0, 0.1, 1.0, 8, 22, 8))
     assert g.axes[1][-1] == 0.1
     x2, x3 = np.meshgrid(g.axes[1], g.axes[2], indexing="ij")
@@ -253,8 +258,9 @@ def test_apply_s_converges_to_exact_density(amp, ceilings):
 # the recorded footprint of the solution operator
 
 
-# footprints over several blocks are checked in test_block_tracing_is_bit_identical
-@pytest.mark.parametrize("cells", [(8, 4, 4), (16, 8, 8), (32, 16, 16)])
+# footprints over several blocks are checked in test_block_tracing_is_bit_identical;
+# the spacings of (20, 10, 12) are not powers of two
+@pytest.mark.parametrize("cells", [(8, 4, 4), (16, 8, 8), (32, 16, 16), (20, 10, 12)])
 def test_footprint_reproduces_apply_s(cells):
     g = make_grid(*cells)
     tf = wall_respecting_flow(g, 2e-2)
@@ -455,14 +461,18 @@ def test_recorded_footprint_matches_pinned_digests(chunk, monkeypatch):
 
 def test_apply_s_matches_the_bisection_landing_oracle():
     # the last step of each trace, taken in x1, lands where a root solve on
-    # the size of a step in s lands it, to the step's own error
-    g = make_grid(32, 16, 16)
-    tf = wall_respecting_flow(g, 2e-2)
-    v = smooth_scalar(g, 500, 0.4)
-    w_in = smooth_scalar(g, 600, 0.4).values[0]
-    expected = bisection_landing_solve(tf, v, w_in)
-    assert np.max(np.abs(apply_S(tf, v, w_in).values - expected)) <= 1e-11
-    assert np.max(np.abs(transport_footprint(tf).apply(v, w_in).values - expected)) <= 1e-11
+    # the size of a step in s lands it, to the step's own error.  The
+    # oracle traces in physical coordinates, the solver in cell units:
+    # on (20, 10, 12), whose spacings are not powers of two, they round
+    # differently
+    for cells in ((32, 16, 16), (20, 10, 12)):
+        g = make_grid(*cells)
+        tf = wall_respecting_flow(g, 2e-2)
+        v = smooth_scalar(g, 500, 0.4)
+        w_in = smooth_scalar(g, 600, 0.4).values[0]
+        expected = bisection_landing_solve(tf, v, w_in)
+        assert np.max(np.abs(apply_S(tf, v, w_in).values - expected)) <= 1e-11
+        assert np.max(np.abs(transport_footprint(tf).apply(v, w_in).values - expected)) <= 1e-11
 
 
 @pytest.mark.parametrize("solver", ["apply_S"])  # the one route that starts workers
@@ -561,10 +571,16 @@ def test_both_solvers_reject_malformed_inflow_trace(w_in, message, monkeypatch):
     assert len(set(messages)) == 1
 
 
-@pytest.mark.parametrize("n1", [4, 16])
+@pytest.mark.parametrize("source, message", [
+    ((2.0, 4), r"source field shape \(5, 5, 5\) != transport grid shape \(9, 5, 5\)"),
+    ((2.0, 16), r"source field shape \(17, 5, 5\) != transport grid shape \(9, 5, 5\)"),
+    # the same shape on a longer duct
+    ((3.0, 8), r"source field geometry GeometryConfig\(length=3.0, .*\) != "
+               r"transport grid geometry GeometryConfig\(length=2.0, .*\)"),
+], ids=["4", "16", "3.0 long"])
 @pytest.mark.parametrize("route", ["bare apply_S", "apply_S with footprint", "footprint.apply",
                                    "upwind_march"])
-def test_every_route_rejects_a_source_from_another_grid(route, n1):
+def test_every_route_rejects_a_source_from_another_grid(route, source, message):
     g = make_grid(8, 4, 4)
     tf = uniform_flow(g)
     fp = transport_footprint(tf)
@@ -574,9 +590,9 @@ def test_every_route_rejects_a_source_from_another_grid(route, n1):
         "footprint.apply": fp.apply,
         "upwind_march": lambda v, w: upwind_march(tf, v, w),
     }[route]
-    v = smooth_scalar(make_grid(n1, 4, 4), 500, 0.4)
-    with pytest.raises(ValueError, match=rf"source field shape \({n1 + 1}, 5, 5\) != "
-                                         r"transport grid shape \(9, 5, 5\)"):
+    length, n1 = source
+    v = smooth_scalar(build_grid(GeometryConfig(length, 1.0, 1.0, n1, 4, 4)), 500, 0.4)
+    with pytest.raises(ValueError, match=message):
         solve(v, np.zeros(g.shape[1:]))
 
 
