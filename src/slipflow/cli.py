@@ -19,9 +19,8 @@ import sys
 from pathlib import Path
 
 from . import runio
-from .config import ConfigError, RunConfig, config_from_mapping, parse_config
+from .config import RunConfig, config_from_mapping, parse_config
 from .diagnostics import run_diagnostics
-from .fields import ScalarField, VectorField
 from .lame import MODES
 from .picard import build_setup, convergence_metrics, picard_solve
 from .study import (
@@ -81,25 +80,8 @@ def cmd_transport_test(config: RunConfig, out_dir: str) -> int:
 
 def cmd_diagnose(config: RunConfig, out_dir: str) -> int:
     out = Path(out_dir)
-    u_path, w_path = out / "field_u.txt", out / "field_w.txt"
-    if not u_path.exists() or not w_path.exists():
-        raise ConfigError(
-            f"diagnose needs field_u.txt and field_w.txt in {out_dir}; run solve first"
-        )
     setup = build_setup(config)
-    grid = setup.grid
-    _, u_values, u_spacing = runio.load_field_dump(u_path)
-    _, w_values, w_spacing = runio.load_field_dump(w_path)
-    if u_values.shape != (3,) + grid.shape or w_values.shape != grid.shape:
-        raise ConfigError(
-            f"dumped fields in {out_dir} do not match the configured grid {grid.shape}"
-        )
-    for spacing in (u_spacing, w_spacing):
-        if spacing != grid.h:
-            raise ConfigError(f"dumped fields in {out_dir} have spacing {spacing}, "
-                              f"the configured grid has spacing {grid.h}")
-    u = VectorField(grid, u_values)
-    w = ScalarField(grid, w_values)
+    u, w = runio.load_solution(out, setup.grid)
     report = run_diagnostics(u, w, setup.data, config.params)
     runio.write_report_json(out / "report.json", report)
     width = max(len(e.name) for e in report.entries)

@@ -1,27 +1,26 @@
 """Run artifacts: history table, field dumps, report, config echo.
 
 Every writer is deterministic (same inputs give byte-identical files) and
-atomic (stream into a sibling temp file, then rename), so an interrupted
-run never leaves a truncated artifact behind.  Floats are printed with 17
-significant digits, which round-trips IEEE doubles exactly.  Field dumps
-are written 512 rows at a time, each value as format(value, ".17g")
-prints it, and read through numpy's text reader, so neither direction
-holds a Python object per value of the field; a body the reader rejects
-is scanned line by line, so a malformed dump is reported by file and
-first bad line.
+atomic (stream into a sibling temp file, removed if the write fails, then
+rename), so an interrupted run never leaves a truncated artifact behind.
+Floats are printed with 17 significant digits, which round-trips IEEE
+doubles exactly.  Field dumps are written 512 rows at a time and read one
+line at a time, so neither direction holds a Python object per value of
+the field.  load_solution owns the layout diagnose reads: which dumps
+hold u and w, and that they hold them on the configured grid.
 """
 from __future__ import annotations
 
 import json
+import math
 import os
-import warnings
 from contextlib import contextmanager
-from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
+from .fields import ScalarField, VectorField
 from .grid import Grid
 
 HISTORY_COLUMNS = ("n", "A_n", "d_n", "r_n", "F_lp", "G_w1p", "verdict")
@@ -36,9 +35,12 @@ def _atomic_write(path):
     """Yield a text file that replaces path once the block completes."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        yield fh
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_history(path, history: Iterable, verdict: str) -> None:
@@ -86,15 +88,20 @@ def load_field_dump(path) -> tuple[str, np.ndarray, tuple[float, float, float]]:
     """Read a field dump; returns (name, values, spacings).
 
     Scalar fields come back 3D, vector fields 4D with the component axis
-    first, matching what write_field_dump accepted.  numpy's text reader
-    parses the body; a body it rejects, or whose line count differs from
-    the nodes line (numpy skips blank lines), is scanned line by line to
-    name the file and the first bad line.
+    first, matching what write_field_dump accepted.  The body lines are
+    counted against the nodes line before the table is allocated, then
+    read one line at a time into it; any error names the file and, in
+    the body, the first bad line.
     """
     with open(path) as fh:
-        lines = [line.rstrip("\n") for line in islice(fh, 3)]
-        if len(lines) < 3:
-            raise ValueError(f"field dump {path} has {len(lines)} of its 3 header lines")
+        lines = [fh.readline() for _ in range(3)]
+        if not lines[2]:
+            raise ValueError(f"field dump {path} has {sum(map(bool, lines))} of its 3 header lines")
+        lines = [line.rstrip("\n") for line in lines]
+        for line, key in ((lines[0], "nodes"), (lines[1], "spacing")):
+            if line.split()[:1] != [key]:
+                raise ValueError(f"field dump {path}: header line {line!r} "
+                                 f"does not start with {key!r}")
         head = lines[2].split()
         if len(head) != 4 or head[0] != "field" or head[2] != "components":
             raise ValueError(f"malformed field header {lines[2]!r} in {path}")
@@ -107,49 +114,53 @@ def load_field_dump(path) -> tuple[str, np.ndarray, tuple[float, float, float]]:
         for line, values in ((lines[0], nodes), (lines[1], spacing)):
             if len(values) != 3:
                 raise ValueError(f"field dump {path}: header line {line!r} needs 3 values")
-        n_nodes = int(np.prod(nodes))
-        counted = 0
-
-        # numpy skips blank lines, so count the lines it is handed
-        def body():
-            nonlocal counted
-            for counted, line in enumerate(fh, start=1):
-                yield line
-
-        try:
-            with warnings.catch_warnings():
-                # an empty body: the line count below sends it to the scan
-                warnings.simplefilter("ignore", UserWarning)
-                table = np.loadtxt(body(), comments=None, ndmin=2)
-        except ValueError:
-            table = None
-    if table is None or counted != n_nodes or table.shape != (n_nodes, ncomp):
-        table = _scan_body(path, n_nodes, ncomp)
+        for line, counts in ((lines[0], nodes), (lines[2], (ncomp,))):
+            if min(counts) < 1:
+                raise ValueError(f"field dump {path}: header line {line!r} has a count below 1")
+        n_nodes = math.prod(nodes)
+        body = fh.tell()
+        counted = sum(1 for _ in fh)
+        if counted != n_nodes:
+            raise ValueError(f"field dump {path} has {counted} body lines, "
+                             f"its nodes line {n_nodes}")
+        fh.seek(body)
+        table = np.empty((n_nodes, ncomp))
+        for number, line in enumerate(fh, start=4):
+            try:
+                row = [float(tok) for tok in line.split()]
+            except ValueError as exc:
+                raise ValueError(f"field dump {path}, line {number}: {exc}") from None
+            if len(row) != ncomp:
+                raise ValueError(f"field dump {path}, line {number} has {len(row)} "
+                                 f"of its {ncomp} values")
+            table[number - 4] = row
     # each component Fortran-ordered, first axis fastest as in the file
     comps = np.ascontiguousarray(table.T).reshape((ncomp,) + nodes[::-1]).transpose(0, 3, 2, 1)
     values = comps[0] if ncomp == 1 else comps
     return name, values, spacing
 
 
-def _scan_body(path, n_nodes: int, ncomp: int) -> np.ndarray:
-    """Read a dump body one line at a time, raising at its first bad line;
-    returns the table if every line reads (with values that Python's float
-    takes and numpy's reader does not, such as 1_0)."""
-    lines = Path(path).read_text().splitlines()[3:]
-    if len(lines) != n_nodes:
-        raise ValueError(f"field dump {path} has {len(lines)} body lines, "
-                         f"its nodes line {n_nodes}")
-    rows = []
-    for number, line in enumerate(lines, start=4):
-        try:
-            row = list(map(float, line.split()))
-        except ValueError as exc:
-            raise ValueError(f"field dump {path}, line {number}: {exc}") from None
-        if len(row) != ncomp:
-            raise ValueError(f"field dump {path}, line {number} has {len(row)} "
-                             f"of its {ncomp} values")
-        rows.append(row)
-    return np.array(rows)
+def load_solution(out_dir, grid: Grid) -> tuple[VectorField, ScalarField]:
+    """Read the u and w a solve dumped in out_dir, checking that each dump
+    names its own field and has grid's node counts and spacings."""
+    out = Path(out_dir)
+    paths = [out / f"field_{name}.txt" for name in ("u", "w")]
+    if not all(path.exists() for path in paths):
+        raise ValueError(f"diagnose needs field_u.txt and field_w.txt in {out_dir}; "
+                         "run solve first")
+    values = []
+    for path, name, shape in zip(paths, ("u", "w"), ((3,) + grid.shape, grid.shape)):
+        found, vals, spacing = load_field_dump(path)
+        if found != name:
+            raise ValueError(f"field dump {path} holds field {found!r}, not {name!r}")
+        if vals.shape != shape:
+            raise ValueError(f"dumped fields in {out_dir} do not match the configured "
+                             f"grid {grid.shape}")
+        if spacing != grid.h:
+            raise ValueError(f"dumped fields in {out_dir} have spacing {spacing}, "
+                             f"the configured grid has spacing {grid.h}")
+        values.append(vals)
+    return VectorField(grid, values[0]), ScalarField(grid, values[1])
 
 
 def write_report_json(path, report) -> None:

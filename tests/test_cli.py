@@ -2,6 +2,7 @@ import ast
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -211,6 +212,24 @@ def test_diagnose_reports_corrupt_dump_row_and_exits_two(tmp_path, capsys):
     assert main(["diagnose", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert f"error: field dump {u_path}, line 4 has 2 of its 3 values" in captured.err
+    assert "diagnose:" not in captured.out
+
+
+@pytest.mark.parametrize("source, target", [
+    ("v", "u"),
+    ("rho", "w"),
+], ids=["v over u", "rho over w"])
+def test_diagnose_rejects_a_dump_of_another_field(source, target, tmp_path, capsys):
+    # the physical fields sit next to u and w with the same shapes
+    cfg = write_config(tmp_path, {"data": {"epsilon": 1e-2}})
+    assert main(["solve", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "out"
+    shutil.copyfile(out / f"field_{source}.txt", out / f"field_{target}.txt")
+    assert main(["diagnose", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert (f"error: field dump {out / f'field_{target}.txt'} holds field '{source}', "
+            f"not '{target}'") in captured.err
     assert "diagnose:" not in captured.out
 
 

@@ -10,6 +10,7 @@ from slipflow.picard import IterationRecord
 from slipflow.runio import (
     HISTORY_COLUMNS,
     load_field_dump,
+    write_config_echo,
     write_field_dump,
     write_history,
     write_outputs,
@@ -55,7 +56,24 @@ def test_history_header_and_roundtrip(tmp_path):
     (["nodes 9 5 5", "spacing 0.25", "field w components 1"],
      "header line 'spacing 0.25' needs 3 values"),
     (["nodes 9 5 5", "spacing 0.25 0.25 0.25", "field w"], "malformed field header 'field w'"),
-], ids=["nodes line alone", "empty", "two node counts", "one spacing", "no component count"])
+    (["grid 9 5 5", "spacing 0.25 0.25 0.25", "field w components 1"],
+     "header line 'grid 9 5 5' does not start with 'nodes'"),
+    (["", "spacing 0.25 0.25 0.25", "field w components 1"],
+     "header line '' does not start with 'nodes'"),
+    (["nodes 9 5 5", "9 5 5", "field w components 1"],
+     "header line '9 5 5' does not start with 'spacing'"),
+    (["nodes 9 0 5", "spacing 0.25 0.25 0.25", "field w components 1"],
+     "header line 'nodes 9 0 5' has a count below 1"),
+    (["nodes 9 5 5", "spacing 0.25 0.25 0.25", "field w components -1"],
+     "header line 'field w components -1' has a count below 1"),
+    (["nodes 9 5 5", "spacing 0.25 0.25 0.25", "field w components 0"],
+     "header line 'field w components 0' has a count below 1"),
+    # the body is counted before anything is allocated for it
+    (["nodes 100000 100000 100000", "spacing 0.25 0.25 0.25", "field w components 1", "0"],
+     "has 1 body lines, its nodes line 1000000000000000"),
+], ids=["nodes line alone", "empty", "two node counts", "one spacing", "no component count",
+        "grid keyword", "blank nodes line", "no spacing keyword", "zero node count",
+        "negative component count", "zero component count", "huge node count"])
 def test_truncated_field_dump_names_the_file(header, message, tmp_path):
     path = tmp_path / "field_w.txt"
     path.write_text("".join(line + "\n" for line in header))
@@ -229,6 +247,13 @@ def test_writers_leave_no_temp_files(tmp_path):
     write_field_dump(tmp_path / "field_w.txt", "w", np.zeros(g.shape), g)
     write_history(tmp_path / "history.csv", (), "converged")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["field_w.txt", "history.csv"]
+
+
+def test_failed_write_leaves_neither_file(tmp_path):
+    path = tmp_path / "config.json"
+    with pytest.raises(TypeError):
+        write_config_echo(path, {"a": object()})
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_report_json_structure(tmp_path):
