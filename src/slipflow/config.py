@@ -7,8 +7,9 @@ DataConfig, SolverConfig, OutputConfig), which holds the keys' defaults as
 field defaults and every value check (ranges, finiteness, face and
 profile names) in __post_init__.  This module does the JSON-facing rest:
 unknown keys are hard errors with a nearest-known-key hint, so typos
-cannot silently fall back to defaults; values must have their default's
-JSON type; and the dataclass errors come back naming the dotted key.  The
+cannot silently fall back to defaults; numbers, strings and profile maps
+must have their default's JSON type (the dataclasses check integers);
+and the dataclass errors come back naming the dotted key.  The
 merged document is kept for echoing, which makes a run reproducible from
 its own output directory.
 """
@@ -107,9 +108,8 @@ def _fail_unknown(path: str, known) -> None:
 
 def _typed(value, default, path: str):
     """Check one given value against the JSON type of its default: a
-    boolean is no number, integers stay integers where the default is one,
-    a profile map is an object of strings.  The settings dataclass checks
-    ranges, finiteness and names."""
+    boolean is no number, a profile map is an object of strings.  The
+    settings dataclass checks integers, ranges, finiteness and names."""
     if isinstance(default, float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path} must be a number, got {value!r}")
@@ -119,9 +119,6 @@ def _typed(value, default, path: str):
             raise ConfigError(f"{path} must be an object of face name to profile name, "
                               f"got {value!r}")
         return dict(value)
-    elif isinstance(default, int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path} must be an integer, got {value!r}")
     elif isinstance(default, str) and not isinstance(value, str):
         raise ConfigError(f"{path} must be a string, got {value!r}")
     return value

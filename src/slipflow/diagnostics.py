@@ -71,23 +71,14 @@ def _axis_margin_keep(g: Grid, axis: int) -> np.ndarray:
     return keep
 
 
-def _face_margin_weights(face, g: Grid) -> np.ndarray:
-    """Face quadrature weights with a strip of width EDGE_MARGIN next to
-    each face edge zeroed out."""
-    w = face.weights.copy()
-    for k, ax in enumerate(face.in_axes):
-        wm = np.moveaxis(w, k, 0)
-        wm[~_axis_margin_keep(g, ax)] = 0.0
-    return w
-
-
-def _margin_volume_weights(g: Grid) -> np.ndarray:
-    """Volume quadrature weights zeroed within EDGE_MARGIN of every wall."""
-    wgt = g.volume_weights().copy()
-    for ax in range(3):
-        wg = np.moveaxis(wgt, ax, 0)
-        wg[~_axis_margin_keep(g, ax)] = 0.0
-    return wgt
+def _margin_weights(weights: np.ndarray, g: Grid, axes) -> np.ndarray:
+    """A copy of quadrature weights over the grid axes axes, zeroed within
+    EDGE_MARGIN of either end of each: of every wall for the volume
+    weights, of each face edge for a face's."""
+    out = weights.copy()
+    for k, ax in enumerate(axes):
+        np.moveaxis(out, k, 0)[~_axis_margin_keep(g, ax)] = 0.0
+    return out
 
 
 def _smooth121(values: np.ndarray, passes: int) -> np.ndarray:
@@ -192,7 +183,7 @@ def vorticity_boundary_residual(
         sl = face.slicer()
         na = face.axis
         t1, t2 = face.in_axes
-        weights = _face_margin_weights(face, g)
+        weights = _margin_weights(face.weights, g, face.in_axes)
         alpha1 = _eps(t1, t2, na) * diff1(u.values[na], g.h[t2], t2)[sl]
         alpha1 += _eps(t1, na, t2) * _deep_normal_d1(u.values[t2], face, g.h[na])
         alpha2 = _eps(t2, t1, na) * diff1(u.values[na], g.h[t1], t1)[sl]
@@ -313,7 +304,7 @@ def gradient_structure_residual(
     passes = max(2, int(round(EDGE_MARGIN / min(g.h))))
     cr_raw = curl(VectorField(g, r)).values
     cr = np.stack([_smooth121(cr_raw[c], passes) for c in range(3)])
-    wgt = _margin_volume_weights(g)
+    wgt = _margin_weights(g.volume_weights(), g, range(3))
     num = float(np.sqrt(np.sum(wgt * np.sum(cr * cr, axis=0))))
     return num / r_norm
 

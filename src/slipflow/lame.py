@@ -98,7 +98,7 @@ from .fields import (
 )
 from .krylov import krylov_solve
 from .transport import make_transport_field, apply_S, transport_footprint
-from .material import FlowParams
+from .material import FlowParams, reference_flow
 
 # a linear step alternates sweeps (split) or makes one Krylov solve;
 # the first is the default
@@ -483,8 +483,7 @@ def solve_linear_step(
         raise ValueError(f"unknown linear step mode {mode!r} (use one of {MODES})")
     grid = op.grid
     # of the transport speed e1 + convect the step keeps only the footprint
-    footprint = transport_footprint(make_transport_field(
-        grid, np.concatenate((convect.values[:1] + 1.0, convect.values[1:]))))
+    footprint = transport_footprint(make_transport_field(grid, reference_flow(grid) + convect.values))
     gamma = op.params.pressure.gamma
     rel_tol = krylov_tol(inner_tol)
     rhs = _momentum_rhs(op, forcing.values, slip_data)

@@ -108,6 +108,10 @@ def picard_solve(
     if start is None:
         u, w = zeros_vector(grid), zeros_scalar(grid)
     else:
+        for field in start:
+            if field.grid.config != grid.config:
+                raise ValueError(f"start field geometry {field.grid.config} "
+                                 f"!= setup grid geometry {grid.config}")
         u = VectorField(grid, np.array(start[0].values, dtype=float))
         w = ScalarField(grid, np.array(start[1].values, dtype=float))
 

@@ -16,7 +16,7 @@ import numpy as np
 from .fields import NormKind, ScalarField, VectorField, norm
 from .grid import GeometryConfig, Grid, build_grid
 from .lame import INNER_TOL, build_lame_operator, solve_linear_step
-from .material import FlowParams
+from .material import FlowParams, reference_flow
 from .mms import build_linear_case
 from .transport import apply_S, make_transport_field, upwind_march
 
@@ -129,9 +129,7 @@ class TransportStudy:
 
 
 def _exact_cases(grid: Grid) -> tuple[ExactCase, ...]:
-    uniform = np.zeros((3,) + grid.shape)
-    uniform[0] = 1.0
-    tf = make_transport_field(grid, uniform)
+    tf = make_transport_field(grid, reference_flow(grid))
     x1 = grid.meshgrid()[0]
     trace_shape = (grid.shape[1], grid.shape[2])
     cases = []

@@ -112,17 +112,13 @@ def make_transport_field(grid: Grid, velocity: np.ndarray) -> TransportField:
 # ---------------------------------------------------------------------------
 # interpolation
 
-def _strides(grid: Grid) -> tuple[int, int]:
-    """Flat-index strides of the x1 and x2 axes (x3 has stride 1)."""
-    return grid.shape[1] * grid.shape[2], grid.shape[2]
-
-
 def _lattice(grid: Grid):
     """Columns for locating (3, m) points in cell units: the cell counts
     and the last cell indices as columns, and the flat-index stride of
     each axis."""
     cells = np.array(grid.config.cells)[:, None]
-    return cells.astype(float), cells - 1, np.array((*_strides(grid), 1), dtype=np.int64)
+    _, n2, n3 = grid.shape
+    return cells.astype(float), cells - 1, np.array((n2 * n3, n3, 1), dtype=np.int64)
 
 
 def _locate(lattice, p: np.ndarray, base: np.ndarray, lo: np.ndarray) -> None:
@@ -390,7 +386,7 @@ def _bilinear_inflow(kern: _Kernel, arrivals: np.ndarray):
     base, w = kern._idx[:m], kern._w[:m]
     np.copyto(hi, arrivals)
     _locate(kern.lattice, hi, base, lo)
-    s2 = _strides(kern.grid)[1]
+    s2 = int(kern.lattice[2][1])
     corners = ((d2 * s2 + d3, np.multiply((lo, hi)[d2][1], (lo, hi)[d3][2], out=w))
                for d2, d3 in ((0, 0), (1, 0), (0, 1), (1, 1)))
     return base, corners
@@ -527,42 +523,6 @@ def _mapped_chunk(size: int, width: int):
     return rows, bases, weights
 
 
-class _GroupChunks:
-    """Groups of weights at fixed node offsets from a base node, written
-    in arrival order into chunks: row, base and one weight per offset."""
-
-    CHUNK = 1 << 18
-
-    def __init__(self, offsets: tuple[int, ...]):
-        self.offsets = offsets
-        self.chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        self.fill = self.CHUNK
-
-    def append(self, rows: np.ndarray, bases: np.ndarray, weights: np.ndarray) -> None:
-        done = 0
-        while done < rows.size:
-            if self.fill == self.CHUNK:
-                self.chunks.append(_mapped_chunk(self.CHUNK, len(self.offsets)))
-                self.fill = 0
-            take = min(rows.size - done, self.CHUNK - self.fill)
-            r, b, w = self.chunks[-1]
-            end = self.fill + take
-            r[self.fill:end] = rows[done:done + take]
-            b[self.fill:end] = bases[done:done + take]
-            w[:, self.fill:end] = weights[:, done:done + take]
-            self.fill = end
-            done += take
-
-    def terms(self, n_nodes: int):
-        """(offset, matrix) pairs; each matrix acts on the node array
-        shifted by its offset."""
-        n_cols = n_nodes - max(self.offsets)
-        for i, (r, b, w) in enumerate(self.chunks):
-            used = self.fill if i == len(self.chunks) - 1 else self.CHUNK
-            for off, wq in zip(self.offsets, w):
-                yield off, sparse.coo_matrix((wq[:used], (r[:used], b[:used])), shape=(n_nodes, n_cols))
-
-
 class _SourceRecorder:
     """Accumulates the source part of the footprint as traces step.
 
@@ -574,7 +534,9 @@ class _SourceRecorder:
     recorded once the step is done and only for the traces it kept, so a
     trace sees the stages of every step it takes in order, and its
     landing step in x1 when it lands.  Every emitted group with a nonzero
-    weight is stored as four weights.
+    weight is stored, in emission order, into chunks of CHUNK groups
+    (_mapped_chunk): its row, its base node and one weight per offset of
+    a face corner from the base.
 
     A trace's state, its cell (the flat index of the cell's low corner)
     and the 8 weights of its two groups, sits in the trace's slot in
@@ -584,10 +546,13 @@ class _SourceRecorder:
     in that stage.
     """
 
+    CHUNK = 1 << 18
+
     def __init__(self, grid: Grid):
-        self.grid = grid
-        s2 = _strides(grid)[1]
-        self.quads = _GroupChunks((0, 1, s2, s2 + 1))  # (d2, d3) corners of a cell face
+        self.s1, s2 = (int(s) for s in _lattice(grid)[2][:2])
+        self.offsets = (0, 1, s2, s2 + 1)  # (d2, d3) corners of a cell face
+        self.chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.fill = self.CHUNK  # groups written to the last chunk
 
     def begin(self, first: int, n: int) -> None:
         """Start a block's n seeds in slots 0..n-1; rows are local to the
@@ -626,24 +591,23 @@ class _SourceRecorder:
     def _stage(self, rows: np.ndarray, coef, base: np.ndarray, w: np.ndarray) -> None:
         """One stage of step, its weights scaled by coef = s/6 times the
         stage's RK4 weight."""
-        s1 = _strides(self.grid)[0]
         m = rows.size
         cell, slots = self.cell[:m], self.slots[:, :m]
         moved = np.flatnonzero(base != cell)
         if moved.size:
             o = cell[moved]
-            down = base[moved] == o - s1
+            down = base[moved] == o - self.s1
             # a fresh trace (cell -1) holds nothing yet
             far = ~down & (o >= 0)
             kd, kf = moved[down], moved[far]
             # the high group of each trace moving one cell down, then the
             # low and the high group of each other move
             if kd.size:
-                self._emit(rows[kd], o[down] + s1, slots[4:, kd])
+                self._emit(rows[kd], o[down] + self.s1, slots[4:, kd])
             if kf.size:
                 of = o[far]
                 self._emit(rows[kf], of, slots[:4, kf])
-                self._emit(rows[kf], of + s1, slots[4:, kf])
+                self._emit(rows[kf], of + self.s1, slots[4:, kf])
             slots[4:, kd] = slots[:4, kd]
             slots[:4, kd] = 0.0
             slots[:, kf] = 0.0
@@ -656,14 +620,33 @@ class _SourceRecorder:
         m = rows.size
         cells = self.cell[:m]
         self._emit(rows, cells, self.slots[:4, :m])
-        self._emit(rows, cells + _strides(self.grid)[0], self.slots[4:, :m])
+        self._emit(rows, cells + self.s1, self.slots[4:, :m])
 
     def _emit(self, rows: np.ndarray, bases: np.ndarray, vals: np.ndarray) -> None:
         """Store groups: row, corner (j0, k0) base and the (4, n) face
         weights.  All-zero groups are dropped, such as the high group of a
         trace whose stage points in that cell all lay on its low face."""
         keep = np.any(vals != 0.0, axis=0)
-        self.quads.append(rows[keep] + self.first, bases[keep], vals[:, keep])
+        groups = (rows[keep] + self.first, bases[keep], vals[:, keep])
+        done, n = 0, groups[0].size
+        while done < n:
+            if self.fill == self.CHUNK:
+                self.chunks.append(_mapped_chunk(self.CHUNK, len(self.offsets)))
+                self.fill = 0
+            take = min(n - done, self.CHUNK - self.fill)
+            for dst, src in zip(self.chunks[-1], groups):
+                dst[..., self.fill:self.fill + take] = src[..., done:done + take]
+            self.fill += take
+            done += take
+
+    def terms(self, n_nodes: int):
+        """(offset, matrix) pairs; each matrix acts on the node array
+        shifted by its offset."""
+        n_cols = n_nodes - max(self.offsets)
+        for i, (r, b, w) in enumerate(self.chunks):
+            used = self.fill if i == len(self.chunks) - 1 else self.CHUNK
+            for off, wq in zip(self.offsets, w):
+                yield off, sparse.coo_matrix((wq[:used], (r[:used], b[:used])), shape=(n_nodes, n_cols))
 
 
 @dataclass(frozen=True, eq=False)
@@ -718,7 +701,7 @@ def transport_footprint(tf: TransportField) -> TransportFootprint:
         for c, (off, wc) in enumerate(corners):
             np.add(base, off, out=idx[lo:hi, c], casting="unsafe")
             w[lo:hi, c] = wc
-    terms = tuple(recorder.quads.terms(n))
+    terms = tuple(recorder.terms(n))
     inflow = sparse.csr_matrix(
         (w.reshape(-1), idx.reshape(-1), np.arange(0, 4 * n + 1, 4, dtype=np.int32)),
         shape=(n, g.shape[1] * g.shape[2]),

@@ -117,6 +117,16 @@ def test_booleans_are_not_numbers():
         config_from_mapping({"solver": {"max_outer": False}})
 
 
+@pytest.mark.parametrize("key", ["geometry.n1", "geometry.n2", "geometry.n3", "solver.max_outer"])
+@pytest.mark.parametrize("value", [8.5, True, "8"])
+def test_integer_keys_take_only_integers(key, value):
+    # the settings dataclasses check their integers; the error names the
+    # dotted key
+    block, name = key.split(".")
+    with pytest.raises(ConfigError, match="^" + key.replace(".", r"\.") + " must be an integer"):
+        config_from_mapping({block: {name: value}})
+
+
 def test_values_and_blocks_of_the_wrong_json_type():
     with pytest.raises(ConfigError, match=r"^solver\.mode must be a string, got 3$"):
         config_from_mapping({"solver": {"mode": 3}})

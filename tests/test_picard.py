@@ -269,6 +269,17 @@ def test_random_small_start_hits_requested_size():
     assert a0 == pytest.approx(0.05, rel=1e-10)
 
 
+def test_picard_solve_rejects_a_start_from_another_duct():
+    # the node counts match, the duct does not: unchecked, such a start is
+    # read on the setup's grid and the run reports converged
+    setup = make_setup(1e-2)
+    other = build_grid(GeometryConfig(5.0, 1.0, 1.0, 8, 4, 4))
+    for start in ((zeros_vector(other), zeros_scalar(setup.grid)),
+                  (zeros_vector(setup.grid), zeros_scalar(other))):
+        with pytest.raises(ValueError, match="start field geometry .* != setup grid geometry"):
+            picard_solve(setup, start)
+
+
 def test_iteration_record_validation():
     with pytest.raises(ValueError, match="d_n"):
         IterationRecord(n=0, a_n=0.0, d_n=np.nan, r_n=0.0, f_lp=0.0, g_w1p=0.0)

@@ -439,7 +439,7 @@ def test_recorded_footprint_matches_pinned_digests(chunk, monkeypatch):
     # split the stream as (64, 32, 32) does at the default chunk size, and
     # change the sums of apply.
     if chunk is not None:
-        monkeypatch.setattr(transport._GroupChunks, "CHUNK", chunk)
+        monkeypatch.setattr(transport._SourceRecorder, "CHUNK", chunk)
     g = make_grid(32, 16, 16)
     tf = wall_respecting_flow(g, 2e-2)
     v = smooth_scalar(g, 500, 0.4)
