@@ -21,6 +21,7 @@ from pathlib import Path
 from . import runio
 from .config import RunConfig, config_from_mapping, parse_config
 from .diagnostics import run_diagnostics
+from .fields import strong_size
 from .lame import MODES
 from .picard import build_setup, convergence_metrics, picard_solve
 from .study import (
@@ -39,9 +40,10 @@ def cmd_solve(config: RunConfig, out_dir: str) -> int:
         print(f"step {rec.n}: {rec.sweeps} sweeps, {rec.inner_iterations} Krylov iterations, "
               f"linear residual {rec.linear_residual:.2e}")
     print(f"verdict: {bundle.verdict} after {len(bundle.history)} iterations")
-    if bundle.history:
-        last = bundle.history[-1]
-        print(f"final update d_n = {last.d_n:.3e}, iterate size A_n = {last.a_n:.3e}")
+    # the size of the iterate returned and dumped, not the a_n recorded
+    # at the start of the last step
+    update = f"final update d_n = {bundle.history[-1].d_n:.3e}, " if bundle.history else ""
+    print(f"{update}iterate size A_n = {strong_size(bundle.u, bundle.w, config.solver.p):.3e}")
     if len(bundle.history) >= 2:
         metrics = convergence_metrics(bundle.history, setup.data.b_measure)
         print(f"iterate bound 2*C_b*B = {metrics['bound']:.3e} "
@@ -82,6 +84,8 @@ def cmd_diagnose(config: RunConfig, out_dir: str) -> int:
     out = Path(out_dir)
     setup = build_setup(config)
     u, w = runio.load_solution(out, setup.grid)
+    verdict = runio.load_verdict(out)
+    print(f"solve verdict: {verdict or 'none, history.csv records no iteration'}")
     report = run_diagnostics(u, w, setup.data, config.params)
     runio.write_report_json(out / "report.json", report)
     width = max(len(e.name) for e in report.entries)

@@ -204,20 +204,21 @@ def ramp_width(grid: Grid) -> float:
     return min(grid.config.extents) / 4.0
 
 
-def extend_normal_trace(grid: Grid, data: DataConfig) -> VectorField:
-    """Lift the prescribed normal-trace perturbation into the duct.
+def extend_normal_trace(grid: Grid, normal_trace: Mapping[str, np.ndarray]) -> VectorField:
+    """Lift a normal-trace perturbation into the duct.
 
-    Each face contribution is the face profile times a quintic Hermite
-    ramp in the inward normal direction of width min(extent)/4, carried
-    entirely by the normal velocity component; opposite-face
-    contributions are summed, tangential components stay zero.  The
-    normal trace matches the prescribed data exactly at face nodes.
+    normal_trace maps face name -> the normal trace n . u0 on the face's
+    nodes; faces it leaves out, and zero traces, contribute nothing.  Each
+    face contribution is the trace times a quintic Hermite ramp in the
+    inward normal direction of width min(extent)/4, carried entirely by
+    the normal velocity component; opposite-face contributions are
+    summed, tangential components stay zero.  The normal trace matches
+    the given one exactly at face nodes.
     """
     vals = np.zeros((3, *grid.shape))
     width = ramp_width(grid)
-    for name, profile in data.normal_trace:
+    for name, trace in normal_trace.items():
         face = grid.face(name)
-        trace = data.epsilon * face_profile(profile, face)
         axis_coords = grid.axes[face.axis]
         if face.side < 0:
             dist = axis_coords
@@ -240,6 +241,10 @@ class PerturbationData:
     """Everything the linear step needs about the boundary data, and the
     data's size in the norms of the smallness regime.
 
+    normal_trace maps every face name -> (m, n) array: the configured
+    normal trace n . (v - e1), epsilon times the profile on the faces
+    DataConfig.normal_trace names and zero on every other face; u0 is its
+    lift (extend_normal_trace), and diagnose grades v . n against it.
     slip_data maps face name -> (2, m, n) array: the right-hand sides of
     the two tangential Robin rows in the face frame, given data minus the
     lifted field's slip rows (fields.slip_traction of u0).  w_in is the
@@ -251,6 +256,7 @@ class PerturbationData:
     """
 
     u0: VectorField
+    normal_trace: Mapping[str, np.ndarray]
     slip_data: Mapping[str, np.ndarray]
     w_in: np.ndarray
     p: float
@@ -261,14 +267,19 @@ class PerturbationData:
 
     @classmethod
     def measured(
-        cls, u0: VectorField, slip_data: Mapping[str, np.ndarray], w_in: np.ndarray, p: float
+        cls,
+        u0: VectorField,
+        normal_trace: Mapping[str, np.ndarray],
+        slip_data: Mapping[str, np.ndarray],
+        w_in: np.ndarray,
+        p: float,
     ) -> "PerturbationData":
         """The data with their measures taken in p, each trace norm once."""
         grid = u0.grid
         u0_w2p = norm(u0, NormKind.w2p(p))
         slip_trace = trace_gagliardo_norm(grid, slip_data, p)
         inflow_w1p = face_w1p_norm(grid.face("inflow"), w_in, p)
-        return cls(u0, slip_data, w_in, p, u0_w2p, slip_trace, inflow_w1p,
+        return cls(u0, normal_trace, slip_data, w_in, p, u0_w2p, slip_trace, inflow_w1p,
                    b_measure=u0_w2p + slip_trace + inflow_w1p)
 
 
@@ -285,8 +296,14 @@ def assemble_perturbation_data(
     params: FlowParams,
     p: float = NormKind.p,
 ) -> PerturbationData:
-    """Evaluate u0, the Robin right-hand sides and the data measures."""
-    u0 = extend_normal_trace(grid, data)
+    """Evaluate the normal traces and their lift u0, the Robin right-hand
+    sides and the data measures."""
+    named = dict(data.normal_trace)
+    normal_trace = {
+        face.name: data.epsilon * face_profile(named.get(face.name, "zero"), face)
+        for face in grid.faces
+    }
+    u0 = extend_normal_trace(grid, normal_trace)
     # the slip rows of u + u0 take the data
     lifted = slip_traction(u0.values, grid, params.mu, params.friction)
     slip = dict(data.slip)
@@ -297,7 +314,7 @@ def assemble_perturbation_data(
 
     w_in = data.epsilon * face_profile(data.inflow_density, grid.face("inflow"))
     _check_band(1.0 + w_in, "inflow density trace")
-    return PerturbationData.measured(u0, slip_data, w_in, p)
+    return PerturbationData.measured(u0, normal_trace, slip_data, w_in, p)
 
 
 # ---------------------------------------------------------------------------

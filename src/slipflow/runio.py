@@ -4,10 +4,11 @@ Every writer is deterministic (same inputs give byte-identical files) and
 atomic (stream into a sibling temp file, removed if the write fails, then
 rename), so an interrupted run never leaves a truncated artifact behind.
 Floats are printed with 17 significant digits, which round-trips IEEE
-doubles exactly.  Field dumps are written 512 rows at a time and read one
-line at a time, so neither direction holds a Python object per value of
-the field.  load_solution owns the layout diagnose reads: which dumps
-hold u and w, and that they hold them on the configured grid.
+doubles exactly.  Field dumps are written 512 rows at a time and their
+counted body is parsed by one numpy call, so neither direction holds a
+Python object per value of the field.  load_solution and load_verdict
+own the layout diagnose reads: which dumps hold u and w, that they hold
+them on the configured grid, and where history.csv keeps the verdict.
 """
 from __future__ import annotations
 
@@ -90,8 +91,9 @@ def load_field_dump(path) -> tuple[str, np.ndarray, tuple[float, float, float]]:
     Scalar fields come back 3D, vector fields 4D with the component axis
     first, matching what write_field_dump accepted.  The body lines are
     counted against the nodes line before the table is allocated, then
-    read one line at a time into it; any error names the file and, in
-    the body, the first bad line.
+    parsed by np.loadtxt in one call; any error names the file and, in
+    the body, the first bad line, which a line scan finds only once
+    numpy has rejected the body or skipped a blank line.
     """
     with open(path) as fh:
         lines = [fh.readline() for _ in range(3)]
@@ -124,20 +126,31 @@ def load_field_dump(path) -> tuple[str, np.ndarray, tuple[float, float, float]]:
             raise ValueError(f"field dump {path} has {counted} body lines, "
                              f"its nodes line {n_nodes}")
         fh.seek(body)
-        table = np.empty((n_nodes, ncomp))
-        for number, line in enumerate(fh, start=4):
-            try:
-                row = [float(tok) for tok in line.split()]
-            except ValueError as exc:
-                raise ValueError(f"field dump {path}, line {number}: {exc}") from None
-            if len(row) != ncomp:
-                raise ValueError(f"field dump {path}, line {number} has {len(row)} "
-                                 f"of its {ncomp} values")
-            table[number - 4] = row
+        try:
+            table = np.loadtxt(fh, comments=None, ndmin=2)
+            if table.shape != (n_nodes, ncomp):  # numpy skips blank lines
+                raise ValueError(f"the body reads as a table of shape {table.shape}")
+        except ValueError as exc:
+            fh.seek(body)
+            _name_first_bad_line(fh, path, ncomp)
+            raise ValueError(f"field dump {path}: {exc}") from None
     # each component Fortran-ordered, first axis fastest as in the file
     comps = np.ascontiguousarray(table.T).reshape((ncomp,) + nodes[::-1]).transpose(0, 3, 2, 1)
     values = comps[0] if ncomp == 1 else comps
     return name, values, spacing
+
+
+def _name_first_bad_line(lines, path, ncomp: int) -> None:
+    """Raise for the first of lines, a dump body from line 4 on, that
+    float() cannot read or that does not hold ncomp values."""
+    for number, line in enumerate(lines, start=4):
+        try:
+            width = len([float(tok) for tok in line.split()])
+        except ValueError as exc:
+            raise ValueError(f"field dump {path}, line {number}: {exc}") from None
+        if width != ncomp:
+            raise ValueError(f"field dump {path}, line {number} has {width} "
+                             f"of its {ncomp} values") from None
 
 
 def load_solution(out_dir, grid: Grid) -> tuple[VectorField, ScalarField]:
@@ -161,6 +174,28 @@ def load_solution(out_dir, grid: Grid) -> tuple[VectorField, ScalarField]:
                              f"the configured grid has spacing {grid.h}")
         values.append(vals)
     return VectorField(grid, values[0]), ScalarField(grid, values[1])
+
+
+def load_verdict(out_dir) -> str | None:
+    """The verdict history.csv in out_dir records for its solve, or None
+    for a solve that recorded no iteration.  The verdict is the last
+    column of every row and may itself hold commas (the density band
+    names a node and the band), so it is all of a row after its sixth
+    separator."""
+    path = Path(out_dir) / "history.csv"
+    if not path.exists():
+        raise ValueError(f"diagnose needs history.csv in {out_dir}; run solve first")
+    header, *rows = path.read_text().splitlines() or [""]
+    if header != ", ".join(HISTORY_COLUMNS):
+        raise ValueError(f"history {path} has the header {header!r}, "
+                         f"not {', '.join(HISTORY_COLUMNS)!r}")
+    if not rows:
+        return None
+    cells = rows[-1].split(", ", len(HISTORY_COLUMNS) - 1)
+    if len(cells) < len(HISTORY_COLUMNS):
+        raise ValueError(f"history {path}, line {len(rows) + 1} has {len(cells)} "
+                         f"of its {len(HISTORY_COLUMNS)} columns")
+    return cells[-1]
 
 
 def write_report_json(path, report) -> None:

@@ -91,6 +91,52 @@ def test_solve_nonconverged_exits_one(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == 1
 
 
+def solve_diverging_duct(tmp_path, capsys):
+    """Solve the 0.4 duct, which leaves the perturbative regime after one
+    step; returns its config path and the stdout of solve."""
+    cfg = tmp_path / "duct.json"
+    cfg.write_text(json.dumps({"geometry": {"length": 0.4, "width2": 0.4, "width3": 0.4},
+                               "output": {"directory": str(tmp_path / "out")}}))
+    assert main(["solve", "--config", str(cfg)]) == 1
+    return cfg, capsys.readouterr().out
+
+
+def test_solve_prints_the_size_of_the_iterate_it_returns(tmp_path, capsys):
+    # the one recorded step started from zero, a_0 = 0; the iterate the
+    # verdict names, and the dumps hold, is the one after it
+    cfg, out = solve_diverging_duct(tmp_path, capsys)
+    verdict = "diverged(iterate size 1.338e+00 left the perturbative regime)"
+    assert f"verdict: {verdict} after 1 iterations" in out
+    assert "iterate size A_n = 1.338e+00\n" in out
+    rows = load_history(tmp_path / "out" / "history.csv")
+    assert [row["A_n"] for row in rows] == [0.0]
+
+
+def test_diagnose_prints_the_verdict_of_the_run_it_grades(tmp_path, capsys):
+    # the rows, not the stored verdict, decide the exit status
+    cfg, _ = solve_diverging_duct(tmp_path, capsys)
+    assert main(["diagnose", "--config", str(cfg)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == ("solve verdict: diverged(iterate size 1.338e+00 "
+                      "left the perturbative regime)")
+    assert out[-1] == "diagnose: FAIL"
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    failing = {name for name, entry in report.items() if not entry["pass"]}
+    assert failing == {"gradient_structure", "momentum_identity_l2"}
+
+
+def test_diagnose_requires_the_history(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["solve", "--config", str(cfg)]) == 0
+    capsys.readouterr()
+    (tmp_path / "out" / "history.csv").unlink()
+    assert main(["diagnose", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert (f"error: diagnose needs history.csv in {tmp_path / 'out'}; "
+            "run solve first") in captured.err
+    assert "diagnose:" not in captured.out
+
+
 def test_mode_flag_overrides_config(tmp_path):
     cfg = write_config(tmp_path, {"data": {"epsilon": 1e-2}})
     assert main(["solve", "--config", str(cfg), "--mode", "monolithic"]) == 0
@@ -164,7 +210,8 @@ def test_diagnose_grades_apriori_ratio_in_the_run_exponent(tmp_path):
     u, w = VectorField(setup.grid, u_vals), ScalarField(setup.grid, w_vals)
     args = (u, w, compute_F(u, w, setup.data, setup.params), compute_G(u, w, setup.data))
     assert setup.data.p == 6.0
-    data4 = PerturbationData.measured(setup.data.u0, setup.data.slip_data, setup.data.w_in, 4.0)
+    data4 = PerturbationData.measured(setup.data.u0, setup.data.normal_trace,
+                                     setup.data.slip_data, setup.data.w_in, 4.0)
     assert report["apriori_ratio"]["value"] == apriori_ratio(*args, setup.data)
     assert apriori_ratio(*args, setup.data) != apriori_ratio(*args, data4)
 
@@ -303,7 +350,7 @@ def test_linear_pressure_law_solves_and_passes_every_audit(tmp_path):
     assert main(["solve", "--config", str(cfg)]) == 0
     assert main(["diagnose", "--config", str(cfg)]) == 0
     report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert len(report) == 14 and all(entry["pass"] for entry in report.values())
+    assert len(report) == 12 and all(entry["pass"] for entry in report.values())
     assert report["momentum_identity_l2"]["value"] <= 1e-9
 
 

@@ -139,10 +139,30 @@ def test_boundary_spec_rejects_lateral_normal_trace():
         DataConfig(epsilon=-0.1)
 
 
+def traces(g, boundary):
+    """The normal traces boundary prescribes, by face, as the data carry them."""
+    return assemble_perturbation_data(g, boundary, FlowParams()).normal_trace
+
+
+def test_data_carry_the_configured_normal_trace():
+    # epsilon times the profile on the faces the config names, zero on every
+    # other face, and the lift's normal trace is exactly that at every face node
+    g = make_grid(16, 8, 8)
+    boundary = DataConfig(epsilon=1e-2, normal_trace=(("outflow", "sine_bump"),))
+    data = assemble_perturbation_data(g, boundary, FlowParams())
+    assert set(data.normal_trace) == {face.name for face in g.faces}
+    for face in g.faces:
+        profile = "sine_bump" if face.name == "outflow" else "zero"
+        assert np.array_equal(data.normal_trace[face.name], 1e-2 * face_profile(profile, face))
+        lifted = face.side * data.u0.values[face.axis][face.slicer()]
+        assert np.array_equal(lifted, data.normal_trace[face.name]), face.name
+    assert np.array_equal(extend_normal_trace(g, data.normal_trace).values, data.u0.values)
+
+
 def test_extend_normal_trace_zero_amplitude():
     g = make_grid()
     boundary = DataConfig(epsilon=0.0)
-    u0 = extend_normal_trace(g, boundary)
+    u0 = extend_normal_trace(g, traces(g, boundary))
     assert np.all(u0.values == 0.0)
 
 
@@ -150,7 +170,7 @@ def test_extend_normal_trace_inflow_sine():
     g = make_grid(16, 8, 8)
     eps = 1e-2
     boundary = DataConfig(epsilon=eps, normal_trace=(("inflow", "sine_bump"),))
-    u0 = extend_normal_trace(g, boundary)
+    u0 = extend_normal_trace(g, traces(g, boundary))
     x2 = g.axes[1][:, None]
     x3 = g.axes[2][None, :]
     prof = np.sin(np.pi * x2 / 1.0) * np.sin(np.pi * x3 / 1.0)
@@ -171,7 +191,7 @@ def test_extend_normal_trace_opposite_faces_sum():
     boundary = DataConfig(
         epsilon=eps, normal_trace=(("inflow", "sine_bump"), ("outflow", "sine_bump"))
     )
-    u0 = extend_normal_trace(g, boundary)
+    u0 = extend_normal_trace(g, traces(g, boundary))
     x2 = g.axes[1][:, None]
     x3 = g.axes[2][None, :]
     prof = np.sin(np.pi * x2) * np.sin(np.pi * x3)
@@ -182,7 +202,7 @@ def test_extend_normal_trace_opposite_faces_sum():
 def test_normal_trace_matches_at_nonedge_boundary_nodes():
     g = make_grid()
     boundary = DataConfig(epsilon=1e-2)
-    u0 = extend_normal_trace(g, boundary)
+    u0 = extend_normal_trace(g, traces(g, boundary))
     for face in g.faces:
         nonedge = face.weights > 0
         trace = face.side * u0.values[face.axis][face.slicer()]
@@ -199,7 +219,7 @@ def test_lift_has_exactly_zero_tangential_trace(cells):
     # so the friction term of the lift's slip rows is exactly zero
     g = make_grid(*cells)
     data = DataConfig(normal_trace=(("inflow", "sine_bump"), ("outflow", "sine_bump")))
-    u0 = extend_normal_trace(g, data).values
+    u0 = extend_normal_trace(g, traces(g, data)).values
     for face in g.faces:
         for axis in face.in_axes:
             assert np.all(u0[axis][face.slicer()] == 0.0), (face.name, axis)
@@ -210,7 +230,7 @@ def test_u0_norm_linear_in_amplitude():
     norms = []
     for eps in (1e-3, 1e-2, 1e-1):
         boundary = DataConfig(epsilon=eps)
-        u0 = extend_normal_trace(g, boundary)
+        u0 = extend_normal_trace(g, traces(g, boundary))
         norms.append(norm(u0, NormKind.w2p(4.0)))
     assert norms[1] / norms[0] == pytest.approx(10.0, rel=1e-12)
     assert norms[2] / norms[1] == pytest.approx(10.0, rel=1e-12)

@@ -10,6 +10,7 @@ from slipflow.picard import IterationRecord
 from slipflow.runio import (
     HISTORY_COLUMNS,
     load_field_dump,
+    load_verdict,
     write_config_echo,
     write_field_dump,
     write_history,
@@ -46,6 +47,34 @@ def test_history_header_and_roundtrip(tmp_path):
     rows = load_history(path)
     assert [row["verdict"] for row in rows] == [band, band]
     assert rows[1]["G_w1p"] == 0.25
+
+
+def test_verdict_reads_back_whole(tmp_path):
+    # everything after a row's sixth separator, commas included
+    records = (IterationRecord(0, 0.0, 0.125, 0.0, 1.5, 0.25),
+               IterationRecord(1, 0.5, 0.0625, 0.5, 1.5, 0.25))
+    band = ("diverged(compute_G: density 2.1 at node (3, 4, 5) "
+            "outside admissible band (0.0, 2.0))")
+    for verdict in ("converged", band):
+        write_history(tmp_path / "history.csv", records, verdict)
+        assert load_verdict(tmp_path) == verdict
+    # a solve whose first step failed records no row, so no verdict
+    write_history(tmp_path / "history.csv", (), band)
+    assert load_verdict(tmp_path) is None
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "has the header ''"),
+    ("n, A_n\n", "has the header 'n, A_n'"),
+    (", ".join(HISTORY_COLUMNS) + "\n0, 0, 0, 0, 0\n", "line 2 has 5 of its 7 columns"),
+], ids=["empty", "short header", "short row"])
+def test_verdict_of_a_broken_history_names_the_file(text, message, tmp_path):
+    path = tmp_path / "history.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_verdict(tmp_path)
+    assert str(path) in str(err.value)
+    assert message in str(err.value)
 
 
 @pytest.mark.parametrize("header, message", [

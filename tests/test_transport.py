@@ -291,6 +291,20 @@ def test_footprint_of_the_inflow_plane_is_its_trace(cells):
         assert np.array_equal(apply_S(solver, v, w_in).values[0], w_in)
 
 
+@pytest.mark.parametrize("mode", ["split", "monolithic"])
+def test_solve_returns_the_inflow_density_trace_exactly(mode):
+    # a split sweep applies the step's footprint through apply_S, the
+    # monolithic step takes footprint.apply less footprint.source; the
+    # inflow-plane rows read the trace alone and take nothing from the
+    # source, so either solve holds w_in there bit for bit
+    g = make_grid()
+    params = FlowParams()
+    data = assemble_perturbation_data(g, DataConfig(epsilon=1e-2), params)
+    bundle = picard_solve(ProblemSetup(g, params, data, SolverConfig(mode=mode)))
+    assert bundle.converged
+    assert np.array_equal(bundle.w.values[0], data.w_in)
+
+
 def test_traced_grid_is_collected_once_dropped():
     # the transport module keeps no grid alive after its callers drop it
     g = make_grid(8, 4, 4)
