@@ -84,8 +84,7 @@ def cmd_diagnose(config: RunConfig, out_dir: str) -> int:
     out = Path(out_dir)
     setup = build_setup(config)
     u, w = runio.load_solution(out, setup.grid)
-    verdict = runio.load_verdict(out)
-    print(f"solve verdict: {verdict or 'none, history.csv records no iteration'}")
+    print(f"solve verdict: {runio.load_verdict(out)}")
     report = run_diagnostics(u, w, setup.data, config.params)
     runio.write_report_json(out / "report.json", report)
     width = max(len(e.name) for e in report.entries)

@@ -54,15 +54,15 @@ def krylov_solve(
     action: Callable[[np.ndarray], np.ndarray],
     rhs: np.ndarray,
     rel_tol: float,
-    precond: Callable[[np.ndarray], np.ndarray] | None = None,
+    precond: Callable[[np.ndarray], np.ndarray],
     x0: np.ndarray | None = None,
     reduction: float | None = None,
 ) -> tuple[np.ndarray, int, float]:
     """Solve action(x) = rhs to the relative residual rel_tol, in (0, 1);
     returns (x, iterations, relative residual).
 
-    precond maps v to an approximate solution of action(x) = v, or is None;
-    x0 warm starts the iteration.  reduction, in (0, 1), makes the solve
+    precond maps v to an approximate solution of action(x) = v; x0 warm
+    starts the iteration.  reduction, in (0, 1), makes the solve
     inexact: it also stops once the residual is reduction times the
     starting one, or times ||b|| (a zero start's) if the start is further
     off, so the tolerance stays in (0, 1); rel_tol is the floor.  Raises
@@ -80,8 +80,6 @@ def krylov_solve(
         return np.zeros_like(rhs), 0, 0.0
 
     cap = math.ceil(_ITERATIONS_PER_UNKNOWN * rhs.size)
-    if precond is None:
-        precond = lambda p: p
     warm = x0 is not None
     x = np.array(x0, dtype=float) if warm else np.zeros_like(rhs)
     x0 = None  # x replaces it for the rest of the solve

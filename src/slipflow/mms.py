@@ -3,9 +3,10 @@
 Exact velocity/density pairs are chosen with zero normal trace on every
 face.  Every field is a sum of products of one sine or cosine per axis,
 and so is each of its derivatives, so the matching volume forcings and
-slip data are sums and products of such terms.  They are evaluated at the
-nodes and handed out as plain arrays, so the solver can be run against a
-known answer.
+slip data are sums and products of such terms.  A product is evaluated
+from the grid's axes: each factor on its own axis, multiplied out once
+into the node array by broadcasting.  The results are handed out as
+plain arrays, so the solver can be run against a known answer.
 """
 from __future__ import annotations
 
@@ -80,10 +81,8 @@ class ManufacturedCase:
     w_in: np.ndarray
 
 
-def build_linear_case(grid: Grid, params: FlowParams) -> ManufacturedCase:
-    """Smooth (u, w) with n.u = 0 on every face, plus derived data so that
-    the coupled linear step has exactly this pair as its continuum
-    solution."""
+def _exact_pair(grid: Grid) -> tuple[list[_Sum], _Product]:
+    """The manufactured velocity components and density in closed form."""
     k1, k2, k3 = (np.pi / ext for ext in grid.config.extents)
     a = _AMPLITUDE
     # u_c = a sin(pi x_c / ext_c) prod_{b != c} cos(pi x_b / ext_b) plus a
@@ -92,14 +91,24 @@ def build_linear_case(grid: Grid, params: FlowParams) -> ManufacturedCase:
     shear = _Product(a, (True, True, True), (k1, k2, k3))
     u = [_Sum((_Product(a, tuple(b == c for b in range(3)), (k1, k2, k3)), shear))
          for c in range(3)]
-    w = _Product(a, (False, False, False), (k1 / 2, k2, k3))
+    return u, _Product(a, (False, False, False), (k1 / 2, k2, k3))
+
+
+def build_linear_case(grid: Grid, params: FlowParams) -> ManufacturedCase:
+    """Smooth (u, w) with n.u = 0 on every face, plus derived data so that
+    the coupled linear step has exactly this pair as its continuum
+    solution.  Volume fields are evaluated on the grid's axes
+    (np.ix_), face data at each face's nodes."""
+    k1, k2, k3 = (np.pi / ext for ext in grid.config.extents)
+    a = _AMPLITUDE
+    u, w = _exact_pair(grid)
     convect = (
         _Product(a, (True, False, False), (k1, k2, 0.0)),
         _Product(a, (False, True, False), (0.0, k2, k3)),
         _Product(a, (False, False, True), (k1, 0.0, k3)),
     )
 
-    x = grid.meshgrid()
+    x = np.ix_(*grid.axes)
     convect_vals = np.stack([f.at(*x) for f in convect])
     grad_w = [w.d(c).at(*x) for c in range(3)]
     forcing = []

@@ -8,7 +8,8 @@ doubles exactly.  Field dumps are written 512 rows at a time and their
 counted body is parsed by one numpy call, so neither direction holds a
 Python object per value of the field.  load_solution and load_verdict
 own the layout diagnose reads: which dumps hold u and w, that they hold
-them on the configured grid, and where history.csv keeps the verdict.
+them on the configured grid, and the verdict, which verdict.txt keeps
+even for a solve that recorded no iteration.
 """
 from __future__ import annotations
 
@@ -54,6 +55,12 @@ def write_history(path, history: Iterable, verdict: str) -> None:
         )))
     with _atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def write_verdict(path, verdict: str) -> None:
+    """Write the solve's verdict as the one line of a text file."""
+    with _atomic_write(path) as fh:
+        fh.write(verdict + "\n")
 
 
 def write_field_dump(path, name: str, values: np.ndarray, grid: Grid) -> None:
@@ -176,26 +183,39 @@ def load_solution(out_dir, grid: Grid) -> tuple[VectorField, ScalarField]:
     return VectorField(grid, values[0]), ScalarField(grid, values[1])
 
 
-def load_verdict(out_dir) -> str | None:
-    """The verdict history.csv in out_dir records for its solve, or None
-    for a solve that recorded no iteration.  The verdict is the last
-    column of every row and may itself hold commas (the density band
-    names a node and the band), so it is all of a row after its sixth
-    separator."""
-    path = Path(out_dir) / "history.csv"
+def load_verdict(out_dir) -> str:
+    """The verdict of the solve that wrote out_dir, from verdict.txt,
+    which holds it even when the solve recorded no iteration.  The
+    history.csv beside it must have its header, and its rows repeat the
+    verdict as their last column, which may itself hold commas (the
+    density band names a node and the band), so it is all of a row after
+    its sixth separator: a last row that reads another verdict means the
+    directory mixes two runs."""
+    out = Path(out_dir)
+    path = out / "history.csv"
     if not path.exists():
         raise ValueError(f"diagnose needs history.csv in {out_dir}; run solve first")
     header, *rows = path.read_text().splitlines() or [""]
     if header != ", ".join(HISTORY_COLUMNS):
         raise ValueError(f"history {path} has the header {header!r}, "
                          f"not {', '.join(HISTORY_COLUMNS)!r}")
-    if not rows:
-        return None
-    cells = rows[-1].split(", ", len(HISTORY_COLUMNS) - 1)
-    if len(cells) < len(HISTORY_COLUMNS):
-        raise ValueError(f"history {path}, line {len(rows) + 1} has {len(cells)} "
-                         f"of its {len(HISTORY_COLUMNS)} columns")
-    return cells[-1]
+    recorded = None
+    if rows:
+        cells = rows[-1].split(", ", len(HISTORY_COLUMNS) - 1)
+        if len(cells) < len(HISTORY_COLUMNS):
+            raise ValueError(f"history {path}, line {len(rows) + 1} has {len(cells)} "
+                             f"of its {len(HISTORY_COLUMNS)} columns")
+        recorded = cells[-1]
+    stored = out / "verdict.txt"
+    if not stored.exists():
+        raise ValueError(f"diagnose needs verdict.txt in {out_dir}; run solve first")
+    lines = stored.read_text().splitlines()
+    if len(lines) != 1 or not lines[0]:
+        raise ValueError(f"verdict file {stored} holds {len(lines)} lines, not one verdict")
+    if recorded not in (None, lines[0]):
+        raise ValueError(f"history {path} records the verdict {recorded!r}, "
+                         f"{stored} {lines[0]!r}")
+    return lines[0]
 
 
 def write_report_json(path, report) -> None:
@@ -218,6 +238,10 @@ def write_outputs(out_dir, bundle, config) -> list[str]:
     history_path = out / "history.csv"
     write_history(history_path, bundle.history, bundle.verdict)
     written.append(str(history_path))
+
+    verdict_path = out / "verdict.txt"
+    write_verdict(verdict_path, bundle.verdict)
+    written.append(str(verdict_path))
 
     for name, fld in (("u", bundle.u), ("w", bundle.w), ("v", bundle.v), ("rho", bundle.rho)):
         path = out / f"field_{name}.txt"

@@ -89,8 +89,10 @@ def manufactured_study(
 # characteristics route against the upwind march
 
 def suite_flow(grid: Grid, eps: float) -> np.ndarray:
-    """Smooth advecting velocity with no flux through the lateral walls."""
-    x1, x2, x3 = grid.meshgrid()
+    """Smooth advecting velocity with no flux through the lateral walls.
+    Each component is a product of one-axis factors, evaluated on the
+    grid's axes and broadcast once into the node array."""
+    x1, x2, x3 = np.ix_(*grid.axes)
     ext = grid.config.extents
     vals = np.zeros((3,) + grid.shape)
     vals[0] = 1.0 + eps * np.sin(np.pi * x1 / ext[0]) * np.sin(np.pi * x2 / ext[1])
@@ -128,32 +130,42 @@ class TransportStudy:
         return all(case.passed for case in self.exact) and self.order_ok
 
 
+def _exact_density(grid: Grid, trace_val: float, source_val: float) -> np.ndarray:
+    """trace + source * x1, on the x1 axis: it broadcasts over the nodes."""
+    return trace_val + source_val * grid.axes[0][:, None, None]
+
+
 def _exact_cases(grid: Grid) -> tuple[ExactCase, ...]:
     tf = make_transport_field(grid, reference_flow(grid))
-    x1 = grid.meshgrid()[0]
     trace_shape = (grid.shape[1], grid.shape[2])
     cases = []
     for label, source_val, trace_val in (("trace", 0.0, 0.7), ("source", 0.3, 0.7)):
         source = ScalarField(grid, np.full(grid.shape, source_val))
         w_in = np.full(trace_shape, trace_val)
-        expected = trace_val + source_val * x1
+        expected = _exact_density(grid, trace_val, source_val)
         for name, fn in (("apply_S", apply_S), ("upwind_march", upwind_march)):
             err = float(np.max(np.abs(fn(tf, source, w_in).values - expected)))
             cases.append(ExactCase(label, name, err, err <= EXACT_TOL))
     return tuple(cases)
 
 
-def _route_difference(grid: Grid) -> float:
-    x1, x2, x3 = grid.meshgrid()
+def _route_data(grid: Grid) -> tuple[ScalarField, np.ndarray]:
+    """The source and the inflow trace the two routes transport, each a
+    product of one-axis factors evaluated on the grid's axes."""
+    x1, x2, x3 = np.ix_(*grid.axes)
     ext = grid.config.extents
-    tf = make_transport_field(grid, suite_flow(grid, TRANSPORT_EPSILON))
     source = ScalarField(
         grid,
         0.1 + 0.25 * np.sin(np.pi * x1 / ext[0])
         * np.cos(np.pi * x2 / ext[1]) * np.cos(np.pi * x3 / ext[2]),
     )
-    mesh2, mesh3 = np.meshgrid(grid.axes[1], grid.axes[2], indexing="ij")
-    w_in = 0.1 * np.sin(np.pi * mesh2 / ext[1]) * np.sin(np.pi * mesh3 / ext[2])
+    w_in = 0.1 * np.sin(np.pi * x2[0] / ext[1]) * np.sin(np.pi * x3[0] / ext[2])
+    return source, w_in
+
+
+def _route_difference(grid: Grid) -> float:
+    tf = make_transport_field(grid, suite_flow(grid, TRANSPORT_EPSILON))
+    source, w_in = _route_data(grid)
     diff = apply_S(tf, source, w_in).values - upwind_march(tf, source, w_in).values
     return norm(ScalarField(grid, diff), NormKind.lp(2.0))
 

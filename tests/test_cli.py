@@ -125,6 +125,23 @@ def test_diagnose_prints_the_verdict_of_the_run_it_grades(tmp_path, capsys):
     assert failing == {"gradient_structure", "momentum_identity_l2"}
 
 
+def test_solve_that_fails_on_its_first_step_keeps_its_verdict(tmp_path, capsys):
+    # at epsilon 0.6 the first step's transport field is too slow: no
+    # history row is written, but verdict.txt keeps the verdict diagnose
+    # prints
+    cfg = tmp_path / "fast.json"
+    cfg.write_text(json.dumps({"data": {"epsilon": 0.6},
+                               "output": {"directory": str(tmp_path / "out")}}))
+    assert main(["solve", "--config", str(cfg)]) == 1
+    verdict = "diverged(axial transport speed fell to 0.4 < 1/2; "
+    assert f"verdict: {verdict}" in capsys.readouterr().out
+    out = tmp_path / "out"
+    assert load_history(out / "history.csv") == []
+    assert (out / "verdict.txt").read_text().startswith(verdict)
+    assert main(["diagnose", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().out.splitlines()[0].startswith(f"solve verdict: {verdict}")
+
+
 def test_diagnose_requires_the_history(tmp_path, capsys):
     cfg = write_config(tmp_path)
     assert main(["solve", "--config", str(cfg)]) == 0

@@ -14,8 +14,13 @@ def dense_action(A):
     return lambda x: A @ x
 
 
+def identity(p):
+    """The unpreconditioned solve's map."""
+    return p
+
+
 def test_zero_rhs_returns_immediately():
-    x, iters, res = krylov_solve(dense_action(np.eye(5)), np.zeros(5), TOL)
+    x, iters, res = krylov_solve(dense_action(np.eye(5)), np.zeros(5), TOL, identity)
     assert np.array_equal(x, np.zeros(5))
     assert iters == 0
     assert res == 0.0
@@ -24,7 +29,7 @@ def test_zero_rhs_returns_immediately():
 def test_identity_converges_in_one_iteration():
     rng = np.random.default_rng(3)
     b = rng.normal(size=40)
-    x, iters, res = krylov_solve(dense_action(np.eye(40)), b, TOL)
+    x, iters, res = krylov_solve(dense_action(np.eye(40)), b, TOL, identity)
     assert iters == 1
     np.testing.assert_allclose(x, b, rtol=0, atol=1e-14)
 
@@ -33,7 +38,7 @@ def test_exact_warm_start_costs_nothing():
     rng = np.random.default_rng(4)
     A = np.eye(12) + 0.1 * rng.normal(size=(12, 12))
     xs = rng.normal(size=12)
-    x, iters, res = krylov_solve(dense_action(A), A @ xs, TOL, x0=xs)
+    x, iters, res = krylov_solve(dense_action(A), A @ xs, TOL, identity, x0=xs)
     assert iters == 0
     np.testing.assert_allclose(x, xs, rtol=0, atol=0)
 
@@ -44,7 +49,7 @@ def test_nonsymmetric_solve_matches_direct(seed):
     n = 60
     A = np.eye(n) + 0.3 * rng.normal(size=(n, n)) / np.sqrt(n)
     b = rng.normal(size=n)
-    x, iters, res = krylov_solve(dense_action(A), b, TOL)
+    x, iters, res = krylov_solve(dense_action(A), b, TOL, identity)
     ref = np.linalg.solve(A, b)
     assert res <= 1e-10
     np.testing.assert_allclose(x, ref, rtol=1e-7, atol=1e-10)
@@ -57,10 +62,10 @@ def test_scaled_rhs_takes_the_same_iterations():
     n = 60
     A = np.eye(n) + 0.3 * rng.normal(size=(n, n)) / np.sqrt(n)
     b = rng.normal(size=n)
-    x1, iters1, _ = krylov_solve(dense_action(A), b, TOL)
+    x1, iters1, _ = krylov_solve(dense_action(A), b, TOL, identity)
     assert iters1 == 10
     for scale in (1e-8, 1e-12, 1e-20, 1e20):
-        x, iters, res = krylov_solve(dense_action(A), scale * b, TOL)
+        x, iters, res = krylov_solve(dense_action(A), scale * b, TOL, identity)
         assert iters == iters1, scale
         assert res <= 1e-10
         np.testing.assert_allclose(x / scale, x1, rtol=1e-12, atol=0)
@@ -103,7 +108,7 @@ def test_iteration_cap_raises_with_best_residual(monkeypatch):
     b = rng.normal(size=n)
     monkeypatch.setattr(krylov, "_ITERATIONS_PER_UNKNOWN", 0.05)
     with pytest.raises(KrylovError, match="iteration cap") as exc:
-        krylov_solve(dense_action(A), b, TOL)
+        krylov_solve(dense_action(A), b, TOL, identity)
     assert 0.0 < exc.value.best_residual < 1.0
     assert exc.value.iterations == 2
     assert "best relative residual" in str(exc.value)
@@ -118,7 +123,7 @@ def test_stagnated_solve_raises_long_before_the_cap():
     shift = np.roll(np.eye(n), 1, axis=0)
     b = np.random.default_rng(0).normal(size=n)
     with pytest.raises(KrylovError, match="linear solve stagnated") as exc:
-        krylov_solve(dense_action(shift), b, TOL)
+        krylov_solve(dense_action(shift), b, TOL, identity)
     assert exc.value.iterations == 500
     assert exc.value.best_residual == 1.0
 
@@ -133,7 +138,7 @@ def test_stagnated_solve_raises_long_before_the_cap():
 def test_breakdowns_raise_on_the_first_iteration(A, b, reason):
     A, b = np.array(A), np.array(b)
     with pytest.raises(KrylovError, match=reason) as exc:
-        krylov_solve(dense_action(A), b, TOL)
+        krylov_solve(dense_action(A), b, TOL, identity)
     assert exc.value.iterations == 1
     assert exc.value.best_residual == 1.0
 
@@ -146,7 +151,7 @@ def test_overflowing_stabilization_step_is_a_breakdown():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(KrylovError, match="zero stabilization step") as exc:
-            krylov_solve(dense_action(A), np.ones(2), TOL)
+            krylov_solve(dense_action(A), np.ones(2), TOL, identity)
     assert exc.value.iterations == 1
     assert exc.value.best_residual == 1.0
 
@@ -157,7 +162,7 @@ def test_stagnated_shadow_residual_restarts_and_converges():
     # the solve converges in three iterations
     A = np.array([[-1.0, -1.0, -1.0], [-1.0, -1.0, 0.0], [1.0, -1.0, -1.0]])
     b = np.array([1.0, 0.0, 0.0])
-    x, iters, res = krylov_solve(dense_action(A), b, TOL)
+    x, iters, res = krylov_solve(dense_action(A), b, TOL, identity)
     assert iters == 3
     assert res <= 1e-15
     np.testing.assert_allclose(x, [-0.5, 0.5, -1.0], rtol=0, atol=1e-15)
@@ -181,10 +186,10 @@ def relative_residual(A, b, x):
 def test_reduction_stops_at_a_fraction_of_the_start_residual():
     A, b, xs, x0 = _warm_started_system(5, 1e-3)
     res0 = relative_residual(A, b, x0)
-    x, iters, res = krylov_solve(dense_action(A), b, TOL, x0=x0, reduction=0.1)
+    x, iters, res = krylov_solve(dense_action(A), b, TOL, identity, x0=x0, reduction=0.1)
     assert res <= 0.1 * res0
     assert abs(res - relative_residual(A, b, x)) <= 1e-5 * res
-    full = krylov_solve(dense_action(A), b, TOL, x0=x0)
+    full = krylov_solve(dense_action(A), b, TOL, identity, x0=x0)
     assert 0 < iters < full[1]
 
 
@@ -193,7 +198,7 @@ def test_reduction_of_a_start_worse_than_zero_is_capped():
     # more; the cap asks for reduction * |b|, a zero start's target
     A, b, xs, x0 = _warm_started_system(6, 100.0)
     assert relative_residual(A, b, x0) >= 10.0
-    x, iters, res = krylov_solve(dense_action(A), b, TOL, x0=x0, reduction=0.1)
+    x, iters, res = krylov_solve(dense_action(A), b, TOL, identity, x0=x0, reduction=0.1)
     assert iters > 0
     assert res <= 0.1
 
@@ -203,8 +208,8 @@ def test_rel_tol_is_the_floor_of_a_reduction():
     # rel_tol exactly as without a reduction
     A, b, xs, x0 = _warm_started_system(7, 1e-10)
     assert 1e-10 < relative_residual(A, b, x0) < 1e-9
-    reduced = krylov_solve(dense_action(A), b, TOL, x0=x0, reduction=0.1)
-    full = krylov_solve(dense_action(A), b, TOL, x0=x0)
+    reduced = krylov_solve(dense_action(A), b, TOL, identity, x0=x0, reduction=0.1)
+    full = krylov_solve(dense_action(A), b, TOL, identity, x0=x0)
     assert reduced[1] == full[1] > 0
     np.testing.assert_array_equal(reduced[0], full[0])
 
@@ -212,7 +217,7 @@ def test_rel_tol_is_the_floor_of_a_reduction():
 @pytest.mark.parametrize("reduction", [0.0, 1.0, -0.5, float("nan")])
 def test_reduction_outside_the_unit_interval_rejected(reduction):
     with pytest.raises(ValueError, match="reduction must be in"):
-        krylov_solve(dense_action(np.eye(3)), np.ones(3), TOL, reduction=reduction)
+        krylov_solve(dense_action(np.eye(3)), np.ones(3), TOL, identity, reduction=reduction)
 
 
 def test_config_validation():
@@ -220,9 +225,9 @@ def test_config_validation():
     action, b = dense_action(np.eye(3)), np.ones(3)
     for rel_tol in (0.0, 1.0, 2.0, float("nan")):
         with pytest.raises(ValueError, match="rel_tol must be in"):
-            krylov_solve(action, b, rel_tol)
+            krylov_solve(action, b, rel_tol, identity)
 
 
 def test_non_finite_rhs_rejected():
     with pytest.raises(ValueError, match="non-finite"):
-        krylov_solve(dense_action(np.eye(3)), np.array([1.0, np.nan, 0.0]), TOL)
+        krylov_solve(dense_action(np.eye(3)), np.array([1.0, np.nan, 0.0]), TOL, identity)

@@ -16,6 +16,7 @@ from slipflow.runio import (
     write_history,
     write_outputs,
     write_report_json,
+    write_verdict,
 )
 from oracles import load_history
 
@@ -50,17 +51,36 @@ def test_history_header_and_roundtrip(tmp_path):
 
 
 def test_verdict_reads_back_whole(tmp_path):
-    # everything after a row's sixth separator, commas included
+    # commas included, and the history's rows repeat it after their
+    # sixth separator
     records = (IterationRecord(0, 0.0, 0.125, 0.0, 1.5, 0.25),
                IterationRecord(1, 0.5, 0.0625, 0.5, 1.5, 0.25))
     band = ("diverged(compute_G: density 2.1 at node (3, 4, 5) "
             "outside admissible band (0.0, 2.0))")
     for verdict in ("converged", band):
         write_history(tmp_path / "history.csv", records, verdict)
+        write_verdict(tmp_path / "verdict.txt", verdict)
         assert load_verdict(tmp_path) == verdict
-    # a solve whose first step failed records no row, so no verdict
+    # a solve whose first step failed records no row, but keeps its verdict
     write_history(tmp_path / "history.csv", (), band)
-    assert load_verdict(tmp_path) is None
+    assert load_verdict(tmp_path) == band
+
+
+@pytest.mark.parametrize("verdict_text, message", [
+    (None, "diagnose needs verdict.txt in"),
+    ("", "holds 0 lines, not one verdict"),
+    ("converged\nconverged\n", "holds 2 lines, not one verdict"),
+    ("max_iter\n", "records the verdict 'converged'"),
+], ids=["missing", "empty", "two lines", "another run"])
+def test_verdict_file_that_cannot_be_the_runs_is_named(verdict_text, message, tmp_path):
+    write_history(tmp_path / "history.csv", (IterationRecord(0, 0.0, 0.125, 0.0, 1.5, 0.25),),
+                  "converged")
+    if verdict_text is not None:
+        (tmp_path / "verdict.txt").write_text(verdict_text)
+    with pytest.raises(ValueError) as err:
+        load_verdict(tmp_path)
+    assert str(tmp_path) in str(err.value)
+    assert message in str(err.value)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -313,9 +333,10 @@ def test_write_outputs_produces_standard_artifact_set(tmp_path):
     written = write_outputs(out, bundle, cfg)
     names = sorted(os.path.basename(p) for p in written)
     assert names == sorted([
-        "history.csv", "field_u.txt", "field_w.txt",
+        "history.csv", "verdict.txt", "field_u.txt", "field_w.txt",
         "field_v.txt", "field_rho.txt", "config.json",
     ])
+    assert (out / "verdict.txt").read_text() == bundle.verdict + "\n"
     rows = load_history(out / "history.csv")
     assert len(rows) <= 2
     assert all(row["A_n"] == 0.0 for row in rows)
