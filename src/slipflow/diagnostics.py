@@ -44,8 +44,8 @@ def _diff1_hi(values: np.ndarray, h: float, axis: int) -> np.ndarray:
     use this instead of the solver's second-order stencils so the audit's
     own truncation stays below the field error it is measuring."""
     out = np.empty_like(values, dtype=float)
-    v = np.moveaxis(values, axis, 0)
-    o = np.moveaxis(out, axis, 0)
+    v = values.swapaxes(0, axis)
+    o = out.swapaxes(0, axis)
     o[2:-2] = (v[:-4] - 8.0 * v[1:-3] + 8.0 * v[3:-1] - v[4:]) / (12.0 * h)
     o[0] = (-25.0 * v[0] + 48.0 * v[1] - 36.0 * v[2] + 16.0 * v[3] - 3.0 * v[4]) / (12.0 * h)
     o[1] = (-3.0 * v[0] - 10.0 * v[1] + 18.0 * v[2] - 6.0 * v[3] + v[4]) / (12.0 * h)
@@ -187,19 +187,15 @@ def vorticity_boundary_residual(
         na = face.axis
         t1, t2 = face.in_axes
         weights = _margin_weights(face.weights, g, face.in_axes)
-        alpha1 = _eps(t1, t2, na) * diff1(u.values[na], g.h[t2], t2)[sl]
-        alpha1 += _eps(t1, na, t2) * _deep_normal_d1(u.values[t2], face, g.h[na])
-        alpha2 = _eps(t2, t1, na) * diff1(u.values[na], g.h[t1], t1)[sl]
-        alpha2 += _eps(t2, na, t1) * _deep_normal_d1(u.values[t1], face, g.h[na])
-        # det[tau_1, n, tau_2] and det[tau_2, n, tau_1] with n = side * e_na
-        sigma1 = face.side * _eps(t1, na, t2)
-        sigma2 = face.side * _eps(t2, na, t1)
-        b1 = slip_data[face.name][0]
-        b2 = slip_data[face.name][1]
-        rel1 = alpha1 - sigma1 * (b2 - f * u.values[t2][sl]) / params.mu
-        rel2 = alpha2 - sigma2 * (b1 - f * u.values[t1][sl]) / params.mu
-        out[f"{face.name}_tau1"] = float(np.sqrt(np.sum(weights * rel1**2)))
-        out[f"{face.name}_tau2"] = float(np.sqrt(np.sum(weights * rel2**2)))
+        b = slip_data[face.name]
+        # row i, along tau_t, reads slip row 1 - i, along the other in-face
+        # axis s; sigma is det[tau_t, n, tau_s] with n = side * e_na
+        for i, (t, s) in enumerate(((t1, t2), (t2, t1))):
+            alpha = _eps(t, s, na) * diff1(u.values[na], g.h[s], s)[sl]
+            alpha += _eps(t, na, s) * _deep_normal_d1(u.values[s], face, g.h[na])
+            sigma = face.side * _eps(t, na, s)
+            rel = alpha - sigma * (b[1 - i] - f * u.values[s][sl]) / params.mu
+            out[f"{face.name}_tau{i + 1}"] = float(np.sqrt(np.sum(weights * rel**2)))
     return out
 
 
@@ -266,7 +262,6 @@ def helmholtz_decompose(u: VectorField) -> tuple[ScalarField, VectorField, dict]
 
 
 def gradient_structure_residual(
-    u: VectorField,
     forcing: VectorField,
     pot: ScalarField,
     a_field: VectorField,
@@ -279,8 +274,8 @@ def gradient_structure_residual(
     (fields.lame_array); in the continuum R collects only gradients (the
     pressure coupling and the potential's own transport), so curl R
     vanishes and the density is not read.  pot and a_field are
-    helmholtz_decompose(u).  Returns |curl R|_L2(interior) / |R|_L2, zero
-    when R itself vanishes.
+    helmholtz_decompose of the velocity.  Returns |curl R|_L2(interior) /
+    |R|_L2, zero when R itself vanishes.
 
     R is assembled with the solver's own stencils, so at interior nodes
     the momentum rows cancel exactly and only the gradient pair remains.
@@ -293,7 +288,7 @@ def gradient_structure_residual(
     content the measurement converges to the continuum curl, and the
     residual decreases at about first order.
     """
-    g = u.grid
+    g = forcing.grid
     gp = grad_array(pot.values, g)
     dgp1 = np.stack([diff1(gp[c], g.h[0], 0) for c in range(3)])
     r = forcing.values - lame_array(a_field.values, g, params.mu, params.nu) - dgp1
@@ -505,7 +500,7 @@ def run_diagnostics(
     pot, a_field, helm = helmholtz_decompose(u)
     add("helmholtz_div_rotational", helm["div_rotational_interior_l2"])
     add("helmholtz_normal_trace", helm["normal_trace_l2"])
-    add("gradient_structure", gradient_structure_residual(u, forcing, pot, a_field, params))
+    add("gradient_structure", gradient_structure_residual(forcing, pot, a_field, params))
     add("apriori_ratio", apriori_ratio(u, w, forcing, continuity_forcing, data))
     add("reflection", reflection_residual(u, params))
     for name, value in reconstruct_physical(u, w, data, params).items():

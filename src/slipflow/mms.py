@@ -5,8 +5,10 @@ face.  Every field is a sum of products of one sine or cosine per axis,
 and so is each of its derivatives, so the matching volume forcings and
 slip data are sums and products of such terms.  A product is evaluated
 from the grid's axes: each factor on its own axis, multiplied out once
-into the node array by broadcasting.  The results are handed out as
-plain arrays, so the solver can be run against a known answer.
+into the node array by broadcasting.  Face data take the face's two
+in-face axes and its one node on the normal axis.  The results are
+handed out as plain arrays, so the solver can be run against a known
+answer.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .grid import Grid, Face
+from .grid import Grid
 from .fields import ScalarField, VectorField
 from .material import FlowParams
 
@@ -57,16 +59,6 @@ class _Sum:
         return sum(t.at(x1, x2, x3) for t in self.terms)
 
 
-def _face_points(face: Face, grid: Grid) -> list[np.ndarray]:
-    """Node coordinates of a face as three (2D) arrays in global axis order."""
-    a, b = np.meshgrid(face.coords[0], face.coords[1], indexing="ij")
-    coords = [None, None, None]
-    coords[face.axis] = np.full_like(a, grid.axes[face.axis][face.index])
-    coords[face.in_axes[0]] = a
-    coords[face.in_axes[1]] = b
-    return coords
-
-
 @dataclass(frozen=True, eq=False)
 class ManufacturedCase:
     """Exact solution pair plus every data array the linear step takes."""
@@ -97,8 +89,8 @@ def _exact_pair(grid: Grid) -> tuple[list[_Sum], _Product]:
 def build_linear_case(grid: Grid, params: FlowParams) -> ManufacturedCase:
     """Smooth (u, w) with n.u = 0 on every face, plus derived data so that
     the coupled linear step has exactly this pair as its continuum
-    solution.  Volume fields are evaluated on the grid's axes
-    (np.ix_), face data at each face's nodes."""
+    solution.  Every array is evaluated on the grid's axes (np.ix_), a
+    face's with its normal axis cut to the face's one node."""
     k1, k2, k3 = (np.pi / ext for ext in grid.config.extents)
     a = _AMPLITUDE
     u, w = _exact_pair(grid)
@@ -126,7 +118,9 @@ def build_linear_case(grid: Grid, params: FlowParams) -> ManufacturedCase:
     # full traction slip data 2 mu n.D(u).tau + f u.tau, n = side * e_axis
     slip_data = {}
     for face in grid.faces:
-        p, n = _face_points(face, grid), face.axis
+        n = face.axis
+        p = list(np.ix_(*face.coords))
+        p.insert(n, grid.axes[n][face.index:face.index + 1, None])
         slip_data[face.name] = np.stack([
             params.mu * face.side * (u[n].d(t).at(*p) + u[t].d(n).at(*p))
             + params.friction * u[t].at(*p)
@@ -141,5 +135,5 @@ def build_linear_case(grid: Grid, params: FlowParams) -> ManufacturedCase:
         forcing=VectorField(grid, np.stack(forcing)),
         continuity=ScalarField(grid, continuity),
         slip_data=slip_data,
-        w_in=w.at(*_face_points(grid.face("inflow"), grid)),
+        w_in=w.at(grid.axes[0][:1, None], *np.ix_(*grid.axes[1:])),
     )

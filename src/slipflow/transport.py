@@ -366,30 +366,28 @@ def _trace(kern: _Kernel, seeds: np.ndarray, recorder=None):
     return seeds, integral
 
 
-def _bilinear_inflow(kern: _Kernel, arrivals: np.ndarray):
-    """Inflow-plane corners of the (3, m) arrival points of m traces, in
-    cell units.
+def _bilinear_inflow(kern: _Kernel, arrivals: np.ndarray, idx: np.ndarray, w: np.ndarray) -> None:
+    """The inflow-plane stencil of the (3, m) arrival points of m traces,
+    in cell units, written into the (m, 4) idx and w.
 
-    Returns the flat node index of each arrival's cell corner (j, k) and
-    an iterator over the columns (j,k), (j+1,k), (j,k+1), (j+1,k+1) that
-    gives each column's flat offset from that corner and its weight at
-    every arrival (work arrays of kern, valid until the next column).  The
-    arrivals lie on x1 = 0 exactly, where the trilinear low x1 weight is 1
-    and the cell's flat index is the inflow plane's, so the corner
-    (j + d2, k + d3) takes w_b w_c, bit for bit the trilinear (1 w_b) w_c.
-    An arrival on a node, the last ones included, sits at its integer
-    index and reads that node's trace with weight 1.
+    Row r holds the flat inflow-plane node index and the weight of the
+    corners (j,k), (j+1,k), (j,k+1), (j+1,k+1) of arrival r's cell, in that
+    order.  The arrivals lie on x1 = 0 exactly, where the trilinear low x1
+    weight is 1 and the cell's flat index is the inflow plane's, so the
+    corner (j + d2, k + d3) takes w_b w_c, bit for bit the trilinear
+    (1 w_b) w_c.  An arrival on a node, the last ones included, sits at its
+    integer index and reads that node's trace with weight 1.
     """
     m = arrivals.shape[1]
     hi = kern._p[:3 * m].reshape(3, m)
     lo = kern._lo[:3 * m].reshape(3, m)
-    base, w = kern._idx[:m], kern._w[:m]
+    base = kern._idx[:m]
     np.copyto(hi, arrivals)
     _locate(kern.lattice, hi, base, lo)
     s2 = int(kern.lattice[2][1])
-    corners = ((d2 * s2 + d3, np.multiply((lo, hi)[d2][1], (lo, hi)[d3][2], out=w))
-               for d2, d3 in ((0, 0), (1, 0), (0, 1), (1, 1)))
-    return base, corners
+    for c, (d2, d3) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
+        np.add(base, d2 * s2 + d3, out=idx[:, c], casting="unsafe")
+        np.multiply((lo, hi)[d2][1], (lo, hi)[d3][2], out=w[:, c])
 
 
 # ---------------------------------------------------------------------------
@@ -485,12 +483,15 @@ def apply_S(tf: TransportField | TransportFootprint, v: ScalarField, w_in: np.nd
     rate = tf.values / np.reshape(g.h, (3, 1, 1, 1))  # u~_a / h_a, in cells
 
     def block(lo: int, hi: int) -> np.ndarray:
-        kern = _Kernel(g, rate, source, hi - lo)
+        m = hi - lo
+        kern = _Kernel(g, rate, source, m)
         arr, integral = _trace(kern, _block_seeds(g, lo, hi))
-        terms = kern._vals[:4 * (hi - lo)].reshape(-1, 4)  # free once traced
-        base, corners = _bilinear_inflow(kern, arr)
-        for c, (off, w) in enumerate(corners):
-            np.multiply(w, trace[off:][base], out=terms[:, c])
+        # the stencil, its trace values and their products take kernel
+        # work space that is free once the block is traced
+        idx = kern._term[:4 * m].view(np.int64).reshape(m, 4)
+        terms = kern._vals[:4 * m].reshape(m, 4)
+        _bilinear_inflow(kern, arr, idx, terms)
+        terms *= np.take(trace, idx, out=kern._total[:4 * m].reshape(m, 4), mode="clip")
         return np.add(np.sum(terms, axis=1), integral, out=integral)
 
     blocks = _blocks(g.n_nodes)
@@ -697,10 +698,7 @@ def transport_footprint(tf: TransportField) -> TransportFootprint:
         kern = _Kernel(g, rate, None, hi - lo, record=True)
         recorder.begin(lo, hi - lo)
         arr = _trace(kern, _block_seeds(g, lo, hi), recorder)[0]
-        base, corners = _bilinear_inflow(kern, arr)
-        for c, (off, wc) in enumerate(corners):
-            np.add(base, off, out=idx[lo:hi, c], casting="unsafe")
-            w[lo:hi, c] = wc
+        _bilinear_inflow(kern, arr, idx[lo:hi], w[lo:hi])
     terms = tuple(recorder.terms(n))
     inflow = sparse.csr_matrix(
         (w.reshape(-1), idx.reshape(-1), np.arange(0, 4 * n + 1, 4, dtype=np.int32)),

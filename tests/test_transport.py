@@ -291,6 +291,24 @@ def test_footprint_of_the_inflow_plane_is_its_trace(cells):
         assert np.array_equal(apply_S(solver, v, w_in).values[0], w_in)
 
 
+@pytest.mark.parametrize("cells", [(8, 4, 4), (9, 5, 7), (20, 10, 12)])
+def test_inflow_stencil_is_a_partition_of_unity(cells):
+    # both routes read the inflow plane through the (n, 4) index and weight
+    # arrays _bilinear_inflow writes: each row's weights lie in [0, 1] and
+    # sum to 1, and each index is a node of the inflow plane
+    g = make_grid(*cells)
+    tf = wall_respecting_flow(g, 0.1)
+    n = g.n_nodes
+    kern = _Kernel(g, tf.values / np.reshape(g.h, (3, 1, 1, 1)), None, n)
+    arrivals = _trace(kern, transport._block_seeds(g, 0, n))[0]
+    idx = np.empty((n, 4), dtype=np.int64)
+    w = np.empty((n, 4))
+    transport._bilinear_inflow(kern, arrivals, idx, w)
+    assert np.all((w >= 0.0) & (w <= 1.0))
+    assert np.max(np.abs(np.sum(w, axis=1) - 1.0)) <= 4 * np.spacing(1.0)
+    assert np.all((idx >= 0) & (idx < g.shape[1] * g.shape[2]))
+
+
 @pytest.mark.parametrize("mode", ["split", "monolithic"])
 def test_solve_returns_the_inflow_density_trace_exactly(mode):
     # a split sweep applies the step's footprint through apply_S, the
