@@ -211,21 +211,20 @@ def _lp_pow(values: np.ndarray, weights: np.ndarray, p: float) -> float:
     return float(np.sum(weights * np.abs(values) ** p))
 
 
-def _w1p_pow(comp: np.ndarray, grid: Grid, weights: np.ndarray, p: float) -> float:
+def _w1p_pow(comp: np.ndarray, grad: np.ndarray, weights: np.ndarray, p: float) -> float:
     total = _lp_pow(comp, weights, p)
-    for a in range(3):
-        total += _lp_pow(diff1(comp, grid.h[a], a), weights, p)
+    for da in grad:
+        total += _lp_pow(da, weights, p)
     return total
 
 
 def _w2p_pow(comp: np.ndarray, grid: Grid, weights: np.ndarray, p: float) -> float:
-    total = _w1p_pow(comp, grid, weights, p)
+    grad = grad_array(comp, grid)
+    total = _w1p_pow(comp, grad, weights, p)
     for a in range(3):
         total += _lp_pow(diff2(comp, grid.h[a], a), weights, p)
-    for a in range(3):
-        da = diff1(comp, grid.h[a], a)
-        for b in range(a + 1, 3):
-            total += _lp_pow(diff1(da, grid.h[b], b), weights, p)
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        total += _lp_pow(diff1(grad[a], grid.h[b], b), weights, p)
     return total
 
 
@@ -249,7 +248,7 @@ def norm(f: ScalarField | VectorField, kind: NormKind) -> float:
         return float(sum(_lp_pow(c, w, kind.p) for c in comps) ** (1.0 / kind.p))
     if kind.kind in ("w1p", "h1"):  # h1 is w1p at p = 2
         w = grid.volume_weights()
-        return float(sum(_w1p_pow(c, grid, w, kind.p) for c in comps) ** (1.0 / kind.p))
+        return float(sum(_w1p_pow(c, grad_array(c, grid), w, kind.p) for c in comps) ** (1.0 / kind.p))
     if kind.kind == "w2p":
         w = grid.volume_weights()
         return float(sum(_w2p_pow(c, grid, w, kind.p) for c in comps) ** (1.0 / kind.p))

@@ -54,11 +54,11 @@ transport solves until the sweeps stop changing; monolithic mode
 substitutes the density into the momentum rows and makes one Krylov solve
 for the velocity, whose operator is the matrix product plus the pressure
 of the traced divergence on the PDE rows.  Both record the transport solve
-for the step's advecting field as sparse matrices once
-(transport_footprint), so a split sweep costs one momentum solve and one
-footprint apply, and the monolithic operator applies the footprint's
-source part (footprint.source) to div u; both precondition their Krylov
-solve with the operator's V-cycle.  Only the footprint outlives the
+for the step's advecting field once (transport_footprint: its inflow
+stencil, and its source part as sparse matrices), so a split sweep costs
+one momentum solve and one footprint apply, and the monolithic operator
+applies the footprint's source part (footprint.source) to div u; both
+precondition their Krylov solve with the operator's V-cycle.  Only the footprint outlives the
 transport_footprint call: a split sweep hands it to apply_S, which
 applies it instead of tracing.
 

@@ -8,10 +8,11 @@ every step lowers x1 by at least half its size and every characteristic
 arrives at x1 = 0 in travel parameter at most 2L.
 
 For one advecting field the solve is affine in (source, inflow trace).
-transport_footprint traces every node once and records it as sparse
-matrices, so that a linear step can apply it many times through one set
-of traces.  apply_S takes a TransportField, which it traces afresh, or
-the TransportFootprint recorded for one, which it applies.
+transport_footprint traces every node once and records its inflow
+stencil and its source part, so that a linear step can apply it many
+times through one set of traces.  apply_S takes a TransportField, which
+it traces afresh, or the TransportFootprint recorded for one, which it
+applies; both sum the inflow part in one place (_inflow_part).
 
 Both run one kernel, _trace, on blocks of consecutive nodes, the fewest
 of at most _BLOCK = 16384 nodes, equal in size to within one.  The
@@ -113,30 +114,31 @@ def make_transport_field(grid: Grid, velocity: np.ndarray) -> TransportField:
 # interpolation
 
 def _lattice(grid: Grid):
-    """Columns for locating (3, m) points in cell units: the cell counts
-    and the last cell indices as columns, and the flat-index stride of
-    each axis."""
-    cells = np.array(grid.config.cells)[:, None]
+    """Float columns for locating (3, m) points in cell units: the cell
+    counts and the last cell indices as columns, and the flat-index
+    stride of each axis, all whole numbers."""
+    cells = np.array(grid.config.cells, dtype=float)[:, None]
     _, n2, n3 = grid.shape
-    return cells.astype(float), cells - 1, np.array((n2 * n3, n3, 1), dtype=np.int64)
+    return cells, cells - 1.0, np.array((n2 * n3, n3, 1), dtype=float)
 
 
-def _locate(lattice, p: np.ndarray, base: np.ndarray, lo: np.ndarray) -> None:
+def _locate(lattice, p: np.ndarray, base: np.ndarray, lo: np.ndarray, work: np.ndarray) -> None:
     """Locate (3, m) points in cell units on the lattice columns _lattice
     gives, in place.
 
     p is clamped to the closed duct, [0, n] along an axis of n cells, and
     becomes the high weight of each point along each axis, lo the low
     weight 1 - high and base the flat index of each cell's low corner.
+    The cells stay whole floats.  The base is their einsum with the
+    strides (no BLAS, see apply_S) into the (m,) work array, cast once;
+    every product and sum in it is a whole number below 2**53, so exact.
     """
     n, last, strides = lattice
     np.clip(p, 0.0, n, out=p)
-    # lo's storage holds the cell indices until the weights are formed
-    cell = lo.view(np.int64)
-    np.copyto(cell, p, casting="unsafe")  # truncates, as astype does
-    np.minimum(cell, last, out=cell)
-    np.subtract(p, cell, out=p)
-    np.dot(strides, cell, out=base)
+    np.trunc(p, out=lo)  # lo holds the cells until the weights are formed
+    np.minimum(lo, last, out=lo)
+    np.subtract(p, lo, out=p)
+    np.copyto(base, np.einsum("a,am->m", strides, lo, out=work), casting="unsafe")
     np.subtract(1.0, p, out=lo)
 
 
@@ -209,7 +211,7 @@ class _Kernel:
         p = self._p[:3 * m].reshape(3, m)
         lo = self._lo[:3 * m].reshape(3, m)
         idx = self._idx[:m]
-        _locate(self.lattice, p, idx, lo)
+        _locate(self.lattice, p, idx, lo, self._pair[:m])
         if stage is None:
             outs = (self._w[:m],) * 8
         else:
@@ -383,11 +385,22 @@ def _bilinear_inflow(kern: _Kernel, arrivals: np.ndarray, idx: np.ndarray, w: np
     lo = kern._lo[:3 * m].reshape(3, m)
     base = kern._idx[:m]
     np.copyto(hi, arrivals)
-    _locate(kern.lattice, hi, base, lo)
+    _locate(kern.lattice, hi, base, lo, kern._pair[:m])
     s2 = int(kern.lattice[2][1])
     for c, (d2, d3) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
         np.add(base, d2 * s2 + d3, out=idx[:, c], casting="unsafe")
         np.multiply((lo, hi)[d2][1], (lo, hi)[d3][2], out=w[:, c])
+
+
+def _inflow_part(idx: np.ndarray, w: np.ndarray, trace: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """The inflow part of the values of m nodes with the (m, 4) inflow
+    stencil idx, w (_bilinear_inflow), from the flat inflow trace: each
+    row adds its products w * trace[idx] to zero in corner order, formed
+    in the (m,) work array.  Both routes read the trace here alone."""
+    out = np.zeros(len(idx))
+    for c in range(4):
+        out += np.multiply(np.take(trace, idx[:, c], out=work, mode="clip"), w[:, c], out=work)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +499,12 @@ def apply_S(tf: TransportField | TransportFootprint, v: ScalarField, w_in: np.nd
         m = hi - lo
         kern = _Kernel(g, rate, source, m)
         arr, integral = _trace(kern, _block_seeds(g, lo, hi))
-        # the stencil, its trace values and their products take kernel
-        # work space that is free once the block is traced
+        # the stencil and its products take kernel work space that is free
+        # once the block is traced
         idx = kern._term[:4 * m].view(np.int64).reshape(m, 4)
-        terms = kern._vals[:4 * m].reshape(m, 4)
-        _bilinear_inflow(kern, arr, idx, terms)
-        terms *= np.take(trace, idx, out=kern._total[:4 * m].reshape(m, 4), mode="clip")
-        return np.add(np.sum(terms, axis=1), integral, out=integral)
+        w = kern._vals[:4 * m].reshape(m, 4)
+        _bilinear_inflow(kern, arr, idx, w)
+        return np.add(_inflow_part(idx, w, trace, kern._w[:m]), integral, out=integral)
 
     blocks = _blocks(g.n_nodes)
     workers = _workers(len(blocks))
@@ -652,18 +664,19 @@ class _SourceRecorder:
 
 @dataclass(frozen=True, eq=False)
 class TransportFootprint:
-    """apply_S for one advecting field, recorded as sparse matrices.
+    """apply_S for one advecting field, recorded.
 
     With the field fixed, apply_S is affine in (source, inflow trace):
-    w = inflow @ w_in + source(v) on flattened arrays.  inflow holds the
-    bilinear weights at every node's arrival point; terms hold the
-    trilinear weights of every RK4 stage point times the step quadrature,
-    four to a cell face, as one sparse matrix per corner offset of a face,
-    which acts on v shifted by that offset.
+    w = inflow part + source(v) on flattened arrays.  inflow_nodes and
+    inflow_weights are every node's (n, 4) inflow stencil (_bilinear_inflow);
+    terms hold the trilinear weights of every RK4 stage point times the
+    step quadrature, four to a cell face, as one sparse matrix per corner
+    offset of a face, which acts on v shifted by that offset.
     """
 
     grid: Grid
-    inflow: sparse.csr_matrix
+    inflow_nodes: np.ndarray  # (n, 4) int32
+    inflow_weights: np.ndarray  # (n, 4)
     terms: tuple[tuple[int, sparse.coo_matrix], ...]  # (offset, matrix)
 
     def source(self, v: np.ndarray) -> np.ndarray:
@@ -677,12 +690,13 @@ class TransportFootprint:
         """Same result as apply_S(tf, v, w_in) for the recorded field."""
         g = self.grid
         source, w_in = _check_data(g, v, w_in)
-        vals = self.inflow @ w_in.reshape(-1) + self.source(source.reshape(-1))
+        vals = _inflow_part(self.inflow_nodes, self.inflow_weights, w_in.reshape(-1), np.empty(g.n_nodes))
+        vals += self.source(source.reshape(-1))
         return ScalarField(g, vals.reshape(g.shape))
 
 
 def transport_footprint(tf: TransportField) -> TransportFootprint:
-    """Trace every node once and record apply_S as sparse matrices.
+    """Trace every node once and record apply_S (TransportFootprint).
 
     The node blocks are traced with the same kernel as apply_S on a
     field, one after another in the calling process, and every block
@@ -699,12 +713,7 @@ def transport_footprint(tf: TransportField) -> TransportFootprint:
         recorder.begin(lo, hi - lo)
         arr = _trace(kern, _block_seeds(g, lo, hi), recorder)[0]
         _bilinear_inflow(kern, arr, idx[lo:hi], w[lo:hi])
-    terms = tuple(recorder.terms(n))
-    inflow = sparse.csr_matrix(
-        (w.reshape(-1), idx.reshape(-1), np.arange(0, 4 * n + 1, 4, dtype=np.int32)),
-        shape=(n, g.shape[1] * g.shape[2]),
-    )
-    return TransportFootprint(g, inflow, terms)
+    return TransportFootprint(g, idx, w, tuple(recorder.terms(n)))
 
 
 def upwind_march(tf: TransportField, v: ScalarField, w_in: np.ndarray) -> ScalarField:

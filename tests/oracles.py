@@ -10,8 +10,8 @@ from scipy.interpolate import RegularGridInterpolator
 
 from slipflow import lame
 from slipflow.fields import (
-    NormKind, ScalarField, VectorField, div_array, grad_array, norm, strong_size, zeros_scalar,
-    zeros_vector,
+    NormKind, ScalarField, VectorField, diff1, diff2, div_array, grad_array, norm, strong_size,
+    zeros_scalar, zeros_vector,
 )
 from slipflow.grid import GeometryConfig, build_grid
 from slipflow.material import FlowParams
@@ -198,6 +198,45 @@ def jacobian_bound(tf: TransportField) -> float:
         np.clip(pos[:, 1:], 0.0, ext[1:], out=pos[:, 1:])
         worst = max(worst, distortion())
     return worst
+
+
+# ---------------------------------------------------------------------------
+# the cell lookup of transport._locate in integer cells
+
+def integer_locate(grid, p: np.ndarray):
+    """(base, high, low) of (3, m) points in cell units, located as
+    transport._locate was before it kept its cells as floats: the cells
+    are int64, clamped to the last cell as integers and subtracted from
+    the clamped points, and the flat base is an integer dot."""
+    cells = np.array(grid.config.cells)[:, None]
+    _, n2, n3 = grid.shape
+    p = np.clip(p, 0.0, cells.astype(float))
+    cell = np.minimum(p.astype(np.int64), cells - 1)
+    high = p - cell
+    return np.dot(np.array((n2 * n3, n3, 1), dtype=np.int64), cell), high, 1.0 - high
+
+
+# ---------------------------------------------------------------------------
+# Sobolev p-powers with every derivative taken afresh
+
+def sobolev_pows(comp: np.ndarray, grid, weights: np.ndarray, p: float) -> tuple[float, float]:
+    """The W1p and W2p p-powers of one component as fields summed them
+    before the W2p norm took each first derivative once: every derivative
+    is taken afresh, and the sums run in the same order."""
+    def lp(values):
+        return float(np.sum(weights * np.abs(values) ** p))
+
+    w1p = lp(comp)
+    for a in range(3):
+        w1p += lp(diff1(comp, grid.h[a], a))
+    w2p = w1p
+    for a in range(3):
+        w2p += lp(diff2(comp, grid.h[a], a))
+    for a in range(3):
+        da = diff1(comp, grid.h[a], a)
+        for b in range(a + 1, 3):
+            w2p += lp(diff1(da, grid.h[b], b))
+    return w1p, w2p
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from slipflow.fields import (
     face_gagliardo_pow,
     trace_gagliardo_norm,
 )
+from oracles import sobolev_pows
 
 
 def slice_l2(f: ScalarField, i: int) -> float:
@@ -180,6 +181,20 @@ def test_norm_homogeneity():
     n1 = trace_gagliardo_norm(g, on_region(g, face_values(f), "inflow"), 4.0)
     n2 = trace_gagliardo_norm(g, on_region(g, face_values(scaled), "inflow"), 4.0)
     assert abs(n2 - 2.5 * n1) <= 1e-11 * max(1.0, n1)
+
+
+@pytest.mark.parametrize("cells", [(8, 4, 4), (9, 5, 7)])
+def test_sobolev_norms_match_derivatives_taken_afresh(cells):
+    # the W2p norm reuses its first derivatives for the mixed terms; the
+    # oracle takes each one afresh and adds the same terms in the same
+    # order, so both norms keep their bits
+    g = build_grid(GeometryConfig(2.0, 1.0, 1.0, *cells))
+    f = VectorField(g, np.random.default_rng(sum(cells)).standard_normal((3, *g.shape)))
+    w = g.volume_weights()
+    for p in (2.0, 4.0):
+        pows = [sobolev_pows(c, g, w, p) for c in f.values]
+        assert norm(f, NormKind.w1p(p)) == float(sum(w1 for w1, _ in pows) ** (1.0 / p))
+        assert norm(f, NormKind.w2p(p)) == float(sum(w2 for _, w2 in pows) ** (1.0 / p))
 
 
 def test_sobolev_ladder_monotone():

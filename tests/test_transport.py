@@ -23,7 +23,9 @@ from slipflow.transport import (
 )
 from slipflow import transport
 from slipflow.transport import _Kernel, _trace
-from oracles import bisection_landing_solve, jacobian_bound, smooth_scalar, wall_respecting_flow
+from oracles import (
+    bisection_landing_solve, integer_locate, jacobian_bound, smooth_scalar, wall_respecting_flow,
+)
 
 
 def make_grid(n1=16, n2=8, n3=8):
@@ -283,7 +285,9 @@ def test_footprint_of_the_inflow_plane_is_its_trace(cells):
     tf = wall_respecting_flow(g, 2e-2)
     fp = transport_footprint(tf)
     plane = g.shape[1] * g.shape[2]
-    assert np.array_equal(fp.inflow[:plane].toarray(), np.eye(plane))
+    own = fp.inflow_nodes[:plane] == np.arange(plane)[:, None]
+    assert np.all(np.sum(own, axis=1) == 1)
+    assert np.array_equal(fp.inflow_weights[:plane], own.astype(float))
     assert all(np.all(mat.row >= plane) for _, mat in fp.terms)
     v = smooth_scalar(g, 600, 0.4)
     w_in = 0.5 + smooth_scalar(g, 601, 0.4).values[0]
@@ -307,6 +311,43 @@ def test_inflow_stencil_is_a_partition_of_unity(cells):
     assert np.all((w >= 0.0) & (w <= 1.0))
     assert np.max(np.abs(np.sum(w, axis=1) - 1.0)) <= 4 * np.spacing(1.0)
     assert np.all((idx >= 0) & (idx < g.shape[1] * g.shape[2]))
+
+
+@pytest.mark.parametrize("cells", [(8, 4, 4), (9, 5, 7), (20, 10, 12)])
+def test_cell_lookup_in_floats_matches_integer_cells(cells):
+    # _locate keeps its cells as whole floats; random points in and around
+    # the duct, every node, and points at, just below and past the far
+    # lattice end of each axis get the bases and weights, bit for bit, of
+    # the lookup in integer cells
+    g = make_grid(*cells)
+    n = np.array(cells, dtype=float)[:, None]
+    rng = np.random.default_rng(sum(cells))
+    ends = []
+    for a in range(3):
+        end = rng.uniform(0.0, n, (3, 3))
+        end[a] = (n[a, 0], np.nextafter(n[a, 0], 0.0), n[a, 0] + 0.25)
+        ends.append(end)
+    points = np.concatenate(
+        [rng.uniform(-0.5, n + 0.5, (3, 500)), transport._block_seeds(g, 0, g.n_nodes), *ends], axis=1)
+    m = points.shape[1]
+    high, base, low = points.copy(), np.empty(m, dtype=np.intp), np.empty((3, m))
+    transport._locate(transport._lattice(g), high, base, low, np.empty(m))
+    expected = integer_locate(g, points)
+    for got, want in zip((base, high, low), expected):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cells", [(16, 8, 8), (9, 5, 7), (20, 10, 12)])
+def test_both_routes_read_the_inflow_trace_alike(cells):
+    # with no source each node's value is its inflow part alone, which both
+    # routes sum through _inflow_part; a trace with negative values gives
+    # -0.0 products at zero weights, and the sums still agree byte for byte
+    g = make_grid(*cells)
+    tf = wall_respecting_flow(g, 2e-2)
+    w_in = smooth_scalar(g, 700, 0.4).values[0] - 0.5
+    assert np.min(w_in) < 0.0
+    v = zeros_scalar(g)
+    assert apply_S(tf, v, w_in).values.tobytes() == transport_footprint(tf).apply(v, w_in).values.tobytes()
 
 
 @pytest.mark.parametrize("mode", ["split", "monolithic"])
@@ -449,17 +490,19 @@ def _sha256(*arrays):
 def _footprint_digests(fp):
     """Chunk count, then sha256 of the group stream (rows, bases and the
     four weight rows of every chunk, in order, which is the same however
-    it is chunked) and of the inflow CSR arrays."""
+    it is chunked) and of the inflow stencil in the byte layout of the CSR
+    matrix it was once recorded as: weights and int64 indices row by row,
+    and the row pointer 0, 4, 8, ..."""
     terms = [mat for _, mat in fp.terms]
     chunks = [terms[i:i + 4] for i in range(0, len(terms), 4)]  # one matrix per face corner
     rows = np.concatenate([c[0].row for c in chunks]).astype(np.int64)
     bases = np.concatenate([c[0].col for c in chunks]).astype(np.int64)
     weights = np.concatenate([np.stack([mat.data for mat in c]) for c in chunks], axis=1)
-    csr = fp.inflow
+    indptr = np.arange(0, 4 * fp.grid.n_nodes + 1, 4, dtype=np.int64)
     return (
         len(chunks),
         _sha256(rows, bases, weights),
-        _sha256(csr.data, csr.indices.astype(np.int64), csr.indptr.astype(np.int64)),
+        _sha256(fp.inflow_weights, fp.inflow_nodes.astype(np.int64), indptr),
     )
 
 
@@ -467,7 +510,7 @@ def _footprint_digests(fp):
 def test_recorded_footprint_matches_pinned_digests(chunk, monkeypatch):
     # sha256 of the footprint recorded on the case above, recorded when the
     # landing step became one RK4 step in x1: the group stream, the inflow
-    # CSR arrays, and footprint.apply.  Chunks of 4096 groups
+    # stencil, and footprint.apply.  Chunks of 4096 groups
     # split the stream as (64, 32, 32) does at the default chunk size, and
     # change the sums of apply.
     if chunk is not None:
