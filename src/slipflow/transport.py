@@ -28,25 +28,30 @@ points sit at x1, x1/2, x1/2 and 0.  There is no root solve, and a
 node on the inflow plane is traced like any other: it lands where it
 starts.  No trace's arithmetic depends on the others in its block, so each
 trace's arrival and path integral are bit-identical for any block size
-and any number of workers.  A block allocates its work arrays once (a
-_Kernel) and reuses them through every stage of every step, about 260
-bytes per traced node at its peak.  apply_S on a field, with more
-than one block and more than one CPU in the process's affinity mask
-(there is no setting for it), traces the blocks on that many worker
-processes started by fork, last block first: a trace costs more the
-further from the inflow plane it starts and the blocks run x1 slowest,
-so the cheap blocks fill in at the end.  The workers inherit the fields
-at the fork, each block sends back only its slice of the result, and
-the workers are joined before the call returns or raises; their work
-arrays are held by the workers, not by the calling process.  Otherwise
-the blocks are traced one after another in the calling process.  A
-footprint build always traces its blocks in turn in the calling
-process, all into one recorder: groups recorded on workers would come
-back copied and be held twice by the caller.  The recording kernel
-keeps the four stage stencils of the step just taken, allocated once,
-until the step shows which traces cross x1 = 0, and the recorder keeps
-each trace's state in that trace's slot, so a stage adds to it in
-place; a build holds about 680 bytes per node of the block at its peak.
+and any number of workers.  A block's traces keep their positions in
+the seeds array and everything else they carry in one companion array,
+which a crossing step reorders with the positions by the same order.
+Its work arrays are allocated once (a _Kernel) and reused through every
+stage of every step: an in-process apply_S on a field holds about 270
+bytes per traced node at its peak (tracemalloc, one (32, 16, 16)
+apply).  apply_S on a field, with more than one block and more than
+one CPU in the process's affinity mask (there is no setting for it),
+traces the blocks on that many worker processes started by fork, last
+block first: a trace costs more the further from the inflow plane it
+starts and the blocks run x1 slowest, so the cheap blocks fill in at
+the end.  The workers inherit the fields at the fork, each block sends
+back only its slice of the result, and the workers are joined before
+the call returns or raises; their work arrays are held by the workers,
+not by the calling process.  Otherwise the blocks are traced one after
+another in the calling process.  A footprint build always traces its
+blocks in turn in the calling process, through one kernel sized for
+the largest block and into one recorder: groups recorded on workers
+would come back copied and be held twice by the caller.  The
+recording kernel keeps the four stage stencils of the step just taken,
+allocated once, until the step shows which traces cross x1 = 0.  Each
+trace's recorder state sits in its column of the companion array,
+where a stage adds to it in place; a build holds about 710 bytes per
+node of the block at its peak (tracemalloc, one (32, 16, 16) build).
 
 An independent slice-marching discretization (upwind_march) of the same
 equation is kept deliberately separate as a cross-check.
@@ -291,80 +296,75 @@ def _trace(kern: _Kernel, seeds: np.ndarray, recorder=None):
     Returns (arrivals, integral) arrays; the arrivals, in cell units, are
     seeds itself, overwritten.  Full steps of size ds = min(h) / 2 in s
     are taken until a step would cross x1 = 0; as u~1 >= 1/2, each lowers
-    x1 by at least ds/2.  Once every
-    trace of the block has reached that step, one RK4 step in x1 each
-    (kern.rk4 with axial), over the trace's remaining x1 cells, lands them
-    all on x1 = 0 exactly.  A seed on the inflow plane crosses on its first
-    step and lands where it starts, in a step of length 0, with integral 0
-    and zero recorded weights.  Every trace's arithmetic is its own, so
-    the results do not depend on how the seeds are split into blocks.
+    x1 by at least ds/2.  Once every trace of the block has reached that
+    step, one RK4 step in x1 each (kern.rk4 with axial), over the trace's
+    remaining x1 cells, lands them all on x1 = 0 exactly.  A seed on the
+    inflow plane crosses on its first step and lands where it starts, in
+    a step of length 0, with integral 0 and zero recorded weights.  Every
+    trace's arithmetic is its own, so the results do not depend on how
+    the seeds are split into blocks or ordered.
 
     A recorder, if given, has been started on the block (recorder.begin)
-    with seed k in slot k, keeps its per-trace state in the traces' slots
-    (below) and reads each step's stage stencils from kern, which must
-    record.  After each step, recorder.step(rows[:m], ds, *kern.stages(m),
-    skip=hit) adds its four stages for every trace but those in the slots
-    hit, which cross x1 = 0 on it (rows are local to the block), and on a
-    crossing step recorder.move(order) then reorders the slots exactly as
-    the step reorders them here.  Once the block has landed,
-    recorder.land(n) turns the slots to crossing order, the order of
-    done, in which the landing step is taken, and recorder.step(done, x1,
-    ...) and recorder.close(done) record that step, whose stage weights
-    the kernel has divided by u~1, and emit what each trace still holds.
+    and reads each step's stage stencils from kern, which must record.
+    Its state for each trace sits in that trace's column of the companion
+    array (below), and it updates that state in place.  After each step,
+    recorder.step(rows, state, ds, *kern.stages(m), skip=hit) adds the
+    step's four stages for every stepping trace but those in the columns
+    hit, which cross x1 = 0 on it.  The landing step, whose stage weights
+    the kernel has divided by u~1, is recorded the same way on every
+    column in crossing order, and recorder.close then emits what each
+    trace still holds.
     """
     ds = min(kern.grid.h) / 2.0
     n_cells = kern.lattice[0]
     payload = kern.payload is not None
     record = recorder is not None
-    # One slot per seed: the m traces still stepping in front, in seed
-    # order, and behind them, last first, those whose next step would
-    # cross x1 = 0, waiting for the block's landing step.  A slot holds a
-    # row of the block, a position (before the crossing step for a waiting
-    # trace) and the path integral so far.  The positions take seeds' own
-    # storage, as a (3, m) array and then (x1, x2, x3) triples, and seeds
-    # receives the arrivals at the end.
+    # Column k of the positions, seeds itself, and of one companion array
+    # holds a trace: the m traces still stepping in front, in seed order,
+    # and behind them, last first, those whose next step would cross
+    # x1 = 0, at their position before that step, waiting for the block's
+    # landing step.  The companion holds the trace's row in the block, then
+    # its path integral so far or its recorder state: the cell, the flat
+    # index of the cell's low corner as a whole float (-1 before the first
+    # stage), and the 8 weights.  A crossing step reorders both arrays by
+    # one order, and seeds receives the arrivals at the end.
     m = n = seeds.shape[1]
-    rows = np.arange(n)
-    pos = seeds.reshape(-1)
-    cur = pos.reshape(3, m)
-    held = np.zeros(m) if payload else None
+    state = np.zeros((1 + payload + 9 * record, n))
+    state[0] = np.arange(n)
+    rec = state[1 + payload:]
+    rec[:1] = -1.0  # the recorder's cells, if it has any
+    cur = seeds
     while m:
         new, inc = kern.rk4(cur, ds)
         crossing = new[0] <= 0.0
         hit = np.flatnonzero(crossing)
-        if record:  # a crossing trace records its landing step instead
-            recorder.step(rows[:m], ds, *kern.stages(m), skip=hit)
+        # a crossing trace records and integrates its landing step instead
+        if record:
+            recorder.step(state[0, :m], rec[:, :m], ds, *kern.stages(m), skip=hit)
+        if payload:  # an integral is never -0.0, so adding 0.0 leaves it as it is
+            inc[hit] = 0.0
+            state[1, :m] += inc
         if hit.size:
-            keep = np.flatnonzero(~crossing)
-            order = np.concatenate((keep, hit[::-1]))
-            rows[:m] = rows[order]
-            waiting = cur[:, hit]
-            if payload:
-                held[:m] = held[order]
-                inc = inc[keep]
-            cur = pos[:3 * keep.size].reshape(3, -1)
-            np.take(new, keep, axis=1, out=cur, mode="clip")
-            new = cur
-            pos.reshape(-1, 3)[keep.size:m] = waiting.T[::-1]
-            m = keep.size
-            if record:
-                recorder.move(order)
+            order = np.concatenate((np.flatnonzero(~crossing), hit[::-1]))
+            new[:, hit] = cur[:, hit]  # a waiting trace stays where it was
+            seeds[:, :m] = new[:, order]
+            state[:, :m] = state[:, order]
+            m -= hit.size
+            cur = new = seeds[:, :m]
         np.clip(new, 0.0, n_cells, out=cur)
-        if payload:
-            held[:m] += inc
 
-    done, start = rows[::-1], pos.reshape(-1, 3)[::-1].T  # in crossing order
+    start, back = seeds[:, ::-1], state[:, ::-1]  # in crossing order
     x1 = start[0]  # the step in x1 that lands each trace
     fin, inc = kern.rk4(start, x1, axial=True)
     if record:
-        recorder.land(n)
-        recorder.step(done, x1, *kern.stages(n))
-        recorder.close(done)
+        recorder.step(back[0], rec[:, ::-1], x1, *kern.stages(n))
+        recorder.close(back[0], rec[:, ::-1])
     fin[0] = 0.0
+    done = back[0].astype(np.intp)
     seeds[:, done] = np.clip(fin, 0.0, n_cells, out=fin)
     integral = np.zeros(n)
     if payload:
-        integral[done] = held[::-1] + inc
+        integral[done] = back[1] + inc
     return seeds, integral
 
 
@@ -551,12 +551,13 @@ class _SourceRecorder:
     (_mapped_chunk): its row, its base node and one weight per offset of
     a face corner from the base.
 
-    A trace's state, its cell (the flat index of the cell's low corner)
-    and the 8 weights of its two groups, sits in the trace's slot in
-    _trace, and moves when _trace moves the trace (move, land): a step's
-    stages add to the front slots in place, and the groups of the traces
-    a stage moves are emitted in slot order, which is the traces' order
-    in that stage.
+    The recorder holds no trace's state.  step, _stage and close take the
+    traces' rows in the block and their (9, m) state, the columns of
+    _trace's companion array: the cell, the flat index of the cell's low
+    corner as a whole float, -1 before the trace's first stage, then the
+    low group's 4 weights and the high group's.  A stage adds to the state
+    in place, and the groups of the traces it moves are emitted in the
+    order of those columns, which is the traces' order in that stage.
     """
 
     CHUNK = 1 << 18
@@ -567,45 +568,31 @@ class _SourceRecorder:
         self.chunks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         self.fill = self.CHUNK  # groups written to the last chunk
 
-    def begin(self, first: int, n: int) -> None:
-        """Start a block's n seeds in slots 0..n-1; rows are local to the
-        block, whose first node is first."""
+    def begin(self, first: int) -> None:
+        """Start a block whose first node is first; rows are local to the
+        block."""
         self.first = first
-        self.cell = np.full(n, -1, dtype=np.int32)
-        self.slots = np.zeros((8, n))
 
-    def move(self, order: np.ndarray) -> None:
-        """Slot k takes what slot order[k] held, for k < order.size."""
-        m = order.size
-        self.cell[:m] = self.cell[order]
-        self.slots[:, :m] = self.slots[:, order]
-
-    def land(self, n: int) -> None:
-        """Turn the first n slots, the landing traces, to crossing order:
-        slot k becomes slot n-1-k, as a view."""
-        self.cell, self.slots = self.cell[:n][::-1], self.slots[:, :n][:, ::-1]
-
-    def step(self, rows: np.ndarray, s, bases: np.ndarray, weights: np.ndarray,
+    def step(self, rows: np.ndarray, state: np.ndarray, s, bases: np.ndarray, weights: np.ndarray,
              skip: np.ndarray | None = None) -> None:
         """Add the four RK4 stages of a step of size s (scalar or per trace)
-        taken by the traces rows in the first rows.size slots, from their
+        taken by the traces rows, whose (9, m) state it updates, from their
         (4, m) bases and (4, 8, m) corner weights, which are scaled in
-        place.  The traces in the slots skip are left as they are: their
+        place.  The traces in the columns skip are left as they are: their
         stage points are put in their cells with zero weights, and adding
-        a zero leaves a slot unchanged, since slots are sums of nonnegative
-        products and never -0.0."""
+        a zero leaves a weight unchanged, since weights are sums of
+        nonnegative products and never -0.0."""
         if skip is not None:
-            bases[:, skip] = self.cell[skip]
+            bases[:, skip] = state[0, skip]
             weights[:, :, skip] = 0.0
         sixth = s / 6.0
         for weight, base, w in zip(_RK4_WEIGHTS, bases, weights):
-            self._stage(rows, sixth * weight, base, w)
+            self._stage(rows, state, sixth * weight, base, w)
 
-    def _stage(self, rows: np.ndarray, coef, base: np.ndarray, w: np.ndarray) -> None:
+    def _stage(self, rows: np.ndarray, state: np.ndarray, coef, base: np.ndarray, w: np.ndarray) -> None:
         """One stage of step, its weights scaled by coef = s/6 times the
         stage's RK4 weight."""
-        m = rows.size
-        cell, slots = self.cell[:m], self.slots[:, :m]
+        cell, groups = state[0], state[1:]
         moved = np.flatnonzero(base != cell)
         if moved.size:
             o = cell[moved]
@@ -616,24 +603,21 @@ class _SourceRecorder:
             # the high group of each trace moving one cell down, then the
             # low and the high group of each other move
             if kd.size:
-                self._emit(rows[kd], o[down] + self.s1, slots[4:, kd])
+                self._emit(rows[kd], o[down] + self.s1, groups[4:, kd])
             if kf.size:
                 of = o[far]
-                self._emit(rows[kf], of, slots[:4, kf])
-                self._emit(rows[kf], of + self.s1, slots[4:, kf])
-            slots[4:, kd] = slots[:4, kd]
-            slots[:4, kd] = 0.0
-            slots[:, kf] = 0.0
+                self._emit(rows[kf], of, groups[:4, kf])
+                self._emit(rows[kf], of + self.s1, groups[4:, kf])
+            groups[4:, kd] = groups[:4, kd]
+            groups[:4, kd] = 0.0
+            groups[:, kf] = 0.0
             cell[moved] = base[moved]
-        slots += np.multiply(w, coef, out=w)
+        groups += np.multiply(w, coef, out=w)
 
-    def close(self, rows: np.ndarray) -> None:
-        """Emit what the traces rows, in the first rows.size slots, still
-        hold."""
-        m = rows.size
-        cells = self.cell[:m]
-        self._emit(rows, cells, self.slots[:4, :m])
-        self._emit(rows, cells + self.s1, self.slots[4:, :m])
+    def close(self, rows: np.ndarray, state: np.ndarray) -> None:
+        """Emit what the traces rows, of (9, m) state state, still hold."""
+        self._emit(rows, state[0], state[1:5])
+        self._emit(rows, state[0] + self.s1, state[5:])
 
     def _emit(self, rows: np.ndarray, bases: np.ndarray, vals: np.ndarray) -> None:
         """Store groups: row, corner (j0, k0) base and the (4, n) face
@@ -698,9 +682,10 @@ class TransportFootprint:
 def transport_footprint(tf: TransportField) -> TransportFootprint:
     """Trace every node once and record apply_S (TransportFootprint).
 
-    The node blocks are traced with the same kernel as apply_S on a
-    field, one after another in the calling process, and every block
-    records into one recorder.
+    The node blocks are traced with the same kernel code as apply_S on a
+    field, one after another in the calling process, through one kernel
+    sized for the largest block, and every block records into one
+    recorder.
     """
     g = tf.grid
     n = g.n_nodes
@@ -708,9 +693,10 @@ def transport_footprint(tf: TransportField) -> TransportFootprint:
     rate = tf.values / np.reshape(g.h, (3, 1, 1, 1))
     idx = np.empty((n, 4), dtype=np.int32)
     w = np.empty((n, 4))
-    for lo, hi in _blocks(n):
-        kern = _Kernel(g, rate, None, hi - lo, record=True)
-        recorder.begin(lo, hi - lo)
+    blocks = _blocks(n)
+    kern = _Kernel(g, rate, None, max(hi - lo for lo, hi in blocks), record=True)
+    for lo, hi in blocks:
+        recorder.begin(lo)
         arr = _trace(kern, _block_seeds(g, lo, hi), recorder)[0]
         _bilinear_inflow(kern, arr, idx[lo:hi], w[lo:hi])
     return TransportFootprint(g, idx, w, tuple(recorder.terms(n)))

@@ -125,6 +125,34 @@ def test_inflow_plane_seed_arrives_where_it_starts():
         assert integral == 0.0
 
 
+def test_trace_reorders_seeds_in_any_order_bit_for_bit():
+    # _trace reorders its traces as they cross x1 = 0, and each trace's
+    # arithmetic is its own: the nodes and off-node points, on the inflow
+    # plane and at x1 = n1 among them, traced in a random order arrive at
+    # the permuted arrivals with the permuted integrals, bit for bit
+    g = make_grid(9, 5, 7)
+    tf = wall_respecting_flow(g, 2e-2)
+    rate = tf.values / np.reshape(g.h, (3, 1, 1, 1))
+    payload = smooth_scalar(g, 500, 0.4).values
+    n = np.array(g.config.cells, dtype=float)[:, None]
+    rng = np.random.default_rng(40)
+    off = rng.uniform(0.0, n, (3, 300))
+    off[0, :30] = 0.0
+    off[0, 30:60] = n[0, 0]
+    seeds = np.concatenate((transport._block_seeds(g, 0, g.n_nodes), off), axis=1)
+    perm = rng.permutation(seeds.shape[1])
+
+    def run(points):
+        kern = _Kernel(g, rate, payload, points.shape[1])
+        return _trace(kern, points.copy())  # _trace overwrites its seeds
+
+    arrivals, integral = run(seeds)
+    assert np.all(arrivals[0] == 0.0) and np.count_nonzero(integral) > seeds.shape[1] // 2
+    permuted = run(seeds[:, perm])
+    assert permuted[0].tobytes() == np.ascontiguousarray(arrivals[:, perm]).tobytes()
+    assert permuted[1].tobytes() == integral[perm].tobytes()
+
+
 def test_transport_field_rejects_a_flow_that_would_stall():
     # zero velocity never reaches the inflow plane: the field cannot be
     # made, so no route traces it
