@@ -17,9 +17,14 @@ tangential to several faces averages their slip rows.
 
 build_lame_operator lays these rows out once: it stores their masks on
 the operator as read-only arrays (pinned, slip and PDE rows, the free
-(unpinned) rows, and the count of faces that share each slip row),
-assembles the rows from (row, column, value) triplets as one CSR matrix
-on the free rows and columns, and builds a preconditioner on it.  Every
+(unpinned) rows, and the count of faces that share each slip row).  One
+function gives every row its value: a volume value on the PDE rows, on
+each slip row the average of what each face sharing it gives, zero on
+the pinned rows.  The matrix, its right-hand side and the V-cycle's
+slip-row scaling all go through it; the matrix is read off the rows it
+gives fields.lame_array and fields.slip_traction on a box of four cells,
+81 probes for every row of the grid, and assembled as one CSR matrix on
+the free rows and columns, on which the preconditioner is built.  Every
 momentum solve acts through that matrix, and every linear step reads
 those masks.  The tests check the matrix against a stencil form of all
 the rows of their own (tests/test_lame.py).
@@ -155,36 +160,19 @@ class LameOperator:
 def build_lame_operator(grid: Grid, params: FlowParams) -> LameOperator:
     """The row layout, the momentum rows as a sparse matrix on the free
     rows and columns, and the preconditioner built on that matrix."""
-    pinned = _pinned_rows(grid.config.cells)
-    robin_cnt = np.zeros(pinned.shape, dtype=np.int8)
-    for face in grid.faces:
-        for t_ax in face.in_axes:
-            robin_cnt[t_ax][face.slicer()] += 1
-    robin_mask = (robin_cnt > 0) & ~pinned
-    pde = ~(pinned | robin_mask)
+    layout = _layout(grid)
+    pinned, _, _, pde = layout
     free = ~pinned.reshape(-1)
     pde_free = pde.reshape(-1)[free]
-    for array in (pinned, robin_cnt, robin_mask, pde, free, pde_free):
+    for array in (*layout, free, pde_free):
         array.flags.writeable = False
-    matrix = _momentum_matrix(grid, params, robin_cnt, robin_mask, pde, free)
+    matrix = _momentum_matrix(grid, params, free)
     # the V-cycle divides each slip row by the spacing normal to its faces
-    normal_h = _slip_average(grid, robin_cnt, lambda face, i: 1.0 / grid.h[face.axis])
-    row_scale = np.where(robin_mask, normal_h, 1.0).reshape(-1)[free]
+    normal_h = {face.name: (1.0 / grid.h[face.axis],) * 2 for face in grid.faces}
+    row_scale = _row_values(grid, layout, 1.0, normal_h).reshape(-1)[free]
     return LameOperator(
-        grid, params, pinned, robin_cnt, robin_mask, pde, free, pde_free,
-        matrix, _multigrid(grid, matrix, row_scale),
+        grid, params, *layout, free, pde_free, matrix, _multigrid(grid, matrix, row_scale)
     )
-
-
-def _slip_average(grid: Grid, robin_cnt: np.ndarray, value) -> np.ndarray:
-    """The (3, *shape) average, over the faces that share each slip row,
-    of value(face, i): what a face gives the slip rows of its i-th in-face
-    component, face.in_axes[i].  Only its slip rows (robin_mask) are read."""
-    acc = np.zeros(robin_cnt.shape)
-    for face in grid.faces:
-        for i, t_ax in enumerate(face.in_axes):
-            acc[t_ax][face.slicer()] += value(face, i)
-    return acc / np.maximum(robin_cnt, 1)
 
 
 def _pinned_rows(cells) -> np.ndarray:
@@ -196,94 +184,88 @@ def _pinned_rows(cells) -> np.ndarray:
     return pinned
 
 
-def _pde_stencil(g: Grid, params: FlowParams) -> list[list[tuple[int, float]]]:
-    """Per component c, the (column offset, value) pairs of c's PDE row at
-    an interior node, sorted by offset: the row's column is offset plus
-    the node's flat index, component a's columns starting at a * n_nodes.
-
-    The rows are read off fields.lame_array on a box of four cells with
-    g's spacings (4h/4 is h exactly), where every row within one node of
-    the centre is an interior row: applied to a unit in component a at
-    the centre, its value for component c at centre - offset is the entry
-    of c's row at a's column offset, so three probes give every row.  An
-    entry that cancels to exactly zero is left out.
-    """
-    box = build_grid(GeometryConfig(*(4.0 * h for h in g.h), 4, 4, 4))
-    rows = [[], [], []]
-    for a in range(3):
-        unit = np.zeros((3, *box.shape))
-        unit[a, 2, 2, 2] = 1.0
-        # window[c, 1 + offset] is component c's value at centre - offset
-        window = lame_array(unit, box, params.mu, params.nu)[:, 3:0:-1, 3:0:-1, 3:0:-1]
-        for c, i, j, k in np.argwhere(window):
-            offset = a * g.n_nodes + ((i - 1) * g.shape[1] + j - 1) * g.shape[2] + k - 1
-            rows[c].append((int(offset), float(window[c, i, j, k])))
-    return [sorted(row) for row in rows]
+def _layout(g: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The row layout on g as LameOperator stores it: the (3, *shape)
+    arrays pinned, robin_cnt, robin_mask and pde."""
+    pinned = _pinned_rows(g.config.cells)
+    robin_cnt = np.zeros(pinned.shape, dtype=np.int8)
+    for face in g.faces:
+        for t_ax in face.in_axes:
+            robin_cnt[t_ax][face.slicer()] += 1
+    robin_mask = (robin_cnt > 0) & ~pinned
+    return pinned, robin_cnt, robin_mask, ~(pinned | robin_mask)
 
 
-def _slip_stencil(g: Grid, params: FlowParams) -> dict[str, np.ndarray]:
-    """Per face name, the (3, 2) values of its slip rows: [k, i] multiplies
-    component face.in_axes[i] k nodes inward from the row's node.  They
-    are read off fields.slip_traction on _pde_stencil's box: probe k puts
-    a unit in every component k nodes in from every face centre, where
-    each face's row sees only the unit on its own normal line."""
-    box = build_grid(GeometryConfig(*(4.0 * h for h in g.h), 4, 4, 4))
-    rows = {face.name: np.empty((3, 2)) for face in box.faces}
-    for k in range(3):
-        unit = np.zeros((3, *box.shape))
-        for face in box.faces:
-            at = [2, 2, 2]
-            at[face.axis] = face.index - face.side * k
-            unit[:, at[0], at[1], at[2]] = 1.0
-        for name, traction in slip_traction(unit, box, params.mu, params.friction).items():
-            rows[name][k] = traction[:, 2, 2]
-    return rows
+def _row_values(g: Grid, layout, volume, by_face: Mapping) -> np.ndarray:
+    """Every momentum row's value on g with this layout (as _layout gives
+    it), a (3, *shape, ...) array: volume on the PDE rows; on each slip row
+    the average, over the faces that share it, of by_face[face.name][i],
+    what the face gives its i-th in-face component face.in_axes[i]; zero
+    on the pinned rows.  volume is a scalar or a (3, *shape, ...) array,
+    and the by_face values are shaped like slip_traction's output, or are
+    pairs of scalars; the trailing axes, if any, are the same for both."""
+    _, robin_cnt, robin_mask, pde = layout
+    slip = np.zeros(robin_cnt.shape + np.shape(volume)[4:])
+    for face in g.faces:
+        for i, t_ax in enumerate(face.in_axes):
+            slip[t_ax][face.slicer()] += by_face[face.name][i]
+    tail = (1,) * (slip.ndim - 4)  # the masks broadcast over trailing axes
+    cnt, robin, pde = (m.reshape(m.shape + tail) for m in (robin_cnt, robin_mask, pde))
+    return np.where(robin, slip / np.maximum(cnt, 1), np.where(pde, volume, 0.0))
 
 
-def _momentum_matrix(
-    g: Grid, params: FlowParams, robin_cnt: np.ndarray, robin_mask: np.ndarray,
-    pde: np.ndarray, free: np.ndarray,
-) -> sparse.csr_matrix:
+def _row_action(values: np.ndarray, g: Grid, params: FlowParams) -> np.ndarray:
+    """The momentum rows applied to a (3, *shape, ...) velocity array on
+    g, trailing axes allowed: fields.lame_array on the PDE rows and
+    fields.slip_traction on the slip rows."""
+    return _row_values(
+        g, _layout(g), lame_array(values, g, params.mu, params.nu),
+        slip_traction(values, g, params.mu, params.friction),
+    )
+
+
+def _momentum_matrix(g: Grid, params: FlowParams, free: np.ndarray) -> sparse.csr_matrix:
     """The rows described in the module docstring on the free rows and
-    columns of the row layout (as LameOperator stores it), as a CSR matrix
-    with int32 indices.
+    columns (free as LameOperator stores it), as a CSR matrix with int32
+    indices, read off _row_action on a box of four cells with g's spacings
+    (4h/4 is h exactly).  An entry that is exactly zero is left out.
 
-    The matrix is assembled from (row, column, value) triplets: each PDE
-    stencil entry at every PDE node, and each face's three slip stencil
-    entries (_slip_stencil) on the slip rows it shares, scaled by
-    1/robin_cnt.  Rows and columns are free positions, and the diagonal
-    entry an edge slip row takes from each of its faces is summed.
+    Along each axis a node is on the low face, inside, or on the high
+    face, and its row depends only on which of the three, up to a shift:
+    the row at every node of g is the box's row at box node 2p (p = 0, 1,
+    2 for low face, inside, high face) shifted to that node.  That row
+    reaches box nodes p to p + 2 along each axis, so Curtis-Powell-Reid
+    probes read every row (Curtis, Powell & Reid, J. Inst. Maths Applics
+    13, 1974): along each axis, probe k (k = 0, 1, 2) sets box nodes k and
+    k + 3, and the row at 2p reads the one at k + 3 if k + 3 <= p + 2 and
+    the one at k otherwise; 3 source components x 27 probes.
     """
+    box = build_grid(GeometryConfig(*(4.0 * h for h in g.h), 4, 4, 4))
+    sets = (np.arange(5)[:, None] % 3 == np.arange(3)).astype(float)  # [box node, k]
+    probes = np.einsum("ab,il,jm,kn->aijkblmn", np.eye(3), sets, sets, sets)
+    # action[c, box node, a, k0, k1, k2]: row c there under probe k of component a
+    action = _row_action(probes.reshape(3, 5, 5, 5, 81), box, params).reshape(probes.shape)
+    # offset[p][k]: the box node probe k sets within reach of the row at 2p, less 2p
+    offset = np.array([[(k + 3 if k + 3 <= p + 2 else k) - 2 * p for k in range(3)] for p in range(3)])
+    places = (slice(0, 1), slice(1, -1), slice(-1, None))  # nodes of g at each p
+
     n = g.n_nodes
     n_free = int(np.count_nonzero(free))
     index = np.full(3 * n, -1, dtype=np.int32)  # free position, -1 if pinned
     index[free] = np.arange(n_free, dtype=np.int32)
-    rows, cols, vals = [], [], []
-
-    def add(row: np.ndarray, col: np.ndarray, value) -> None:
-        """Entries at (row, col) of the velocity; pinned columns are zero."""
-        col = index[col]
-        keep = col >= 0
-        rows.append(index[row[keep]])
-        cols.append(col[keep])
-        vals.append(np.broadcast_to(value, row.shape)[keep])
-
-    for c, stencil in enumerate(_pde_stencil(g, params)):
-        nodes = np.flatnonzero(pde[c])
-        for offset, value in stencil:
-            add(c * n + nodes, nodes + offset, value)
-
-    # slip rows, averaged over the faces that share them
     stride = (g.shape[1] * g.shape[2], g.shape[2], 1)
-    node_ids = np.arange(n).reshape(g.shape)
-    slip = _slip_stencil(g, params)
-    for face in g.faces:
-        for i, t_ax in enumerate(face.in_axes):
-            nodes = node_ids[face.slicer()].reshape(-1)
-            nodes = t_ax * n + nodes[robin_mask[t_ax].reshape(-1)[nodes]]
-            scale = 1.0 / robin_cnt.reshape(-1)[nodes]
-            for k, value in enumerate(slip[face.name][:, i]):
-                add(nodes, nodes - face.side * k * stride[face.axis], value * scale)
+    node_ids = np.arange(n, dtype=np.int32).reshape(g.shape)
+    rows, cols, vals = [], [], []
+    for p in np.ndindex(3, 3, 3):
+        nodes = node_ids[tuple(places[q] for q in p)].reshape(-1)
+        row = action[(slice(None), *(2 * q for q in p))]
+        c, a, *k = np.nonzero(row)
+        shift = a * n + sum(offset[q][kq] * s for q, kq, s in zip(p, k, stride))
+        col = index[shift[:, None] + nodes]
+        keep = col >= 0  # pinned columns are zero
+        rows.append(index[c[:, None] * n + nodes][keep])
+        cols.append(col[keep])
+        vals.append(np.broadcast_to(row[(c, a, *k)][:, None], col.shape)[keep])
 
     # joined one list at a time: only one is held both in pieces and whole
     rows = np.concatenate(rows)
@@ -399,8 +381,8 @@ def _multigrid(g: Grid, matrix: sparse.csr_matrix, row_scale: np.ndarray) -> _VC
 def _momentum_rhs(op: LameOperator, forcing: np.ndarray, slip_data: Mapping[str, np.ndarray]) -> np.ndarray:
     """Free-row right-hand side matching the row layout: the forcing on
     the PDE rows and the averaged slip data on the slip rows."""
-    slip = _slip_average(op.grid, op.robin_cnt, lambda face, i: slip_data[face.name][i])
-    return np.where(op.robin_mask, slip, forcing).reshape(-1)[op.free]
+    layout = (op.pinned, op.robin_cnt, op.robin_mask, op.pde)
+    return _row_values(op.grid, layout, forcing, slip_data).reshape(-1)[op.free]
 
 
 def _scatter(op: LameOperator, y: np.ndarray) -> np.ndarray:

@@ -146,32 +146,40 @@ def test_apply_matches_analytic_rows_under_refinement():
 
 
 # (9, 5, 7) on an anisotropic duct: odd counts, unequal spacings, and edges
-# whose tangential components average two slip rows with different h
+# whose tangential components average two slip rows with different h; at
+# mu = h1/2 two interior entries cancel and stay out of the matrix
 MATRIX_CASES = [
     ((2.0, 1.0, 1.0), (8, 4, 4), FlowParams()),
     ((2.0, 1.0, 1.0), (16, 8, 8), FlowParams()),
     ((2.5, 1.0, 0.7), (9, 5, 7), FlowParams(mu=0.7, nu=0.3, friction=2.5)),
+    ((2.0, 1.0, 1.0), (16, 8, 8), FlowParams(mu=0.0625)),
 ]
-# sha256 of the matrix's data, indices and indptr as stored: the assembly
-# calls no BLAS, so a reordered sum or a moved entry shows here, where the
-# 1e-14 comparison of the rows cannot see it
-MATRIX_SHA256 = {
-    (8, 4, 4): (
+# sha256 of the matrix's data, indices and indptr as stored, per case in
+# MATRIX_CASES order: the assembly calls no BLAS, so a reordered sum or a
+# moved entry shows here, where the 1e-14 comparison of the rows cannot
+# see it
+MATRIX_SHA256 = dict(zip(MATRIX_CASES, [
+    (
         "348bcc0a112762119023fd21c41c9c89ec9b4fbeb6f6e2d6224e2bbc03931849",
         "58667dcc3165165ef51176bdd03e5736aafe7ac18588337c00d24c7610795183",
         "c3c973afec76963eb00c0b5105f5afdb6426dad24694f4252ddcaba99531095f",
     ),
-    (16, 8, 8): (
+    (
         "a452bd0fdecc67fb5baab8163607239363b01a70f4243f98d2213e76195c685f",
         "a68ceb0a557c890fc3c0b9cf9d23af65837fc25f1581849dcdb17fcb7f57065a",
         "b6c0ade23787474d58aeb0ea7036f4414b43d3c556350fd90f5ee0047bff5111",
     ),
-    (9, 5, 7): (
+    (
         "f68dcc95d16dc9e9e029ff4f15f8b9973e57ce6e8100d837e786a5f077531daf",
         "766ef525996dae7d72ce4142c9eab45a2ee25e68cab2aaeddcfe0046353fdfb3",
         "8c8a25a65286b522635198befc2f7626d6b34d43d7a9fcc348bf237bdf142068",
     ),
-}
+    (
+        "df6bb1c02d2d0b9395b16b0264ccece6229c769d275247dd3ff1028161a5c93a",
+        "43bd5c84fa9db8c7be8923e2aba5d766e52bdacc789fcc8af6dba3967c424f8f",
+        "bc128e472e4a5485803ca80807adbbfc61f72c3043dce01c2b5e2d8c2c21c4c3",
+    ),
+]))
 
 
 @pytest.mark.parametrize("extents, cells, params", MATRIX_CASES)
@@ -188,7 +196,8 @@ def test_momentum_matrix_reproduces_rows(extents, cells, params):
         got = op.matrix @ u.reshape(-1)[op.free]
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
     stored = (op.matrix.data, op.matrix.indices, op.matrix.indptr)
-    assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in stored) == MATRIX_SHA256[cells]
+    assert tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in stored) == MATRIX_SHA256[
+        extents, cells, params]
 
 
 @pytest.mark.parametrize("extents, cells, params", MATRIX_CASES)
@@ -231,8 +240,18 @@ def _closed_form_stencil(g, params, c) -> dict[int, float]:
     return entries
 
 
+def _matrix_row(op, c: int, node: tuple[int, int, int]) -> dict[int, float]:
+    """Column offset -> value of the assembled matrix's row for component c
+    at a node, the offset taken from the node's flat index on the full
+    velocity, as _closed_form_stencil keys it."""
+    full = np.flatnonzero(op.free)  # full index of each free position
+    at = int(np.ravel_multi_index(node, op.grid.shape))
+    row = op.matrix.getrow(int(np.searchsorted(full, c * op.grid.n_nodes + at)))
+    return {int(full[j]) - at: float(v) for j, v in zip(row.indices, row.data)}
+
+
 # at mu = h1/2 the x1 convection cancels the x1 viscous coupling of u2 and
-# u3 on one side, which the probed stencil leaves out
+# u3 on one side, which the assembly leaves out
 @pytest.mark.parametrize(
     "extents, cells, params, cancelled",
     [
@@ -243,22 +262,24 @@ def _closed_form_stencil(g, params, c) -> dict[int, float]:
     ids=["default", "anisotropic", "cancelling"],
 )
 def test_probed_stencil_matches_closed_form(extents, cells, params, cancelled):
-    # the rows read off fields.lame_array agree with the hand-derived
-    # coefficients to 4 ulps per entry, an absent entry reading as 0
+    # the matrix rows at an interior node, read off fields.lame_array,
+    # agree with the hand-derived coefficients to 4 ulps per entry, an
+    # absent entry reading as 0
     grid = build_grid(GeometryConfig(*extents, *cells))
-    stencils = lame._pde_stencil(grid, params)
-    zeros = 0
-    for c, stencil in enumerate(stencils):
-        assert stencil == sorted(stencil)
-        probed = dict(stencil)
+    op = build_lame_operator(grid, params)
+    centre = tuple(m // 2 for m in grid.shape)
+    zeros = entries = 0
+    for c in range(3):
+        probed = _matrix_row(op, c, centre)
         expected = _closed_form_stencil(grid, params, c)
-        assert len(probed) == len(stencil) and probed.keys() <= expected.keys()
+        assert probed.keys() <= expected.keys()
         zeros += sum(value == 0.0 for value in expected.values())
+        entries += len(probed)
         for offset, value in expected.items():
             got = probed.get(offset, 0.0)
             assert abs(got - value) <= 4 * np.spacing(max(abs(got), abs(value))), (c, offset)
     assert zeros == cancelled
-    assert sum(map(len, stencils)) == 45 - cancelled
+    assert entries == 45 - cancelled
 
 
 @pytest.mark.parametrize(
@@ -270,18 +291,24 @@ def test_probed_stencil_matches_closed_form(extents, cells, params, cancelled):
     ids=["default", "anisotropic"],
 )
 def test_probed_slip_stencil_matches_closed_form(extents, cells, params):
-    # the slip rows read off fields.slip_traction are, on both in-face
-    # components of every face, mu (3, -4, 1) / (2h) along the inward
-    # normal plus the friction on the face node, to 4 ulps per entry
+    # the matrix's slip rows at every face centre, read off
+    # fields.slip_traction, are, on both in-face components, mu (3, -4, 1)
+    # / (2h) along the inward normal plus the friction on the face node, to
+    # 4 ulps per entry; the normal component's columns are pinned
     grid = build_grid(GeometryConfig(*extents, *cells))
-    stencil = lame._slip_stencil(grid, params)
-    assert stencil.keys() == {face.name for face in grid.faces}
+    op = build_lame_operator(grid, params)
+    stride = (grid.shape[1] * grid.shape[2], grid.shape[2], 1)
     for face in grid.faces:
         h = grid.h[face.axis]
-        assert stencil[face.name].shape == (3, 2)
-        for k, coef in enumerate((3.0, -4.0, 1.0)):
-            value = params.mu * coef / (2.0 * h) + (params.friction if k == 0 else 0.0)
-            for got in stencil[face.name][k]:
+        centre = [m // 2 for m in grid.shape]
+        centre[face.axis] = face.index
+        for t_ax in face.in_axes:
+            probed = _matrix_row(op, t_ax, tuple(centre))
+            inward = -face.side * stride[face.axis]
+            assert probed.keys() == {t_ax * grid.n_nodes + k * inward for k in range(3)}
+            for k, coef in enumerate((3.0, -4.0, 1.0)):
+                value = params.mu * coef / (2.0 * h) + (params.friction if k == 0 else 0.0)
+                got = probed[t_ax * grid.n_nodes + k * inward]
                 assert abs(got - value) <= 4 * np.spacing(max(abs(got), abs(value))), (face.name, k)
 
 
