@@ -38,7 +38,8 @@ def cmd_solve(config: RunConfig, out_dir: str) -> int:
     paths = runio.write_outputs(out_dir, bundle, config)
     for rec in bundle.history:
         print(f"step {rec.n}: {rec.sweeps} sweeps, {rec.inner_iterations} Krylov iterations, "
-              f"linear residual {rec.linear_residual:.2e}")
+              f"linear residual {rec.linear_residual:.2e}, axial deviation {rec.sup_axial_dev:.2e}, "
+              f"wall trace defect {rec.wall_trace_defect:.2e}")
     print(f"verdict: {bundle.verdict} after {len(bundle.history)} iterations")
     # the size of the iterate returned and dumped, not the a_n recorded
     # at the start of the last step

@@ -429,13 +429,17 @@ class LinearStepResult:
     inner_iterations the Krylov iterations over all of them (about one
     per split sweep on the default data, each sweep's solve stopping at a
     tenth of its warm-start residual) and linear_residual the last
-    solve's relative residual, at most krylov_tol(inner_tol)."""
+    solve's relative residual, at most krylov_tol(inner_tol).
+    sup_axial_dev and wall_trace_defect are the step's transport
+    certificate, read off its TransportField."""
 
     u: VectorField
     w: ScalarField
     inner_iterations: int
     linear_residual: float
     sweeps: int
+    sup_axial_dev: float
+    wall_trace_defect: float
 
 
 def solve_linear_step(
@@ -464,8 +468,11 @@ def solve_linear_step(
     if mode not in MODES:
         raise ValueError(f"unknown linear step mode {mode!r} (use one of {MODES})")
     grid = op.grid
-    # of the transport speed e1 + convect the step keeps only the footprint
-    footprint = transport_footprint(make_transport_field(grid, reference_flow(grid) + convect.values))
+    # the transport speed e1 + convect serves the step as its footprint and
+    # its certificate
+    field = make_transport_field(grid, reference_flow(grid) + convect.values)
+    footprint = transport_footprint(field)
+    certificate = (field.sup_axial_dev, field.wall_trace_defect)
     gamma = op.params.pressure.gamma
     rel_tol = krylov_tol(inner_tol)
     rhs = _momentum_rhs(op, forcing.values, slip_data)
@@ -509,7 +516,7 @@ def solve_linear_step(
                 f"linear step alternation did not reach {inner_tol:g} "
                 f"within {MAX_SWEEPS} sweeps (last change {delta:.3e})"
             )
-        return LinearStepResult(u, w, total_iters, res, sweep)
+        return LinearStepResult(u, w, total_iters, res, sweep, *certificate)
 
     # the density is w = S_in w_in + S_v (g - div u), the value the split
     # alternation converges to; substituting it into the momentum rows
@@ -528,4 +535,4 @@ def solve_linear_step(
         None if start is None else start[0].values,
     )
     w = ScalarField(grid, w_fixed - traced_divergence(u.values))
-    return LinearStepResult(u, w, iters, res, 1)
+    return LinearStepResult(u, w, iters, res, 1, *certificate)

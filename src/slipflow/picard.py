@@ -66,7 +66,8 @@ class IterationRecord:
     r_n = d_n / d_{n-1} (zero on the first row), and f_lp / g_w1p are the
     forcing norms the boundedness recursion consumes.  sweeps,
     inner_iterations and linear_residual are the linear step's (split
-    sweeps, Krylov iterations, last relative residual).
+    sweeps, Krylov iterations, last relative residual), and
+    sup_axial_dev and wall_trace_defect its transport certificate.
     """
 
     n: int
@@ -78,9 +79,12 @@ class IterationRecord:
     sweeps: int = 0
     inner_iterations: int = 0
     linear_residual: float = 0.0
+    sup_axial_dev: float = 0.0
+    wall_trace_defect: float = 0.0
 
     def __post_init__(self):
-        for name in ("a_n", "d_n", "r_n", "f_lp", "g_w1p", "linear_residual"):
+        for name in ("a_n", "d_n", "r_n", "f_lp", "g_w1p", "linear_residual", "sup_axial_dev",
+                     "wall_trace_defect"):
             val = getattr(self, name)
             if not np.isfinite(val) or val < 0.0:
                 raise ValueError(f"iteration record field {name} = {val!r}")
@@ -159,6 +163,8 @@ def picard_solve(
                 sweeps=step.sweeps,
                 inner_iterations=step.inner_iterations,
                 linear_residual=step.linear_residual,
+                sup_axial_dev=step.sup_axial_dev,
+                wall_trace_defect=step.wall_trace_defect,
             )
         )
         u, w = step.u, step.w

@@ -12,7 +12,9 @@ transport_footprint traces every node once and records its inflow
 stencil and its source part, so that a linear step can apply it many
 times through one set of traces.  apply_S takes a TransportField, which
 it traces afresh, or the TransportFootprint recorded for one, which it
-applies; both sum the inflow part in one place (_inflow_part).
+applies; both sum the inflow part in one place (_inflow_part).  A build
+of many nodes records on two CPUs where it may, with the same bits as
+on one (below).
 
 Both run one kernel, _trace, on blocks of consecutive nodes, the fewest
 of at most _BLOCK = 16384 nodes, equal in size to within one.  The
@@ -43,21 +45,30 @@ the end.  The workers inherit the fields at the fork, each block sends
 back only its slice of the result, and the workers are joined before
 the call returns or raises; their work arrays are held by the workers,
 not by the calling process.  Otherwise the blocks are traced one after
-another in the calling process.  A footprint build always traces its
-blocks in turn in the calling process, through one kernel sized for
-the largest block and into one recorder: groups recorded on workers
-would come back copied and be held twice by the caller.  The
-recording kernel keeps the four stage stencils of the step just taken,
-allocated once, until the step shows which traces cross x1 = 0.  Each
-trace's recorder state sits in its column of the companion array,
-where a stage adds to it in place; a build holds about 710 bytes per
-node of the block at its peak (tracemalloc, one (32, 16, 16) build).
+another in the calling process.  A footprint build traces its nodes in
+shares (_shares), near planes first: all of them below _SHARE_NODES
+nodes, else two, split where they cost about the same.  A share's
+blocks are traced in turn through one kernel sized for its largest,
+and every share records into one recorder.  With two shares and two
+CPUs (_workers(2)), a child started by fork traces the far share while
+the calling process traces the near one.  The child sends its inflow
+stencil and then its groups through a pipe, into the caller's stencil
+arrays and recorder, a piece of at most _SourceRecorder.PIECE groups at
+a time, so the caller holds at most one piece beyond its recorder.  The shares depend on
+the grid alone, so the group stream, and every apply, are the same
+whichever process traced the far share.  The recording kernel keeps
+the four stage stencils of the step just taken, allocated once, until
+the step shows which traces cross x1 = 0.  Each trace's recorder state
+sits in its column of the companion array, where a stage adds to it in
+place; a build holds about 710 bytes per node of the block at its peak
+(tracemalloc, one (32, 16, 16) build).
 
 An independent slice-marching discretization (upwind_march) of the same
 equation is kept deliberately separate as a cross-check.
 """
 from __future__ import annotations
 
+import math
 import mmap
 import os
 from dataclasses import dataclass
@@ -166,6 +177,13 @@ def _corners(lo: np.ndarray, hi: np.ndarray, strides, pair: np.ndarray, outs):
 
 _RK4_WEIGHTS = (1.0, 2.0, 2.0, 1.0)
 _BLOCK = 16384  # node seeds traced together to completion
+# Footprint builds of at least _SHARE_NODES nodes trace in two shares
+# (_shares).  Measured on a shared 2-core VM, medians of 31 alternating
+# builds, one share against two with the far one in a forked child: 20.0
+# against 23.5 ms at (16, 8, 8), 1377 nodes; 26.0 against 26.1 ms at
+# (18, 9, 9), 1900 nodes; 33.9 against 30.8 ms at (20, 10, 10), 2541
+# nodes; 127 against 94 ms at (32, 16, 16), 9537 nodes.
+_SHARE_NODES = 2048
 
 
 class _Kernel:
@@ -549,7 +567,10 @@ class _SourceRecorder:
     landing step in x1 when it lands.  Every emitted group with a nonzero
     weight is stored, in emission order, into chunks of CHUNK groups
     (_mapped_chunk): its row, its base node and one weight per offset of
-    a face corner from the base.
+    a face corner from the base.  send and receive carry the stored
+    groups of a recorder in another process over to this one, appended
+    in their order, so the chunks come out as if this recorder had
+    recorded them.
 
     The recorder holds no trace's state.  step, _stage and close take the
     traces' rows in the block and their (9, m) state, the columns of
@@ -561,6 +582,10 @@ class _SourceRecorder:
     """
 
     CHUNK = 1 << 18
+    # Groups per message triple when sent to another process, 1.3 MB.  Sent
+    # a chunk (10.5 MB) at a time, a (64, 32, 32) build peaked 13 to 26 MB
+    # higher in the receiving process than sent in pieces.
+    PIECE = 1 << 15
 
     def __init__(self, grid: Grid):
         self.s1, s2 = (int(s) for s in _lattice(grid)[2][:2])
@@ -624,26 +649,53 @@ class _SourceRecorder:
         weights.  All-zero groups are dropped, such as the high group of a
         trace whose stage points in that cell all lay on its low face."""
         keep = np.any(vals != 0.0, axis=0)
-        groups = (rows[keep] + self.first, bases[keep], vals[:, keep])
-        done, n = 0, groups[0].size
+        self._store(rows[keep] + self.first, bases[keep], vals[:, keep])
+
+    def _store(self, rows: np.ndarray, bases: np.ndarray, vals: np.ndarray) -> None:
+        """Append groups to the chunks, in their order."""
+        done, n = 0, rows.size
         while done < n:
             if self.fill == self.CHUNK:
                 self.chunks.append(_mapped_chunk(self.CHUNK, len(self.offsets)))
                 self.fill = 0
             take = min(n - done, self.CHUNK - self.fill)
-            for dst, src in zip(self.chunks[-1], groups):
+            for dst, src in zip(self.chunks[-1], (rows, bases, vals)):
                 dst[..., self.fill:self.fill + take] = src[..., done:done + take]
             self.fill += take
             done += take
+
+    def _stored(self):
+        """The rows, bases and (4, used) weights of each chunk's groups."""
+        for i, (r, b, w) in enumerate(self.chunks):
+            used = self.fill if i == len(self.chunks) - 1 else self.CHUNK
+            yield r[:used], b[:used], w[:, :used]
+
+    def send(self, conn) -> None:
+        """Send the stored groups through a multiprocessing connection to
+        receive, in their order: up to PIECE groups at a time as three
+        messages, their rows, bases and weights, then an empty message."""
+        for r, b, w in self._stored():
+            for k in range(0, r.size, self.PIECE):
+                piece = slice(k, k + self.PIECE)
+                for part in (r[piece], b[piece], np.ascontiguousarray(w[:, piece])):
+                    conn.send_bytes(part)
+        conn.send_bytes(b"")
+
+    def receive(self, conn) -> None:
+        """Store the groups another recorder sends (send) after those held,
+        in their order, holding one piece of them at a time."""
+        while rows := conn.recv_bytes():
+            bases, weights = conn.recv_bytes(), conn.recv_bytes()
+            self._store(np.frombuffer(rows, np.int32), np.frombuffer(bases, np.int32),
+                        np.frombuffer(weights).reshape(len(self.offsets), -1))
 
     def terms(self, n_nodes: int):
         """(offset, matrix) pairs; each matrix acts on the node array
         shifted by its offset."""
         n_cols = n_nodes - max(self.offsets)
-        for i, (r, b, w) in enumerate(self.chunks):
-            used = self.fill if i == len(self.chunks) - 1 else self.CHUNK
+        for r, b, w in self._stored():
             for off, wq in zip(self.offsets, w):
-                yield off, sparse.coo_matrix((wq[:used], (r[:used], b[:used])), shape=(n_nodes, n_cols))
+                yield off, sparse.coo_matrix((wq, (r, b)), shape=(n_nodes, n_cols))
 
 
 @dataclass(frozen=True, eq=False)
@@ -679,13 +731,94 @@ class TransportFootprint:
         return ScalarField(g, vals.reshape(g.shape))
 
 
+def _shares(grid: Grid) -> list[tuple[int, int]]:
+    """Flat-index ranges [lo, hi) of the nodes a footprint build records
+    together, near planes first: all of them below _SHARE_NODES nodes,
+    else two shares split at x1 plane round(n1 / sqrt(2)).  A trace costs
+    about as much as its start's distance from the inflow plane, so the
+    two shares cost about the same."""
+    n = grid.n_nodes
+    if n < _SHARE_NODES:
+        return [(0, n)]
+    cut = round(grid.config.cells[0] / math.sqrt(2.0)) * grid.shape[1] * grid.shape[2]
+    return [(0, cut), (cut, n)]
+
+
+def _record_share(grid: Grid, rate: np.ndarray, recorder: _SourceRecorder, idx: np.ndarray,
+                  w: np.ndarray, lo: int, hi: int) -> None:
+    """Trace the nodes lo..hi-1 in blocks (_blocks), through one kernel
+    sized for the largest, recording their groups into recorder and their
+    inflow stencil into the (hi - lo, 4) idx and w."""
+    blocks = [(lo + a, lo + b) for a, b in _blocks(hi - lo)]
+    kern = _Kernel(grid, rate, None, max(b - a for a, b in blocks), record=True)
+    for a, b in blocks:
+        recorder.begin(a)
+        arr = _trace(kern, _block_seeds(grid, a, b), recorder)[0]
+        _bilinear_inflow(kern, arr, idx[a - lo:b - lo], w[a - lo:b - lo])
+
+
+def _send_share(conn, grid: Grid, rate: np.ndarray, idx: np.ndarray, w: np.ndarray,
+                lo: int, hi: int) -> None:
+    """In a forked child: record the nodes lo..hi-1 (_record_share) into a
+    recorder and the inherited idx and w of their rows, and send the
+    stencil, then the groups (_SourceRecorder.send)."""
+    recorder = _SourceRecorder(grid)
+    _record_share(grid, rate, recorder, idx, w, lo, hi)
+    conn.send_bytes(idx)
+    conn.send_bytes(w)
+    recorder.send(conn)
+
+
+def _record_with_child(grid: Grid, rate: np.ndarray, recorder: _SourceRecorder, idx: np.ndarray,
+                       w: np.ndarray, near: tuple[int, int], far: tuple[int, int]) -> None:
+    """Record the near share in this process while a child started by
+    fork records the far one (_send_share), then receive the child's
+    stencil straight into its rows of the (n, 4) idx and w, and its
+    groups into recorder after the near share's.  The child is joined
+    before this returns or raises; one that ends before it has sent
+    everything, or with a nonzero exit code, raises a RuntimeError."""
+    import multiprocessing
+
+    (lo, hi), (a, b) = near, far
+    ctx = multiprocessing.get_context("fork")
+    conn, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_share, args=(send, grid, rate, idx[a:b], w[a:b], a, b))
+    child.start()
+    send.close()
+    received = False
+    try:
+        _record_share(grid, rate, recorder, idx[lo:hi], w[lo:hi], lo, hi)
+        try:
+            conn.recv_bytes_into(idx[a:b].reshape(-1))
+            conn.recv_bytes_into(w[a:b].reshape(-1))
+            recorder.receive(conn)
+            received = True
+        except (EOFError, OSError):  # the child ended before it sent everything
+            pass
+    finally:
+        if not received:
+            child.terminate()
+        child.join()
+        conn.close()
+    if not received or child.exitcode != 0:
+        raise RuntimeError(f"the footprint's far share was not recorded: its child process "
+                           f"ended with exit code {child.exitcode}")
+
+
 def transport_footprint(tf: TransportField) -> TransportFootprint:
     """Trace every node once and record apply_S (TransportFootprint).
 
-    The node blocks are traced with the same kernel code as apply_S on a
-    field, one after another in the calling process, through one kernel
-    sized for the largest block, and every block records into one
-    recorder.
+    The nodes are traced with the same kernel code as apply_S on a field,
+    share by share (_shares), near share first, and each share in blocks,
+    into one recorder.  With two shares and two CPUs (_workers), a child
+    started by fork, which inherits the field, traces the far share while
+    the calling process traces the near one (_record_with_child); the
+    group stream, and with it every apply, is the same either way.
+    Forking after BLAS has started threads is safe here only because the
+    tracing code never calls BLAS (see apply_S).  A child that dies or
+    raises fails the build with a RuntimeError that names its exit code,
+    once it is joined.  On one CPU, and in a daemonic or fork-less
+    process, the calling process traces both shares itself.
     """
     g = tf.grid
     n = g.n_nodes
@@ -693,12 +826,12 @@ def transport_footprint(tf: TransportField) -> TransportFootprint:
     rate = tf.values / np.reshape(g.h, (3, 1, 1, 1))
     idx = np.empty((n, 4), dtype=np.int32)
     w = np.empty((n, 4))
-    blocks = _blocks(n)
-    kern = _Kernel(g, rate, None, max(hi - lo for lo, hi in blocks), record=True)
-    for lo, hi in blocks:
-        recorder.begin(lo)
-        arr = _trace(kern, _block_seeds(g, lo, hi), recorder)[0]
-        _bilinear_inflow(kern, arr, idx[lo:hi], w[lo:hi])
+    shares = _shares(g)
+    if len(shares) == 2 and _workers(2) == 2:
+        _record_with_child(g, rate, recorder, idx, w, *shares)
+    else:
+        for lo, hi in shares:
+            _record_share(g, rate, recorder, idx[lo:hi], w[lo:hi], lo, hi)
     return TransportFootprint(g, idx, w, tuple(recorder.terms(n)))
 
 

@@ -312,7 +312,8 @@ def full_solve_split_step(
     grid = op.grid
     tf_values = convect.values.copy()
     tf_values[0] += 1.0
-    footprint = transport_footprint(make_transport_field(grid, tf_values))
+    field = make_transport_field(grid, tf_values)
+    footprint = transport_footprint(field)
     if start is None:
         u, w = zeros_vector(grid), zeros_scalar(grid)
     else:
@@ -331,5 +332,6 @@ def full_solve_split_step(
         )
         u, w = u_new, w_new
         if delta < inner_tol:
-            return lame.LinearStepResult(u, w, total_iters, res, sweep)
+            return lame.LinearStepResult(u, w, total_iters, res, sweep, field.sup_axial_dev,
+                                         field.wall_trace_defect)
     raise RuntimeError(f"split sweeps did not reach {inner_tol:g} within {lame.MAX_SWEEPS}")

@@ -14,8 +14,10 @@ from slipflow import cli, lame, study
 from slipflow.cli import main
 from slipflow.krylov import KrylovError
 from slipflow.config import parse_config
+from slipflow.material import reference_flow
 from slipflow.picard import build_setup, picard_solve
 from slipflow.runio import load_field_dump
+from slipflow.transport import make_transport_field
 from oracles import load_history
 
 
@@ -61,14 +63,22 @@ def test_solve_twice_is_bit_identical(tmp_path):
 def test_solve_prints_each_steps_linear_work(tmp_path, capsys):
     cfg = write_config(tmp_path, {"data": {"epsilon": 1e-2}})
     assert main(["solve", "--config", str(cfg)]) == 0
-    printed = [
-        tuple(int(k) for k in m.groups())
-        for m in re.finditer(r"^step (\d+): (\d+) sweeps, (\d+) Krylov iterations, ",
-                             capsys.readouterr().out, re.MULTILINE)
-    ]
-    history = picard_solve(build_setup(parse_config(cfg))).history
+    # each step line ends with the step's transport certificate
+    printed = re.findall(r"^step (\d+): (\d+) sweeps, (\d+) Krylov iterations, linear residual "
+                         r"(\S+), axial deviation (\S+), wall trace defect (\S+)$",
+                         capsys.readouterr().out, re.MULTILINE)
+    setup = build_setup(parse_config(cfg))
+    history = picard_solve(setup).history
     assert len(history) >= 2
-    assert printed == [(rec.n, rec.sweeps, rec.inner_iterations) for rec in history]
+    assert printed == [
+        (str(rec.n), str(rec.sweeps), str(rec.inner_iterations), f"{rec.linear_residual:.2e}",
+         f"{rec.sup_axial_dev:.2e}", f"{rec.wall_trace_defect:.2e}")
+        for rec in history
+    ]
+    # the first step starts from zero, so it transports along e1 + u0
+    first = make_transport_field(setup.grid, reference_flow(setup.grid) + setup.data.u0.values)
+    assert (history[0].sup_axial_dev, history[0].wall_trace_defect) == (
+        first.sup_axial_dev, first.wall_trace_defect)
 
 
 def test_solve_reconstructs_physical_fields(tmp_path):

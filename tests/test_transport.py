@@ -450,41 +450,104 @@ def test_block_tracing_is_bit_identical(run, monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_footprint_is_recorded_in_the_calling_process(monkeypatch):
-    # ten blocks of at most 100 nodes and two workers allowed: a footprint
-    # build still traces every block in this process and starts none
-    monkeypatch.setattr(transport, "_BLOCK", 100)
-    monkeypatch.setattr(transport, "_workers", lambda n_blocks: min(2, n_blocks))
-    g = make_grid(8, 4, 4)
-    pids, trace = [], transport._trace
+def test_footprint_records_its_far_share_in_one_child(monkeypatch):
+    # (16, 8, 8) is one share, and its build starts no process; (32, 16,
+    # 16) is two, and starts none where _workers gives one, and exactly one
+    # child, joined before the build returns, where it gives two
+    started = []
+    start = multiprocessing.process.BaseProcess.start
 
-    def traced_here(*args, **kwargs):
-        pids.append(os.getpid())
+    def counted(proc):
+        started.append(proc)
+        start(proc)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", counted)
+    small, large = make_grid(16, 8, 8), make_grid(32, 16, 16)
+    assert transport._shares(small) == [(0, small.n_nodes)]
+    assert len(transport._shares(large)) == 2
+    transport_footprint(wall_respecting_flow(small, 2e-2))
+    assert started == []
+    tf = wall_respecting_flow(large, 2e-2)
+    monkeypatch.setattr(transport, "_workers", lambda n_blocks: 1)
+    transport_footprint(tf)
+    assert started == []
+    monkeypatch.setattr(transport, "_workers", lambda n_blocks: min(2, n_blocks))
+    transport_footprint(tf)
+    assert len(started) == 1
+    assert not started[0].is_alive() and started[0].exitcode == 0
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("cells, block", [((32, 16, 16), None), ((40, 20, 20), 2000)],
+                         ids=["32x16x16", "40x20x20-blocks-of-2000"])
+def test_far_share_traced_in_the_child_or_the_caller_is_bit_identical(cells, block, monkeypatch):
+    # the same group stream, inflow stencil and apply wherever the far
+    # share is traced; with blocks of at most 2000 nodes each share of
+    # (40, 20, 20) is several blocks, and its 402k groups fill two chunks
+    if block is not None:
+        monkeypatch.setattr(transport, "_BLOCK", block)
+    g = make_grid(*cells)
+    tf = wall_respecting_flow(g, 2e-2)
+    v = smooth_scalar(g, 500, 0.4)
+    w_in = smooth_scalar(g, 600, 0.4).values[0]
+    footprints = []
+    for workers in (1, 2):
+        monkeypatch.setattr(transport, "_workers", lambda n_blocks, k=workers: min(k, n_blocks))
+        footprints.append(transport_footprint(tf))
+    here, child = footprints
+    for a, b in zip(_group_stream(here), _group_stream(child)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(here.inflow_nodes, child.inflow_nodes)
+    assert np.array_equal(here.inflow_weights, child.inflow_weights)
+    assert np.array_equal(here.apply(v, w_in).values, child.apply(v, w_in).values)
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("end", ["dies", "raises"])
+def test_footprint_child_that_fails_fails_the_build(end, monkeypatch):
+    # the child tracing the far share exits, or raises, as soon as it
+    # starts a block: the build raises a RuntimeError naming the exit code,
+    # after the child is joined
+    caller = os.getpid()
+    trace = transport._trace
+
+    def fail_in_child(*args, **kwargs):
+        if os.getpid() != caller:
+            if end == "dies":
+                os._exit(1)
+            raise ValueError("a block failed")
         return trace(*args, **kwargs)
 
-    monkeypatch.setattr(transport, "_trace", traced_here)
-    transport_footprint(wall_respecting_flow(g, 2e-2))
-    assert pids == [os.getpid()] * len(transport._blocks(g.n_nodes))
+    monkeypatch.setattr(transport, "_workers", lambda n_blocks: min(2, n_blocks))
+    monkeypatch.setattr(transport, "_trace", fail_in_child)
+    with pytest.raises(RuntimeError, match="far share was not recorded: .* exit code 1$"):
+        transport_footprint(wall_respecting_flow(make_grid(32, 16, 16), 2e-2))
     assert multiprocessing.active_children() == []
 
 
 def test_daemonic_process_traces_its_blocks_itself():
     # a daemonic process, such as a multiprocessing.Pool worker, may not
-    # start children: there the two blocks of (40, 20, 20) are traced in
-    # that process, with the same result
+    # start children: there the two blocks of (40, 20, 20), and the two
+    # shares of its footprint, are traced in that process, with the same
+    # results
     g = make_grid(40, 20, 20)
     tf = wall_respecting_flow(g, 2e-2)
     v = smooth_scalar(g, 500, 0.4)
     w_in = smooth_scalar(g, 600, 0.4).values[0]
+
+    def both_routes():
+        return apply_S(tf, v, w_in).values, transport_footprint(tf).apply(v, w_in).values
+
     ctx = multiprocessing.get_context("fork")
     recv, send = ctx.Pipe(duplex=False)
-    proc = ctx.Process(target=lambda: send.send(apply_S(tf, v, w_in).values), daemon=True)
+    proc = ctx.Process(target=lambda: send.send(both_routes()), daemon=True)
     proc.start()
     send.close()
     got = recv.recv() if recv.poll(120) else None
     proc.join(120)
     assert proc.exitcode == 0
-    assert np.array_equal(got, apply_S(tf, v, w_in).values)
+    for a, b in zip(got, both_routes()):
+        assert np.array_equal(a, b)
 
 
 def test_transport_outputs_match_pinned_digests():
@@ -515,32 +578,44 @@ def _sha256(*arrays):
     return h.hexdigest()
 
 
-def _footprint_digests(fp):
-    """Chunk count, then sha256 of the group stream (rows, bases and the
-    four weight rows of every chunk, in order, which is the same however
-    it is chunked) and of the inflow stencil in the byte layout of the CSR
-    matrix it was once recorded as: weights and int64 indices row by row,
-    and the row pointer 0, 4, 8, ..."""
+def _group_stream(fp):
+    """The recorded groups in stream order: int64 rows and bases and the
+    (4, groups) face weights, from the footprint's chunk matrices."""
     terms = [mat for _, mat in fp.terms]
     chunks = [terms[i:i + 4] for i in range(0, len(terms), 4)]  # one matrix per face corner
     rows = np.concatenate([c[0].row for c in chunks]).astype(np.int64)
     bases = np.concatenate([c[0].col for c in chunks]).astype(np.int64)
     weights = np.concatenate([np.stack([mat.data for mat in c]) for c in chunks], axis=1)
+    return rows, bases, weights
+
+
+def _footprint_digests(fp):
+    """Chunk count, then sha256 of the group stream in row-stable order
+    (rows, bases and the four weight rows, stably sorted on rows), which
+    is the same however the stream is chunked and whatever order the
+    nodes were traced in, and of the inflow stencil in the byte layout of
+    the CSR matrix it was once recorded as: weights and int64 indices row
+    by row, and the row pointer 0, 4, 8, ..."""
+    rows, bases, weights = _group_stream(fp)
+    order = np.argsort(rows, kind="stable")
     indptr = np.arange(0, 4 * fp.grid.n_nodes + 1, 4, dtype=np.int64)
     return (
-        len(chunks),
-        _sha256(rows, bases, weights),
+        len(fp.terms) // 4,
+        _sha256(rows[order], bases[order], weights[:, order]),
         _sha256(fp.inflow_weights, fp.inflow_nodes.astype(np.int64), indptr),
     )
 
 
 @pytest.mark.parametrize("chunk", [None, 4096])
 def test_recorded_footprint_matches_pinned_digests(chunk, monkeypatch):
-    # sha256 of the footprint recorded on the case above, recorded when the
-    # landing step became one RK4 step in x1: the group stream, the inflow
-    # stencil, and footprint.apply.  Chunks of 4096 groups
-    # split the stream as (64, 32, 32) does at the default chunk size, and
-    # change the sums of apply.
+    # sha256 of the footprint recorded on the case above: the group stream
+    # in row-stable order (pinned when the build was split into shares, on
+    # the code before and after it), the inflow stencil and footprint.apply
+    # (both recorded when the landing step became one RK4 step in x1).
+    # Chunks of 4096 groups split the stream as (64, 32, 32) does at the
+    # default chunk size, and change the sums of apply; their apply digest
+    # was pinned again when the near share came to be recorded first, which
+    # moved the chunk boundaries.
     if chunk is not None:
         monkeypatch.setattr(transport._SourceRecorder, "CHUNK", chunk)
     g = make_grid(32, 16, 16)
@@ -550,13 +625,13 @@ def test_recorded_footprint_matches_pinned_digests(chunk, monkeypatch):
     fp = transport_footprint(tf)
     assert _footprint_digests(fp) == (
         1 if chunk is None else 43,
-        "fa13953d83063a9650f98c79123ea88905cbfea5daa69ebd3fc5bf4f8b551ed2",
+        "f4ac5e6e4c736e5b11fab69b04e72c99ff60f8066cec25120dbd54de26bbdabd",
         "bfdf520dc465681df8f083ac3690099a1255e2f2d9bd8e8654c17b9b582af2c9",
     )
     applied = fp.apply(v, w_in).values
     assert _sha256(applied) == {
         None: "4353a66e6453c6e852987b0fced6645fb7b68addedd281bb7524ad16bdee9ff8",
-        4096: "53701ef1697e2544bc5b164b57432ff8dfb6c9bff5486fa0100c88c66ca37986",
+        4096: "5f42159220b94d3fb4ac219739108a491e625c6d7d21a02917f2321211da9834",
     }[chunk]
     if chunk is not None:
         assert np.max(np.abs(applied - apply_S(tf, v, w_in).values)) <= 1e-13
