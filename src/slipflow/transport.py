@@ -12,9 +12,7 @@ transport_footprint traces every node once and records its inflow
 stencil and its source part, so that a linear step can apply it many
 times through one set of traces.  apply_S takes a TransportField, which
 it traces afresh, or the TransportFootprint recorded for one, which it
-applies; both sum the inflow part in one place (_inflow_part).  A build
-of many nodes records on two CPUs where it may, with the same bits as
-on one (below).
+applies; both sum the inflow part in one place (_inflow_part).
 
 Both run one kernel, _trace, on blocks of consecutive nodes, the fewest
 of at most _BLOCK = 16384 nodes, equal in size to within one.  The
@@ -30,38 +28,26 @@ points sit at x1, x1/2, x1/2 and 0.  There is no root solve, and a
 node on the inflow plane is traced like any other: it lands where it
 starts.  No trace's arithmetic depends on the others in its block, so each
 trace's arrival and path integral are bit-identical for any block size
-and any number of workers.  A block's traces keep their positions in
+and in any process.  A block's traces keep their positions in
 the seeds array and everything else they carry in one companion array,
 which a crossing step reorders with the positions by the same order.
-Its work arrays are allocated once (a _Kernel) and reused through every
-stage of every step: an in-process apply_S on a field holds about 270
-bytes per traced node at its peak (tracemalloc, one (32, 16, 16)
-apply).  apply_S on a field, with more than one block and more than
-one CPU in the process's affinity mask (there is no setting for it),
-traces the blocks on that many worker processes started by fork, last
-block first: a trace costs more the further from the inflow plane it
-starts and the blocks run x1 slowest, so the cheap blocks fill in at
-the end.  The workers inherit the fields at the fork, each block sends
-back only its slice of the result, and the workers are joined before
-the call returns or raises; their work arrays are held by the workers,
-not by the calling process.  Otherwise the blocks are traced one after
-another in the calling process.  A footprint build traces its nodes in
-shares (_shares), near planes first: all of them below _SHARE_NODES
-nodes, else two, split where they cost about the same.  A share's
-blocks are traced in turn through one kernel sized for its largest,
-and every share records into one recorder.  With two shares and two
-CPUs (_workers(2)), a child started by fork traces the far share while
-the calling process traces the near one.  The child sends its inflow
-stencil and then its groups through a pipe, into the caller's stencil
-arrays and recorder, a piece of at most _SourceRecorder.PIECE groups at
-a time, so the caller holds at most one piece beyond its recorder.  The shares depend on
-the grid alone, so the group stream, and every apply, are the same
-whichever process traced the far share.  The recording kernel keeps
-the four stage stencils of the step just taken, allocated once, until
-the step shows which traces cross x1 = 0.  Each trace's recorder state
-sits in its column of the companion array, where a stage adds to it in
-place; a build holds about 710 bytes per node of the block at its peak
-(tracemalloc, one (32, 16, 16) build).
+
+Both routes trace their nodes in shares (_shares), near planes first:
+all of them below _SHARE_NODES nodes, else two, split where they cost
+about the same.  A share's blocks are traced in turn through one kernel
+sized for its largest, whose work arrays are allocated once and reused
+through every stage of every step: an apply_S on a field holds about
+290 bytes per node of that block at its peak (tracemalloc, one
+(32, 16, 16) apply in one process), a build about 710.  With two shares
+and two CPUs (_workers), one helper, _fork_shares, traces shares in
+children started by fork, each of which sends its results through a
+pipe straight into the caller's arrays: both shares of a field apply,
+and the far share of a build while the calling process traces the near
+one.  The shares depend on the grid alone, so every result is the same
+whichever process traced a share.  The recording kernel keeps the four
+stage stencils of the step just taken, allocated once, until the step
+shows which traces cross x1 = 0.  Each trace's recorder state sits in
+its column of the companion array, where a stage adds to it in place.
 
 An independent slice-marching discretization (upwind_march) of the same
 equation is kept deliberately separate as a cross-check.
@@ -146,7 +132,7 @@ def _locate(lattice, p: np.ndarray, base: np.ndarray, lo: np.ndarray, work: np.n
     becomes the high weight of each point along each axis, lo the low
     weight 1 - high and base the flat index of each cell's low corner.
     The cells stay whole floats.  The base is their einsum with the
-    strides (no BLAS, see apply_S) into the (m,) work array, cast once;
+    strides (no BLAS, see _fork_shares) into the (m,) work array, cast once;
     every product and sum in it is a whole number below 2**53, so exact.
     """
     n, last, strides = lattice
@@ -177,12 +163,12 @@ def _corners(lo: np.ndarray, hi: np.ndarray, strides, pair: np.ndarray, outs):
 
 _RK4_WEIGHTS = (1.0, 2.0, 2.0, 1.0)
 _BLOCK = 16384  # node seeds traced together to completion
-# Footprint builds of at least _SHARE_NODES nodes trace in two shares
-# (_shares).  Measured on a shared 2-core VM, medians of 31 alternating
-# builds, one share against two with the far one in a forked child: 20.0
-# against 23.5 ms at (16, 8, 8), 1377 nodes; 26.0 against 26.1 ms at
-# (18, 9, 9), 1900 nodes; 33.9 against 30.8 ms at (20, 10, 10), 2541
-# nodes; 127 against 94 ms at (32, 16, 16), 9537 nodes.
+# Field applies and footprint builds of at least _SHARE_NODES nodes trace
+# in two shares (_shares).  Measured on a shared 2-core VM, medians of 31
+# alternating builds, one share against two with the far one in a forked
+# child: 20.0 against 23.5 ms at (16, 8, 8), 1377 nodes; 26.0 against
+# 26.1 ms at (18, 9, 9), 1900 nodes; 33.9 against 30.8 ms at (20, 10,
+# 10), 2541 nodes; 127 against 94 ms at (32, 16, 16), 9537 nodes.
 _SHARE_NODES = 2048
 
 
@@ -424,11 +410,12 @@ def _inflow_part(idx: np.ndarray, w: np.ndarray, trace: np.ndarray, work: np.nda
 # ---------------------------------------------------------------------------
 # the inflow-traced solution operator
 
-def _blocks(n_nodes: int) -> list[tuple[int, int]]:
-    """Flat-index ranges [lo, hi) of the node blocks traced together: the
-    fewest blocks of at most _BLOCK nodes, equal in size to within one."""
-    count = -(-n_nodes // _BLOCK)
-    cuts = [k * n_nodes // count for k in range(count + 1)]
+def _blocks(lo: int, hi: int) -> list[tuple[int, int]]:
+    """Flat-index ranges [a, b) of the blocks of the nodes lo..hi-1 traced
+    together: the fewest blocks of at most _BLOCK nodes, equal in size to
+    within one."""
+    count = -(-(hi - lo) // _BLOCK)
+    cuts = [lo + k * (hi - lo) // count for k in range(count + 1)]
     return list(zip(cuts[:-1], cuts[1:]))
 
 
@@ -438,36 +425,78 @@ def _block_seeds(grid: Grid, lo: int, hi: int) -> np.ndarray:
     return np.array(np.unravel_index(np.arange(lo, hi), grid.shape), dtype=float)
 
 
-def _workers(n_blocks: int) -> int:
-    """Worker processes for n_blocks independent blocks: one per CPU this
-    process may run on, and no more than there are blocks.  1, which
-    traces in the calling process, where the platform cannot fork and in
-    a daemonic process (a multiprocessing.Pool worker, say), which may not
-    start children."""
-    if n_blocks == 1 or not hasattr(os, "fork"):
+def _shares(grid: Grid) -> list[tuple[int, int]]:
+    """Flat-index ranges [lo, hi) of the nodes traced together, near
+    planes first: all of them below _SHARE_NODES nodes, else two shares
+    split at x1 plane round(n1 / sqrt(2)).  A trace costs about as much as
+    its start's distance from the inflow plane, so the two shares cost
+    about the same."""
+    n = grid.n_nodes
+    if n < _SHARE_NODES:
+        return [(0, n)]
+    cut = round(grid.config.cells[0] / math.sqrt(2.0)) * grid.shape[1] * grid.shape[2]
+    return [(0, cut), (cut, n)]
+
+
+def _workers() -> int:
+    """The CPUs this process may trace on, those in its affinity mask; 1,
+    which traces in the calling process, where the platform cannot fork
+    and in a daemonic process (a multiprocessing.Pool worker, say), which
+    may not start children."""
+    if not hasattr(os, "fork"):
         return 1
     import multiprocessing
 
     if multiprocessing.current_process().daemon:
         return 1
     if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return min(cpus, n_blocks)
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
-_worker_task = None  # in a worker, the block task its pool was started for
+def _fork_shares(shares, send, receive, here=None) -> None:
+    """Trace each share (lo, hi) of shares in its own child started by
+    fork, which runs send(conn, lo, hi) and sends the share's results
+    through a pipe, while the calling process runs here() if given; then
+    read every share's results, in share order, with receive(conn, lo, hi).
 
+    The children inherit everything they read at the fork.  Forking after
+    BLAS has started threads is safe here only because the tracing code
+    never calls BLAS.  Every child is joined before this returns or
+    raises; one that ends before it has sent everything, or with a
+    nonzero exit code, raises a RuntimeError that names its share and its
+    exit code.
+    """
+    import multiprocessing
 
-def _start_worker(task) -> None:
-    """Pool initializer: runs in each worker as it starts."""
-    global _worker_task
-    _worker_task = task
-
-
-def _run_in_worker(lo: int, hi: int) -> np.ndarray:
-    return _worker_task(lo, hi)
+    ctx = multiprocessing.get_context("fork")
+    started = []
+    done = 0  # the shares received
+    try:
+        for lo, hi in shares:
+            conn, end = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=send, args=(end, lo, hi))
+            child.start()
+            end.close()
+            started.append((child, conn))
+        if here is not None:
+            here()
+        for (child, conn), share in zip(started, shares):
+            try:
+                receive(conn, *share)
+            except (EOFError, OSError):  # the child ended before it sent everything
+                break
+            done += 1
+    finally:
+        for k, (child, conn) in enumerate(started):
+            if k >= done:
+                child.terminate()
+            child.join()
+            conn.close()
+    for k, ((child, _), (lo, hi)) in enumerate(zip(started, shares)):
+        if k >= done or child.exitcode != 0:
+            raise RuntimeError(f"the share of nodes {lo} to {hi - 1} was not traced: its child "
+                               f"process ended with exit code {child.exitcode}")
 
 
 def _check_data(grid: Grid, v: ScalarField, w_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -484,6 +513,24 @@ def _check_data(grid: Grid, v: ScalarField, w_in: np.ndarray) -> tuple[np.ndarra
     return v.values, w_in
 
 
+def _apply_share(grid: Grid, rate: np.ndarray, source: np.ndarray, trace: np.ndarray,
+                 out: np.ndarray, lo: int, hi: int) -> None:
+    """Trace the nodes lo..hi-1 in blocks (_blocks), through one kernel
+    sized for the largest, integrating the source, and write their values
+    into out[lo:hi]."""
+    blocks = _blocks(lo, hi)
+    kern = _Kernel(grid, rate, source, max(b - a for a, b in blocks))
+    for a, b in blocks:
+        m = b - a
+        arr, integral = _trace(kern, _block_seeds(grid, a, b))
+        # the stencil and its products take kernel work space that is free
+        # once the block is traced
+        idx = kern._term[:4 * m].view(np.int64).reshape(m, 4)
+        w = kern._vals[:4 * m].reshape(m, 4)
+        _bilinear_inflow(kern, arr, idx, w)
+        np.add(_inflow_part(idx, w, trace, kern._w[:m]), integral, out=out[a:b])
+
+
 def apply_S(tf: TransportField | TransportFootprint, v: ScalarField, w_in: np.ndarray) -> ScalarField:
     """Solve u~.grad(w) = v with trace w_in on the inflow plane.
 
@@ -491,20 +538,13 @@ def apply_S(tf: TransportField | TransportFootprint, v: ScalarField, w_in: np.nd
     interpolated trace at the arrival point plus the path integral of v.
     A footprint is applied (TransportFootprint.apply), not traced.
 
-    A field's node blocks are traced on worker processes, one per CPU in the
-    process's affinity mask, or in the calling process where _workers
-    gives one; the result is the same for any number of workers.  The
-    pool's workers are started by fork and inherit the block task and
-    everything it reads, so a block is sent as its (lo, hi) alone and
-    sends back its slice of the result; spawned workers would import the
-    package again and be sent the fields by pickle.  Forking after BLAS
-    has started threads is safe here only because the block code never
-    calls BLAS.  The costliest block, the last, goes first, and the
-    results are read in block order, which raises the first failure in
-    block order with its own type and message.  A worker that dies fails
-    every block not yet returned with the pool's BrokenProcessPool, a
-    RuntimeError.  The pool is shut down and its workers joined before
-    apply_S returns or raises.
+    A field's nodes are traced in shares (_shares).  With two shares and
+    two CPUs (_workers), each share is traced in its own child
+    (_fork_shares), which sends its slice of the result straight into the
+    result array.  The calling process traces neither, so it holds no
+    kernel work arrays: tracing the near share there raised the peak
+    resident size of transport-test by about 5%.  Otherwise the calling
+    process traces the shares in turn.  The result is the same either way.
     """
     if isinstance(tf, TransportFootprint):
         return tf.apply(v, w_in)
@@ -512,34 +552,19 @@ def apply_S(tf: TransportField | TransportFootprint, v: ScalarField, w_in: np.nd
     source, trace = _check_data(g, v, w_in)
     trace = trace.reshape(-1)
     rate = tf.values / np.reshape(g.h, (3, 1, 1, 1))  # u~_a / h_a, in cells
+    out = np.empty(g.n_nodes)
 
-    def block(lo: int, hi: int) -> np.ndarray:
-        m = hi - lo
-        kern = _Kernel(g, rate, source, m)
-        arr, integral = _trace(kern, _block_seeds(g, lo, hi))
-        # the stencil and its products take kernel work space that is free
-        # once the block is traced
-        idx = kern._term[:4 * m].view(np.int64).reshape(m, 4)
-        w = kern._vals[:4 * m].reshape(m, 4)
-        _bilinear_inflow(kern, arr, idx, w)
-        return np.add(_inflow_part(idx, w, trace, kern._w[:m]), integral, out=integral)
+    def send(conn, lo: int, hi: int) -> None:
+        _apply_share(g, rate, source, trace, out, lo, hi)
+        conn.send_bytes(out[lo:hi])
 
-    blocks = _blocks(g.n_nodes)
-    workers = _workers(len(blocks))
-    if workers == 1:
-        parts = [block(lo, hi) for lo, hi in blocks]
+    shares = _shares(g)
+    if len(shares) == 2 and _workers() > 1:
+        _fork_shares(shares, send, lambda conn, lo, hi: conn.recv_bytes_into(out[lo:hi]))
     else:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_start_worker, initargs=(block,))
-        try:
-            running = [pool.submit(_run_in_worker, lo, hi) for lo, hi in reversed(blocks)]
-            parts = [job.result() for job in reversed(running)]
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-    return ScalarField(g, np.concatenate(parts).reshape(g.shape))
+        for lo, hi in shares:
+            _apply_share(g, rate, source, trace, out, lo, hi)
+    return ScalarField(g, out.reshape(g.shape))
 
 
 def _mapped_chunk(size: int, width: int):
@@ -731,78 +756,17 @@ class TransportFootprint:
         return ScalarField(g, vals.reshape(g.shape))
 
 
-def _shares(grid: Grid) -> list[tuple[int, int]]:
-    """Flat-index ranges [lo, hi) of the nodes a footprint build records
-    together, near planes first: all of them below _SHARE_NODES nodes,
-    else two shares split at x1 plane round(n1 / sqrt(2)).  A trace costs
-    about as much as its start's distance from the inflow plane, so the
-    two shares cost about the same."""
-    n = grid.n_nodes
-    if n < _SHARE_NODES:
-        return [(0, n)]
-    cut = round(grid.config.cells[0] / math.sqrt(2.0)) * grid.shape[1] * grid.shape[2]
-    return [(0, cut), (cut, n)]
-
-
 def _record_share(grid: Grid, rate: np.ndarray, recorder: _SourceRecorder, idx: np.ndarray,
                   w: np.ndarray, lo: int, hi: int) -> None:
     """Trace the nodes lo..hi-1 in blocks (_blocks), through one kernel
     sized for the largest, recording their groups into recorder and their
-    inflow stencil into the (hi - lo, 4) idx and w."""
-    blocks = [(lo + a, lo + b) for a, b in _blocks(hi - lo)]
+    inflow stencil into rows lo..hi-1 of the (n, 4) idx and w."""
+    blocks = _blocks(lo, hi)
     kern = _Kernel(grid, rate, None, max(b - a for a, b in blocks), record=True)
     for a, b in blocks:
         recorder.begin(a)
         arr = _trace(kern, _block_seeds(grid, a, b), recorder)[0]
-        _bilinear_inflow(kern, arr, idx[a - lo:b - lo], w[a - lo:b - lo])
-
-
-def _send_share(conn, grid: Grid, rate: np.ndarray, idx: np.ndarray, w: np.ndarray,
-                lo: int, hi: int) -> None:
-    """In a forked child: record the nodes lo..hi-1 (_record_share) into a
-    recorder and the inherited idx and w of their rows, and send the
-    stencil, then the groups (_SourceRecorder.send)."""
-    recorder = _SourceRecorder(grid)
-    _record_share(grid, rate, recorder, idx, w, lo, hi)
-    conn.send_bytes(idx)
-    conn.send_bytes(w)
-    recorder.send(conn)
-
-
-def _record_with_child(grid: Grid, rate: np.ndarray, recorder: _SourceRecorder, idx: np.ndarray,
-                       w: np.ndarray, near: tuple[int, int], far: tuple[int, int]) -> None:
-    """Record the near share in this process while a child started by
-    fork records the far one (_send_share), then receive the child's
-    stencil straight into its rows of the (n, 4) idx and w, and its
-    groups into recorder after the near share's.  The child is joined
-    before this returns or raises; one that ends before it has sent
-    everything, or with a nonzero exit code, raises a RuntimeError."""
-    import multiprocessing
-
-    (lo, hi), (a, b) = near, far
-    ctx = multiprocessing.get_context("fork")
-    conn, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_send_share, args=(send, grid, rate, idx[a:b], w[a:b], a, b))
-    child.start()
-    send.close()
-    received = False
-    try:
-        _record_share(grid, rate, recorder, idx[lo:hi], w[lo:hi], lo, hi)
-        try:
-            conn.recv_bytes_into(idx[a:b].reshape(-1))
-            conn.recv_bytes_into(w[a:b].reshape(-1))
-            recorder.receive(conn)
-            received = True
-        except (EOFError, OSError):  # the child ended before it sent everything
-            pass
-    finally:
-        if not received:
-            child.terminate()
-        child.join()
-        conn.close()
-    if not received or child.exitcode != 0:
-        raise RuntimeError(f"the footprint's far share was not recorded: its child process "
-                           f"ended with exit code {child.exitcode}")
+        _bilinear_inflow(kern, arr, idx[a:b], w[a:b])
 
 
 def transport_footprint(tf: TransportField) -> TransportFootprint:
@@ -811,14 +775,13 @@ def transport_footprint(tf: TransportField) -> TransportFootprint:
     The nodes are traced with the same kernel code as apply_S on a field,
     share by share (_shares), near share first, and each share in blocks,
     into one recorder.  With two shares and two CPUs (_workers), a child
-    started by fork, which inherits the field, traces the far share while
-    the calling process traces the near one (_record_with_child); the
-    group stream, and with it every apply, is the same either way.
-    Forking after BLAS has started threads is safe here only because the
-    tracing code never calls BLAS (see apply_S).  A child that dies or
-    raises fails the build with a RuntimeError that names its exit code,
-    once it is joined.  On one CPU, and in a daemonic or fork-less
-    process, the calling process traces both shares itself.
+    (_fork_shares) traces the far share while the calling process traces
+    the near one.  The child sends the far share's inflow stencil straight
+    into its rows of the caller's, then its groups into the caller's
+    recorder after the near share's (_SourceRecorder.send), so the group
+    stream, and with it every apply, is the same either way.  On one CPU,
+    and in a daemonic or fork-less process, the calling process traces
+    both shares itself.
     """
     g = tf.grid
     n = g.n_nodes
@@ -826,12 +789,26 @@ def transport_footprint(tf: TransportField) -> TransportFootprint:
     rate = tf.values / np.reshape(g.h, (3, 1, 1, 1))
     idx = np.empty((n, 4), dtype=np.int32)
     w = np.empty((n, 4))
+
+    def send(conn, lo: int, hi: int) -> None:
+        groups = _SourceRecorder(g)
+        _record_share(g, rate, groups, idx, w, lo, hi)
+        conn.send_bytes(idx[lo:hi])
+        conn.send_bytes(w[lo:hi])
+        groups.send(conn)
+
+    def receive(conn, lo: int, hi: int) -> None:
+        conn.recv_bytes_into(idx[lo:hi].reshape(-1))
+        conn.recv_bytes_into(w[lo:hi].reshape(-1))
+        recorder.receive(conn)
+
     shares = _shares(g)
-    if len(shares) == 2 and _workers(2) == 2:
-        _record_with_child(g, rate, recorder, idx, w, *shares)
+    if len(shares) == 2 and _workers() > 1:
+        near, far = shares
+        _fork_shares([far], send, receive, lambda: _record_share(g, rate, recorder, idx, w, *near))
     else:
         for lo, hi in shares:
-            _record_share(g, rate, recorder, idx[lo:hi], w[lo:hi], lo, hi)
+            _record_share(g, rate, recorder, idx, w, lo, hi)
     return TransportFootprint(g, idx, w, tuple(recorder.terms(n)))
 
 

@@ -4,7 +4,6 @@ import hashlib
 import multiprocessing
 import os
 import weakref
-from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -210,14 +209,16 @@ def test_apply_s_affine_in_data():
 
 
 @pytest.mark.parametrize(
-    "solver", ["apply_S", "footprint", "apply_S on two workers", "footprint in blocks of 16"])
+    "solver", ["apply_S", "footprint", "apply_S in two share children", "footprint in blocks of 16"])
 def test_every_route_lands_a_slow_uniform_flow_exactly(solver, monkeypatch):
     # axial speed 0.9: the steps in s integrate a unit source to the travel
     # and the last step, in x1, divides it by u~1, so w = w_in + x1 / 0.9.
-    # Blocks of at most 16 nodes (15 here) land a few traces at a time.
-    if solver.endswith((" on two workers", " in blocks of 16")):
+    # Two shares of the 225 nodes, traced in share children, in blocks of
+    # at most 16 nodes (15 here), land a few traces at a time.
+    if solver.endswith((" in two share children", " in blocks of 16")):
+        monkeypatch.setattr(transport, "_SHARE_NODES", 16)
         monkeypatch.setattr(transport, "_BLOCK", 16)
-        monkeypatch.setattr(transport, "_workers", lambda n_blocks: min(2, n_blocks))
+        monkeypatch.setattr(transport, "_workers", lambda: 2)
     g = make_grid(8, 4, 4)
     tf = uniform_flow(g, axial=0.9)
     one = ScalarField(g, np.ones(g.shape))
@@ -427,33 +428,42 @@ def test_transport_field_rejects_malformed_velocity():
                 make()
 
 
-@pytest.mark.parametrize("run", ["one worker", "default pool", "blocks of 1000", "eight workers"])
+@pytest.mark.parametrize(
+    "run", ["one worker", "two share children", "blocks of 1000", "two shares in blocks of 500"])
 def test_block_tracing_is_bit_identical(run, monkeypatch):
-    # (32, 16, 16) has 9,537 nodes: one block at the default size, ten of
-    # at most 1,000
+    # (32, 16, 16) has 9,537 nodes, the reference one share of one block
+    # traced in this process; the runs trace two shares of one block each,
+    # in this process or in share children, or of at most 1,000 nodes
     g = make_grid(32, 16, 16)
     tf = wall_respecting_flow(g, 2e-2)
     v = smooth_scalar(g, 500, 0.4)
     w_in = smooth_scalar(g, 600, 0.4).values[0]
-    reference = (apply_S(tf, v, w_in).values, transport_footprint(tf).apply(v, w_in).values)
+    with monkeypatch.context() as one_process:
+        one_process.setattr(transport, "_SHARE_NODES", g.n_nodes + 1)
+        one_process.setattr(transport, "_workers", lambda: 1)
+        reference = (apply_S(tf, v, w_in).values, transport_footprint(tf).apply(v, w_in).values)
     if run == "one worker":
-        monkeypatch.setattr(transport, "_workers", lambda n_blocks: 1)
+        monkeypatch.setattr(transport, "_workers", lambda: 1)
+    elif run == "two share children":
+        monkeypatch.setattr(transport, "_workers", lambda: 2)
     elif run == "blocks of 1000":
         monkeypatch.setattr(transport, "_BLOCK", 1000)
-    elif run == "eight workers":
-        # more workers than CPUs, each taking several of the 20 blocks: a
-        # block slice lost or written twice would show in the result
+    elif run == "two shares in blocks of 500":
+        # more CPUs than shares, and each share several blocks: still two
+        # children, and a block slice lost or written twice would show in
+        # the result
         monkeypatch.setattr(transport, "_BLOCK", 500)
-        monkeypatch.setattr(transport, "_workers", lambda n_blocks: min(8, n_blocks))
+        monkeypatch.setattr(transport, "_workers", lambda: 8)
     assert np.array_equal(apply_S(tf, v, w_in).values, reference[0])
     assert np.array_equal(transport_footprint(tf).apply(v, w_in).values, reference[1])
     assert multiprocessing.active_children() == []
 
 
 def test_footprint_records_its_far_share_in_one_child(monkeypatch):
-    # (16, 8, 8) is one share, and its build starts no process; (32, 16,
-    # 16) is two, and starts none where _workers gives one, and exactly one
-    # child, joined before the build returns, where it gives two
+    # (16, 8, 8) is one share, and neither its build nor a field apply on
+    # it starts a process; (32, 16, 16) is two, and starts none where
+    # _workers gives one, and where it gives two exactly one child for the
+    # build and two for the field apply, joined before the call returns
     started = []
     start = multiprocessing.process.BaseProcess.start
 
@@ -465,16 +475,25 @@ def test_footprint_records_its_far_share_in_one_child(monkeypatch):
     small, large = make_grid(16, 8, 8), make_grid(32, 16, 16)
     assert transport._shares(small) == [(0, small.n_nodes)]
     assert len(transport._shares(large)) == 2
-    transport_footprint(wall_respecting_flow(small, 2e-2))
+
+    def both_routes(tf):
+        g = tf.grid
+        apply_S(tf, smooth_scalar(g, 500, 0.4), smooth_scalar(g, 600, 0.4).values[0])
+        transport_footprint(tf)
+
+    both_routes(wall_respecting_flow(small, 2e-2))
     assert started == []
     tf = wall_respecting_flow(large, 2e-2)
-    monkeypatch.setattr(transport, "_workers", lambda n_blocks: 1)
-    transport_footprint(tf)
+    monkeypatch.setattr(transport, "_workers", lambda: 1)
+    both_routes(tf)
     assert started == []
-    monkeypatch.setattr(transport, "_workers", lambda n_blocks: min(2, n_blocks))
+    monkeypatch.setattr(transport, "_workers", lambda: 2)
     transport_footprint(tf)
     assert len(started) == 1
-    assert not started[0].is_alive() and started[0].exitcode == 0
+    apply_S(tf, smooth_scalar(large, 500, 0.4), smooth_scalar(large, 600, 0.4).values[0])
+    assert len(started) == 3
+    for child in started:
+        assert not child.is_alive() and child.exitcode == 0
     assert multiprocessing.active_children() == []
 
 
@@ -492,7 +511,7 @@ def test_far_share_traced_in_the_child_or_the_caller_is_bit_identical(cells, blo
     w_in = smooth_scalar(g, 600, 0.4).values[0]
     footprints = []
     for workers in (1, 2):
-        monkeypatch.setattr(transport, "_workers", lambda n_blocks, k=workers: min(k, n_blocks))
+        monkeypatch.setattr(transport, "_workers", lambda k=workers: k)
         footprints.append(transport_footprint(tf))
     here, child = footprints
     for a, b in zip(_group_stream(here), _group_stream(child)):
@@ -503,25 +522,40 @@ def test_far_share_traced_in_the_child_or_the_caller_is_bit_identical(cells, blo
     assert multiprocessing.active_children() == []
 
 
-@pytest.mark.parametrize("end", ["dies", "raises"])
-def test_footprint_child_that_fails_fails_the_build(end, monkeypatch):
-    # the child tracing the far share exits, or raises, as soon as it
-    # starts a block: the build raises a RuntimeError naming the exit code,
-    # after the child is joined
+@pytest.mark.parametrize("route, end", [("footprint", "dies"), ("footprint", "raises"),
+                                        ("apply_S", "dies"), ("apply_S", "raises")],
+                         ids=["dies", "raises", "apply_S dies", "apply_S raises"])
+def test_footprint_child_that_fails_fails_the_build(route, end, monkeypatch):
+    # each share child exits, or raises, as soon as it starts a block: the
+    # call raises a RuntimeError naming the first share not traced, the
+    # footprint's far share or the field's near share, and the exit code,
+    # after every child is joined.  The caller traces no share of a field
+    # apply.
     caller = os.getpid()
     trace = transport._trace
+    in_caller = []
 
     def fail_in_child(*args, **kwargs):
         if os.getpid() != caller:
             if end == "dies":
                 os._exit(1)
             raise ValueError("a block failed")
+        in_caller.append(True)
         return trace(*args, **kwargs)
 
-    monkeypatch.setattr(transport, "_workers", lambda n_blocks: min(2, n_blocks))
+    monkeypatch.setattr(transport, "_workers", lambda: 2)
     monkeypatch.setattr(transport, "_trace", fail_in_child)
-    with pytest.raises(RuntimeError, match="far share was not recorded: .* exit code 1$"):
-        transport_footprint(wall_respecting_flow(make_grid(32, 16, 16), 2e-2))
+    g = make_grid(32, 16, 16)
+    tf = wall_respecting_flow(g, 2e-2)
+    near, far = transport._shares(g)
+    lo, hi = far if route == "footprint" else near
+    with pytest.raises(RuntimeError, match=f"^the share of nodes {lo} to {hi - 1} was not traced: "
+                                           "its child process ended with exit code 1$"):
+        if route == "footprint":
+            transport_footprint(tf)
+        else:
+            apply_S(tf, smooth_scalar(g, 500, 0.4), smooth_scalar(g, 600, 0.4).values[0])
+    assert (in_caller == []) == (route == "apply_S")
     assert multiprocessing.active_children() == []
 
 
@@ -651,27 +685,6 @@ def test_apply_s_matches_the_bisection_landing_oracle():
         expected = bisection_landing_solve(tf, v, w_in)
         assert np.max(np.abs(apply_S(tf, v, w_in).values - expected)) <= 1e-11
         assert np.max(np.abs(transport_footprint(tf).apply(v, w_in).values - expected)) <= 1e-11
-
-
-@pytest.mark.parametrize("solver", ["apply_S"])  # the one route that starts workers
-def test_worker_that_dies_fails_loudly(solver, monkeypatch):
-    # blocks of at most 100 nodes on two workers, each of which exits as
-    # soon as it starts a block: the pool's BrokenProcessPool is a
-    # RuntimeError, and no worker is left
-    caller = os.getpid()
-
-    def die(*args, **kwargs):
-        assert os.getpid() != caller, "a block was traced in the calling process"
-        os._exit(1)
-
-    monkeypatch.setattr(transport, "_BLOCK", 100)
-    monkeypatch.setattr(transport, "_workers", lambda n_blocks: min(2, n_blocks))
-    monkeypatch.setattr(transport, "_trace", die)
-    g = make_grid(8, 4, 4)
-    with pytest.raises(BrokenProcessPool, match="terminated abruptly") as err:
-        apply_S(uniform_flow(g), zeros_scalar(g), np.zeros(g.shape[1:]))
-    assert isinstance(err.value, RuntimeError)
-    assert multiprocessing.active_children() == []
 
 
 def test_transport_rejection_gives_a_diverged_verdict():
